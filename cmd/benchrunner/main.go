@@ -7,19 +7,17 @@
 //
 // Experiments: fig1, fig9, table2, fig10a, fig10b, fig10c, readheavy,
 // durability, ablation, concurrent, network, metricsoverhead,
-// traceoverhead, hotpath, chaos, ycsbnet, all. All but concurrent, network,
-// hotpath, chaos and the overhead pair replay single-threaded and report
-// virtual device time; concurrent exercises the parallel write pipeline
+// traceoverhead, chaos, ycsbnet, all. All but concurrent, network, chaos
+// and the overhead pair replay single-threaded and report virtual device
+// time; concurrent exercises the parallel write pipeline
 // in-process and network drives it over loopback TCP through eleosd's
 // front-end, both reporting wall-clock scaling. network records its rows
 // to a JSON file (-netjson) so the service path joins the perf
 // trajectory; metricsoverhead and traceoverhead compare the CPU-bound
 // write path with the metrics registry (respectively the flight
 // recorder) disabled vs enabled, record the delta (-mojson / -tojson),
-// and can gate CI with -maxoverhead / -maxtraceoverhead. hotpath
-// compares the legacy copying request loop against the pooled zero-copy
-// path (and the coalescing variant), records the ratio (-hotjson), and
-// gates CI with -minhotspeedup. chaos executes the seeded fault-schedule
+// and can gate CI with -maxoverhead / -maxtraceoverhead. chaos
+// executes the seeded fault-schedule
 // corpus (seeds 1..-chaosseeds) from internal/chaos, records per-seed
 // coverage (-chaosjson), and exits nonzero — printing the one-command
 // replay — if any schedule violates an invariant. fairness runs the
@@ -34,8 +32,10 @@
 // with -maxwaf on the default policy's churn arm. ycsbnet runs the YCSB
 // A/B/C mixes over loopback TCP through the read_page/read_batch wire
 // path with the tiered read cache, plus an in-process concurrent-reader
-// microbench against the global-lock baseline; it records both
-// (-ynjson) and can gate CI with -minreadspeedup.
+// microbench with the cache off and on; it records both (-ynjson).
+// Comparisons against deleted code paths (the copying request loop, the
+// global-lock read path) are recorded numbers in EXPERIMENTS.md, not
+// experiments.
 //
 // The experiments run at a laptop scale (seconds each) by default; raise
 // -txns / -records / -ops to approach the paper's scale. Reported
@@ -68,10 +68,6 @@ func main() {
 		toTrials    = flag.Int("totrials", 3, "trials per arm, best kept (traceoverhead)")
 		toJSON      = flag.String("tojson", "BENCH_trace_overhead.json", "JSON output file for the traceoverhead experiment (empty disables)")
 		maxTraceOH  = flag.Float64("maxtraceoverhead", 0, "fail if trace overhead exceeds this percent (0 disables the gate)")
-		hotBatches  = flag.Int("hotbatches", 150, "batches per client (hotpath)")
-		hotTrials   = flag.Int("hottrials", 3, "trials per arm, best kept (hotpath)")
-		hotJSON     = flag.String("hotjson", "BENCH_hotpath.json", "JSON output file for the hotpath experiment (empty disables)")
-		minHotRatio = flag.Float64("minhotspeedup", 0, "fail if the best pooled-path speedup vs the copy path falls below this ratio (0 disables the gate)")
 		chaosSeeds  = flag.Int("chaosseeds", 4, "generated schedules to execute, seeds 1..N (chaos)")
 		chaosJSON   = flag.String("chaosjson", "BENCH_chaos.json", "JSON output file for the chaos experiment (empty disables)")
 		ynRecords   = flag.Uint64("ynrecords", 2000, "YCSB working-set records, all preloaded (ycsbnet)")
@@ -81,7 +77,6 @@ func main() {
 		ynReaders   = flag.Int("ynreaders", 8, "goroutines in the concurrent-reader microbench (ycsbnet)")
 		ynReads     = flag.Int("ynreadsperarm", 2000, "reads per microbench arm (ycsbnet)")
 		ynJSON      = flag.String("ynjson", "BENCH_ycsbnet.json", "JSON output file for the ycsbnet experiment (empty disables)")
-		minReadSpd  = flag.Float64("minreadspeedup", 0, "fail if the concurrent-reader speedup vs the global-lock baseline falls below this ratio (0 disables the gate)")
 		fairBatches = flag.Int("fairbatches", 120, "quiet-tenant batches per arm (fairness)")
 		fairAggr    = flag.Int("fairaggressors", 3, "noisy-tenant connections (fairness)")
 		fairJSON    = flag.String("fairjson", "BENCH_fairness.json", "JSON output file for the fairness experiment (empty disables)")
@@ -92,7 +87,7 @@ func main() {
 		maxWAF      = flag.Float64("maxwaf", 0, "fail if the default policy's btree-churn WAF exceeds this (0 disables the gate)")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: benchrunner [flags] fig1|fig9|table2|fig10a|fig10b|fig10c|readheavy|durability|ablation|concurrent|network|metricsoverhead|traceoverhead|hotpath|chaos|ycsbnet|fairness|waf|all\n")
+		fmt.Fprintf(os.Stderr, "usage: benchrunner [flags] fig1|fig9|table2|fig10a|fig10b|fig10c|readheavy|durability|ablation|concurrent|network|metricsoverhead|traceoverhead|chaos|ycsbnet|fairness|waf|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -107,14 +102,13 @@ func main() {
 	scale.YCSBOps = *ops
 	mo := overheadFlags{batches: *moBatches, trials: *moTrials, json: *moJSON, maxPct: *maxOverhead}
 	to := overheadFlags{batches: *toBatches, trials: *toTrials, json: *toJSON, maxPct: *maxTraceOH}
-	hot := hotpathFlags{batches: *hotBatches, trials: *hotTrials, json: *hotJSON, minRatio: *minHotRatio}
 	ch := chaosFlags{seeds: *chaosSeeds, json: *chaosJSON}
 	yn := ycsbnetFlags{records: *ynRecords, ops: *ynOps, clients: *ynClients,
 		cacheBytes: int64(*ynCacheMB) << 20, readers: *ynReaders, readsPerArm: *ynReads,
-		json: *ynJSON, minSpeedup: *minReadSpd}
+		json: *ynJSON}
 	fair := fairnessFlags{batches: *fairBatches, aggressors: *fairAggr, json: *fairJSON, maxInflation: *maxP99Infl}
 	waf := wafFlags{batches: *wafBatches, seed: *wafSeed, json: *wafJSON, maxWAF: *maxWAF}
-	if err := run(exp, scale, *netBatches, *netJSON, mo, to, hot, ch, yn, fair, waf); err != nil {
+	if err := run(exp, scale, *netBatches, *netJSON, mo, to, ch, yn, fair, waf); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
 		os.Exit(1)
 	}
@@ -129,15 +123,6 @@ type overheadFlags struct {
 	maxPct  float64 // >0: exit nonzero if overhead exceeds this percent
 }
 
-// hotpathFlags carries the hotpath experiment's knobs; its gate is a
-// minimum speedup ratio rather than a maximum overhead.
-type hotpathFlags struct {
-	batches  int
-	trials   int
-	json     string
-	minRatio float64 // >0: exit nonzero if pooled/copy falls below
-}
-
 // chaosFlags carries the chaos corpus experiment's knobs. It always
 // gates: any schedule violating an invariant exits nonzero with the
 // replay command printed.
@@ -146,8 +131,7 @@ type chaosFlags struct {
 	json  string
 }
 
-// ycsbnetFlags carries the ycsbnet experiment's knobs; its gate is the
-// concurrent-reader speedup over the global-lock baseline.
+// ycsbnetFlags carries the ycsbnet experiment's knobs.
 type ycsbnetFlags struct {
 	records     uint64
 	ops         int
@@ -156,7 +140,6 @@ type ycsbnetFlags struct {
 	readers     int
 	readsPerArm int
 	json        string
-	minSpeedup  float64 // >0: exit nonzero if serial/concurrent falls below
 }
 
 // fairnessFlags carries the fairness experiment's knobs; its gate bounds
@@ -177,7 +160,7 @@ type wafFlags struct {
 	maxWAF  float64 // >0: exit nonzero if the gated WAF exceeds this
 }
 
-func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to overheadFlags, hot hotpathFlags, ch chaosFlags, yn ycsbnetFlags, fair fairnessFlags, waf wafFlags) error {
+func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to overheadFlags, ch chaosFlags, yn ycsbnetFlags, fair fairnessFlags, waf wafFlags) error {
 	needTrace := exp == "fig9" || exp == "table2" || exp == "all"
 	var tr *tpcc.Trace
 	if needTrace {
@@ -285,21 +268,6 @@ func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to
 		if to.maxPct > 0 && res.OverheadPct > to.maxPct {
 			return fmt.Errorf("trace overhead %.2f%% exceeds limit %.2f%%", res.OverheadPct, to.maxPct)
 		}
-	case "hotpath":
-		res, err := harness.RunHotpath(hot.batches, hot.trials)
-		if err != nil {
-			return err
-		}
-		harness.PrintHotpath(os.Stdout, res)
-		if hot.json != "" {
-			if err := harness.WriteHotpathJSON(hot.json, res); err != nil {
-				return err
-			}
-			fmt.Printf("result written to %s\n", hot.json)
-		}
-		if best := max(res.SpeedupPooled, res.SpeedupCoalesced); hot.minRatio > 0 && best < hot.minRatio {
-			return fmt.Errorf("hotpath speedup %.2fx below minimum %.2fx", best, hot.minRatio)
-		}
 	case "ycsbnet":
 		rows, err := harness.RunYCSBNet(yn.records, yn.ops, yn.clients, yn.cacheBytes)
 		if err != nil {
@@ -315,9 +283,6 @@ func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to
 				return err
 			}
 			fmt.Printf("rows written to %s\n", yn.json)
-		}
-		if yn.minSpeedup > 0 && sp.Speedup < yn.minSpeedup {
-			return fmt.Errorf("concurrent-reader speedup %.2fx below minimum %.2fx", sp.Speedup, yn.minSpeedup)
 		}
 	case "fairness":
 		res, err := harness.RunFairness(fair.batches, fair.aggressors)

@@ -195,17 +195,7 @@ func (c *Client) CloseSession(sid uint64) error {
 // is 0 — and retries are NOT idempotent, so unordered flushes are
 // attempted once.
 func (c *Client) Flush(sid, wsn uint64, pages []core.LPage) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.batchBuf = core.AppendBatch(c.batchBuf[:0], pages)
-	return c.flushLocked(netproto.MsgFlushBatch, 0, sid, wsn, c.batchBuf)
-}
-
-// FlushWire is Flush for an already-encoded batch buffer.
-func (c *Client) FlushWire(sid, wsn uint64, wire []byte) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flushLocked(netproto.MsgFlushBatch, 0, sid, wsn, wire)
+	return c.flush(netproto.MsgFlushBatch, 0, sid, wsn, pages)
 }
 
 // FlushTraced is Flush carrying a caller-chosen trace ID, so the batch's
@@ -213,26 +203,19 @@ func (c *Client) FlushWire(sid, wsn uint64, wire []byte) (uint64, error) {
 // request (trace ID 0 lets the server assign one). Same idempotence
 // rules as Flush.
 func (c *Client) FlushTraced(traceID, sid, wsn uint64, pages []core.LPage) (uint64, error) {
+	return c.flush(netproto.MsgFlushBatchTraced, traceID, sid, wsn, pages)
+}
+
+// flush encodes the batch into reused scratch and sends it as a
+// [head, wire] vectored frame: the fixed prefix and the batch bytes are
+// never concatenated into a request body.
+func (c *Client) flush(typ byte, traceID, sid, wsn uint64, pages []core.LPage) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.batchBuf = core.AppendBatch(c.batchBuf[:0], pages)
-	return c.flushLocked(netproto.MsgFlushBatchTraced, traceID, sid, wsn, c.batchBuf)
-}
-
-// FlushWireTraced is FlushTraced for an already-encoded batch buffer.
-func (c *Client) FlushWireTraced(traceID, sid, wsn uint64, wire []byte) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flushLocked(netproto.MsgFlushBatchTraced, traceID, sid, wsn, wire)
-}
-
-// flushLocked sends one flush as a [head, wire] vectored frame: the
-// fixed prefix goes into reused scratch and the batch bytes ride the
-// frame's tail without ever being concatenated into a request body.
-func (c *Client) flushLocked(typ byte, traceID, sid, wsn uint64, wire []byte) (uint64, error) {
 	traced := typ == netproto.MsgFlushBatchTraced
 	c.headBuf = netproto.AppendFlushHead(c.headBuf[:0], traced, traceID, sid, wsn)
-	rbody, err := c.callLocked(typ, c.headBuf, wire, netproto.MsgRespFlushBatch, sid != 0)
+	rbody, err := c.callLocked(typ, c.headBuf, c.batchBuf, netproto.MsgRespFlushBatch, sid != 0)
 	if err != nil {
 		return 0, err
 	}

@@ -48,7 +48,7 @@ func readOne(t *testing.T, conn net.Conn) (byte, []byte) {
 
 func reply(t *testing.T, conn net.Conn, typ byte, body []byte) {
 	t.Helper()
-	if err := netproto.WriteFrame(conn, typ, body); err != nil {
+	if err := netproto.NewFrameWriter(conn).WriteFrame(typ, body); err != nil {
 		t.Errorf("fake server write: %v", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestRetryAfterMidReplyKill(t *testing.T) {
 				t.Errorf("retry request type 0x%02x", typ)
 			}
 			secondSID, secondWSN, _, _ = netproto.ParseFlush(body)
-			reply(t, conn, netproto.MsgRespFlushBatch, netproto.U64Body(secondWSN))
+			reply(t, conn, netproto.MsgRespFlushBatch, netproto.AppendU64(nil, secondWSN))
 		},
 	)
 	cl, err := Dial(addr, testOpts(1))
@@ -137,11 +137,11 @@ func TestBusyRetriedTransparently(t *testing.T) {
 	addr := fakeServer(t,
 		func(t *testing.T, conn net.Conn) {
 			readOne(t, conn)
-			reply(t, conn, netproto.MsgRespError, netproto.ErrorBody(netproto.CodeBusy, "full"))
+			reply(t, conn, netproto.MsgRespError, netproto.AppendErrorBody(nil, netproto.CodeBusy, "full"))
 		},
 		func(t *testing.T, conn net.Conn) {
 			readOne(t, conn)
-			reply(t, conn, netproto.MsgRespOpenSession, netproto.U64Body(1234))
+			reply(t, conn, netproto.MsgRespOpenSession, netproto.AppendU64(nil, 1234))
 		},
 	)
 	cl, err := Dial(addr, testOpts(3))
@@ -162,14 +162,14 @@ func TestBusyRetriedTransparently(t *testing.T) {
 func TestNonRetryableFailsFast(t *testing.T) {
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
 		readOne(t, conn)
-		reply(t, conn, netproto.MsgRespError, netproto.ErrorBody(netproto.CodeBadBatch, "magic"))
+		reply(t, conn, netproto.MsgRespError, netproto.AppendErrorBody(nil, netproto.CodeBadBatch, "magic"))
 	})
 	cl, err := Dial(addr, testOpts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := cl.Stats().Requests
-	_, err = cl.FlushWire(1, 1, []byte("garbage"))
+	_, err = cl.Flush(1, 1, []core.LPage{{LPID: 1, Data: []byte("x")}})
 	if !errors.Is(err, core.ErrBadBatch) {
 		t.Fatalf("error = %v, want core.ErrBadBatch", err)
 	}
@@ -233,9 +233,9 @@ func TestSessionCloseToleratesAppliedRetry(t *testing.T) {
 			if typ != netproto.MsgOpenSession {
 				t.Errorf("want open, got 0x%02x", typ)
 			}
-			reply(t, conn, netproto.MsgRespOpenSession, netproto.U64Body(50))
+			reply(t, conn, netproto.MsgRespOpenSession, netproto.AppendU64(nil, 50))
 			readOne(t, conn) // the close
-			reply(t, conn, netproto.MsgRespError, netproto.ErrorBody(netproto.CodeUnknownSession, "gone"))
+			reply(t, conn, netproto.MsgRespError, netproto.AppendErrorBody(nil, netproto.CodeUnknownSession, "gone"))
 		},
 	)
 	cl, err := Dial(addr, testOpts(7))

@@ -139,6 +139,13 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 	if err != nil {
 		return err
 	}
+	if d.State != summary.Open {
+		// The caller's list of open EBLOCKs predates this call: an earlier
+		// force-close that had to migrate its EBLOCK waited for pins with
+		// c.mu released, and meanwhile another action closed this one or
+		// a migration erased it. Nothing is left to close.
+		return nil
+	}
 	meta := c.st.Meta(ref.Channel, ref.EBlock)
 	img := summary.EncodeMetaBlock(meta)
 	w := c.geo.WBlockBytes
@@ -180,6 +187,7 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 	}); err != nil {
 		return err
 	}
+	c.st.ClearMeta(ref.Channel, ref.EBlock)
 	c.prov.DropOpen(ref.Channel, ref.EBlock)
 	return nil
 }

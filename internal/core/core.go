@@ -120,10 +120,6 @@ type Config struct {
 	// real media transfers there, so warm workloads show ReadRBlocks ≪
 	// reads — that gap is the cache's proof of work.
 	ReadCacheBytes int64
-	// SerialReads forces the pre-concurrent read path that holds the
-	// global controller lock across the flash transfer. It exists only as
-	// the A/B baseline for the concurrent-reader benchmark; leave false.
-	SerialReads bool
 	// Metrics is the registry every layer (core, flash, wal) records
 	// into. Nil gets a private enabled registry; pass
 	// metrics.NewDisabled() to strip instrumentation entirely (the

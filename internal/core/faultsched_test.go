@@ -194,7 +194,9 @@ func TestFaultScheduleTraceAttribution(t *testing.T) {
 	for wsn := uint64(1); wsn <= batches; wsn++ {
 		var werr error
 		for attempt := 0; attempt < 10; attempt++ {
-			werr = c.WriteBatchTraced(sid, wsn, traceFor(wsn), stressBatch(0, wsn))
+			sub := &SubFlush{SID: sid, WSN: wsn, TraceID: traceFor(wsn), Pages: stressBatch(0, wsn)}
+			c.WriteBatchGroup([]*SubFlush{sub})
+			werr = sub.Err
 			if errors.Is(werr, ErrWriteFailed) {
 				aborted[traceFor(wsn)] = true
 				continue

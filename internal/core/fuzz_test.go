@@ -17,7 +17,7 @@ func TestDecodeBatchNeverPanics(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		b := make([]byte, rng.Intn(300))
 		rng.Read(b)
-		pages, err := DecodeBatch(b)
+		pages, err := AppendBatchView(nil, b)
 		if err == nil && pages == nil {
 			t.Fatal("nil pages with nil error")
 		}
@@ -56,13 +56,13 @@ func TestDecodeBatchForgedCount(t *testing.T) {
 		}),
 	}
 	for name, wire := range cases {
-		if _, err := DecodeBatch(wire); !errors.Is(err, ErrBadBatch) {
+		if _, err := AppendBatchView(nil, wire); !errors.Is(err, ErrBadBatch) {
 			t.Errorf("%s: err = %v, want ErrBadBatch", name, err)
 		}
 	}
 	// The unmutated encoding stays decodable (the bound is not too tight).
 	good := forge(func(b []byte) []byte { return b })
-	pages, err := DecodeBatch(good)
+	pages, err := AppendBatchView(nil, good)
 	if err != nil || len(pages) != 1 || string(pages[0].Data) != "data" {
 		t.Fatalf("well-formed batch rejected: %v", err)
 	}
@@ -70,9 +70,14 @@ func TestDecodeBatchForgedCount(t *testing.T) {
 
 // FuzzDecodeBatch fuzzes the wire-batch parser directly: any input must
 // either decode or fail with ErrBadBatch — no panics, no giant
-// allocations, and round-tripping a decoded batch must be stable.
+// allocations — round-tripping a decoded batch must be stable, and the
+// decoded views must alias the wire buffer (the server feeds
+// AppendBatchView straight from pooled request frames and programs flash
+// from the views, so a stray copy or a view past the frame is silent
+// data corruption).
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte{})
+	f.Add(EncodeBatch(nil))
 	f.Add(EncodeBatch([]LPage{{LPID: 1, Data: []byte("x")}}))
 	f.Add(EncodeBatch([]LPage{
 		{LPID: 7, Data: make([]byte, 100)},
@@ -82,16 +87,26 @@ func FuzzDecodeBatch(f *testing.F) {
 	hostile = binary.LittleEndian.AppendUint32(hostile, 0xFFFFFFFF)
 	f.Add(binary.LittleEndian.AppendUint32(hostile, crc32.ChecksumIEEE(hostile)))
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		pages, err := DecodeBatch(wire)
+		pages, err := AppendBatchView(make([]LPage, 0, 4), wire)
 		if err != nil {
 			if !errors.Is(err, ErrBadBatch) {
 				t.Fatalf("non-ErrBadBatch failure: %v", err)
 			}
 			return
 		}
+		for i := range pages {
+			if len(pages[i].Data) == 0 {
+				continue
+			}
+			base := uintptr(unsafe.Pointer(&wire[0]))
+			d := uintptr(unsafe.Pointer(&pages[i].Data[0]))
+			if d < base || d >= base+uintptr(len(wire)) {
+				t.Fatalf("page %d view does not alias the wire buffer", i)
+			}
+		}
 		// Anything that decodes must re-encode to a decodable batch with
 		// identical content.
-		again, err := DecodeBatch(EncodeBatch(pages))
+		again, err := AppendBatchView(nil, EncodeBatch(pages))
 		if err != nil || len(again) != len(pages) {
 			t.Fatalf("round trip: %d pages, %v", len(again), err)
 		}
@@ -130,49 +145,4 @@ func TestDecodeCkptNeverPanics(t *testing.T) {
 			t.Fatal("nil record with nil error")
 		}
 	}
-}
-
-// FuzzAppendBatchView pins the zero-copy decode to the copying one: on
-// every input the two must agree on error-ness, and on success the
-// views must carry identical content while aliasing the wire buffer
-// (the coalesced path feeds AppendBatchView straight from pooled
-// request frames, so a divergence here is silent data corruption).
-func FuzzAppendBatchView(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeBatch(nil))
-	f.Add(EncodeBatch([]LPage{{LPID: 1, Data: []byte("x")}}))
-	f.Add(EncodeBatch([]LPage{
-		{LPID: 7, Data: make([]byte, 100)},
-		{LPID: 9, Data: []byte("variable size")},
-	}))
-	f.Fuzz(func(t *testing.T, wire []byte) {
-		copied, cerr := DecodeBatch(wire)
-		scratch := make([]LPage, 0, 4)
-		views, verr := AppendBatchView(scratch, wire)
-		if (cerr == nil) != (verr == nil) {
-			t.Fatalf("decoders disagree: copy=%v view=%v", cerr, verr)
-		}
-		if cerr != nil {
-			if !errors.Is(verr, ErrBadBatch) {
-				t.Fatalf("non-ErrBadBatch failure: %v", verr)
-			}
-			return
-		}
-		if len(views) != len(copied) {
-			t.Fatalf("page count: view %d, copy %d", len(views), len(copied))
-		}
-		for i := range views {
-			if views[i].LPID != copied[i].LPID || !bytes.Equal(views[i].Data, copied[i].Data) {
-				t.Fatalf("page %d differs between view and copy decode", i)
-			}
-			// Non-empty view data must alias wire, not a fresh allocation.
-			if len(views[i].Data) > 0 {
-				base := uintptr(unsafe.Pointer(&wire[0]))
-				d := uintptr(unsafe.Pointer(&views[i].Data[0]))
-				if d < base || d >= base+uintptr(len(wire)) {
-					t.Fatalf("page %d view does not alias the wire buffer", i)
-				}
-			}
-		}
-	})
 }

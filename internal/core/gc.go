@@ -164,8 +164,14 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	return c.eraseAndFreeLocked(ch, eb)
 }
 
-// readMetaLocked reads and decodes an EBLOCK's flushed metadata block.
+// readMetaLocked returns a closed EBLOCK's metadata: the in-memory copy
+// while the summary table still holds one — the closing action never
+// logged the close, so the flushed block may have failed to program —
+// otherwise the flushed block, read and decoded.
 func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary.MetaEntry, error) {
+	if entries := c.st.Meta(ch, eb); len(entries) > 0 {
+		return entries, nil
+	}
 	if d.MetaWBlocks == 0 {
 		return nil, fmt.Errorf("core: eblock (%d,%d) has no metadata", ch, eb)
 	}

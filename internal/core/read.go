@@ -46,25 +46,17 @@ import (
 // are transferred and the exact extent is returned — adjacent LPAGEs'
 // bytes are never revealed.
 func (c *Controller) Read(lpid addr.LPID) ([]byte, error) {
-	if c.cfg.SerialReads {
-		return c.readSerial(lpid)
-	}
 	var t0 time.Time
 	if c.met.on {
 		t0 = time.Now()
 	}
-	if c.rcache == nil {
-		data, err := c.readFenced(lpid)
-		if err != nil {
-			return nil, err
-		}
-		c.met.reads.Inc()
-		if c.met.on {
-			c.met.readNS.ObserveDuration(time.Since(t0))
-		}
-		return data, nil
+	var data []byte
+	var err error
+	if c.rcache != nil {
+		data, err = c.readCached(lpid)
+	} else {
+		data, err = c.readFenced(lpid)
 	}
-	data, err := c.readCached(lpid)
 	if err != nil {
 		return nil, err
 	}
@@ -142,27 +134,6 @@ func (c *Controller) readFenced(lpid addr.LPID) ([]byte, error) {
 	if rerr != nil {
 		return nil, rerr
 	}
-	c.met.readFlashLoads.Inc()
-	return data, nil
-}
-
-// readSerial is the pre-concurrency baseline: the global lock is held
-// across the flash transfer, so concurrent readers and writers fully
-// serialize. Kept only for the A/B read-scaling benchmark.
-func (c *Controller) readSerial(lpid addr.LPID) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a, err := c.lookupLocked(lpid)
-	if err != nil {
-		return nil, err
-	}
-	data, nR, err := c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
-	if err != nil {
-		return nil, err
-	}
-	c.stats.Reads++
-	c.stats.ReadRBlocks += int64(nR)
-	c.met.reads.Inc()
 	c.met.readFlashLoads.Inc()
 	return data, nil
 }

@@ -257,15 +257,3 @@ func TestReadAfterCrashRejected(t *testing.T) {
 		}
 	}
 }
-
-func TestSerialReadsBaselineStillCorrect(t *testing.T) {
-	cfg := testConfig()
-	cfg.SerialReads = true
-	c, _ := newFormattedCfg(t, cfg)
-	data := pageContent(3, 1, 1234)
-	mustWrite(t, c, LPage{LPID: 3, Data: data})
-	got, err := c.Read(3)
-	if err != nil || !bytes.Equal(got[:len(data)], data) {
-		t.Fatalf("serial Read: %v", err)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 
 	"eleos/internal/addr"
 )
@@ -48,22 +47,12 @@ func AppendBatch(dst []byte, pages []LPage) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// DecodeBatch parses a wire batch back into pages. Page data is copied,
-// so the result outlives the wire buffer.
-func DecodeBatch(wire []byte) ([]LPage, error) {
-	return decodeBatch(wire, nil, true)
-}
-
 // AppendBatchView parses a wire batch appending into dst, with each
 // page's Data aliasing wire — the zero-copy decode of the network hot
 // path. The views are valid only while the caller keeps the wire buffer
 // alive (for pooled frames: until the frame's refcount is released,
 // which the server does only after the flash programs complete).
 func AppendBatchView(dst []LPage, wire []byte) ([]LPage, error) {
-	return decodeBatch(wire, dst, false)
-}
-
-func decodeBatch(wire []byte, dst []LPage, copyData bool) ([]LPage, error) {
 	if len(wire) < 12 {
 		return nil, fmt.Errorf("%w: short", ErrBadBatch)
 	}
@@ -101,47 +90,11 @@ func decodeBatch(wire []byte, dst []LPage, copyData bool) ([]LPage, error) {
 		if l < 0 || l > len(body)-off {
 			return nil, fmt.Errorf("%w: truncated page payload", ErrBadBatch)
 		}
-		data := body[off : off+l : off+l]
-		if copyData {
-			data = append([]byte(nil), data...)
-		}
-		pages = append(pages, LPage{LPID: lpid, Data: data})
+		pages = append(pages, LPage{LPID: lpid, Data: body[off : off+l : off+l]})
 		off += l
 	}
 	if off != len(body) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrBadBatch)
 	}
 	return pages, nil
-}
-
-// viewPool recycles the page-view slices WriteBatchWire decodes into,
-// so the wire entry point allocates no per-batch slice in steady state.
-var viewPool = sync.Pool{New: func() any { return new([]LPage) }}
-
-// WriteBatchWire is flush_batch as it crosses the transport: the
-// controller parses the buffer's in-batch metadata, then executes the
-// write as one system action.
-func (c *Controller) WriteBatchWire(sid, wsn uint64, wire []byte) error {
-	return c.WriteBatchWireTraced(sid, wsn, 0, wire)
-}
-
-// WriteBatchWireTraced is WriteBatchWire carrying the flush frame's
-// trace ID (see WriteBatchTraced). The wire buffer is borrowed, not
-// copied: its bytes are read (through page views) up to the moment the
-// batch's flash programs are submitted, so callers passing a pooled
-// frame may release it as soon as the call returns.
-func (c *Controller) WriteBatchWireTraced(sid, wsn, traceID uint64, wire []byte) error {
-	vp := viewPool.Get().(*[]LPage)
-	pages, err := AppendBatchView((*vp)[:0], wire)
-	if err == nil {
-		err = c.WriteBatchTraced(sid, wsn, traceID, pages)
-	}
-	// Drop the data views before pooling the slice: a pooled slice must
-	// not pin the caller's wire buffer (or a recycled pooled frame).
-	if pages != nil {
-		clear(pages)
-		*vp = pages[:0]
-	}
-	viewPool.Put(vp)
-	return err
 }

@@ -20,7 +20,7 @@ func TestBatchWireRoundTripQuick(t *testing.T) {
 			rng.Read(data)
 			pages[i] = LPage{LPID: addr.LPID(rng.Uint64() & uint64(addr.MaxUserLPID)), Data: data}
 		}
-		got, err := DecodeBatch(EncodeBatch(pages))
+		got, err := AppendBatchView(nil, EncodeBatch(pages))
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -41,40 +41,50 @@ func TestBatchWireCorruption(t *testing.T) {
 	for _, off := range []int{0, 5, 10, len(wire) - 2} {
 		bad := append([]byte(nil), wire...)
 		bad[off] ^= 0xFF
-		if _, err := DecodeBatch(bad); !errors.Is(err, ErrBadBatch) {
+		if _, err := AppendBatchView(nil, bad); !errors.Is(err, ErrBadBatch) {
 			t.Fatalf("corruption at %d not detected", off)
 		}
 	}
-	if _, err := DecodeBatch(nil); !errors.Is(err, ErrBadBatch) {
+	if _, err := AppendBatchView(nil, nil); !errors.Is(err, ErrBadBatch) {
 		t.Fatal("nil accepted")
 	}
-	if _, err := DecodeBatch(wire[:8]); !errors.Is(err, ErrBadBatch) {
+	if _, err := AppendBatchView(nil, wire[:8]); !errors.Is(err, ErrBadBatch) {
 		t.Fatal("truncated accepted")
 	}
 }
 
-func TestWriteBatchWireEndToEnd(t *testing.T) {
+// TestBatchViewEndToEnd writes zero-copy views of a wire buffer — the
+// server's flush path in miniature — and reads the pages back.
+func TestBatchViewEndToEnd(t *testing.T) {
 	c, _ := newFormatted(t)
 	wire := EncodeBatch([]LPage{
 		{LPID: 1, Data: pageContent(1, 1, 300)},
 		{LPID: 2, Data: pageContent(2, 1, 1200)},
 	})
-	if err := c.WriteBatchWire(0, 0, wire); err != nil {
+	views, err := AppendBatchView(make([]LPage, 0, 4), wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBatch(0, 0, views); err != nil {
 		t.Fatal(err)
 	}
 	checkRead(t, c, 1, pageContent(1, 1, 300))
 	checkRead(t, c, 2, pageContent(2, 1, 1200))
-	// A corrupted wire buffer is rejected before any state changes.
+	// A corrupted wire buffer is rejected at decode, before any write.
 	wire[20] ^= 0xFF
-	if err := c.WriteBatchWire(0, 0, wire); !errors.Is(err, ErrBadBatch) {
+	if _, err := AppendBatchView(views[:0], wire); !errors.Is(err, ErrBadBatch) {
 		t.Fatalf("corrupt wire accepted: %v", err)
 	}
 }
 
+// An empty wire batch decodes (to no pages) and is rejected by the write.
 func TestEmptyWireBatch(t *testing.T) {
 	c, _ := newFormatted(t)
-	wire := EncodeBatch(nil)
-	if err := c.WriteBatchWire(0, 0, wire); !errors.Is(err, ErrEmptyBatch) {
+	views, err := AppendBatchView(nil, EncodeBatch(nil))
+	if err != nil || len(views) != 0 {
+		t.Fatalf("empty wire batch decode: %d pages, %v", len(views), err)
+	}
+	if err := c.WriteBatch(0, 0, views); !errors.Is(err, ErrEmptyBatch) {
 		t.Fatalf("empty wire batch: %v", err)
 	}
 }

@@ -15,10 +15,9 @@ import (
 	"eleos/internal/trace"
 )
 
-// flushRef identifies one (sid, wsn) flush carried by an action. A
-// plain WriteBatch action carries exactly one; a coalesced group action
-// (WriteBatchGroup) carries one per merged sub-flush, and the commit,
-// session-advance and trace machinery fan out over them.
+// flushRef identifies one (sid, wsn) flush carried by an action: one per
+// sub-flush of the group, and the commit, session-advance and trace
+// machinery fan out over them.
 type flushRef struct {
 	sid   uint64
 	wsn   uint64
@@ -36,18 +35,42 @@ type action struct {
 	hint record.LSN // lsnHint at init; pins the truncation LSN while active
 
 	buf  []byte                // aligned page images, back to back
-	pb   *bufpool.Buf          // pooled backing of buf; released by the caller after writeUser
+	pb   *bufpool.Buf          // pooled backing of buf; released by finishRoundLocked after writeUser
 	bps  []provision.BatchPage // layout handed to the provisioner
 	plan *provision.Plan
 	lsns []record.LSN // per-page Update record LSNs
 
-	subs    []flushRef   // the flushes this action carries (≥1)
-	subsArr [1]flushRef  // inline storage for the single-flush case
+	subs    []flushRef  // the flushes this action carries (≥1)
+	subsArr [1]flushRef // inline storage for the group of one
 }
 
+// SubFlush is one host flush: a buffer of pages with its own (SID, WSN)
+// ack semantics, trace attribution and outcome. The network front-end
+// hands WriteBatchGroup one per request, or — coalescing — one per
+// merged connection. Pages may be zero-copy views into pooled frames;
+// the caller keeps those frames alive until WriteBatchGroup returns.
+type SubFlush struct {
+	SID     uint64
+	WSN     uint64
+	TraceID uint64 // flight-recorder trace ID (0 = assign when tracing)
+	Pages   []LPage
+	Err     error // per-sub outcome, valid after WriteBatchGroup returns
+
+	state subState
+}
+
+// subState tracks a sub-flush through WriteBatchGroup's claim rounds.
+type subState uint8
+
+const (
+	subPending subState = iota // no claim yet: waits for its WSN's turn
+	subClaimed                 // holds its (sid, wsn) claim for this round's action
+	subDone                    // Err is final
+)
+
 // WriteBatch durably writes a buffer of variable-size logical pages as one
-// atomic system action (§IV). Pages are applied in buffer order: a later
-// page for the same LPID overwrites an earlier one.
+// atomic system action (§IV) — a group of one. Pages are applied in buffer
+// order: a later page for the same LPID overwrites an earlier one.
 //
 // sid/wsn order buffers within a session (§III-A2): pass sid = 0 for
 // unordered writes. A WSN already applied returns nil without re-applying
@@ -55,102 +78,208 @@ type action struct {
 // blocks until they arrive.
 //
 // WriteBatch is safe for concurrent use. Concurrent batches pipeline: each
-// holds c.mu only for admission, the provision/log/submit critical section,
+// holds c.mu only for the claim, the provision/log/submit critical section,
 // and the install; flash programs execute on the per-channel device workers
 // and the commit force runs with the lock released (committers share forced
 // log pages — group commit).
 func (c *Controller) WriteBatch(sid, wsn uint64, pages []LPage) error {
-	return c.WriteBatchTraced(sid, wsn, 0, pages)
+	s := SubFlush{SID: sid, WSN: wsn, Pages: pages}
+	c.WriteBatchGroup([]*SubFlush{&s})
+	return s.Err
 }
 
-// WriteBatchTraced is WriteBatch with an explicit flight-recorder trace
-// ID tying the batch's spans to the originating request (the network
-// front-end propagates the ID from flush_batch_traced frames). traceID 0
-// gets a fresh ID when tracing is enabled, so every batch is always
-// attributable in the recorder.
-func (c *Controller) WriteBatchTraced(sid, wsn, traceID uint64, pages []LPage) error {
+// WriteBatchGroup durably writes independent flushes through shared
+// system actions: every sub whose WSN can be claimed now joins one
+// provision/program/commit cycle, and the rest are claimed again once
+// that action has installed. Each sub-flush keeps its own semantics:
+//
+//   - A stale WSN is re-ACKed (Err = nil) without joining an action. An
+//     early WSN, or a duplicate of an in-flight one, waits for a later
+//     round — on wsnCond only when no sub of the group is claimable, so a
+//     gap in one session never stalls the other subs' write.
+//   - One Commit record is appended per sub, all under the action's id, so
+//     every merged (sid, wsn) commits atomically with the action and
+//     recovery advances each session independently.
+//   - A malformed sub is rejected alone (its Err set, claim released);
+//     its groupmates still write.
+//
+// On return every sub's Err is set. An action's media failures and crash
+// outcomes apply to all subs it carried.
+func (c *Controller) WriteBatchGroup(subs []*SubFlush) {
 	tracing := c.trc.Enabled()
-	if tracing {
-		if traceID == 0 {
-			traceID = c.trc.NewTraceID()
+	for _, s := range subs {
+		s.Err, s.state = nil, subPending
+		if tracing {
+			if s.TraceID == 0 {
+				s.TraceID = c.trc.NewTraceID()
+			}
+			c.trc.Emit(trace.KBatchStart, s.TraceID, s.SID, s.WSN, int64(len(s.Pages)), 0)
 		}
-		c.trc.Emit(trace.KBatchStart, traceID, sid, wsn, int64(len(pages)), 0)
 	}
-	err := c.writeBatch(sid, wsn, traceID, pages)
-	if tracing {
-		var fail int64
-		if err != nil {
-			fail = 1
-		}
-		c.trc.Emit(trace.KBatchEnd, traceID, sid, wsn, fail, 0)
-	}
-	return err
-}
-
-func (c *Controller) writeBatch(sid, wsn, traceID uint64, pages []LPage) error {
 	// Claim stage: lock acquisition plus WSN admission (which may wait for
 	// predecessor WSNs). Timed only when the registry or tracer needs it.
-	timed := c.met.on || c.trc.Enabled()
+	timed := c.met.on || tracing
 	var tClaim time.Time
 	if timed {
 		tClaim = time.Now()
 	}
 	c.mu.Lock()
-	if c.crashed {
+	for c.claimLocked(subs) {
 		c.mu.Unlock()
-		return ErrCrashed
-	}
-	if len(pages) == 0 {
-		c.mu.Unlock()
-		return ErrEmptyBatch
-	}
-	if sid != 0 {
-		ok, err := c.admitWSNLocked(sid, wsn)
-		if !ok {
-			c.mu.Unlock()
-			return err
-		}
-	}
-	c.mu.Unlock()
-	if timed {
 		if c.met.on {
 			c.met.claimNS.ObserveDuration(time.Since(tClaim))
 		}
-		c.trc.Span(trace.KClaim, traceID, sid, wsn, tClaim, 0, 0)
+		if tracing {
+			for _, s := range subs {
+				if s.state == subClaimed {
+					c.trc.Span(trace.KClaim, s.TraceID, s.SID, s.WSN, tClaim, 0, 0)
+				}
+			}
+		}
+		// Validating, copying and padding the pages is per-action work,
+		// done outside the lock.
+		a := layoutClaimed(subs)
+		c.mu.Lock()
+		c.finishRoundLocked(a, subs)
+		if timed {
+			tClaim = time.Now()
+		}
 	}
+	c.mu.Unlock()
+	if tracing {
+		for _, s := range subs {
+			var fail int64
+			if s.Err != nil {
+				fail = 1
+			}
+			c.trc.Emit(trace.KBatchEnd, s.TraceID, s.SID, s.WSN, fail, 0)
+		}
+	}
+}
 
-	// Build the aligned write buffer outside the lock: validating, copying
-	// and padding the batch is per-action work.
+// claimLocked gates every pending sub on its session's write sequence
+// number (§III-A2) and claims (sid, wsn) for those whose turn it is, so a
+// concurrent duplicate submission of the same WSN cannot be admitted while
+// this one runs outside the lock. Stale and erroneous subs are finished
+// in place. It reports whether any sub holds a claim; when none does but
+// some still wait for a predecessor (or for an in-flight duplicate to
+// resolve), it blocks on wsnCond and tries again.
+func (c *Controller) claimLocked(subs []*SubFlush) bool {
+	for {
+		claimed, waiting := false, false
+		for _, s := range subs {
+			if s.state != subPending {
+				continue
+			}
+			key := [2]uint64{s.SID, s.WSN}
+			v := session.Apply // unordered (sid 0) writes are always next
+			var err error
+			switch {
+			case c.crashed:
+				err = ErrCrashed
+			case len(s.Pages) == 0:
+				err = ErrEmptyBatch
+			case s.SID != 0:
+				v, _, err = c.sess.Check(s.SID, s.WSN)
+			}
+			switch {
+			case err != nil:
+				s.Err, s.state = err, subDone
+			case v == session.Stale:
+				// Already applied; the re-ACK is the success path.
+				c.stats.StaleWrites++
+				c.met.staleWrites.Inc()
+				s.state = subDone
+			case v == session.Early || c.wsnInflight[key]:
+				waiting = true
+			default:
+				if s.SID != 0 {
+					c.wsnInflight[key] = true
+				}
+				s.state, claimed = subClaimed, true
+			}
+		}
+		if claimed || !waiting {
+			return claimed
+		}
+		c.wsnCond.Wait()
+	}
+}
+
+// layoutClaimed lays the claimed subs' pages back to back (64-byte
+// aligned) in one pooled write buffer, exactly as a batch arrives over
+// the wire, so the steady-state write path allocates no per-action
+// program buffer. Validation is per sub so one malformed flush drops out
+// alone, its Err set; it returns nil when no claimed sub was valid.
+func layoutClaimed(subs []*SubFlush) *action {
+	total, npages, nsubs := 0, 0, 0
+	for _, s := range subs {
+		if s.state != subClaimed {
+			continue
+		}
+		n, err := validatePages(s.Pages)
+		if err != nil {
+			s.Err = err
+			continue
+		}
+		total += n
+		npages += len(s.Pages)
+		nsubs++
+	}
+	if nsubs == 0 {
+		return nil
+	}
 	a := &action{}
-	a.subs = a.subsArr[:1]
-	a.subs[0] = flushRef{sid: sid, wsn: wsn, tid: traceID, pages: len(pages), bytes: logicalBytes(pages)}
-	var err error
-	a.buf, a.pb, a.bps, err = buildBatch(pages)
+	a.pb = bufpool.Get(total)
+	a.buf = a.pb.Bytes()
+	a.bps = make([]provision.BatchPage, 0, npages)
+	a.subs = a.subsArr[:0]
+	if nsubs > 1 {
+		a.subs = make([]flushRef, 0, nsubs)
+	}
+	off := 0
+	for _, s := range subs {
+		if s.state != subClaimed || s.Err != nil {
+			continue
+		}
+		a.subs = append(a.subs, flushRef{sid: s.SID, wsn: s.WSN, tid: s.TraceID, pages: len(s.Pages), bytes: logicalBytes(s.Pages)})
+		a.bps, off = layoutPages(a.buf, a.bps, off, s.Pages)
+	}
+	return a
+}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err == nil && c.crashed {
-		err = ErrCrashed
-	}
-	if err == nil {
-		err = c.writeUser(a)
-	}
-	if a.pb != nil {
-		// The flash programs have completed (or were never submitted):
-		// the pooled program buffer goes back to the pool here and
-		// nowhere else.
+// finishRoundLocked runs the round's action (nil when every claimed sub
+// was malformed) and ends the round: the one place that returns the
+// pooled program buffer and releases WSN claims. The flash programs have
+// completed (or were never submitted) when writeUser returns, so nothing
+// reads a.buf past this point.
+func (c *Controller) finishRoundLocked(a *action, subs []*SubFlush) {
+	var err error
+	if a != nil {
+		if c.crashed {
+			err = ErrCrashed
+		} else {
+			err = c.writeUser(a)
+		}
 		a.pb.Release()
-		a.pb = nil
 	}
-	if sid != 0 {
-		delete(c.wsnInflight, [2]uint64{sid, wsn})
-		c.wsnCond.Broadcast()
+	for _, s := range subs {
+		if s.state != subClaimed {
+			continue
+		}
+		s.state = subDone
+		if s.Err == nil {
+			s.Err = err
+		}
+		if s.SID != 0 {
+			delete(c.wsnInflight, [2]uint64{s.SID, s.WSN})
+		}
 	}
-	if err == nil {
+	c.wsnCond.Broadcast()
+	if a != nil && err == nil {
 		c.maybeGCLocked()
 		c.maybeCheckpointLocked()
 	}
-	return err
 }
 
 // logicalBytes sums the pages' logical (pre-alignment) sizes.
@@ -162,53 +291,10 @@ func logicalBytes(pages []LPage) int64 {
 	return n
 }
 
-// admitWSNLocked gates a batch on its session's write sequence number
-// (§III-A2) and claims (sid, wsn) so a concurrent duplicate submission of
-// the same WSN cannot be admitted while this one runs outside the lock.
-// ok=false with a nil error means the batch is stale and was re-ACKed.
-func (c *Controller) admitWSNLocked(sid, wsn uint64) (bool, error) {
-	key := [2]uint64{sid, wsn}
-	for {
-		v, _, err := c.sess.Check(sid, wsn)
-		if err != nil {
-			return false, err
-		}
-		if v == session.Stale {
-			c.stats.StaleWrites++
-			c.met.staleWrites.Inc()
-			return false, nil
-		}
-		if v == session.Apply && !c.wsnInflight[key] {
-			c.wsnInflight[key] = true
-			return true, nil
-		}
-		c.wsnCond.Wait()
-		if c.crashed {
-			return false, ErrCrashed
-		}
-	}
-}
-
-// buildBatch lays the pages out back to back (64-byte aligned) in one
-// pooled write buffer, exactly as the batch arrives over the wire. The
-// buffer is borrowed from bufpool — the caller releases it once the
-// flash programs have completed (after writeUser returns) — so the
-// steady-state write path allocates no per-batch program buffer.
-func buildBatch(pages []LPage) ([]byte, *bufpool.Buf, []provision.BatchPage, error) {
-	total, err := validatePages(pages)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pb := bufpool.Get(total)
-	buf := pb.Bytes()
-	bps, _ := layoutPages(buf, make([]provision.BatchPage, 0, len(pages)), 0, pages)
-	return buf, pb, bps, nil
-}
-
 // validatePages rejects empty or non-user pages and returns the total
-// aligned buffer size the batch needs. Split from layoutPages so a
-// coalesced group can validate each sub-flush in isolation before
-// laying all of them into one shared buffer.
+// aligned buffer size the sub-flush needs. Split from layoutPages so each
+// sub-flush is validated in isolation before all of them are laid into
+// one shared buffer.
 func validatePages(pages []LPage) (alignedTotal int, err error) {
 	total := 0
 	for _, p := range pages {
@@ -524,7 +610,8 @@ func (c *Controller) logPlanLocked(id uint64, plan *provision.Plan, olds []addr.
 
 // logClosesLocked logs close records for EBLOCKs whose metadata this
 // action just made durable. Logged only at commit time so a close record
-// implies readable metadata (§VIII-C).
+// implies readable metadata (§VIII-C) — which is also when the summary
+// table's in-memory copy can go.
 func (c *Controller) logClosesLocked(plan *provision.Plan) error {
 	for _, cl := range plan.Closes {
 		if _, err := c.append(record.CloseEBlock{
@@ -534,6 +621,7 @@ func (c *Controller) logClosesLocked(plan *provision.Plan) error {
 		}); err != nil {
 			return err
 		}
+		c.st.ClearMeta(cl.Channel, cl.EBlock)
 	}
 	return nil
 }

@@ -28,11 +28,11 @@ import (
 // read p50/p99 and update throughput per mix — plus the cache's
 // effectiveness: how many wire reads were served without touching flash.
 //
-// Alongside the three mixes, RunReadSpeedup measures the tentpole claim
-// in isolation: in-process concurrent readers against the pre-refactor
-// global-lock read path (Config.SerialReads), same device, same working
-// set. The concurrent path must win by overlapping reads across flash
-// channels; with the cache on, warm reads must skip flash entirely.
+// Alongside the three mixes, RunReadSpeedup times in-process concurrent
+// readers on the fenced read path with the cache off and on, same
+// device, same working set: with the cache on, warm reads must skip
+// flash entirely. (The comparison against the pre-refactor global-lock
+// read path is frozen in EXPERIMENTS.md; that path is gone.)
 
 // YCSBNetRow is one workload mix's measurement.
 type YCSBNetRow struct {
@@ -50,16 +50,14 @@ type YCSBNetRow struct {
 	FlashLoads int64   // reads that reached flash (read.flash_loads)
 }
 
-// ReadSpeedupResult compares the concurrent read path against the
-// global-lock baseline, and the cache against both.
+// ReadSpeedupResult compares the concurrent read path with the cache off
+// and on.
 type ReadSpeedupResult struct {
 	Readers       int
 	ReadsPerArm   int
-	SerialElapsed time.Duration // Config.SerialReads: every read under c.mu
 	ConcElapsed   time.Duration // pinned-EBLOCK fence, reads overlap channels
 	CachedElapsed time.Duration // warm tiered cache: flash untouched
-	Speedup       float64       // serial / concurrent
-	CachedSpeedup float64       // serial / cached
+	CachedSpeedup float64       // concurrent / cached
 	FlashReadsHot int64         // RBLOCK reads during the cached arm (want 0)
 }
 
@@ -279,31 +277,23 @@ func runYCSBNetOne(name string, wcfg ycsb.Config, ops, clients int, cacheBytes i
 	return row, nil
 }
 
-// RunReadSpeedup measures the concurrent read path against the
-// global-lock baseline and the warm cache, each arm on a fresh
-// controller with the same seeded working set.
+// RunReadSpeedup measures the concurrent read path against the warm
+// cache, each arm on a fresh controller with the same seeded working set.
 func RunReadSpeedup(readers, readsPerArm int) (ReadSpeedupResult, error) {
 	res := ReadSpeedupResult{Readers: readers, ReadsPerArm: readsPerArm}
 
-	serial, _, err := readArm(readers, readsPerArm, true, 0)
+	conc, _, err := readArm(readers, readsPerArm, 0)
 	if err != nil {
 		return res, err
 	}
-	conc, _, err := readArm(readers, readsPerArm, false, 0)
+	cached, flashHot, err := readArm(readers, readsPerArm, 64<<20)
 	if err != nil {
 		return res, err
 	}
-	cached, flashHot, err := readArm(readers, readsPerArm, false, 64<<20)
-	if err != nil {
-		return res, err
-	}
-	res.SerialElapsed, res.ConcElapsed, res.CachedElapsed = serial, conc, cached
+	res.ConcElapsed, res.CachedElapsed = conc, cached
 	res.FlashReadsHot = flashHot
-	if conc > 0 {
-		res.Speedup = float64(serial) / float64(conc)
-	}
 	if cached > 0 {
-		res.CachedSpeedup = float64(serial) / float64(cached)
+		res.CachedSpeedup = float64(conc) / float64(cached)
 	}
 	return res, nil
 }
@@ -312,14 +302,13 @@ func RunReadSpeedup(readers, readsPerArm int) (ReadSpeedupResult, error) {
 // channels, warm it once, then time `readers` goroutines reading it.
 // Returns the timed elapsed and the RBLOCK reads issued during the timed
 // window.
-func readArm(readers, reads int, serialReads bool, cacheBytes int64) (time.Duration, int64, error) {
+func readArm(readers, reads int, cacheBytes int64) (time.Duration, int64, error) {
 	geo := flash.Geometry{
 		Channels: 8, EBlocksPerChannel: 64,
 		EBlockBytes: 1 << 20, WBlockBytes: 32 << 10, RBlockBytes: 4 << 10,
 	}
 	dev := flash.MustNewDevice(geo, flash.TypicalNANDLatency())
 	cfg := core.DefaultConfig()
-	cfg.SerialReads = serialReads
 	cfg.ReadCacheBytes = cacheBytes
 	ctl, err := core.Format(dev, cfg)
 	if err != nil {
@@ -393,8 +382,7 @@ func PrintYCSBNet(w io.Writer, rows []YCSBNetRow, sp ReadSpeedupResult) {
 	}
 	fmt.Fprintf(w, "\nconcurrent-reader microbench (%d readers, %d reads/arm, in-process):\n",
 		sp.Readers, sp.ReadsPerArm)
-	fmt.Fprintf(w, "  global-lock baseline %10s\n", sp.SerialElapsed.Round(time.Millisecond))
-	fmt.Fprintf(w, "  concurrent fence     %10s  (%.2fx)\n", sp.ConcElapsed.Round(time.Millisecond), sp.Speedup)
+	fmt.Fprintf(w, "  concurrent fence     %10s\n", sp.ConcElapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "  warm tiered cache    %10s  (%.2fx, %d flash RBLOCK reads)\n",
 		sp.CachedElapsed.Round(time.Millisecond), sp.CachedSpeedup, sp.FlashReadsHot)
 }
@@ -429,10 +417,8 @@ func WriteYCSBNetJSON(path string, records uint64, clients int, cacheBytes int64
 		Speedup    struct {
 			Readers       int     `json:"readers"`
 			ReadsPerArm   int     `json:"reads_per_arm"`
-			SerialMS      float64 `json:"serial_ms"`
 			ConcurrentMS  float64 `json:"concurrent_ms"`
 			CachedMS      float64 `json:"cached_ms"`
-			Speedup       float64 `json:"speedup"`
 			CachedSpeedup float64 `json:"cached_speedup"`
 			FlashReadsHot int64   `json:"flash_rblock_reads_warm"`
 		} `json:"read_speedup"`
@@ -462,10 +448,8 @@ func WriteYCSBNetJSON(path string, records uint64, clients int, cacheBytes int64
 	}
 	doc.Speedup.Readers = sp.Readers
 	doc.Speedup.ReadsPerArm = sp.ReadsPerArm
-	doc.Speedup.SerialMS = float64(sp.SerialElapsed.Microseconds()) / 1000
 	doc.Speedup.ConcurrentMS = float64(sp.ConcElapsed.Microseconds()) / 1000
 	doc.Speedup.CachedMS = float64(sp.CachedElapsed.Microseconds()) / 1000
-	doc.Speedup.Speedup = sp.Speedup
 	doc.Speedup.CachedSpeedup = sp.CachedSpeedup
 	doc.Speedup.FlashReadsHot = sp.FlashReadsHot
 	raw, err := json.MarshalIndent(doc, "", "  ")

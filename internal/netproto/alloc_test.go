@@ -30,7 +30,7 @@ func TestAppendHelpersAllocFree(t *testing.T) {
 func TestReadFrameBufAllocFree(t *testing.T) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte{0x5A}, 2048)
-	if err := WriteFrame(&buf, MsgFlushBatch, body); err != nil {
+	if _, err := buf.Write(AppendFrame(nil, MsgFlushBatch, body)); err != nil {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
@@ -97,7 +97,7 @@ func TestFrameWriterAllocFree(t *testing.T) {
 func BenchmarkPooledFrameLoop(b *testing.B) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte{0x3C}, 32<<10)
-	if err := WriteFrame(&buf, MsgFlushBatch, body); err != nil {
+	if _, err := buf.Write(AppendFrame(nil, MsgFlushBatch, body)); err != nil {
 		b.Fatal(err)
 	}
 	wire := buf.Bytes()

@@ -10,7 +10,7 @@
 // length (little-endian) counts the type byte plus the body, so an empty
 // message is a 5-byte frame. The commands mirror the controller's host
 // interface: open/close session, flush_batch (carrying the §IX-A2 batch
-// buffer of core.EncodeBatch verbatim, prefixed by sid+wsn), read by
+// buffer of core.AppendBatch verbatim, prefixed by sid+wsn), read by
 // LPID, and stats. Responses either carry the command's payload or a
 // RespError frame with a numeric code; the code tells the client whether
 // a retry is safe (see Retryable).
@@ -201,41 +201,48 @@ func CodeFor(err error) uint16 {
 
 // --- framing ---------------------------------------------------------------
 
-// WriteFrame sends one frame as a single Write call (one TCP segment for
-// small messages; no interleaving hazard between goroutines sharing a
-// conn through their own locks).
-func WriteFrame(w io.Writer, typ byte, body []byte) error {
-	frame := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(frame, uint32(1+len(body)))
-	frame[4] = typ
-	copy(frame[5:], body)
-	_, err := w.Write(frame)
-	return err
-}
-
-// ReadFrame reads one frame, rejecting lengths beyond max (<=0 selects
-// DefaultMaxFrameBytes). On EOF before any byte it returns io.EOF
-// unchanged so callers can distinguish a clean close from a torn frame.
-func ReadFrame(r io.Reader, max int) (typ byte, body []byte, err error) {
+// readFrameLen reads and validates one frame's length prefix into hdr
+// scratch: the header parser shared by ReadFrame and ReadFrameBuf. max
+// <= 0 selects DefaultMaxFrameBytes. On EOF before any byte it returns
+// io.EOF unchanged so callers can distinguish a clean close from a torn
+// frame.
+func readFrameLen(r io.Reader, hdr *[4]byte, max int) (int, error) {
 	if max <= 0 {
 		max = DefaultMaxFrameBytes
 	}
-	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n < 1 {
-		return 0, nil, ErrShortBody
+		return 0, ErrShortBody
 	}
 	if int64(n) > int64(max) {
-		return 0, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+	}
+	return int(n), nil
+}
+
+// readFramePayload fills payload (type byte plus body) from r; a stream
+// that ends inside it is a torn frame.
+func readFramePayload(r io.Reader, payload []byte) error {
+	_, err := io.ReadFull(r, payload)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ReadFrame reads one frame into a fresh slice the caller keeps (reply
+// bodies outlive the request), rejecting lengths beyond max.
+func ReadFrame(r io.Reader, max int) (typ byte, body []byte, err error) {
+	var hdr [4]byte
+	n, err := readFrameLen(r, &hdr, max)
+	if err != nil {
+		return 0, nil, err
 	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err := readFramePayload(r, payload); err != nil {
 		return 0, nil, err
 	}
 	return payload[0], payload[1:], nil
@@ -245,9 +252,6 @@ func ReadFrame(r io.Reader, max int) (typ byte, body []byte, err error) {
 
 // AppendU64 appends a little-endian u64 (exported for body builders).
 func AppendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-// U64Body encodes a body that is a single u64 (sid, lpid, wsn ack...).
-func U64Body(v uint64) []byte { return AppendU64(nil, v) }
 
 // ParseU64 decodes a single-u64 body.
 func ParseU64(body []byte) (uint64, error) {
@@ -304,16 +308,8 @@ func ParseOpenSession(body []byte) (tenant string, priority uint8, err error) {
 	return tenant, priority, nil
 }
 
-// FlushBody encodes a flush_batch request body around an already-encoded
-// batch buffer (core.EncodeBatch output).
-func FlushBody(sid, wsn uint64, wire []byte) []byte {
-	b := make([]byte, 0, 16+len(wire))
-	b = AppendU64(b, sid)
-	b = AppendU64(b, wsn)
-	return append(b, wire...)
-}
-
-// ParseFlush decodes a flush_batch request body. The returned wire slice
+// ParseFlush decodes a flush_batch request body (AppendFlushHead's
+// prefix, then the core.AppendBatch buffer). The returned wire slice
 // aliases body.
 func ParseFlush(body []byte) (sid, wsn uint64, wire []byte, err error) {
 	if len(body) < 16 {
@@ -324,18 +320,9 @@ func ParseFlush(body []byte) (sid, wsn uint64, wire []byte, err error) {
 	return sid, wsn, body[16:], nil
 }
 
-// FlushTracedBody encodes a flush_batch_traced request body: FlushBody
-// prefixed by the client-chosen trace ID (0 lets the server assign one).
-func FlushTracedBody(traceID, sid, wsn uint64, wire []byte) []byte {
-	b := make([]byte, 0, 24+len(wire))
-	b = AppendU64(b, traceID)
-	b = AppendU64(b, sid)
-	b = AppendU64(b, wsn)
-	return append(b, wire...)
-}
-
-// ParseFlushTraced decodes a flush_batch_traced request body. The
-// returned wire slice aliases body.
+// ParseFlushTraced decodes a flush_batch_traced request body: the flush
+// body prefixed by the client-chosen trace ID (0 lets the server assign
+// one). The returned wire slice aliases body.
 func ParseFlushTraced(body []byte) (traceID, sid, wsn uint64, wire []byte, err error) {
 	if len(body) < 24 {
 		return 0, 0, 0, nil, fmt.Errorf("%w: traced flush header", ErrShortBody)
@@ -363,11 +350,6 @@ func AppendReadBatchBody(dst []byte, lpids []uint64) []byte {
 		dst = AppendU64(dst, lpid)
 	}
 	return dst
-}
-
-// ReadBatchBody encodes a read_batch request body.
-func ReadBatchBody(lpids []uint64) []byte {
-	return AppendReadBatchBody(make([]byte, 0, 4+8*len(lpids)), lpids)
 }
 
 // ParseReadBatch decodes a read_batch request body. The count is
@@ -454,13 +436,6 @@ func ParseReadBatchResp(body []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("netproto: read_batch response has %d trailing bytes", len(rest))
 	}
 	return pages, nil
-}
-
-// ErrorBody encodes a RespError body.
-func ErrorBody(code uint16, msg string) []byte {
-	b := make([]byte, 2, 2+len(msg))
-	binary.LittleEndian.PutUint16(b, code)
-	return append(b, msg...)
 }
 
 // ParseError decodes a RespError body into a RemoteError.

@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	bodies := [][]byte{nil, {}, []byte("x"), make([]byte, 4096)}
 	for i, body := range bodies {
 		buf.Reset()
-		if err := WriteFrame(&buf, byte(i+1), body); err != nil {
+		if _, err := buf.Write(AppendFrame(nil, byte(i+1), body)); err != nil {
 			t.Fatal(err)
 		}
 		typ, got, err := ReadFrame(&buf, 0)
@@ -32,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgStats, make([]byte, 1000)); err != nil {
+	if _, err := buf.Write(AppendFrame(nil, MsgStats, make([]byte, 1000))); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadFrame(&buf, 100); !errors.Is(err, ErrFrameTooLarge) {
@@ -61,7 +61,7 @@ func TestReadFrameShortAndTorn(t *testing.T) {
 	}
 	// Header promises more than the stream holds.
 	var buf bytes.Buffer
-	_ = WriteFrame(&buf, MsgRead, []byte("abcdefgh"))
+	buf.Write(AppendFrame(nil, MsgRead, []byte("abcdefgh")))
 	torn := buf.Bytes()[:7]
 	if _, _, err := ReadFrame(bytes.NewReader(torn), 0); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn frame: %v", err)
@@ -70,7 +70,7 @@ func TestReadFrameShortAndTorn(t *testing.T) {
 
 func TestFlushBodyRoundTrip(t *testing.T) {
 	wire := core.EncodeBatch([]core.LPage{{LPID: 7, Data: []byte("hello")}})
-	body := FlushBody(11, 22, wire)
+	body := append(AppendFlushHead(nil, false, 0, 11, 22), wire...)
 	sid, wsn, gotWire, err := ParseFlush(body)
 	if err != nil || sid != 11 || wsn != 22 || !bytes.Equal(gotWire, wire) {
 		t.Fatalf("flush round trip: sid=%d wsn=%d err=%v", sid, wsn, err)
@@ -81,7 +81,7 @@ func TestFlushBodyRoundTrip(t *testing.T) {
 }
 
 func TestU64Body(t *testing.T) {
-	v, err := ParseU64(U64Body(1 << 60))
+	v, err := ParseU64(AppendU64(nil, 1<<60))
 	if err != nil || v != 1<<60 {
 		t.Fatalf("u64 round trip: %d %v", v, err)
 	}
@@ -91,7 +91,7 @@ func TestU64Body(t *testing.T) {
 }
 
 func TestErrorCodesRoundTrip(t *testing.T) {
-	re, err := ParseError(ErrorBody(CodeNotFound, "lpid 9"))
+	re, err := ParseError(AppendErrorBody(nil, CodeNotFound, "lpid 9"))
 	if err != nil {
 		t.Fatal(err)
 	}

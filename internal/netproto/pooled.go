@@ -2,7 +2,6 @@ package netproto
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -10,14 +9,14 @@ import (
 	"eleos/internal/bufpool"
 )
 
-// The pooled frame path: the allocation-free twins of ReadFrame and
-// WriteFrame. A request's bytes are read from the socket once, into a
-// reference-counted pooled buffer, and borrowed — never copied — by the
-// decode, coalescing and program stages downstream (bufpool documents
-// the ownership rules). Responses are emitted through a per-connection
-// FrameWriter that assembles small frames in reused scratch and sends
-// large bodies as vectored [header, body] writes (writev on TCP), so
-// the steady-state frame loop performs zero heap allocations.
+// The pooled frame path. A request's bytes are read from the socket
+// once, into a reference-counted pooled buffer, and borrowed — never
+// copied — by the decode, coalescing and program stages downstream
+// (bufpool documents the ownership rules). Responses are emitted through
+// a per-connection FrameWriter that assembles small frames in reused
+// scratch and sends large bodies as vectored [header, body] writes
+// (writev on TCP), so the steady-state frame loop performs zero heap
+// allocations.
 
 // hdrPool recycles the 4-byte length-header scratch: a stack array
 // would escape through the io.Reader interface call and cost one
@@ -29,37 +28,24 @@ var hdrPool = sync.Pool{New: func() any { return new([4]byte) }}
 // buf.Release() when every borrower of body is done. On error no buffer
 // is retained.
 func ReadFrameBuf(r io.Reader, max int) (typ byte, body []byte, buf *bufpool.Buf, err error) {
-	if max <= 0 {
-		max = DefaultMaxFrameBytes
-	}
 	hdr := hdrPool.Get().(*[4]byte)
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		hdrPool.Put(hdr)
+	n, err := readFrameLen(r, hdr, max)
+	hdrPool.Put(hdr)
+	if err != nil {
 		return 0, nil, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	hdrPool.Put(hdr)
-	if n < 1 {
-		return 0, nil, nil, ErrShortBody
-	}
-	if int64(n) > int64(max) {
-		return 0, nil, nil, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
-	}
-	buf = bufpool.Get(int(n))
+	buf = bufpool.Get(n)
 	payload := buf.Bytes()
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if err := readFramePayload(r, payload); err != nil {
 		buf.Release()
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
 		return 0, nil, nil, err
 	}
 	return payload[0], payload[1:], buf, nil
 }
 
 // AppendFrame appends a whole frame (header, type, body) to dst and
-// returns the extended slice — the allocation-free WriteFrame shape for
-// callers batching frames into reused scratch.
+// returns the extended slice, for callers batching frames into reused
+// scratch.
 func AppendFrame(dst []byte, typ byte, body []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(body)))
 	dst = append(dst, typ)
@@ -74,7 +60,8 @@ const vecCopyLimit = 1024
 // FrameWriter emits frames over one connection from reused internal
 // scratch. Not safe for concurrent use; each connection handler owns
 // one. Frame bodies totalling at most vecCopyLimit are copied after the
-// header and written as one Write (one TCP segment, like WriteFrame);
+// header and written as one Write (one TCP segment; no interleaving
+// hazard between goroutines sharing a conn through their own locks);
 // larger bodies go out as a vectored [header, body] write with no copy.
 //
 // Body slices passed in are read synchronously and not retained, but
@@ -142,7 +129,7 @@ func (fw *FrameWriter) frameBuf(n int) []byte {
 	return fw.scratch[:n]
 }
 
-// AppendErrorBody is ErrorBody appending into caller scratch.
+// AppendErrorBody appends a RespError body (code u16 | message) to dst.
 func AppendErrorBody(dst []byte, code uint16, msg string) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, code)
 	return append(dst, msg...)

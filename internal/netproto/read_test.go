@@ -16,7 +16,7 @@ func TestReadBatchRoundTrip(t *testing.T) {
 		{1},
 		{7, 0, 1 << 60, 42, 42},
 	} {
-		body := ReadBatchBody(lpids)
+		body := AppendReadBatchBody(nil, lpids)
 		got, err := ParseReadBatch(body)
 		if err != nil {
 			t.Fatalf("ParseReadBatch(%v): %v", lpids, err)
@@ -30,7 +30,7 @@ func TestReadBatchRoundTrip(t *testing.T) {
 			}
 		}
 		// decode∘encode canonicality
-		if re := ReadBatchBody(got); !bytes.Equal(re, body) {
+		if re := AppendReadBatchBody(nil, got); !bytes.Equal(re, body) {
 			t.Fatalf("non-canonical: %x != %x", re, body)
 		}
 	}
@@ -52,7 +52,7 @@ func TestReadBatchForgedCount(t *testing.T) {
 }
 
 func TestReadBatchTruncatedAndTrailing(t *testing.T) {
-	body := ReadBatchBody([]uint64{1, 2, 3})
+	body := AppendReadBatchBody(nil, []uint64{1, 2, 3})
 	for cut := 1; cut < len(body); cut++ {
 		if _, err := ParseReadBatch(body[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -138,14 +138,14 @@ func TestReadBatchRespForgedAndTruncated(t *testing.T) {
 // the same contract as FuzzDecodeStatsFull/FuzzDecodeTraceDump.
 func FuzzDecodeReadBatch(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(ReadBatchBody(nil))
-	f.Add(ReadBatchBody([]uint64{1, 2, 3, 1 << 50}))
+	f.Add(AppendReadBatchBody(nil, nil))
+	f.Add(AppendReadBatchBody(nil, []uint64{1, 2, 3, 1 << 50}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lpids, err := ParseReadBatch(data)
 		if err != nil {
 			return
 		}
-		if re := ReadBatchBody(lpids); !bytes.Equal(re, data) {
+		if re := AppendReadBatchBody(nil, lpids); !bytes.Equal(re, data) {
 			t.Fatalf("accepted non-canonical encoding:\n in  %x\n out %x", data, re)
 		}
 	})

@@ -34,7 +34,7 @@ import (
 // quantiles are a pure function of Bounds/Buckets, so the decoder
 // recomputes them via Finalize and both ends agree field-for-field.
 //
-// Like core.DecodeBatch, the decoder treats every length and count as
+// Like core.AppendBatchView, the decoder treats every length and count as
 // hostile: section counts are capped by the bytes actually remaining
 // (divided by the minimum entry size), names and bound tables are
 // bounds-checked before any allocation sized from them, and trailing

@@ -19,7 +19,7 @@ import (
 // Every entry is a fixed 65 bytes, so the decoder caps the claimed event
 // count by the bytes actually remaining before sizing any allocation,
 // and trailing bytes are an error — the same hostile-input posture as
-// stats_full and core.DecodeBatch. The codec is canonical (one valid
+// stats_full and core.AppendBatchView. The codec is canonical (one valid
 // encoding per dump), which FuzzDecodeTraceDump relies on.
 
 const (

@@ -94,7 +94,7 @@ func TestDecodeTraceDumpBadMagicVersion(t *testing.T) {
 
 func TestFlushTracedBodyRoundTrip(t *testing.T) {
 	wire := []byte{1, 2, 3, 4, 5}
-	body := FlushTracedBody(77, 3, 12, wire)
+	body := append(AppendFlushHead(nil, true, 77, 3, 12), wire...)
 	traceID, sid, wsn, gotWire, err := ParseFlushTraced(body)
 	if err != nil {
 		t.Fatal(err)

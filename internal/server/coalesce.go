@@ -55,10 +55,12 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	return c
 }
 
-// pendingFlush is one connection's seat in a coalescing round. Each
-// connection owns exactly one and reuses it across requests: done is
-// buffered and receives exactly one token per round the seat joined as
-// a follower, so no allocation happens per coalesced flush.
+// pendingFlush is one connection's flush seat: the SubFlush of the
+// request being written, handed straight to the controller or seated in
+// a coalescing round. Each connection owns exactly one and reuses it
+// across requests: done is buffered and receives exactly one token per
+// round the seat joined as a follower, so no allocation happens per
+// flush.
 type pendingFlush struct {
 	sub  core.SubFlush
 	done chan struct{}

@@ -4,8 +4,11 @@
 // reach the controller over NVMe-oF/TCP rather than linking it
 // in-process.
 //
-// Each accepted connection gets one goroutine that decodes frames and
-// feeds Controller.WriteBatchWire, so concurrent connections drive the
+// Each accepted connection gets one goroutine running the one request
+// loop: read a frame into a pooled buffer, dispatch, reply through the
+// connection's FrameWriter. Every flush_batch takes the one flush path —
+// decode zero-copy page views, then Controller.WriteBatchGroup, directly
+// or through the coalescer — so concurrent connections drive the
 // parallel write pipeline exactly like in-process writers (DESIGN.md
 // §4.1): their flash programs overlap across channels and their commit
 // records share forced log pages. The front-end adds the service
@@ -33,7 +36,6 @@ import (
 	"time"
 
 	"eleos/internal/addr"
-	"eleos/internal/bufpool"
 	"eleos/internal/core"
 	"eleos/internal/metrics"
 	"eleos/internal/netproto"
@@ -74,11 +76,6 @@ type Config struct {
 	// coalescer (so merged batches never share budgets). Off by
 	// default.
 	QoS qos.Config
-	// LegacyCopyPath restores the pre-pooling request loop — allocating
-	// frame reads, copying batch decode, per-reply body allocations —
-	// as the baseline arm of A/B benchmarks (benchrunner hotpath). Not
-	// for production use.
-	LegacyCopyPath bool
 }
 
 func (c Config) withDefaults() Config {
@@ -288,7 +285,7 @@ func (s *Server) QoSStats() map[string]qos.TenantStats { return s.qos.Stats() }
 // goroutine.
 func (s *Server) refuse(conn net.Conn, code uint16, msg string) {
 	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-	_ = netproto.WriteFrame(conn, netproto.MsgRespError, netproto.ErrorBody(code, msg))
+	_ = netproto.NewFrameWriter(conn).WriteFrame(netproto.MsgRespError, netproto.AppendErrorBody(nil, code, msg))
 	_ = conn.Close()
 }
 
@@ -346,15 +343,15 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // connState is one connection's reusable hot-path machinery: the frame
 // writer with its scratch, the reply-body scratch the dispatch cases
-// append into, the zero-copy page views of the coalesced flush path,
-// and the connection's coalescing seat. One goroutine owns all of it —
+// append into, the zero-copy page views of the flush path, and the
+// connection's flush seat. One goroutine owns all of it —
 // except while a stats watcher is active, when the watcher goroutine
 // shares the socket's write side under wmu.
 type connState struct {
 	fw      *netproto.FrameWriter
 	scratch []byte       // reply bodies are appended here
-	views   []core.LPage // batch views for coalesced flushes
-	pf      pendingFlush // reusable coalescing seat
+	views   []core.LPage // batch views of the flush being written
+	pf      pendingFlush // reusable flush seat (coalescing or direct)
 
 	// wmu serializes frame writes (and the write deadline) between the
 	// request/reply loop and the watch_stats push goroutine. Uncontended
@@ -414,7 +411,6 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		s.met.activeConns.Add(-1)
 	}()
-	legacy := s.cfg.LegacyCopyPath
 	for {
 		s.mu.Lock()
 		draining := s.draining
@@ -431,17 +427,7 @@ func (s *Server) handle(conn net.Conn) {
 		} else {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		var (
-			typ  byte
-			body []byte
-			fbuf *bufpool.Buf
-			err  error
-		)
-		if legacy {
-			typ, body, err = netproto.ReadFrame(conn, s.cfg.MaxFrameBytes)
-		} else {
-			typ, body, fbuf, err = netproto.ReadFrameBuf(conn, s.cfg.MaxFrameBytes)
-		}
+		typ, body, fbuf, err := netproto.ReadFrameBuf(conn, s.cfg.MaxFrameBytes)
 		if err != nil {
 			// EOF and deadline pokes are routine; anything else malformed
 			// costs the peer its connection.
@@ -472,20 +458,10 @@ func (s *Server) handle(conn net.Conn) {
 		// Every borrower of the request's bytes (batch decode, the group
 		// write's page views, the flash programs) finished inside
 		// dispatch; the frame goes back to the pool before the reply I/O.
-		if fbuf != nil {
-			fbuf.Release()
-		}
+		fbuf.Release()
 		cn.wmu.Lock()
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		if legacy {
-			if rtail != nil {
-				rhead = append(append(make([]byte, 0, len(rhead)+len(rtail)), rhead...), rtail...)
-				rtail = nil
-			}
-			err = netproto.WriteFrame(conn, rtyp, rhead)
-		} else {
-			err = cn.fw.WriteFrame2(rtyp, rhead, rtail)
-		}
+		err = cn.fw.WriteFrame2(rtyp, rhead, rtail)
 		cn.wmu.Unlock()
 		if err != nil {
 			return
@@ -652,7 +628,7 @@ func (s *Server) watchLoop(conn net.Conn, cn *connState, intervalMS uint32, stop
 		body := netproto.EncodeStatsFull(s.statsPayload())
 		cn.wmu.Lock()
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		err := netproto.WriteFrame(conn, netproto.MsgStatsPush, body)
+		err := cn.fw.WriteFrame(netproto.MsgStatsPush, body)
 		cn.wmu.Unlock()
 		if err != nil {
 			_ = conn.Close()
@@ -700,20 +676,7 @@ func (s *Server) flush(cn *connState, sid, wsn, traceID uint64, wire []byte) (by
 	if s.cfg.SlowBatchThreshold > 0 {
 		t0 = time.Now()
 	}
-	var err error
-	switch {
-	case s.co != nil && n <= s.co.cfg.ThresholdBytes:
-		err = s.coalescedFlush(cn, sid, wsn, traceID, wire)
-	case s.cfg.LegacyCopyPath:
-		// The pre-pooling shape: copying decode, then the page-slice
-		// write path.
-		var pages []core.LPage
-		if pages, err = core.DecodeBatch(wire); err == nil {
-			err = s.ctl.WriteBatchTraced(sid, wsn, traceID, pages)
-		}
-	default:
-		err = s.ctl.WriteBatchWireTraced(sid, wsn, traceID, wire)
-	}
+	err := s.write(cn, sid, wsn, traceID, wire)
 	s.release(n)
 	s.qos.Release(tenant, n)
 	if s.cfg.SlowBatchThreshold > 0 {
@@ -784,13 +747,14 @@ func (s *Server) readBatch(cn *connState, lpids64 []uint64) (byte, []byte, []byt
 	return netproto.MsgRespReadBatch, cn.scratch, nil
 }
 
-// coalescedFlush runs one eligible flush through the coalescer: decode
-// to zero-copy views in the connection's scratch, take a seat in the
-// current round, and wait for the round's group write. The views alias
-// the pooled request frame, which the connection goroutine keeps
-// referenced until after dispatch returns — and it is parked here for
-// the whole group write, so every view the leader reads stays alive.
-func (s *Server) coalescedFlush(cn *connState, sid, wsn, traceID uint64, wire []byte) error {
+// write applies one admitted flush: decode to zero-copy views in the
+// connection's scratch, then run it as one SubFlush — through the
+// coalescer when it is eligible to merge with other connections'
+// flushes, straight to the controller as a group of one otherwise. The
+// views alias the pooled request frame, which the connection goroutine
+// keeps referenced until after dispatch returns — and it is parked here
+// for the whole write, so every view the writer reads stays alive.
+func (s *Server) write(cn *connState, sid, wsn, traceID uint64, wire []byte) error {
 	pages, err := core.AppendBatchView(cn.views[:0], wire)
 	if err != nil {
 		cn.views = cn.views[:0]
@@ -798,7 +762,11 @@ func (s *Server) coalescedFlush(cn *connState, sid, wsn, traceID uint64, wire []
 	}
 	pf := &cn.pf
 	pf.sub = core.SubFlush{SID: sid, WSN: wsn, TraceID: traceID, Pages: pages}
-	s.co.submit(pf, int64(len(wire)))
+	if n := int64(len(wire)); s.co != nil && n <= s.co.cfg.ThresholdBytes {
+		s.co.submit(pf, n)
+	} else {
+		s.ctl.WriteBatchGroup([]*core.SubFlush{&pf.sub})
+	}
 	err = pf.sub.Err
 	// Drop the frame aliases before the seat is reused: a parked view
 	// must never outlive its frame's reference.

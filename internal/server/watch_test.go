@@ -205,7 +205,7 @@ func TestWatchStatsSlowConsumer(t *testing.T) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetReadBuffer(4096)
 	}
-	if err := netproto.WriteFrame(conn, netproto.MsgWatchStats, netproto.WatchStatsBody(netproto.MinWatchIntervalMS)); err != nil {
+	if err := netproto.NewFrameWriter(conn).WriteFrame(netproto.MsgWatchStats, netproto.WatchStatsBody(netproto.MinWatchIntervalMS)); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err := netproto.ReadFrame(conn, 0)

@@ -240,7 +240,10 @@ func (t *Table) OpenEBlock(ch, eb int, stream record.StreamKind, lsn record.LSN)
 }
 
 // CloseEBlock transitions Open -> Used, recording the closing timestamp and
-// how many WBLOCKs hold metadata; the in-memory metadata is dropped.
+// how many WBLOCKs hold metadata. The in-memory metadata stays until
+// ClearMeta: the close is decided at provisioning time, before the
+// flushed copy is programmed, and a failed metadata program must not
+// orphan the committed pages the EBLOCK already holds.
 func (t *Table) CloseEBlock(ch, eb int, ts uint64, metaWBlocks int, lsn record.LSN) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -254,7 +257,6 @@ func (t *Table) CloseEBlock(ch, eb int, ts uint64, metaWBlocks int, lsn record.L
 	d.State = Used
 	d.Timestamp = ts
 	d.MetaWBlocks = uint32(metaWBlocks)
-	delete(t.meta, [2]int{ch, eb})
 	delete(t.openLSN, [2]int{ch, eb})
 	t.markDirty(ch, eb, lsn)
 	return nil
@@ -372,15 +374,18 @@ func (t *Table) AppendMeta(ch, eb int, e MetaEntry) error {
 	return nil
 }
 
-// Meta returns a copy of an open EBLOCK's metadata entries in append order.
+// Meta returns a copy of an EBLOCK's in-memory metadata entries in append
+// order: those of an open EBLOCK, or of a closed one whose flushed copy
+// is not yet known durable (see CloseEBlock).
 func (t *Table) Meta(ch, eb int) []MetaEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]MetaEntry(nil), t.meta[[2]int{ch, eb}]...)
 }
 
-// ClearMeta drops an EBLOCK's in-memory metadata (recovery replay of a
-// close record, §VIII-C3 case 2).
+// ClearMeta drops an EBLOCK's in-memory metadata once its flushed copy is
+// durable: when the close record is logged, and on recovery's replay of
+// one (§VIII-C3 case 2).
 func (t *Table) ClearMeta(ch, eb int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -153,10 +153,14 @@ func TestMetaAppendOrderPreserved(t *testing.T) {
 			t.Fatalf("meta[%d] = %+v", i, e)
 		}
 	}
-	// Close drops metadata.
+	// Close keeps the metadata until the flushed copy is durable.
 	_ = tb.CloseEBlock(0, 2, 1, 1, 2)
+	if len(tb.Meta(0, 2)) != 10 {
+		t.Fatal("close dropped in-memory metadata before ClearMeta")
+	}
+	tb.ClearMeta(0, 2)
 	if len(tb.Meta(0, 2)) != 0 {
-		t.Fatal("close should drop in-memory metadata")
+		t.Fatal("ClearMeta should drop in-memory metadata")
 	}
 }
 

@@ -15,7 +15,7 @@
 //
 // Events carry a trace ID that ties a batch's spans together across
 // layers. IDs originate at the network front-end (or from NewTraceID for
-// in-process callers) and propagate through WriteBatchTraced down to
+// in-process callers) and propagate through SubFlush.TraceID down to
 // migration actions triggered by the batch's own media failure, so a
 // failure's aftermath is attributable to the request that caused it.
 package trace
