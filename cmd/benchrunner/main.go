@@ -26,10 +26,11 @@
 // admission on, and racing the same aggressors with QoS off (the
 // control arm); it records all three (-fairjson) and gates CI with
 // -maxp99inflation. waf measures end-to-end write amplification per GC
-// policy across sequential and B-tree-churn arms, reconciling the
+// policy on a B-tree-churn arm plus one sequential arm, reconciling the
 // registry's WAF against the device program ledger and the per-source
 // attribution counters; it records the matrix (-wafjson) and gates CI
-// with -maxwaf on the default policy's churn arm. ycsbnet runs the YCSB
+// with -maxwaf on the default policy's churn arm and -maxseqwaf on the
+// sequential arm. ycsbnet runs the YCSB
 // A/B/C mixes over loopback TCP through the read_page/read_batch wire
 // path with the tiered read cache, plus an in-process concurrent-reader
 // microbench with the cache off and on; it records both (-ynjson).
@@ -81,10 +82,11 @@ func main() {
 		fairAggr    = flag.Int("fairaggressors", 3, "noisy-tenant connections (fairness)")
 		fairJSON    = flag.String("fairjson", "BENCH_fairness.json", "JSON output file for the fairness experiment (empty disables)")
 		maxP99Infl  = flag.Float64("maxp99inflation", 0, "fail if the qos arm's quiet-tenant p99 exceeds this multiple of the solo baseline (0 disables the gate)")
-		wafBatches  = flag.Int("wafbatches", 600, "batches per (policy, workload) arm (waf)")
+		wafBatches  = flag.Int("wafbatches", 1200, "batches per (policy, workload) arm (waf)")
 		wafSeed     = flag.Int64("wafseed", 1, "workload RNG seed (waf)")
 		wafJSON     = flag.String("wafjson", "BENCH_waf.json", "JSON output file for the waf experiment (empty disables)")
 		maxWAF      = flag.Float64("maxwaf", 0, "fail if the default policy's btree-churn WAF exceeds this (0 disables the gate)")
+		maxSeqWAF   = flag.Float64("maxseqwaf", 0, "fail if the sequential arm's WAF, where GC moves nothing, exceeds this (0 disables the gate)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: benchrunner [flags] fig1|fig9|table2|fig10a|fig10b|fig10c|readheavy|durability|ablation|concurrent|network|metricsoverhead|traceoverhead|chaos|ycsbnet|fairness|waf|all\n")
@@ -107,7 +109,7 @@ func main() {
 		cacheBytes: int64(*ynCacheMB) << 20, readers: *ynReaders, readsPerArm: *ynReads,
 		json: *ynJSON}
 	fair := fairnessFlags{batches: *fairBatches, aggressors: *fairAggr, json: *fairJSON, maxInflation: *maxP99Infl}
-	waf := wafFlags{batches: *wafBatches, seed: *wafSeed, json: *wafJSON, maxWAF: *maxWAF}
+	waf := wafFlags{batches: *wafBatches, seed: *wafSeed, json: *wafJSON, maxWAF: *maxWAF, maxSeqWAF: *maxSeqWAF}
 	if err := run(exp, scale, *netBatches, *netJSON, mo, to, ch, yn, fair, waf); err != nil {
 		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
 		os.Exit(1)
@@ -151,13 +153,15 @@ type fairnessFlags struct {
 	maxInflation float64 // >0: exit nonzero if qos p99 / solo p99 exceeds
 }
 
-// wafFlags carries the waf experiment's knobs; its gate bounds the
-// default policy's btree-churn write amplification.
+// wafFlags carries the waf experiment's knobs; its gates bound the
+// default policy's btree-churn write amplification and the sequential
+// arm's padding-plus-log floor.
 type wafFlags struct {
-	batches int
-	seed    int64
-	json    string
-	maxWAF  float64 // >0: exit nonzero if the gated WAF exceeds this
+	batches   int
+	seed      int64
+	json      string
+	maxWAF    float64 // >0: exit nonzero if the gated WAF exceeds this
+	maxSeqWAF float64 // >0: exit nonzero if the sequential arm's WAF exceeds this
 }
 
 func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to overheadFlags, ch chaosFlags, yn ycsbnetFlags, fair fairnessFlags, waf wafFlags) error {
@@ -316,6 +320,9 @@ func run(exp string, scale harness.Scale, netBatches int, netJSON string, mo, to
 		}
 		if waf.maxWAF > 0 && res.GatedWAF > waf.maxWAF {
 			return fmt.Errorf("waf: gated write amplification %.3f exceeds limit %.3f", res.GatedWAF, waf.maxWAF)
+		}
+		if waf.maxSeqWAF > 0 && res.SequentialWAF > waf.maxSeqWAF {
+			return fmt.Errorf("waf: sequential-arm write amplification %.3f exceeds limit %.3f", res.SequentialWAF, waf.maxSeqWAF)
 		}
 	case "chaos":
 		rep, err := harness.RunChaos(ch.seeds, func(format string, args ...any) {

@@ -202,12 +202,15 @@ func TestPrintMetricsTable(t *testing.T) {
 
 // watchFixture builds a pair of stats_full payloads 1s apart with known
 // deltas so renderTop's rate math is pinned exactly: 1 MB/s user,
-// 2 MB/s flash (WAF 2.00), 10 batches/s, and one reclaimed EBLOCK.
+// 2 MB/s flash (WAF 2.00), 1.25 MB of user-source programs for the 1 MB
+// stored (pad 20.0%), 10 batches/s, and one reclaimed EBLOCK.
 func watchFixture() (prev, cur netproto.StatsFull) {
 	build := func(user, flash, batches, moved, freed int64) netproto.StatsFull {
 		reg := metrics.New()
 		reg.Counter("core.write.bytes_accepted").Add(user)
 		reg.Counter("flash.programmed_bytes").Add(flash)
+		reg.Counter("core.write.bytes_stored").Add(user)
+		reg.Counter("flash.src.user.bytes").Add(user * 5 / 4)
 		reg.Counter("core.write.batches").Add(batches)
 		reg.Counter("core.write.pages").Add(batches * 4)
 		reg.Counter("core.gc.bytes_moved").Add(moved)
@@ -248,6 +251,7 @@ func TestRenderTop(t *testing.T) {
 		"eleos top — 10.0.0.1:9420",
 		"gc=greedy",
 		"WAF  2.00",           // 2 MB flash / 1 MB user
+		"pad 20.0%",           // 1 - 1 MB stored / 1.25 MB user-source programs
 		"1.00 MB/s user",      // Δ1 MB over 1s
 		"2.00 MB/s flash",     // Δ2 MB over 1s
 		"10 batches/s",        // Δ10 over 1s

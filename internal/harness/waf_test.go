@@ -13,15 +13,16 @@ import (
 // TestWAFRuns executes the experiment at test scale and checks the
 // properties the CI gate relies on: every arm reconciles (RunWAF fails
 // otherwise), the churn arm amplifies at least as much as the
-// sequential arm, GC actually engaged, and the gated number is the
-// default policy's churn WAF.
+// sequential arm, GC actually engaged, the sequential arm runs once, and
+// the gated numbers are the default policy's churn WAF and the sequential
+// floor.
 func TestWAFRuns(t *testing.T) {
-	res, err := RunWAF([]core.GCPolicy{core.GCMinCostDecline, core.GCGreedy}, 500, 3)
+	res, err := RunWAF([]core.GCPolicy{core.GCMinCostDecline, core.GCGreedy}, 800, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Arms) != 4 {
-		t.Fatalf("expected 4 arms, got %d", len(res.Arms))
+	if len(res.Arms) != 3 {
+		t.Fatalf("expected 3 arms (one sequential, a churn arm per policy), got %d", len(res.Arms))
 	}
 	byCell := map[string]WAFArm{}
 	for _, a := range res.Arms {
@@ -51,6 +52,12 @@ func TestWAFRuns(t *testing.T) {
 	if res.GatedWAF != mcdChurn.WAF {
 		t.Fatalf("gated WAF %.3f is not the default policy's churn arm %.3f", res.GatedWAF, mcdChurn.WAF)
 	}
+	if res.SequentialWAF != mcdSeq.WAF {
+		t.Fatalf("sequential WAF %.3f is not the sequential arm's %.3f", res.SequentialWAF, mcdSeq.WAF)
+	}
+	if _, dup := byCell[core.GCGreedy.String()+"/sequential"]; dup {
+		t.Fatal("sequential arm ran under a second policy; GC moves nothing there, so the rows are duplicates")
+	}
 
 	var buf bytes.Buffer
 	PrintWAF(&buf, res)
@@ -66,7 +73,7 @@ func TestWAFRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"experiment": "waf"`, `"gated_waf"`, `"source_bytes"`} {
+	for _, want := range []string{`"experiment": "waf"`, `"gated_waf"`, `"sequential_waf"`, `"source_bytes"`} {
 		if !strings.Contains(string(doc), want) {
 			t.Fatalf("JSON missing %s:\n%s", want, doc)
 		}
@@ -77,11 +84,11 @@ func TestWAFRuns(t *testing.T) {
 // same seed, same accounting, so the recorded EXPERIMENTS.md numbers
 // and the CI gate are stable across machines.
 func TestWAFDeterministic(t *testing.T) {
-	a, err := runWAFArm(core.GCMinCostDecline, "btree-churn", 300, 7)
+	a, err := runWAFArm(core.GCMinCostDecline, "btree-churn", 800, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runWAFArm(core.GCMinCostDecline, "btree-churn", 300, 7)
+	b, err := runWAFArm(core.GCMinCostDecline, "btree-churn", 800, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,6 +144,7 @@ type Report struct {
 	UserBytes  int64   // logical bytes accepted (Δcore.write.bytes_accepted)
 	FlashBytes int64   // physical bytes programmed (Δflash.programmed_bytes)
 	WAF        float64 // FlashBytes / UserBytes
+	PadFrac    float64 // 1 - Δcore.write.bytes_stored / Δflash.src.user.bytes
 	UserMBps   float64
 	FlashMBps  float64
 	BatchesPS  float64
@@ -192,6 +193,14 @@ func Compute(prev, cur metrics.Snapshot, dt time.Duration) Report {
 	r.UserBytes = delta("core.write.bytes_accepted")
 	r.FlashBytes = delta("flash.programmed_bytes")
 	r.WAF = Ratio(r.FlashBytes, r.UserBytes)
+	// The share of user-source programs that is not stored page data:
+	// run tails padded to the WBLOCK plus EBLOCK-close metadata, the part
+	// of WAF that provisioning sets and GC does not. Stores are counted at
+	// install, programs at submit, so a short interval can see more of the
+	// former; clamp like the deltas.
+	if userSrc := delta("flash.src.user.bytes"); userSrc > 0 {
+		r.PadFrac = max(0, 1-Ratio(delta("core.write.bytes_stored"), userSrc))
+	}
 	r.UserMBps = rate(r.UserBytes) / (1 << 20)
 	r.FlashMBps = rate(r.FlashBytes) / (1 << 20)
 	r.BatchesPS = rate(delta("core.write.batches"))

@@ -66,6 +66,8 @@ func TestCompute(t *testing.T) {
 		reg := metrics.New()
 		reg.Counter("core.write.bytes_accepted").Add(user)
 		reg.Counter("flash.programmed_bytes").Add(flash)
+		reg.Counter("core.write.bytes_stored").Add(user)
+		reg.Counter("flash.src.user.bytes").Add(flash)
 		reg.Counter("core.write.batches").Add(user / 1000)
 		reg.Counter("read.reads").Add(reads)
 		reg.Counter("read.cache_hits").Add(hits)
@@ -86,6 +88,10 @@ func TestCompute(t *testing.T) {
 	if r.WAF != 2 {
 		t.Fatalf("WAF = %v, want 2", r.WAF)
 	}
+	// Δstored 2 MB in Δ4 MB of user-source programs.
+	if r.PadFrac != 0.5 {
+		t.Fatalf("PadFrac = %v, want 0.5", r.PadFrac)
+	}
 	if r.UserMBps != 1 || r.FlashMBps != 2 {
 		t.Fatalf("rates: %v user MB/s, %v flash MB/s", r.UserMBps, r.FlashMBps)
 	}
@@ -104,7 +110,7 @@ func TestCompute(t *testing.T) {
 	// A counter reset (cur < prev, e.g. recovery swapped registries)
 	// clamps to zero instead of going negative.
 	r = Compute(cur, prev, time.Second)
-	if r.UserBytes != 0 || r.FlashBytes != 0 || r.WAF != 0 {
+	if r.UserBytes != 0 || r.FlashBytes != 0 || r.WAF != 0 || r.PadFrac != 0 {
 		t.Fatalf("reset not clamped: %+v", r)
 	}
 }

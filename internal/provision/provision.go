@@ -1,9 +1,10 @@
 // Package provision implements ELEOS's two-tier write provisioning
 // (§IV-A1) and I/O command generation (§IV-A2).
 //
-// Global provisioning partitions a write buffer into per-channel chunks of
-// approximately equal size, respecting LPAGE boundaries so every LPAGE is
-// stored contiguously within a single channel. Channel provisioning then
+// Global provisioning partitions a write buffer into per-channel chunks
+// sized in whole WBLOCKs (as many channels as the buffer has WBLOCKs, at
+// most all of them), respecting LPAGE boundaries so every LPAGE is stored
+// contiguously within a single channel. Channel provisioning then
 // allocates physical addresses at WBLOCK granularity from the channel's
 // open EBLOCK for the requesting write stream (user, GC, or log), closing
 // full EBLOCKs (scheduling their metadata flush as the final I/O commands)
@@ -135,7 +136,7 @@ type Provisioner struct {
 
 	userOpen []int        // per-channel open user EBLOCK (-1 = none)
 	gcOpen   [][]gcBucket // per-channel open GC EBLOCKs
-	rotate   int          // rotates chunk->channel assignment across buffers
+	rotate   int          // channel of the next buffer's chunk 0 (see partition)
 
 	// The log alternates between two open EBLOCKs (on different channels
 	// when possible) so that any three consecutive slots — a page's
@@ -481,13 +482,10 @@ func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsn
 	if len(pages) == 0 {
 		return &Plan{}, nil
 	}
-	chunks := p.partition(pages)
+	chunks, nwb := p.partition(pages)
 	plan := &Plan{}
 	finals := make(map[int]*chanPlanner)
 	for i, chunk := range chunks {
-		if len(chunk) == 0 {
-			continue
-		}
 		ch := (p.rotate + i) % p.geo.Channels
 		c := &chanPlanner{p: p, ch: ch, stream: record.StreamUser, clock: clock, free: p.st.FreeList(ch), plan: plan}
 		if err := c.loadCursor(); err != nil {
@@ -498,7 +496,7 @@ func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsn
 		}
 		finals[ch] = c
 	}
-	p.rotate = (p.rotate + len(chunks)) % p.geo.Channels
+	p.rotate = (p.rotate + nwb) % p.geo.Channels
 	if err := p.applyLocked(plan, finals, record.StreamUser, lsnHint); err != nil {
 		return nil, err
 	}
@@ -603,28 +601,49 @@ func (p *Provisioner) dropCursor(ch, eb int) {
 	p.gcOpen[ch] = buckets
 }
 
-// partition splits pages into up to Channels contiguous chunks of roughly
-// equal byte size, respecting LPAGE boundaries (the global tier).
-func (p *Provisioner) partition(pages []BatchPage) [][]BatchPage {
+// partition is the global tier: it cuts the buffer into at most Channels
+// contiguous chunks of whole LPAGEs, sized in WBLOCKs rather than bytes.
+// A channel run starts on a WBLOCK boundary and is padded to one, so the
+// batch's nwb = ceil(total/WBlockBytes) WBLOCKs are dealt round-robin —
+// chunk i gets a quota of nwb/Channels, one more for the first
+// nwb%Channels chunks, none (channel unused) beyond that — and each chunk
+// is filled in buffer order up to quota*WBlockBytes. Stripe width thus
+// follows batch size: a batch of k < Channels WBLOCKs programs k channels
+// once instead of every channel with a mostly empty WBLOCK. Page-boundary
+// slack can leave pages over; then one more WBLOCK is dealt and the cut
+// redone. A page larger than its chunk's quota is a chunk of its own.
+// nwb is the number of WBLOCKs dealt; the caller advances the deal's start
+// channel by it, i.e. past the chunks that got the larger quota, so the
+// extra WBLOCK (and the short tail chunk) move across channels.
+func (p *Provisioner) partition(pages []BatchPage) (chunks [][]BatchPage, nwb int) {
 	total := 0
 	for _, pg := range pages {
 		total += pg.Length
 	}
-	n := p.geo.Channels
-	target := (total + n - 1) / n
-	var chunks [][]BatchPage
-	start, acc := 0, 0
-	for i, pg := range pages {
-		acc += pg.Length
-		if acc >= target && len(chunks) < n-1 {
-			chunks = append(chunks, pages[start:i+1])
-			start, acc = i+1, 0
+	n, w := p.geo.Channels, p.geo.WBlockBytes
+	chunks = make([][]BatchPage, 0, n)
+	for nwb = max(1, (total+w-1)/w); ; nwb++ {
+		chunks = chunks[:0]
+		base, extra, next := nwb/n, nwb%n, 0
+		for c := 0; c < n && next < len(pages); c++ {
+			quota := base
+			if c < extra {
+				quota++
+			}
+			if quota == 0 {
+				break
+			}
+			start, room := next, quota*w
+			for next < len(pages) && (pages[next].Length <= room || next == start) {
+				room -= pages[next].Length
+				next++
+			}
+			chunks = append(chunks, pages[start:next])
+		}
+		if next == len(pages) {
+			return chunks, nwb
 		}
 	}
-	if start < len(pages) {
-		chunks = append(chunks, pages[start:])
-	}
-	return chunks
 }
 
 // --- log stream -------------------------------------------------------------

@@ -2,6 +2,7 @@ package provision
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"eleos/internal/addr"
@@ -457,7 +458,7 @@ func TestPartitionRespectsBoundariesAndOrder(t *testing.T) {
 	e := newEnv(t)
 	sizes := []int{64, 128, 19200, 64, 4096, 640, 64}
 	pages := contiguousPages(sizes...)
-	chunks := e.p.partition(pages)
+	chunks, _ := e.p.partition(pages)
 	if len(chunks) == 0 || len(chunks) > e.geo.Channels {
 		t.Fatalf("chunks = %d", len(chunks))
 	}
@@ -480,5 +481,62 @@ func TestEmptyBatch(t *testing.T) {
 	plan, err := e.p.ProvisionBatch(nil, e.clock, 1)
 	if err != nil || len(plan.Pages) != 0 || len(plan.IOs) != 0 {
 		t.Fatalf("empty batch: %+v %v", plan, err)
+	}
+}
+
+// TestBenchGeometryDenseAndBalanced pins quota striping where bench/'s
+// batch workloads run it: 8 channels x 32 KB WBLOCKs, 256 KB buffers of
+// 128 B-4 KB pages. A buffer is 8 WBLOCKs of data, so it programs those
+// plus at most page-boundary slack and a run split at an EBLOCK close,
+// and the start-channel rotation keeps the channels level. (The equal-byte
+// split programmed 15-16 per buffer with channel 0 ahead of the rest.)
+func TestBenchGeometryDenseAndBalanced(t *testing.T) {
+	geo := flash.Geometry{
+		Channels: 8, EBlocksPerChannel: 64,
+		EBlockBytes: 1 << 20, WBlockBytes: 32 << 10, RBlockBytes: 4 << 10,
+	}
+	st, err := summary.New(geo, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(geo, st, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	seq := uint64(0)
+	clock := func() uint64 { seq++; return seq }
+	programmed := make([]int, geo.Channels)
+	for b := 0; b < 64; b++ {
+		var sizes []int
+		for total := 0; ; {
+			s := 64 * (2 + rng.Intn(63)) // 128 B .. 4 KB
+			if total+s > 256<<10 {
+				break
+			}
+			sizes = append(sizes, s)
+			total += s
+		}
+		plan, err := p.ProvisionBatch(contiguousPages(sizes...), clock, record.LSN(b+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := 0
+		for _, io := range plan.IOs {
+			programmed[io.Channel]++
+			if io.Inline == nil {
+				data++
+			}
+		}
+		if data > 10 {
+			t.Fatalf("batch %d: %d data IOs for a 256 KB buffer, want <= 10", b, data)
+		}
+	}
+	lo, hi := programmed[0], programmed[0]
+	for _, n := range programmed {
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	if hi-lo > 2 {
+		t.Fatalf("programmed WBLOCKs per channel after 64 batches: %v (spread %d, want <= 2)", programmed, hi-lo)
 	}
 }
