@@ -30,10 +30,14 @@ func (c *Controller) Checkpoint() error {
 	return c.checkpointLocked()
 }
 
-func (c *Controller) maybeCheckpointLocked() {
-	if c.cfg.AutoCheckpointLogBytes > 0 && c.logBytes >= c.cfg.AutoCheckpointLogBytes {
+// maybeCheckpointLocked takes the auto checkpoint when it is due and
+// reports whether it did.
+func (c *Controller) maybeCheckpointLocked() bool {
+	due := c.cfg.AutoCheckpointLogBytes > 0 && c.logBytes >= c.cfg.AutoCheckpointLogBytes
+	if due {
 		_ = c.checkpointLocked()
 	}
+	return due
 }
 
 func (c *Controller) checkpointLocked() error {
@@ -83,7 +87,7 @@ func (c *Controller) checkpointLocked() error {
 		trunc = c.lastTruncLSN
 	}
 
-	if err := c.flushTablesLocked(); err != nil {
+	if err := c.flushTablesLocked(true); err != nil {
 		return err
 	}
 	if err := c.crashIf("ckpt.after-flush"); err != nil {
@@ -194,8 +198,9 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 
 // flushTablesLocked writes dirty mapping pages, dirty small-table pages,
 // dirty summary pages, and a full session snapshot as one checkpoint
-// system action, one WBLOCK at a time via the ordinary write path.
-func (c *Controller) flushTablesLocked() error {
+// system action, one WBLOCK at a time via the ordinary write path. When
+// there is no room and mayGC allows, it collects garbage and starts over.
+func (c *Controller) flushTablesLocked(mayGC bool) error {
 	mapDirty := c.mt.DirtyPages()
 	smallDirty := c.mt.DirtySmallPages()
 	sessImg := c.sess.Serialize()
@@ -240,9 +245,11 @@ func (c *Controller) flushTablesLocked() error {
 	}
 	hint := c.lsnHint()
 	plan, err := c.prov.ProvisionBatch(bps, c.clock, hint)
-	if errors.Is(err, provision.ErrNoSpace) {
+	if errors.Is(err, provision.ErrNoSpace) && mayGC {
+		// The pass relocates pages and releases c.mu while it erases, so
+		// other writers install too: the images above are stale.
 		c.gcAllLocked()
-		plan, err = c.prov.ProvisionBatch(bps, c.clock, hint)
+		return c.flushTablesLocked(false)
 	}
 	if err != nil {
 		return err
@@ -494,8 +501,8 @@ func (c *Controller) writeCkptRecordLocked(ck *ckptRecord) error {
 		if c.ckptEB == ckptEBlockA {
 			other = ckptEBlockB
 		}
-		if err := c.dev.Erase(ckptChannel, other); err != nil {
-			return err
+		if len(eraseBatch(c.dev, [2]int{ckptChannel, other})) > 0 {
+			return fmt.Errorf("%w: checkpoint area eblock %d", flash.ErrEraseFailed, other)
 		}
 		c.ckptEB, c.ckptWB = other, 0
 		return nil

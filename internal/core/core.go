@@ -233,7 +233,8 @@ const (
 // provision/log/submit sequence, and the install — and releases it while
 // flash programs execute on the per-channel device workers and while the
 // commit force runs (see DESIGN.md §4, "Concurrency model"). GC, migration
-// and checkpointing run entirely under c.mu.
+// and checkpointing run under c.mu except while an erase batch is on the
+// device (DESIGN.md §4.1, "GC erase protocol").
 type Controller struct {
 	mu      sync.Mutex
 	wsnCond *sync.Cond // admission waiters (WSN order, duplicate claims)
@@ -282,6 +283,10 @@ type Controller struct {
 
 	migrationDepth int
 	inCheckpoint   bool
+	// gcBusy marks a GC pass in flight. The pass releases c.mu while its
+	// erase batches run, so the flag is what keeps passes from overlapping:
+	// a threshold trigger skips, a forced caller waits on ioCond.
+	gcBusy bool
 
 	crashed     bool
 	crashedA    atomic.Bool // lock-free mirror of crashed for the cache-hit read path

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"eleos/internal/flash"
 	"eleos/internal/wal"
 )
@@ -12,11 +14,8 @@ func Format(dev *flash.Device, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.Erase(ckptChannel, ckptEBlockA); err != nil {
-		return nil, err
-	}
-	if err := dev.Erase(ckptChannel, ckptEBlockB); err != nil {
-		return nil, err
+	if failed := eraseBatch(dev, [2]int{ckptChannel, ckptEBlockA}, [2]int{ckptChannel, ckptEBlockB}); len(failed) > 0 {
+		return nil, fmt.Errorf("%w: checkpoint area %v", flash.ErrEraseFailed, failed)
 	}
 	if err := c.st.Reserve(ckptChannel, ckptEBlockA); err != nil {
 		return nil, err

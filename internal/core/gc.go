@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"time"
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
@@ -13,28 +15,30 @@ import (
 	"eleos/internal/trace"
 )
 
-// maybeGCLocked runs garbage collection on every channel whose free-EBLOCK
-// fraction has fallen below the configured threshold (§VI).
-func (c *Controller) maybeGCLocked() {
-	for ch := 0; ch < c.geo.Channels; ch++ {
+// maybeGCLocked starts a GC pass when some channel's free-EBLOCK fraction
+// has fallen below the configured threshold (§VI), and reports whether it
+// ran one. A trigger that finds a pass in flight starts no second one.
+func (c *Controller) maybeGCLocked() bool {
+	for ch := 0; ch < c.geo.Channels && !c.gcBusy; ch++ {
 		if c.freeFractionLocked(ch) < c.cfg.GCFreeFraction {
-			_ = c.gcChannelLocked(ch)
+			_ = c.gcPassLocked(-1, false) // counted in core.gc.errors
+			return true
 		}
 	}
+	return false
 }
 
 // gcAllLocked collects on all channels regardless of thresholds (used when
 // provisioning runs out of space). It first takes a checkpoint so the log
 // truncation LSN advances and truncated log EBLOCKs become reclaimable —
 // under log-heavy workloads those are usually the bulk of the reclaimable
-// space.
+// space. The pass releases c.mu while it erases (DESIGN.md §4.1), so
+// callers re-derive what they read before the call.
 func (c *Controller) gcAllLocked() {
 	if !c.inCheckpoint {
 		_ = c.checkpointLocked()
 	}
-	for ch := 0; ch < c.geo.Channels; ch++ {
-		_ = c.gcChannelLocked(ch)
-	}
+	_ = c.gcPassLocked(-1, true) // counted in core.gc.errors
 }
 
 // GCNow forces a GC pass on one channel (tests and benchmarks).
@@ -44,28 +48,79 @@ func (c *Controller) GCNow(ch int) error {
 	if c.crashed {
 		return ErrCrashed
 	}
-	return c.gcChannelLocked(ch)
+	return c.gcPassLocked(ch, true)
 }
 
 func (c *Controller) freeFractionLocked(ch int) float64 {
 	return float64(c.st.FreeCount(ch)) / float64(c.geo.EBlocksPerChannel)
 }
 
-func (c *Controller) gcChannelLocked(ch int) error {
-	for round := 0; round < c.cfg.GCMaxRounds; round++ {
-		if c.freeFractionLocked(ch) >= c.cfg.GCFreeFraction*1.5 && round > 0 {
-			return nil
-		}
-		eb, ok := c.selectVictimLocked(ch)
-		c.met.gcVictims.Inc()
-		if !ok {
-			return nil
-		}
-		if err := c.gcEBlockLocked(ch, eb); err != nil {
-			return err
+// gcPassLocked runs one GC pass, round-major: in each round every
+// collecting channel selects and relocates one victim under c.mu, then the
+// round's victims are erased as one cross-channel batch with c.mu released
+// (eraseAndFreeLocked), so a channel still sees select → relocate → erase
+// → free → select. only ≥ 0 restricts the pass to that channel; force
+// collects a victim in round 0 whatever the free fraction. Without force
+// the channels below GCFreeFraction select by policy and relocate, and
+// every other channel joins, up to the same high-water mark, with victims
+// that need no relocation (DESIGN.md §4 decision 11). Passes never
+// overlap: a caller waits for the one in flight. It returns the pass's
+// first error and counts each in core.gc.errors.
+func (c *Controller) gcPassLocked(only int, force bool) (first error) {
+	for c.gcBusy {
+		c.ioCond.Wait()
+	}
+	if c.crashed {
+		return ErrCrashed
+	}
+	c.gcBusy = true
+	defer func() {
+		c.gcBusy = false
+		c.ioCond.Broadcast()
+	}()
+	fail := func(err error) {
+		c.met.gcErrors.Inc()
+		if first == nil {
+			first = err
 		}
 	}
-	return nil
+	n := c.geo.Channels
+	done, deadOnly := make([]bool, n), make([]bool, n)
+	for ch := range done {
+		done[ch] = only >= 0 && ch != only
+		deadOnly[ch] = !force && c.freeFractionLocked(ch) >= c.cfg.GCFreeFraction
+	}
+	victims := make([][2]int, 0, n)
+	for round := 0; round < c.cfg.GCMaxRounds; round++ {
+		victims = victims[:0]
+		for ch := 0; ch < n && !c.crashed; ch++ {
+			if done[ch] {
+				continue
+			}
+			done[ch] = true // unless this round collects a victim
+			if (round > 0 || !force) && c.freeFractionLocked(ch) >= c.cfg.GCFreeFraction*1.5 {
+				continue
+			}
+			eb, ok := c.selectVictimLocked(ch, deadOnly[ch])
+			c.met.gcVictims.Inc()
+			if !ok {
+				continue
+			}
+			if err := c.gcEBlockLocked(ch, eb); err != nil {
+				fail(err)
+				continue
+			}
+			victims = append(victims, [2]int{ch, eb})
+			done[ch] = false
+		}
+		if len(victims) == 0 || c.crashed {
+			break
+		}
+		if err := c.eraseAndFreeLocked(victims...); err != nil {
+			fail(err)
+		}
+	}
+	return first
 }
 
 // selectVictimLocked picks a used EBLOCK to collect. The core owns the
@@ -73,8 +128,10 @@ func (c *Controller) gcChannelLocked(ch int) error {
 // the truncated-log fast path (no data movement, always the "smallest
 // score") — and delegates only the ranking to the pluggable policy
 // (internal/gc): each eligible EBLOCK becomes a gcpolicy.Candidate and
-// the lowest score wins; +Inf declines the candidate.
-func (c *Controller) selectVictimLocked(ch int) (int, bool) {
+// the lowest score wins; +Inf declines the candidate. deadOnly restricts
+// the choice to EBLOCKs with nothing to relocate: truncated log EBLOCKs
+// and data EBLOCKs whose every data WBLOCK is reclaimable.
+func (c *Controller) selectVictimLocked(ch int, deadOnly bool) (int, bool) {
 	best, bestScore := -1, math.Inf(1)
 	for _, eb := range c.st.UsedEBlocks(ch) {
 		if c.inflight[[2]int{ch, eb}] > 0 || c.pinned[[2]int{ch, eb}] > 0 {
@@ -97,8 +154,8 @@ func (c *Controller) selectVictimLocked(ch int) (int, bool) {
 			}
 			continue
 		}
-		if d.Avail == 0 {
-			continue // nothing reclaimable
+		if d.Avail == 0 || deadOnly && d.Avail < uint64(d.DataWBlocks)*uint64(c.geo.WBlockBytes) {
+			continue // nothing reclaimable, or live pages to move
 		}
 		age := c.updateSeq - d.Timestamp + 1
 		if c.updateSeq < d.Timestamp {
@@ -120,15 +177,13 @@ func (c *Controller) selectVictimLocked(ch int) (int, bool) {
 	return best, best >= 0
 }
 
-// gcEBlockLocked collects one EBLOCK: moves its valid LPAGEs to open GC
-// EBLOCKs of similar age, then erases it (§VI).
+// gcEBlockLocked prepares one victim for the round's erase batch: it moves
+// the EBLOCK's valid LPAGEs to open GC EBLOCKs of similar age (§VI). On a
+// nil return nothing reachable is left in it.
 func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	d, err := c.st.Desc(ch, eb)
 	if err != nil {
 		return err
-	}
-	if d.State != summary.Used {
-		return nil
 	}
 	if start := c.trc.Now(); !start.IsZero() {
 		defer func() {
@@ -138,14 +193,14 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	c.stats.GCRounds++
 	c.met.gcRounds.Inc()
 	if d.Stream == record.StreamLog {
-		return c.eraseAndFreeLocked(ch, eb)
+		return nil
 	}
 	entries, err := c.readMetaLocked(ch, eb, d)
 	if err != nil {
 		// Metadata unreadable: the EBLOCK was erased after a committed GC
 		// pre-crash (nothing reachable lives here) — reclaim it.
 		c.stats.GCMetaUnreadable++
-		return c.eraseAndFreeLocked(ch, eb)
+		return nil
 	}
 	srcTS := d.Timestamp
 	if c.gcRetime {
@@ -158,10 +213,7 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	if err := c.relocateLocked(ch, eb, entries, srcTS, record.ActionGC); err != nil {
 		return err
 	}
-	if err := c.crashIf("gc.before-erase"); err != nil {
-		return err
-	}
-	return c.eraseAndFreeLocked(ch, eb)
+	return c.crashIf("gc.before-erase")
 }
 
 // readMetaLocked returns a closed EBLOCK's metadata: the in-memory copy
@@ -368,38 +420,77 @@ func dbg(format string, args ...any) {
 	}
 }
 
-// eraseAndFreeLocked erases an EBLOCK and returns it to the free list,
-// logging the transition (unforced; recovery tolerates a lost free record
-// by re-collecting the EBLOCK).
-func (c *Controller) eraseAndFreeLocked(ch, eb int) error {
-	d, _ := c.st.Desc(ch, eb)
-	dbg("eraseAndFree (%d,%d) state=%v stream=%v ts=%d trunc=%d hint=%d", ch, eb, d.State, d.Stream, d.Timestamp, c.lastTruncLSN, c.lsnHint())
-	if c.inflight[[2]int{ch, eb}] > 0 || c.pinned[[2]int{ch, eb}] > 0 {
-		// Should be unreachable: victim selection skips these. Counted
-		// rather than panicking so a chaos schedule that finds a hole in
-		// the protocol fails its invariant check with a replayable seed.
-		c.met.eraseWhilePinned.Inc()
+// eraseBatch is the one erase primitive: it queues one erase per EBLOCK on
+// the per-channel device workers, waits for all of them — erases on
+// different channels overlap — and returns the EBLOCKs whose erase failed.
+func eraseBatch(dev *flash.Device, ebs ...[2]int) [][2]int {
+	cmds := make([]flash.BatchCmd, len(ebs))
+	for i, k := range ebs {
+		cmds[i] = flash.BatchCmd{Op: flash.OpErase, Channel: k[0], EBlock: k[1]}
 	}
-	// Drop any provisioner cursor BEFORE attempting the erase: whether the
-	// erase succeeds (EBLOCK goes Free) or fails (MarkBad), this EBLOCK
-	// must never be programmed through a stale open-stream cursor again.
-	// Dropping only on the success path left a window where a migration of
-	// an open user EBLOCK hit an injected erase fault, marked the EBLOCK
-	// Bad, and the next ProvisionBatch planned into the dead cursor — the
-	// chaos corpus surfaced it as `apply close: eblock not open: (ch,eb)
-	// is bad` (see TestGCMarkBadDropsCursor).
-	c.prov.DropOpen(ch, eb)
-	if err := c.dev.Erase(ch, eb); err != nil {
-		_ = c.st.MarkBad(ch, eb, c.lsnHint())
+	return dev.SubmitBatch(cmds).Wait().FailedEBlocks
+}
+
+// eraseAndFreeLocked is the one erase path of GC and migration: it erases
+// the victims as one batch with c.mu released, then returns each to the
+// free list, logging the transition (unforced; recovery tolerates a lost
+// free record by re-collecting the EBLOCK), or marks it bad. While c.mu is
+// released the victims count as in flight, so victim selection and
+// checkpoint force-close skip them and migration waits; nothing maps into
+// them (the caller relocated) and provisioning only takes Free EBLOCKs.
+func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
+	for _, k := range victims {
+		if c.inflight[k] > 0 || c.pinned[k] > 0 {
+			// Should be unreachable: victim selection skips these, and an
+			// erasing EBLOCK is one of them. Counted rather than panicking
+			// so a chaos schedule that finds a hole in the protocol fails
+			// its invariant check with a replayable seed.
+			c.met.eraseWhilePinned.Inc()
+		}
+		// Drop any provisioner cursor BEFORE attempting the erase: whether
+		// the erase succeeds (EBLOCK goes Free) or fails (MarkBad), this
+		// EBLOCK must never be programmed through a stale open-stream
+		// cursor again. Dropping only on the success path left a window
+		// where a migration of an open user EBLOCK hit an injected erase
+		// fault, marked the EBLOCK Bad, and the next ProvisionBatch planned
+		// into the dead cursor — the chaos corpus surfaced it as `apply
+		// close: eblock not open: (ch,eb) is bad` (see
+		// TestGCMarkBadDropsCursor).
+		c.prov.DropOpen(k[0], k[1])
+		c.inflight[k]++
+	}
+	t0 := time.Now()
+	c.mu.Unlock()
+	failed := eraseBatch(c.dev, victims...)
+	c.mu.Lock()
+	c.met.gcEraseWaitNS.ObserveDuration(time.Since(t0))
+	for _, k := range victims {
+		if c.inflight[k]--; c.inflight[k] <= 0 {
+			delete(c.inflight, k)
+		}
+	}
+	c.ioCond.Broadcast()
+	if c.crashed {
+		return ErrCrashed
+	}
+	if err := c.crashIf("gc.after-erase"); err != nil {
 		return err
 	}
-	if err := c.st.FreeEBlock(ch, eb, c.lsnHint()); err != nil {
-		return err
+	var first error
+	for _, k := range victims {
+		var err error
+		if slices.Contains(failed, k) {
+			_ = c.st.MarkBad(k[0], k[1], c.lsnHint()) // cannot fail: the address came from the summary table
+			err = fmt.Errorf("%w: ch=%d eb=%d", flash.ErrEraseFailed, k[0], k[1])
+		} else if err = c.st.FreeEBlock(k[0], k[1], c.lsnHint()); err == nil {
+			if _, err = c.append(record.FreeEBlock{Channel: uint32(k[0]), EBlock: uint32(k[1])}); err == nil {
+				c.stats.GCEBlocksFreed++
+				c.met.gcFreed.Inc()
+			}
+		}
+		if first == nil {
+			first = err
+		}
 	}
-	if _, err := c.append(record.FreeEBlock{Channel: uint32(ch), EBlock: uint32(eb)}); err != nil {
-		return err
-	}
-	c.stats.GCEBlocksFreed++
-	c.met.gcFreed.Inc()
-	return nil
+	return first
 }

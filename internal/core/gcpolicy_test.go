@@ -127,7 +127,7 @@ func TestGCPluginRespectsPinnedAndInflight(t *testing.T) {
 	pol.mu.Lock()
 	pol.seen = nil
 	pol.mu.Unlock()
-	victim, ok := c.selectVictimLocked(0)
+	victim, ok := c.selectVictimLocked(0, false)
 	if ok && (victim == pinnedEB || victim == inflightEB) {
 		t.Fatalf("selected victim %d is pinned/inflight", victim)
 	}
@@ -208,7 +208,7 @@ func TestGCSelectionMatchesPolicyRanking(t *testing.T) {
 				wantEB, wantScore = eb, score
 			}
 		}
-		victim, ok := c.selectVictimLocked(0)
+		victim, ok := c.selectVictimLocked(0, false)
 		d, _ := c.st.Desc(0, victim)
 		c.mu.Unlock()
 		if !ok || wantEB == -1 {

@@ -40,7 +40,11 @@ type coreMetrics struct {
 	gcPagesMoved *metrics.Counter
 	gcBytesMoved *metrics.Counter
 	gcFreed      *metrics.Counter
+	gcErrors     *metrics.Counter // errors GC passes met (relocation, erase, log)
 	migrations   *metrics.Counter
+	// gcEraseWaitNS is the time one erase batch keeps its pass waiting
+	// with c.mu released.
+	gcEraseWaitNS *metrics.Histogram
 
 	checkpoints  *metrics.Counter
 	checkpointNS *metrics.Histogram
@@ -86,7 +90,10 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		gcPagesMoved: reg.Counter("core.gc.pages_moved"),
 		gcBytesMoved: reg.Counter("core.gc.bytes_moved"),
 		gcFreed:      reg.Counter("core.gc.eblocks_freed"),
+		gcErrors:     reg.Counter("core.gc.errors"),
 		migrations:   reg.Counter("core.migrations"),
+
+		gcEraseWaitNS: reg.Histogram("core.gc.erase_wait_ns", metrics.DurationBounds()),
 
 		checkpoints:  reg.Counter("core.checkpoints"),
 		checkpointNS: reg.Histogram("core.checkpoint_ns", metrics.DurationBounds()),

@@ -183,7 +183,7 @@ func TestRecoveryAfterGCActivity(t *testing.T) {
 }
 
 func TestCrashDuringGC(t *testing.T) {
-	for _, point := range []string{"gc.after-commit", "gc.before-erase"} {
+	for _, point := range []string{"gc.after-commit", "gc.before-erase", "gc.after-erase"} {
 		t.Run(point, func(t *testing.T) {
 			c, dev := newFormatted(t)
 			version := map[addr.LPID]uint64{}

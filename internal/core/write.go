@@ -277,8 +277,14 @@ func (c *Controller) finishRoundLocked(a *action, subs []*SubFlush) {
 	}
 	c.wsnCond.Broadcast()
 	if a != nil && err == nil {
-		c.maybeGCLocked()
-		c.maybeCheckpointLocked()
+		// The flush that tips a channel under the GC threshold, or the log
+		// over the checkpoint threshold, waits here between its install
+		// and its ack; the span says so under its trace ID.
+		t0 := c.trc.Now()
+		gc := c.maybeGCLocked()
+		if ckpt := c.maybeCheckpointLocked(); (gc || ckpt) && !t0.IsZero() {
+			c.spanSubs(trace.KMaintain, a, t0)
+		}
 	}
 }
 
@@ -357,7 +363,10 @@ func (c *Controller) writeUser(a *action) error {
 	a.hint = c.lsnHint()
 	plan, err := c.prov.ProvisionBatch(a.bps, c.clock, a.hint)
 	if errors.Is(err, provision.ErrNoSpace) {
+		// Waits for a pass in flight, then runs its own; c.mu was released
+		// meanwhile, so the hint is read again.
 		c.gcAllLocked()
+		a.hint = c.lsnHint()
 		plan, err = c.prov.ProvisionBatch(a.bps, c.clock, a.hint)
 	}
 	if err != nil {
@@ -783,5 +792,5 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 	}
 	c.stats.Migrations++
 	c.met.migrations.Inc()
-	return c.eraseAndFreeLocked(ch, eb)
+	return c.eraseAndFreeLocked([2]int{ch, eb})
 }

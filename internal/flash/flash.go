@@ -18,11 +18,12 @@
 // wall-clock sleeps: the media-side elapsed time of a workload is the
 // busiest channel's accumulated time.
 //
-// Channels are independently locked, and SubmitBatch queues program
-// commands onto one worker goroutine per channel, so different channels
-// also execute concurrently in wall-clock time. Each channel's virtual
-// busy time is a sum over its own operations, so the totals do not depend
-// on wall-clock interleaving and virtual-time results stay deterministic.
+// Channels are independently locked, and SubmitBatch queues program and
+// erase commands onto one worker goroutine per channel, so different
+// channels also execute concurrently in wall-clock time. Each channel's
+// virtual busy time is a sum over its own operations, so the totals do not
+// depend on wall-clock interleaving and virtual-time results stay
+// deterministic.
 package flash
 
 import (
@@ -658,7 +659,11 @@ func (d *Device) IsWritten(ch, eb, wb int) (bool, error) {
 }
 
 // Erase erases an EBLOCK, making all its WBLOCKs writable again. It fails
-// with ErrBadBlock once the erase limit is exceeded.
+// with ErrBadBlock once the erase limit is exceeded. Every attempt that
+// reaches the media — success, injected failure or over-limit rejection —
+// is accounted the same way on one exit path: Stats.EraseAttempts, the
+// "flash.erases" counter, one "flash.erase_ns" sample and one KFlashErase
+// span, so registry, Stats and trace always agree.
 func (d *Device) Erase(ch, eb int) error {
 	if err := d.checkAddr(ch, eb); err != nil {
 		return err
@@ -670,55 +675,55 @@ func (d *Device) Erase(ch, eb int) error {
 		cs.mu.Unlock()
 		return fmt.Errorf("%w: ch=%d eb=%d", ErrBadBlock, ch, eb)
 	}
-	ebs.eraseCount++
-	d.statsMu.Lock()
-	d.stats.EraseAttempts++
-	d.statsMu.Unlock()
-	if d.geo.EraseLimit > 0 && ebs.eraseCount > d.geo.EraseLimit {
-		ebs.bad = true
-		cs.mu.Unlock()
-		return fmt.Errorf("%w: ch=%d eb=%d after %d erases", ErrBadBlock, ch, eb, ebs.eraseCount)
-	}
-	if d.shouldFailErase() {
-		// The failed pulse consumes time and an erase-limit cycle but
-		// changes nothing else: the EBLOCK keeps its programmed content
-		// and position, so a caller may retry or retire it.
-		cs.busy += d.lat.EraseEBlock
-		d.wallWait(d.lat.EraseEBlock)
-		cs.mu.Unlock()
-		d.statsMu.Lock()
-		d.stats.EraseFailures++
-		d.statsMu.Unlock()
-		if m := d.met.Load(); m != nil {
-			m.erases.Inc()
-			m.eraseFailures.Inc()
-		}
-		return fmt.Errorf("%w: ch=%d eb=%d", ErrEraseFailed, ch, eb)
-	}
-	// The backing arrays survive the erase (see eblockState): resetting
-	// the program position makes every WBLOCK unprogrammed, and unread
-	// stale bytes cost nothing. This keeps Erase O(1) and lets a warmed
-	// device program without allocating.
-	ebs.nextWBlock = 0
-	ebs.failed = false
 	m := d.met.Load()
 	trc := d.tracer()
 	var t0 time.Time
 	if m != nil || trc.Enabled() {
 		t0 = time.Now()
 	}
-	cs.busy += d.lat.EraseEBlock
-	d.wallWait(d.lat.EraseEBlock)
+	ebs.eraseCount++
+	var err error
+	pulseFailed := false
+	if d.geo.EraseLimit > 0 && ebs.eraseCount > d.geo.EraseLimit {
+		ebs.bad = true
+		err = fmt.Errorf("%w: ch=%d eb=%d after %d erases", ErrBadBlock, ch, eb, ebs.eraseCount)
+	} else {
+		// The pulse holds the channel whether or not it succeeds.
+		pulseFailed = d.shouldFailErase()
+		cs.busy += d.lat.EraseEBlock
+		d.wallWait(d.lat.EraseEBlock)
+		if pulseFailed {
+			// A failed pulse consumes time and an erase-limit cycle but
+			// changes nothing else: the EBLOCK keeps its programmed content
+			// and position, so a caller may retry or retire it.
+			err = fmt.Errorf("%w: ch=%d eb=%d", ErrEraseFailed, ch, eb)
+		} else {
+			// The backing arrays survive the erase (see eblockState):
+			// resetting the program position makes every WBLOCK
+			// unprogrammed, and unread stale bytes cost nothing. This keeps
+			// Erase O(1) and lets a warmed device program without allocating.
+			ebs.nextWBlock = 0
+			ebs.failed = false
+		}
+	}
 	cs.mu.Unlock()
 	d.statsMu.Lock()
-	d.stats.EBlocksErased++
+	d.stats.EraseAttempts++
+	if err == nil {
+		d.stats.EBlocksErased++
+	} else if pulseFailed {
+		d.stats.EraseFailures++
+	}
 	d.statsMu.Unlock()
 	if m != nil {
 		m.erases.Inc()
+		if pulseFailed {
+			m.eraseFailures.Inc()
+		}
 		m.eraseNS.ObserveDuration(time.Since(t0))
 	}
 	trc.Span(trace.KFlashErase, 0, 0, 0, t0, int64(ch), int64(eb))
-	return nil
+	return err
 }
 
 // EraseCount returns how many times an EBLOCK has been erased.
@@ -805,8 +810,20 @@ func (d *Device) ResetTime() {
 
 // --- per-channel submission queues -----------------------------------------
 
-// BatchCmd is one WBLOCK program destined for a channel's submission queue.
+// Op selects what a queued BatchCmd does.
+type Op uint8
+
+const (
+	OpProgram Op = iota // program Data into (Channel, EBlock, WBlock)
+	OpErase             // erase (Channel, EBlock); WBlock, Data and Src are unused
+)
+
+// BatchCmd is one WBLOCK program — or, with Op set to OpErase, one EBLOCK
+// erase — destined for a channel's submission queue. Erases ride the same
+// FIFO as programs, so a program queued behind an erase of its EBLOCK
+// lands after it.
 type BatchCmd struct {
+	Op      Op
 	Channel int
 	EBlock  int
 	WBlock  int
@@ -818,11 +835,12 @@ type BatchCmd struct {
 
 // BatchResult reports the outcome of a submitted batch.
 type BatchResult struct {
-	// FailedEBlocks lists the EBLOCKs that suffered a program failure,
-	// sorted by (channel, eblock). Commands queued behind a failure in the
-	// same EBLOCK are skipped (§VII: the EBLOCK is unwritable until erased).
+	// FailedEBlocks lists the EBLOCKs that suffered a program or erase
+	// failure, sorted by (channel, eblock). Commands queued behind a failure
+	// in the same EBLOCK are skipped (§VII: the EBLOCK is unwritable until
+	// erased).
 	FailedEBlocks [][2]int
-	// Attempted counts the programs actually issued (failures included,
+	// Attempted counts the commands actually issued (failures included,
 	// skipped commands excluded).
 	Attempted int
 }
@@ -895,7 +913,13 @@ func (d *Device) runSegment(cmds []BatchCmd) (attempted int, failed [][2]int) {
 			continue
 		}
 		attempted++
-		if err := d.ProgramSrc(c.Src, c.Channel, c.EBlock, c.WBlock, c.Data); err != nil {
+		var err error
+		if c.Op == OpErase {
+			err = d.Erase(c.Channel, c.EBlock)
+		} else {
+			err = d.ProgramSrc(c.Src, c.Channel, c.EBlock, c.WBlock, c.Data)
+		}
+		if err != nil {
 			if failedSet == nil {
 				failedSet = make(map[[2]int]bool)
 			}
@@ -943,12 +967,13 @@ func (d *Device) queueFor(ch int) chan batchSeg {
 	return d.workers[ch]
 }
 
-// SubmitBatch queues program commands onto the per-channel workers and
-// returns a handle to wait on. Commands for the same channel execute in
-// slice order (FIFO per channel, preserving the NAND sequential-program
-// constraint for commands the caller ordered correctly); commands for
-// different channels execute concurrently in wall-clock time. A failed
-// program disables the rest of its EBLOCK for the remainder of the batch.
+// SubmitBatch queues program and erase commands onto the per-channel
+// workers and returns a handle to wait on. Commands for the same channel
+// execute in slice order (FIFO per channel, preserving the NAND
+// sequential-program constraint for commands the caller ordered
+// correctly); commands for different channels execute concurrently in
+// wall-clock time. A failed command disables the rest of its EBLOCK for
+// the remainder of the batch.
 //
 // Two situations fall back to synchronous execution in the caller's
 // goroutine, in exact slice order: a configured failure probability (the

@@ -99,8 +99,9 @@ func TestSetMetricsLatencyAndQueueDepth(t *testing.T) {
 	if res.Attempted != 3 || len(res.FailedEBlocks) != 0 {
 		t.Fatalf("batch result: %+v", res)
 	}
-	if err := d.Erase(0, 0); err != nil {
-		t.Fatal(err)
+	// The erase rides the same queue, gauge and instruments as the programs.
+	if res := d.SubmitBatch([]BatchCmd{{Op: OpErase, Channel: 0, EBlock: 0}}).Wait(); res.Attempted != 1 || len(res.FailedEBlocks) != 0 {
+		t.Fatalf("erase batch result: %+v", res)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counter("flash.programs"); got != 3 {

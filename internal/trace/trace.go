@@ -64,6 +64,11 @@ const (
 	KReadCacheHit // instant: page served from the read cache; Arg1 = LPID, Arg2 = bytes
 	KReadFlash    // span: flash wait (pin held, c.mu released); Arg1 = LPID, Arg2 = bytes
 
+	// KMaintain is the span between a batch's install and its ack in which
+	// it ran the GC pass and/or auto checkpoint it triggered; it carries the
+	// batch's trace ID, SID and WSN. Appended last: kind numbers are wire.
+	KMaintain
+
 	kindCount // keep last
 )
 
@@ -89,6 +94,7 @@ var kindNames = [...]string{
 	KReadLookup:   "read_lookup",
 	KReadCacheHit: "read_cache_hit",
 	KReadFlash:    "read_flash_wait",
+	KMaintain:     "maintain",
 }
 
 func (k Kind) String() string {
