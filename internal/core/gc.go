@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"eleos/internal/addr"
+	"eleos/internal/bufpool"
 	"eleos/internal/flash"
 	gcpolicy "eleos/internal/gc"
 	"eleos/internal/provision"
@@ -326,19 +327,29 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 		valid[i], valid[j] = valid[j], valid[i]
 	}
 
-	// Read the valid pages into a contiguous move buffer.
-	var buf []byte
+	// Read each valid page straight into its place in one pooled move
+	// buffer of exactly their total size. The deferred release runs after
+	// executeIOsLocked has waited for the programs that read it.
+	total := 0
+	for _, v := range valid {
+		total += v.e.Length
+	}
+	pb := bufpool.Get(total)
+	defer pb.Release()
+	dbg("relocate (%d,%d): move buffer %p", ch, eb, pb)
+	buf := pb.Bytes()
 	bps := make([]provision.BatchPage, 0, len(valid))
 	olds := make([]addr.PhysAddr, 0, len(valid))
+	off := 0
 	for _, v := range valid {
-		data, nR, err := c.dev.ReadExtent(ch, eb, v.e.Offset, v.e.Length)
+		nR, err := c.dev.ReadInto(buf[off:off+v.e.Length], ch, eb, v.e.Offset)
 		if err != nil {
 			return err
 		}
 		c.stats.ReadRBlocks += int64(nR)
-		bps = append(bps, provision.BatchPage{LPID: v.e.LPID, Type: v.e.Type, Length: v.e.Length, BufOff: len(buf)})
+		bps = append(bps, provision.BatchPage{LPID: v.e.LPID, Type: v.e.Type, Length: v.e.Length, BufOff: off})
 		olds = append(olds, v.old)
-		buf = append(buf, data...)
+		off += v.e.Length
 	}
 
 	// System action: same code path as user writes (§VI-C).

@@ -257,3 +257,38 @@ func TestReadAfterCrashRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestFlashLoadsAreExactLength: a page loaded from flash is a slice of
+// exactly its own length, from Read and from ReadBatch, with and without
+// the cache. The read cache charges len(data) for what it keeps; a
+// sub-slice of an RBLOCK-granular transfer made a 1 KB value pin 4 or 8 KB.
+func TestFlashLoadsAreExactLength(t *testing.T) {
+	for _, cfg := range []Config{testConfig(), cachedConfig()} {
+		c, _ := newFormattedCfg(t, cfg)
+		var pages []LPage
+		var lpids []addr.LPID
+		for i := 1; i <= 64; i++ { // kv-shaped values: 256..1792 bytes, off every RBLOCK boundary
+			lpids = append(lpids, addr.LPID(i))
+			pages = append(pages, LPage{LPID: addr.LPID(i), Data: pageContent(uint64(i), 1, 256+24*i)})
+		}
+		mustWrite(t, c, pages...)
+		for _, lpid := range lpids[:32] {
+			got, err := c.Read(lpid)
+			if err != nil || cap(got) != len(got) {
+				t.Fatalf("Read(%d): len %d, cap %d, err %v", lpid, len(got), cap(got), err)
+			}
+		}
+		batch, err := c.ReadBatch(lpids[32:])
+		if err != nil {
+			t.Fatalf("ReadBatch: %v", err)
+		}
+		for i, got := range batch {
+			if len(got) == 0 || cap(got) != len(got) {
+				t.Fatalf("ReadBatch[%d]: len %d, cap %d", i, len(got), cap(got))
+			}
+		}
+		if c.rcache != nil && (c.rcache.Len() != len(lpids) || c.Stats().Reads != int64(len(lpids))) {
+			t.Fatalf("%d pages cached after %d flash loads, want %d of each", c.rcache.Len(), c.Stats().Reads, len(lpids))
+		}
+	}
+}

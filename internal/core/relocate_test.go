@@ -1,0 +1,240 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"eleos/internal/addr"
+	"eleos/internal/bufpool"
+	"eleos/internal/flash"
+)
+
+// Copy-once relocation tests (DESIGN.md §4.1, byte-movement budget): GC
+// reads each valid page straight into one pooled, exact-size move buffer
+// and programs from it.
+
+// relocSizes are aligned page sizes chosen so that, laid back to back,
+// pages start and end off RBLOCK (4 KB) and WBLOCK (16 KB) boundaries.
+var relocSizes = []int{1920, 3008, 832, 5056, 64, 4096, 2752, 9024}
+
+func relocLPID(i int) addr.LPID { return addr.LPID(i + 1) }
+
+// relocContent is gcErasePage's pattern at the page's own size times scale.
+func relocContent(i int, version uint64, scale int) []byte {
+	lp := relocLPID(i)
+	b := make([]byte, scale*relocSizes[i%len(relocSizes)])
+	for j := range b {
+		b[j] = byte(uint64(lp)*31 + version*7 + uint64(j)*uint64(lp|1))
+	}
+	return b
+}
+
+// halfDeadController writes n pages of relocSizes×scale in 32-page batches
+// and then overwrites every second one, so the EBLOCKs the first round
+// closed are half valid: collecting them relocates. The GC threshold is
+// set so low that no write triggers a pass by itself. Every WBLOCK of the
+// device was programmed and erased before the format, so its backing
+// arrays exist (programs allocate nothing) and hold stale bytes that no
+// read may reveal. It returns the controller and each page's current
+// version.
+func halfDeadController(t *testing.T, n, scale int) (*Controller, *flash.Device, []uint64) {
+	t.Helper()
+	geo := flash.SmallGeometry()
+	dev := flash.MustNewDevice(geo, flash.Latency{})
+	t.Cleanup(dev.Close)
+	stale := bytes.Repeat([]byte{0xEE}, geo.WBlockBytes)
+	for ch := 0; ch < geo.Channels; ch++ {
+		for eb := 0; eb < geo.EBlocksPerChannel; eb++ {
+			for wb := 0; wb < geo.WBlocksPerEBlock(); wb++ {
+				if err := dev.Program(ch, eb, wb, stale); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := dev.Erase(ch, eb); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cfg := testConfig()
+	cfg.GCFreeFraction = 0.01
+	c, err := Format(dev, cfg)
+	if err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	version := make([]uint64, n)
+	write := func(step int, v uint64) {
+		var pages []LPage
+		for i := 0; i < n; i += step {
+			version[i] = v
+			pages = append(pages, LPage{LPID: relocLPID(i), Data: relocContent(i, v, scale)})
+			if len(pages) == 32 || i+step >= n {
+				mustWrite(t, c, pages...)
+				pages = pages[:0]
+			}
+		}
+	}
+	write(1, 1)
+	write(2, 2)
+	return c, dev, version
+}
+
+func checkRelocContent(t *testing.T, c *Controller, version []uint64, scale int) {
+	t.Helper()
+	for i, v := range version {
+		checkRead(t, c, relocLPID(i), relocContent(i, v, scale))
+	}
+}
+
+// collectAll checkpoints (so the log can be truncated and its EBLOCKs
+// reclaimed) and forces three passes on every channel: enough to collect
+// every half-dead EBLOCK halfDeadController leaves behind.
+func collectAll(t *testing.T, c *Controller) {
+	t.Helper()
+	for sweep := 0; sweep < 3; sweep++ {
+		if err := c.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		for ch := 0; ch < c.geo.Channels; ch++ {
+			if err := c.GCNow(ch); err != nil {
+				t.Fatalf("GCNow(%d): %v", ch, err)
+			}
+		}
+	}
+}
+
+// TestRelocationStraddlesBlocksUnderPoison: with every released pool buffer
+// scribbled, GC moves valid pages that straddle RBLOCK and WBLOCK
+// boundaries out of half-dead EBLOCKs; every page then reads byte-exact
+// (zero padding included), before and after a crash and recovery.
+func TestRelocationStraddlesBlocksUnderPoison(t *testing.T) {
+	bufpool.SetPoison(true)
+	t.Cleanup(func() { bufpool.SetPoison(false) })
+	c, dev, version := halfDeadController(t, 600, 1)
+
+	// The victims' survivors must really straddle both kinds of boundary.
+	var crossR, crossW int
+	c.mu.Lock()
+	for i := 1; i < len(version); i += 2 {
+		a, err := c.mt.Get(relocLPID(i))
+		if err != nil || !a.IsValid() {
+			c.mu.Unlock()
+			t.Fatalf("page %d unmapped: %v", i, err)
+		}
+		first, last := a.Offset(), a.Offset()+a.Length()-1
+		if first/c.geo.RBlockBytes != last/c.geo.RBlockBytes && first%c.geo.RBlockBytes != 0 {
+			crossR++
+		}
+		if first/c.geo.WBlockBytes != last/c.geo.WBlockBytes {
+			crossW++
+		}
+	}
+	c.mu.Unlock()
+	if crossR == 0 || crossW == 0 {
+		t.Fatalf("survivors straddle %d RBLOCK and %d WBLOCK boundaries; the layout tests nothing", crossR, crossW)
+	}
+
+	collectAll(t, c)
+	if s := c.Stats(); s.GCPagesMoved < int64(len(version))/4 || s.GCEBlocksFreed == 0 {
+		t.Fatalf("GC moved %d pages and freed %d EBLOCKs: no relocation happened", s.GCPagesMoved, s.GCEBlocksFreed)
+	}
+	checkRelocContent(t, c, version, 1)
+
+	c.Crash()
+	c2, err := Open(dev, c.cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	checkRelocContent(t, c2, version, 1)
+	collectAll(t, c2)
+	checkRelocContent(t, c2, version, 1)
+}
+
+// TestRelocationFaultReleasesMoveBuffer: a program fault in the middle of
+// a relocation aborts the GC action and migrates the failed EBLOCK; every
+// move buffer taken on the way — the aborted action's and the migration's —
+// is released exactly once (a second release panics, a missing one leaves
+// Refs at 1), and no page is lost.
+func TestRelocationFaultReleasesMoveBuffer(t *testing.T) {
+	bufpool.SetPoison(true)
+	var bufs []*bufpool.Buf
+	SetTraceForTests(func(_ string, args ...any) {
+		for _, a := range args {
+			if pb, ok := a.(*bufpool.Buf); ok {
+				if pb.Refs() != 1 {
+					t.Errorf("move buffer handed out with %d references", pb.Refs())
+				}
+				bufs = append(bufs, pb)
+			}
+		}
+	})
+	t.Cleanup(func() {
+		SetTraceForTests(nil)
+		bufpool.SetPoison(false)
+	})
+	c, dev, version := halfDeadController(t, 600, 1)
+
+	// A first pass leaves committed survivors in channel 0's open GC
+	// EBLOCK; the fault then hits the next relocation into it, so the
+	// migration of the failed EBLOCK has pages of its own to move.
+	if err := c.GCNow(0); err != nil {
+		t.Fatalf("GCNow: %v", err)
+	}
+	taken := len(bufs)
+	dev.FailNthProgram(2) // the relocation's second WBLOCK program
+	if err := c.GCNow(0); !errors.Is(err, ErrWriteFailed) {
+		t.Fatalf("GCNow = %v, want the relocation's media abort", err)
+	}
+	if programs, _ := dev.PendingInjectedFailures(); programs != 0 {
+		t.Fatal("the armed program fault never fired")
+	}
+	if taken == 0 || len(bufs) < taken+2 {
+		t.Fatalf("%d move buffers taken, %d before the fault: want the aborted action's and the migration's", len(bufs), taken)
+	}
+	for i, pb := range bufs {
+		if pb.Refs() != 0 {
+			t.Errorf("move buffer %d still has %d references after the pass", i, pb.Refs())
+		}
+	}
+	if c.Stats().AbortedActions == 0 || c.Stats().Migrations == 0 {
+		t.Fatalf("stats %+v: want an aborted action and a migration", c.Stats())
+	}
+	checkRelocContent(t, c, version, 1)
+	collectAll(t, c)
+	checkRelocContent(t, c, version, 1)
+}
+
+// TestRelocationAllocsIndependentOfBytesMoved: the bytes a relocation
+// allocates are bounded per victim and page count, not per byte moved —
+// the move buffer is pooled and exact-size, the media read fills it in
+// place. Two controllers collect the same number of pages, one with pages
+// four times the other's size; what the bigger one allocates beyond the
+// smaller stays under a sixteenth of the extra bytes it moves (it used to
+// be three to four times them). Not meaningful under -race, where
+// sync.Pool drops buffers at random.
+func TestRelocationAllocsIndependentOfBytesMoved(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pool's buffers
+	measure := func(scale int) (allocated, moved int64) {
+		c, _, _ := halfDeadController(t, 150, scale)
+		bufpool.Get(c.geo.EBlockBytes).Release() // warm the move buffer's size class
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		collectAll(t, c)
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc), c.Stats().GCBytesMoved
+	}
+	smallAlloc, smallMoved := measure(1)
+	bigAlloc, bigMoved := measure(4)
+	if smallMoved == 0 || bigMoved < 3*smallMoved {
+		t.Fatalf("moved %d and %d bytes: the two runs do not differ enough to compare", smallMoved, bigMoved)
+	}
+	if extra := bigAlloc - smallAlloc; extra > (bigMoved-smallMoved)/16 {
+		t.Fatalf("moving %d more bytes allocated %d more (%d vs %d): relocation allocates per byte moved",
+			bigMoved-smallMoved, extra, bigAlloc, smallAlloc)
+	}
+}

@@ -582,36 +582,33 @@ func (d *Device) ProgramSrc(src Source, ch, eb, wb int, data []byte) error {
 	return nil
 }
 
-// ReadRBlocks reads n consecutive RBLOCKs starting at RBLOCK index start
-// within the EBLOCK (RBLOCK indices run across WBLOCK boundaries).
-// Unwritten regions read as zeroes.
-func (d *Device) ReadRBlocks(ch, eb, start, n int) ([]byte, error) {
+// ReadInto is the one media read: it fills dst with the EBLOCK's bytes
+// [off, off+len(dst)) and returns the number of covering RBLOCKs it
+// transferred — the paper's §V read path, charged per RBLOCK to the
+// channel's virtual time, the wall-latency emulation and Stats. Every byte
+// of dst is written: unprogrammed WBLOCKs and the tail past a short program
+// read as zeroes, so dst may be a dirty pooled buffer. It allocates nothing.
+func (d *Device) ReadInto(dst []byte, ch, eb, off int) (rblocks int, err error) {
 	if err := d.checkAddr(ch, eb); err != nil {
-		return nil, err
+		return 0, err
 	}
-	if n <= 0 || start < 0 || start+n > d.geo.RBlocksPerEBlock() {
-		return nil, fmt.Errorf("%w: rblocks [%d,%d)", ErrOutOfRange, start, start+n)
+	if len(dst) == 0 || off < 0 || off+len(dst) > d.geo.EBlockBytes {
+		return 0, fmt.Errorf("%w: extent [%d,%d)", ErrOutOfRange, off, off+len(dst))
 	}
+	n := (off+len(dst)-1)/d.geo.RBlockBytes - off/d.geo.RBlockBytes + 1
+	w := d.geo.WBlockBytes
 	cs := &d.channels[ch]
 	cs.mu.Lock()
-	out := make([]byte, n*d.geo.RBlockBytes)
-	rPerW := d.geo.RBlocksPerWBlock()
 	ebs := &cs.eblocks[eb]
-	for i := 0; i < n; i++ {
-		r := start + i
-		wb, rInW := r/rPerW, r%rPerW
-		if wb >= ebs.nextWBlock {
-			continue // not programmed since the last erase: zeroes
+	for rest := dst; len(rest) > 0; { // one WBLOCK's share of dst per step
+		wb, lo := off/w, off%w
+		seg := rest[:min(len(rest), w-lo)]
+		copied := 0
+		if wb < ebs.nextWBlock && lo < len(ebs.wblocks[wb]) {
+			copied = copy(seg, ebs.wblocks[wb][lo:])
 		}
-		src := ebs.wblocks[wb]
-		lo := rInW * d.geo.RBlockBytes
-		if lo < len(src) {
-			hi := lo + d.geo.RBlockBytes
-			if hi > len(src) {
-				hi = len(src)
-			}
-			copy(out[i*d.geo.RBlockBytes:], src[lo:hi]) // tail past len(src) stays zero
-		}
+		clear(seg[copied:])
+		rest, off = rest[len(seg):], off+len(seg)
 	}
 	cs.busy += time.Duration(n) * d.lat.ReadRBlock
 	d.wallWait(time.Duration(n) * d.lat.ReadRBlock)
@@ -620,26 +617,37 @@ func (d *Device) ReadRBlocks(ch, eb, start, n int) ([]byte, error) {
 	d.stats.RBlocksRead += int64(n)
 	d.stats.BytesRead += int64(n * d.geo.RBlockBytes)
 	d.statsMu.Unlock()
+	return n, nil
+}
+
+// ReadRBlocks reads n consecutive RBLOCKs starting at RBLOCK index start
+// within the EBLOCK (RBLOCK indices run across WBLOCK boundaries).
+// Unwritten regions read as zeroes.
+func (d *Device) ReadRBlocks(ch, eb, start, n int) ([]byte, error) {
+	if n <= 0 || start < 0 || start+n > d.geo.RBlocksPerEBlock() {
+		return nil, fmt.Errorf("%w: rblocks [%d,%d)", ErrOutOfRange, start, start+n)
+	}
+	out := make([]byte, n*d.geo.RBlockBytes)
+	if _, err := d.ReadInto(out, ch, eb, start*d.geo.RBlockBytes); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
 // ReadExtent reads an arbitrary byte extent [off, off+length) within an
-// EBLOCK by reading the covering RBLOCKs and slicing out the extent —
-// exactly the paper's §V read path. It returns the extent bytes along with
-// the number of RBLOCKs transferred (for amplification accounting).
+// EBLOCK into a new slice of exactly that length (ReadInto). It returns
+// the extent bytes along with the number of RBLOCKs transferred (for
+// amplification accounting).
 func (d *Device) ReadExtent(ch, eb, off, length int) ([]byte, int, error) {
 	if length <= 0 || off < 0 || off+length > d.geo.EBlockBytes {
 		return nil, 0, fmt.Errorf("%w: extent [%d,%d)", ErrOutOfRange, off, off+length)
 	}
-	first := off / d.geo.RBlockBytes
-	last := (off + length - 1) / d.geo.RBlockBytes
-	n := last - first + 1
-	raw, err := d.ReadRBlocks(ch, eb, first, n)
+	out := make([]byte, length)
+	n, err := d.ReadInto(out, ch, eb, off)
 	if err != nil {
 		return nil, 0, err
 	}
-	lo := off - first*d.geo.RBlockBytes
-	return raw[lo : lo+length], n, nil
+	return out, n, nil
 }
 
 // IsWritten reports whether a WBLOCK has been programmed since its last

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"eleos/internal/flash"
 	"eleos/internal/metrics"
 )
 
@@ -257,5 +258,37 @@ func TestConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	if c.Bytes() > 4096 {
 		t.Fatalf("byte budget exceeded after hammer: %d", c.Bytes())
+	}
+}
+
+// TestChargedBytesAreRetainedBytes: after a kv-shaped fill from flash
+// loads (1 KB values read out of 4 KB RBLOCKs, as core's read path loads
+// them), the bytes the cache charges against its budget are the bytes it
+// keeps alive: every cached payload's capacity is its length.
+func TestChargedBytesAreRetainedBytes(t *testing.T) {
+	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
+	g := dev.Geometry()
+	for wb := 0; wb < 4; wb++ {
+		if err := dev.Program(0, 0, wb, page(wb, g.WBlockBytes)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(Config{CapacityBytes: 1 << 20})
+	off := 0
+	for key := uint64(0); off+1792 <= 4*g.WBlockBytes; key++ {
+		length := 256 + 64*int(key%25) // 256..1792, mean 1 KB
+		data, _, err := dev.ReadExtent(0, 0, off, length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, c, key, data)
+		off += length
+	}
+	var retained int64
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		retained += int64(cap(el.Value.(*entry).data))
+	}
+	if c.Len() < 50 || retained != c.Bytes() {
+		t.Fatalf("%d entries charge %d bytes and retain %d", c.Len(), c.Bytes(), retained)
 	}
 }

@@ -3,6 +3,8 @@ package record
 import (
 	"math/rand"
 	"testing"
+
+	"eleos/internal/addr"
 )
 
 // TestDecodeNeverPanicsOnRandomBytes hammers Decode with arbitrary input;
@@ -45,5 +47,44 @@ func TestDecodeAllRandom(t *testing.T) {
 		b := make([]byte, rng.Intn(500))
 		rng.Read(b)
 		_, _ = DecodeAll(b)
+	}
+}
+
+// TestEncodedSizeRandomRecords: for seeded random records of every kind —
+// pair counts and tenant lengths on both sides of their limits included —
+// EncodedSize equals the length Append produces.
+func TestEncodedSizeRandomRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 20000; i++ {
+		var r Record
+		switch k := Kind(1 + rng.Intn(int(kindMax)-1)); k {
+		case KindUpdate:
+			r = Update{Action: rng.Uint64(), LPID: addr.LPID(rng.Uint64()), Type: addr.PageType(rng.Intn(256)), New: addr.PhysAddr(rng.Uint64())}
+		case KindGCUpdate:
+			r = GCUpdate{Action: rng.Uint64(), LPID: addr.LPID(rng.Uint64()), Old: addr.PhysAddr(rng.Uint64()), New: addr.PhysAddr(rng.Uint64())}
+		case KindCommit:
+			r = Commit{Action: rng.Uint64(), AKind: ActionKind(rng.Intn(256)), SID: rng.Uint64(), WSN: rng.Uint64()}
+		case KindAbort:
+			r = Abort{Action: rng.Uint64()}
+		case KindGarbage:
+			r = Garbage{Action: rng.Uint64(), Pairs: make([]AddrPair, rng.Intn(300))}
+		case KindDone:
+			r = Done{Action: rng.Uint64()}
+		case KindOpenEBlock:
+			r = OpenEBlock{Channel: rng.Uint32(), EBlock: rng.Uint32(), Stream: StreamKind(rng.Intn(256))}
+		case KindCloseEBlock:
+			r = CloseEBlock{Channel: rng.Uint32(), EBlock: rng.Uint32(), Timestamp: rng.Uint64()}
+		case KindSessionOpen:
+			r = SessionOpen{SID: rng.Uint64(), Priority: uint8(rng.Intn(256)), Tenant: string(make([]byte, rng.Intn(400)))}
+		case KindSessionClose:
+			r = SessionClose{SID: rng.Uint64()}
+		case KindFreeEBlock:
+			r = FreeEBlock{Channel: rng.Uint32(), EBlock: rng.Uint32()}
+		default:
+			t.Fatalf("kind %v has no generator", k)
+		}
+		if got, want := EncodedSize(r), len(Append(nil, r)); got != want {
+			t.Fatalf("%+v: EncodedSize %d, encoded %d", r, got, want)
+		}
 	}
 }

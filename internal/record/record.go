@@ -321,9 +321,23 @@ func (r FreeEBlock) encodePayload(dst []byte) []byte {
 // covers kind, payloadLen and payload.
 const frameOverhead = 1 + 4 + 4
 
-// EncodedSize returns the framed size of r.
+// payloadBytes is each fixed-size kind's encodePayload length; Garbage and
+// SessionOpen are variable and sized in EncodedSize.
+var payloadBytes = [kindMax]int{
+	KindUpdate: 25, KindGCUpdate: 33, KindCommit: 25, KindAbort: 8, KindDone: 8,
+	KindOpenEBlock: 9, KindCloseEBlock: 24, KindSessionClose: 8, KindFreeEBlock: 8,
+}
+
+// EncodedSize returns the framed size of r, len(Append(nil, r)), by
+// arithmetic: the log sizes every record before appending it.
 func EncodedSize(r Record) int {
-	return frameOverhead + len(r.encodePayload(nil))
+	switch r := r.(type) {
+	case Garbage:
+		return frameOverhead + 12 + 16*len(r.Pairs)
+	case SessionOpen:
+		return frameOverhead + 10 + min(len(r.Tenant), 255)
+	}
+	return frameOverhead + payloadBytes[r.Kind()]
 }
 
 // Append appends the framed encoding of r to dst.

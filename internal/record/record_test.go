@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -185,5 +186,63 @@ func TestDecodeAllStopsOnGarbageTail(t *testing.T) {
 	buf = append(buf, 0xDE, 0xAD) // torn tail
 	if _, err := DecodeAll(buf); err == nil {
 		t.Fatal("expected error on torn tail")
+	}
+}
+
+// sizeCases is one record of every kind, with the variable-size kinds at
+// their edges: Garbage with 0, 1 and many pairs, SessionOpen with an empty
+// tenant, one at the 255-byte clamp and one beyond it.
+func sizeCases() []Record {
+	pairs := make([]AddrPair, 500)
+	for i := range pairs {
+		pairs[i] = AddrPair{LPID: addr.LPID(i + 1), Addr: addr.PhysAddr(i)}
+	}
+	return []Record{
+		Update{Action: 1, LPID: 2, Type: addr.PageUser, New: 3},
+		GCUpdate{Action: 1, LPID: 2, Type: addr.PageMap, Old: 3, New: 4},
+		Commit{Action: 1, AKind: ActionUser, SID: 2, WSN: 3},
+		Abort{Action: 1},
+		Garbage{Action: 1},
+		Garbage{Action: 1, Pairs: pairs[:1]},
+		Garbage{Action: 1, Pairs: pairs},
+		Done{Action: 1},
+		OpenEBlock{Channel: 1, EBlock: 2, Stream: StreamUser},
+		CloseEBlock{Channel: 1, EBlock: 2, Timestamp: 3, DataWBlocks: 4, MetaWBlocks: 5},
+		SessionOpen{SID: 1},
+		SessionOpen{SID: 1, Priority: 2, Tenant: strings.Repeat("t", 255)},
+		SessionOpen{SID: 1, Priority: 2, Tenant: strings.Repeat("t", 300)},
+		SessionClose{SID: 1},
+		FreeEBlock{Channel: 1, EBlock: 2},
+	}
+}
+
+// TestEncodedSizeMatchesAppend: the arithmetic size is the encoder's, for
+// every kind (a kind added without a size fails here).
+func TestEncodedSizeMatchesAppend(t *testing.T) {
+	seen := map[Kind]bool{}
+	for _, r := range sizeCases() {
+		seen[r.Kind()] = true
+		if got, want := EncodedSize(r), len(Append(nil, r)); got != want {
+			t.Errorf("%v %+v: EncodedSize %d, encoded %d", r.Kind(), r, got, want)
+		}
+	}
+	for k := KindInvalid + 1; k < kindMax; k++ {
+		if !seen[k] {
+			t.Errorf("kind %v has no size case", k)
+		}
+	}
+}
+
+// TestEncodedSizeAllocFree: sizing a record allocates nothing (it used to
+// encode the payload into a nil slice, three growslices per record).
+func TestEncodedSizeAllocFree(t *testing.T) {
+	cases := sizeCases()
+	var sink int
+	if n := testing.AllocsPerRun(200, func() {
+		for _, r := range cases {
+			sink += EncodedSize(r)
+		}
+	}); n != 0 {
+		t.Fatalf("EncodedSize allocates: %v allocs/op", n)
 	}
 }

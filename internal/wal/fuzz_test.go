@@ -18,7 +18,7 @@ func TestDecodePageNeverPanics(t *testing.T) {
 	}
 	// Mutations of a valid page.
 	payload := record.Append(nil, record.Done{Action: 1})
-	valid := encodePage(testPageBytes, 1, 1, payload, []Slot{{0, 0, 1}})
+	valid := encodePage(make([]byte, testPageBytes), 1, 1, payload, []Slot{{0, 0, 1}})
 	for i := 0; i < 3000; i++ {
 		b := append([]byte(nil), valid...)
 		b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
@@ -36,7 +36,7 @@ func TestPageLSNRangeRandom(t *testing.T) {
 		_, _, _ = PageLSNRange(b)
 	}
 	payload := record.Append(record.Append(nil, record.Done{Action: 1}), record.Done{Action: 2})
-	page := encodePage(testPageBytes, 41, 2, payload, nil)
+	page := encodePage(make([]byte, testPageBytes), 41, 2, payload, nil)
 	first, last, ok := PageLSNRange(page)
 	if !ok || first != 41 || last != 42 {
 		t.Fatalf("PageLSNRange = %d %d %v", first, last, ok)

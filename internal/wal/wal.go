@@ -53,7 +53,8 @@ type Sink interface {
 	// Slots are handed out exactly once and in a stable order.
 	ProvisionSlots(n int) ([]Slot, error)
 	// Program writes one full log page to the slot. A failed program makes
-	// the remainder of the slot's EBLOCK unwritable until erased.
+	// the remainder of the slot's EBLOCK unwritable until erased. It must
+	// not retain page: the log encodes the next page into the same buffer.
 	Program(s Slot, page []byte) error
 	// Read returns the slot's WBLOCK content (zeroes if unwritten).
 	Read(s Slot) ([]byte, error)
@@ -164,12 +165,12 @@ type Log struct {
 	flushCond *sync.Cond // broadcast when an in-flight flush completes
 	flushing  bool       // a flush has released mu around its page program
 	sink      Sink
-	pageBytes int
 
 	nextLSN    record.LSN // LSN the next appended record will receive
 	durableLSN record.LSN // all records with LSN <= durableLSN are durable
 
 	buf      []byte     // payload of the page being assembled
+	page     []byte     // one log page, encodePage's buffer: one flush is in flight at a time
 	bufFirst record.LSN // LSN of first record in buf
 	bufCount int
 
@@ -187,7 +188,7 @@ func New(sink Sink, pageBytes int, opts ...Option) (*Log, error) {
 	if pageBytes <= headerSize+record.EncodedSize(record.Done{}) {
 		return nil, ErrPageTooSmall
 	}
-	l := &Log{sink: sink, pageBytes: pageBytes, nextLSN: 1}
+	l := &Log{sink: sink, nextLSN: 1, page: make([]byte, pageBytes)}
 	l.flushCond = sync.NewCond(&l.mu)
 	l.met = newLogMetrics(metrics.New())
 	for _, o := range opts {
@@ -217,7 +218,7 @@ func Resume(sink Sink, pageBytes int, nextLSN record.LSN, candidates []Slot, pag
 }
 
 // Capacity returns the payload bytes available per log page.
-func (l *Log) Capacity() int { return l.pageBytes - headerSize }
+func (l *Log) Capacity() int { return len(l.page) - headerSize }
 
 // ensureSlots extends the provisioned-slot queue to at least n entries.
 func (l *Log) ensureSlots(n int) error {
@@ -357,7 +358,7 @@ func (l *Log) flushLocked() error {
 			return err
 		}
 		home := l.slots[attempt]
-		page := encodePage(l.pageBytes, first, count, l.buf[:nbytes], l.slots[attempt+1:attempt+1+numForward])
+		page := encodePage(l.page, first, count, l.buf[:nbytes], l.slots[attempt+1:attempt+1+numForward])
 		tWrite := l.trc.Now()
 		l.mu.Unlock()
 		err := l.sink.Program(home, page)
@@ -471,8 +472,10 @@ func (l *Log) Pages() []PageIndexEntry {
 
 // --- page encoding -------------------------------------------------------
 
-func encodePage(pageBytes int, first record.LSN, count int, payload []byte, next []Slot) []byte {
-	page := make([]byte, pageBytes)
+// encodePage encodes a log page into page, which is either fresh or holds
+// an earlier page: every header field is rewritten (bytes 5-7 are never
+// written) and the tail past the payload is cleared.
+func encodePage(page []byte, first record.LSN, count int, payload []byte, next []Slot) []byte {
 	binary.LittleEndian.PutUint32(page[0:], pageMagic)
 	page[4] = pageVersion
 	binary.LittleEndian.PutUint64(page[8:], uint64(first))
@@ -489,7 +492,8 @@ func encodePage(pageBytes int, first record.LSN, count int, payload []byte, next
 		binary.LittleEndian.PutUint32(page[off+8:], uint32(int32(s.WBlock)))
 		off += 12
 	}
-	copy(page[headerSize:], payload)
+	n := copy(page[headerSize:], payload)
+	clear(page[headerSize+n:])
 	crc := crc32.ChecksumIEEE(page[:60])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(page[60:], crc)

@@ -338,7 +338,7 @@ func TestFollowChainIgnoresStalePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Manually place a stale page (firstLSN 99) at the next candidate.
-	stale := encodePage(testPageBytes, 99, 0, nil, nil)
+	stale := encodePage(make([]byte, testPageBytes), 99, 0, nil, nil)
 	if err := sink.Program(Slot{0, 0, 1}, stale); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestFollowChainIgnoresStalePages(t *testing.T) {
 }
 
 func TestDecodePageRejectsCorruption(t *testing.T) {
-	page := encodePage(testPageBytes, 1, 1, record.Append(nil, record.Done{Action: 1}), []Slot{{0, 0, 1}})
+	page := encodePage(make([]byte, testPageBytes), 1, 1, record.Append(nil, record.Done{Action: 1}), []Slot{{0, 0, 1}})
 	if _, err := DecodePage(Slot{}, page); err != nil {
 		t.Fatalf("valid page rejected: %v", err)
 	}
@@ -443,5 +443,72 @@ func TestManyPagesChainIntegrity(t *testing.T) {
 	}
 	if len(tail.Pages) == 0 {
 		t.Fatal("tail should report page index")
+	}
+}
+
+// TestPageBufferReuseClearsTail: the log encodes every page into one
+// buffer, so a short page written after a full one must not carry the full
+// page's records past its payload — on flash the tail is zeroes, and the
+// page decodes to exactly its own records.
+func TestPageBufferReuseClearsTail(t *testing.T) {
+	l, sink := newTestLog(t)
+	for i := 0; i < l.Capacity()/record.EncodedSize(record.Done{}); i++ {
+		if _, err := l.Append(record.Done{Action: 0xFFFFFFFFFFFFFFFF}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	full, _, _ := l.LastPage()
+	last, err := l.AppendForce(record.Done{Action: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, first, _ := l.LastPage()
+	if short == full || first != last {
+		t.Fatalf("second force wrote no page of its own: %v then %v", full, short)
+	}
+	raw := sink.programs[short]
+	payload := headerSize + record.EncodedSize(record.Done{})
+	for i, b := range raw[payload:] {
+		if b != 0 {
+			t.Fatalf("byte %d past the payload is %#x: the previous page leaked", payload+i, b)
+		}
+	}
+	p, err := DecodePage(short, raw)
+	if err != nil || !reflect.DeepEqual(p.Records, []record.Record{record.Done{Action: 7}}) {
+		t.Fatalf("short page decodes to %v, %v", p, err)
+	}
+	if p, err := DecodePage(full, sink.programs[full]); err != nil || p.LastLSN() != last-1 {
+		t.Fatalf("full page: %v, %v", p, err)
+	}
+}
+
+// TestAppendAllocFree: once the payload and page buffers are warm an
+// append allocates nothing — sizing is arithmetic, encoding appends in
+// place, and a capacity flush encodes into the log's one page buffer. What
+// remains is the sink's and the page index's work per page written, far
+// below one allocation per record.
+func TestAppendAllocFree(t *testing.T) {
+	l, err := New(newFakeSink(32<<10), 32<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r record.Record = record.Update{Action: 1, LPID: 2, Type: 1, New: 3}
+	for i := 0; i < 2500; i++ { // two capacity flushes: l.buf is at its final size
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(5000, func() {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Append allocates: %v allocs/op", n)
+	}
+	if w := l.Stats().PageWrites; w < 5 {
+		t.Fatalf("the measured appends crossed too few pages: %d page writes", w)
 	}
 }
