@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -245,15 +246,23 @@ func (t *Tree) flushBufLocked() error {
 	return nil
 }
 
-// FlushAll writes out every dirty page and drains the write buffer.
+// FlushAll writes out every dirty page, in ascending PID order, and
+// drains the write buffer. The order is fixed (not the cache map's) so
+// that the page-write traces and store contents the paper experiments
+// replay are the same on every run.
 func (t *Tree) FlushAll() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	var dirty []uint64
 	for pid, l := range t.cache {
 		if l.dirty {
-			if err := t.bufferPageLocked(pid, l); err != nil {
-				return err
-			}
+			dirty = append(dirty, pid)
+		}
+	}
+	slices.Sort(dirty)
+	for _, pid := range dirty {
+		if err := t.bufferPageLocked(pid, t.cache[pid]); err != nil {
+			return err
 		}
 	}
 	return t.flushBufLocked()

@@ -46,10 +46,7 @@ func (c *Controller) checkpointLocked() error {
 	}
 	c.inCheckpoint = true
 	defer func() { c.inCheckpoint = false }()
-	var t0 time.Time
-	if c.met.on || c.trc.Enabled() {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	// Force-close EBLOCKs open since before the previous checkpoint so the
 	// truncation LSN can advance (GC buckets can stay open a long time).
 	for _, ref := range c.st.OpenEBlocks() {
@@ -127,10 +124,8 @@ func (c *Controller) checkpointLocked() error {
 	c.log.Truncate(trunc)
 	c.logBytes = 0
 	c.stats.Checkpoints++
-	if c.met.on {
-		c.met.checkpoints.Inc()
-		c.met.checkpointNS.ObserveDuration(time.Since(t0))
-	}
+	c.met.checkpoints.Inc()
+	c.met.checkpointNS.ObserveDuration(time.Since(t0))
 	c.trc.Span(trace.KCheckpoint, 0, 0, 0, t0, int64(ck.Seq), 0)
 	return nil
 }

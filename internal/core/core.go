@@ -121,16 +121,12 @@ type Config struct {
 	// reads — that gap is the cache's proof of work.
 	ReadCacheBytes int64
 	// Metrics is the registry every layer (core, flash, wal) records
-	// into. Nil gets a private enabled registry; pass
-	// metrics.NewDisabled() to strip instrumentation entirely (the
-	// metricsoverhead benchmark's baseline).
+	// into. Nil gets a private registry.
 	Metrics *metrics.Registry
 	// Trace is the flight recorder every layer (core, flash, wal) emits
 	// events into. Nil gets a private always-on recorder of
 	// trace.DefaultSize — tracing is on by default so the last few
-	// thousand events are available after any incident; pass
-	// trace.NewDisabled() to strip it (the traceoverhead benchmark's
-	// baseline).
+	// thousand events are available after any incident.
 	Trace *trace.Recorder
 }
 
@@ -483,10 +479,6 @@ func (c *Controller) Stats() Stats {
 	defer c.mu.Unlock()
 	return c.stats
 }
-
-// LogStats returns the write-ahead log's activity counters; group-commit
-// behaviour is visible as FreeRides and GroupCommitSize.
-func (c *Controller) LogStats() wal.Stats { return c.log.Stats() }
 
 // Device returns the underlying flash device (for media-time accounting in
 // benchmarks).

@@ -186,11 +186,7 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	if err != nil {
 		return err
 	}
-	if start := c.trc.Now(); !start.IsZero() {
-		defer func() {
-			c.trc.Span(trace.KGC, 0, 0, 0, start, int64(ch), int64(eb))
-		}()
-	}
+	defer c.trc.Span(trace.KGC, 0, 0, 0, time.Now(), int64(ch), int64(eb))
 	c.stats.GCRounds++
 	c.met.gcRounds.Inc()
 	if d.Stream == record.StreamLog {

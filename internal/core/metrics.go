@@ -13,13 +13,7 @@ import (
 // wait), init (provision + log plan + submit under c.mu), program wait
 // (flash workers, c.mu released), force wait (commit group-commit force),
 // and install (mapping/summary/session updates under c.mu).
-//
-// The `on` flag gates the time.Now() calls: with a disabled registry the
-// handles are nil (recording is a nil-receiver branch) and `on` is false,
-// so the hot path pays no clock reads either.
 type coreMetrics struct {
-	on bool
-
 	claimNS       *metrics.Histogram
 	initNS        *metrics.Histogram
 	programWaitNS *metrics.Histogram
@@ -68,8 +62,6 @@ type coreMetrics struct {
 
 func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 	return coreMetrics{
-		on: reg.Enabled(),
-
 		claimNS:       reg.Histogram("core.write.claim_ns", metrics.DurationBounds()),
 		initNS:        reg.Histogram("core.write.init_ns", metrics.DurationBounds()),
 		programWaitNS: reg.Histogram("core.write.program_wait_ns", metrics.DurationBounds()),
@@ -124,9 +116,6 @@ func (c *Controller) attributeSrc(src flash.Source) flash.Source {
 // counter handles are cached per tenant under c.mu, so the steady state
 // pays two atomic adds and a map lookup.
 func (c *Controller) tenantWriteLocked(sid uint64, bytes, pages int64) {
-	if !c.met.on {
-		return
-	}
 	tenant := ""
 	if sid != 0 {
 		tenant, _, _ = c.sess.Tenant(sid)

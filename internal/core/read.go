@@ -46,10 +46,7 @@ import (
 // are transferred and the exact extent is returned — adjacent LPAGEs'
 // bytes are never revealed.
 func (c *Controller) Read(lpid addr.LPID) ([]byte, error) {
-	var t0 time.Time
-	if c.met.on {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	var data []byte
 	var err error
 	if c.rcache != nil {
@@ -61,9 +58,7 @@ func (c *Controller) Read(lpid addr.LPID) ([]byte, error) {
 		return nil, err
 	}
 	c.met.reads.Inc()
-	if c.met.on {
-		c.met.readNS.ObserveDuration(time.Since(t0))
-	}
+	c.met.readNS.ObserveDuration(time.Since(t0))
 	return data, nil
 }
 
@@ -99,10 +94,7 @@ func (c *Controller) readCached(lpid addr.LPID) ([]byte, error) {
 // readFenced is the concurrent fenced flash read: lookup+pin under c.mu,
 // ReadExtent outside it, unpin+account under c.mu again.
 func (c *Controller) readFenced(lpid addr.LPID) ([]byte, error) {
-	var tl time.Time
-	if c.trc.Enabled() {
-		tl = c.trc.Now()
-	}
+	tl := time.Now()
 	c.mu.Lock()
 	a, err := c.lookupLocked(lpid)
 	if err != nil {
@@ -117,10 +109,7 @@ func (c *Controller) readFenced(lpid addr.LPID) ([]byte, error) {
 	c.mu.Unlock()
 	c.trc.Span(trace.KReadLookup, 0, 0, 0, tl, int64(lpid), 0)
 
-	var tf time.Time
-	if c.trc.Enabled() {
-		tf = c.trc.Now()
-	}
+	tf := time.Now()
 	data, nR, rerr := c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
 	c.trc.Span(trace.KReadFlash, 0, 0, 0, tf, int64(lpid), int64(len(data)))
 
@@ -153,10 +142,7 @@ func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 	if c.crashedA.Load() {
 		return nil, ErrCrashed
 	}
-	var t0 time.Time
-	if c.met.on {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	out := make([][]byte, len(lpids))
 
 	// Cache pass: serve hits, join in-flight fills, claim leaderships.
@@ -226,9 +212,7 @@ func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 	}
 	c.met.readBatches.Inc()
 	c.met.reads.Add(int64(len(lpids)))
-	if c.met.on {
-		c.met.readNS.ObserveDuration(time.Since(t0))
-	}
+	c.met.readNS.ObserveDuration(time.Since(t0))
 	return out, nil
 }
 
@@ -247,10 +231,7 @@ type waitSlot struct {
 // slice when all loads succeeded; not-found is recorded as a nil page,
 // not an error) and the first hard media error, if any.
 func (c *Controller) readManyFenced(load []addr.LPID, outIdx []int, out [][]byte) ([]error, error) {
-	var tl time.Time
-	if c.trc.Enabled() {
-		tl = c.trc.Now()
-	}
+	tl := time.Now()
 	type pinned struct {
 		key  [2]int
 		cmd  flash.ReadCmd
@@ -288,10 +269,7 @@ func (c *Controller) readManyFenced(load []addr.LPID, outIdx []int, out [][]byte
 		return nil, nil
 	}
 
-	var tf time.Time
-	if c.trc.Enabled() {
-		tf = c.trc.Now()
-	}
+	tf := time.Now()
 	cmds := make([]flash.ReadCmd, len(pins))
 	for i, p := range pins {
 		cmds[i] = p.cmd

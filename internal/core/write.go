@@ -106,34 +106,23 @@ func (c *Controller) WriteBatch(sid, wsn uint64, pages []LPage) error {
 // On return every sub's Err is set. An action's media failures and crash
 // outcomes apply to all subs it carried.
 func (c *Controller) WriteBatchGroup(subs []*SubFlush) {
-	tracing := c.trc.Enabled()
 	for _, s := range subs {
 		s.Err, s.state = nil, subPending
-		if tracing {
-			if s.TraceID == 0 {
-				s.TraceID = c.trc.NewTraceID()
-			}
-			c.trc.Emit(trace.KBatchStart, s.TraceID, s.SID, s.WSN, int64(len(s.Pages)), 0)
+		if s.TraceID == 0 {
+			s.TraceID = c.trc.NewTraceID()
 		}
+		c.trc.Emit(trace.KBatchStart, s.TraceID, s.SID, s.WSN, int64(len(s.Pages)), 0)
 	}
 	// Claim stage: lock acquisition plus WSN admission (which may wait for
-	// predecessor WSNs). Timed only when the registry or tracer needs it.
-	timed := c.met.on || tracing
-	var tClaim time.Time
-	if timed {
-		tClaim = time.Now()
-	}
+	// predecessor WSNs).
+	tClaim := time.Now()
 	c.mu.Lock()
 	for c.claimLocked(subs) {
 		c.mu.Unlock()
-		if c.met.on {
-			c.met.claimNS.ObserveDuration(time.Since(tClaim))
-		}
-		if tracing {
-			for _, s := range subs {
-				if s.state == subClaimed {
-					c.trc.Span(trace.KClaim, s.TraceID, s.SID, s.WSN, tClaim, 0, 0)
-				}
+		c.met.claimNS.ObserveDuration(time.Since(tClaim))
+		for _, s := range subs {
+			if s.state == subClaimed {
+				c.trc.Span(trace.KClaim, s.TraceID, s.SID, s.WSN, tClaim, 0, 0)
 			}
 		}
 		// Validating, copying and padding the pages is per-action work,
@@ -141,19 +130,15 @@ func (c *Controller) WriteBatchGroup(subs []*SubFlush) {
 		a := layoutClaimed(subs)
 		c.mu.Lock()
 		c.finishRoundLocked(a, subs)
-		if timed {
-			tClaim = time.Now()
-		}
+		tClaim = time.Now()
 	}
 	c.mu.Unlock()
-	if tracing {
-		for _, s := range subs {
-			var fail int64
-			if s.Err != nil {
-				fail = 1
-			}
-			c.trc.Emit(trace.KBatchEnd, s.TraceID, s.SID, s.WSN, fail, 0)
+	for _, s := range subs {
+		var fail int64
+		if s.Err != nil {
+			fail = 1
 		}
+		c.trc.Emit(trace.KBatchEnd, s.TraceID, s.SID, s.WSN, fail, 0)
 	}
 }
 
@@ -280,9 +265,9 @@ func (c *Controller) finishRoundLocked(a *action, subs []*SubFlush) {
 		// The flush that tips a channel under the GC threshold, or the log
 		// over the checkpoint threshold, waits here between its install
 		// and its ack; the span says so under its trace ID.
-		t0 := c.trc.Now()
+		t0 := time.Now()
 		gc := c.maybeGCLocked()
-		if ckpt := c.maybeCheckpointLocked(); (gc || ckpt) && !t0.IsZero() {
+		if ckpt := c.maybeCheckpointLocked(); gc || ckpt {
 			c.spanSubs(trace.KMaintain, a, t0)
 		}
 	}
@@ -348,11 +333,7 @@ func (c *Controller) spanSubs(k trace.Kind, a *action, t0 time.Time) {
 // a.buf (the flash programs included) has completed by then.
 func (c *Controller) writeUser(a *action) error {
 	c.updateSeq += uint64(len(a.bps))
-	timed := c.met.on || c.trc.Enabled()
-	var tInit time.Time
-	if timed {
-		tInit = time.Now()
-	}
+	tInit := time.Now()
 
 	// Initialization phase (§IV-A). Provisioning, the init log records and
 	// the queue submission form one critical section: the provisioner
@@ -409,23 +390,14 @@ func (c *Controller) writeUser(a *action) error {
 		}
 	}
 	defer unpin()
-	var tExec time.Time
-	if timed {
-		tExec = time.Now()
-		if c.met.on {
-			c.met.initNS.ObserveDuration(tExec.Sub(tInit))
-		}
-		c.spanSubs(trace.KInit, a, tInit)
-	}
+	tExec := time.Now()
+	c.met.initNS.ObserveDuration(tExec.Sub(tInit))
+	c.spanSubs(trace.KInit, a, tInit)
 	c.mu.Unlock()
 	res := batch.Wait()
 	c.mu.Lock()
-	if timed {
-		if c.met.on {
-			c.met.programWaitNS.ObserveDuration(time.Since(tExec))
-		}
-		c.spanSubs(trace.KProgramWait, a, tExec)
-	}
+	c.met.programWaitNS.ObserveDuration(time.Since(tExec))
+	c.spanSubs(trace.KProgramWait, a, tExec)
 	c.finishPlanLocked(plan, res)
 	if c.crashed {
 		return ErrCrashed
@@ -466,21 +438,13 @@ func (c *Controller) writeUser(a *action) error {
 			return err
 		}
 	}
-	var tForce time.Time
-	if timed {
-		tForce = time.Now()
-	}
+	tForce := time.Now()
 	if err := c.forceCommitLocked(a.id); err != nil {
 		return err
 	}
-	var tInstall time.Time
-	if timed {
-		tInstall = time.Now()
-		if c.met.on {
-			c.met.forceWaitNS.ObserveDuration(tInstall.Sub(tForce))
-		}
-		c.spanSubs(trace.KForceWait, a, tForce)
-	}
+	tInstall := time.Now()
+	c.met.forceWaitNS.ObserveDuration(tInstall.Sub(tForce))
+	c.spanSubs(trace.KForceWait, a, tForce)
 	if err := c.crashIf("commit.after-force"); err != nil {
 		return err
 	}
@@ -535,17 +499,13 @@ func (c *Controller) writeUser(a *action) error {
 		c.stats.BytesStored += int64(bp.Length)
 		c.met.bytesStored.Add(int64(bp.Length))
 	}
-	if timed {
-		if c.met.on {
-			c.met.installNS.ObserveDuration(time.Since(tInstall))
-			c.met.batches.Add(int64(len(a.subs)))
-			c.met.pages.Add(totalPages)
-			for i := range a.subs {
-				c.met.batchPages.Observe(int64(a.subs[i].pages))
-			}
-		}
-		c.spanSubs(trace.KInstall, a, tInstall)
+	c.met.installNS.ObserveDuration(time.Since(tInstall))
+	c.met.batches.Add(int64(len(a.subs)))
+	c.met.pages.Add(totalPages)
+	for i := range a.subs {
+		c.met.batchPages.Observe(int64(a.subs[i].pages))
 	}
+	c.spanSubs(trace.KInstall, a, tInstall)
 	return nil
 }
 
@@ -758,11 +718,7 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 	}
 	c.migrationDepth++
 	defer func() { c.migrationDepth-- }()
-	if start := c.trc.Now(); !start.IsZero() {
-		defer func() {
-			c.trc.Span(trace.KMigration, traceID, 0, 0, start, int64(ch), int64(eb))
-		}()
-	}
+	defer c.trc.Span(trace.KMigration, traceID, 0, 0, time.Now(), int64(ch), int64(eb))
 
 	// Other actions may still have programs queued against this EBLOCK;
 	// they must land (and fail, feeding those actions' own abort paths)

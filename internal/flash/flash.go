@@ -253,8 +253,8 @@ type Device struct {
 	met atomic.Pointer[devMetrics]
 
 	// trc is the flight recorder installed by SetTracer; like met it is
-	// swapped atomically after the device exists, and a disabled recorder
-	// costs the hot path one pointer load and a branch.
+	// swapped atomically after the device exists, and an unwired device
+	// pays one pointer load and a branch.
 	trc atomic.Pointer[trace.Recorder]
 
 	workerMu sync.Mutex
@@ -308,11 +308,11 @@ type devMetrics struct {
 // "flash.src.<source>.wblocks"/"flash.src.<source>.bytes" counters, the
 // "flash.program_ns"/"flash.erase_ns" wall-clock histograms, and one
 // "flash.chan<i>.queue_depth" gauge per channel counting commands queued
-// on the channel's submission worker. A nil or disabled registry
-// uninstalls instrumentation. Install before submitting traffic: batches
-// in flight across the swap can skew the queue-depth gauges.
+// on the channel's submission worker. A nil registry uninstalls
+// instrumentation. Install before submitting traffic: batches in flight
+// across the swap can skew the queue-depth gauges.
 func (d *Device) SetMetrics(reg *metrics.Registry) {
-	if !reg.Enabled() {
+	if reg == nil {
 		d.met.Store(nil)
 		return
 	}
@@ -339,15 +339,9 @@ func (d *Device) SetMetrics(reg *metrics.Registry) {
 // SetTracer installs a flight recorder: every program and erase emits a
 // KFlashProgram/KFlashErase span with its (channel, eblock) identity.
 // Media events carry trace ID 0 — attribution to a batch happens via the
-// enclosing KProgramWait span's time window. A nil or disabled recorder
-// uninstalls tracing.
-func (d *Device) SetTracer(trc *trace.Recorder) {
-	if !trc.Enabled() {
-		d.trc.Store(nil)
-		return
-	}
-	d.trc.Store(trc)
-}
+// enclosing KProgramWait span's time window. A nil recorder uninstalls
+// tracing.
+func (d *Device) SetTracer(trc *trace.Recorder) { d.trc.Store(trc) }
 
 // tracer returns the installed recorder; nil-safe for Emit/Span/Now.
 func (d *Device) tracer() *trace.Recorder { return d.trc.Load() }
@@ -538,7 +532,7 @@ func (d *Device) ProgramSrc(src Source, ch, eb, wb int, data []byte) error {
 	m := d.met.Load()
 	trc := d.tracer()
 	var t0 time.Time
-	if m != nil || trc.Enabled() {
+	if m != nil || trc != nil {
 		t0 = time.Now()
 	}
 	cs.busy += d.lat.ProgramWBlock
@@ -686,7 +680,7 @@ func (d *Device) Erase(ch, eb int) error {
 	m := d.met.Load()
 	trc := d.tracer()
 	var t0 time.Time
-	if m != nil || trc.Enabled() {
+	if m != nil || trc != nil {
 		t0 = time.Now()
 	}
 	ebs.eraseCount++

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -15,9 +13,8 @@ import (
 // seeded fault-schedule corpus from internal/chaos and reports coverage —
 // how many schedules ran, which fault kinds they composed, how many
 // injected faults actually fired, and whether the full invariant set held
-// on every one. Recording the numbers alongside the perf experiments
-// keeps the robustness trajectory visible the same way BENCH_network.json
-// keeps the service path visible (DESIGN.md §8).
+// on every one. Recording the numbers (BENCH_chaos.json) keeps the
+// robustness trajectory visible (DESIGN.md §8).
 
 // ChaosRow is one executed schedule's summary.
 type ChaosRow struct {
@@ -58,8 +55,8 @@ func (r ChaosReport) Failed() bool { return r.Passed != r.Seeds }
 
 // RunChaos generates and executes schedules for seeds 1..seeds, collecting
 // per-schedule coverage and the aggregate. Every run uses the same
-// generator as the CI smoke corpus, so `benchrunner chaos -chaosseeds N`
-// is exactly the long-run test surface with a recorded report.
+// generator as the CI smoke corpus, so `benchrunner chaos -seeds N` is
+// exactly the long-run test surface with a recorded report.
 func RunChaos(seeds int, logf func(format string, args ...any)) (ChaosReport, error) {
 	if seeds < 1 {
 		return ChaosReport{}, fmt.Errorf("chaos: need at least one seed, got %d", seeds)
@@ -201,9 +198,5 @@ func WriteChaosJSON(path string, rep ChaosReport) error {
 			Violations:    r.Violations,
 		})
 	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return writeJSON(path, doc)
 }

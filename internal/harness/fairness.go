@@ -2,11 +2,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,6 +109,22 @@ func RunFairness(quietBatches, aggressors int) (FairnessResult, error) {
 func latProfile(lats []time.Duration) (p50, p95, p99 time.Duration) {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	return percentile(lats, 50), percentile(lats, 95), percentile(lats, 99)
+}
+
+// percentile returns the p-th percentile of sorted durations
+// (nearest-rank).
+func percentile(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := (len(sorted)*p + 99) / 100
+	if idx < 1 {
+		idx = 1
+	}
+	if idx > len(sorted) {
+		idx = len(sorted)
+	}
+	return sorted[idx-1]
 }
 
 // runFairnessArm serves a fresh device over loopback TCP and returns the
@@ -305,9 +319,5 @@ func WriteFairnessJSON(path string, r FairnessResult) error {
 		NoisyThrottled: r.NoisyThrottled,
 		NoisyAdmitted:  r.NoisyAdmitted,
 	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return writeJSON(path, doc)
 }

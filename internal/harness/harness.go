@@ -5,8 +5,10 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	"eleos/internal/addr"
@@ -193,13 +195,6 @@ func ReplayTPCC(o ReplayOptions) (*ReplayResult, error) {
 	}
 	res.Bottleneck = meter.Bottleneck(dev.MediaTime())
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- Bw-tree YCSB (Fig. 10) --------------------------------------------------
@@ -401,4 +396,14 @@ func RunYCSB(o YCSBOptions) (*YCSBResult, error) {
 func CollectDefaultTrace(txns int) (*tpcc.Trace, error) {
 	cfg := tpcc.DefaultConfig()
 	return tpcc.Collect(tpcc.CollectOptions{Config: cfg, Transactions: txns})
+}
+
+// writeJSON records one gated experiment's result document (the committed
+// BENCH_chaos.json, BENCH_fairness.json and BENCH_waf.json).
+func writeJSON(path string, doc any) error {
+	raw, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,24 @@ func testTrace(t *testing.T) *tpcc.Trace {
 		t.Fatal(traceErr)
 	}
 	return traceVal
+}
+
+// TestCollectDefaultTraceDeterministic pins the input of Fig. 9 and
+// Table II: the trace benchrunner collects is the same write for write
+// on every collection, so the figures' Batch columns can be compared
+// byte for byte across runs and builds.
+func TestCollectDefaultTraceDeterministic(t *testing.T) {
+	a, err := CollectDefaultTrace(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CollectDefaultTrace(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Writes) == 0 || !slices.Equal(a.Writes, b.Writes) || a.PageBytes != b.PageBytes {
+		t.Fatalf("two collections differ: %d vs %d writes", len(a.Writes), len(b.Writes))
+	}
 }
 
 func TestReplayAllInterfaces(t *testing.T) {

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"eleos/internal/addr"
 	"eleos/internal/core"
@@ -212,9 +210,5 @@ func WriteWAFJSON(path string, res WAFResult) error {
 		SequentialWAF: res.SequentialWAF,
 		Arms:          res.Arms,
 	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return writeJSON(path, doc)
 }

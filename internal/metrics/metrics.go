@@ -14,10 +14,10 @@
 //     registry lock, allocates, or formats a string.
 //   - Reads never block writers. Snapshot loads each atomic
 //     individually; counters are monotonic under concurrent snapshots.
-//   - A disabled registry strips instrumentation to a nil-receiver
-//     branch: NewDisabled returns a registry whose instruments are nil,
-//     and every recording method is nil-safe, so callers keep one code
-//     path whether or not they are being observed.
+//
+// A registry cannot be switched off. A nil *Registry means "not wired"
+// (a bare flash.Device, a read cache built on its own): it hands out nil
+// instruments, and every recording method is nil-safe.
 //
 // Histograms use fixed bucket upper bounds (exponential by default) and
 // estimate p50/p95/p99 by linear interpolation within the covering
@@ -32,7 +32,7 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter. The nil Counter
-// (from a disabled registry) ignores all recordings.
+// (from a nil registry) ignores all recordings.
 type Counter struct {
 	v atomic.Int64
 }
@@ -139,15 +139,13 @@ func SizeBounds() []int64 { return ExpBounds(1, 2, 21) }
 // resolution is idempotent across controller restarts on a shared
 // device. Recording through the returned handles is lock-free.
 type Registry struct {
-	disabled bool
-
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
-// New returns an empty, enabled registry.
+// New returns an empty registry.
 func New() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
@@ -156,22 +154,10 @@ func New() *Registry {
 	}
 }
 
-// NewDisabled returns a registry whose instruments are nil (recording is
-// a no-op branch) and whose Snapshot is empty. Used to measure the cost
-// of instrumentation itself (benchrunner metricsoverhead).
-func NewDisabled() *Registry {
-	r := New()
-	r.disabled = true
-	return r
-}
-
-// Enabled reports whether instruments from this registry record.
-func (r *Registry) Enabled() bool { return r != nil && !r.disabled }
-
 // Counter returns the named counter, creating it on first use. Returns
-// nil (a no-op handle) on a disabled registry.
+// nil (a no-op handle) on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -185,9 +171,9 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil
-// (a no-op handle) on a disabled registry.
+// (a no-op handle) on a nil registry.
 func (r *Registry) Gauge(name string) *Gauge {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -203,9 +189,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given
 // bucket bounds on first use (bounds must be sorted ascending and
 // non-empty; later calls reuse the first registration's bounds). Returns
-// nil (a no-op handle) on a disabled registry.
+// nil (a no-op handle) on a nil registry.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -312,8 +298,8 @@ type Label struct {
 }
 
 // Snapshot is a point-in-time export of every instrument, sorted by name
-// within each kind. The zero Snapshot (nil slices) is what a disabled
-// registry produces and what the wire codec decodes for empty sections.
+// within each kind. The zero Snapshot (nil slices) is what an empty or
+// nil registry produces and what the wire codec decodes for empty sections.
 type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
@@ -366,7 +352,7 @@ func (s Snapshot) Histogram(name string) *HistogramValue {
 // run unlocked, so recorders are never blocked and successive snapshots
 // of one counter are monotonic.
 func (r *Registry) Snapshot() Snapshot {
-	if !r.Enabled() {
+	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()

@@ -29,16 +29,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestDisabledRegistryIsNoop(t *testing.T) {
-	r := NewDisabled()
-	if r.Enabled() {
-		t.Fatal("disabled registry reports enabled")
-	}
+func TestNilRegistry(t *testing.T) {
+	var r *Registry
 	c := r.Counter("a")
 	g := r.Gauge("g")
 	h := r.Histogram("h", DurationBounds())
 	if c != nil || g != nil || h != nil {
-		t.Fatal("disabled registry returned live instruments")
+		t.Fatal("nil registry returned live instruments")
 	}
 	// Nil handles must be safe to record into.
 	c.Inc()
@@ -52,20 +49,7 @@ func TestDisabledRegistryIsNoop(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	if snap.Counters != nil || snap.Gauges != nil || snap.Histograms != nil {
-		t.Fatalf("disabled snapshot not empty: %+v", snap)
-	}
-}
-
-func TestNilRegistry(t *testing.T) {
-	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
-	r.Counter("x").Inc()
-	r.Gauge("x").Set(1)
-	r.Histogram("x", nil).Observe(1)
-	if snap := r.Snapshot(); snap.Counters != nil {
-		t.Fatal("nil registry snapshot not empty")
+		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
 }
 
@@ -258,6 +242,22 @@ func TestRegistryRaceHammer(t *testing.T) {
 	hv := final.Histogram("hammer.lat")
 	if hv.Count != writers*perWriter {
 		t.Fatalf("final histogram count = %d, want %d", hv.Count, writers*perWriter)
+	}
+}
+
+// TestRecordAllocFree is the registry's cost gate: it has no off switch,
+// so every hot path pays its recordings, and a recording must never
+// allocate. The benchmarks below report the ns/op; only the allocation
+// count is gated.
+func TestRecordAllocFree(t *testing.T) {
+	r := New()
+	c, g, h := r.Counter("c"), r.Gauge("g"), r.Histogram("h", DurationBounds())
+	if n := testing.AllocsPerRun(200, func() {
+		c.Add(3)
+		g.Set(7)
+		h.Observe(900_000)
+	}); n != 0 {
+		t.Fatalf("recording allocates: %v allocs/op", n)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"eleos/internal/trace"
 )
 
 // Allocation regression tests for the pooled frame path (the tentpole's
@@ -119,17 +118,4 @@ func BenchmarkPooledFrameLoop(b *testing.B) {
 		pb.Release()
 	}
 	b.SetBytes(int64(len(wire)))
-}
-
-// The flight recorder rides the same hot loop (every request emits
-// spans), so its emit path is pinned alloc-free alongside the codec.
-func TestTraceEmitAllocFree(t *testing.T) {
-	r := trace.New(1 << 12)
-	start := r.Now()
-	if n := testing.AllocsPerRun(200, func() {
-		r.Emit(trace.KBatchStart, 7, 3, 41, 4, 0)
-		r.Span(trace.KClaim, 7, 3, 41, start, 0, 0)
-	}); n != 0 {
-		t.Fatalf("trace emit allocates: %v allocs/op", n)
-	}
 }

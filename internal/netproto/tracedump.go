@@ -56,7 +56,7 @@ func EncodeTraceDump(d trace.Dump) []byte {
 
 // DecodeTraceDump parses a trace_dump response body. An empty event
 // section decodes as a nil slice, mirroring what Recorder.Dump produces
-// for a disabled recorder.
+// for a nil recorder.
 func DecodeTraceDump(body []byte) (trace.Dump, error) {
 	var d trace.Dump
 	if len(body) < 25 {

@@ -32,8 +32,8 @@ type Config struct {
 	// GhostEntries bounds the ghost list; 0 picks a default proportional
 	// to a plausible entry count (capacity / 512).
 	GhostEntries int
-	// Metrics registers the read.cache_* instruments; nil or disabled
-	// leaves the cache uninstrumented.
+	// Metrics registers the read.cache_* instruments; nil leaves the
+	// cache uninstrumented.
 	Metrics *metrics.Registry
 }
 
@@ -105,14 +105,13 @@ func New(cfg Config) *Cache {
 		ghostIdx: make(map[uint64]*list.Element),
 		ghostCap: gc,
 	}
-	if reg := cfg.Metrics; reg.Enabled() {
-		c.hits = reg.Counter("read.cache_hits")
-		c.misses = reg.Counter("read.cache_misses")
-		c.evictions = reg.Counter("read.cache_evictions")
-		c.ghostHits = reg.Counter("read.cache_ghost_hits")
-		c.bytesG = reg.Gauge("read.cached_bytes")
-		c.entriesG = reg.Gauge("read.cache_entries")
-	}
+	reg := cfg.Metrics // nil hands out nil, no-op instruments
+	c.hits = reg.Counter("read.cache_hits")
+	c.misses = reg.Counter("read.cache_misses")
+	c.evictions = reg.Counter("read.cache_evictions")
+	c.ghostHits = reg.Counter("read.cache_ghost_hits")
+	c.bytesG = reg.Gauge("read.cached_bytes")
+	c.entriesG = reg.Gauge("read.cache_entries")
 	return c
 }
 

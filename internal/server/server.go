@@ -123,8 +123,6 @@ var ErrDraining = errors.New("server: draining")
 // covers every layer; request_ns times frame-read completion to reply
 // written, per request.
 type srvMetrics struct {
-	on bool
-
 	accepted  *metrics.Counter
 	rejected  *metrics.Counter
 	requests  *metrics.Counter
@@ -144,8 +142,6 @@ type srvMetrics struct {
 
 func newSrvMetrics(reg *metrics.Registry) srvMetrics {
 	return srvMetrics{
-		on: reg.Enabled(),
-
 		accepted:  reg.Counter("server.accepted"),
 		rejected:  reg.Counter("server.rejected"),
 		requests:  reg.Counter("server.requests"),
@@ -443,10 +439,7 @@ func (s *Server) handle(conn net.Conn) {
 		// reply latency and outbound bytes after the reply is written: a
 		// stats_full snapshot therefore includes the request that fetched
 		// it in requests/bytes_in but not in bytes_out/request_ns.
-		var t0 time.Time
-		if s.met.on || s.trc.Enabled() {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		inBytes := int64(5 + len(body))
 		s.mu.Lock()
 		s.stats.Requests++
@@ -479,9 +472,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.stats.BytesOut += outBytes
 		s.mu.Unlock()
 		s.met.bytesOut.Add(outBytes)
-		if s.met.on {
-			s.met.requestNS.ObserveDuration(time.Since(t0))
-		}
+		s.met.requestNS.ObserveDuration(time.Since(t0))
 		s.trc.Span(trace.KRequest, 0, cid, 0, t0, int64(typ), int64(len(body)))
 	}
 }
@@ -650,7 +641,7 @@ func (s *Server) watchLoop(conn net.Conn, cn *connState, intervalMS uint32, stop
 // ID) gets a server-assigned ID so the slow-batch log and the flight
 // recorder can still name the batch.
 func (s *Server) flush(cn *connState, sid, wsn, traceID uint64, wire []byte) (byte, []byte, []byte) {
-	if traceID == 0 && s.trc.Enabled() {
+	if traceID == 0 {
 		traceID = s.trc.NewTraceID()
 	}
 	n := int64(len(wire))

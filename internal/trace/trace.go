@@ -8,10 +8,9 @@
 // stages — without a tracing mode that has to be "turned on" before the
 // incident. The recorder is a fixed-size ring of event slots written
 // with atomic stores only; emitting costs one atomic ticket increment, a
-// clock read and nine atomic stores, cheap enough to stay enabled in
-// production (the traceoverhead benchmark gates it below 5% of
-// CPU-bound write throughput). When the ring is full the oldest events
-// are overwritten; Dump reports how many were lost.
+// clock read and nine atomic stores and never allocates (pinned by the
+// AllocFree test), so there is no off switch. When the ring is full the
+// oldest events are overwritten; Dump reports how many were lost.
 //
 // Events carry a trace ID that ties a batch's spans together across
 // layers. IDs originate at the network front-end (or from NewTraceID for
@@ -152,11 +151,10 @@ type slot struct {
 // hundred batches of full write-path spans; fixed ~1 MB of memory).
 const DefaultSize = 8192
 
-// Recorder is the flight recorder. The zero value and nil are valid
-// disabled recorders: every method no-ops (or returns empty), so callers
-// never nil-check.
+// Recorder is the flight recorder, built by New. A nil *Recorder means
+// "not wired" (a bare flash.Device or wal.Log): every method no-ops (or
+// returns empty), so callers never nil-check.
 type Recorder struct {
-	on    bool
 	mask  uint64
 	slots []slot
 
@@ -167,7 +165,7 @@ type Recorder struct {
 	nextID atomic.Uint64 // trace-ID allocator
 }
 
-// New creates an enabled recorder with capacity for at least size events
+// New creates a recorder with capacity for at least size events
 // (rounded up to a power of two, minimum 64).
 func New(size int) *Recorder {
 	n := uint64(64)
@@ -176,7 +174,6 @@ func New(size int) *Recorder {
 	}
 	now := time.Now()
 	return &Recorder{
-		on:        true,
 		mask:      n - 1,
 		slots:     make([]slot, n),
 		epoch:     now,
@@ -184,16 +181,7 @@ func New(size int) *Recorder {
 	}
 }
 
-// NewDisabled returns a recorder that records nothing: Emit is a
-// two-instruction branch and Enabled reports false, giving overhead
-// benchmarks their baseline arm.
-func NewDisabled() *Recorder { return &Recorder{} }
-
-// Enabled reports whether the recorder records events. Nil-safe, so a
-// timing gate can read it without a nil check.
-func (r *Recorder) Enabled() bool { return r != nil && r.on }
-
-// Size returns the ring capacity in events (0 when disabled).
+// Size returns the ring capacity in events (0 for the nil recorder).
 func (r *Recorder) Size() int {
 	if r == nil {
 		return 0
@@ -209,11 +197,10 @@ func (r *Recorder) NewTraceID() uint64 {
 	return r.nextID.Add(1)
 }
 
-// Now returns the current time when the recorder is enabled and the zero
-// time otherwise — the clock read other layers share with their metrics
-// timing gates.
+// Now returns the current time, or the zero time on the nil recorder, so
+// a layer that may run unwired pays no clock read for a span nobody keeps.
 func (r *Recorder) Now() time.Time {
-	if !r.Enabled() {
+	if r == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -221,17 +208,16 @@ func (r *Recorder) Now() time.Time {
 
 // Emit records an instant event stamped with the current time.
 func (r *Recorder) Emit(k Kind, traceID, sid, wsn uint64, arg1, arg2 int64) {
-	if !r.Enabled() {
+	if r == nil {
 		return
 	}
 	r.record(k, int64(time.Since(r.epoch)), 0, traceID, sid, wsn, arg1, arg2)
 }
 
 // Span records an event that started at `start` and ends now. A zero
-// start (from a disabled Now) degrades to an instant at the epoch, but
-// callers gate on Enabled so that never ships real events.
+// start degrades to an instant at the epoch.
 func (r *Recorder) Span(k Kind, traceID, sid, wsn uint64, start time.Time, arg1, arg2 int64) {
-	if !r.Enabled() {
+	if r == nil {
 		return
 	}
 	if start.IsZero() {
@@ -261,7 +247,7 @@ func (r *Recorder) record(k Kind, ts, dur int64, traceID, sid, wsn uint64, arg1,
 // order); slots being concurrently rewritten are skipped rather than
 // returned torn. Safe to call at any time from any goroutine.
 func (r *Recorder) Dump() Dump {
-	if !r.Enabled() {
+	if r == nil {
 		return Dump{}
 	}
 	cur := r.cursor.Load()

@@ -153,25 +153,23 @@ func TestRingConcurrentHammer(t *testing.T) {
 	}
 }
 
-func TestDisabledAndNilRecorder(t *testing.T) {
-	for _, r := range []*Recorder{nil, NewDisabled()} {
-		if r.Enabled() {
-			t.Fatal("disabled recorder reports enabled")
-		}
-		r.Emit(KGC, 1, 2, 3, 4, 5)
-		r.Span(KClaim, 1, 2, 3, r.Now(), 0, 0)
-		d := r.Dump()
-		if len(d.Events) != 0 || d.Dropped != 0 {
-			t.Fatalf("disabled dump = %+v", d)
-		}
-		if !r.Now().IsZero() {
-			t.Fatal("disabled Now() must be zero")
-		}
+func TestNilRecorder(t *testing.T) {
+	var r *Recorder
+	r.Emit(KGC, 1, 2, 3, 4, 5)
+	r.Span(KClaim, 1, 2, 3, r.Now(), 0, 0)
+	if d := r.Dump(); len(d.Events) != 0 || d.Dropped != 0 {
+		t.Fatalf("nil dump = %+v", d)
 	}
-	if id := (*Recorder)(nil).NewTraceID(); id != 0 {
+	if !r.Now().IsZero() {
+		t.Fatal("nil Now() must be zero")
+	}
+	if r.Size() != 0 {
+		t.Fatalf("nil Size = %d", r.Size())
+	}
+	if id := r.NewTraceID(); id != 0 {
 		t.Fatalf("nil NewTraceID = %d", id)
 	}
-	r := New(64)
+	r = New(64)
 	if a, b := r.NewTraceID(), r.NewTraceID(); a == 0 || b == 0 || a == b {
 		t.Fatalf("trace IDs not unique/nonzero: %d, %d", a, b)
 	}
@@ -269,4 +267,40 @@ func TestMicroString(t *testing.T) {
 			t.Fatalf("microString(%d) = %q, want %q", tc.ns, got, tc.want)
 		}
 	}
+}
+
+// TestEmitSpanAllocFree is the recorder's cost gate: it has no off
+// switch, so every request, batch stage, program and erase pays an emit,
+// and an emit must never allocate. BenchmarkEmit/BenchmarkSpan report
+// the ns/op; only the allocation count is gated.
+func TestEmitSpanAllocFree(t *testing.T) {
+	r := New(1 << 12)
+	start := r.Now()
+	if n := testing.AllocsPerRun(200, func() {
+		r.Emit(KBatchStart, 7, 3, 41, 4, 0)
+		r.Span(KClaim, 7, 3, 41, start, 0, 0)
+	}); n != 0 {
+		t.Fatalf("trace emit allocates: %v allocs/op", n)
+	}
+}
+
+func BenchmarkEmit(b *testing.B) {
+	r := New(DefaultSize)
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			r.Emit(KBatchStart, 7, 3, 41, 4, 0)
+		}
+	})
+}
+
+func BenchmarkSpan(b *testing.B) {
+	r := New(DefaultSize)
+	start := r.Now()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			r.Span(KClaim, 7, 3, 41, start, 0, 0)
+		}
+	})
 }
