@@ -69,7 +69,7 @@ commands:
   fill -pages N -size BYTES [-seed S] write N random pages (GC exercise)
   gc [-channel N]                     force a garbage-collection pass
   checkpoint                          take a fuzzy checkpoint
-  stats [-json] [-addr HOST:PORT]     print controller, media, metrics and health statistics
+  stats [-json] [-addr HOST:PORT]     print media, health, tenant and metrics statistics
                                       (with -addr: fetched from a running eleosd over stats_full)
   top [-addr HOST:PORT] [-interval D] live device dashboard streamed from a running eleosd
                                       over watch_stats (throughput, WAF, GC, wear, tenants)
@@ -448,24 +448,39 @@ func doSessionStatus(ctl *core.Controller, args []string) error {
 	return nil
 }
 
+// doStats is `stats` against the image: the recovered controller supplies
+// the payload a running eleosd would send over stats_full, preceded by the
+// two things that payload does not carry — the device's own media ledger
+// and the free space per channel.
 func doStats(ctl *core.Controller, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit the full metrics snapshot as JSON")
 	fs.String("addr", "", "eleosd address (handled in doStatsRemote)")
 	_ = fs.Parse(args)
-	snap := ctl.MetricsSnapshot()
-	if *jsonOut {
-		b, err := marshalSnapshot(snap)
+	if !*jsonOut {
+		printMedia(os.Stdout, ctl)
+	}
+	return renderStats(os.Stdout, netproto.StatsFull{Snap: ctl.MetricsSnapshot(), Health: ctl.DeviceHealth()}, *jsonOut)
+}
+
+// renderStats is the one renderer behind both `stats` modes: the snapshot
+// as JSON with -json, otherwise the GC policy, health census, tenant table
+// and metrics table of one stats_full payload.
+func renderStats(w io.Writer, sf netproto.StatsFull, jsonOut bool) error {
+	if jsonOut {
+		b, err := marshalSnapshot(sf.Snap)
 		if err != nil {
 			return err
 		}
-		_, err = os.Stdout.Write(b)
+		_, err = w.Write(b)
 		return err
 	}
-	printStats(ctl)
-	printHealth(os.Stdout, ctl.DeviceHealth())
-	printTenants(os.Stdout, snap)
-	printMetrics(os.Stdout, snap)
+	if pol := sf.Snap.Label("gc.policy"); pol != "" {
+		fmt.Fprintf(w, "gc policy: %s\n", pol)
+	}
+	printHealth(w, sf.Health)
+	printTenants(w, sf.Snap)
+	printMetrics(w, sf.Snap)
 	return nil
 }
 
@@ -481,8 +496,7 @@ func hasAddrFlag(args []string) bool {
 }
 
 // doStatsRemote is `stats -addr`: one stats_full round trip to a running
-// eleosd, rendering the same health/tenant/metrics sections as the local
-// mode plus the server's exporter labels.
+// eleosd, rendered by the renderer the local mode uses.
 func doStatsRemote(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
@@ -501,23 +515,10 @@ func doStatsRemote(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
-		b, err := marshalSnapshot(sf.Snap)
-		if err != nil {
-			return err
-		}
-		_, err = os.Stdout.Write(b)
-		return err
+	if !*jsonOut {
+		fmt.Printf("eleosd %s\n", *addrFlag)
 	}
-	fmt.Printf("eleosd %s", *addrFlag)
-	if pol := sf.Snap.Label("gc.policy"); pol != "" {
-		fmt.Printf("  (gc policy %s)", pol)
-	}
-	fmt.Println()
-	printHealth(os.Stdout, sf.Health)
-	printTenants(os.Stdout, sf.Snap)
-	printMetrics(os.Stdout, sf.Snap)
-	return nil
+	return renderStats(os.Stdout, sf, *jsonOut)
 }
 
 // errTopDone ends the watch stream after `top -n N` frames.
@@ -706,27 +707,18 @@ func printMetrics(w io.Writer, s metrics.Snapshot) {
 	}
 }
 
-func printStats(ctl *core.Controller) {
-	s := ctl.Stats()
+// printMedia renders what no snapshot carries: the device's own ledger
+// (flash.Stats, kept by the media, not by a controller's registry) and the
+// free space per channel.
+func printMedia(w io.Writer, ctl *core.Controller) {
 	d := ctl.Device().Stats()
-	fmt.Printf("controller:\n")
-	fmt.Printf("  batches written      %10d\n", s.BatchesWritten)
-	fmt.Printf("  pages written        %10d\n", s.PagesWritten)
-	fmt.Printf("  bytes accepted       %10d\n", s.BytesAccepted)
-	fmt.Printf("  bytes stored         %10d\n", s.BytesStored)
-	fmt.Printf("  reads                %10d (rblocks %d)\n", s.Reads, s.ReadRBlocks)
-	fmt.Printf("  io commands          %10d\n", s.IOCommands)
-	fmt.Printf("  log records/forces   %10d / %d\n", s.LogRecords, s.LogForces)
-	fmt.Printf("  gc rounds/moved      %10d / %d\n", s.GCRounds, s.GCPagesMoved)
-	fmt.Printf("  migrations           %10d\n", s.Migrations)
-	fmt.Printf("  checkpoints          %10d\n", s.Checkpoints)
-	fmt.Printf("media:\n")
-	fmt.Printf("  wblocks programmed   %10d\n", d.WBlocksWritten)
-	fmt.Printf("  rblocks read         %10d\n", d.RBlocksRead)
-	fmt.Printf("  eblocks erased       %10d\n", d.EBlocksErased)
-	fmt.Printf("free space per channel:")
+	fmt.Fprintf(w, "media:\n")
+	fmt.Fprintf(w, "  wblocks programmed   %10d\n", d.WBlocksWritten)
+	fmt.Fprintf(w, "  rblocks read         %10d\n", d.RBlocksRead)
+	fmt.Fprintf(w, "  eblocks erased       %10d\n", d.EBlocksErased)
+	fmt.Fprintf(w, "free space per channel:")
 	for ch := 0; ch < ctl.Geometry().Channels; ch++ {
-		fmt.Printf(" %d:%.0f%%", ch, 100*ctl.FreeFraction(ch))
+		fmt.Fprintf(w, " %d:%.0f%%", ch, 100*ctl.FreeFraction(ch))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

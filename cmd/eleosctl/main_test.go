@@ -230,8 +230,8 @@ func watchFixture() (prev, cur netproto.StatsFull) {
 				EBlocksTotal: 64, FreeEBlocks: 32, OpenEBlocks: 4,
 				UsedEBlocks: 26, BadEBlocks: 1, ReservedEBlocks: 1,
 				EraseTotal: 128, EraseMin: 0, EraseMax: 9,
-				EraseHist:  [health.EraseHistBuckets]int64{10, 20, 30, 4},
-				FreeBytes:  64 << 20, ValidBytes: 48 << 20, DeadBytes: 16 << 20,
+				EraseHist: [health.EraseHistBuckets]int64{10, 20, 30, 4},
+				FreeBytes: 64 << 20, ValidBytes: 48 << 20, DeadBytes: 16 << 20,
 				UtilHist: [health.UtilHistBuckets]int64{1, 0, 2, 0, 0, 5, 0, 0, 3, 15},
 			},
 		}
@@ -250,14 +250,14 @@ func TestRenderTop(t *testing.T) {
 	for _, want := range []string{
 		"eleos top — 10.0.0.1:9420",
 		"gc=greedy",
-		"WAF  2.00",           // 2 MB flash / 1 MB user
-		"pad 20.0%",           // 1 - 1 MB stored / 1.25 MB user-source programs
-		"1.00 MB/s user",      // Δ1 MB over 1s
-		"2.00 MB/s flash",     // Δ2 MB over 1s
-		"10 batches/s",        // Δ10 over 1s
-		"1 eblocks freed",     // Δ1
-		"1.0 MB moved",        // Δ1 MB GC traffic
-		"throttled/s",         // nonzero throttle delta renders the qos line
+		"WAF  2.00",       // 2 MB flash / 1 MB user
+		"pad 20.0%",       // 1 - 1 MB stored / 1.25 MB user-source programs
+		"1.00 MB/s user",  // Δ1 MB over 1s
+		"2.00 MB/s flash", // Δ2 MB over 1s
+		"10 batches/s",    // Δ10 over 1s
+		"1 eblocks freed", // Δ1
+		"1.0 MB moved",    // Δ1 MB GC traffic
+		"throttled/s",     // nonzero throttle delta renders the qos line
 		"space:  free 64.0 MB  valid 48.0 MB  dead 16.0 MB",
 		"eblocks: 64 total  32 free  4 open  26 used  1 bad  1 reserved",
 		"erases min 0 / avg 2.0 / max 9 (total 128)",
@@ -269,6 +269,29 @@ func TestRenderTop(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("renderTop missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRenderStats pins the renderer both `stats` modes share: one
+// stats_full payload renders the GC policy, the health census, the tenant
+// table and the metrics table, and -json is the snapshot alone.
+func TestRenderStats(t *testing.T) {
+	_, sf := watchFixture()
+	var buf bytes.Buffer
+	if err := renderStats(&buf, sf, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"gc policy: greedy", "space:  free 64.0 MB", "TENANT", "metrics:", "core.write.batches"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("renderStats missing %q:\n%s", want, buf.String())
+		}
+	}
+	buf.Reset()
+	if err := renderStats(&buf, sf, true); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := marshalSnapshot(sf.Snap); !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("renderStats -json is not the snapshot's JSON:\n%s", buf.String())
 	}
 }
 

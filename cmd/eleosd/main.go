@@ -20,8 +20,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -35,41 +37,106 @@ import (
 	"eleos/internal/server"
 )
 
+// config is eleosd's command line, parsed into one value and checked by
+// Validate before a device or listener is opened.
+type config struct {
+	addr        string
+	img         string
+	format      bool
+	channels    int
+	eblocks     int
+	maxConns    int
+	inflightMB  int
+	drainSecs   int
+	debugAddr   string
+	slowBatch   time.Duration
+	coalesce    time.Duration
+	readCacheMB int
+	extra       []string // arguments left over after the flags
+}
+
+// parseFlags reads args (the command line without the program name) into
+// a config. It does not judge the values; Validate does. A syntax error
+// comes back after the FlagSet has written it, with the usage, to out.
+func parseFlags(args []string, out io.Writer) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("eleosd", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&c.addr, "addr", ":9420", "TCP listen address")
+	fs.StringVar(&c.img, "img", "", "device image file (empty: in-memory device)")
+	fs.BoolVar(&c.format, "format", false, "format a fresh device instead of recovering")
+	fs.IntVar(&c.channels, "channels", 8, "flash channels (format only)")
+	fs.IntVar(&c.eblocks, "eblocks", 64, "eblocks per channel (format only)")
+	fs.IntVar(&c.maxConns, "max-conns", 256, "concurrent connection limit")
+	fs.IntVar(&c.inflightMB, "max-inflight-mb", 64, "in-flight batch bytes admitted across all connections (MB)")
+	fs.IntVar(&c.drainSecs, "drain-timeout", 30, "graceful drain timeout in seconds (0: close connections at once)")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "HTTP debug listen address (pprof, /metrics, /debug/trace; empty: off)")
+	fs.DurationVar(&c.slowBatch, "slow-batch", 0, "log flush_batch requests slower than this with their trace breakdown (0: off)")
+	fs.DurationVar(&c.coalesce, "coalesce", 0, "merge small concurrent flushes into one controller batch, waiting up to this window (0: off)")
+	fs.IntVar(&c.readCacheMB, "read-cache-mb", 0, "byte-sized tiered read cache capacity in MB (0: off)")
+	err := fs.Parse(args)
+	c.extra = fs.Args()
+	return c, err
+}
+
+// Validate rejects values the server would otherwise accept and quietly
+// misread: a connection limit below one refuses every connection, an
+// in-flight bound below one admits one batch at a time, a negative drain
+// timeout closes connections at once, a negative cache size or duration
+// turns its feature off without saying so, and a stray argument (as in
+// "-format false") ends flag parsing, dropping every flag after it.
+// The geometry flags are flash.NewDevice's to reject.
+func (c config) Validate() error {
+	switch {
+	case len(c.extra) > 0:
+		return fmt.Errorf("unexpected argument %q", c.extra[0])
+	case c.maxConns < 1:
+		return fmt.Errorf("-max-conns %d: need at least 1", c.maxConns)
+	case c.inflightMB < 1:
+		return fmt.Errorf("-max-inflight-mb %d: need at least 1", c.inflightMB)
+	case c.drainSecs < 0:
+		return fmt.Errorf("-drain-timeout %d: must not be negative", c.drainSecs)
+	case c.slowBatch < 0:
+		return fmt.Errorf("-slow-batch %v: must not be negative (0 turns the log off)", c.slowBatch)
+	case c.coalesce < 0:
+		return fmt.Errorf("-coalesce %v: must not be negative (0 turns coalescing off)", c.coalesce)
+	case c.readCacheMB < 0:
+		return fmt.Errorf("-read-cache-mb %d: must not be negative (0 turns the cache off)", c.readCacheMB)
+	}
+	return nil
+}
+
 func main() {
-	var (
-		addr       = flag.String("addr", ":9420", "TCP listen address")
-		img        = flag.String("img", "", "device image file (empty: in-memory device)")
-		format     = flag.Bool("format", false, "format a fresh device instead of recovering")
-		channels   = flag.Int("channels", 8, "flash channels (format only)")
-		eblocks    = flag.Int("eblocks", 64, "eblocks per channel (format only)")
-		maxConns   = flag.Int("max-conns", 256, "concurrent connection limit")
-		inflightMB = flag.Int("max-inflight-mb", 64, "in-flight batch bytes admitted across all connections (MB)")
-		drainSecs  = flag.Int("drain-timeout", 30, "graceful drain timeout in seconds")
-		debugAddr  = flag.String("debug-addr", "", "HTTP debug listen address (pprof, /metrics, /debug/trace; empty: off)")
-		slowBatch  = flag.Duration("slow-batch", 0, "log flush_batch requests slower than this with their trace breakdown (0: off)")
-		coalesce   = flag.Duration("coalesce", 0, "merge small concurrent flushes into one controller batch, waiting up to this window (0: off)")
-		readCache  = flag.Int("read-cache-mb", 0, "byte-sized tiered read cache capacity in MB (0: off)")
-	)
-	flag.Parse()
-	if err := run(*addr, *img, *format, *channels, *eblocks, *maxConns, *inflightMB, *drainSecs, *readCache, *debugAddr, *slowBatch, *coalesce); err != nil {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the FlagSet has printed the error and the usage
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "eleosd: %v\n", err)
+		os.Exit(2)
+	}
+	if err := run(cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "eleosd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, img string, format bool, channels, eblocks, maxConns, inflightMB, drainSecs, readCacheMB int, debugAddr string, slowBatch, coalesce time.Duration) error {
-	dev, ctl, err := openDevice(img, format, channels, eblocks, readCacheMB)
+func run(cfg config) error {
+	dev, ctl, err := openDevice(cfg)
 	if err != nil {
 		return err
 	}
 	srv := server.New(ctl, server.Config{
-		MaxConns:           maxConns,
-		MaxInflightBytes:   int64(inflightMB) << 20,
-		SlowBatchThreshold: slowBatch,
-		Coalesce:           server.CoalesceConfig{Enabled: coalesce > 0, Window: coalesce},
+		MaxConns:           cfg.maxConns,
+		MaxInflightBytes:   int64(cfg.inflightMB) << 20,
+		SlowBatchThreshold: cfg.slowBatch,
+		Coalesce:           server.CoalesceConfig{Enabled: cfg.coalesce > 0, Window: cfg.coalesce},
 	})
-	if debugAddr != "" {
-		dln, err := net.Listen("tcp", debugAddr)
+	if cfg.debugAddr != "" {
+		dln, err := net.Listen("tcp", cfg.debugAddr)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
@@ -80,7 +147,7 @@ func run(addr, img string, format bool, channels, eblocks, maxConns, inflightMB,
 			}
 		}()
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
@@ -95,11 +162,11 @@ func run(addr, img string, format bool, channels, eblocks, maxConns, inflightMB,
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
-		log.Printf("eleosd: %v: draining (limit %ds)", sig, drainSecs)
+		log.Printf("eleosd: %v: draining (limit %ds)", sig, cfg.drainSecs)
 	case err := <-serveDone:
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(drainSecs)*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(cfg.drainSecs)*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		log.Printf("eleosd: drain: %v", err)
@@ -108,33 +175,33 @@ func run(addr, img string, format bool, channels, eblocks, maxConns, inflightMB,
 	st := ctl.Stats()
 	log.Printf("eleosd: drained: %d batches, %d pages, %d stale re-ACKs, %d checkpoints",
 		st.BatchesWritten, st.PagesWritten, st.StaleWrites, st.Checkpoints)
-	if img != "" {
-		if err := dev.SaveFile(img); err != nil {
+	if cfg.img != "" {
+		if err := dev.SaveFile(cfg.img); err != nil {
 			return fmt.Errorf("save image: %w", err)
 		}
-		log.Printf("eleosd: image saved to %s", img)
+		log.Printf("eleosd: image saved to %s", cfg.img)
 	}
 	return nil
 }
 
-func openDevice(img string, format bool, channels, eblocks, readCacheMB int) (*flash.Device, *core.Controller, error) {
-	cfg := core.DefaultConfig()
-	cfg.AutoCheckpointLogBytes = 16 << 20
-	cfg.ReadCacheBytes = int64(readCacheMB) << 20
-	if img != "" && !format {
-		dev, err := flash.LoadFile(img, flash.TypicalNANDLatency())
+func openDevice(cfg config) (*flash.Device, *core.Controller, error) {
+	ccfg := core.DefaultConfig()
+	ccfg.AutoCheckpointLogBytes = 16 << 20
+	ccfg.ReadCacheBytes = int64(cfg.readCacheMB) << 20
+	if cfg.img != "" && !cfg.format {
+		dev, err := flash.LoadFile(cfg.img, flash.TypicalNANDLatency())
 		if err != nil {
-			return nil, nil, fmt.Errorf("load %s (use -format to create): %w", img, err)
+			return nil, nil, fmt.Errorf("load %s (use -format to create): %w", cfg.img, err)
 		}
-		ctl, err := core.Open(dev, cfg)
+		ctl, err := core.Open(dev, ccfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("recover controller: %w", err)
 		}
 		return dev, ctl, nil
 	}
 	geo := flash.Geometry{
-		Channels:          channels,
-		EBlocksPerChannel: eblocks,
+		Channels:          cfg.channels,
+		EBlocksPerChannel: cfg.eblocks,
 		EBlockBytes:       1 << 20,
 		WBlockBytes:       32 << 10,
 		RBlockBytes:       4 << 10,
@@ -143,7 +210,7 @@ func openDevice(img string, format bool, channels, eblocks, readCacheMB int) (*f
 	if err != nil {
 		return nil, nil, err
 	}
-	ctl, err := core.Format(dev, cfg)
+	ctl, err := core.Format(dev, ccfg)
 	if err != nil {
 		return nil, nil, err
 	}

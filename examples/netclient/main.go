@@ -90,12 +90,12 @@ func run() error {
 	}
 	fmt.Printf("read lpid 100: %q\n", strings.TrimRight(string(data), "\x00"))
 
-	st, err := cl.ControllerStats()
+	sf, err := cl.StatsFull()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("controller: %d batches, %d pages, %d stale re-ACKs\n",
-		st.BatchesWritten, st.PagesWritten, st.StaleWrites)
+		sf.Snap.Counter("core.write.batches"), sf.Snap.Counter("core.write.pages"), sf.Snap.Counter("core.write.stale"))
 
 	// Graceful drain: in-flight work finishes, then a checkpoint lands so
 	// the next open replays (almost) nothing.

@@ -24,7 +24,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -195,27 +194,21 @@ func (c *Client) CloseSession(sid uint64) error {
 // is 0 — and retries are NOT idempotent, so unordered flushes are
 // attempted once.
 func (c *Client) Flush(sid, wsn uint64, pages []core.LPage) (uint64, error) {
-	return c.flush(netproto.MsgFlushBatch, 0, sid, wsn, pages)
+	return c.FlushTraced(0, sid, wsn, pages)
 }
 
 // FlushTraced is Flush carrying a caller-chosen trace ID, so the batch's
 // events in the server's flight recorder are attributable to this exact
 // request (trace ID 0 lets the server assign one). Same idempotence
-// rules as Flush.
+// rules as Flush. It is the one flush encoder: the batch goes into reused
+// scratch and is sent as a [head, wire] vectored frame, so the fixed
+// prefix and the batch bytes are never concatenated into a request body.
 func (c *Client) FlushTraced(traceID, sid, wsn uint64, pages []core.LPage) (uint64, error) {
-	return c.flush(netproto.MsgFlushBatchTraced, traceID, sid, wsn, pages)
-}
-
-// flush encodes the batch into reused scratch and sends it as a
-// [head, wire] vectored frame: the fixed prefix and the batch bytes are
-// never concatenated into a request body.
-func (c *Client) flush(typ byte, traceID, sid, wsn uint64, pages []core.LPage) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.batchBuf = core.AppendBatch(c.batchBuf[:0], pages)
-	traced := typ == netproto.MsgFlushBatchTraced
-	c.headBuf = netproto.AppendFlushHead(c.headBuf[:0], traced, traceID, sid, wsn)
-	rbody, err := c.callLocked(typ, c.headBuf, c.batchBuf, netproto.MsgRespFlushBatch, sid != 0)
+	c.headBuf = netproto.AppendFlushHead(c.headBuf[:0], traceID, sid, wsn)
+	rbody, err := c.callLocked(netproto.MsgFlushBatch, c.headBuf, c.batchBuf, netproto.MsgRespFlushBatch, sid != 0)
 	if err != nil {
 		return 0, err
 	}
@@ -251,16 +244,6 @@ func (c *Client) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 		return nil, err
 	}
 	return netproto.ParseReadBatchResp(rbody)
-}
-
-// ControllerStats fetches the server's controller statistics.
-func (c *Client) ControllerStats() (core.Stats, error) {
-	var st core.Stats
-	rbody, err := c.call(netproto.MsgStats, nil, netproto.MsgRespStats, true)
-	if err != nil {
-		return st, err
-	}
-	return st, json.Unmarshal(rbody, &st)
 }
 
 // StatsFull fetches the server's full telemetry payload — every counter,
@@ -451,17 +434,7 @@ func (s *Session) NextWSN() uint64 { return s.next }
 
 // Flush writes one batch at the session's next WSN, retrying across
 // reconnects; the WSN advances only after the server acknowledged it.
-func (s *Session) Flush(pages []core.LPage) error {
-	high, err := s.c.Flush(s.sid, s.next, pages)
-	if err != nil {
-		return err
-	}
-	if high < s.next {
-		return fmt.Errorf("client: server acknowledged WSN %d for flush %d", high, s.next)
-	}
-	s.next++
-	return nil
-}
+func (s *Session) Flush(pages []core.LPage) error { return s.FlushTraced(0, pages) }
 
 // FlushTraced is Flush carrying a caller-chosen trace ID (see
 // Client.FlushTraced).

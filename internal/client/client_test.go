@@ -75,7 +75,7 @@ func TestRetryAfterMidReplyKill(t *testing.T) {
 			if typ != netproto.MsgFlushBatch {
 				t.Errorf("first request type 0x%02x", typ)
 			}
-			firstSID, firstWSN, _, _ = netproto.ParseFlush(body)
+			_, firstSID, firstWSN, _, _ = netproto.ParseFlush(typ, body)
 			// Kill without replying: the "applied but un-ACKed" case.
 		},
 		func(t *testing.T, conn net.Conn) {
@@ -83,7 +83,7 @@ func TestRetryAfterMidReplyKill(t *testing.T) {
 			if typ != netproto.MsgFlushBatch {
 				t.Errorf("retry request type 0x%02x", typ)
 			}
-			secondSID, secondWSN, _, _ = netproto.ParseFlush(body)
+			_, secondSID, secondWSN, _, _ = netproto.ParseFlush(typ, body)
 			reply(t, conn, netproto.MsgRespFlushBatch, netproto.AppendU64(nil, secondWSN))
 		},
 	)
@@ -184,7 +184,7 @@ func TestUnexpectedReplyTypeDropsConn(t *testing.T) {
 	addr := fakeServer(t,
 		func(t *testing.T, conn net.Conn) {
 			readOne(t, conn)
-			reply(t, conn, netproto.MsgRespStats, []byte("{}")) // wrong type for a read
+			reply(t, conn, netproto.MsgRespTraceDump, nil) // wrong type for a read
 		},
 		func(t *testing.T, conn net.Conn) {
 			readOne(t, conn)

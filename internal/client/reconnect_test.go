@@ -107,11 +107,11 @@ func TestReconnectUnderRepeatedKills(t *testing.T) {
 	}
 	// Session stats must show the killed retries were absorbed by WSN
 	// dedup, not re-applied.
-	cstats, err := cl.ControllerStats()
+	sf, err := cl.StatsFull()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cstats.StaleWrites == 0 {
+	if sf.Snap.Counter("core.write.stale") == 0 {
 		t.Error("no stale writes recorded; retries were never deduplicated")
 	}
 }

@@ -123,7 +123,6 @@ func (c *Controller) checkpointLocked() error {
 	c.lastCkptLSN = c.log.NextLSN()
 	c.log.Truncate(trunc)
 	c.logBytes = 0
-	c.stats.Checkpoints++
 	c.met.checkpoints.Inc()
 	c.met.checkpointNS.ObserveDuration(time.Since(t0))
 	c.trc.Span(trace.KCheckpoint, 0, 0, 0, t0, int64(ck.Seq), 0)
@@ -163,7 +162,7 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 			c.migrateFailedLocked([][2]int{{ref.Channel, ref.EBlock}}, 0)
 			return nil
 		}
-		c.stats.IOCommands++
+		c.met.ioCommands.Inc()
 	}
 	ts := c.clock()
 	if ref.Stream == record.StreamGC {
@@ -513,7 +512,7 @@ func (c *Controller) writeCkptRecordLocked(ck *ckptRecord) error {
 				if err := c.dev.ProgramSrc(c.attributeSrc(flash.SrcCheckpoint), ckptChannel, c.ckptEB, c.ckptWB+i, part); err != nil {
 					return err
 				}
-				c.stats.IOCommands++
+				c.met.ioCommands.Inc()
 			}
 			return nil
 		}()

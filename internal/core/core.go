@@ -120,14 +120,6 @@ type Config struct {
 	// real media transfers there, so warm workloads show ReadRBlocks ≪
 	// reads — that gap is the cache's proof of work.
 	ReadCacheBytes int64
-	// Metrics is the registry every layer (core, flash, wal) records
-	// into. Nil gets a private registry.
-	Metrics *metrics.Registry
-	// Trace is the flight recorder every layer (core, flash, wal) emits
-	// events into. Nil gets a private always-on recorder of
-	// trace.DefaultSize — tracing is on by default so the last few
-	// thousand events are available after any incident.
-	Trace *trace.Recorder
 }
 
 // DefaultConfig returns production-like defaults.
@@ -189,28 +181,30 @@ type LPage struct {
 	Data []byte
 }
 
-// Stats counts controller activity.
+// Stats counts controller activity since Format/Open. It is a view:
+// Stats() reads each field from the registry instrument named beside it
+// (DESIGN.md §7.1), so the struct and MetricsSnapshot() cannot disagree.
 type Stats struct {
-	BatchesWritten   int64
-	PagesWritten     int64
-	BytesAccepted    int64 // logical bytes handed to WriteBatch
-	BytesStored      int64 // aligned LPAGE bytes placed on flash
-	Reads            int64
-	ReadRBlocks      int64 // RBLOCKs transferred for reads (amplification)
-	IOCommands       int64
-	LogRecords       int64
-	LogForces        int64
-	StaleWrites      int64
-	GroupWrites      int64 // actions that merged ≥2 coalesced flushes
-	GroupedFlushes   int64 // flushes written as part of such actions
-	AbortedActions   int64
-	GCRounds         int64
-	GCPagesMoved     int64
-	GCBytesMoved     int64
-	GCEBlocksFreed   int64
-	GCMetaUnreadable int64
-	Migrations       int64
-	Checkpoints      int64
+	BatchesWritten   int64 // core.write.batches
+	PagesWritten     int64 // core.write.pages
+	BytesAccepted    int64 // core.write.bytes_accepted: logical bytes handed to WriteBatch
+	BytesStored      int64 // core.write.bytes_stored: aligned LPAGE bytes placed on flash
+	Reads            int64 // read.flash_loads: pages loaded from flash, not read.reads (cache hits included)
+	ReadRBlocks      int64 // read.rblocks: RBLOCKs transferred by every media read (amplification)
+	IOCommands       int64 // core.io_commands
+	LogRecords       int64 // wal.appends
+	LogForces        int64 // core.log_forces
+	StaleWrites      int64 // core.write.stale
+	GroupWrites      int64 // core.write.group_writes: actions that merged ≥2 coalesced flushes
+	GroupedFlushes   int64 // core.write.grouped_flushes: flushes written as part of such actions
+	AbortedActions   int64 // core.aborted_actions
+	GCRounds         int64 // core.gc.rounds
+	GCPagesMoved     int64 // core.gc.pages_moved
+	GCBytesMoved     int64 // core.gc.bytes_moved
+	GCEBlocksFreed   int64 // core.gc.eblocks_freed
+	GCMetaUnreadable int64 // core.gc.meta_unreadable
+	Migrations       int64 // core.migrations
+	Checkpoints      int64 // core.checkpoints
 }
 
 // checkpoint area location: the first two EBLOCKs of channel 0 are
@@ -305,10 +299,11 @@ type Controller struct {
 	gcPolicy gcpolicy.Policy
 	gcRetime bool
 
-	stats Stats
-	reg   *metrics.Registry
-	met   coreMetrics
-	trc   *trace.Recorder
+	// reg and trc are born and die with the controller. reg is the only
+	// counter store: every layer records into it and Stats() is a view.
+	reg *metrics.Registry
+	met coreMetrics
+	trc *trace.Recorder
 
 	// rcache is the optional byte-budget read cache (nil when
 	// Config.ReadCacheBytes is 0). Coherence is the controller's job: the
@@ -335,18 +330,18 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:         cfg,
-		dev:         dev,
-		geo:         geo,
-		st:          st,
-		mt:          mt,
-		sess:        session.New(cfg.SessionSeed),
-		prov:        prov,
-		nextAction:  1,
-		active:      make(map[uint64]record.LSN),
-		inflight:    make(map[[2]int]int),
-		pinned:      make(map[[2]int]int),
-		wsnInflight: make(map[[2]uint64]bool),
+		cfg:          cfg,
+		dev:          dev,
+		geo:          geo,
+		st:           st,
+		mt:           mt,
+		sess:         session.New(cfg.SessionSeed),
+		prov:         prov,
+		nextAction:   1,
+		active:       make(map[uint64]record.LSN),
+		inflight:     make(map[[2]int]int),
+		pinned:       make(map[[2]int]int),
+		wsnInflight:  make(map[[2]uint64]bool),
 		ckptEB:       ckptEBlockA,
 		crashPoints:  make(map[string]bool),
 		tenantWrites: make(map[string]*tenantWriteCounters),
@@ -360,10 +355,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 	c.wsnCond = sync.NewCond(&c.mu)
 	c.ioCond = sync.NewCond(&c.mu)
 	c.mt.SetLoader(c.loadExtent)
-	c.reg = cfg.Metrics
-	if c.reg == nil {
-		c.reg = metrics.New()
-	}
+	c.reg = metrics.New()
 	c.met = newCoreMetrics(c.reg)
 	if cfg.ReadCacheBytes > 0 {
 		c.rcache = readcache.New(readcache.Config{
@@ -372,10 +364,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		})
 	}
 	dev.SetMetrics(c.reg)
-	c.trc = cfg.Trace
-	if c.trc == nil {
-		c.trc = trace.New(trace.DefaultSize)
-	}
+	c.trc = trace.New(trace.DefaultSize)
 	dev.SetTracer(c.trc)
 	return c, nil
 }
@@ -387,7 +376,7 @@ func (c *Controller) loadExtent(a addr.PhysAddr) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.stats.ReadRBlocks += int64(nR)
+	c.met.readRBlocks.Add(int64(nR))
 	return data, nil
 }
 
@@ -408,14 +397,13 @@ func (c *Controller) lsnHint() record.LSN {
 	return h
 }
 
-// append adds a log record, tracking statistics. Requires c.mu.
+// append adds a log record and advances the LSN hint. Requires c.mu.
 func (c *Controller) append(r record.Record) (record.LSN, error) {
 	lsn, err := c.log.Append(r)
 	if err != nil {
 		return 0, err
 	}
 	c.hintLSN.Store(uint64(lsn + 1))
-	c.stats.LogRecords++
 	return lsn, nil
 }
 
@@ -423,7 +411,7 @@ func (c *Controller) forceLog() error {
 	if err := c.log.Force(); err != nil {
 		return err
 	}
-	c.stats.LogForces++
+	c.met.logForces.Inc()
 	// Auto-checkpoint accounting tracks log *space*: every force consumes
 	// a whole WBLOCK-sized log page regardless of how few records it
 	// carries, and reclaiming that space needs the truncation LSN to
@@ -473,11 +461,33 @@ func (c *Controller) crashIf(point string) error {
 
 // --- accessors ---------------------------------------------------------------
 
-// Stats returns a snapshot of controller statistics.
+// Stats returns the controller statistics. Reads are atomic loads of the
+// instrument handles — no lock — so it may be polled while writers, readers
+// and GC run; fields are each monotonic, not a consistent cut.
 func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	m := &c.met
+	return Stats{
+		BatchesWritten:   m.batches.Value(),
+		PagesWritten:     m.pages.Value(),
+		BytesAccepted:    m.bytesAccepted.Value(),
+		BytesStored:      m.bytesStored.Value(),
+		Reads:            m.readFlashLoads.Value(),
+		ReadRBlocks:      m.readRBlocks.Value(),
+		IOCommands:       m.ioCommands.Value(),
+		LogRecords:       c.log.Stats().Appends,
+		LogForces:        m.logForces.Value(),
+		StaleWrites:      m.staleWrites.Value(),
+		GroupWrites:      m.groupWrites.Value(),
+		GroupedFlushes:   m.groupedFlushes.Value(),
+		AbortedActions:   m.aborted.Value(),
+		GCRounds:         m.gcRounds.Value(),
+		GCPagesMoved:     m.gcPagesMoved.Value(),
+		GCBytesMoved:     m.gcBytesMoved.Value(),
+		GCEBlocksFreed:   m.gcFreed.Value(),
+		GCMetaUnreadable: m.gcMetaUnreadable.Value(),
+		Migrations:       m.migrations.Value(),
+		Checkpoints:      m.checkpoints.Value(),
+	}
 }
 
 // Device returns the underlying flash device (for media-time accounting in

@@ -187,7 +187,6 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 		return err
 	}
 	defer c.trc.Span(trace.KGC, 0, 0, 0, time.Now(), int64(ch), int64(eb))
-	c.stats.GCRounds++
 	c.met.gcRounds.Inc()
 	if d.Stream == record.StreamLog {
 		return nil
@@ -196,7 +195,7 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 	if err != nil {
 		// Metadata unreadable: the EBLOCK was erased after a committed GC
 		// pre-crash (nothing reachable lives here) — reclaim it.
-		c.stats.GCMetaUnreadable++
+		c.met.gcMetaUnreadable.Inc()
 		return nil
 	}
 	srcTS := d.Timestamp
@@ -229,7 +228,7 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 	if err != nil {
 		return nil, err
 	}
-	c.stats.ReadRBlocks += int64(nR)
+	c.met.readRBlocks.Add(int64(nR))
 	return summary.DecodeMetaBlock(raw)
 }
 
@@ -342,7 +341,7 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 		if err != nil {
 			return err
 		}
-		c.stats.ReadRBlocks += int64(nR)
+		c.met.readRBlocks.Add(int64(nR))
 		bps = append(bps, provision.BatchPage{LPID: v.e.LPID, Type: v.e.Type, Length: v.e.Length, BufOff: off})
 		olds = append(olds, v.old)
 		off += v.e.Length
@@ -402,9 +401,7 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 				return err
 			}
 		}
-		c.stats.GCPagesMoved++
 		c.met.gcPagesMoved.Inc()
-		c.stats.GCBytesMoved += int64(pg.Addr.Length())
 		c.met.gcBytesMoved.Add(int64(pg.Addr.Length()))
 	}
 	if err := c.lazyGarbageLocked(id, abandoned); err != nil {
@@ -491,7 +488,6 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 			err = fmt.Errorf("%w: ch=%d eb=%d", flash.ErrEraseFailed, k[0], k[1])
 		} else if err = c.st.FreeEBlock(k[0], k[1], c.lsnHint()); err == nil {
 			if _, err = c.append(record.FreeEBlock{Channel: uint32(k[0]), EBlock: uint32(k[1])}); err == nil {
-				c.stats.GCEBlocksFreed++
 				c.met.gcFreed.Inc()
 			}
 		}

@@ -53,8 +53,8 @@ func TestGCPolicyEnumMapping(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Format(%v): %v", tc.policy, err)
 		}
-		if got := c.GCPolicyName(); got != tc.want {
-			t.Errorf("GCPolicyName for %v = %q, want %q", tc.policy, got, tc.want)
+		if got := c.MetricsSnapshot().Label("gc.policy"); got != tc.want {
+			t.Errorf("gc.policy label for %v = %q, want %q", tc.policy, got, tc.want)
 		}
 		if tc.policy.String() != tc.want {
 			t.Errorf("GCPolicy(%d).String() = %q, want %q", int(tc.policy), tc.policy.String(), tc.want)
@@ -69,8 +69,8 @@ func TestGCPolicyEnumMapping(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
-	if got := c.GCPolicyName(); got != "recording" {
-		t.Fatalf("plugin GCPolicyName = %q, want recording", got)
+	if got := c.MetricsSnapshot().Label("gc.policy"); got != "recording" {
+		t.Fatalf("plugin gc.policy label = %q, want recording", got)
 	}
 }
 

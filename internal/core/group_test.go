@@ -199,7 +199,7 @@ func TestBatchAndGroupAgree(t *testing.T) {
 				go func() { orig <- c.WriteBatch(sid, 1, page(1)) }()
 				for claimed := false; !claimed; time.Sleep(50 * time.Microsecond) {
 					c.mu.Lock()
-					claimed = c.wsnInflight[[2]uint64{sid, 1}] || c.stats.BatchesWritten > 0
+					claimed = c.wsnInflight[[2]uint64{sid, 1}] || c.met.batches.Value() > 0
 					c.mu.Unlock()
 				}
 				err, companionErr := write(c, sid, 1, page(1))

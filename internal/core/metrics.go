@@ -21,21 +21,26 @@ type coreMetrics struct {
 	installNS     *metrics.Histogram
 	batchPages    *metrics.Histogram
 
-	batches       *metrics.Counter
-	pages         *metrics.Counter
-	staleWrites   *metrics.Counter
-	mediaAborts   *metrics.Counter
-	aborted       *metrics.Counter
-	bytesAccepted *metrics.Counter
-	bytesStored   *metrics.Counter
+	batches        *metrics.Counter
+	pages          *metrics.Counter
+	staleWrites    *metrics.Counter
+	mediaAborts    *metrics.Counter
+	aborted        *metrics.Counter
+	bytesAccepted  *metrics.Counter
+	bytesStored    *metrics.Counter
+	groupWrites    *metrics.Counter // actions that merged ≥2 coalesced flushes
+	groupedFlushes *metrics.Counter // flushes written as part of such actions
+	ioCommands     *metrics.Counter
+	logForces      *metrics.Counter
 
-	gcRounds     *metrics.Counter
-	gcVictims    *metrics.Counter
-	gcPagesMoved *metrics.Counter
-	gcBytesMoved *metrics.Counter
-	gcFreed      *metrics.Counter
-	gcErrors     *metrics.Counter // errors GC passes met (relocation, erase, log)
-	migrations   *metrics.Counter
+	gcRounds         *metrics.Counter
+	gcVictims        *metrics.Counter
+	gcPagesMoved     *metrics.Counter
+	gcBytesMoved     *metrics.Counter
+	gcFreed          *metrics.Counter
+	gcErrors         *metrics.Counter // errors GC passes met (relocation, erase, log)
+	gcMetaUnreadable *metrics.Counter
+	migrations       *metrics.Counter
 	// gcEraseWaitNS is the time one erase batch keeps its pass waiting
 	// with c.mu released.
 	gcEraseWaitNS *metrics.Histogram
@@ -46,11 +51,14 @@ type coreMetrics struct {
 	// Read-path instruments. reads counts every Read/ReadBatch page
 	// served (hits and misses alike); flashLoads counts only the pages
 	// that went to the media, so a warm cache shows flashLoads ≪ reads.
+	// readRBlocks counts the RBLOCKs every media read transferred: page
+	// loads, mapping-table loads, GC metadata and relocation reads.
 	// readNS is the wall-clock service time of one page read, whichever
 	// way it was served.
 	reads          *metrics.Counter
 	readBatches    *metrics.Counter
 	readFlashLoads *metrics.Counter
+	readRBlocks    *metrics.Counter
 	readNotFound   *metrics.Counter
 	readNS         *metrics.Histogram
 
@@ -69,21 +77,26 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		installNS:     reg.Histogram("core.write.install_ns", metrics.DurationBounds()),
 		batchPages:    reg.Histogram("core.write.batch_pages", metrics.SizeBounds()),
 
-		batches:       reg.Counter("core.write.batches"),
-		pages:         reg.Counter("core.write.pages"),
-		staleWrites:   reg.Counter("core.write.stale"),
-		mediaAborts:   reg.Counter("core.write.media_aborts"),
-		aborted:       reg.Counter("core.aborted_actions"),
-		bytesAccepted: reg.Counter("core.write.bytes_accepted"),
-		bytesStored:   reg.Counter("core.write.bytes_stored"),
+		batches:        reg.Counter("core.write.batches"),
+		pages:          reg.Counter("core.write.pages"),
+		staleWrites:    reg.Counter("core.write.stale"),
+		mediaAborts:    reg.Counter("core.write.media_aborts"),
+		aborted:        reg.Counter("core.aborted_actions"),
+		bytesAccepted:  reg.Counter("core.write.bytes_accepted"),
+		bytesStored:    reg.Counter("core.write.bytes_stored"),
+		groupWrites:    reg.Counter("core.write.group_writes"),
+		groupedFlushes: reg.Counter("core.write.grouped_flushes"),
+		ioCommands:     reg.Counter("core.io_commands"),
+		logForces:      reg.Counter("core.log_forces"),
 
-		gcRounds:     reg.Counter("core.gc.rounds"),
-		gcVictims:    reg.Counter("core.gc.victim_selections"),
-		gcPagesMoved: reg.Counter("core.gc.pages_moved"),
-		gcBytesMoved: reg.Counter("core.gc.bytes_moved"),
-		gcFreed:      reg.Counter("core.gc.eblocks_freed"),
-		gcErrors:     reg.Counter("core.gc.errors"),
-		migrations:   reg.Counter("core.migrations"),
+		gcRounds:         reg.Counter("core.gc.rounds"),
+		gcVictims:        reg.Counter("core.gc.victim_selections"),
+		gcPagesMoved:     reg.Counter("core.gc.pages_moved"),
+		gcBytesMoved:     reg.Counter("core.gc.bytes_moved"),
+		gcFreed:          reg.Counter("core.gc.eblocks_freed"),
+		gcErrors:         reg.Counter("core.gc.errors"),
+		gcMetaUnreadable: reg.Counter("core.gc.meta_unreadable"),
+		migrations:       reg.Counter("core.migrations"),
 
 		gcEraseWaitNS: reg.Histogram("core.gc.erase_wait_ns", metrics.DurationBounds()),
 
@@ -93,6 +106,7 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		reads:          reg.Counter("read.reads"),
 		readBatches:    reg.Counter("read.batches"),
 		readFlashLoads: reg.Counter("read.flash_loads"),
+		readRBlocks:    reg.Counter("read.rblocks"),
 		readNotFound:   reg.Counter("read.not_found"),
 		readNS:         reg.Histogram("read.ns", metrics.DurationBounds()),
 
@@ -141,21 +155,22 @@ type tenantWriteCounters struct {
 	pages *metrics.Counter
 }
 
-// Metrics returns the controller's metrics registry (never nil; a
-// controller built without Config.Metrics owns a private registry).
+// Metrics returns the controller's own metrics registry (never nil, born
+// empty with the controller); the server and QoS register into it.
 func (c *Controller) Metrics() *metrics.Registry { return c.reg }
 
-// MetricsSnapshot exports every instrument in the controller's registry.
-// Lock-free: safe to call concurrently with writes, GC and checkpoints.
-func (c *Controller) MetricsSnapshot() metrics.Snapshot { return c.reg.Snapshot() }
+// MetricsSnapshot exports every instrument in the controller's registry
+// plus the "gc.policy" label — attached here and nowhere else, so
+// stats_full, /metrics and eleosctl render the same snapshot. Lock-free:
+// safe to call concurrently with writes, GC and checkpoints.
+func (c *Controller) MetricsSnapshot() metrics.Snapshot {
+	snap := c.reg.Snapshot()
+	snap.Labels = []metrics.Label{{Key: "gc.policy", Value: c.gcPolicy.Name()}}
+	return snap
+}
 
-// GCPolicyName returns the active GC victim-selection policy's name
-// (the stats_full "gc.policy" label).
-func (c *Controller) GCPolicyName() string { return c.gcPolicy.Name() }
-
-// Tracer returns the controller's flight recorder (never nil; a
-// controller built without Config.Trace owns a private always-on
-// recorder).
+// Tracer returns the controller's own always-on flight recorder (never
+// nil).
 func (c *Controller) Tracer() *trace.Recorder { return c.trc }
 
 // TraceDump snapshots the flight recorder. Lock-free: safe to call

@@ -16,9 +16,9 @@ import (
 // Reads no longer hold the global controller lock across the flash
 // transfer. A read is: a short c.mu section that resolves the mapping and
 // pins the target EBLOCK, the flash ReadExtent with c.mu released, and a
-// second short c.mu section that unpins and accounts. The pin is the
-// read/installation fence — it extends the pinned-EBLOCK protocol that
-// already protects the commit-force window of writes to readers:
+// second short c.mu section that unpins. The pin is the read/installation
+// fence — it extends the pinned-EBLOCK protocol that already protects the
+// commit-force window of writes to readers:
 //
 //   - GC victim selection (selectVictimLocked) skips pinned EBLOCKs, and
 //     migration/checkpoint force-close wait on ioCond for pins to drain
@@ -92,7 +92,7 @@ func (c *Controller) readCached(lpid addr.LPID) ([]byte, error) {
 }
 
 // readFenced is the concurrent fenced flash read: lookup+pin under c.mu,
-// ReadExtent outside it, unpin+account under c.mu again.
+// ReadExtent outside it, unpin under c.mu again.
 func (c *Controller) readFenced(lpid addr.LPID) ([]byte, error) {
 	tl := time.Now()
 	c.mu.Lock()
@@ -115,24 +115,21 @@ func (c *Controller) readFenced(lpid addr.LPID) ([]byte, error) {
 
 	c.mu.Lock()
 	c.unpinReadLocked(key)
-	if rerr == nil {
-		c.stats.Reads++
-		c.stats.ReadRBlocks += int64(nR)
-	}
 	c.mu.Unlock()
 	if rerr != nil {
 		return nil, rerr
 	}
 	c.met.readFlashLoads.Inc()
+	c.met.readRBlocks.Add(int64(nR))
 	return data, nil
 }
 
 // ReadBatch reads many LPAGEs at once, scatter-gathering the flash
 // transfers through the per-channel I/O workers: one locked pass resolves
 // and pins every address, the device executes the per-channel segments
-// concurrently, and one more locked pass unpins and accounts. The result
-// slice is indexed like lpids; an unmapped LPID yields a nil entry (the
-// batch succeeds — per-page absence is data, not failure). With a cache
+// concurrently, and one more locked pass unpins. The result slice is
+// indexed like lpids; an unmapped LPID yields a nil entry (the batch
+// succeeds — per-page absence is data, not failure). With a cache
 // configured, hits and coalesced in-flight fills are served without
 // touching flash, and only the remaining misses are submitted.
 func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
@@ -297,6 +294,7 @@ func (c *Controller) readManyFenced(load []addr.LPID, outIdx []int, out [][]byte
 		nRBlocks += int64(res.RBlocks)
 	}
 	c.met.readFlashLoads.Add(nPages)
+	c.met.readRBlocks.Add(nRBlocks)
 
 	c.mu.Lock()
 	for _, p := range pins {
@@ -305,8 +303,6 @@ func (c *Controller) readManyFenced(load []addr.LPID, outIdx []int, out [][]byte
 		}
 	}
 	c.ioCond.Broadcast()
-	c.stats.Reads += nPages
-	c.stats.ReadRBlocks += nRBlocks
 	c.mu.Unlock()
 	return errsAt, firstErr
 }

@@ -172,7 +172,6 @@ func (c *Controller) claimLocked(subs []*SubFlush) bool {
 				s.Err, s.state = err, subDone
 			case v == session.Stale:
 				// Already applied; the re-ACK is the success path.
-				c.stats.StaleWrites++
 				c.met.staleWrites.Inc()
 				s.state = subDone
 			case v == session.Early || c.wsnInflight[key]:
@@ -480,7 +479,6 @@ func (c *Controller) writeUser(a *action) error {
 			}
 		}
 		totalPages += int64(s.pages)
-		c.stats.BytesAccepted += s.bytes
 		c.met.bytesAccepted.Add(s.bytes)
 		c.tenantWriteLocked(s.sid, s.bytes, int64(s.pages))
 	}
@@ -489,14 +487,11 @@ func (c *Controller) writeUser(a *action) error {
 	}
 	delete(c.active, a.id)
 
-	c.stats.BatchesWritten += int64(len(a.subs))
 	if len(a.subs) > 1 {
-		c.stats.GroupWrites++
-		c.stats.GroupedFlushes += int64(len(a.subs))
+		c.met.groupWrites.Inc()
+		c.met.groupedFlushes.Add(int64(len(a.subs)))
 	}
-	c.stats.PagesWritten += totalPages
 	for _, bp := range a.bps {
-		c.stats.BytesStored += int64(bp.Length)
 		c.met.bytesStored.Add(int64(bp.Length))
 	}
 	c.met.installNS.ObserveDuration(time.Since(tInstall))
@@ -521,7 +516,7 @@ func (c *Controller) forceCommitLocked(id uint64) error {
 	err := c.log.Force()
 	c.mu.Lock()
 	if err == nil {
-		c.stats.LogForces++
+		c.met.logForces.Inc()
 		c.logBytes += c.geo.WBlockBytes
 		return nil
 	}
@@ -531,7 +526,7 @@ func (c *Controller) forceCommitLocked(id uint64) error {
 		err2 := c.log.Force()
 		c.mu.Lock()
 		if err2 == nil {
-			c.stats.LogForces++
+			c.met.logForces.Inc()
 			c.logBytes += c.geo.WBlockBytes
 			return nil
 		}
@@ -543,7 +538,6 @@ func (c *Controller) forceCommitLocked(id uint64) error {
 	c.crashedA.Store(true)
 	c.wsnCond.Broadcast()
 	delete(c.active, id)
-	c.stats.AbortedActions++
 	c.met.aborted.Inc()
 	return fmt.Errorf("%w: commit force failed: %v", ErrCrashed, err)
 }
@@ -635,7 +629,7 @@ func (c *Controller) finishPlanLocked(plan *provision.Plan, res flash.BatchResul
 			delete(c.inflight, key)
 		}
 	}
-	c.stats.IOCommands += int64(res.Attempted)
+	c.met.ioCommands.Add(int64(res.Attempted))
 	c.ioCond.Broadcast()
 }
 
@@ -675,7 +669,6 @@ func (c *Controller) abortActionLocked(id uint64, plan *provision.Plan) {
 		_ = c.st.AddAvail(pg.Addr.Channel(), pg.Addr.EBlock(), pg.Addr.Length(), lsn)
 	}
 	delete(c.active, id)
-	c.stats.AbortedActions++
 	c.met.aborted.Inc()
 }
 
@@ -737,7 +730,7 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 		entries, err = c.readMetaLocked(ch, eb, d)
 		if err != nil {
 			entries = nil // unreadable: nothing reachable lives here
-			c.stats.GCMetaUnreadable++
+			c.met.gcMetaUnreadable.Inc()
 		}
 	default:
 		return nil
@@ -746,7 +739,6 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 	if err != nil {
 		return err
 	}
-	c.stats.Migrations++
 	c.met.migrations.Inc()
 	return c.eraseAndFreeLocked([2]int{ch, eb})
 }

@@ -297,9 +297,9 @@ type devMetrics struct {
 	eraseFailures   *metrics.Counter
 	programNS       *metrics.Histogram
 	eraseNS         *metrics.Histogram
-	queueDepth      []*metrics.Gauge               // per channel, in queued commands
-	srcWBlocks      [NumSources]*metrics.Counter   // flash.src.<name>.wblocks
-	srcBytes        [NumSources]*metrics.Counter   // flash.src.<name>.bytes
+	queueDepth      []*metrics.Gauge             // per channel, in queued commands
+	srcWBlocks      [NumSources]*metrics.Counter // flash.src.<name>.wblocks
+	srcBytes        [NumSources]*metrics.Counter // flash.src.<name>.bytes
 }
 
 // SetMetrics installs instrument handles from reg: "flash.programs",

@@ -288,10 +288,10 @@ func (h *HistogramValue) Finalize() {
 	h.P99 = h.Quantile(0.99)
 }
 
-// Label is one non-numeric fact attached to a snapshot by whoever
-// exported it — e.g. the active GC policy name. Labels are not
-// instruments: the registry never produces them; the exporter (server)
-// appends them before encoding, sorted by key.
+// Label is one non-numeric fact attached to a snapshot by the registry's
+// owner — e.g. the active GC policy name, which
+// core.Controller.MetricsSnapshot attaches. Labels are not instruments:
+// the registry never produces them. They travel sorted by key.
 type Label struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`

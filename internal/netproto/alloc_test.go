@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"testing"
-
 )
 
 // Allocation regression tests for the pooled frame path (the tentpole's
@@ -20,7 +19,7 @@ func TestAppendHelpersAllocFree(t *testing.T) {
 		scratch = AppendFrame(scratch[:0], MsgFlushBatch, body)
 		scratch = AppendU64(scratch[:0], 0xDEADBEEF)
 		scratch = AppendErrorBody(scratch[:0], CodeBadRequest, "bad batch")
-		scratch = AppendFlushHead(scratch[:0], true, 7, 3, 41)
+		scratch = AppendFlushHead(scratch[:0], 7, 3, 41)
 	}); n != 0 {
 		t.Fatalf("append helpers allocate: %v allocs/op", n)
 	}
@@ -59,8 +58,8 @@ func TestReadFrameBufAllocFree(t *testing.T) {
 
 func TestFrameWriterAllocFree(t *testing.T) {
 	fw := NewFrameWriter(io.Discard)
-	small := bytes.Repeat([]byte{1}, 64)          // copied path
-	large := bytes.Repeat([]byte{2}, 64<<10)      // vectored path
+	small := bytes.Repeat([]byte{1}, 64)         // copied path
+	large := bytes.Repeat([]byte{2}, 64<<10)     // vectored path
 	head := []byte{9, 9, 9, 9, 9, 9, 9, 9, 1, 2} // flush prefix shape
 
 	// Warm: grows fw's scratch to the largest copied frame.

@@ -10,13 +10,17 @@
 // length (little-endian) counts the type byte plus the body, so an empty
 // message is a 5-byte frame. The commands mirror the controller's host
 // interface: open/close session, flush_batch (carrying the §IX-A2 batch
-// buffer of core.AppendBatch verbatim, prefixed by sid+wsn), read by
-// LPID, and stats. Responses either carry the command's payload or a
+// buffer of core.AppendBatch verbatim, prefixed by trace_id+sid+wsn),
+// read by LPID (one or a batch), stats_full with its watch_stats stream,
+// and trace_dump. Responses either carry the command's payload or a
 // RespError frame with a numeric code; the code tells the client whether
 // a retry is safe (see Retryable).
 //
-// The protocol is deliberately strict: unknown types, oversized frames
-// and short bodies all terminate the connection server-side. Idempotence
+// The protocol is deliberately strict. A frame that cannot be delimited —
+// an oversized or zero length prefix — terminates the connection
+// server-side; a well-framed request the server cannot act on — an
+// unknown type, a short or malformed body — is answered with
+// CodeBadRequest and the connection stays usable. Idempotence
 // of retried flush_batch commands is NOT a framing concern — it rides on
 // the durable session table's WSN protocol (§III-A2): a client that
 // resends (sid, wsn) after a dropped connection is answered from the
@@ -38,15 +42,18 @@ const (
 	// Requests.
 	MsgOpenSession  = 0x01 // body: empty (default tag) | u8 ver | u8 prio | u8 len | tenant
 	MsgCloseSession = 0x02 // body: sid u64
-	MsgFlushBatch   = 0x03 // body: sid u64 | wsn u64 | batch wire bytes
-	MsgRead         = 0x04 // body: lpid u64
-	MsgStats        = 0x05 // body: empty
-	MsgStatsFull    = 0x06 // body: empty
-	MsgTraceDump    = 0x07 // body: empty
-	// MsgFlushBatchTraced is MsgFlushBatch with a leading trace ID so the
-	// flight recorder can attribute every stage of the batch to the
-	// originating request. Its success response is MsgRespFlushBatch.
-	MsgFlushBatchTraced = 0x08 // body: trace_id u64 | sid u64 | wsn u64 | batch wire bytes
+	// MsgFlushBatchLegacy is the flush body from before the trace ID: no
+	// client sends it any more, the server still decodes it as trace ID 0.
+	MsgFlushBatchLegacy = 0x03 // body: sid u64 | wsn u64 | batch wire bytes
+	MsgRead             = 0x04 // body: lpid u64
+	// 0x05 (stats, JSON core.Stats) is retired: stats_full carries every
+	// number it did. Like any unknown type it is answered CodeBadRequest.
+	MsgStatsFull = 0x06 // body: empty
+	MsgTraceDump = 0x07 // body: empty
+	// MsgFlushBatch is the one flush message. The leading trace ID lets
+	// the flight recorder attribute every stage of the batch to the
+	// originating request; 0 lets the server assign one.
+	MsgFlushBatch = 0x08 // body: trace_id u64 | sid u64 | wsn u64 | batch wire bytes
 	// MsgReadBatch reads many LPIDs in one round trip; the server
 	// scatter-gathers the flash transfers across channels.
 	MsgReadBatch = 0x09 // body: count u32 | lpid u64 × count
@@ -65,7 +72,6 @@ const (
 	MsgRespCloseSession = 0x82 // body: empty
 	MsgRespFlushBatch   = 0x83 // body: highest applied WSN u64
 	MsgRespRead         = 0x84 // body: page bytes
-	MsgRespStats        = 0x85 // body: JSON core.Stats
 	MsgRespStatsFull    = 0x86 // body: binary metrics.Snapshot (EncodeStatsFull)
 	MsgRespTraceDump    = 0x87 // body: binary trace.Dump (EncodeTraceDump)
 	// MsgRespReadBatch carries per-page results: status 0 (ok, followed
@@ -308,29 +314,24 @@ func ParseOpenSession(body []byte) (tenant string, priority uint8, err error) {
 	return tenant, priority, nil
 }
 
-// ParseFlush decodes a flush_batch request body (AppendFlushHead's
-// prefix, then the core.AppendBatch buffer). The returned wire slice
-// aliases body.
-func ParseFlush(body []byte) (sid, wsn uint64, wire []byte, err error) {
-	if len(body) < 16 {
-		return 0, 0, nil, fmt.Errorf("%w: flush header", ErrShortBody)
-	}
-	sid = binary.LittleEndian.Uint64(body)
-	wsn = binary.LittleEndian.Uint64(body[8:])
-	return sid, wsn, body[16:], nil
-}
-
-// ParseFlushTraced decodes a flush_batch_traced request body: the flush
-// body prefixed by the client-chosen trace ID (0 lets the server assign
+// ParseFlush decodes a flush request body of either type byte:
+// AppendFlushHead's prefix, then the core.AppendBatch buffer. The legacy
+// body has no trace ID and decodes as trace ID 0 (the server assigns
 // one). The returned wire slice aliases body.
-func ParseFlushTraced(body []byte) (traceID, sid, wsn uint64, wire []byte, err error) {
-	if len(body) < 24 {
-		return 0, 0, 0, nil, fmt.Errorf("%w: traced flush header", ErrShortBody)
+func ParseFlush(typ byte, body []byte) (traceID, sid, wsn uint64, wire []byte, err error) {
+	n := 8 // trace ID bytes ahead of sid | wsn
+	if typ == MsgFlushBatchLegacy {
+		n = 0
 	}
-	traceID = binary.LittleEndian.Uint64(body)
-	sid = binary.LittleEndian.Uint64(body[8:])
-	wsn = binary.LittleEndian.Uint64(body[16:])
-	return traceID, sid, wsn, body[24:], nil
+	if len(body) < n+16 {
+		return 0, 0, 0, nil, fmt.Errorf("%w: flush header", ErrShortBody)
+	}
+	if n > 0 {
+		traceID = binary.LittleEndian.Uint64(body)
+	}
+	sid = binary.LittleEndian.Uint64(body[n:])
+	wsn = binary.LittleEndian.Uint64(body[n+8:])
+	return traceID, sid, wsn, body[n+16:], nil
 }
 
 // Per-page statuses in a MsgRespReadBatch body.

@@ -94,8 +94,8 @@ func (fw *FrameWriter) WriteFrame(typ byte, body []byte) error {
 // head||tail, without materialising the concatenation: small frames are
 // copied into scratch and written once; for large frames the header and
 // head are copied and the tail rides the vectored write untouched. The
-// split fits flush requests exactly — a small fixed prefix (sid, wsn)
-// ahead of a large borrowed batch buffer.
+// split fits flush requests exactly — a small fixed prefix (trace ID,
+// sid, wsn) ahead of a large borrowed batch buffer.
 func (fw *FrameWriter) WriteFrame2(typ byte, head, tail []byte) error {
 	n := len(head) + len(tail)
 	if n <= vecCopyLimit {
@@ -136,13 +136,10 @@ func AppendErrorBody(dst []byte, code uint16, msg string) []byte {
 }
 
 // AppendFlushHead appends the fixed flush_batch body prefix to dst: the
-// trace ID when traced (the frame type must then be
-// MsgFlushBatchTraced), then sid and wsn. The batch wire bytes travel
+// trace ID (0 = server assigns), sid and wsn. The batch wire bytes travel
 // separately (WriteFrame2 tail).
-func AppendFlushHead(dst []byte, traced bool, traceID, sid, wsn uint64) []byte {
-	if traced {
-		dst = AppendU64(dst, traceID)
-	}
+func AppendFlushHead(dst []byte, traceID, sid, wsn uint64) []byte {
+	dst = AppendU64(dst, traceID)
 	dst = AppendU64(dst, sid)
 	return AppendU64(dst, wsn)
 }

@@ -353,7 +353,7 @@ func TestCoalescingMediaFaultRetry(t *testing.T) {
 		wg.Add(1)
 		go func(w int, c cs) {
 			defer wg.Done()
-			pages := []core.LPage{{LPID: addr.LPID(500 + w), Data: pageData(100 + w, 300)}}
+			pages := []core.LPage{{LPID: addr.LPID(500 + w), Data: pageData(100+w, 300)}}
 			if _, err := c.cl.Flush(c.sid, 2, pages); err != nil {
 				errs <- fmt.Errorf("client %d: %w", w, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"eleos/internal/metrics"
 	"eleos/internal/trace"
 )
 
@@ -40,15 +39,13 @@ func (s *Server) DebugHandler() http.Handler {
 	return mux
 }
 
-// serveMetricsText renders the registry snapshot in Prometheus text
-// exposition format (see WritePrometheus): # HELP/# TYPE headers, the
+// serveMetricsText renders the snapshot stats_full carries in Prometheus
+// text exposition format (see WritePrometheus): # HELP/# TYPE headers, the
 // path-encoded tenant/source/channel dimensions lifted into labels, and
-// the exporter labels (gc.policy) as an eleos_info sample.
+// the snapshot's labels (gc.policy) as an eleos_info sample.
 func (s *Server) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
-	snap := s.ctl.MetricsSnapshot()
-	snap.Labels = append(snap.Labels, metrics.Label{Key: "gc.policy", Value: s.ctl.GCPolicyName()})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, snap)
+	WritePrometheus(w, s.ctl.MetricsSnapshot())
 }
 
 // serveTraceChrome dumps the flight recorder as Chrome trace_event JSON,

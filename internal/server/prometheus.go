@@ -22,23 +22,23 @@ import (
 // Everything else flattens '.' to '_' under the eleos_ namespace;
 // counters get the conventional _total suffix, histograms render as
 // real Prometheus histograms (cumulative le buckets, _sum, _count), and
-// exporter labels (gc.policy) become one eleos_info gauge.
+// the snapshot's labels (gc.policy) become one eleos_info gauge.
 
 // promHelp carries HELP strings for the families worth documenting;
 // families not listed get a generic line.
 var promHelp = map[string]string{
-	"eleos_qos_admitted_bytes_total":    "Bytes admitted through per-tenant QoS admission.",
-	"eleos_qos_throttled_total":         "Admissions delayed by per-tenant rate limiting.",
-	"eleos_qos_inflight_bytes":          "Bytes currently inside a tenant's inflight budget.",
-	"eleos_write_tenant_bytes_total":    "Logical bytes written, attributed to the issuing tenant.",
-	"eleos_write_tenant_pages_total":    "Logical pages written, attributed to the issuing tenant.",
-	"eleos_flash_src_bytes_total":       "Physical bytes programmed, split by traffic source.",
-	"eleos_flash_src_wblocks_total":     "WBLOCK programs, split by traffic source.",
-	"eleos_flash_programmed_bytes_total": "Physical bytes programmed to flash, all sources.",
+	"eleos_qos_admitted_bytes_total":        "Bytes admitted through per-tenant QoS admission.",
+	"eleos_qos_throttled_total":             "Admissions delayed by per-tenant rate limiting.",
+	"eleos_qos_inflight_bytes":              "Bytes currently inside a tenant's inflight budget.",
+	"eleos_write_tenant_bytes_total":        "Logical bytes written, attributed to the issuing tenant.",
+	"eleos_write_tenant_pages_total":        "Logical pages written, attributed to the issuing tenant.",
+	"eleos_flash_src_bytes_total":           "Physical bytes programmed, split by traffic source.",
+	"eleos_flash_src_wblocks_total":         "WBLOCK programs, split by traffic source.",
+	"eleos_flash_programmed_bytes_total":    "Physical bytes programmed to flash, all sources.",
 	"eleos_core_write_bytes_accepted_total": "Logical bytes accepted by the controller write path.",
-	"eleos_core_gc_bytes_moved_total":   "Valid bytes relocated by garbage collection.",
-	"eleos_server_watch_pushes_total":   "stats_full frames pushed to watch_stats subscribers.",
-	"eleos_info":                        "Exporter facts (active GC policy and friends) as labels.",
+	"eleos_core_gc_bytes_moved_total":       "Valid bytes relocated by garbage collection.",
+	"eleos_server_watch_pushes_total":       "stats_full frames pushed to watch_stats subscribers.",
+	"eleos_info":                            "Exporter facts (active GC policy and friends) as labels.",
 }
 
 // promSample is one rendered sample line within a family.

@@ -97,20 +97,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts front-end activity (monotonic; read with Stats()).
+// Stats counts front-end activity. It is a view: Stats() reads each field
+// from the "server.*" instrument named beside it (DESIGN.md §7.1).
 type Stats struct {
-	Accepted      int64 // connections served
-	Rejected      int64 // connections refused at the limit
-	Requests      int64 // frames dispatched
-	Batches       int64 // flush_batch requests applied or deduplicated
-	BadFrames     int64 // connections dropped on malformed input
-	Errors        int64 // RespError frames sent
-	BytesIn       int64 // request frame bytes
-	BytesOut      int64 // response frame bytes
-	PeakInflight  int64 // high-water mark of admitted batch bytes
-	DrainedConns  int64 // connections closed by drain
-	ActiveConns   int64 // currently served connections
-	InflightBytes int64 // currently admitted batch bytes
+	Accepted      int64 // accepted: connections served
+	Rejected      int64 // rejected: connections refused at the limit
+	Requests      int64 // requests: frames dispatched
+	Batches       int64 // batches: flush_batch requests applied or deduplicated
+	BadFrames     int64 // bad_frames: connections dropped on malformed input
+	Errors        int64 // errors: RespError frames sent
+	BytesIn       int64 // bytes_in: request frame bytes
+	BytesOut      int64 // bytes_out: response frame bytes
+	PeakInflight  int64 // peak_inflight_bytes (gauge): high-water mark of admitted batch bytes
+	DrainedConns  int64 // drained_conns: connections closed by drain
+	ActiveConns   int64 // active_conns (gauge): currently served connections
+	InflightBytes int64 // inflight_bytes (gauge): currently admitted batch bytes
 }
 
 // ErrDraining is returned by Serve when the listener was closed by Drain,
@@ -118,9 +119,11 @@ type Stats struct {
 var ErrDraining = errors.New("server: draining")
 
 // srvMetrics holds the front-end's instrument handles, resolved from the
-// controller's registry in New. The counters double-book the mutex-held
-// Stats fields into the shared registry so one stats_full snapshot
-// covers every layer; request_ns times frame-read completion to reply
+// controller's registry in New, so one stats_full snapshot covers every
+// layer. They are the only counter store: Stats() is a view of them.
+// The three gauges move only under s.mu — admission decides on
+// inflightBytes and the connection limit on len(s.conns), which
+// activeConns mirrors. request_ns times frame-read completion to reply
 // written, per request.
 type srvMetrics struct {
 	accepted  *metrics.Counter
@@ -131,11 +134,13 @@ type srvMetrics struct {
 	badFrames *metrics.Counter
 	bytesIn   *metrics.Counter
 	bytesOut  *metrics.Counter
+	drained   *metrics.Counter
 
 	watchPushes *metrics.Counter
 
 	activeConns   *metrics.Gauge
 	inflightBytes *metrics.Gauge
+	peakInflight  *metrics.Gauge
 
 	requestNS *metrics.Histogram
 }
@@ -150,11 +155,13 @@ func newSrvMetrics(reg *metrics.Registry) srvMetrics {
 		badFrames: reg.Counter("server.bad_frames"),
 		bytesIn:   reg.Counter("server.bytes_in"),
 		bytesOut:  reg.Counter("server.bytes_out"),
+		drained:   reg.Counter("server.drained_conns"),
 
 		watchPushes: reg.Counter("server.watch_pushes"),
 
 		activeConns:   reg.Gauge("server.active_conns"),
 		inflightBytes: reg.Gauge("server.inflight_bytes"),
+		peakInflight:  reg.Gauge("server.peak_inflight_bytes"),
 
 		requestNS: reg.Histogram("server.request_ns", metrics.DurationBounds()),
 	}
@@ -179,7 +186,6 @@ type Server struct {
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	draining bool
-	stats    Stats
 }
 
 // New wraps a controller in a network front-end. The server registers
@@ -238,18 +244,15 @@ func (s *Server) Serve(ln net.Listener) error {
 		case s.draining:
 			s.mu.Unlock()
 			s.refuse(conn, netproto.CodeShuttingDown, "server draining")
-		case int(s.stats.ActiveConns) >= s.cfg.MaxConns:
-			s.stats.Rejected++
+		case len(s.conns) >= s.cfg.MaxConns:
 			s.mu.Unlock()
 			s.met.rejected.Inc()
 			s.refuse(conn, netproto.CodeBusy, "connection limit reached")
 		default:
 			s.conns[conn] = struct{}{}
-			s.stats.Accepted++
-			s.stats.ActiveConns++
+			s.met.activeConns.Add(1)
 			s.mu.Unlock()
 			s.met.accepted.Inc()
-			s.met.activeConns.Add(1)
 			go s.handle(conn)
 		}
 	}
@@ -265,11 +268,25 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Stats snapshots the front-end counters.
+// Stats returns the front-end counters. Reads are atomic loads of the
+// instrument handles — no lock — so fields are each current, not a
+// consistent cut.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	m := &s.met
+	return Stats{
+		Accepted:      m.accepted.Value(),
+		Rejected:      m.rejected.Value(),
+		Requests:      m.requests.Value(),
+		Batches:       m.batches.Value(),
+		BadFrames:     m.badFrames.Value(),
+		Errors:        m.errors.Value(),
+		BytesIn:       m.bytesIn.Value(),
+		BytesOut:      m.bytesOut.Value(),
+		PeakInflight:  m.peakInflight.Value(),
+		DrainedConns:  m.drained.Value(),
+		ActiveConns:   m.activeConns.Value(),
+		InflightBytes: m.inflightBytes.Value(),
+	}
 }
 
 // QoSStats snapshots per-tenant admission accounting (nil when QoS is
@@ -313,7 +330,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	idle := make(chan struct{})
 	go func() {
 		s.mu.Lock()
-		for s.stats.ActiveConns > 0 {
+		for len(s.conns) > 0 {
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
@@ -399,13 +416,12 @@ func (s *Server) handle(conn net.Conn) {
 		cn.stopWatcher()
 		s.mu.Lock()
 		delete(s.conns, conn)
-		s.stats.ActiveConns--
+		s.met.activeConns.Add(-1)
 		if s.draining {
-			s.stats.DrainedConns++
+			s.met.drained.Inc()
 		}
 		s.cond.Broadcast()
 		s.mu.Unlock()
-		s.met.activeConns.Add(-1)
 	}()
 	for {
 		s.mu.Lock()
@@ -428,9 +444,6 @@ func (s *Server) handle(conn net.Conn) {
 			// EOF and deadline pokes are routine; anything else malformed
 			// costs the peer its connection.
 			if !isExpectedReadErr(err) {
-				s.mu.Lock()
-				s.stats.BadFrames++
-				s.mu.Unlock()
 				s.met.badFrames.Inc()
 			}
 			return
@@ -440,13 +453,8 @@ func (s *Server) handle(conn net.Conn) {
 		// stats_full snapshot therefore includes the request that fetched
 		// it in requests/bytes_in but not in bytes_out/request_ns.
 		t0 := time.Now()
-		inBytes := int64(5 + len(body))
-		s.mu.Lock()
-		s.stats.Requests++
-		s.stats.BytesIn += inBytes
-		s.mu.Unlock()
 		s.met.requests.Inc()
-		s.met.bytesIn.Add(inBytes)
+		s.met.bytesIn.Add(int64(5 + len(body)))
 		rtyp, rhead, rtail := s.dispatch(cn, typ, body)
 		// Every borrower of the request's bytes (batch decode, the group
 		// write's page views, the flash programs) finished inside
@@ -467,11 +475,7 @@ func (s *Server) handle(conn net.Conn) {
 			go s.watchLoop(conn, cn, cn.pendingWatch, w.stop, w.done)
 			cn.pendingWatch = 0
 		}
-		outBytes := int64(5 + len(rhead) + len(rtail))
-		s.mu.Lock()
-		s.stats.BytesOut += outBytes
-		s.mu.Unlock()
-		s.met.bytesOut.Add(outBytes)
+		s.met.bytesOut.Add(int64(5 + len(rhead) + len(rtail)))
 		s.met.requestNS.ObserveDuration(time.Since(t0))
 		s.trc.Span(trace.KRequest, 0, cid, 0, t0, int64(typ), int64(len(body)))
 	}
@@ -485,12 +489,6 @@ func isExpectedReadErr(err error) bool {
 	}
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func (s *Server) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
 }
 
 // dispatch executes one request and builds its reply frame as a
@@ -522,15 +520,8 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 		}
 		return netproto.MsgRespCloseSession, nil, nil
 
-	case netproto.MsgFlushBatch:
-		sid, wsn, wire, err := netproto.ParseFlush(body)
-		if err != nil {
-			return s.badRequest(cn, err)
-		}
-		return s.flush(cn, sid, wsn, 0, wire)
-
-	case netproto.MsgFlushBatchTraced:
-		traceID, sid, wsn, wire, err := netproto.ParseFlushTraced(body)
+	case netproto.MsgFlushBatch, netproto.MsgFlushBatchLegacy:
+		traceID, sid, wsn, wire, err := netproto.ParseFlush(typ, body)
 		if err != nil {
 			return s.badRequest(cn, err)
 		}
@@ -549,13 +540,6 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 			return s.badRequest(cn, err)
 		}
 		return s.readBatch(cn, lpids)
-
-	case netproto.MsgStats:
-		raw, err := json.Marshal(s.ctl.Stats())
-		if err != nil {
-			return s.errFrame(cn, err)
-		}
-		return netproto.MsgRespStats, raw, nil
 
 	case netproto.MsgStatsFull:
 		return netproto.MsgRespStatsFull, netproto.EncodeStatsFull(s.statsPayload()), nil
@@ -590,12 +574,10 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 }
 
 // statsPayload assembles one stats_full body's worth of telemetry: the
-// cross-layer instrument snapshot, the exporter labels, and the device
-// health census taken alongside it.
+// cross-layer instrument snapshot (labels included) and the device health
+// census taken alongside it.
 func (s *Server) statsPayload() netproto.StatsFull {
-	snap := s.ctl.MetricsSnapshot()
-	snap.Labels = append(snap.Labels, metrics.Label{Key: "gc.policy", Value: s.ctl.GCPolicyName()})
-	return netproto.StatsFull{Snap: snap, Health: s.ctl.DeviceHealth()}
+	return netproto.StatsFull{Snap: s.ctl.MetricsSnapshot(), Health: s.ctl.DeviceHealth()}
 }
 
 // watchLoop is one connection's watch_stats pusher: every interval it
@@ -625,21 +607,17 @@ func (s *Server) watchLoop(conn net.Conn, cn *connState, intervalMS uint32, stop
 			_ = conn.Close()
 			return
 		}
-		out := int64(5 + len(body))
-		s.mu.Lock()
-		s.stats.BytesOut += out
-		s.mu.Unlock()
-		s.met.bytesOut.Add(out)
+		s.met.bytesOut.Add(int64(5 + len(body)))
 		s.met.watchPushes.Inc()
 	}
 }
 
 // flush admits the batch under the in-flight byte bound, applies it, and
 // acknowledges the session's highest applied WSN (which, for a retried
-// stale WSN, is the dedup re-ACK of §III-A2). traceID 0 (a plain
-// flush_batch, or a traced one from a client that declined to pick an
-// ID) gets a server-assigned ID so the slow-batch log and the flight
-// recorder can still name the batch.
+// stale WSN, is the dedup re-ACK of §III-A2). traceID 0 (the client
+// declined to pick an ID, or sent the legacy body that has none) gets a
+// server-assigned ID so the slow-batch log and the flight recorder can
+// still name the batch.
 func (s *Server) flush(cn *connState, sid, wsn, traceID uint64, wire []byte) (byte, []byte, []byte) {
 	if traceID == 0 {
 		traceID = s.trc.NewTraceID()
@@ -678,9 +656,6 @@ func (s *Server) flush(cn *connState, sid, wsn, traceID uint64, wire []byte) (by
 	if err != nil {
 		return s.errFrame(cn, err)
 	}
-	s.mu.Lock()
-	s.stats.Batches++
-	s.mu.Unlock()
 	s.met.batches.Inc()
 	var highest uint64
 	if sid != 0 {
@@ -820,12 +795,11 @@ func (s *Server) admit(n int64) error {
 		if s.draining {
 			return ErrDraining
 		}
-		if s.stats.InflightBytes+n <= s.cfg.MaxInflightBytes || s.stats.InflightBytes == 0 {
-			s.stats.InflightBytes += n
-			if s.stats.InflightBytes > s.stats.PeakInflight {
-				s.stats.PeakInflight = s.stats.InflightBytes
-			}
+		if cur := s.met.inflightBytes.Value(); cur+n <= s.cfg.MaxInflightBytes || cur == 0 {
 			s.met.inflightBytes.Add(n)
+			if cur+n > s.met.peakInflight.Value() {
+				s.met.peakInflight.Set(cur + n)
+			}
 			return nil
 		}
 		s.cond.Wait()
@@ -834,10 +808,9 @@ func (s *Server) admit(n int64) error {
 
 func (s *Server) release(n int64) {
 	s.mu.Lock()
-	s.stats.InflightBytes -= n
+	s.met.inflightBytes.Add(-n)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.met.inflightBytes.Add(-n)
 }
 
 func (s *Server) errFrame(cn *connState, err error) (byte, []byte, []byte) {
@@ -849,9 +822,6 @@ func (s *Server) badRequest(cn *connState, err error) (byte, []byte, []byte) {
 }
 
 func (s *Server) errCode(cn *connState, code uint16, msg string) (byte, []byte, []byte) {
-	s.mu.Lock()
-	s.stats.Errors++
-	s.mu.Unlock()
 	s.met.errors.Inc()
 	cn.scratch = netproto.AppendErrorBody(cn.scratch[:0], code, msg)
 	return netproto.MsgRespError, cn.scratch, nil

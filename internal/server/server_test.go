@@ -16,7 +16,9 @@ import (
 	"eleos/internal/client"
 	"eleos/internal/core"
 	"eleos/internal/flash"
+	"eleos/internal/netproto"
 	"eleos/internal/server"
+	"eleos/internal/trace"
 )
 
 func testGeometry() flash.Geometry {
@@ -523,6 +525,82 @@ func TestHostileFrames(t *testing.T) {
 	}
 }
 
+// TestLegacyFlushAndRetiredStats drives raw frames down one connection.
+// The legacy 0x03 flush body (no trace ID) applies and is acknowledged
+// exactly like 0x08 with trace ID 0 — its replay is the same stale re-ACK
+// — a body short of either header and the retired 0x05 stats request are
+// answered CodeBadRequest like any request the server cannot act on, and
+// none of it costs the connection.
+func TestLegacyFlushAndRetiredStats(t *testing.T) {
+	ctl, _, srv, addrStr, _ := startServer(t, server.Config{})
+	sid, err := ctl.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dialRaw(t, addrStr)
+	fw := netproto.NewFrameWriter(conn)
+	flushBody := func(wsn uint64, lpid addr.LPID) []byte {
+		wire := core.EncodeBatch([]core.LPage{{LPID: lpid, Data: []byte(fmt.Sprintf("page %d", lpid))}})
+		return append(netproto.AppendFlushHead(nil, 0, sid, wsn), wire...)
+	}
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		body    []byte
+		wantAck uint64 // highest applied WSN acknowledged; 0 = want CodeBadRequest
+	}{
+		{"flush_batch, trace ID 0", netproto.MsgFlushBatch, flushBody(1, 50), 1},
+		{"legacy 0x03", netproto.MsgFlushBatchLegacy, flushBody(2, 51)[8:], 2},
+		{"legacy 0x03 replayed", netproto.MsgFlushBatchLegacy, flushBody(2, 51)[8:], 2},
+		{"flush_batch replayed", netproto.MsgFlushBatch, flushBody(1, 50), 2},
+		{"flush_batch one byte short of its header", netproto.MsgFlushBatch, flushBody(3, 52)[:23], 0},
+		{"legacy 0x03 one byte short of its header", netproto.MsgFlushBatchLegacy, flushBody(3, 52)[8:23], 0},
+		{"retired stats 0x05", 0x05, nil, 0},
+	} {
+		if err := fw.WriteFrame(tc.typ, tc.body); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		typ, body, err := netproto.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.wantAck == 0 {
+			if re, _ := netproto.ParseError(body); typ != netproto.MsgRespError || re == nil || re.Code != netproto.CodeBadRequest {
+				t.Fatalf("%s: reply type 0x%02x %v, want CodeBadRequest", tc.name, typ, re)
+			}
+			continue
+		}
+		if ack, err := netproto.ParseU64(body); typ != netproto.MsgRespFlushBatch || err != nil || ack != tc.wantAck {
+			t.Fatalf("%s: reply type 0x%02x ack %d (%v), want flush ack %d", tc.name, typ, ack, err, tc.wantAck)
+		}
+	}
+	for _, lpid := range []addr.LPID{50, 51} {
+		got, err := ctl.Read(lpid)
+		if want := []byte(fmt.Sprintf("page %d", lpid)); err != nil || !bytes.HasPrefix(got, want) {
+			t.Fatalf("lpid %d = %q, %v; want %q", lpid, got, err, want)
+		}
+	}
+	if ok, _ := ctl.Exists(52); ok {
+		t.Fatal("a flush with a short header was applied")
+	}
+	if st := ctl.Stats(); st.BatchesWritten != 2 || st.StaleWrites != 2 {
+		t.Fatalf("controller wrote %d batches and re-ACKed %d, want 2 and 2", st.BatchesWritten, st.StaleWrites)
+	}
+	// Both applied flushes got a server-assigned trace ID.
+	traced := make(map[uint64]bool)
+	for _, ev := range ctl.TraceDump().Events {
+		if ev.Kind == trace.KInstall {
+			traced[ev.TraceID] = true
+		}
+	}
+	if len(traced) != 2 || traced[0] {
+		t.Fatalf("install spans carry trace IDs %v, want two server-assigned ones", traced)
+	}
+	if st := srv.Stats(); st.BadFrames != 0 || st.Errors != 3 || st.ActiveConns != 1 {
+		t.Fatalf("front-end stats %+v, want 3 error replies on a connection still open", st)
+	}
+}
+
 // TestReadErrorsMapToSentinels: a missing LPID crosses the wire as
 // core.ErrNotFound and is not retried.
 func TestReadErrorsMapToSentinels(t *testing.T) {
@@ -572,7 +650,7 @@ func TestDrainIdle(t *testing.T) {
 	}
 }
 
-// TestStatsOverWire round-trips controller stats as JSON.
+// TestStatsOverWire reads the controller's counters over stats_full.
 func TestStatsOverWire(t *testing.T) {
 	_, _, _, addrStr, _ := startServer(t, server.Config{})
 	cl, err := client.Dial(addrStr, fastOpts(6))
@@ -582,11 +660,11 @@ func TestStatsOverWire(t *testing.T) {
 	if _, err := cl.Flush(0, 0, []core.LPage{{LPID: 9, Data: []byte("counted")}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.ControllerStats()
+	sf, err := cl.StatsFull()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.BatchesWritten != 1 || st.PagesWritten != 1 {
-		t.Fatalf("stats over wire: %+v", st)
+	if b, p := sf.Snap.Counter("core.write.batches"), sf.Snap.Counter("core.write.pages"); b != 1 || p != 1 {
+		t.Fatalf("stats over wire: %d batches, %d pages, want 1 and 1", b, p)
 	}
 }
