@@ -584,8 +584,8 @@ func renderTop(target string, prev, cur netproto.StatsFull, dt time.Duration) st
 	fmt.Fprintf(&sb, "   interval=%s\n\n", dt.Round(time.Millisecond))
 	fmt.Fprintf(&sb, "write   %8.2f MB/s user  %8.2f MB/s flash   WAF %5.2f  pad %4.1f%%   %7.0f batches/s %9.0f pages/s\n",
 		r.UserMBps, r.FlashMBps, r.WAF, 100*r.PadFrac, r.BatchesPS, r.PagesPS)
-	fmt.Fprintf(&sb, "gc      %8s moved  %4d eblocks freed   efficiency %s/eblock\n",
-		fmtBytes(r.GCMovedBytes), r.GCFreed, fmtBytes(int64(r.GCEfficiency)))
+	fmt.Fprintf(&sb, "gc      %8s moved  %4d eblocks freed   efficiency %s/eblock   read amp %.1f×\n",
+		fmtBytes(r.GCMovedBytes), r.GCFreed, fmtBytes(int64(r.GCEfficiency)), r.GCReadAmp)
 	fmt.Fprintf(&sb, "read    %8.0f reads/s   cache hit %5.1f%%\n", r.ReadsPS, 100*r.CacheHitRate)
 	if r.ThrottledPS > 0 {
 		fmt.Fprintf(&sb, "qos     %8.0f throttled/s\n", r.ThrottledPS)

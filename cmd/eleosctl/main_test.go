@@ -203,7 +203,8 @@ func TestPrintMetricsTable(t *testing.T) {
 // watchFixture builds a pair of stats_full payloads 1s apart with known
 // deltas so renderTop's rate math is pinned exactly: 1 MB/s user,
 // 2 MB/s flash (WAF 2.00), 1.25 MB of user-source programs for the 1 MB
-// stored (pad 20.0%), 10 batches/s, and one reclaimed EBLOCK.
+// stored (pad 20.0%), 10 batches/s, and one reclaimed EBLOCK whose 1 MB of
+// survivors took 1.75 MB of media reads to move.
 func watchFixture() (prev, cur netproto.StatsFull) {
 	build := func(user, flash, batches, moved, freed int64) netproto.StatsFull {
 		reg := metrics.New()
@@ -214,6 +215,7 @@ func watchFixture() (prev, cur netproto.StatsFull) {
 		reg.Counter("core.write.batches").Add(batches)
 		reg.Counter("core.write.pages").Add(batches * 4)
 		reg.Counter("core.gc.bytes_moved").Add(moved)
+		reg.Counter("core.gc.bytes_read").Add(moved * 7 / 4)
 		reg.Counter("core.gc.eblocks_freed").Add(freed)
 		reg.Counter("read.reads").Add(batches)
 		reg.Counter("read.cache_hits").Add(batches - 20)
@@ -257,6 +259,7 @@ func TestRenderTop(t *testing.T) {
 		"10 batches/s",    // Δ10 over 1s
 		"1 eblocks freed", // Δ1
 		"1.0 MB moved",    // Δ1 MB GC traffic
+		"read amp 1.8×",   // Δ1.75 MB transferred to move it
 		"throttled/s",     // nonzero throttle delta renders the qos line
 		"space:  free 64.0 MB  valid 48.0 MB  dead 16.0 MB",
 		"eblocks: 64 total  32 free  4 open  26 used  1 bad  1 reserved",

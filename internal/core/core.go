@@ -201,6 +201,7 @@ type Stats struct {
 	GCRounds         int64 // core.gc.rounds
 	GCPagesMoved     int64 // core.gc.pages_moved
 	GCBytesMoved     int64 // core.gc.bytes_moved
+	GCBytesRead      int64 // core.gc.bytes_read: media bytes transferred to move them (read amplification)
 	GCEBlocksFreed   int64 // core.gc.eblocks_freed
 	GCMetaUnreadable int64 // core.gc.meta_unreadable
 	Migrations       int64 // core.migrations
@@ -483,6 +484,7 @@ func (c *Controller) Stats() Stats {
 		GCRounds:         m.gcRounds.Value(),
 		GCPagesMoved:     m.gcPagesMoved.Value(),
 		GCBytesMoved:     m.gcBytesMoved.Value(),
+		GCBytesRead:      m.gcBytesRead.Value(),
 		GCEBlocksFreed:   m.gcFreed.Value(),
 		GCMetaUnreadable: m.gcMetaUnreadable.Value(),
 		Migrations:       m.migrations.Value(),

@@ -229,6 +229,7 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 		return nil, err
 	}
 	c.met.readRBlocks.Add(int64(nR))
+	c.met.gcBytesRead.Add(int64(nR * c.geo.RBlockBytes))
 	return summary.DecodeMetaBlock(raw)
 }
 
@@ -322,8 +323,9 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 		valid[i], valid[j] = valid[j], valid[i]
 	}
 
-	// Read each valid page straight into its place in one pooled move
-	// buffer of exactly their total size. The deferred release runs after
+	// One gather read puts each valid page straight into its place in one
+	// pooled move buffer of exactly their total size, transferring an RBLOCK
+	// that neighbours share once. The deferred release runs after
 	// executeIOsLocked has waited for the programs that read it.
 	total := 0
 	for _, v := range valid {
@@ -335,17 +337,20 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 	buf := pb.Bytes()
 	bps := make([]provision.BatchPage, 0, len(valid))
 	olds := make([]addr.PhysAddr, 0, len(valid))
+	segs := make([]flash.ReadSeg, 0, len(valid))
 	off := 0
 	for _, v := range valid {
-		nR, err := c.dev.ReadInto(buf[off:off+v.e.Length], ch, eb, v.e.Offset)
-		if err != nil {
-			return err
-		}
-		c.met.readRBlocks.Add(int64(nR))
+		segs = append(segs, flash.ReadSeg{Off: v.e.Offset, Dst: buf[off : off+v.e.Length]})
 		bps = append(bps, provision.BatchPage{LPID: v.e.LPID, Type: v.e.Type, Length: v.e.Length, BufOff: off})
 		olds = append(olds, v.old)
 		off += v.e.Length
 	}
+	nR, err := c.dev.ReadGather(ch, eb, segs)
+	if err != nil {
+		return err
+	}
+	c.met.readRBlocks.Add(int64(nR))
+	c.met.gcBytesRead.Add(int64(nR * c.geo.RBlockBytes))
 
 	// System action: same code path as user writes (§VI-C).
 	hint := c.lsnHint()
@@ -358,7 +363,7 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 	c.active[id] = hint
 	lsns, err := c.logPlanLocked(id, plan, olds)
 	if err != nil {
-		delete(c.active, id)
+		c.abortActionLocked(id, plan)
 		return err
 	}
 	failed := c.executeIOsLocked(buf, plan, flash.SrcGC)

@@ -10,6 +10,7 @@ import (
 	"eleos/internal/addr"
 	"eleos/internal/flash"
 	"eleos/internal/summary"
+	"eleos/internal/wal"
 )
 
 // TestWearLevelling verifies that free-EBLOCK selection (lowest erase
@@ -337,6 +338,58 @@ func TestEraseLimitMarksBad(t *testing.T) {
 			t.Fatalf("lpid %d truncated", lp)
 		}
 	}
+}
+
+// killLog forces the log while every program fails: the page's home slot
+// and both forward candidates are exhausted (the §VIII-A shutdown case) and
+// every later append returns wal.ErrLogDead. The controller must have
+// unforced records buffered, which any committed write leaves behind.
+func killLog(t *testing.T, c *Controller, dev *flash.Device) {
+	t.Helper()
+	dev.SetFailureProbability(1.0, 1)
+	c.mu.Lock()
+	err := c.forceLog()
+	c.mu.Unlock()
+	dev.SetFailureProbability(0, 0)
+	if !errors.Is(err, wal.ErrLogDead) || !c.log.Dead() {
+		t.Fatalf("force under failing programs = %v, log dead %v", err, c.log.Dead())
+	}
+}
+
+// TestLogDeathAbortsRelocation: a relocation whose init-phase logging fails
+// after its plan was provisioned aborts like a user write in the same spot —
+// no active-table entry left to pin truncation, the plan's bytes counted
+// reclaimable, core.aborted_actions moved — and the pass reports the error
+// and leaves the victim alone: not erased, every page still readable.
+func TestLogDeathAbortsRelocation(t *testing.T) {
+	c, dev, version := halfDeadController(t, 600, 1)
+	c.mu.Lock()
+	victim, ok := c.selectVictimLocked(0, false)
+	c.mu.Unlock()
+	if !ok {
+		t.Fatal("no victim on channel 0")
+	}
+	killLog(t, c, dev)
+	before, erases := c.Stats(), dev.Stats().EraseAttempts
+
+	if err := c.GCNow(0); !errors.Is(err, wal.ErrLogDead) {
+		t.Fatalf("GCNow on a dead log = %v, want wal.ErrLogDead", err)
+	}
+	if n := c.ActiveActions(); n != 0 {
+		t.Errorf("%d actions left in the active table", n)
+	}
+	after := c.Stats()
+	if after.AbortedActions != before.AbortedActions+1 || after.GCBytesRead == before.GCBytesRead {
+		t.Errorf("aborted actions %d -> %d, gc bytes read %d -> %d: want one abort after the victim was read",
+			before.AbortedActions, after.AbortedActions, before.GCBytesRead, after.GCBytesRead)
+	}
+	if after.GCPagesMoved != before.GCPagesMoved || after.GCEBlocksFreed != before.GCEBlocksFreed || dev.Stats().EraseAttempts != erases {
+		t.Errorf("the failed pass moved, freed or erased something: %+v", after)
+	}
+	if d, err := c.st.Desc(0, victim); err != nil || d.State != summary.Used {
+		t.Errorf("victim (0,%d) is %v after the failed pass (%v), want used", victim, d.State, err)
+	}
+	checkRelocContent(t, c, version, 1)
 }
 
 // TestLogDeathLeavesReadsWorking exhausts all three forward candidates of

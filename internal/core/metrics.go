@@ -37,6 +37,7 @@ type coreMetrics struct {
 	gcVictims        *metrics.Counter
 	gcPagesMoved     *metrics.Counter
 	gcBytesMoved     *metrics.Counter
+	gcBytesRead      *metrics.Counter // media bytes GC transferred: relocation gathers and flushed-metadata reads
 	gcFreed          *metrics.Counter
 	gcErrors         *metrics.Counter // errors GC passes met (relocation, erase, log)
 	gcMetaUnreadable *metrics.Counter
@@ -93,6 +94,7 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		gcVictims:        reg.Counter("core.gc.victim_selections"),
 		gcPagesMoved:     reg.Counter("core.gc.pages_moved"),
 		gcBytesMoved:     reg.Counter("core.gc.bytes_moved"),
+		gcBytesRead:      reg.Counter("core.gc.bytes_read"),
 		gcFreed:          reg.Counter("core.gc.eblocks_freed"),
 		gcErrors:         reg.Counter("core.gc.errors"),
 		gcMetaUnreadable: reg.Counter("core.gc.meta_unreadable"),

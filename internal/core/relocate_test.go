@@ -152,6 +152,82 @@ func TestRelocationStraddlesBlocksUnderPoison(t *testing.T) {
 	checkRelocContent(t, c2, version, 1)
 }
 
+// TestRelocationReadsEachRBlockOnce: a victim's survivors alternate with
+// dead pages, so they share RBLOCKs without being adjacent. The pass
+// transfers the union of the RBLOCKs covering them — computed here from the
+// tables, before the pass — plus the victim's flushed metadata when no
+// in-memory copy is left: fewer than one read per page would, and exactly
+// what core.gc.bytes_read reports.
+func TestRelocationReadsEachRBlockOnce(t *testing.T) {
+	c, dev, version := halfDeadController(t, 600, 1)
+	r := c.geo.RBlockBytes
+	for pass := 0; pass < 4; pass++ { // a different victim each time
+		c.mu.Lock()
+		victim, ok := c.selectVictimLocked(0, false)
+		if !ok {
+			c.mu.Unlock()
+			t.Fatalf("pass %d: no victim on channel 0", pass)
+		}
+		// Valid is what the tables still point at: user pages through the
+		// mapping, the few table pages a checkpoint put here through theirs.
+		d, _ := c.st.Desc(0, victim)
+		meta := 0
+		if len(c.st.Meta(0, victim)) == 0 {
+			meta = int(d.MetaWBlocks) * c.geo.WBlockBytes / r
+		}
+		entries, err := c.readMetaLocked(0, victim, d)
+		if err != nil {
+			c.mu.Unlock()
+			t.Fatal(err)
+		}
+		covered := make([]bool, c.geo.RBlocksPerEBlock())
+		seen := make(map[int]bool)
+		var pages, union, perPage int
+		for _, e := range entries {
+			cur, err := c.currentAddrLocked(e)
+			if err != nil {
+				c.mu.Unlock()
+				t.Fatal(err)
+			}
+			if want, err := addr.Pack(0, victim, e.Offset, e.Length); err != nil || cur != want || seen[e.Offset] {
+				continue
+			}
+			seen[e.Offset] = true
+			pages++
+			for rb := e.Offset / r; rb <= (e.Offset+e.Length-1)/r; rb++ {
+				perPage++
+				if !covered[rb] {
+					covered[rb] = true
+					union++
+				}
+			}
+		}
+		c.mu.Unlock()
+		if pages < 8 || union >= perPage {
+			t.Fatalf("pass %d: victim (0,%d) holds %d valid pages over %d RBLOCKs, %d read page by page: the layout tests nothing",
+				pass, victim, pages, union, perPage)
+		}
+
+		before, media := c.Stats(), dev.Stats()
+		if err := c.GCNow(0); err != nil {
+			t.Fatalf("GCNow: %v", err)
+		}
+		after := c.Stats()
+		if moved := after.GCPagesMoved - before.GCPagesMoved; moved != int64(pages) {
+			t.Fatalf("pass %d: moved %d pages, the mapping had %d in (0,%d)", pass, moved, pages, victim)
+		}
+		got := dev.Stats().RBlocksRead - media.RBlocksRead
+		if got != int64(union+meta) {
+			t.Errorf("pass %d: %d RBLOCKs transferred for victim (0,%d); want %d covering %d pages + %d of metadata (page by page: %d)",
+				pass, got, victim, union, pages, meta, perPage)
+		}
+		if gc, all := after.GCBytesRead-before.GCBytesRead, after.ReadRBlocks-before.ReadRBlocks; gc != got*int64(r) || all != got {
+			t.Errorf("pass %d: core.gc.bytes_read moved by %d, read.rblocks by %d; the device transferred %d RBLOCKs", pass, gc, all, got)
+		}
+	}
+	checkRelocContent(t, c, version, 1)
+}
+
 // TestRelocationFaultReleasesMoveBuffer: a program fault in the middle of
 // a relocation aborts the GC action and migrates the failed EBLOCK; every
 // move buffer taken on the way — the aborted action's and the migration's —

@@ -31,6 +31,7 @@ var statsInstrument = map[string]string{
 	"GCRounds":         "core.gc.rounds",
 	"GCPagesMoved":     "core.gc.pages_moved",
 	"GCBytesMoved":     "core.gc.bytes_moved",
+	"GCBytesRead":      "core.gc.bytes_read",
 	"GCEBlocksFreed":   "core.gc.eblocks_freed",
 	"GCMetaUnreadable": "core.gc.meta_unreadable",
 	"Migrations":       "core.migrations",

@@ -576,42 +576,69 @@ func (d *Device) ProgramSrc(src Source, ch, eb, wb int, data []byte) error {
 	return nil
 }
 
-// ReadInto is the one media read: it fills dst with the EBLOCK's bytes
-// [off, off+len(dst)) and returns the number of covering RBLOCKs it
-// transferred — the paper's §V read path, charged per RBLOCK to the
-// channel's virtual time, the wall-latency emulation and Stats. Every byte
-// of dst is written: unprogrammed WBLOCKs and the tail past a short program
-// read as zeroes, so dst may be a dirty pooled buffer. It allocates nothing.
-func (d *Device) ReadInto(dst []byte, ch, eb, off int) (rblocks int, err error) {
+// ReadSeg is one extent of a gather read: Dst receives the EBLOCK's bytes
+// [Off, Off+len(Dst)).
+type ReadSeg struct {
+	Off int
+	Dst []byte
+}
+
+// ReadGather is the one media read: it fills every segment's Dst with its
+// extent of the EBLOCK and returns the number of RBLOCKs it transferred —
+// the union of the RBLOCKs covering the segments, each charged once to the
+// channel's virtual time, the wall-latency emulation and Stats (the paper's
+// §V read path). Segments are ascending and non-overlapping; all are checked
+// before anything is written or charged. Every byte of every Dst is written:
+// unprogrammed WBLOCKs and the tail past a short program read as zeroes, so
+// a Dst may be a dirty pooled buffer. It allocates nothing.
+func (d *Device) ReadGather(ch, eb int, segs []ReadSeg) (rblocks int, err error) {
 	if err := d.checkAddr(ch, eb); err != nil {
 		return 0, err
 	}
-	if len(dst) == 0 || off < 0 || off+len(dst) > d.geo.EBlockBytes {
-		return 0, fmt.Errorf("%w: extent [%d,%d)", ErrOutOfRange, off, off+len(dst))
+	if len(segs) == 0 {
+		return 0, fmt.Errorf("%w: empty gather", ErrOutOfRange)
 	}
-	n := (off+len(dst)-1)/d.geo.RBlockBytes - off/d.geo.RBlockBytes + 1
+	r := d.geo.RBlockBytes
+	n, end := 0, 0 // RBLOCKs in the union so far; first byte past the last segment
+	for _, s := range segs {
+		if len(s.Dst) == 0 || s.Off < end || len(s.Dst) > d.geo.EBlockBytes-s.Off {
+			return 0, fmt.Errorf("%w: extent [%d,+%d) after byte %d", ErrOutOfRange, s.Off, len(s.Dst), end)
+		}
+		// Ascending, so the RBLOCKs up to the one holding byte end-1 are counted.
+		n += (s.Off+len(s.Dst)-1)/r - max(s.Off/r, (end+r-1)/r) + 1
+		end = s.Off + len(s.Dst)
+	}
 	w := d.geo.WBlockBytes
 	cs := &d.channels[ch]
 	cs.mu.Lock()
 	ebs := &cs.eblocks[eb]
-	for rest := dst; len(rest) > 0; { // one WBLOCK's share of dst per step
-		wb, lo := off/w, off%w
-		seg := rest[:min(len(rest), w-lo)]
-		copied := 0
-		if wb < ebs.nextWBlock && lo < len(ebs.wblocks[wb]) {
-			copied = copy(seg, ebs.wblocks[wb][lo:])
+	for _, s := range segs {
+		for rest, off := s.Dst, s.Off; len(rest) > 0; { // one WBLOCK's share of Dst per step
+			wb, lo := off/w, off%w
+			part := rest[:min(len(rest), w-lo)]
+			copied := 0
+			if wb < ebs.nextWBlock && lo < len(ebs.wblocks[wb]) {
+				copied = copy(part, ebs.wblocks[wb][lo:])
+			}
+			clear(part[copied:])
+			rest, off = rest[len(part):], off+len(part)
 		}
-		clear(seg[copied:])
-		rest, off = rest[len(seg):], off+len(seg)
 	}
 	cs.busy += time.Duration(n) * d.lat.ReadRBlock
 	d.wallWait(time.Duration(n) * d.lat.ReadRBlock)
 	cs.mu.Unlock()
 	d.statsMu.Lock()
 	d.stats.RBlocksRead += int64(n)
-	d.stats.BytesRead += int64(n * d.geo.RBlockBytes)
+	d.stats.BytesRead += int64(n * r)
 	d.statsMu.Unlock()
 	return n, nil
+}
+
+// ReadInto is the one-segment gather: dst receives the EBLOCK's bytes
+// [off, off+len(dst)).
+func (d *Device) ReadInto(dst []byte, ch, eb, off int) (rblocks int, err error) {
+	segs := [1]ReadSeg{{Off: off, Dst: dst}}
+	return d.ReadGather(ch, eb, segs[:])
 }
 
 // ReadRBlocks reads n consecutive RBLOCKs starting at RBLOCK index start

@@ -182,6 +182,181 @@ func TestReadIntoAllocFree(t *testing.T) {
 	}
 }
 
+// randomSegs draws 1–40 ascending extents of the EBLOCK: gaps of zero
+// (adjacent), a few bytes (RBLOCK-sharing) or several RBLOCKs, lengths from
+// one byte to past a WBLOCK, starting anywhere — the unprogrammed tail
+// included. Every Dst is a poisoned slice of its own.
+func randomSegs(rng *rand.Rand, g Geometry) []ReadSeg {
+	var segs []ReadSeg
+	off := rng.Intn(g.EBlockBytes)
+	if rng.Intn(3) > 0 {
+		off = rng.Intn(7 * g.WBlockBytes) // mostly in and around the programmed prefix
+	}
+	for want := 1 + rng.Intn(40); len(segs) < want && off < g.EBlockBytes; {
+		var length int
+		switch rng.Intn(4) {
+		case 0:
+			length = 1 + rng.Intn(64)
+		case 1:
+			length = 1 + rng.Intn(2*g.RBlockBytes) // a page
+		case 2:
+			length = g.RBlockBytes * (1 + rng.Intn(3)) // RBLOCK multiples
+		default:
+			length = 1 + rng.Intn(g.WBlockBytes+g.RBlockBytes) // may span a whole WBLOCK
+		}
+		length = min(length, g.EBlockBytes-off)
+		segs = append(segs, ReadSeg{Off: off, Dst: bytes.Repeat([]byte{0xDB}, length)})
+		off += length
+		switch rng.Intn(3) {
+		case 1:
+			off += 1 + rng.Intn(g.RBlockBytes/2)
+		case 2:
+			off += rng.Intn(3 * g.RBlockBytes)
+		}
+	}
+	return segs
+}
+
+// unionRBlocks marks each segment's covering RBLOCKs in a bitmap and counts
+// the marks.
+func unionRBlocks(g Geometry, segs []ReadSeg) int {
+	covered := make([]bool, g.RBlocksPerEBlock())
+	n := 0
+	for _, s := range segs {
+		for r := s.Off / g.RBlockBytes; r <= (s.Off+len(s.Dst)-1)/g.RBlockBytes; r++ {
+			if !covered[r] {
+				covered[r] = true
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestReadGatherMatchesReference: over random segment sets, every Dst gets
+// the bytes the reference reads for its extent, and the return value, Stats
+// and the channel's virtual time each move by exactly the bitmap-computed
+// union of covering RBLOCKs — an RBLOCK two segments share is charged once.
+func TestReadGatherMatchesReference(t *testing.T) {
+	ref, dev := mixedEBlockDevice(t), mixedEBlockDevice(t)
+	g := dev.Geometry()
+	rng := rand.New(rand.NewSource(29))
+	var gathered, perSeg int
+	for i := 0; i < 3000; i++ {
+		segs := randomSegs(rng, g)
+		union := unionRBlocks(g, segs)
+		before, busy := dev.Stats(), dev.ChannelTime(1)
+		n, err := dev.ReadGather(1, 2, segs)
+		if err != nil || n != union {
+			t.Fatalf("set %d (%d segments from %d): %d rblocks, %v; want %d", i, len(segs), segs[0].Off, n, err, union)
+		}
+		after := dev.Stats()
+		if d := after.RBlocksRead - before.RBlocksRead; d != int64(union) || after.BytesRead-before.BytesRead != d*int64(g.RBlockBytes) {
+			t.Fatalf("set %d: Stats moved by %d rblocks, %d bytes; want %d", i, d, after.BytesRead-before.BytesRead, union)
+		}
+		if d := dev.ChannelTime(1) - busy; d != time.Duration(union)*7*time.Microsecond {
+			t.Fatalf("set %d: channel time moved by %v for %d rblocks", i, d, union)
+		}
+		for _, s := range segs {
+			want, wantN, err := refReadExtent(ref, 1, 2, s.Off, len(s.Dst))
+			if err != nil || !bytes.Equal(s.Dst, want) {
+				t.Fatalf("set %d: segment [%d,+%d) differs from the reference (%v)", i, s.Off, len(s.Dst), err)
+			}
+			perSeg += wantN
+		}
+		gathered += union
+	}
+	if after := dev.Stats(); after.RBlocksRead != int64(gathered) || gathered >= perSeg {
+		t.Fatalf("gathers transferred %d rblocks, counted %d, per-segment reads %d: nothing was shared", after.RBlocksRead, gathered, perSeg)
+	}
+	for _, ch := range []int{0, 2, 3} {
+		if dev.ChannelTime(ch) != 0 {
+			t.Fatalf("channel %d was charged", ch)
+		}
+	}
+}
+
+// TestReadGatherOneSegmentIsReadInto: a one-segment gather and ReadInto
+// agree in bytes, count, ledger and error, for good and bad extents alike.
+func TestReadGatherOneSegmentIsReadInto(t *testing.T) {
+	a, b := mixedEBlockDevice(t), mixedEBlockDevice(t)
+	g := a.Geometry()
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 500; i++ {
+		off := rng.Intn(g.EBlockBytes+64) - 32
+		length := rng.Intn(2 * g.WBlockBytes)
+		da, db := bytes.Repeat([]byte{0xDB}, length), bytes.Repeat([]byte{0xDB}, length)
+		na, errA := a.ReadInto(da, 1, 2, off)
+		nb, errB := b.ReadGather(1, 2, []ReadSeg{{Off: off, Dst: db}})
+		if na != nb || !bytes.Equal(da, db) || fmt.Sprint(errA) != fmt.Sprint(errB) {
+			t.Fatalf("[%d,+%d): ReadInto (%d, %v), one-segment gather (%d, %v)", off, length, na, errA, nb, errB)
+		}
+	}
+	if a.Stats() != b.Stats() || a.ChannelTime(1) != b.ChannelTime(1) || a.Stats().RBlocksRead == 0 {
+		t.Fatalf("ledgers diverge: %+v %v, %+v %v", a.Stats(), a.ChannelTime(1), b.Stats(), b.ChannelTime(1))
+	}
+}
+
+// TestReadGatherRejectsMalformedSets: a set with an empty Dst, an overlap,
+// a descending pair or an extent past the EBLOCK, an empty set and a bad
+// address each fail with ErrOutOfRange before anything happens — no Dst byte
+// written (the good segments ahead of the bad one included), nothing charged.
+func TestReadGatherRejectsMalformedSets(t *testing.T) {
+	dev := mixedEBlockDevice(t)
+	g := dev.Geometry()
+	seg := func(off, length int) ReadSeg {
+		return ReadSeg{Off: off, Dst: bytes.Repeat([]byte{0xDB}, length)}
+	}
+	for name, c := range map[string]struct {
+		ch, eb int
+		segs   []ReadSeg
+	}{
+		"empty list":      {1, 2, nil},
+		"empty dst":       {1, 2, []ReadSeg{seg(0, 100), seg(200, 0), seg(300, 8)}},
+		"only empty dst":  {1, 2, []ReadSeg{seg(64, 0)}},
+		"overlap":         {1, 2, []ReadSeg{seg(0, 100), seg(99, 10)}},
+		"same offset":     {1, 2, []ReadSeg{seg(4096, 8), seg(4096, 8)}},
+		"descending":      {1, 2, []ReadSeg{seg(8192, 64), seg(100, 64)}},
+		"negative offset": {1, 2, []ReadSeg{seg(-1, 8)}},
+		"past the eblock": {1, 2, []ReadSeg{seg(0, 64), seg(g.EBlockBytes-4, 8)}},
+		"at the end":      {1, 2, []ReadSeg{seg(g.EBlockBytes, 1)}},
+		"bad channel":     {g.Channels, 2, []ReadSeg{seg(0, 64)}},
+		"bad eblock":      {1, -1, []ReadSeg{seg(0, 64)}},
+	} {
+		n, err := dev.ReadGather(c.ch, c.eb, c.segs)
+		if !errors.Is(err, ErrOutOfRange) || n != 0 {
+			t.Errorf("%s: (%d, %v), want ErrOutOfRange", name, n, err)
+		}
+		for _, s := range c.segs {
+			if bytes.Count(s.Dst, []byte{0xDB}) != len(s.Dst) {
+				t.Errorf("%s: a rejected gather wrote segment [%d,+%d)", name, s.Off, len(s.Dst))
+			}
+		}
+	}
+	if s := dev.Stats(); s != (Stats{}) || dev.MediaTime() != 0 {
+		t.Fatalf("rejected gathers were charged: %+v, %v", s, dev.MediaTime())
+	}
+}
+
+// TestReadGatherAllocFree: a gather over a caller-owned segment list
+// allocates nothing, whatever its segments cover.
+func TestReadGatherAllocFree(t *testing.T) {
+	d := mixedEBlockDevice(t)
+	g := d.Geometry()
+	segs := []ReadSeg{{Off: g.WBlockBytes - 100, Dst: make([]byte, 3*g.WBlockBytes)}}
+	for len(segs) < 40 { // pages 700 bytes apart, out into the unprogrammed WBLOCKs
+		last := segs[len(segs)-1]
+		segs = append(segs, ReadSeg{Off: last.Off + len(last.Dst) + 700, Dst: make([]byte, 1920)})
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := d.ReadGather(1, 2, segs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ReadGather allocates: %v allocs/op", n)
+	}
+}
+
 // TestSubmitReadsExactLength: a queued read's result is a slice of exactly
 // the extent's length, so a holder (the read cache) retains what it charges.
 func TestSubmitReadsExactLength(t *testing.T) {

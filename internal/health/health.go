@@ -154,6 +154,7 @@ type Report struct {
 	GCMovedBytes int64
 	GCFreed      int64
 	GCEfficiency float64 // valid bytes relocated per EBLOCK reclaimed
+	GCReadAmp    float64 // Δcore.gc.bytes_read / GCMovedBytes: media bytes transferred per byte relocated
 
 	// Read path.
 	ReadsPS      float64
@@ -208,6 +209,7 @@ func Compute(prev, cur metrics.Snapshot, dt time.Duration) Report {
 	r.GCMovedBytes = delta("core.gc.bytes_moved")
 	r.GCFreed = delta("core.gc.eblocks_freed")
 	r.GCEfficiency = Ratio(r.GCMovedBytes, r.GCFreed)
+	r.GCReadAmp = Ratio(delta("core.gc.bytes_read"), r.GCMovedBytes)
 	r.ReadsPS = rate(delta("read.reads"))
 	hits := delta("read.cache_hits")
 	misses := delta("read.cache_misses")

@@ -73,6 +73,7 @@ func TestCompute(t *testing.T) {
 		reg.Counter("read.cache_hits").Add(hits)
 		reg.Counter("read.cache_misses").Add(misses)
 		reg.Counter("core.gc.bytes_moved").Add(flash / 4)
+		reg.Counter("core.gc.bytes_read").Add(flash * 3 / 8)
 		reg.Counter("core.gc.eblocks_freed").Add(flash / (1 << 20))
 		reg.Counter("qos.a.throttled").Add(thrA)
 		reg.Counter("qos.b.c.throttled").Add(thrB) // dotted tenant
@@ -102,6 +103,10 @@ func TestCompute(t *testing.T) {
 	if r.CacheHitRate != 0.75 {
 		t.Fatalf("CacheHitRate = %v", r.CacheHitRate)
 	}
+	// Δmoved 1 MB out of Δ4 reclaimed EBLOCKs, for Δ1.5 MB of media reads.
+	if r.GCMovedBytes != 1<<20 || r.GCEfficiency != 1<<18 || r.GCReadAmp != 1.5 {
+		t.Fatalf("gc: moved %d, %v per EBLOCK, read amp %v", r.GCMovedBytes, r.GCEfficiency, r.GCReadAmp)
+	}
 	// Δthrottled (2 + 3) over 2s.
 	if r.ThrottledPS != 2.5 {
 		t.Fatalf("ThrottledPS = %v", r.ThrottledPS)
@@ -110,7 +115,7 @@ func TestCompute(t *testing.T) {
 	// A counter reset (cur < prev, e.g. recovery swapped registries)
 	// clamps to zero instead of going negative.
 	r = Compute(cur, prev, time.Second)
-	if r.UserBytes != 0 || r.FlashBytes != 0 || r.WAF != 0 || r.PadFrac != 0 {
+	if r.UserBytes != 0 || r.FlashBytes != 0 || r.WAF != 0 || r.PadFrac != 0 || r.GCReadAmp != 0 {
 		t.Fatalf("reset not clamped: %+v", r)
 	}
 }

@@ -37,6 +37,7 @@ var promHelp = map[string]string{
 	"eleos_flash_programmed_bytes_total":    "Physical bytes programmed to flash, all sources.",
 	"eleos_core_write_bytes_accepted_total": "Logical bytes accepted by the controller write path.",
 	"eleos_core_gc_bytes_moved_total":       "Valid bytes relocated by garbage collection.",
+	"eleos_core_gc_bytes_read_total":        "Media bytes transferred by garbage collection's relocation and metadata reads.",
 	"eleos_server_watch_pushes_total":       "stats_full frames pushed to watch_stats subscribers.",
 	"eleos_info":                            "Exporter facts (active GC policy and friends) as labels.",
 }
