@@ -224,13 +224,15 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 		return nil, fmt.Errorf("core: eblock (%d,%d) has no metadata", ch, eb)
 	}
 	w := c.geo.WBlockBytes
-	raw, nR, err := c.dev.ReadExtent(ch, eb, int(d.DataWBlocks)*w, int(d.MetaWBlocks)*w)
+	raw := bufpool.Get(int(d.MetaWBlocks) * w) // decoded into fresh entries, so pooled
+	defer raw.Release()
+	nR, err := c.dev.ReadInto(raw.Bytes(), ch, eb, int(d.DataWBlocks)*w)
 	if err != nil {
 		return nil, err
 	}
 	c.met.readRBlocks.Add(int64(nR))
 	c.met.gcBytesRead.Add(int64(nR * c.geo.RBlockBytes))
-	return summary.DecodeMetaBlock(raw)
+	return summary.DecodeMetaBlock(raw.Bytes())
 }
 
 // currentAddrLocked returns the authoritative current address for a TAG,

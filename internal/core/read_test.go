@@ -178,36 +178,73 @@ func TestCacheInvalidatedOnOverwrite(t *testing.T) {
 	}
 }
 
+// TestCacheCoherentAcrossGC: a GC relocation that moves a cached page
+// drops its cache entry at the install (the coherence rule is uniform: any
+// mapping change invalidates), so the next read loads the new location
+// from flash and returns the page byte for byte, while a cached page GC
+// did not move is still served from the cache.
 func TestCacheCoherentAcrossGC(t *testing.T) {
-	c, _ := newFormattedCfg(t, cachedConfig())
-	// Warm the cache, then churn overwrites until GC relocates, then
-	// verify every surviving page re-reads exactly.
+	c, dev := newFormattedCfg(t, cachedConfig())
 	const keep = 8
-	for i := 1; i <= keep; i++ {
-		mustWrite(t, c, LPage{LPID: addr.LPID(i), Data: pageContent(uint64(i), 1, 2000)})
-		if _, err := c.Read(addr.LPID(i)); err != nil {
-			t.Fatalf("warm Read(%d): %v", i, err)
+	where := func(lpid addr.LPID) addr.PhysAddr {
+		t.Helper()
+		a, err := c.mt.Get(lpid)
+		if err != nil || !a.IsValid() {
+			t.Fatalf("mapping of %d: %v %v", lpid, a, err)
 		}
+		return a
 	}
-	for v := uint64(1); v < 40; v++ {
-		for i := 0; i < 8; i++ {
-			lpid := addr.LPID(100 + i)
-			if err := c.WriteBatch(0, 0, []LPage{{LPID: lpid, Data: pageContent(uint64(lpid), v, 8000)}}); err != nil {
-				t.Fatalf("churn write: %v", err)
-			}
-		}
-	}
-	if c.Stats().GCEBlocksFreed == 0 {
-		t.Skipf("churn did not trigger GC in this geometry")
-	}
-	for i := 1; i <= keep; i++ {
-		want := pageContent(uint64(i), 1, 2000)
-		got, err := c.Read(addr.LPID(i))
+	// readFromFlash reads the page, checks it, and reports whether the
+	// read went to the device.
+	readFromFlash := func(lpid addr.LPID) bool {
+		t.Helper()
+		before := dev.Stats().RBlocksRead
+		want := pageContent(uint64(lpid), 1, 2000)
+		got, err := c.Read(lpid)
 		if err != nil {
-			t.Fatalf("post-GC Read(%d): %v", i, err)
+			t.Fatalf("Read(%d): %v", lpid, err)
 		}
 		if !bytes.Equal(got[:len(want)], want) {
-			t.Fatalf("post-GC Read(%d) content differs", i)
+			t.Fatalf("Read(%d) content differs", lpid)
+		}
+		return dev.Stats().RBlocksRead != before
+	}
+	var home [keep + 1]addr.PhysAddr
+	for i := addr.LPID(1); i <= keep; i++ {
+		mustWrite(t, c, LPage{LPID: i, Data: pageContent(uint64(i), 1, 2000)})
+		home[i] = where(i)
+		if !readFromFlash(i) || readFromFlash(i) {
+			t.Fatalf("warming page %d: the first read must load from flash and the second hit the cache", i)
+		}
+	}
+	// Churn eight other pages until the device fills and GC, collecting the
+	// EBLOCKs the cached pages share with dead churn versions, relocates
+	// at least one of them.
+	moved := func() (n int) {
+		for i := addr.LPID(1); i <= keep; i++ {
+			if where(i) != home[i] {
+				n++
+			}
+		}
+		return n
+	}
+	for flush := 0; moved() == 0; flush++ {
+		if flush == 4000 {
+			t.Fatalf("4 000 churn flushes (%d EBLOCKs freed by GC) relocated no cached page", c.Stats().GCEBlocksFreed)
+		}
+		lpid := addr.LPID(100 + flush%8)
+		if err := c.WriteBatch(0, 0, []LPage{{LPID: lpid, Data: pageContent(uint64(lpid), uint64(flush), 8000)}}); err != nil {
+			t.Fatalf("churn write: %v", err)
+		}
+	}
+	t.Logf("GC relocated %d of the %d cached pages (%d EBLOCKs freed, %d pages moved)", moved(), keep, c.Stats().GCEBlocksFreed, c.Stats().GCPagesMoved)
+	for i := addr.LPID(1); i <= keep; i++ {
+		relocated := where(i) != home[i]
+		if fromFlash := readFromFlash(i); fromFlash != relocated {
+			t.Fatalf("page %d: relocated=%v but read from flash=%v (a relocated page's cache entry must be dropped at the install, an unmoved one kept)", i, relocated, fromFlash)
+		}
+		if readFromFlash(i) {
+			t.Fatalf("page %d: the read after the reload missed the cache again", i)
 		}
 	}
 }

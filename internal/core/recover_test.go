@@ -8,6 +8,7 @@ import (
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
+	"eleos/internal/summary"
 )
 
 func reopen(t *testing.T, dev *flash.Device) *Controller {
@@ -411,4 +412,52 @@ func TestManyCheckpointsCycleArea(t *testing.T) {
 	c2 := reopen(t, dev)
 	mustWrite(t, c2, LPage{LPID: 100, Data: pageContent(100, 1, 128)})
 	checkRead(t, c2, 100, pageContent(100, 1, 128))
+}
+
+// TestFreeCountMatchesScanAcrossRecovery: FreeFraction reads the summary
+// table's per-channel free counter, which recovery must rebuild through
+// the same transitions it replays (DropVolatile, the checkpointed summary
+// pages, redo of opens, closes and erases). It has to equal a scan of the
+// descriptors on every channel: while GC frees EBLOCKs under churn, after
+// a checkpoint, and after Crash → Open.
+func TestFreeCountMatchesScanAcrossRecovery(t *testing.T) {
+	check := func(c *Controller, when string) {
+		t.Helper()
+		for ch := 0; ch < c.geo.Channels; ch++ {
+			free := 0
+			for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
+				if d, _ := c.st.Desc(ch, eb); d.State == summary.Free {
+					free++
+				}
+			}
+			if want := float64(free) / float64(c.geo.EBlocksPerChannel); c.FreeFraction(ch) != want {
+				t.Fatalf("%s: FreeFraction(%d) = %v, a scan of the descriptors gives %v (%d free)", when, ch, c.FreeFraction(ch), want, free)
+			}
+		}
+	}
+	c, dev := newFormatted(t)
+	check(c, "after Format")
+	// One 8 KB page per flush programs a data WBLOCK and a log WBLOCK: the
+	// 16 MB device is full, and GC running, well inside 1 000 flushes.
+	for i := 0; c.Stats().GCEBlocksFreed < 8; i++ {
+		if i == 1000 {
+			t.Fatalf("1 000 flushes freed %d EBLOCKs: the counter was hardly ever incremented", c.Stats().GCEBlocksFreed)
+		}
+		lp := uint64(i%10 + 1)
+		mustWrite(t, c, LPage{LPID: addr.LPID(lp), Data: pageContent(lp, uint64(i), 8000)})
+		if i == 150 {
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%25 == 0 {
+			check(c, "under churn")
+		}
+	}
+	check(c, "before the crash")
+	c.Crash()
+	c2 := reopen(t, dev)
+	check(c2, "after recovery")
+	mustWrite(t, c2, LPage{LPID: 1, Data: pageContent(1, 999, 8000)})
+	check(c2, "after a post-recovery write")
 }

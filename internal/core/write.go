@@ -450,7 +450,7 @@ func (c *Controller) writeUser(a *action) error {
 
 	// Install phase: publish the new addresses, record old versions as
 	// garbage, and advance the session.
-	var garbage []record.AddrPair
+	garbage := make([]record.AddrPair, 0, len(a.plan.Pages))
 	for i, pg := range a.plan.Pages {
 		old, err := c.mt.Get(pg.LPID)
 		if err != nil {
@@ -491,9 +491,7 @@ func (c *Controller) writeUser(a *action) error {
 		c.met.groupWrites.Inc()
 		c.met.groupedFlushes.Add(int64(len(a.subs)))
 	}
-	for _, bp := range a.bps {
-		c.met.bytesStored.Add(int64(bp.Length))
-	}
+	c.met.bytesStored.Add(int64(len(a.buf))) // the aligned pages, back to back
 	c.met.installNS.ObserveDuration(time.Since(tInstall))
 	c.met.batches.Add(int64(len(a.subs)))
 	c.met.pages.Add(totalPages)

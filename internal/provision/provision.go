@@ -252,19 +252,27 @@ func (p *Provisioner) MaxLPageBytes() int {
 
 // --- planning primitives ---------------------------------------------------
 
-// chanPlanner provisions one channel chunk against a scratch view.
+// chanPlanner plans one ProvisionBatch/ProvisionGC call, a channel chunk at
+// a time (loadCursor, then place), against a read-only summary table. The
+// open EBLOCK is a cursor, the count of entries the table holds for it and
+// the entries this plan adds: planning costs O(pages placed), whatever the
+// EBLOCK's fill.
 type chanPlanner struct {
 	p      *Provisioner
-	ch     int
 	stream record.StreamKind
 	bucket uint64 // GC bucket timestamp (stream == StreamGC)
 	clock  func() uint64
-	free   []int // remaining free eblocks (wear order)
+	plan   *Plan
+	metas  []summary.MetaEntry // the TAG of each plan.Pages entry, same order
+	runs   []summary.MetaRun   // metas cut by destination EBLOCK
+	finals []finalCursor       // where each chunk left its channel
+
+	ch     int   // current chunk's channel
+	free   []int // remaining free eblocks (wear order); nil until the first openFresh
 	cur    int   // current eblock (-1 none)
 	dataWB int   // provisioned data wblocks in cur
-	meta   []summary.MetaEntry
-
-	plan *Plan
+	base   int   // entries the summary table holds for cur
+	delta  int   // metas[delta:] are this plan's entries in cur
 	// current run
 	runActive   bool
 	runStartWB  int
@@ -272,12 +280,15 @@ type chanPlanner struct {
 	runEndBuf   int
 }
 
+// finalCursor is a channel's open EBLOCK after its chunk (eb -1: none).
+type finalCursor struct{ ch, eb, dataWB int }
+
 func (c *chanPlanner) wbytes() int { return c.p.geo.WBlockBytes }
 
-// loadCursor initialises the planner from the provisioner's open EBLOCK for
-// the stream (if any).
-func (c *chanPlanner) loadCursor() error {
-	c.cur = -1
+// loadCursor starts the chunk on channel ch from the provisioner's open
+// EBLOCK for the stream (if any).
+func (c *chanPlanner) loadCursor(ch int) error {
+	c.ch, c.cur, c.free = ch, -1, nil
 	var eb int
 	switch c.stream {
 	case record.StreamUser:
@@ -305,7 +316,7 @@ func (c *chanPlanner) loadCursor() error {
 	}
 	c.cur = eb
 	c.dataWB = int(d.DataWBlocks)
-	c.meta = c.p.st.Meta(c.ch, eb)
+	c.base = c.p.st.MetaLen(c.ch, eb)
 	return nil
 }
 
@@ -340,7 +351,7 @@ func (c *chanPlanner) fits(ebOff, length int) bool {
 		return false
 	}
 	dataWBEnd := (dataEnd + c.wbytes() - 1) / c.wbytes()
-	return dataWBEnd+c.p.metaWBlocksFor(len(c.meta)+1) <= c.p.geo.WBlocksPerEBlock()
+	return dataWBEnd+c.p.metaWBlocksFor(c.base+len(c.metas)-c.delta+1) <= c.p.geo.WBlocksPerEBlock()
 }
 
 // endRun finalises the active run: emits its data IOs, advances the data
@@ -370,11 +381,22 @@ func (c *chanPlanner) endRun() {
 	c.runActive = false
 }
 
+// cutRun hands the entries this plan added to cur over to applyLocked.
+func (c *chanPlanner) cutRun() {
+	if c.delta < len(c.metas) {
+		c.runs = append(c.runs, summary.MetaRun{Channel: c.ch, EBlock: c.cur, Entries: c.metas[c.delta:]})
+	}
+	c.delta = len(c.metas)
+}
+
 // closeCur finalises and closes the current EBLOCK, scheduling its
-// metadata flush as the trailing I/O commands.
+// metadata flush as the trailing I/O commands. Only here does the whole
+// entry list exist: the table's entries and the plan's, copied once.
 func (c *chanPlanner) closeCur() {
 	c.endRun()
-	metaImg := summary.EncodeMetaBlock(c.meta)
+	meta := c.p.st.MetaWith(c.ch, c.cur, c.metas[c.delta:])
+	c.cutRun()
+	metaImg := summary.EncodeMetaBlock(meta)
 	w := c.wbytes()
 	metaWB := (len(metaImg) + w - 1) / w
 	for k := 0; k < metaWB; k++ {
@@ -393,11 +415,10 @@ func (c *chanPlanner) closeCur() {
 	c.plan.Closes = append(c.plan.Closes, CloseEvent{
 		Channel: c.ch, EBlock: c.cur, Timestamp: ts,
 		DataWBlocks: c.dataWB, MetaWBlocks: metaWB, TailFrag: tail,
-		Meta: append([]summary.MetaEntry(nil), c.meta...),
+		Meta: meta,
 	})
 	c.cur = -1
 	c.dataWB = 0
-	c.meta = nil
 }
 
 // openFresh takes the next free EBLOCK for the stream. Non-GC streams
@@ -408,6 +429,9 @@ func (c *chanPlanner) openFresh() error {
 	if c.stream != record.StreamGC {
 		reserve = c.p.cfg.GCReserveEBlocks
 	}
+	if c.free == nil {
+		c.free = c.p.st.FreeList(c.ch)
+	}
 	if len(c.free) <= reserve {
 		return fmt.Errorf("%w: channel %d", ErrNoSpace, c.ch)
 	}
@@ -415,7 +439,7 @@ func (c *chanPlanner) openFresh() error {
 	c.free = c.free[1:]
 	c.cur = eb
 	c.dataWB = 0
-	c.meta = nil
+	c.base = 0
 	ev := OpenEvent{Channel: c.ch, EBlock: eb, Stream: c.stream}
 	if c.stream == record.StreamGC {
 		ev.Timestamp = c.bucket
@@ -457,7 +481,7 @@ func (c *chanPlanner) place(pages []BatchPage) error {
 					return err
 				}
 				c.plan.Pages = append(c.plan.Pages, PlacedPage{LPID: pg.LPID, Type: pg.Type, Addr: a, BufOff: pg.BufOff})
-				c.meta = append(c.meta, summary.MetaEntry{LPID: pg.LPID, Type: pg.Type, Offset: ebOff, Length: pg.Length})
+				c.metas = append(c.metas, summary.MetaEntry{LPID: pg.LPID, Type: pg.Type, Offset: ebOff, Length: pg.Length})
 				c.runEndBuf = pg.BufOff + pg.Length
 				break
 			}
@@ -467,10 +491,24 @@ func (c *chanPlanner) place(pages []BatchPage) error {
 		}
 	}
 	c.endRun()
+	c.cutRun()
+	c.finals = append(c.finals, finalCursor{c.ch, c.cur, c.dataWB})
 	return nil
 }
 
 // --- public planning entry points -----------------------------------------
+
+// newPlanner starts a plan for n pages expected to program about nwb
+// WBLOCKs (closes and run splits add a few), sizing what it gathers once.
+func (p *Provisioner) newPlanner(stream record.StreamKind, bucket uint64, clock func() uint64, n, nwb int) *chanPlanner {
+	return &chanPlanner{
+		p: p, stream: stream, bucket: bucket, clock: clock,
+		plan:   &Plan{Pages: make([]PlacedPage, 0, n), IOs: make([]IO, 0, nwb)},
+		metas:  make([]summary.MetaEntry, 0, n),
+		runs:   make([]summary.MetaRun, 0, min(nwb, p.geo.Channels)+1),
+		finals: make([]finalCursor, 0, min(nwb, p.geo.Channels)),
+	}
+}
 
 // ProvisionBatch plans placement for a user write buffer across all
 // channels (global + channel tiers). clock supplies the update-sequence
@@ -483,24 +521,17 @@ func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsn
 		return &Plan{}, nil
 	}
 	chunks, nwb := p.partition(pages)
-	plan := &Plan{}
-	finals := make(map[int]*chanPlanner)
+	c := p.newPlanner(record.StreamUser, 0, clock, len(pages), nwb)
 	for i, chunk := range chunks {
-		ch := (p.rotate + i) % p.geo.Channels
-		c := &chanPlanner{p: p, ch: ch, stream: record.StreamUser, clock: clock, free: p.st.FreeList(ch), plan: plan}
-		if err := c.loadCursor(); err != nil {
+		if err := c.loadCursor((p.rotate + i) % p.geo.Channels); err != nil {
 			return nil, err
 		}
 		if err := c.place(chunk); err != nil {
 			return nil, err
 		}
-		finals[ch] = c
 	}
 	p.rotate = (p.rotate + nwb) % p.geo.Channels
-	if err := p.applyLocked(plan, finals, record.StreamUser, lsnHint); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return p.applyLocked(c, lsnHint)
 }
 
 // ProvisionGC plans placement for a GC (or migration) buffer within one
@@ -509,12 +540,11 @@ func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsn
 func (p *Provisioner) ProvisionGC(ch int, pages []BatchPage, srcTS uint64, clock func() uint64, lsnHint record.LSN) (*Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	plan := &Plan{}
 	if len(pages) == 0 {
-		return plan, nil
+		return &Plan{}, nil
 	}
-	c := &chanPlanner{p: p, ch: ch, stream: record.StreamGC, bucket: srcTS, clock: clock, free: p.st.FreeList(ch), plan: plan}
-	if err := c.loadCursor(); err != nil {
+	c := p.newPlanner(record.StreamGC, srcTS, clock, len(pages), min(len(pages), p.geo.WBlocksPerEBlock()))
+	if err := c.loadCursor(ch); err != nil {
 		return nil, err
 	}
 	// Respect the bucket cap: if we have no cursor and the channel is at
@@ -523,69 +553,59 @@ func (p *Provisioner) ProvisionGC(ch int, pages []BatchPage, srcTS uint64, clock
 	if err := c.place(pages); err != nil {
 		return nil, err
 	}
-	if err := p.applyLocked(plan, map[int]*chanPlanner{ch: c}, record.StreamGC, lsnHint); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return p.applyLocked(c, lsnHint)
 }
 
 // applyLocked commits a successful plan to the summary table and cursors.
-func (p *Provisioner) applyLocked(plan *Plan, finals map[int]*chanPlanner, stream record.StreamKind, lsn record.LSN) error {
+func (p *Provisioner) applyLocked(c *chanPlanner, lsn record.LSN) (*Plan, error) {
+	plan := c.plan
 	for _, ev := range plan.Opens {
 		dtrace("apply open (%d,%d) stream=%v", ev.Channel, ev.EBlock, ev.Stream)
 		if err := p.st.OpenEBlock(ev.Channel, ev.EBlock, ev.Stream, lsn); err != nil {
-			return err
+			return nil, err
 		}
 		if ev.Stream == record.StreamGC {
 			if err := p.st.SetTimestamp(ev.Channel, ev.EBlock, ev.Timestamp, lsn); err != nil {
-				return err
+				return nil, err
 			}
 			p.gcOpen[ev.Channel] = append(p.gcOpen[ev.Channel], gcBucket{eb: ev.EBlock, ts: ev.Timestamp})
 		}
 	}
-	for _, pg := range plan.Pages {
-		if err := p.st.AppendMeta(pg.Addr.Channel(), pg.Addr.EBlock(), summary.MetaEntry{
-			LPID: pg.LPID, Type: pg.Type, Offset: pg.Addr.Offset(), Length: pg.Addr.Length(),
-		}); err != nil {
-			return err
-		}
+	if err := p.st.AppendMetaRuns(c.runs); err != nil {
+		return nil, err
 	}
 	for _, f := range plan.Frags {
 		if err := p.st.AddAvail(f.Channel, f.EBlock, f.Bytes, lsn); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for _, cl := range plan.Closes {
 		if err := p.st.SetDataWBlocks(cl.Channel, cl.EBlock, cl.DataWBlocks, lsn); err != nil {
-			return err
+			return nil, err
 		}
 		dtrace("apply close (%d,%d)", cl.Channel, cl.EBlock)
 		if err := p.st.CloseEBlock(cl.Channel, cl.EBlock, cl.Timestamp, cl.MetaWBlocks, lsn); err != nil {
-			return fmt.Errorf("provision: apply close (cursor was %v): %w", cl, err)
+			return nil, fmt.Errorf("provision: apply close (cursor was %v): %w", cl, err)
 		}
 		if cl.TailFrag > 0 {
 			if err := p.st.AddAvail(cl.Channel, cl.EBlock, cl.TailFrag, lsn); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		p.dropCursor(cl.Channel, cl.EBlock)
 	}
-	for ch, c := range finals {
-		if c.cur >= 0 {
-			if err := p.st.SetDataWBlocks(ch, c.cur, c.dataWB, lsn); err != nil {
-				return err
+	for _, f := range c.finals {
+		if f.eb >= 0 {
+			if err := p.st.SetDataWBlocks(f.ch, f.eb, f.dataWB, lsn); err != nil {
+				return nil, err
 			}
-			switch stream {
-			case record.StreamUser:
-				p.userOpen[ch] = c.cur
-			case record.StreamGC:
-				// Bucket membership handled in Opens; nothing further.
-			}
-		} else if stream == record.StreamUser {
-			p.userOpen[ch] = -1
+		}
+		// GC bucket membership is handled in Opens; nothing further.
+		if c.stream == record.StreamUser {
+			p.userOpen[f.ch] = f.eb
 		}
 	}
-	return nil
+	return plan, nil
 }
 
 func (p *Provisioner) dropCursor(ch, eb int) {

@@ -2,7 +2,10 @@ package provision
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"eleos/internal/addr"
@@ -187,41 +190,155 @@ func TestEBlockCloseOnOverflow(t *testing.T) {
 	}
 }
 
+// TestMetadataDescribesAllPages: the entry list an EBLOCK closes with is,
+// in append order, every page any plan ever placed in it; the summary table
+// keeps returning that same list until ClearMeta; and the close's inline
+// metadata I/O commands decode to it.
 func TestMetadataDescribesAllPages(t *testing.T) {
 	e := newEnv(t)
-	w := e.geo.WBlockBytes
-	var close *CloseEvent
-	total := 0
-	for i := 0; i < 40 && close == nil; i++ {
-		plan, err := e.p.ProvisionBatch(contiguousPages(w), e.clock, 1)
+	if err := e.st.Reserve(0, 0); err != nil { // as core does; 64 bytes at (0,0,0) do not pack
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	placed := map[[2]int][]summary.MetaEntry{} // every page each plan put in (ch, eb), in plan order
+	nextLPID := addr.LPID(1)
+	for batch := 0; ; batch++ {
+		if batch == 200 {
+			t.Fatal("200 batches closed no EBLOCK")
+		}
+		sizes := make([]int, 1+rng.Intn(40))
+		for i := range sizes {
+			sizes[i] = 64 * (1 + rng.Intn(64)) // 64 B .. 4 KB
+		}
+		pages := contiguousPages(sizes...)
+		for i := range pages {
+			pages[i].LPID = nextLPID
+			nextLPID++
+		}
+		plan, err := e.p.ProvisionBatch(pages, e.clock, record.LSN(batch+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pg := range plan.Pages {
-			if pg.Addr.Channel() == 0 && pg.Addr.EBlock() == plan.Pages[0].Addr.EBlock() {
-				_ = pg
+			k := [2]int{pg.Addr.Channel(), pg.Addr.EBlock()}
+			placed[k] = append(placed[k], summary.MetaEntry{LPID: pg.LPID, Type: pg.Type, Offset: pg.Addr.Offset(), Length: pg.Addr.Length()})
+		}
+		if len(plan.Closes) == 0 {
+			continue
+		}
+		for _, cl := range plan.Closes {
+			want := placed[[2]int{cl.Channel, cl.EBlock}]
+			if len(want) < 2 {
+				t.Fatalf("close %+v: the test placed %d pages there", cl, len(want))
+			}
+			if !reflect.DeepEqual(cl.Meta, want) {
+				t.Fatalf("close of (%d,%d) carries\n %+v\nwant every page placed there, in order:\n %+v", cl.Channel, cl.EBlock, cl.Meta, want)
+			}
+			if got := e.st.Meta(cl.Channel, cl.EBlock); !reflect.DeepEqual(got, want) {
+				t.Fatalf("summary table holds %+v for the closed (%d,%d), want the close's list", got, cl.Channel, cl.EBlock)
+			}
+			var img []byte
+			for _, io := range plan.IOs {
+				if io.Inline != nil && io.Channel == cl.Channel && io.EBlock == cl.EBlock {
+					if io.WBlock != cl.DataWBlocks+len(img)/e.geo.WBlockBytes {
+						t.Fatalf("metadata IO at wblock %d, want %d", io.WBlock, cl.DataWBlocks+len(img)/e.geo.WBlockBytes)
+					}
+					img = append(img, io.Inline...)
+				}
+			}
+			decoded, err := summary.DecodeMetaBlock(img)
+			if err != nil {
+				t.Fatalf("inline metadata of (%d,%d): %v", cl.Channel, cl.EBlock, err)
+			}
+			if !reflect.DeepEqual(decoded, want) {
+				t.Fatalf("inline metadata decodes to %+v, want %+v", decoded, want)
+			}
+			for _, en := range decoded {
+				if en.Offset+en.Length > cl.DataWBlocks*e.geo.WBlockBytes {
+					t.Fatalf("entry extends past the data region: %+v", en)
+				}
+			}
+			e.st.ClearMeta(cl.Channel, cl.EBlock)
+			if got := e.st.Meta(cl.Channel, cl.EBlock); got != nil {
+				t.Fatalf("metadata survives ClearMeta: %+v", got)
 			}
 		}
-		total++
-		if len(plan.Closes) > 0 {
-			close = &plan.Closes[0]
+		return
+	}
+}
+
+// TestProvisionAllocsIndependentOfFill: what planning one batch allocates
+// does not depend on how full the open EBLOCK it continues is — the
+// planner reads the entry count, not the entries. The same 8 pages are
+// planned into an open EBLOCK holding 8 entries and into one holding 400
+// (no plan opens or closes), for the user stream and for the GC stream.
+// Each figure is the smallest of four consecutive plans: the summary
+// table's own slice of entries regrows now and then as it is appended to
+// (amortised, and the same in any planner), and the smallest is a plan
+// that met no regrow.
+func TestProvisionAllocsIndependentOfFill(t *testing.T) {
+	geo := flash.Geometry{
+		Channels: 1, EBlocksPerChannel: 8,
+		EBlockBytes: 4 << 20, WBlockBytes: 32 << 10, RBlockBytes: 4 << 10,
+	}
+	batch := contiguousPages(64, 128, 256, 512, 1024, 2048, 4096, 64)
+	for _, gc := range []bool{false, true} {
+		provision := func(p *Provisioner, pages []BatchPage) *Plan {
+			var plan *Plan
+			var err error
+			if gc {
+				plan, err = p.ProvisionGC(0, pages, 7, func() uint64 { return 1 }, 1)
+			} else {
+				plan, err = p.ProvisionBatch(pages, func() uint64 { return 1 }, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan
 		}
-	}
-	if close == nil {
-		t.Skip("no close observed")
-	}
-	// The close's metadata must decode and match its data region.
-	img := summary.EncodeMetaBlock(close.Meta)
-	entries, err := summary.DecodeMetaBlock(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("close with empty metadata")
-	}
-	for _, en := range entries {
-		if en.Offset+en.Length > close.DataWBlocks*w {
-			t.Fatalf("entry extends past data region: %+v", en)
+		measure := func(fill int) (mallocs, bytes uint64) {
+			st, err := summary.New(geo, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(geo, st, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Reserve(0, 0); err != nil { // as core does; 64 bytes at (0,0,0) do not pack
+				t.Fatal(err)
+			}
+			filler := make([]int, fill)
+			for i := range filler {
+				filler[i] = 64
+			}
+			open := provision(p, contiguousPages(filler...)).Pages[0].Addr
+			if n := st.MetaLen(open.Channel(), open.EBlock()); n != fill {
+				t.Fatalf("open EBLOCK holds %d entries, want %d", n, fill)
+			}
+			mallocs, bytes = math.MaxUint64, math.MaxUint64
+			for i := 0; i < 4; i++ {
+				var plan *Plan
+				a := testing.AllocsPerRun(1, func() {
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					plan = provision(p, batch)
+					runtime.ReadMemStats(&m1)
+					bytes = min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+				})
+				mallocs = min(mallocs, uint64(a))
+				if len(plan.Opens)+len(plan.Closes) != 0 || !plan.Pages[0].Addr.SameEBlock(open) {
+					t.Fatalf("fill %d: the measured plan opened or closed an EBLOCK: %+v", fill, plan)
+				}
+			}
+			return mallocs, bytes
+		}
+		lowN, lowB := measure(8)
+		highN, highB := measure(400)
+		t.Logf("gc=%v: %d allocations, %d bytes per plan", gc, lowN, lowB)
+		if lowN != highN || lowB != highB {
+			t.Errorf("gc=%v: planning 8 pages allocates %d objects / %d bytes into an EBLOCK of 8 entries, %d / %d into one of 400",
+				gc, lowN, lowB, highN, highB)
 		}
 	}
 }

@@ -18,11 +18,12 @@
 package summary
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"sync"
 
 	"eleos/internal/addr"
@@ -89,6 +90,7 @@ type Table struct {
 	perPage int
 
 	desc [][]Descriptor // [channel][eblock]
+	free []int          // [channel] descriptors in state Free, kept by setState
 
 	meta    map[[2]int][]MetaEntry // open-EBLOCK metadata
 	openLSN map[[2]int]record.LSN  // LSN at open, for the truncation LSN
@@ -111,6 +113,7 @@ func New(geo flash.Geometry, perPage int) (*Table, error) {
 		geo:      geo,
 		perPage:  perPage,
 		desc:     make([][]Descriptor, geo.Channels),
+		free:     make([]int, geo.Channels),
 		meta:     make(map[[2]int][]MetaEntry),
 		openLSN:  make(map[[2]int]record.LSN),
 		dirty:    make(map[int]record.LSN),
@@ -119,6 +122,7 @@ func New(geo flash.Geometry, perPage int) (*Table, error) {
 	}
 	for ch := range t.desc {
 		t.desc[ch] = make([]Descriptor, geo.EBlocksPerChannel)
+		t.free[ch] = geo.EBlocksPerChannel
 	}
 	return t, nil
 }
@@ -144,6 +148,17 @@ func (t *Table) check(ch, eb int) error {
 	return nil
 }
 
+// setState is the one way a state changes: it keeps free equal to a scan.
+func (t *Table) setState(ch, eb int, s State) {
+	if t.desc[ch][eb].State == Free {
+		t.free[ch]--
+	}
+	if s == Free {
+		t.free[ch]++
+	}
+	t.desc[ch][eb].State = s
+}
+
 // Desc returns a copy of the descriptor.
 func (t *Table) Desc(ch, eb int) (Descriptor, error) {
 	t.mu.Lock()
@@ -161,6 +176,7 @@ func (t *Table) SetDesc(ch, eb int, d Descriptor, lsn record.LSN) error {
 	if err := t.check(ch, eb); err != nil {
 		return err
 	}
+	t.setState(ch, eb, d.State)
 	t.desc[ch][eb] = d
 	t.markDirty(ch, eb, lsn)
 	return nil
@@ -173,7 +189,7 @@ func (t *Table) Reserve(ch, eb int) error {
 	if err := t.check(ch, eb); err != nil {
 		return err
 	}
-	t.desc[ch][eb].State = Reserved
+	t.setState(ch, eb, Reserved)
 	t.markDirty(ch, eb, 1)
 	return nil
 }
@@ -182,13 +198,7 @@ func (t *Table) Reserve(ch, eb int) error {
 func (t *Table) FreeCount(ch int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for eb := range t.desc[ch] {
-		if t.desc[ch][eb].State == Free {
-			n++
-		}
-	}
-	return n
+	return t.free[ch]
 }
 
 // TakeFree returns the free EBLOCK with the lowest erase count in the
@@ -227,7 +237,7 @@ func (t *Table) OpenEBlock(ch, eb int, stream record.StreamKind, lsn record.LSN)
 	if d.State != Free {
 		return fmt.Errorf("%w: (%d,%d) is %v", ErrNotFree, ch, eb, d.State)
 	}
-	d.State = Open
+	t.setState(ch, eb, Open)
 	d.Stream = stream
 	d.DataWBlocks = 0
 	d.MetaWBlocks = 0
@@ -254,7 +264,7 @@ func (t *Table) CloseEBlock(ch, eb int, ts uint64, metaWBlocks int, lsn record.L
 	if d.State != Open {
 		return fmt.Errorf("%w: (%d,%d) is %v", ErrNotOpen, ch, eb, d.State)
 	}
-	d.State = Used
+	t.setState(ch, eb, Used)
 	d.Timestamp = ts
 	d.MetaWBlocks = uint32(metaWBlocks)
 	delete(t.openLSN, [2]int{ch, eb})
@@ -274,6 +284,7 @@ func (t *Table) FreeEBlock(ch, eb int, lsn record.LSN) error {
 	if d.State != Used && d.State != Open {
 		return fmt.Errorf("%w: (%d,%d) is %v", ErrNotUsed, ch, eb, d.State)
 	}
+	t.setState(ch, eb, Free)
 	*d = Descriptor{State: Free, EraseCount: d.EraseCount + 1}
 	delete(t.meta, [2]int{ch, eb})
 	delete(t.openLSN, [2]int{ch, eb})
@@ -288,7 +299,7 @@ func (t *Table) MarkBad(ch, eb int, lsn record.LSN) error {
 	if err := t.check(ch, eb); err != nil {
 		return err
 	}
-	t.desc[ch][eb].State = Bad
+	t.setState(ch, eb, Bad)
 	delete(t.meta, [2]int{ch, eb})
 	delete(t.openLSN, [2]int{ch, eb})
 	t.markDirty(ch, eb, lsn)
@@ -374,13 +385,46 @@ func (t *Table) AppendMeta(ch, eb int, e MetaEntry) error {
 	return nil
 }
 
+// MetaRun is a run of TAGs bound for one EBLOCK, in append order.
+type MetaRun struct {
+	Channel, EBlock int
+	Entries         []MetaEntry
+}
+
+// AppendMetaRuns appends every run to its EBLOCK's in-memory metadata
+// under one hold of the lock, one map update per run: how a provisioning
+// plan's TAGs arrive.
+func (t *Table) AppendMetaRuns(runs []MetaRun) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, r := range runs {
+		if err := t.check(r.Channel, r.EBlock); err != nil {
+			return err
+		}
+		k := [2]int{r.Channel, r.EBlock}
+		t.meta[k] = append(t.meta[k], r.Entries...)
+	}
+	return nil
+}
+
 // Meta returns a copy of an EBLOCK's in-memory metadata entries in append
 // order: those of an open EBLOCK, or of a closed one whose flushed copy
 // is not yet known durable (see CloseEBlock).
-func (t *Table) Meta(ch, eb int) []MetaEntry {
+func (t *Table) Meta(ch, eb int) []MetaEntry { return t.MetaWith(ch, eb, nil) }
+
+// MetaWith returns Meta's copy followed by extra, sized and allocated once
+// (nil when both are empty): the list an EBLOCK closes with.
+func (t *Table) MetaWith(ch, eb int, extra []MetaEntry) []MetaEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]MetaEntry(nil), t.meta[[2]int{ch, eb}]...)
+	return slices.Concat(t.meta[[2]int{ch, eb}], extra)
+}
+
+// MetaLen returns how many entries Meta would return, without copying them.
+func (t *Table) MetaLen(ch, eb int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.meta[[2]int{ch, eb}])
 }
 
 // ClearMeta drops an EBLOCK's in-memory metadata once its flushed copy is
@@ -445,18 +489,14 @@ func (t *Table) SetOpenLSN(ch, eb int, lsn record.LSN) {
 func (t *Table) FreeList(ch int) []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []int
+	out := make([]int, 0, t.free[ch])
 	for eb := range t.desc[ch] {
 		if t.desc[ch][eb].State == Free {
 			out = append(out, eb)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := t.desc[ch][out[i]], t.desc[ch][out[j]]
-		if a.EraseCount != b.EraseCount {
-			return a.EraseCount < b.EraseCount
-		}
-		return out[i] < out[j]
+	slices.SortFunc(out, func(a, b int) int {
+		return cmp.Or(cmp.Compare(t.desc[ch][a].EraseCount, t.desc[ch][b].EraseCount), cmp.Compare(a, b))
 	})
 	return out
 }
@@ -489,7 +529,7 @@ func (t *Table) DirtyPages() []int {
 	for idx := range t.dirty {
 		out = append(out, idx)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -632,6 +672,7 @@ func (t *Table) loadPageLocked(idx int, raw []byte) error {
 		if ch >= t.geo.Channels {
 			break
 		}
+		t.setState(ch, eb, State(raw[off]))
 		t.desc[ch][eb] = Descriptor{
 			State:       State(raw[off]),
 			Stream:      record.StreamKind(raw[off+1]),
@@ -660,9 +701,8 @@ func (t *Table) DropVolatile() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for ch := range t.desc {
-		for eb := range t.desc[ch] {
-			t.desc[ch][eb] = Descriptor{}
-		}
+		clear(t.desc[ch])
+		t.free[ch] = len(t.desc[ch]) // the zero descriptor is Free
 	}
 	t.meta = make(map[[2]int][]MetaEntry)
 	t.openLSN = make(map[[2]int]record.LSN)

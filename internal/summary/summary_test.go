@@ -410,3 +410,156 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// scanFree counts a channel's Free descriptors the way FreeCount did
+// before it became a counter.
+func scanFree(t *testing.T, tb *Table, g flash.Geometry, ch int) int {
+	t.Helper()
+	n := 0
+	for eb := 0; eb < g.EBlocksPerChannel; eb++ {
+		d, err := tb.Desc(ch, eb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.State == Free {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFreeCountMatchesScan: the per-channel free counter equals a scan of
+// the descriptors after every step of seeded random histories over every
+// method that can change an EBLOCK's state — the lifecycle transitions
+// (legal or refused), MarkBad and Reserve from any state, SetDesc with an
+// arbitrary descriptor, recovery's LoadFromLocator over an earlier image
+// of the table, and DropVolatile.
+func TestFreeCountMatchesScan(t *testing.T) {
+	g := flash.SmallGeometry()
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := newTestTable(t)
+		// image is the table as flushed at some earlier step: what
+		// LoadFromLocator reads back.
+		image := map[addr.PhysAddr][]byte{}
+		locator := make([]addr.PhysAddr, tb.NumPages())
+		for step := 0; step < 400; step++ {
+			ch, eb, lsn := rng.Intn(g.Channels), rng.Intn(g.EBlocksPerChannel), record.LSN(step+1)
+			op := rng.Intn(100)
+			switch {
+			case op < 30:
+				_ = tb.OpenEBlock(ch, eb, record.StreamKind(1+rng.Intn(3)), lsn) // refused unless Free
+			case op < 50:
+				_ = tb.CloseEBlock(ch, eb, uint64(step), 1, lsn) // refused unless Open
+			case op < 70:
+				_ = tb.FreeEBlock(ch, eb, lsn) // refused unless Used or Open
+			case op < 76:
+				if err := tb.MarkBad(ch, eb, lsn); err != nil {
+					t.Fatal(err)
+				}
+			case op < 80:
+				if err := tb.Reserve(ch, eb); err != nil {
+					t.Fatal(err)
+				}
+			case op < 90:
+				d := Descriptor{State: State(rng.Intn(5)), EraseCount: uint32(rng.Intn(9))}
+				if err := tb.SetDesc(ch, eb, d, lsn); err != nil {
+					t.Fatal(err)
+				}
+			case op < 94: // flush every page: the image recovery will load
+				for idx := range locator {
+					img := tb.SerializePage(idx, lsn)
+					locator[idx] = addr.MustPack(1, 1+idx, 0, len(img))
+					image[locator[idx]] = img
+				}
+			case op < 98:
+				if rng.Intn(2) == 0 {
+					tb.DropVolatile() // a crash comes first, as in recovery
+					for c := 0; c < g.Channels; c++ {
+						if got := tb.FreeCount(c); got != g.EBlocksPerChannel {
+							t.Fatalf("seed %d step %d: FreeCount(%d) = %d after DropVolatile, want %d", seed, step, c, got, g.EBlocksPerChannel)
+						}
+					}
+				}
+				if err := tb.LoadFromLocator(locator, func(a addr.PhysAddr) ([]byte, error) { return image[a], nil }); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				tb.DropVolatile()
+			}
+			for c := 0; c < g.Channels; c++ {
+				if got, want := tb.FreeCount(c), scanFree(t, tb, g, c); got != want {
+					t.Fatalf("seed %d step %d (op %d on (%d,%d)): FreeCount(%d) = %d, a scan counts %d", seed, step, op, ch, eb, c, got, want)
+				}
+				if got := len(tb.FreeList(c)); got != tb.FreeCount(c) {
+					t.Fatalf("seed %d step %d: FreeList(%d) has %d entries, FreeCount %d", seed, step, c, got, tb.FreeCount(c))
+				}
+			}
+		}
+	}
+}
+
+func TestFreeListWearOrder(t *testing.T) {
+	tb := newTestTable(t)
+	for eb, erases := range []int{2, 0, 1, 0, 2} {
+		if err := tb.SetDesc(1, eb, Descriptor{State: Free, EraseCount: uint32(erases)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := tb.FreeList(1)[:6] // the rest of the channel: never erased, eblock order
+	want := []int{1, 3, 5, 6, 7, 8}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("FreeList = %v..., want %v... (erase count, then eblock)", got, want)
+		}
+	}
+}
+
+// TestMetaRunsLenAndWith covers the three methods a provisioning plan
+// uses: AppendMetaRuns appends every run in order under one call, MetaLen
+// counts without copying, MetaWith returns the table's entries followed by
+// the caller's as a fresh exact-size list.
+func TestMetaRunsLenAndWith(t *testing.T) {
+	tb := newTestTable(t)
+	entry := func(i int) MetaEntry {
+		return MetaEntry{LPID: addr.LPID(i), Type: addr.PageUser, Offset: 64 * i, Length: 64}
+	}
+	for _, eb := range []int{2, 3} {
+		if err := tb.OpenEBlock(0, eb, record.StreamUser, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tb.MetaLen(0, 2) != 0 || tb.MetaWith(0, 2, nil) != nil {
+		t.Fatal("a fresh EBLOCK has entries")
+	}
+	runs := []MetaRun{
+		{Channel: 0, EBlock: 2, Entries: []MetaEntry{entry(0), entry(1)}},
+		{Channel: 0, EBlock: 3, Entries: []MetaEntry{entry(2)}},
+		{Channel: 0, EBlock: 2, Entries: []MetaEntry{entry(3)}},
+	}
+	if err := tb.AppendMetaRuns(runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.AppendMetaRuns([]MetaRun{{Channel: 99, EBlock: 0}}); err == nil {
+		t.Fatal("a run for a channel out of range was accepted")
+	}
+	if tb.MetaLen(0, 2) != 3 || tb.MetaLen(0, 3) != 1 {
+		t.Fatalf("MetaLen = %d, %d, want 3, 1", tb.MetaLen(0, 2), tb.MetaLen(0, 3))
+	}
+	runs[0].Entries[0].LPID = 77 // the table copied the entries
+	extra := []MetaEntry{entry(8), entry(9)}
+	got := tb.MetaWith(0, 2, extra)
+	want := []MetaEntry{entry(0), entry(1), entry(3), entry(8), entry(9)}
+	if len(got) != len(want) {
+		t.Fatalf("MetaWith returned %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("MetaWith[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	got[0].LPID = 55 // a copy: the table's entries stay
+	if m := tb.Meta(0, 2); len(m) != 3 || m[0] != entry(0) {
+		t.Fatalf("Meta after MetaWith = %+v", m)
+	}
+}
