@@ -12,8 +12,8 @@ import (
 	"sync"
 	"testing"
 
-	"eleos/internal/core"
 	"eleos/internal/flash"
+	gcpolicy "eleos/internal/gc"
 	"eleos/internal/harness"
 	"eleos/internal/nvme"
 	"eleos/internal/tpcc"
@@ -174,8 +174,8 @@ func BenchmarkFig10cGarbageCollection(b *testing.B) {
 // victim selection (§VI-A) against greedy and oldest-first under skewed
 // hot/cold churn, reporting write amplification and GC data movement.
 func BenchmarkAblationGCPolicy(b *testing.B) {
-	for _, p := range []core.GCPolicy{core.GCMinCostDecline, core.GCGreedy, core.GCOldest} {
-		b.Run(p.String(), func(b *testing.B) {
+	for _, p := range []gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}, gcpolicy.Oldest{}} {
+		b.Run(p.Name(), func(b *testing.B) {
 			var last *harness.GCAblationResult
 			for i := 0; i < b.N; i++ {
 				res, err := harness.RunGCAblation(harness.GCAblationOptions{
@@ -200,7 +200,7 @@ func BenchmarkAblationHotColdBuckets(b *testing.B) {
 			var last *harness.GCAblationResult
 			for i := 0; i < b.N; i++ {
 				res, err := harness.RunGCAblation(harness.GCAblationOptions{
-					Policy: core.GCMinCostDecline, GCBuckets: buckets, Batches: 900, Seed: 1,
+					GCBuckets: buckets, Batches: 900, Seed: 1,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -42,7 +42,7 @@ import (
 	"io"
 	"os"
 
-	"eleos/internal/core"
+	gcpolicy "eleos/internal/gc"
 	"eleos/internal/harness"
 	"eleos/internal/tpcc"
 )
@@ -291,7 +291,7 @@ func wafExperiment() *experiment {
 	maxSeqWAF := e.fs.Float64("maxseqwaf", 0, "fail if the sequential arm's WAF, where GC moves nothing, exceeds this (0 disables the gate)")
 	jsonPath := jsonFlag(e.fs)
 	e.run = func(w io.Writer) error {
-		res, err := harness.RunWAF([]core.GCPolicy{core.GCMinCostDecline, core.GCGreedy, core.GCOldest}, 1200, 1)
+		res, err := harness.RunWAF([]gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}, gcpolicy.Oldest{}}, 1200, 1)
 		if err != nil {
 			return err
 		}

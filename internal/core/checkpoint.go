@@ -253,7 +253,7 @@ func (c *Controller) flushTablesLocked(mayGC bool) error {
 	c.active[id] = hint
 	lsns, err := c.logPlanLocked(id, plan, nil)
 	if err != nil {
-		delete(c.active, id)
+		c.abortActionLocked(id, plan)
 		return err
 	}
 

@@ -38,49 +38,6 @@ import (
 	"eleos/internal/wal"
 )
 
-// GCPolicy selects the victim-selection strategy (§VI-A discusses the
-// first three; ELEOS uses minimum cost decline). Each value maps to an
-// implementation of gcpolicy.Policy; Config.GCPolicyPlugin overrides
-// the enum with an arbitrary policy.
-type GCPolicy int
-
-const (
-	// GCMinCostDecline scores EBLOCKs by (1-E)/(E^2*age) and collects the
-	// smallest — the paper's strategy.
-	GCMinCostDecline GCPolicy = iota
-	// GCGreedy collects the EBLOCK with the most reclaimable space, the
-	// locally-optimal strategy the paper argues against.
-	GCGreedy
-	// GCOldest collects the oldest EBLOCK (LLAMA's circular-log
-	// cleaning), optimal only for uniform updates.
-	GCOldest
-	// GCCostBenefit ranks by the LFS cleaner's benefit/cost ratio
-	// E·age/(2-E).
-	GCCostBenefit
-	// GCWearAware is min-cost-decline with a per-erase score penalty,
-	// steering collection toward low-wear EBLOCKs.
-	GCWearAware
-)
-
-func (p GCPolicy) String() string { return builtinPolicy(p).Name() }
-
-// builtinPolicy maps the enum to its implementation; unknown values get
-// the paper default.
-func builtinPolicy(p GCPolicy) gcpolicy.Policy {
-	switch p {
-	case GCGreedy:
-		return gcpolicy.Greedy{}
-	case GCOldest:
-		return gcpolicy.Oldest{}
-	case GCCostBenefit:
-		return gcpolicy.CostBenefit{}
-	case GCWearAware:
-		return gcpolicy.WearAware{}
-	default:
-		return gcpolicy.MinCostDecline{}
-	}
-}
-
 // Config tunes the controller.
 type Config struct {
 	// Mapping sizes the three-level mapping table.
@@ -95,14 +52,11 @@ type Config struct {
 	// GCMaxRounds bounds how many EBLOCKs one GC pass may collect per
 	// channel.
 	GCMaxRounds int
-	// GCPolicy selects the victim-selection strategy (default: the
-	// paper's minimum cost decline).
-	GCPolicy GCPolicy
-	// GCPolicyPlugin, when non-nil, overrides GCPolicy with a custom
-	// victim-selection policy. The core still enforces the safety
-	// rules (inflight/pinned skip, truncated-log fast path); the plugin
-	// only ranks.
-	GCPolicyPlugin gcpolicy.Policy
+	// GCPolicy ranks GC victims (§VI-A); nil is the paper's minimum cost
+	// decline, gcpolicy.MinCostDecline{}. The core still enforces the
+	// safety rules (inflight/pinned skip, truncated-log fast path); the
+	// policy only ranks.
+	GCPolicy gcpolicy.Policy
 	// GarbagePairsPerRecord chunks lazy Garbage log records.
 	GarbagePairsPerRecord int
 	// SessionSeed seeds random SID generation.
@@ -347,9 +301,9 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		crashPoints:  make(map[string]bool),
 		tenantWrites: make(map[string]*tenantWriteCounters),
 	}
-	c.gcPolicy = cfg.GCPolicyPlugin
+	c.gcPolicy = cfg.GCPolicy
 	if c.gcPolicy == nil {
-		c.gcPolicy = builtinPolicy(cfg.GCPolicy)
+		c.gcPolicy = gcpolicy.MinCostDecline{}
 	}
 	c.gcRetime = c.gcPolicy.Name() == gcpolicy.Oldest{}.Name()
 	c.hintLSN.Store(1)

@@ -33,44 +33,35 @@ func (p *recordingPolicy) candidates() []gcpolicy.Candidate {
 	return append([]gcpolicy.Candidate(nil), p.seen...)
 }
 
-// TestGCPolicyEnumMapping pins the Config enum → policy resolution and
-// the plugin override.
+// TestGCPolicyEnumMapping pins the one policy field's resolution as the
+// snapshot reports it: the "gc.policy" label is the Name() of the
+// configured implementation, and of the paper's default when none is set.
 func TestGCPolicyEnumMapping(t *testing.T) {
 	for _, tc := range []struct {
-		policy GCPolicy
+		policy gcpolicy.Policy
 		want   string
 	}{
-		{GCMinCostDecline, "min-cost-decline"},
-		{GCGreedy, "greedy"},
-		{GCOldest, "oldest"},
-		{GCCostBenefit, "cost-benefit"},
-		{GCWearAware, "wear-aware"},
+		{nil, "min-cost-decline"},
+		{gcpolicy.MinCostDecline{}, "min-cost-decline"},
+		{gcpolicy.Greedy{}, "greedy"},
+		{gcpolicy.Oldest{}, "oldest"},
+		{gcpolicy.CostBenefit{}, "cost-benefit"},
+		{gcpolicy.WearAware{}, "wear-aware"},
+		{&recordingPolicy{}, "recording"},
 	} {
 		dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
 		cfg := testConfig()
 		cfg.GCPolicy = tc.policy
 		c, err := Format(dev, cfg)
 		if err != nil {
-			t.Fatalf("Format(%v): %v", tc.policy, err)
+			t.Fatalf("Format(%s): %v", tc.want, err)
+		}
+		if tc.policy != nil && tc.policy.Name() != tc.want {
+			t.Errorf("%T.Name() = %q, want %q", tc.policy, tc.policy.Name(), tc.want)
 		}
 		if got := c.MetricsSnapshot().Label("gc.policy"); got != tc.want {
-			t.Errorf("gc.policy label for %v = %q, want %q", tc.policy, got, tc.want)
+			t.Errorf("gc.policy label for %T = %q, want %q", tc.policy, got, tc.want)
 		}
-		if tc.policy.String() != tc.want {
-			t.Errorf("GCPolicy(%d).String() = %q, want %q", int(tc.policy), tc.policy.String(), tc.want)
-		}
-	}
-
-	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
-	cfg := testConfig()
-	cfg.GCPolicy = GCGreedy // plugin must win over the enum
-	cfg.GCPolicyPlugin = &recordingPolicy{}
-	c, err := Format(dev, cfg)
-	if err != nil {
-		t.Fatalf("Format: %v", err)
-	}
-	if got := c.MetricsSnapshot().Label("gc.policy"); got != "recording" {
-		t.Fatalf("plugin gc.policy label = %q, want recording", got)
 	}
 }
 
@@ -85,7 +76,7 @@ func TestGCPluginRespectsPinnedAndInflight(t *testing.T) {
 	dev := flash.MustNewDevice(geo, flash.Latency{})
 	pol := &recordingPolicy{}
 	cfg := testConfig()
-	cfg.GCPolicyPlugin = pol
+	cfg.GCPolicy = pol
 	c, err := Format(dev, cfg)
 	if err != nil {
 		t.Fatalf("Format: %v", err)
@@ -152,16 +143,17 @@ func TestGCPluginRespectsPinnedAndInflight(t *testing.T) {
 // young mostly-garbage hot block and an old lightly-dented cold block,
 // which provably splits e.g. greedy from oldest.
 func TestGCSelectionMatchesPolicyRanking(t *testing.T) {
-	policies := []GCPolicy{GCMinCostDecline, GCGreedy, GCOldest, GCCostBenefit, GCWearAware}
-	victims := map[GCPolicy]int{}
-	for _, policy := range policies {
+	policies := []gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}, gcpolicy.Oldest{}, gcpolicy.CostBenefit{}, gcpolicy.WearAware{}}
+	victims := map[string]int{}
+	for _, pol := range policies {
+		policy := pol.Name()
 		geo := flash.Geometry{
 			Channels: 1, EBlocksPerChannel: 48,
 			EBlockBytes: 256 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
 		}
 		dev := flash.MustNewDevice(geo, flash.Latency{})
 		cfg := testConfig()
-		cfg.GCPolicy = policy
+		cfg.GCPolicy = pol
 		c, err := Format(dev, cfg)
 		if err != nil {
 			t.Fatalf("Format: %v", err)
@@ -189,7 +181,6 @@ func TestGCSelectionMatchesPolicyRanking(t *testing.T) {
 		c.mu.Lock()
 		// Compute the expected victim by replaying the policy over the
 		// eligible candidates exactly as selection defines them.
-		pol := builtinPolicy(policy)
 		wantEB, wantScore := -1, 0.0
 		for _, eb := range c.st.UsedEBlocks(0) {
 			if c.inflight[[2]int{0, eb}] > 0 || c.pinned[[2]int{0, eb}] > 0 {

@@ -9,6 +9,7 @@ import (
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
+	gcpolicy "eleos/internal/gc"
 	"eleos/internal/summary"
 	"eleos/internal/wal"
 )
@@ -201,8 +202,8 @@ func TestMultiSessionInterleaving(t *testing.T) {
 // TestGCPoliciesIntegrity churns under each GC policy and verifies content
 // integrity and reclamation for all of them.
 func TestGCPoliciesIntegrity(t *testing.T) {
-	for _, policy := range []GCPolicy{GCMinCostDecline, GCGreedy, GCOldest} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, policy := range []gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}, gcpolicy.Oldest{}} {
+		t.Run(policy.Name(), func(t *testing.T) {
 			dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
 			cfg := testConfig()
 			cfg.GCPolicy = policy
@@ -221,7 +222,7 @@ func TestGCPoliciesIntegrity(t *testing.T) {
 				}
 			}
 			if c.Stats().GCEBlocksFreed == 0 {
-				t.Fatalf("%v: GC never freed", policy)
+				t.Fatalf("%s: GC never freed", policy.Name())
 			}
 			for lp, v := range version {
 				checkRead(t, c, lp, pageContent(uint64(lp), v, 3500))
@@ -390,6 +391,53 @@ func TestLogDeathAbortsRelocation(t *testing.T) {
 		t.Errorf("victim (0,%d) is %v after the failed pass (%v), want used", victim, d.State, err)
 	}
 	checkRelocContent(t, c, version, 1)
+}
+
+// TestLogDeathAbortsCheckpoint: the same exit in the third copy of the
+// action skeleton. A table flush whose init-phase logging fails aborts — no
+// active-table entry left, core.aborted_actions moved, and every byte its
+// plan provisioned counted reclaimable, so the bytes the summary table holds
+// live do not change — and committed data stays readable.
+func TestLogDeathAbortsCheckpoint(t *testing.T) {
+	c, dev := newFormatted(t)
+	mustWrite(t, c, LPage{LPID: 1, Data: pageContent(1, 1, 500)})
+	killLog(t, c, dev)
+	// ledger sums, over every EBLOCK, the bytes provisioned for data and
+	// the bytes of them still held live (not AVAIL).
+	ledger := func() (provisioned, live int64) {
+		for ch := 0; ch < c.geo.Channels; ch++ {
+			for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
+				d, err := c.st.Desc(ch, eb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				provisioned += int64(d.DataWBlocks) * int64(c.geo.WBlockBytes)
+				live += int64(d.DataWBlocks)*int64(c.geo.WBlockBytes) - int64(d.Avail)
+			}
+		}
+		return provisioned, live
+	}
+	before := c.Stats()
+	provBefore, liveBefore := ledger()
+
+	c.mu.Lock()
+	err := c.flushTablesLocked(false)
+	c.mu.Unlock()
+	if !errors.Is(err, wal.ErrLogDead) {
+		t.Fatalf("table flush on a dead log = %v, want wal.ErrLogDead", err)
+	}
+	if n := c.ActiveActions(); n != 0 {
+		t.Errorf("%d actions left in the active table", n)
+	}
+	if after := c.Stats(); after.AbortedActions != before.AbortedActions+1 {
+		t.Errorf("aborted actions %d -> %d, want one abort", before.AbortedActions, after.AbortedActions)
+	}
+	provAfter, liveAfter := ledger()
+	if provAfter == provBefore || liveAfter != liveBefore {
+		t.Errorf("provisioned bytes %d -> %d, live bytes %d -> %d: the failed plan must have provisioned something and all of it must be AVAIL",
+			provBefore, provAfter, liveBefore, liveAfter)
+	}
+	checkRead(t, c, 1, pageContent(1, 1, 500))
 }
 
 // TestLogDeathLeavesReadsWorking exhausts all three forward candidates of

@@ -11,12 +11,12 @@ import (
 	"eleos/internal/trace"
 )
 
-// The read path (§V, made concurrent).
+// The read path (§V, made concurrent): one path, for one page or many.
 //
-// Reads no longer hold the global controller lock across the flash
-// transfer. A read is: a short c.mu section that resolves the mapping and
-// pins the target EBLOCK, the flash ReadExtent with c.mu released, and a
-// second short c.mu section that unpins. The pin is the read/installation
+// Reads do not hold the global controller lock across the flash transfer.
+// A read is: a short c.mu section that resolves the mappings and pins the
+// target EBLOCKs, the media reads with c.mu released, and a second short
+// c.mu section that unpins (readFenced). The pin is the read/installation
 // fence — it extends the pinned-EBLOCK protocol that already protects the
 // commit-force window of writes to readers:
 //
@@ -36,176 +36,63 @@ import (
 // needs no new bookkeeping.
 //
 // With a read cache configured (Config.ReadCacheBytes), the fence is
-// wrapped in the cache's single-flight protocol: the Flight is registered
-// BEFORE the locked lookup, so a mapping install racing the fill — which
-// invalidates the LPID under c.mu — always poisons the fill and the cache
-// can never retain pre-install bytes. See internal/readcache.
+// wrapped in the cache's single-flight protocol (readPages): the Flight is
+// registered BEFORE the locked lookup, so a mapping install racing the
+// fill — which invalidates the LPID under c.mu — always poisons the fill
+// and the cache can never retain pre-install bytes. See internal/readcache.
 
-// Read returns the current content of an LPAGE (§V). The mapping table
-// yields the physical address (with exact length); the covering RBLOCKs
-// are transferred and the exact extent is returned — adjacent LPAGEs'
-// bytes are never revealed.
+// pageRead is one page of a read: its LPID going in, its bytes or its error
+// coming out. ErrNotFound is the only error that means "absent".
+type pageRead struct {
+	lpid addr.LPID
+	data []byte
+	err  error
+	// load marks a page this call reads from flash. flight, set only with a
+	// cache configured and no hit, is the page's in-flight fill: this call's
+	// to Complete when load is set, another reader's to Wait for when not.
+	load   bool
+	flight *readcache.Flight
+}
+
+// Read returns the current content of an LPAGE (§V): a batch read of one
+// page whose absence is ErrNotFound. The mapping table yields the physical
+// address (with exact length); the covering RBLOCKs are transferred and the
+// exact extent is returned — adjacent LPAGEs' bytes are never revealed.
 func (c *Controller) Read(lpid addr.LPID) ([]byte, error) {
 	t0 := time.Now()
-	var data []byte
-	var err error
-	if c.rcache != nil {
-		data, err = c.readCached(lpid)
-	} else {
-		data, err = c.readFenced(lpid)
-	}
-	if err != nil {
-		return nil, err
+	page := [1]pageRead{{lpid: lpid}}
+	c.readPages(page[:])
+	if page[0].err != nil {
+		return nil, page[0].err
 	}
 	c.met.reads.Inc()
 	c.met.readNS.ObserveDuration(time.Since(t0))
-	return data, nil
-}
-
-// readCached serves one page through the cache's single-flight protocol.
-// The dead-controller check is the lock-free mirror: a cache hit must not
-// touch c.mu, but a dead controller still rejects every call.
-func (c *Controller) readCached(lpid addr.LPID) ([]byte, error) {
-	if c.crashedA.Load() {
-		return nil, ErrCrashed
-	}
-	data, f, leader := c.rcache.GetOrStart(uint64(lpid))
-	if data != nil {
-		c.trc.Emit(trace.KReadCacheHit, 0, 0, 0, int64(lpid), int64(len(data)))
-		return data, nil
-	}
-	if !leader {
-		data, err := f.Wait()
-		if err != nil {
-			// The leader's load failed for ITS lookup; retry ours once
-			// rather than propagate a possibly unrelated error.
-			if data, err2 := c.readFenced(lpid); err2 == nil {
-				return data, nil
-			}
-			return nil, err
-		}
-		return data, nil
-	}
-	data, err := c.readFenced(lpid)
-	c.rcache.Complete(uint64(lpid), f, data, err)
-	return data, err
-}
-
-// readFenced is the concurrent fenced flash read: lookup+pin under c.mu,
-// ReadExtent outside it, unpin under c.mu again.
-func (c *Controller) readFenced(lpid addr.LPID) ([]byte, error) {
-	tl := time.Now()
-	c.mu.Lock()
-	a, err := c.lookupLocked(lpid)
-	if err != nil {
-		c.mu.Unlock()
-		if errors.Is(err, ErrNotFound) {
-			c.met.readNotFound.Inc()
-		}
-		return nil, err
-	}
-	key := [2]int{a.Channel(), a.EBlock()}
-	c.pinned[key]++
-	c.mu.Unlock()
-	c.trc.Span(trace.KReadLookup, 0, 0, 0, tl, int64(lpid), 0)
-
-	tf := time.Now()
-	data, nR, rerr := c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
-	c.trc.Span(trace.KReadFlash, 0, 0, 0, tf, int64(lpid), int64(len(data)))
-
-	c.mu.Lock()
-	c.unpinReadLocked(key)
-	c.mu.Unlock()
-	if rerr != nil {
-		return nil, rerr
-	}
-	c.met.readFlashLoads.Inc()
-	c.met.readRBlocks.Add(int64(nR))
-	return data, nil
+	return page[0].data, nil
 }
 
 // ReadBatch reads many LPAGEs at once, scatter-gathering the flash
-// transfers through the per-channel I/O workers: one locked pass resolves
-// and pins every address, the device executes the per-channel segments
-// concurrently, and one more locked pass unpins. The result slice is
+// transfers through the per-channel I/O workers. The result slice is
 // indexed like lpids; an unmapped LPID yields a nil entry (the batch
-// succeeds — per-page absence is data, not failure). With a cache
-// configured, hits and coalesced in-flight fills are served without
-// touching flash, and only the remaining misses are submitted.
+// succeeds — per-page absence is data, not failure), any other page error
+// fails the batch. With a cache configured, hits and coalesced in-flight
+// fills are served without touching flash, and only the remaining misses
+// are submitted.
 func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 	if len(lpids) == 0 {
 		return nil, nil
 	}
-	if c.crashedA.Load() {
-		return nil, ErrCrashed
-	}
 	t0 := time.Now()
+	pages := make([]pageRead, len(lpids))
+	for i, lpid := range lpids {
+		pages[i].lpid = lpid
+	}
+	c.readPages(pages)
 	out := make([][]byte, len(lpids))
-
-	// Cache pass: serve hits, join in-flight fills, claim leaderships.
-	// flights[i] != nil marks a slot this call must fill and Complete.
-	var flights []*flightSlot
-	var waiters []waitSlot
-	load := lpids
-	loadIdx := make([]int, 0, len(lpids))
-	if c.rcache != nil {
-		load = load[:0:0]
-		for i, lpid := range lpids {
-			data, f, leader := c.rcache.GetOrStart(uint64(lpid))
-			switch {
-			case data != nil:
-				c.trc.Emit(trace.KReadCacheHit, 0, 0, 0, int64(lpid), int64(len(data)))
-				out[i] = data
-			case leader:
-				flights = append(flights, &flightSlot{i: i, f: f})
-				load = append(load, lpid)
-				loadIdx = append(loadIdx, i)
-			default:
-				waiters = append(waiters, waitSlot{i: i, f: f})
-			}
+	for i := range pages {
+		if err := pages[i].err; err != nil && !IsNotFound(err) {
+			return nil, err
 		}
-	} else {
-		for i := range lpids {
-			loadIdx = append(loadIdx, i)
-		}
-	}
-
-	var firstErr error
-	if len(load) > 0 {
-		errsAt, err := c.readManyFenced(load, loadIdx, out)
-		firstErr = err
-		// Complete leaderships (on error too, or waiters hang). flights
-		// and load were appended in lockstep, so flights[fi] owns load
-		// slot fi. A page that resolved to nothing completes with the
-		// typed not-found error so single-page waiters on the same
-		// flight see it, not a silent nil.
-		for fi, fs := range flights {
-			ferr := firstErr
-			if ferr == nil && errsAt != nil {
-				ferr = errsAt[fi]
-			}
-			if ferr == nil && out[fs.i] == nil {
-				ferr = fmt.Errorf("%w: %d", ErrNotFound, lpids[fs.i])
-			}
-			c.rcache.Complete(uint64(lpids[fs.i]), fs.f, out[fs.i], ferr)
-		}
-	}
-	for _, ws := range waiters {
-		data, err := ws.f.Wait()
-		if err != nil {
-			// Retry this page alone; its leader's failure may not be ours.
-			data, err = c.readFenced(lpids[ws.i])
-			if err != nil && !IsNotFound(err) {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		out[ws.i] = data
-	}
-	if firstErr != nil {
-		return nil, firstErr
+		out[i] = pages[i].data
 	}
 	c.met.readBatches.Inc()
 	c.met.reads.Add(int64(len(lpids)))
@@ -213,98 +100,153 @@ func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 	return out, nil
 }
 
-type flightSlot struct {
-	i int // index into lpids/out
-	f *readcache.Flight
-}
-
-type waitSlot struct {
-	i int // index into lpids/out
-	f *readcache.Flight
-}
-
-// readManyFenced resolves, pins, scatter-reads and unpins a set of LPIDs,
-// writing results into out at outIdx. It returns per-load errors (nil
-// slice when all loads succeeded; not-found is recorded as a nil page,
-// not an error) and the first hard media error, if any.
-func (c *Controller) readManyFenced(load []addr.LPID, outIdx []int, out [][]byte) ([]error, error) {
-	tl := time.Now()
-	type pinned struct {
-		key  [2]int
-		cmd  flash.ReadCmd
-		slot int // index into load/outIdx
-	}
-	pins := make([]pinned, 0, len(load))
-	notFound := 0
-	c.mu.Lock()
-	if c.crashed {
-		c.mu.Unlock()
-		return nil, ErrCrashed
-	}
-	for si, lpid := range load {
-		a, err := c.lookupLocked(lpid)
-		if err != nil {
-			notFound++
-			continue // unmapped: nil entry
+// readPages fills in every page's data or err. Without a cache it is the
+// fenced read of all of them; with one it is the cache's single-flight pass
+// around the fenced read of the misses this call leads: serve hits, claim
+// leaderships, join the fills already in flight.
+func (c *Controller) readPages(pages []pageRead) {
+	// The lock-free mirror of c.crashed: a cache hit must not touch c.mu,
+	// but a dead controller still rejects every call.
+	if c.crashedA.Load() {
+		for i := range pages {
+			pages[i].err = ErrCrashed
 		}
-		key := [2]int{a.Channel(), a.EBlock()}
-		c.pinned[key]++
-		pins = append(pins, pinned{
-			key: key,
-			cmd: flash.ReadCmd{
-				Channel: a.Channel(), EBlock: a.EBlock(),
-				Offset: a.Offset(), Length: a.Length(),
-				Index: len(pins),
-			},
-			slot: si,
-		})
+		return
 	}
-	c.mu.Unlock()
-	c.trc.Span(trace.KReadLookup, 0, 0, 0, tl, int64(len(load)), int64(len(pins)))
-	c.met.readNotFound.Add(int64(notFound))
-	if len(pins) == 0 {
-		return nil, nil
-	}
-
-	tf := time.Now()
-	cmds := make([]flash.ReadCmd, len(pins))
-	for i, p := range pins {
-		cmds[i] = p.cmd
-	}
-	results := c.dev.SubmitReads(len(pins), cmds).Wait()
-	c.trc.Span(trace.KReadFlash, 0, 0, 0, tf, int64(len(pins)), 0)
-
-	var errsAt []error
-	var firstErr error
-	var nPages, nRBlocks int64
-	for i, p := range pins {
-		res := results[i]
-		if res.Err != nil {
-			if errsAt == nil {
-				errsAt = make([]error, len(load))
+	loads := 0
+	for i := range pages {
+		p := &pages[i]
+		p.load = true
+		if c.rcache != nil {
+			if p.data, p.flight, p.load = c.rcache.GetOrStart(uint64(p.lpid)); p.data != nil {
+				c.trc.Emit(trace.KReadCacheHit, 0, 0, 0, int64(p.lpid), int64(len(p.data)))
 			}
-			errsAt[p.slot] = res.Err
-			if firstErr == nil {
-				firstErr = res.Err
+		}
+		if p.load {
+			loads++
+		}
+	}
+	if loads > 0 {
+		c.readFenced(pages)
+	}
+	if c.rcache == nil {
+		return
+	}
+	// Complete every fill this call leads (on error too, or waiters hang)
+	// before waiting on anyone else's: a later page of this call may have
+	// joined an earlier one's flight. An unmapped page completes with its
+	// typed not-found error, so waiters see that and not a silent nil.
+	for i := range pages {
+		if p := &pages[i]; p.load {
+			c.rcache.Complete(uint64(p.lpid), p.flight, p.data, p.err)
+		}
+	}
+	for i := range pages {
+		p := &pages[i]
+		if p.load || p.flight == nil {
+			continue
+		}
+		if p.data, p.err = p.flight.Wait(); p.err != nil {
+			// The leader's load failed for ITS lookup, which may not be
+			// ours: retry this page alone.
+			p.data, p.err, p.load = nil, nil, true
+			c.readFenced(pages[i : i+1])
+		}
+	}
+}
+
+// readFenced is the one fenced flash read, of every page marked load:
+// resolve and pin under c.mu, read the media with the lock released, unpin
+// under c.mu again and wake the pin-drain waiters (GC, checkpoint and
+// migration wait on ioCond). A page whose lookup or media read fails gets
+// that error and pins nothing.
+func (c *Controller) readFenced(pages []pageRead) {
+	type pin struct {
+		i int // index into pages
+		a addr.PhysAddr
+	}
+	var few [8]pin // no allocation for a single read or a small batch
+	pins := few[:0]
+	tl := time.Now()
+	looked, notFound := 0, 0
+	c.mu.Lock()
+	for i := range pages {
+		p := &pages[i]
+		if !p.load {
+			continue
+		}
+		looked++
+		a, err := c.lookupLocked(p.lpid)
+		if err != nil {
+			p.err = err
+			if errors.Is(err, ErrNotFound) {
+				notFound++
 			}
 			continue
 		}
-		out[outIdx[p.slot]] = res.Data
-		nPages++
-		nRBlocks += int64(res.RBlocks)
+		key := [2]int{a.Channel(), a.EBlock()}
+		c.pinned[key]++
+		pins = append(pins, pin{i: i, a: a})
 	}
+	c.mu.Unlock()
+	c.trc.Span(trace.KReadLookup, 0, 0, 0, tl, int64(looked), int64(len(pins)))
+	if notFound > 0 {
+		c.met.readNotFound.Add(int64(notFound))
+	}
+	if len(pins) == 0 {
+		return
+	}
+
+	tf := time.Now()
+	var nPages, nRBlocks int64
+	settle := func(p *pageRead, rblocks int, err error) {
+		if err != nil {
+			p.data, p.err = nil, err
+			return
+		}
+		nPages++
+		nRBlocks += int64(rblocks)
+	}
+	if len(pins) == 1 {
+		// One extent has nothing to overlap with, so it is read on the
+		// calling goroutine: the hand-off to a channel worker and back costs
+		// more than a zero-latency read itself (it doubled churn_gc's read
+		// p50). Two or more extents are queued, one OpRead each, and the
+		// channels run them concurrently.
+		p, a := &pages[pins[0].i], pins[0].a
+		p.data = make([]byte, a.Length())
+		n, err := c.dev.ReadInto(p.data, a.Channel(), a.EBlock(), a.Offset())
+		settle(p, n, err)
+	} else {
+		cmds := make([]flash.BatchCmd, len(pins))
+		io := make([]struct {
+			seg [1]flash.ReadSeg
+			res flash.ReadOutcome
+		}, len(pins))
+		for k, pn := range pins {
+			p := &pages[pn.i]
+			p.data = make([]byte, pn.a.Length())
+			io[k].seg[0] = flash.ReadSeg{Off: pn.a.Offset(), Dst: p.data}
+			cmds[k] = flash.BatchCmd{Op: flash.OpRead, Channel: pn.a.Channel(), EBlock: pn.a.EBlock(), Segs: io[k].seg[:], Read: &io[k].res}
+		}
+		c.dev.SubmitBatch(cmds).Wait()
+		for k, pn := range pins {
+			settle(&pages[pn.i], io[k].res.RBlocks, io[k].res.Err)
+		}
+	}
+	c.trc.Span(trace.KReadFlash, 0, 0, 0, tf, int64(len(pins)), 0)
 	c.met.readFlashLoads.Add(nPages)
 	c.met.readRBlocks.Add(nRBlocks)
 
 	c.mu.Lock()
-	for _, p := range pins {
-		if c.pinned[p.key]--; c.pinned[p.key] <= 0 {
-			delete(c.pinned, p.key)
+	for _, pn := range pins {
+		key := [2]int{pn.a.Channel(), pn.a.EBlock()}
+		if c.pinned[key]--; c.pinned[key] <= 0 {
+			delete(c.pinned, key)
 		}
 	}
 	c.ioCond.Broadcast()
 	c.mu.Unlock()
-	return errsAt, firstErr
 }
 
 // lookupLocked resolves an LPID under c.mu, returning typed errors:
@@ -322,15 +264,6 @@ func (c *Controller) lookupLocked(lpid addr.LPID) (addr.PhysAddr, error) {
 		return 0, fmt.Errorf("%w: %d", ErrNotFound, lpid)
 	}
 	return a, nil
-}
-
-// unpinReadLocked releases one reader pin and wakes pin-drain waiters
-// (GC, checkpoint and migration wait on ioCond).
-func (c *Controller) unpinReadLocked(key [2]int) {
-	if c.pinned[key]--; c.pinned[key] <= 0 {
-		delete(c.pinned, key)
-	}
-	c.ioCond.Broadcast()
 }
 
 // invalidateRead drops an LPID from the read cache and poisons any

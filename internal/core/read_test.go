@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
+	"eleos/internal/readcache"
 )
 
 func cachedConfig() Config {
@@ -328,4 +332,208 @@ func TestFlashLoadsAreExactLength(t *testing.T) {
 			t.Fatalf("%d pages cached after %d flash loads, want %d of each", c.rcache.Len(), c.Stats().Reads, len(lpids))
 		}
 	}
+}
+
+// readObservation is everything TestReadAndReadBatchAgree compares between
+// the two entry points: per page the bytes or "absent", the call's error
+// class, and how far the read counters and the device's ledger moved.
+type readObservation struct {
+	pages                                   [][]byte // nil = absent
+	crashed, lookupFailed                   bool
+	flashLoads, rblocks, notFound, devReads int64
+	batches                                 int64
+}
+
+var errLoaderDown = errors.New("mapping page unreadable")
+
+// TestReadAndReadBatchAgree: Read(l) is ReadBatch([l]). With the cache off
+// and on, over every kind of page and failure the path distinguishes, the
+// two entry points return the same bytes or the same class of error
+// (absence is ErrNotFound from Read and a nil entry from ReadBatch), move
+// read.flash_loads, read.rblocks, read.not_found and the device's
+// RBlocksRead identically, and leave no pin; read.batches moves only for
+// ReadBatch. A lookup that fails — a mapping page that will not load — is
+// that page's error on both, never "unmapped".
+func TestReadAndReadBatchAgree(t *testing.T) {
+	type scenario struct {
+		name      string
+		lpids     []addr.LPID
+		cacheOnly bool
+		// arrange runs after the pages are written and before the read.
+		arrange func(t *testing.T, c *Controller)
+		// lead makes the test the leader of LPID 1's fill, so the read under
+		// test joins it; the test completes the fill with the page (leadErr
+		// nil) or with leadErr once the read is waiting.
+		lead    bool
+		leadErr error
+	}
+	scenarios := []scenario{
+		{name: "mapped", lpids: []addr.LPID{1}},
+		{name: "unmapped", lpids: []addr.LPID{99}},
+		{name: "mapped and unmapped", lpids: []addr.LPID{2, 99, 1, 98, 3}},
+		{name: "same page twice", lpids: []addr.LPID{1, 1}},
+		{name: "crashed", lpids: []addr.LPID{1}, arrange: func(t *testing.T, c *Controller) { c.Crash() }},
+		{name: "failed lookup", lpids: []addr.LPID{1}, arrange: func(t *testing.T, c *Controller) {
+			// Flush the mapping page, drop it from memory (keeping its
+			// small-table home, which DropCache forgets too) and break the
+			// loader: the next lookup of LPID 1 must load the page and cannot.
+			if err := c.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			home := c.mt.PageAddr(0)
+			if !home.IsValid() {
+				t.Fatal("the checkpoint did not flush mapping page 0")
+			}
+			c.mt.DropCache()
+			c.mt.SetPageAddr(0, home, 0)
+			c.mt.SetLoader(func(addr.PhysAddr) ([]byte, error) { return nil, errLoaderDown })
+		}},
+		{name: "joins a fill", lpids: []addr.LPID{1}, cacheOnly: true, lead: true},
+		{name: "joins a fill that fails", lpids: []addr.LPID{1}, cacheOnly: true, lead: true, leadErr: errors.New("leader's load failed")},
+	}
+	content := func(lpid addr.LPID) []byte { return pageContent(uint64(lpid), 1, 700+300*int(lpid)) }
+
+	observe := func(t *testing.T, sc scenario, cfg Config, batch bool) readObservation {
+		c, dev := newFormattedCfg(t, cfg)
+		mustWrite(t, c, LPage{LPID: 1, Data: content(1)}, LPage{LPID: 2, Data: content(2)}, LPage{LPID: 3, Data: content(3)})
+		if sc.arrange != nil {
+			sc.arrange(t, c)
+		}
+		var flight *readcache.Flight
+		if sc.lead {
+			var leader bool
+			if _, flight, leader = c.rcache.GetOrStart(1); !leader {
+				t.Fatal("the test could not lead LPID 1's fill")
+			}
+		}
+		counter := func(name string) int64 { return c.MetricsSnapshot().Counter(name) }
+		before := readObservation{
+			flashLoads: counter("read.flash_loads"), rblocks: counter("read.rblocks"), notFound: counter("read.not_found"),
+			batches: counter("read.batches"), devReads: dev.Stats().RBlocksRead,
+		}
+		misses := counter("read.cache_misses")
+
+		var obs readObservation
+		var callErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if batch {
+				obs.pages, callErr = c.ReadBatch(sc.lpids)
+				return
+			}
+			for _, lpid := range sc.lpids {
+				data, err := c.Read(lpid)
+				if err != nil && !IsNotFound(err) {
+					obs.pages, callErr = nil, err
+					return
+				}
+				obs.pages = append(obs.pages, data)
+			}
+		}()
+		if sc.lead {
+			// The read has joined once the cache has counted its miss.
+			for deadline := time.Now().Add(5 * time.Second); counter("read.cache_misses") == misses; {
+				if time.Now().After(deadline) {
+					t.Fatal("the read never reached the cache")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			var stored []byte // the page as flash holds it: padded to the LPAGE alignment
+			if sc.leadErr == nil {
+				stored = make([]byte, addr.AlignUp(len(content(1))))
+				copy(stored, content(1))
+			}
+			c.rcache.Complete(1, flight, stored, sc.leadErr)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the read did not return")
+		}
+
+		obs.crashed, obs.lookupFailed = errors.Is(callErr, ErrCrashed), errors.Is(callErr, errLoaderDown)
+		if callErr != nil && !obs.crashed && !obs.lookupFailed {
+			t.Fatalf("unexpected error: %v", callErr)
+		}
+		obs.flashLoads = counter("read.flash_loads") - before.flashLoads
+		obs.rblocks = counter("read.rblocks") - before.rblocks
+		obs.notFound = counter("read.not_found") - before.notFound
+		obs.batches = counter("read.batches") - before.batches
+		obs.devReads = dev.Stats().RBlocksRead - before.devReads
+		if n := c.PinnedEBlocks(); n != 0 {
+			t.Fatalf("%d EBLOCKs left pinned", n)
+		}
+		if c.rcache != nil && sc.name == "failed lookup" {
+			// The failed fill was completed: nobody who joined it hangs, and
+			// the next reader starts a fresh one.
+			_, f, leader := c.rcache.GetOrStart(1)
+			if !leader {
+				t.Fatal("the failed lookup left its flight registered")
+			}
+			c.rcache.Complete(1, f, nil, errLoaderDown)
+		}
+		return obs
+	}
+
+	for _, cached := range []bool{false, true} {
+		cfg, mode := testConfig(), "uncached"
+		if cached {
+			cfg, mode = cachedConfig(), "cached"
+		}
+		for _, sc := range scenarios {
+			if sc.cacheOnly && !cached {
+				continue
+			}
+			t.Run(mode+"/"+sc.name, func(t *testing.T) {
+				single, batch := observe(t, sc, cfg, false), observe(t, sc, cfg, true)
+				if single.batches != 0 || (batch.batches != 1) != (batch.crashed || batch.lookupFailed) {
+					t.Errorf("read.batches moved by %d for Read and %d for ReadBatch", single.batches, batch.batches)
+				}
+				single.batches, batch.batches = 0, 0
+				if !reflect.DeepEqual(single, batch) {
+					t.Fatalf("Read and ReadBatch disagree:\n Read      %+v\n ReadBatch %+v", summarize(single), summarize(batch))
+				}
+				// And both are right, not just alike.
+				switch sc.name {
+				case "crashed":
+					if !single.crashed {
+						t.Fatal("a crashed controller served a read")
+					}
+				case "failed lookup":
+					if !single.lookupFailed || single.notFound != 0 {
+						t.Fatalf("a lookup that failed must be the page's error, not an unmapped page: %+v", summarize(single))
+					}
+				default:
+					if single.crashed || single.lookupFailed || len(single.pages) != len(sc.lpids) {
+						t.Fatalf("%+v", summarize(single))
+					}
+					absent := int64(0)
+					for i, lpid := range sc.lpids {
+						if lpid > 3 {
+							absent++
+							if single.pages[i] != nil {
+								t.Fatalf("unmapped LPID %d returned %d bytes", lpid, len(single.pages[i]))
+							}
+						} else if want := content(lpid); len(single.pages[i]) != addr.AlignUp(len(want)) || !bytes.Equal(single.pages[i][:len(want)], want) {
+							t.Fatalf("LPID %d content differs", lpid)
+						}
+					}
+					if single.notFound != absent {
+						t.Fatalf("read.not_found moved by %d for %d unmapped pages", single.notFound, absent)
+					}
+				}
+			})
+		}
+	}
+}
+
+// summarize prints an observation without its page bytes.
+func summarize(o readObservation) string {
+	lens := make([]int, len(o.pages))
+	for i, p := range o.pages {
+		lens[i] = len(p)
+	}
+	o.pages = nil
+	return fmt.Sprintf("page lengths %v %+v", lens, o)
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"eleos/internal/addr"
 	"eleos/internal/metrics"
@@ -215,8 +216,16 @@ func TestStatsConcurrentWithWritersReaderAndGC(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// On two CPUs the reader may not have completed a flash load by the time
+	// the writers are done: keep it running until it has.
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Reads == 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 	close(stop)
 	bg.Wait()
+	if c.Stats().Reads == 0 {
+		t.Fatal("the background reader completed no flash load in 5 s")
+	}
 
 	st := c.Stats()
 	checkStatsView(t, st, c.MetricsSnapshot())

@@ -18,12 +18,15 @@
 // wall-clock sleeps: the media-side elapsed time of a workload is the
 // busiest channel's accumulated time.
 //
-// Channels are independently locked, and SubmitBatch queues program and
-// erase commands onto one worker goroutine per channel, so different
-// channels also execute concurrently in wall-clock time. Each channel's
-// virtual busy time is a sum over its own operations, so the totals do not
-// depend on wall-clock interleaving and virtual-time results stay
-// deterministic.
+// Channels are independently locked, and SubmitBatch queues commands —
+// programs, erases and reads are one BatchCmd type on one FIFO — onto one
+// worker goroutine per channel, so different channels also execute
+// concurrently in wall-clock time. Each channel's virtual busy time is a
+// sum over its own operations, so the totals do not depend on wall-clock
+// interleaving and virtual-time results stay deterministic.
+//
+// The read surface is ReadGather, its ReadInto/ReadExtent wrappers for the
+// calling goroutine, and the queued OpRead, which is a ReadGather.
 package flash
 
 import (
@@ -641,20 +644,6 @@ func (d *Device) ReadInto(dst []byte, ch, eb, off int) (rblocks int, err error) 
 	return d.ReadGather(ch, eb, segs[:])
 }
 
-// ReadRBlocks reads n consecutive RBLOCKs starting at RBLOCK index start
-// within the EBLOCK (RBLOCK indices run across WBLOCK boundaries).
-// Unwritten regions read as zeroes.
-func (d *Device) ReadRBlocks(ch, eb, start, n int) ([]byte, error) {
-	if n <= 0 || start < 0 || start+n > d.geo.RBlocksPerEBlock() {
-		return nil, fmt.Errorf("%w: rblocks [%d,%d)", ErrOutOfRange, start, start+n)
-	}
-	out := make([]byte, n*d.geo.RBlockBytes)
-	if _, err := d.ReadInto(out, ch, eb, start*d.geo.RBlockBytes); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReadExtent reads an arbitrary byte extent [off, off+length) within an
 // EBLOCK into a new slice of exactly that length (ReadInto). It returns
 // the extent bytes along with the number of RBLOCKs transferred (for
@@ -844,33 +833,46 @@ type Op uint8
 
 const (
 	OpProgram Op = iota // program Data into (Channel, EBlock, WBlock)
-	OpErase             // erase (Channel, EBlock); WBlock, Data and Src are unused
+	OpErase             // erase (Channel, EBlock)
+	OpRead              // ReadGather(Channel, EBlock, Segs), reported through Read
 )
 
-// BatchCmd is one WBLOCK program — or, with Op set to OpErase, one EBLOCK
-// erase — destined for a channel's submission queue. Erases ride the same
-// FIFO as programs, so a program queued behind an erase of its EBLOCK
-// lands after it.
+// BatchCmd is one media command destined for a channel's submission queue:
+// a WBLOCK program, an EBLOCK erase or a gather read. All three ride the
+// same FIFO, so a program queued behind an erase of its EBLOCK lands after
+// it and a read queued behind a program sees it.
 type BatchCmd struct {
 	Op      Op
 	Channel int
 	EBlock  int
-	WBlock  int
-	Data    []byte
+	WBlock  int    // OpProgram
+	Data    []byte // OpProgram
 	// Src attributes the program for write-amplification accounting
 	// (zero value: SrcUnattributed).
 	Src Source
+	// Segs are an OpRead's caller-owned destinations and Read receives its
+	// outcome; both belong to the submitter and are valid once Batch.Wait
+	// returns.
+	Segs []ReadSeg
+	Read *ReadOutcome
+}
+
+// ReadOutcome is what ReadGather returned for one OpRead.
+type ReadOutcome struct {
+	RBlocks int
+	Err     error
 }
 
 // BatchResult reports the outcome of a submitted batch.
 type BatchResult struct {
 	// FailedEBlocks lists the EBLOCKs that suffered a program or erase
-	// failure, sorted by (channel, eblock). Commands queued behind a failure
-	// in the same EBLOCK are skipped (§VII: the EBLOCK is unwritable until
-	// erased).
+	// failure, sorted by (channel, eblock). Programs and erases queued behind
+	// a failure in the same EBLOCK are skipped (§VII: the EBLOCK is
+	// unwritable until erased).
 	FailedEBlocks [][2]int
-	// Attempted counts the commands actually issued (failures included,
-	// skipped commands excluded).
+	// Attempted counts the programs and erases actually issued (failures
+	// included, skipped commands excluded). A read is in neither: it fails
+	// only itself, through its ReadOutcome, and is never skipped.
 	Attempted int
 }
 
@@ -887,9 +889,6 @@ type Batch struct {
 type batchSeg struct {
 	b    *Batch
 	cmds []BatchCmd
-	// A segment carries either programs (above) or reads (below), never both.
-	rb    *ReadBatch
-	rcmds []ReadCmd
 }
 
 // Wait blocks until all of the batch's commands have completed and returns
@@ -932,11 +931,18 @@ func (b *Batch) finish(attempted int, failed [][2]int) {
 	b.mu.Unlock()
 }
 
-// runSegment executes one channel's commands in order, skipping commands to
-// EBLOCKs that failed earlier within this batch.
+// runSegment executes one channel's commands in order, skipping programs
+// and erases to EBLOCKs that failed earlier within this batch. Each read
+// writes only its own ReadOutcome and destinations, so segments on
+// different channels never race; Wait's lock acquisition orders the writes
+// before the submitter's reads.
 func (d *Device) runSegment(cmds []BatchCmd) (attempted int, failed [][2]int) {
 	var failedSet map[[2]int]bool
 	for _, c := range cmds {
+		if c.Op == OpRead {
+			c.Read.RBlocks, c.Read.Err = d.ReadGather(c.Channel, c.EBlock, c.Segs)
+			continue
+		}
 		key := [2]int{c.Channel, c.EBlock}
 		if failedSet[key] {
 			continue
@@ -961,14 +967,6 @@ func (d *Device) runSegment(cmds []BatchCmd) (attempted int, failed [][2]int) {
 
 func (d *Device) workerLoop(q chan batchSeg) {
 	for seg := range q {
-		if seg.rb != nil {
-			d.runReadSegment(seg.rb, seg.rcmds)
-			if m := d.met.Load(); m != nil && len(seg.rcmds) > 0 {
-				m.queueDepth[seg.rcmds[0].Channel].Add(-int64(len(seg.rcmds)))
-			}
-			seg.rb.finish()
-			continue
-		}
 		attempted, failed := d.runSegment(seg.cmds)
 		if m := d.met.Load(); m != nil && len(seg.cmds) > 0 {
 			m.queueDepth[seg.cmds[0].Channel].Add(-int64(len(seg.cmds)))
@@ -996,13 +994,15 @@ func (d *Device) queueFor(ch int) chan batchSeg {
 	return d.workers[ch]
 }
 
-// SubmitBatch queues program and erase commands onto the per-channel
-// workers and returns a handle to wait on. Commands for the same channel
-// execute in slice order (FIFO per channel, preserving the NAND
-// sequential-program constraint for commands the caller ordered
-// correctly); commands for different channels execute concurrently in
-// wall-clock time. A failed command disables the rest of its EBLOCK for
-// the remainder of the batch.
+// SubmitBatch queues commands onto the per-channel workers and returns a
+// handle to wait on. Commands for the same channel execute in slice order
+// (FIFO per channel, preserving the NAND sequential-program constraint for
+// commands the caller ordered correctly, and letting a read follow the
+// program it depends on); commands for different channels execute
+// concurrently in wall-clock time, which is what makes a multi-channel
+// read a scatter-gather rather than a serial loop. A failed program or
+// erase disables the rest of its EBLOCK for the programs and erases in the
+// remainder of the batch.
 //
 // Two situations fall back to synchronous execution in the caller's
 // goroutine, in exact slice order: a configured failure probability (the
@@ -1019,14 +1019,8 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 	sequential := d.failProb > 0
 	d.injectMu.Unlock()
 	if sequential {
-		attempted, failed := d.runSegment(cmds)
-		b.attempted, b.pending = attempted, 0
-		for _, k := range failed {
-			if b.failed == nil {
-				b.failed = make(map[[2]int]bool)
-			}
-			b.failed[k] = true
-		}
+		b.pending = 1
+		b.finish(d.runSegment(cmds))
 		return b
 	}
 	// Split into per-channel segments, preserving order within a channel:
@@ -1060,8 +1054,7 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 		q := d.queueFor(ch)
 		if q == nil {
 			// Closed device: run inline.
-			attempted, failed := d.runSegment(seg)
-			b.finish(attempted, failed)
+			b.finish(d.runSegment(seg))
 			continue
 		}
 		if m != nil {
@@ -1070,121 +1063,6 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 		q <- batchSeg{b: b, cmds: seg}
 	}
 	return b
-}
-
-// ReadCmd is one extent read destined for a channel's submission queue.
-// Index names the result slot in the owning ReadBatch, so callers can
-// scatter commands across channels and still collect results in their
-// original order.
-type ReadCmd struct {
-	Channel int
-	EBlock  int
-	Offset  int
-	Length  int
-	Index   int
-}
-
-// ReadResult is the outcome of one ReadCmd: the extent bytes, the number
-// of RBLOCKs transferred (read-amplification accounting), and any media
-// error.
-type ReadResult struct {
-	Data    []byte
-	RBlocks int
-	Err     error
-}
-
-// ReadBatch tracks an in-flight SubmitReads until every queued command
-// has completed.
-type ReadBatch struct {
-	mu      sync.Mutex
-	done    sync.Cond
-	pending int
-	results []ReadResult
-}
-
-// Wait blocks until all of the batch's reads have completed and returns
-// the results indexed by each command's Index. The returned slice is
-// owned by the caller once Wait returns.
-func (rb *ReadBatch) Wait() []ReadResult {
-	rb.mu.Lock()
-	for rb.pending > 0 {
-		rb.done.Wait()
-	}
-	res := rb.results
-	rb.mu.Unlock()
-	return res
-}
-
-func (rb *ReadBatch) finish() {
-	rb.mu.Lock()
-	if rb.pending--; rb.pending == 0 {
-		rb.done.Broadcast()
-	}
-	rb.mu.Unlock()
-}
-
-// runReadSegment executes one channel's reads in order. Each command
-// writes only its own result slot, so segments on different channels
-// never race; Wait's lock acquisition orders the writes before the
-// caller's reads.
-func (d *Device) runReadSegment(rb *ReadBatch, cmds []ReadCmd) {
-	for _, c := range cmds {
-		data, nR, err := d.ReadExtent(c.Channel, c.EBlock, c.Offset, c.Length)
-		rb.results[c.Index] = ReadResult{Data: data, RBlocks: nR, Err: err}
-	}
-}
-
-// SubmitReads queues extent reads onto the per-channel workers — the read
-// twin of SubmitBatch — and returns a handle to wait on. n is the number
-// of result slots; every command's Index must be in [0, n). Commands for
-// the same channel execute in slice order; different channels execute
-// concurrently in wall-clock time, which is what makes a multi-channel
-// ReadBatch scatter-gather rather than a serial loop. A closed device
-// runs the reads inline in the caller's goroutine.
-func (d *Device) SubmitReads(n int, cmds []ReadCmd) *ReadBatch {
-	rb := &ReadBatch{results: make([]ReadResult, n)}
-	rb.done.L = &rb.mu
-	if len(cmds) == 0 {
-		return rb
-	}
-	// Counting scatter into one backing array, as in SubmitBatch.
-	counts := make([]int, d.geo.Channels)
-	for _, c := range cmds {
-		counts[c.Channel]++
-	}
-	backing := make([]ReadCmd, len(cmds))
-	next := make([]int, d.geo.Channels)
-	sum := 0
-	for ch, cnt := range counts {
-		next[ch] = sum
-		sum += cnt
-		if cnt > 0 {
-			rb.pending++
-		}
-	}
-	for _, c := range cmds {
-		backing[next[c.Channel]] = c
-		next[c.Channel]++
-	}
-	m := d.met.Load()
-	for ch, cnt := range counts {
-		if cnt == 0 {
-			continue
-		}
-		seg := backing[next[ch]-cnt : next[ch]]
-		q := d.queueFor(ch)
-		if q == nil {
-			// Closed device: run inline.
-			d.runReadSegment(rb, seg)
-			rb.finish()
-			continue
-		}
-		if m != nil {
-			m.queueDepth[ch].Add(int64(cnt))
-		}
-		q <- batchSeg{rb: rb, rcmds: seg}
-	}
-	return rb
 }
 
 // Close stops the per-channel worker goroutines. Callers must have waited

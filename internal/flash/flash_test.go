@@ -61,7 +61,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if err := d.Program(1, 2, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadRBlocks(1, 2, 0, d.Geometry().RBlocksPerWBlock())
+	got, _, err := d.ReadExtent(1, 2, 0, d.Geometry().WBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestProgramShortDataZeroPadded(t *testing.T) {
 	if err := d.Program(0, 1, 0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadRBlocks(0, 1, 0, 1)
+	got, _, err := d.ReadExtent(0, 1, 0, d.Geometry().RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReadSpansWBlocks(t *testing.T) {
 	}
 	// Read the last RBLOCK of wblock 0 and the first of wblock 1.
 	start := g.RBlocksPerWBlock() - 1
-	got, err := d.ReadRBlocks(2, 3, start, 2)
+	got, _, err := d.ReadExtent(2, 3, start*g.RBlockBytes, 2*g.RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestExplicitWriteFailureDisablesEBlock(t *testing.T) {
 		t.Fatalf("expected ErrEBlockDisabled, got %v", err)
 	}
 	// Prior data remains readable.
-	got, err := d.ReadRBlocks(1, 1, 0, 1)
+	got, _, err := d.ReadExtent(1, 1, 0, d.Geometry().RBlockBytes)
 	if err != nil || got[0] != 1 {
 		t.Fatalf("prior data unreadable: %v %v", got[:1], err)
 	}
@@ -286,7 +286,7 @@ func TestVirtualTimeAccounting(t *testing.T) {
 	if err := d.Program(1, 0, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadRBlocks(0, 0, 0, 3); err != nil {
+	if _, _, err := d.ReadExtent(0, 0, 0, 3*d.Geometry().RBlockBytes); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Erase(2, 5); err != nil {
@@ -323,7 +323,7 @@ func TestStatsCounting(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geometry()
 	_ = d.Program(0, 0, 0, make([]byte, 100))
-	_, _ = d.ReadRBlocks(0, 0, 0, 2)
+	_, _, _ = d.ReadExtent(0, 0, 0, 2*g.RBlockBytes)
 	_ = d.Erase(3, 3)
 	s := d.Stats()
 	if s.WBlocksWritten != 1 || s.RBlocksRead != 2 || s.EBlocksErased != 1 {
@@ -353,10 +353,10 @@ func TestOutOfRangeErrors(t *testing.T) {
 	if err := d.Program(0, 0, 0, make([]byte, g.WBlockBytes+1)); !errors.Is(err, ErrDataTooLarge) {
 		t.Fatal("oversized data not rejected")
 	}
-	if _, err := d.ReadRBlocks(0, 0, 0, g.RBlocksPerEBlock()+1); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := d.ReadExtent(0, 0, 0, g.EBlockBytes+g.RBlockBytes); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("read range not enforced")
 	}
-	if _, err := d.ReadRBlocks(0, 0, 0, 0); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := d.ReadExtent(0, 0, 0, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("zero-length read not rejected")
 	}
 	if err := d.Erase(-1, 0); !errors.Is(err, ErrOutOfRange) {
@@ -366,7 +366,7 @@ func TestOutOfRangeErrors(t *testing.T) {
 
 func TestUnwrittenReadsZero(t *testing.T) {
 	d := testDevice(t)
-	got, err := d.ReadRBlocks(3, 7, 0, 4)
+	got, _, err := d.ReadExtent(3, 7, 0, 4*d.Geometry().RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,14 @@ import (
 	"eleos/internal/addr"
 	"eleos/internal/core"
 	"eleos/internal/flash"
+	gcpolicy "eleos/internal/gc"
 )
 
 // GCAblationOptions configures the design-choice ablations DESIGN.md calls
 // out: the GC victim-selection policy (§VI-A) and the number of open GC
 // EBLOCKs used for hot/cold separation (§VI-B).
 type GCAblationOptions struct {
-	Policy    core.GCPolicy
+	Policy    gcpolicy.Policy // nil: the controller's default
 	GCBuckets int
 	// Batches of hot/cold skewed updates to run.
 	Batches int
@@ -23,7 +24,7 @@ type GCAblationOptions struct {
 
 // GCAblationResult measures the cost of the chosen policy.
 type GCAblationResult struct {
-	Policy       core.GCPolicy
+	Policy       gcpolicy.Policy
 	GCBuckets    int
 	LogicalBytes int64   // bytes the host asked to store
 	FlashBytes   int64   // bytes physically programmed
@@ -123,18 +124,18 @@ func RunGCAblation(o GCAblationOptions) (*GCAblationResult, error) {
 func PrintGCAblation(w io.Writer, batches int, seed int64) error {
 	fmt.Fprintf(w, "Ablation — GC victim selection (§VI-A) under skewed hot/cold churn\n\n")
 	fmt.Fprintf(w, "%-18s %10s %14s %14s %10s\n", "policy", "write-amp", "pages moved", "bytes moved", "erases")
-	for _, p := range []core.GCPolicy{core.GCMinCostDecline, core.GCGreedy, core.GCOldest} {
+	for _, p := range []gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}, gcpolicy.Oldest{}} {
 		res, err := RunGCAblation(GCAblationOptions{Policy: p, GCBuckets: 3, Batches: batches, Seed: seed})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-18s %10.3f %14d %13.1fM %10d\n",
-			res.Policy, res.WriteAmp, res.GCPagesMoved, float64(res.GCBytesMoved)/(1<<20), res.EBlocksFreed)
+			res.Policy.Name(), res.WriteAmp, res.GCPagesMoved, float64(res.GCBytesMoved)/(1<<20), res.EBlocksFreed)
 	}
 	fmt.Fprintf(w, "\nAblation — hot/cold separation (§VI-B): open GC EBLOCKs per channel\n\n")
 	fmt.Fprintf(w, "%-18s %10s %14s %14s\n", "gc buckets", "write-amp", "pages moved", "bytes moved")
 	for _, buckets := range []int{1, 2, 3} {
-		res, err := RunGCAblation(GCAblationOptions{Policy: core.GCMinCostDecline, GCBuckets: buckets, Batches: batches, Seed: seed})
+		res, err := RunGCAblation(GCAblationOptions{GCBuckets: buckets, Batches: batches, Seed: seed})
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"eleos/internal/addr"
 	"eleos/internal/core"
 	"eleos/internal/flash"
+	gcpolicy "eleos/internal/gc"
 	"eleos/internal/health"
 )
 
@@ -78,8 +79,8 @@ func wafGeometry() flash.Geometry {
 
 // runWAFArm executes one (policy, workload) cell on a fresh device and
 // reconciles the three accounting views before reporting.
-func runWAFArm(policy core.GCPolicy, workload string, batches int, seed int64) (WAFArm, error) {
-	arm := WAFArm{Policy: policy.String(), Workload: workload}
+func runWAFArm(policy gcpolicy.Policy, workload string, batches int, seed int64) (WAFArm, error) {
+	arm := WAFArm{Policy: policy.Name(), Workload: workload}
 	dev, err := flash.NewDevice(wafGeometry(), flash.Latency{})
 	if err != nil {
 		return arm, err
@@ -154,7 +155,7 @@ func runWAFArm(policy core.GCPolicy, workload string, batches int, seed int64) (
 
 // RunWAF executes the sequential arm under the first policy and the
 // btree-churn arm under each.
-func RunWAF(policies []core.GCPolicy, batches int, seed int64) (WAFResult, error) {
+func RunWAF(policies []gcpolicy.Policy, batches int, seed int64) (WAFResult, error) {
 	res := WAFResult{Batches: batches}
 	for i, p := range policies {
 		workloads := []string{"btree-churn"}
@@ -170,7 +171,7 @@ func RunWAF(policies []core.GCPolicy, batches int, seed int64) (WAFResult, error
 			switch {
 			case workload == "sequential":
 				res.SequentialWAF = arm.WAF
-			case p == core.GCMinCostDecline:
+			case p == gcpolicy.MinCostDecline{}:
 				res.GatedWAF = arm.WAF
 			}
 		}
@@ -191,7 +192,7 @@ func PrintWAF(w io.Writer, res WAFResult) {
 			float64(a.SourceBytes["gc"])/(1<<20), float64(a.SourceBytes["checkpoint"])/(1<<20),
 			a.EBlocksFreed, a.Erases)
 	}
-	fmt.Fprintf(w, "\ngated WAF (%s, btree-churn): %.3f\n", core.GCMinCostDecline, res.GatedWAF)
+	fmt.Fprintf(w, "\ngated WAF (%s, btree-churn): %.3f\n", gcpolicy.MinCostDecline{}.Name(), res.GatedWAF)
 	fmt.Fprintf(w, "gated WAF (sequential floor): %.3f\n", res.SequentialWAF)
 }
 

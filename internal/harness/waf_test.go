@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"eleos/internal/core"
+	gcpolicy "eleos/internal/gc"
 )
 
 // TestWAFRuns executes the experiment at test scale and checks the
@@ -17,7 +17,7 @@ import (
 // the gated numbers are the default policy's churn WAF and the sequential
 // floor.
 func TestWAFRuns(t *testing.T) {
-	res, err := RunWAF([]core.GCPolicy{core.GCMinCostDecline, core.GCGreedy}, 800, 3)
+	res, err := RunWAF([]gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}}, 800, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestWAFRuns(t *testing.T) {
 		}
 		byCell[a.Policy+"/"+a.Workload] = a
 	}
-	mcdSeq := byCell[core.GCMinCostDecline.String()+"/sequential"]
-	mcdChurn := byCell[core.GCMinCostDecline.String()+"/btree-churn"]
+	mcdSeq := byCell[gcpolicy.MinCostDecline{}.Name()+"/sequential"]
+	mcdChurn := byCell[gcpolicy.MinCostDecline{}.Name()+"/btree-churn"]
 	if mcdChurn.WAF < mcdSeq.WAF {
 		t.Fatalf("churn WAF %.3f below sequential floor %.3f", mcdChurn.WAF, mcdSeq.WAF)
 	}
@@ -55,7 +55,7 @@ func TestWAFRuns(t *testing.T) {
 	if res.SequentialWAF != mcdSeq.WAF {
 		t.Fatalf("sequential WAF %.3f is not the sequential arm's %.3f", res.SequentialWAF, mcdSeq.WAF)
 	}
-	if _, dup := byCell[core.GCGreedy.String()+"/sequential"]; dup {
+	if _, dup := byCell[gcpolicy.Greedy{}.Name()+"/sequential"]; dup {
 		t.Fatal("sequential arm ran under a second policy; GC moves nothing there, so the rows are duplicates")
 	}
 
@@ -84,11 +84,11 @@ func TestWAFRuns(t *testing.T) {
 // same seed, same accounting, so the recorded EXPERIMENTS.md numbers
 // and the CI gate are stable across machines.
 func TestWAFDeterministic(t *testing.T) {
-	a, err := runWAFArm(core.GCMinCostDecline, "btree-churn", 800, 7)
+	a, err := runWAFArm(gcpolicy.MinCostDecline{}, "btree-churn", 800, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runWAFArm(core.GCMinCostDecline, "btree-churn", 800, 7)
+	b, err := runWAFArm(gcpolicy.MinCostDecline{}, "btree-churn", 800, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

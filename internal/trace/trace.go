@@ -59,9 +59,9 @@ const (
 	KFlashErase   // span: one EBLOCK erase; Arg1 = channel, Arg2 = eblock
 	KWalForce     // Arg1 = 1 leader page write (span), 0 free ride (instant); Arg2 = records flushed
 
-	KReadLookup   // span: locked mapping lookup + reader pin; Arg1 = LPID
+	KReadLookup   // span: locked mapping lookups + reader pins of one fenced read; Arg1 = pages looked up, Arg2 = pages pinned
 	KReadCacheHit // instant: page served from the read cache; Arg1 = LPID, Arg2 = bytes
-	KReadFlash    // span: flash wait (pin held, c.mu released); Arg1 = LPID, Arg2 = bytes
+	KReadFlash    // span: flash wait (pins held, c.mu released); Arg1 = pages read
 
 	// KMaintain is the span between a batch's install and its ack in which
 	// it ran the GC pass and/or auto checkpoint it triggered; it carries the
