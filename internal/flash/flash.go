@@ -18,6 +18,11 @@
 // wall-clock sleeps: the media-side elapsed time of a workload is the
 // busiest channel's accumulated time.
 //
+// SetWallLatencyScale also plays the latencies out in wall clock: a command
+// occupies its channel until a per-channel deadline at which the process's
+// one timekeeper (timekeeper.go) wakes it — never before, and later by a
+// lateness reported as "flash.wall_late_ns". Virtual time does not notice.
+//
 // Channels are independently locked, and SubmitBatch queues commands —
 // programs, erases and reads are one BatchCmd type on one FIFO — onto one
 // worker goroutine per channel, so different channels also execute
@@ -228,6 +233,9 @@ type channelState struct {
 	mu      sync.Mutex
 	eblocks []eblockState
 	busy    time.Duration // accumulated virtual time
+	// wall is the wall-latency emulation's (wallWait): the channel's
+	// current emulated command, or its last; wall.at is when it ends.
+	wall wakeup
 }
 
 // Device is the simulated flash array. All methods are safe for concurrent
@@ -267,31 +275,57 @@ type Device struct {
 	// wallScale > 0 makes operations consume real wall-clock time (their
 	// virtual latency times the scale) while holding the channel lock,
 	// emulating channel occupancy for concurrency benchmarks. Stored as
-	// nanoseconds-scale*1e6 in an atomic so it can be read lock-free.
+	// scale*1000 in an atomic so it can be read lock-free.
 	wallScaleMilli atomic.Int64
 }
 
-// SetWallLatencyScale makes device operations sleep scale×latency of real
+// SetWallLatencyScale makes device operations take scale×latency of real
 // time while occupying their channel (0 disables, the default). Virtual
 // time accounting is unaffected. Used by wall-clock concurrency benchmarks
-// to model the pipeline overlap a real NAND channel would provide.
+// to model the pipeline overlap a real NAND channel would provide. A
+// command returns no earlier than its start (wallWait) plus its scaled
+// latency; how much later is reported as "flash.wall_late_ns". Commands
+// that arrived while the scale was 0 are not emulated.
 func (d *Device) SetWallLatencyScale(scale float64) {
 	d.wallScaleMilli.Store(int64(scale * 1000))
 }
 
-// wallWait sleeps the scaled latency if wall-time emulation is on. Called
-// with the channel lock held: the channel is busy for the duration.
-func (d *Device) wallWait(lat time.Duration) {
-	if s := d.wallScaleMilli.Load(); s > 0 {
-		time.Sleep(lat * time.Duration(s) / 1000)
+// arrival stamps a command's arrival at the device for wallWait: the zero
+// Time while wall-latency emulation is off. program, readGather and erase
+// are ProgramSrc, ReadGather and Erase for a command that arrived at arrived.
+func (d *Device) arrival() time.Time {
+	if d.wallScaleMilli.Load() <= 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// wallWait occupies the channel for the scaled latency if wall-time
+// emulation is on. Called with the channel lock held: the channel is busy
+// for the duration. The wait is a deadline, not a length: the command starts
+// when it arrived or when the channel's previous command ends, whichever is
+// later, so commands queued back to back end at first start + k×latency, an
+// earlier wait's lateness absorbed by the next instead of added to it.
+func (d *Device) wallWait(cs *channelState, arrived time.Time, lat time.Duration, m *devMetrics) {
+	s := d.wallScaleMilli.Load()
+	if s <= 0 || arrived.IsZero() {
+		return
+	}
+	if arrived.Before(cs.wall.at) {
+		arrived = cs.wall.at
+	}
+	cs.wall.at = arrived.Add(lat * time.Duration(s) / 1000)
+	keeper.sleepUntil(&cs.wall)
+	if m != nil {
+		m.wallLateNS.ObserveDuration(time.Since(cs.wall.at))
 	}
 }
 
 // devMetrics holds the device's instrument handles, resolved once in
-// SetMetrics. Latencies are wall-clock (they include channel-lock wait
-// and any wallWait emulation), so histogram time only moves when the
-// benchmark models occupancy — virtual-time accounting stays in
-// ChannelTime/MediaTime.
+// SetMetrics. Latencies are wall-clock, taken from after the channel lock
+// is acquired (so without the wait for it) and including any wallWait
+// emulation, so histogram time only moves when the benchmark models
+// occupancy — virtual-time accounting stays in ChannelTime/MediaTime.
 type devMetrics struct {
 	programs        *metrics.Counter
 	programFailures *metrics.Counter
@@ -300,6 +334,8 @@ type devMetrics struct {
 	eraseFailures   *metrics.Counter
 	programNS       *metrics.Histogram
 	eraseNS         *metrics.Histogram
+	readNS          *metrics.Histogram           // per ReadGather
+	wallLateNS      *metrics.Histogram           // per emulated wait: return time past its deadline
 	queueDepth      []*metrics.Gauge             // per channel, in queued commands
 	srcWBlocks      [NumSources]*metrics.Counter // flash.src.<name>.wblocks
 	srcBytes        [NumSources]*metrics.Counter // flash.src.<name>.bytes
@@ -309,7 +345,9 @@ type devMetrics struct {
 // "flash.program_failures", "flash.programmed_bytes", "flash.erases",
 // "flash.erase_failures" counters, per-source
 // "flash.src.<source>.wblocks"/"flash.src.<source>.bytes" counters, the
-// "flash.program_ns"/"flash.erase_ns" wall-clock histograms, and one
+// "flash.program_ns"/"flash.erase_ns"/"flash.read_ns" wall-clock
+// histograms, "flash.wall_late_ns" (how long after its deadline each
+// emulated wait returned; no samples with wall latency off), and one
 // "flash.chan<i>.queue_depth" gauge per channel counting commands queued
 // on the channel's submission worker. A nil registry uninstalls
 // instrumentation. Install before submitting traffic: batches in flight
@@ -327,6 +365,8 @@ func (d *Device) SetMetrics(reg *metrics.Registry) {
 		eraseFailures:   reg.Counter("flash.erase_failures"),
 		programNS:       reg.Histogram("flash.program_ns", metrics.DurationBounds()),
 		eraseNS:         reg.Histogram("flash.erase_ns", metrics.DurationBounds()),
+		readNS:          reg.Histogram("flash.read_ns", metrics.DurationBounds()),
+		wallLateNS:      reg.Histogram("flash.wall_late_ns", metrics.DurationBounds()),
 		queueDepth:      make([]*metrics.Gauge, d.geo.Channels),
 	}
 	for i := range m.queueDepth {
@@ -363,6 +403,7 @@ func NewDevice(geo Geometry, lat Latency) (*Device, error) {
 	}
 	for i := range d.channels {
 		d.channels[i].eblocks = make([]eblockState, geo.EBlocksPerChannel)
+		d.channels[i].wall.ch = make(chan struct{}, 1)
 		for j := range d.channels[i].eblocks {
 			d.channels[i].eblocks[j].wblocks = make([][]byte, geo.WBlocksPerEBlock())
 		}
@@ -503,6 +544,10 @@ func (d *Device) Program(ch, eb, wb int, data []byte) error {
 // BytesWritten exactly. Out-of-range sources are clamped to
 // SrcUnattributed.
 func (d *Device) ProgramSrc(src Source, ch, eb, wb int, data []byte) error {
+	return d.program(d.arrival(), src, ch, eb, wb, data)
+}
+
+func (d *Device) program(arrived time.Time, src Source, ch, eb, wb int, data []byte) error {
 	if src >= NumSources {
 		src = SrcUnattributed
 	}
@@ -539,7 +584,7 @@ func (d *Device) ProgramSrc(src Source, ch, eb, wb int, data []byte) error {
 		t0 = time.Now()
 	}
 	cs.busy += d.lat.ProgramWBlock
-	d.wallWait(d.lat.ProgramWBlock)
+	d.wallWait(cs, arrived, d.lat.ProgramWBlock, m)
 	if d.shouldFail(ch, eb, wb) {
 		ebs.failed = true
 		d.statsMu.Lock()
@@ -595,6 +640,10 @@ type ReadSeg struct {
 // unprogrammed WBLOCKs and the tail past a short program read as zeroes, so
 // a Dst may be a dirty pooled buffer. It allocates nothing.
 func (d *Device) ReadGather(ch, eb int, segs []ReadSeg) (rblocks int, err error) {
+	return d.readGather(d.arrival(), ch, eb, segs)
+}
+
+func (d *Device) readGather(arrived time.Time, ch, eb int, segs []ReadSeg) (rblocks int, err error) {
 	if err := d.checkAddr(ch, eb); err != nil {
 		return 0, err
 	}
@@ -614,6 +663,11 @@ func (d *Device) ReadGather(ch, eb int, segs []ReadSeg) (rblocks int, err error)
 	w := d.geo.WBlockBytes
 	cs := &d.channels[ch]
 	cs.mu.Lock()
+	m := d.met.Load()
+	var t0 time.Time
+	if m != nil {
+		t0 = time.Now()
+	}
 	ebs := &cs.eblocks[eb]
 	for _, s := range segs {
 		for rest, off := s.Dst, s.Off; len(rest) > 0; { // one WBLOCK's share of Dst per step
@@ -628,12 +682,15 @@ func (d *Device) ReadGather(ch, eb int, segs []ReadSeg) (rblocks int, err error)
 		}
 	}
 	cs.busy += time.Duration(n) * d.lat.ReadRBlock
-	d.wallWait(time.Duration(n) * d.lat.ReadRBlock)
+	d.wallWait(cs, arrived, time.Duration(n)*d.lat.ReadRBlock, m)
 	cs.mu.Unlock()
 	d.statsMu.Lock()
 	d.stats.RBlocksRead += int64(n)
 	d.stats.BytesRead += int64(n * r)
 	d.statsMu.Unlock()
+	if m != nil {
+		m.readNS.ObserveDuration(time.Since(t0))
+	}
 	return n, nil
 }
 
@@ -683,6 +740,10 @@ func (d *Device) IsWritten(ch, eb, wb int) (bool, error) {
 // "flash.erases" counter, one "flash.erase_ns" sample and one KFlashErase
 // span, so registry, Stats and trace always agree.
 func (d *Device) Erase(ch, eb int) error {
+	return d.erase(d.arrival(), ch, eb)
+}
+
+func (d *Device) erase(arrived time.Time, ch, eb int) error {
 	if err := d.checkAddr(ch, eb); err != nil {
 		return err
 	}
@@ -709,7 +770,7 @@ func (d *Device) Erase(ch, eb int) error {
 		// The pulse holds the channel whether or not it succeeds.
 		pulseFailed = d.shouldFailErase()
 		cs.busy += d.lat.EraseEBlock
-		d.wallWait(d.lat.EraseEBlock)
+		d.wallWait(cs, arrived, d.lat.EraseEBlock, m)
 		if pulseFailed {
 			// A failed pulse consumes time and an erase-limit cycle but
 			// changes nothing else: the EBLOCK keeps its programmed content
@@ -887,8 +948,9 @@ type Batch struct {
 }
 
 type batchSeg struct {
-	b    *Batch
-	cmds []BatchCmd
+	b       *Batch
+	cmds    []BatchCmd
+	arrived time.Time // SubmitBatch's arrival stamp, every command's
 }
 
 // Wait blocks until all of the batch's commands have completed and returns
@@ -936,11 +998,11 @@ func (b *Batch) finish(attempted int, failed [][2]int) {
 // writes only its own ReadOutcome and destinations, so segments on
 // different channels never race; Wait's lock acquisition orders the writes
 // before the submitter's reads.
-func (d *Device) runSegment(cmds []BatchCmd) (attempted int, failed [][2]int) {
+func (d *Device) runSegment(arrived time.Time, cmds []BatchCmd) (attempted int, failed [][2]int) {
 	var failedSet map[[2]int]bool
 	for _, c := range cmds {
 		if c.Op == OpRead {
-			c.Read.RBlocks, c.Read.Err = d.ReadGather(c.Channel, c.EBlock, c.Segs)
+			c.Read.RBlocks, c.Read.Err = d.readGather(arrived, c.Channel, c.EBlock, c.Segs)
 			continue
 		}
 		key := [2]int{c.Channel, c.EBlock}
@@ -950,9 +1012,9 @@ func (d *Device) runSegment(cmds []BatchCmd) (attempted int, failed [][2]int) {
 		attempted++
 		var err error
 		if c.Op == OpErase {
-			err = d.Erase(c.Channel, c.EBlock)
+			err = d.erase(arrived, c.Channel, c.EBlock)
 		} else {
-			err = d.ProgramSrc(c.Src, c.Channel, c.EBlock, c.WBlock, c.Data)
+			err = d.program(arrived, c.Src, c.Channel, c.EBlock, c.WBlock, c.Data)
 		}
 		if err != nil {
 			if failedSet == nil {
@@ -967,7 +1029,7 @@ func (d *Device) runSegment(cmds []BatchCmd) (attempted int, failed [][2]int) {
 
 func (d *Device) workerLoop(q chan batchSeg) {
 	for seg := range q {
-		attempted, failed := d.runSegment(seg.cmds)
+		attempted, failed := d.runSegment(seg.arrived, seg.cmds)
 		if m := d.met.Load(); m != nil && len(seg.cmds) > 0 {
 			m.queueDepth[seg.cmds[0].Channel].Add(-int64(len(seg.cmds)))
 		}
@@ -1018,9 +1080,10 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 	d.injectMu.Lock()
 	sequential := d.failProb > 0
 	d.injectMu.Unlock()
+	arrived := d.arrival()
 	if sequential {
 		b.pending = 1
-		b.finish(d.runSegment(cmds))
+		b.finish(d.runSegment(arrived, cmds))
 		return b
 	}
 	// Split into per-channel segments, preserving order within a channel:
@@ -1054,13 +1117,13 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 		q := d.queueFor(ch)
 		if q == nil {
 			// Closed device: run inline.
-			b.finish(d.runSegment(seg))
+			b.finish(d.runSegment(arrived, seg))
 			continue
 		}
 		if m != nil {
 			m.queueDepth[ch].Add(int64(cnt))
 		}
-		q <- batchSeg{b: b, cmds: seg}
+		q <- batchSeg{b: b, cmds: seg, arrived: arrived}
 	}
 	return b
 }

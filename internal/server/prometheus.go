@@ -35,6 +35,10 @@ var promHelp = map[string]string{
 	"eleos_flash_src_bytes_total":           "Physical bytes programmed, split by traffic source.",
 	"eleos_flash_src_wblocks_total":         "WBLOCK programs, split by traffic source.",
 	"eleos_flash_programmed_bytes_total":    "Physical bytes programmed to flash, all sources.",
+	"eleos_flash_program_ns":                "Wall-clock time a WBLOCK program occupied its channel.",
+	"eleos_flash_erase_ns":                  "Wall-clock time an EBLOCK erase occupied its channel.",
+	"eleos_flash_read_ns":                   "Wall-clock time a gather read occupied its channel.",
+	"eleos_flash_wall_late_ns":              "How long after its deadline each emulated flash wait returned (wall-latency emulation only).",
 	"eleos_core_write_bytes_accepted_total": "Logical bytes accepted by the controller write path.",
 	"eleos_core_gc_bytes_moved_total":       "Valid bytes relocated by garbage collection.",
 	"eleos_core_gc_bytes_read_total":        "Media bytes transferred by garbage collection's relocation and metadata reads.",
