@@ -21,12 +21,12 @@ func main() {
 
 	// --- 1. Atomicity: a crash mid-buffer leaves no trace -------------------
 	must(ctl.WriteBatch(0, 0, []core.LPage{{LPID: 1, Data: []byte("v1 of page 1")}}))
-	ctl.SetCrashPoint("commit.before-force") // die before the commit record is durable
+	ctl.SetCrashPoint("write.after-init") // die with the action logged and nothing programmed or forced
 	err = ctl.WriteBatch(0, 0, []core.LPage{
 		{LPID: 1, Data: []byte("v2 of page 1")},
 		{LPID: 2, Data: []byte("new page 2")},
 	})
-	fmt.Printf("crash injected mid-commit: %v\n", err)
+	fmt.Printf("crash injected mid-write: %v\n", err)
 
 	ctl, err = core.Open(dev, core.DefaultConfig())
 	if err != nil {

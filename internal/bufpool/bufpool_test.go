@@ -82,6 +82,9 @@ func TestPoison(t *testing.T) {
 }
 
 func TestSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race; CI's zero-alloc step runs this without it")
+	}
 	// Warm the pool, then check the Get/Release cycle allocates nothing.
 	for _, n := range []int{512, 9000} {
 		Get(n).Release()

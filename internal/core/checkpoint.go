@@ -179,15 +179,13 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 			return err
 		}
 	}
-	if _, err := c.append(record.CloseEBlock{
+	// The EBLOCK is closed whether or not the log takes the record.
+	_, err = c.append(record.CloseEBlock{
 		Channel: uint32(ref.Channel), EBlock: uint32(ref.EBlock),
 		Timestamp: ts, DataWBlocks: d.DataWBlocks, MetaWBlocks: uint32(metaWB),
-	}); err != nil {
-		return err
-	}
-	c.st.ClearMeta(ref.Channel, ref.EBlock)
-	c.prov.DropOpen(ref.Channel, ref.EBlock)
-	return nil
+	})
+	c.closedLocked(ref.Channel, ref.EBlock)
+	return err
 }
 
 // flushTablesLocked writes dirty mapping pages, dirty small-table pages,
@@ -281,9 +279,12 @@ func (c *Controller) flushTablesLocked(mayGC bool) error {
 	// Commit-phase failures abort the action: the old table-page homes are
 	// still authoritative (nothing was installed), and leaving the action
 	// in c.active would pin the truncation LSN forever.
-	if err := c.logClosesLocked(plan); err != nil {
+	if err := c.logClosesLocked(plan, 0); err != nil {
 		c.abortActionLocked(id, plan)
 		return err
+	}
+	for _, cl := range plan.Closes {
+		c.closedLocked(cl.Channel, cl.EBlock)
 	}
 	if _, err := c.append(record.Commit{Action: id, AKind: record.ActionCheckpoint}); err != nil {
 		c.abortActionLocked(id, plan)

@@ -160,6 +160,9 @@ type Stats struct {
 	GCMetaUnreadable int64 // core.gc.meta_unreadable
 	Migrations       int64 // core.migrations
 	Checkpoints      int64 // core.checkpoints
+	RecoverVerified  int64 // core.recover.actions_verified: user actions Open proved by reading their data back
+	RecoverRejected  int64 // core.recover.actions_rejected: those whose data did not match their commit's checksum
+	RecoverBytes     int64 // core.recover.verify_bytes: media bytes read to prove them
 }
 
 // checkpoint area location: the first two EBLOCKs of channel 0 are
@@ -176,8 +179,8 @@ const (
 // Concurrency: c.mu protects all controller state, but the write path holds
 // it only for short critical sections — WSN admission, the
 // provision/log/submit sequence, and the install — and releases it while
-// flash programs execute on the per-channel device workers and while the
-// commit force runs (see DESIGN.md §4, "Concurrency model"). GC, migration
+// flash programs execute on the per-channel device workers and the commit
+// force runs beside them (see DESIGN.md §4, "Concurrency model"). GC, migration
 // and checkpointing run under c.mu except while an erase batch is on the
 // device (DESIGN.md §4.1, "GC erase protocol").
 type Controller struct {
@@ -204,15 +207,19 @@ type Controller struct {
 	// must not touch an EBLOCK while its count is non-zero.
 	inflight map[[2]int]int
 	// pinned counts actions whose programs landed on an EBLOCK but whose
-	// mapping install (or abort) has not happened yet. A user action's
-	// commit force releases c.mu with its programs already drained from
-	// inflight; without the pin, GC running in that window would scan the
-	// freshly closed EBLOCK, find its pages unreferenced (the mapping
-	// still points at the old versions), and erase it — the action would
-	// then install addresses into erased flash. Pins are taken at submit
-	// and released at install/abort; GC victim selection and migration
-	// skip or wait on them exactly like inflight.
+	// mapping install (or abort) has not happened yet. A user action waits
+	// for its commit force with c.mu released and its programs possibly
+	// drained from inflight; without the pin, GC running in that window
+	// would scan the freshly closed EBLOCK, find its pages unreferenced (the
+	// mapping still points at the old versions), and erase it — the action
+	// would then install addresses into erased flash. Pins are taken at
+	// submit and released at install/abort; GC victim selection and
+	// migration skip or wait on them exactly like inflight.
 	pinned map[[2]int]int
+	// doneLSN is, per EBLOCK, the LSN of the Done record of the last user
+	// action that wrote there. Until it is durable recovery proves the action
+	// by reading its pages back, so eraseAndFreeLocked forces the log first.
+	doneLSN map[[2]int]record.LSN
 	// wsnInflight claims a (sid, wsn) admission while its batch runs with
 	// c.mu released, so a concurrent duplicate submission cannot be
 	// admitted twice.
@@ -296,6 +303,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		active:       make(map[uint64]record.LSN),
 		inflight:     make(map[[2]int]int),
 		pinned:       make(map[[2]int]int),
+		doneLSN:      make(map[[2]int]record.LSN),
 		wsnInflight:  make(map[[2]uint64]bool),
 		ckptEB:       ckptEBlockA,
 		crashPoints:  make(map[string]bool),
@@ -443,6 +451,9 @@ func (c *Controller) Stats() Stats {
 		GCMetaUnreadable: m.gcMetaUnreadable.Value(),
 		Migrations:       m.migrations.Value(),
 		Checkpoints:      m.checkpoints.Value(),
+		RecoverVerified:  m.recoverVerified.Value(),
+		RecoverRejected:  m.recoverRejected.Value(),
+		RecoverBytes:     m.recoverVerifyBytes.Value(),
 	}
 }
 

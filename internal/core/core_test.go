@@ -267,21 +267,37 @@ func TestRepeatedCheckpoints(t *testing.T) {
 	checkRead(t, c, 1, pageContent(1, 9, 500))
 }
 
+// armUserFault arms a program failure at the nth WBLOCK (from 0) the next
+// user batch programs, for a batch of at most Channels WBLOCKs. A batch's
+// WBLOCKs go to successive channels, starting after the last batch's
+// (provision.partition's rotation): probe is a page of the last batch, which
+// must have been one WBLOCK, so the target is n+1 channels past probe's, at
+// the open user EBLOCK's position or in the EBLOCK provisioning opens next.
+// A fault aimed at "the next program" instead would meet the batch's data
+// program or its commit page, whichever reaches the device first.
+func armUserFault(t *testing.T, c *Controller, dev *flash.Device, probe addr.LPID, nth int) {
+	t.Helper()
+	ch := (mustAddr(t, c, probe).Channel() + 1 + nth) % c.geo.Channels
+	eb := c.prov.UserOpen(ch)
+	if eb < 0 {
+		eb = c.st.FreeList(ch)[0]
+	}
+	wb, err := dev.NextProgramPosition(ch, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.FailNextProgram(ch, eb, wb)
+}
+
 func TestWriteFailureAbortsAndRetrySucceeds(t *testing.T) {
 	c, dev := newFormatted(t)
 	mustWrite(t, c, LPage{LPID: 1, Data: pageContent(1, 1, 2000)})
 
-	// Fail the next program everywhere by failing each channel's open
-	// user eblock next position. Simpler: set a one-shot probabilistic
-	// failure via explicit address — find where the next write would go by
-	// writing once, then target that eblock's next wblock.
-	// Instead: make all programs fail briefly.
-	dev.SetFailureProbability(1.0, 42)
+	armUserFault(t, c, dev, 1, 0)
 	err := c.WriteBatch(0, 0, []LPage{{LPID: 2, Data: pageContent(2, 1, 2000)}})
-	if err == nil {
-		t.Fatal("write should fail when media fails")
+	if !errors.Is(err, ErrWriteFailed) {
+		t.Fatalf("write onto a failing WBLOCK = %v, want ErrWriteFailed", err)
 	}
-	dev.SetFailureProbability(0, 42)
 
 	// Old data still readable; retry succeeds.
 	checkRead(t, c, 1, pageContent(1, 1, 2000))

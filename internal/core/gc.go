@@ -378,9 +378,12 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 	// (the source EBLOCK is only erased after a successful return), and the
 	// abort unpins the action's truncation LSN. Aborting after a failed
 	// force is safe because the unforced commit record was never written.
-	if err := c.logClosesLocked(plan); err != nil {
+	if err := c.logClosesLocked(plan, 0); err != nil {
 		c.abortActionLocked(id, plan)
 		return err
+	}
+	for _, cl := range plan.Closes {
+		c.closedLocked(cl.Channel, cl.EBlock)
 	}
 	if _, err := c.append(record.Commit{Action: id, AKind: kind}); err != nil {
 		c.abortActionLocked(id, plan)
@@ -450,6 +453,16 @@ func eraseBatch(dev *flash.Device, ebs ...[2]int) [][2]int {
 // checkpoint force-close skip them and migration waits; nothing maps into
 // them (the caller relocated) and provisioning only takes Free EBLOCKs.
 func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
+	// A user action whose Done is not durable is proven at recovery by
+	// reading its pages back, dead duplicates included: its Done goes first.
+	for _, k := range victims {
+		if lsn, ok := c.doneLSN[k]; ok && lsn > c.log.DurableLSN() {
+			if err := c.forceLog(); err != nil {
+				return err
+			}
+		}
+		delete(c.doneLSN, k)
+	}
 	for _, k := range victims {
 		if c.inflight[k] > 0 || c.pinned[k] > 0 {
 			// Should be unreachable: victim selection skips these, and an

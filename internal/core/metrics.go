@@ -49,6 +49,12 @@ type coreMetrics struct {
 	checkpoints  *metrics.Counter
 	checkpointNS *metrics.Histogram
 
+	// Open's proof of the user actions the crash caught between init and
+	// install: actions read back, those of them rejected, bytes read.
+	recoverVerified    *metrics.Counter
+	recoverRejected    *metrics.Counter
+	recoverVerifyBytes *metrics.Counter
+
 	// Read-path instruments. reads counts every Read/ReadBatch page
 	// served (hits and misses alike); flashLoads counts only the pages
 	// that went to the media, so a warm cache shows flashLoads ≪ reads.
@@ -104,6 +110,10 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 
 		checkpoints:  reg.Counter("core.checkpoints"),
 		checkpointNS: reg.Histogram("core.checkpoint_ns", metrics.DurationBounds()),
+
+		recoverVerified:    reg.Counter("core.recover.actions_verified"),
+		recoverRejected:    reg.Counter("core.recover.actions_rejected"),
+		recoverVerifyBytes: reg.Counter("core.recover.verify_bytes"),
 
 		reads:          reg.Counter("read.reads"),
 		readBatches:    reg.Counter("read.batches"),

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
+	"slices"
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
@@ -56,23 +58,60 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	// An action is committed when its Commit record is durable, no Abort
+	// follows it and its data is proven. A GC, migration or checkpoint action
+	// forces its commit after its programs. A user action forces it beside
+	// them, so its proof is a Done record (it installed) or, for the few the
+	// crash caught before that, pages that read back to the checksum its
+	// Commit carries and closes whose metadata decodes.
+	type proof struct {
+		want, got uint32
+		ok        bool
+	}
 	committed := make(map[uint64]record.ActionKind)
+	unproven := make(map[uint64]*proof)
 	for _, lr := range recs {
-		if cm, ok := lr.rec.(record.Commit); ok {
-			committed[cm.Action] = cm.AKind
+		var id uint64
+		switch r := lr.rec.(type) {
+		case record.Commit:
+			committed[r.Action] = r.AKind
+			if r.AKind == record.ActionUser {
+				unproven[r.Action] = &proof{want: r.Sum, ok: true}
+			}
+		case record.Abort:
+			delete(committed, r.Action)
+			delete(unproven, r.Action)
+		case record.Done:
+			delete(unproven, r.Action)
+		case record.Update:
+			id = r.Action
+		case record.GCUpdate:
+			id = r.Action
 		}
-		if lr.rec.Kind() == record.KindUpdate || lr.rec.Kind() == record.KindGCUpdate {
-			// Track the highest action id seen so new actions are unique.
-			var id uint64
-			switch r := lr.rec.(type) {
-			case record.Update:
-				id = r.Action
-			case record.GCUpdate:
-				id = r.Action
+		// Track the highest action id seen so new actions are unique.
+		if id >= c.nextAction {
+			c.nextAction = id + 1
+		}
+	}
+	for _, lr := range recs {
+		switch r := lr.rec.(type) {
+		case record.Update:
+			if p := unproven[r.Action]; p != nil && p.ok {
+				p.got, p.ok = c.readBack(p.got, r.New)
 			}
-			if id >= c.nextAction {
-				c.nextAction = id + 1
+		case record.CloseEBlock:
+			if p := unproven[r.Action]; p != nil && p.ok {
+				p.ok = c.metaReadable(r)
 			}
+		}
+	}
+	var readBack []uint64
+	for id, p := range unproven {
+		readBack = append(readBack, id)
+		c.met.recoverVerified.Inc()
+		if p.ok = p.ok && p.got == p.want; !p.ok {
+			c.met.recoverRejected.Inc()
+			delete(committed, id)
 		}
 	}
 
@@ -260,7 +299,61 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 	c.hintLSN.Store(uint64(tail.LastLSN + 1))
 	c.prov.RebuildFromSummary()
 	c.lastCkptLSN = tail.LastLSN + 1
+	// What this recovery read back it settles for every later one. A rejected
+	// action's Commit is still in the log: the Abort overrides it, whatever is
+	// programmed where it failed to. A verified action gets the Done its
+	// install never logged, and eraseAndFreeLocked forces it before an EBLOCK
+	// that proved the action goes, as it does for a live install.
+	slices.Sort(readBack)
+	var settled record.LSN
+	for _, id := range readBack {
+		var r record.Record = record.Done{Action: id}
+		if !unproven[id].ok {
+			r = record.Abort{Action: id}
+		}
+		if settled, err = c.append(r); err != nil {
+			return nil, err
+		}
+	}
+	for _, lr := range recs {
+		var id uint64
+		var eb [2]int
+		switch r := lr.rec.(type) {
+		case record.Update:
+			id, eb = r.Action, [2]int{r.New.Channel(), r.New.EBlock()}
+		case record.CloseEBlock:
+			id, eb = r.Action, [2]int{int(r.Channel), int(r.EBlock)}
+		}
+		if p := unproven[id]; p != nil && p.ok {
+			c.doneLSN[eb] = settled // the last one: a force covers them all
+		}
+	}
 	return c, nil
+}
+
+// readBack extends sum, the CRC-32C of an unproven action's pages so far,
+// with what the media holds at a. ok is false when the extent's last WBLOCK
+// was never programmed: the simulator reads that as zeroes, not an ECC error.
+func (c *Controller) readBack(sum uint32, a addr.PhysAddr) (_ uint32, ok bool) {
+	written, err := c.dev.IsWritten(a.Channel(), a.EBlock(), (a.End()-1)/c.geo.WBlockBytes)
+	if err != nil || !written {
+		return 0, false
+	}
+	data, _, err := c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
+	c.met.recoverVerifyBytes.Add(int64(len(data)))
+	return crc32.Update(sum, pageSum, data), err == nil
+}
+
+// metaReadable reports whether the metadata block a conditional close
+// describes is on the media (it is programmed last, DESIGN.md §4 decision 4).
+func (c *Controller) metaReadable(r record.CloseEBlock) bool {
+	w := c.geo.WBlockBytes
+	raw, _, err := c.dev.ReadExtent(int(r.Channel), int(r.EBlock), int(r.DataWBlocks)*w, int(r.MetaWBlocks)*w)
+	if err == nil {
+		c.met.recoverVerifyBytes.Add(int64(len(raw)))
+		_, err = summary.DecodeMetaBlock(raw)
+	}
+	return err == nil
 }
 
 // replayCtx carries pass-2 state: the committed-action set and, per open
@@ -284,7 +377,7 @@ func (c *Controller) replayRecordLocked(lsn record.LSN, r record.Record, ctx *re
 		_, isCommitted := ctx.committed[rec.Action]
 		return c.replayWriteLocked(lsn, rec.LPID, rec.Type, rec.Old, rec.New, isCommitted, true, ctx)
 	case record.Commit:
-		if rec.SID != 0 {
+		if _, ok := ctx.committed[rec.Action]; ok && rec.SID != 0 {
 			c.sess.AdvanceTo(rec.SID, rec.WSN)
 		}
 	case record.Garbage:
@@ -314,6 +407,9 @@ func (c *Controller) replayRecordLocked(lsn record.LSN, r record.Record, ctx *re
 		}
 		c.st.SetOpenLSN(ch, eb, lsn)
 	case record.CloseEBlock:
+		if _, ok := ctx.committed[rec.Action]; !ok && rec.Action != 0 {
+			return nil // logged ahead of its metadata by an action that did not commit
+		}
 		ch, eb := int(rec.Channel), int(rec.EBlock)
 		flush := c.st.FlushLSNFor(ch, eb)
 		d, err := c.st.Desc(ch, eb)

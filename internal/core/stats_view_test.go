@@ -37,6 +37,9 @@ var statsInstrument = map[string]string{
 	"GCMetaUnreadable": "core.gc.meta_unreadable",
 	"Migrations":       "core.migrations",
 	"Checkpoints":      "core.checkpoints",
+	"RecoverVerified":  "core.recover.actions_verified",
+	"RecoverRejected":  "core.recover.actions_rejected",
+	"RecoverBytes":     "core.recover.verify_bytes",
 }
 
 // checkStatsView requires every Stats field to equal its instrument in
@@ -70,13 +73,33 @@ func checkStatsView(t *testing.T, st Stats, snap metrics.Snapshot) map[string]in
 // TestStatsViewComplete runs one workload that makes every counted event
 // happen on one controller — a recovered one, because unreadable GC
 // metadata only exists after a crash between an erase and its free
-// record — and then requires every Stats field to be non-zero and equal
-// to its instrument in MetricsSnapshot().
+// record, and an action to read back and reject only after a crash
+// between a flush's commit page and its data — and then requires every
+// Stats field to be non-zero and equal to its instrument in
+// MetricsSnapshot().
 func TestStatsViewComplete(t *testing.T) {
 	c1, dev := deadEBlockController(t, 0)
 	c1.SetCrashPoint("gc.after-erase")
 	if err := c1.GCNow(0); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("GCNow = %v, want a crash at gc.after-erase", err)
+	}
+	c2, err := Open(dev, c1.cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// A two-WBLOCK flush whose second program fails, and a crash once its
+	// commit page is durable: the next Open reads the first page back,
+	// finds the second missing and rejects the action.
+	torn := addr.LPID(1 << 21)
+	mustWrite(t, c2, LPage{LPID: torn, Data: gcErasePage(torn, 1)})
+	armUserFault(t, c2, dev, torn, 1)
+	c2.SetCrashPoint("write.after-exec")
+	err = c2.WriteBatch(0, 0, []LPage{
+		{LPID: torn + 1, Data: make([]byte, c2.geo.WBlockBytes)},
+		{LPID: torn + 2, Data: make([]byte, c2.geo.WBlockBytes)},
+	})
+	if !errors.Is(err, ErrCrashed) {
+		t.Fatalf("torn write = %v, want a crash at write.after-exec", err)
 	}
 	c, err := Open(dev, c1.cfg)
 	if err != nil {
@@ -107,7 +130,7 @@ func TestStatsViewComplete(t *testing.T) {
 	// A program fault: the action aborts, its EBLOCK migrates, the retry
 	// lands.
 	faulted := []LPage{{LPID: fresh + 3, Data: gcErasePage(fresh+3, 1)}}
-	dev.FailNthProgram(1)
+	armUserFault(t, c, dev, fresh+2, 0)
 	if err := c.WriteBatch(0, 0, faulted); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("write under an injected program fault = %v, want ErrWriteFailed", err)
 	}
@@ -151,8 +174,12 @@ func TestStatsViewComplete(t *testing.T) {
 // end.
 func TestStatsConcurrentWithWritersReaderAndGC(t *testing.T) {
 	const (
-		writers       = 3
-		batchesPerW   = 120
+		writers = 3
+		// A channel crosses the GC threshold after ≈ 710 programs and the
+		// device is full at ≈ 1 080. A batch is one data WBLOCK and at most
+		// one log page — how many the writers share is up to the scheduler —
+		// so 450 batches are 720 to 900 programs with up to 40 % shared.
+		batchesPerW   = 150
 		pagesPerBatch = 8
 		livePerWriter = 64
 		pageBytes     = 2000

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"eleos/internal/addr"
@@ -28,13 +29,14 @@ type flushRef struct {
 
 // action carries one batched write's state through the pipeline phases.
 // Keeping it explicit (instead of controller fields) lets many actions be
-// in flight at once: each runs its own init/execute/commit/install sequence
-// and c.mu is held only for the sections that touch shared state.
+// in flight at once: each runs its own init/execute/install sequence and
+// c.mu is held only for the sections that touch shared state.
 type action struct {
 	id   uint64
 	hint record.LSN // lsnHint at init; pins the truncation LSN while active
 
 	buf  []byte                // aligned page images, back to back
+	sum  uint32                // CRC-32C of buf: what the Commit records carry (pageSum)
 	pb   *bufpool.Buf          // pooled backing of buf; released by finishRoundLocked after writeUser
 	bps  []provision.BatchPage // layout handed to the provisioner
 	plan *provision.Plan
@@ -79,9 +81,9 @@ const (
 //
 // WriteBatch is safe for concurrent use. Concurrent batches pipeline: each
 // holds c.mu only for the claim, the provision/log/submit critical section,
-// and the install; flash programs execute on the per-channel device workers
-// and the commit force runs with the lock released (committers share forced
-// log pages — group commit).
+// and the install; the flash programs execute on the per-channel device
+// workers and the commit force runs beside them, both with the lock
+// released (committers share forced log pages — group commit).
 func (c *Controller) WriteBatch(sid, wsn uint64, pages []LPage) error {
 	s := SubFlush{SID: sid, WSN: wsn, Pages: pages}
 	c.WriteBatchGroup([]*SubFlush{&s})
@@ -97,9 +99,9 @@ func (c *Controller) WriteBatch(sid, wsn uint64, pages []LPage) error {
 //     early WSN, or a duplicate of an in-flight one, waits for a later
 //     round — on wsnCond only when no sub of the group is claimable, so a
 //     gap in one session never stalls the other subs' write.
-//   - One Commit record is appended per sub, all under the action's id, so
-//     every merged (sid, wsn) commits atomically with the action and
-//     recovery advances each session independently.
+//   - One Commit record is appended per sub, all with the action's id and
+//     checksum, so every merged (sid, wsn) commits atomically with the
+//     action and recovery advances each session independently.
 //   - A malformed sub is rejected alone (its Err set, claim released);
 //     its groupmates still write.
 //
@@ -229,8 +231,13 @@ func layoutClaimed(subs []*SubFlush) *action {
 		a.subs = append(a.subs, flushRef{sid: s.SID, wsn: s.WSN, tid: s.TraceID, pages: len(s.Pages), bytes: logicalBytes(s.Pages)})
 		a.bps, off = layoutPages(a.buf, a.bps, off, s.Pages)
 	}
+	a.sum = crc32.Checksum(a.buf[:off], pageSum)
 	return a
 }
+
+// pageSum is the polynomial of the checksum a user action's Commit carries
+// over its page images: CRC-32C, which amd64 and arm64 compute in hardware.
+var pageSum = crc32.MakeTable(crc32.Castagnoli)
 
 // finishRoundLocked runs the round's action (nil when every claimed sub
 // was malformed) and ends the round: the one place that returns the
@@ -267,7 +274,7 @@ func (c *Controller) finishRoundLocked(a *action, subs []*SubFlush) {
 		t0 := time.Now()
 		gc := c.maybeGCLocked()
 		if ckpt := c.maybeCheckpointLocked(); gc || ckpt {
-			c.spanSubs(trace.KMaintain, a, t0)
+			c.spanSubs(trace.KMaintain, a, t0, time.Now())
 		}
 	}
 }
@@ -314,32 +321,32 @@ func layoutPages(buf []byte, bps []provision.BatchPage, off int, pages []LPage) 
 	return bps, off
 }
 
-// spanSubs emits one span per flush the action carries, so every
-// merged sub-flush of a coalesced group (and the single flush of a
+// spanSubs emits one span from t0 to t1 per flush the action carries, so
+// every merged sub-flush of a coalesced group (and the single flush of a
 // plain batch) sees the action's stage under its own trace ID.
-func (c *Controller) spanSubs(k trace.Kind, a *action, t0 time.Time) {
+func (c *Controller) spanSubs(k trace.Kind, a *action, t0, t1 time.Time) {
 	for i := range a.subs {
 		s := &a.subs[i]
-		c.trc.Span(k, s.tid, s.sid, s.wsn, t0, 0, 0)
+		c.trc.SpanUntil(k, s.tid, s.sid, s.wsn, t0, t1, 0, 0)
 	}
 }
 
 // writeUser runs one user system action — one flush, or a coalesced
 // group of them sharing the provision/program/commit machinery. Called
-// and returned with c.mu held; the lock is released while flash
-// programs execute and while the commit record is forced. The caller
-// owns a.pb and releases it after writeUser returns: every read of
-// a.buf (the flash programs included) has completed by then.
+// and returned with c.mu held; the lock is released for the one device
+// round in which the flash programs execute and the commit record is
+// forced. The caller owns a.pb and releases it after writeUser returns:
+// every read of a.buf (the flash programs included) has completed by then.
 func (c *Controller) writeUser(a *action) error {
 	c.updateSeq += uint64(len(a.bps))
 	tInit := time.Now()
 
-	// Initialization phase (§IV-A). Provisioning, the init log records and
-	// the queue submission form one critical section: the provisioner
-	// assigns consecutive WBLOCK ranges, recovery's per-EBLOCK replay and
-	// the GC validity scan assume the log sees them in ascending-offset
-	// order, and the per-channel FIFO queues must receive the programs in
-	// that same order for the NAND sequential-program rule.
+	// Initialization phase (§IV-A). Provisioning, the log records and the
+	// queue submission form one critical section: the provisioner assigns
+	// consecutive WBLOCK ranges, recovery's per-EBLOCK replay and the GC
+	// validity scan assume the log sees them in ascending-offset order, and
+	// the per-channel FIFO queues must receive the programs in that same
+	// order for the NAND sequential-program rule.
 	a.hint = c.lsnHint()
 	plan, err := c.prov.ProvisionBatch(a.bps, c.clock, a.hint)
 	if errors.Is(err, provision.ErrNoSpace) {
@@ -356,7 +363,17 @@ func (c *Controller) writeUser(a *action) error {
 	a.id = c.nextAction
 	c.nextAction++
 	c.active[a.id] = a.hint
-	a.lsns, err = c.logPlanLocked(a.id, plan, nil)
+	if a.lsns, err = c.logPlanLocked(a.id, plan, nil); err == nil {
+		err = c.logClosesLocked(plan, a.id)
+	}
+	// One Commit record per carried flush, all sharing the action's id and
+	// checksum. Recovery treats repeated commits of one action idempotently
+	// and replays each record's session advance independently, so a coalesced
+	// group commits every merged (sid, wsn) atomically with the action.
+	for i := 0; err == nil && i < len(a.subs); i++ {
+		s := &a.subs[i]
+		_, err = c.append(record.Commit{Action: a.id, AKind: record.ActionUser, SID: s.sid, WSN: s.wsn, Sum: a.sum})
+	}
 	if err != nil {
 		// Log-space exhaustion mid-init aborts the action; GC plus the
 		// checkpoint it takes first free truncated log EBLOCKs, so the
@@ -372,9 +389,12 @@ func (c *Controller) writeUser(a *action) error {
 		return err
 	}
 
-	// Execution phase (§IV-B): the programs run on the per-channel device
-	// workers with c.mu released, so concurrent actions' I/O overlaps in
-	// wall-clock time.
+	// Execution phase (§IV-B, with §IV-C's force inside it): one device
+	// round with c.mu released. The data programs run on the per-channel
+	// workers and the commit page is forced on the log's channel beside
+	// them, so a flush pays one program latency, not two. The commit record
+	// can be durable before the data, or after a crash without it: recovery
+	// takes it only with a Done record or data that matches its checksum.
 	batch := c.submitPlanLocked(a.buf, plan, flash.SrcUser)
 	// The submit pinned the plan's EBLOCKs against GC/migration erase.
 	// Every exit from here on must release the pins — after the install
@@ -391,12 +411,20 @@ func (c *Controller) writeUser(a *action) error {
 	defer unpin()
 	tExec := time.Now()
 	c.met.initNS.ObserveDuration(tExec.Sub(tInit))
-	c.spanSubs(trace.KInit, a, tInit)
+	c.spanSubs(trace.KInit, a, tInit, tExec)
 	c.mu.Unlock()
+	// The data programs are running on the channel workers; the force runs
+	// here, beside them.
+	forceErr := c.log.Force()
 	res := batch.Wait()
+	// The stages stay a sum: program_wait ends when the data is complete,
+	// force_wait is the rest until the commit page is durable (≈ 0 if it won).
+	tData, tForced := res.Done, time.Now()
+	c.met.programWaitNS.ObserveDuration(tData.Sub(tExec))
+	c.spanSubs(trace.KProgramWait, a, tExec, tData)
+	c.met.forceWaitNS.ObserveDuration(tForced.Sub(tData))
+	c.spanSubs(trace.KForceWait, a, tData, tForced)
 	c.mu.Lock()
-	c.met.programWaitNS.ObserveDuration(time.Since(tExec))
-	c.spanSubs(trace.KProgramWait, a, tExec)
 	c.finishPlanLocked(plan, res)
 	if c.crashed {
 		return ErrCrashed
@@ -410,46 +438,26 @@ func (c *Controller) writeUser(a *action) error {
 			s := &a.subs[i]
 			c.trc.Emit(trace.KMediaAbort, s.tid, s.sid, s.wsn, int64(len(res.FailedEBlocks)), 0)
 		}
+		// The commit record may be durable already: the Abort overrides it,
+		// and until the Abort is durable the data does not verify.
 		c.abortActionLocked(a.id, plan)
+		if err := c.crashIf("write.after-abort"); err != nil {
+			return err
+		}
 		unpin()
 		c.migrateFailedLocked(res.FailedEBlocks, a.subs[0].tid)
 		return fmt.Errorf("%w: action %d", ErrWriteFailed, a.id)
 	}
-
-	// Commit phase (§IV-C): append the commit record under c.mu, force the
-	// log without it. A commit-phase error must abort the action, or its
-	// entry in c.active would pin the truncation LSN forever.
-	if err := c.logClosesLocked(plan); err != nil {
-		c.abortActionLocked(a.id, plan)
-		return err
-	}
-	if err := c.crashIf("commit.before-force"); err != nil {
-		return err
-	}
-	// One Commit record per carried flush, all sharing the action id.
-	// Recovery treats repeated commits of one action idempotently and
-	// replays each record's session advance independently, so a coalesced
-	// group commits every merged (sid, wsn) atomically with the action.
-	for i := range a.subs {
-		s := &a.subs[i]
-		if _, err := c.append(record.Commit{Action: a.id, AKind: record.ActionUser, SID: s.sid, WSN: s.wsn}); err != nil {
-			c.abortActionLocked(a.id, plan)
-			return err
-		}
-	}
-	tForce := time.Now()
-	if err := c.forceCommitLocked(a.id); err != nil {
+	if err := c.commitForcedLocked(a.id, forceErr); err != nil {
 		return err
 	}
 	tInstall := time.Now()
-	c.met.forceWaitNS.ObserveDuration(tInstall.Sub(tForce))
-	c.spanSubs(trace.KForceWait, a, tForce)
-	if err := c.crashIf("commit.after-force"); err != nil {
-		return err
-	}
 
 	// Install phase: publish the new addresses, record old versions as
-	// garbage, and advance the session.
+	// garbage, and advance the session. The plan's closes are final now.
+	for _, cl := range plan.Closes {
+		c.closedLocked(cl.Channel, cl.EBlock)
+	}
 	garbage := make([]record.AddrPair, 0, len(a.plan.Pages))
 	for i, pg := range a.plan.Pages {
 		old, err := c.mt.Get(pg.LPID)
@@ -485,6 +493,11 @@ func (c *Controller) writeUser(a *action) error {
 	if err := c.lazyGarbageLocked(a.id, garbage); err != nil {
 		return err
 	}
+	// Until that Done is durable recovery proves the action by reading it back.
+	done := c.lsnHint() - 1
+	for _, io := range plan.IOs {
+		c.doneLSN[[2]int{io.Channel, io.EBlock}] = done
+	}
 	delete(c.active, a.id)
 
 	if len(a.subs) > 1 {
@@ -492,42 +505,34 @@ func (c *Controller) writeUser(a *action) error {
 		c.met.groupedFlushes.Add(int64(len(a.subs)))
 	}
 	c.met.bytesStored.Add(int64(len(a.buf))) // the aligned pages, back to back
-	c.met.installNS.ObserveDuration(time.Since(tInstall))
+	tEnd := time.Now()
+	c.met.installNS.ObserveDuration(tEnd.Sub(tInstall))
 	c.met.batches.Add(int64(len(a.subs)))
 	c.met.pages.Add(totalPages)
 	for i := range a.subs {
 		c.met.batchPages.Observe(int64(a.subs[i].pages))
 	}
-	c.spanSubs(trace.KInstall, a, tInstall)
+	c.spanSubs(trace.KInstall, a, tInstall, tEnd)
 	return nil
 }
 
-// forceCommitLocked makes the appended commit record durable. c.mu is
-// released during the force, so concurrent committers batch their commit
-// records into one forced log page (group commit). If the force fails the
-// commit record's durability is unknown and the log can no longer record
-// an abort; after one rescue attempt (checkpoint + GC to free log space)
+// commitForcedLocked settles the exec phase's force of a user action's
+// commit record, which returned forceErr. If it failed the record's
+// durability is unknown and the log can no longer record an abort; after
+// one rescue attempt (checkpoint + GC to free log space, a second force)
 // the controller declares itself crashed and recovery resolves the action
 // from the durable log prefix.
-func (c *Controller) forceCommitLocked(id uint64) error {
-	c.mu.Unlock()
-	err := c.log.Force()
-	c.mu.Lock()
-	if err == nil {
+func (c *Controller) commitForcedLocked(id uint64, forceErr error) error {
+	if forceErr != nil && !c.crashed && !c.log.Dead() {
+		c.gcAllLocked()
+		c.mu.Unlock()
+		forceErr = c.log.Force()
+		c.mu.Lock()
+	}
+	if forceErr == nil {
 		c.met.logForces.Inc()
 		c.logBytes += c.geo.WBlockBytes
 		return nil
-	}
-	if !c.crashed && !c.log.Dead() {
-		c.gcAllLocked()
-		c.mu.Unlock()
-		err2 := c.log.Force()
-		c.mu.Lock()
-		if err2 == nil {
-			c.met.logForces.Inc()
-			c.logBytes += c.geo.WBlockBytes
-			return nil
-		}
 	}
 	if c.crashed {
 		return ErrCrashed
@@ -537,7 +542,7 @@ func (c *Controller) forceCommitLocked(id uint64) error {
 	c.wsnCond.Broadcast()
 	delete(c.active, id)
 	c.met.aborted.Inc()
-	return fmt.Errorf("%w: commit force failed: %v", ErrCrashed, err)
+	return fmt.Errorf("%w: commit force failed: %v", ErrCrashed, forceErr)
 }
 
 // logPlanLocked produces the init-phase log records for a plan: open-EBLOCK
@@ -569,22 +574,30 @@ func (c *Controller) logPlanLocked(id uint64, plan *provision.Plan, olds []addr.
 	return lsns, nil
 }
 
-// logClosesLocked logs close records for EBLOCKs whose metadata this
-// action just made durable. Logged only at commit time so a close record
-// implies readable metadata (§VIII-C) — which is also when the summary
-// table's in-memory copy can go.
-func (c *Controller) logClosesLocked(plan *provision.Plan) error {
+// logClosesLocked logs close records for the EBLOCKs a plan closes. A GC,
+// migration or checkpoint action does at commit time, after its programs:
+// the record implies readable metadata (§VIII-C) and action is 0. A user
+// action does during init, each record conditional on the action committing.
+// Either calls closedLocked for each once the closes are final.
+func (c *Controller) logClosesLocked(plan *provision.Plan, action uint64) error {
 	for _, cl := range plan.Closes {
 		if _, err := c.append(record.CloseEBlock{
 			Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock),
 			Timestamp:   cl.Timestamp,
 			DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks),
+			Action: action,
 		}); err != nil {
 			return err
 		}
-		c.st.ClearMeta(cl.Channel, cl.EBlock)
 	}
 	return nil
+}
+
+// closedLocked retires what outlives an EBLOCK's close until its metadata
+// is durable: the summary table's in-memory copy, a provisioner cursor.
+func (c *Controller) closedLocked(ch, eb int) {
+	c.st.ClearMeta(ch, eb)
+	c.prov.DropOpen(ch, eb)
 }
 
 // submitPlanLocked queues a plan's I/O commands on the per-channel device

@@ -26,9 +26,11 @@
 // Channels are independently locked, and SubmitBatch queues commands —
 // programs, erases and reads are one BatchCmd type on one FIFO — onto one
 // worker goroutine per channel, so different channels also execute
-// concurrently in wall-clock time. Each channel's virtual busy time is a
-// sum over its own operations, so the totals do not depend on wall-clock
-// interleaving and virtual-time results stay deterministic.
+// concurrently in wall-clock time. One rule beside FIFO: a SrcWAL program
+// waiting for a channel goes before its next program or erase (lock). Each
+// channel's virtual busy time is a sum over its own operations, so the
+// totals do not depend on wall-clock interleaving and virtual-time results
+// stay deterministic.
 //
 // The read surface is ReadGather, its ReadInto/ReadExtent wrappers for the
 // calling goroutine, and the queued OpRead, which is a ReadGather.
@@ -230,9 +232,12 @@ type eblockState struct {
 }
 
 type channelState struct {
-	mu      sync.Mutex
-	eblocks []eblockState
-	busy    time.Duration // accumulated virtual time
+	mu sync.Mutex
+	// logFirst is the turnstile of the device's one scheduling rule (lock):
+	// a log page waiting for the channel goes before the next program or erase.
+	logFirst sync.Mutex
+	eblocks  []eblockState
+	busy     time.Duration // accumulated virtual time
 	// wall is the wall-latency emulation's (wallWait): the channel's
 	// current emulated command, or its last; wall.at is when it ends.
 	wall wakeup
@@ -319,6 +324,26 @@ func (d *Device) wallWait(cs *channelState, arrived time.Time, lat time.Duration
 	if m != nil {
 		m.wallLateNS.ObserveDuration(time.Since(cs.wall.at))
 	}
+}
+
+// lock takes the channel for a program or an erase. A SrcWAL program holds
+// the turnstile from its arrival until it has the channel, and every other
+// program or erase passes through the turnstile first: the channel's worker
+// yields between two queued commands to a log page that is waiting, and
+// never preempts the command that is running. The commit page of a flush is
+// programmed beside the data it commits (core.writeUser); without the rule
+// it queues behind every stripe already on its channel. A log EBLOCK is
+// never a data EBLOCK, so each EBLOCK still sees its programs in the order
+// they were submitted. Reads do not take part: they are short.
+func (cs *channelState) lock(logPage bool) {
+	cs.logFirst.Lock()
+	if logPage {
+		cs.mu.Lock()
+		cs.logFirst.Unlock()
+		return
+	}
+	cs.logFirst.Unlock()
+	cs.mu.Lock()
 }
 
 // devMetrics holds the device's instrument handles, resolved once in
@@ -561,7 +586,7 @@ func (d *Device) program(arrived time.Time, src Source, ch, eb, wb int, data []b
 		return fmt.Errorf("%w: %d > %d", ErrDataTooLarge, len(data), d.geo.WBlockBytes)
 	}
 	cs := &d.channels[ch]
-	cs.mu.Lock()
+	cs.lock(src == SrcWAL)
 	defer cs.mu.Unlock()
 	ebs := &cs.eblocks[eb]
 	if ebs.bad {
@@ -748,7 +773,7 @@ func (d *Device) erase(arrived time.Time, ch, eb int) error {
 		return err
 	}
 	cs := &d.channels[ch]
-	cs.mu.Lock()
+	cs.lock(false)
 	ebs := &cs.eblocks[eb]
 	if ebs.bad {
 		cs.mu.Unlock()
@@ -935,6 +960,9 @@ type BatchResult struct {
 	// included, skipped commands excluded). A read is in neither: it fails
 	// only itself, through its ReadOutcome, and is never skipped.
 	Attempted int
+	// Done is when the batch's last command completed, which a submitter
+	// that did other work before Wait cannot read off its own clock.
+	Done time.Time
 }
 
 // Batch tracks an in-flight SubmitBatch until every queued command has
@@ -945,6 +973,7 @@ type Batch struct {
 	pending   int
 	attempted int
 	failed    map[[2]int]bool
+	doneAt    time.Time
 }
 
 type batchSeg struct {
@@ -960,7 +989,7 @@ func (b *Batch) Wait() BatchResult {
 	for b.pending > 0 {
 		b.done.Wait()
 	}
-	res := BatchResult{Attempted: b.attempted}
+	res := BatchResult{Attempted: b.attempted, Done: b.doneAt}
 	if len(b.failed) > 0 {
 		res.FailedEBlocks = make([][2]int, 0, len(b.failed))
 		for k := range b.failed {
@@ -988,6 +1017,7 @@ func (b *Batch) finish(attempted int, failed [][2]int) {
 		b.failed[k] = true
 	}
 	if b.pending--; b.pending == 0 {
+		b.doneAt = time.Now()
 		b.done.Broadcast()
 	}
 	b.mu.Unlock()

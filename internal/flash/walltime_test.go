@@ -305,3 +305,74 @@ func TestTimekeeperRuntimeAlarm(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLogPageOvertakesQueued pins the device's one scheduling rule. Eight
+// programs are queued on one channel and one of them holds it when a SrcWAL
+// program arrives for another EBLOCK: the log page goes before the next
+// queued program —
+// it returns within two program latencies, the rest of the running program
+// plus its own, and never within one — where FIFO would make it wait for
+// all eight. What the rule must not change: the channel's virtual time,
+// every count, the batch's result and the order of the queued programs in
+// their EBLOCK. With wall latency off the same calls leave the same totals.
+func TestLogPageOvertakesQueued(t *testing.T) {
+	const queued = 8
+	lat := Latency{ProgramWBlock: 5 * time.Millisecond}
+	run := func(scale float64) (took time.Duration) {
+		d := MustNewDevice(wallGeometry(), lat)
+		defer d.Close()
+		d.SetWallLatencyScale(scale)
+		cmds := make([]BatchCmd, queued)
+		for wb := range cmds {
+			cmds[wb] = BatchCmd{Channel: 0, EBlock: 0, WBlock: wb, Data: make([]byte, 64), Src: SrcUser}
+		}
+		b := d.SubmitBatch(cmds)
+		for cs := &d.channels[0]; scale > 0 && cs.mu.TryLock(); runtime.Gosched() {
+			cs.mu.Unlock() // nobody held the channel: the worker is between two programs
+		}
+		t0 := time.Now()
+		if err := d.ProgramSrc(SrcWAL, 0, 1, 0, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+		took = time.Since(t0)
+		res := b.Wait()
+		if res.Attempted != queued || len(res.FailedEBlocks) != 0 {
+			t.Fatalf("scale %v: batch result %+v", scale, res)
+		}
+		// Done is the last program's end, stamped by the worker: past the log
+		// page's return when programs take time, never past Wait's.
+		if res.Done.IsZero() || res.Done.After(time.Now()) || scale > 0 && res.Done.Before(t0.Add(took)) {
+			t.Fatalf("scale %v: batch done at %v, log page back at %v", scale, res.Done, t0.Add(took))
+		}
+		st := d.Stats()
+		if st.WBlocksWritten != queued+1 || st.SrcWBlocks[SrcUser] != queued || st.SrcWBlocks[SrcWAL] != 1 || st.WriteFailures != 0 {
+			t.Fatalf("scale %v: stats %+v", scale, st)
+		}
+		if got := d.ChannelTime(0); got != (queued+1)*lat.ProgramWBlock || d.MediaTime() != got {
+			t.Fatalf("scale %v: channel 0 busy %v, media time %v, want %v", scale, got, d.MediaTime(), (queued+1)*lat.ProgramWBlock)
+		}
+		data, log := 0, 0
+		var err error
+		if data, err = d.NextProgramPosition(0, 0); err == nil {
+			log, err = d.NextProgramPosition(0, 1)
+		}
+		if err != nil || data != queued || log != 1 {
+			t.Fatalf("scale %v: program positions %d and %d (%v), want %d and 1", scale, data, log, err, queued)
+		}
+		return took
+	}
+	run(0)
+	// The upper bound needs the host to run two goroutines on time; three
+	// attempts, as TestWallLatencyMedians takes. The lower one is a contract.
+	var took time.Duration
+	for attempt := 1; attempt <= 3; attempt++ {
+		if took = run(1); took < lat.ProgramWBlock {
+			t.Fatalf("the log page returned after %v, before its %v", took, lat.ProgramWBlock)
+		}
+		t.Logf("attempt %d: log page behind %d queued programs took %v (model: at most %v)", attempt, queued, took, 2*lat.ProgramWBlock)
+		if took <= 2*lat.ProgramWBlock+lat.ProgramWBlock/2 {
+			return
+		}
+	}
+	t.Fatalf("three attempts, the last took %v: the log page waited for more than the running program", took)
+}

@@ -103,6 +103,10 @@ type Table struct {
 	loader     Loader
 	small      []addr.PhysAddr // flash address of mapping page i (0 = never flushed)
 	smallDirty map[int]record.LSN
+	// smallSince is smallDirty restricted to changes made after the page's
+	// image was last taken (SerializeSmallPage): what a flush of that image
+	// does not hold, so what MarkSmallFlushed must leave dirty.
+	smallSince map[int]record.LSN
 	tiny       []addr.PhysAddr // flash address of small page j (checkpoint record)
 
 	hits      atomic.Int64
@@ -116,7 +120,7 @@ func New(cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{cfg: cfg, smallDirty: make(map[int]record.LSN)}
+	t := &Table{cfg: cfg, smallDirty: make(map[int]record.LSN), smallSince: make(map[int]record.LSN)}
 	for i := range t.shards {
 		t.shards[i].pages = make(map[int]*page)
 	}
@@ -375,6 +379,9 @@ func (t *Table) setSmallLocked(idx int, a addr.PhysAddr, lsn record.LSN) {
 	if _, ok := t.smallDirty[sp]; !ok {
 		t.smallDirty[sp] = lsn
 	}
+	if _, ok := t.smallSince[sp]; !ok {
+		t.smallSince[sp] = lsn
+	}
 }
 
 // PageAddr returns the flash address of mapping page idx (invalid if the
@@ -427,6 +434,7 @@ func (t *Table) DirtySmallPages() []int {
 func (t *Table) SerializeSmallPage(sp int) []byte {
 	t.tablesMu.Lock()
 	defer t.tablesMu.Unlock()
+	delete(t.smallSince, sp)
 	lo := sp * t.cfg.AddrsPerSmallPage
 	entries := make([]addr.PhysAddr, t.cfg.AddrsPerSmallPage)
 	for i := range entries {
@@ -437,12 +445,18 @@ func (t *Table) SerializeSmallPage(sp int) []byte {
 	return encodePage(entries, sp)
 }
 
-// MarkSmallFlushed records that small page sp was durably written at a,
-// updating the tiny table.
+// MarkSmallFlushed records that the image of small page sp last taken was
+// durably written at a, updating the tiny table. The page is clean unless
+// it changed after the image was taken — a checkpoint flushes mapping pages
+// and their small page in one action, and the mapping pages' new homes
+// reach the small table after its image.
 func (t *Table) MarkSmallFlushed(sp int, a addr.PhysAddr) {
 	t.tablesMu.Lock()
 	defer t.tablesMu.Unlock()
 	delete(t.smallDirty, sp)
+	if lsn, ok := t.smallSince[sp]; ok {
+		t.smallDirty[sp] = lsn
+	}
 	for sp >= len(t.tiny) {
 		t.tiny = append(t.tiny, 0)
 	}
@@ -568,6 +582,7 @@ func (t *Table) DropCache() {
 	t.tablesMu.Lock()
 	t.small = nil
 	t.smallDirty = make(map[int]record.LSN)
+	t.smallSince = make(map[int]record.LSN)
 	t.tiny = nil
 	t.tablesMu.Unlock()
 }

@@ -279,6 +279,27 @@ func TestSmallPageConditionalRelocation(t *testing.T) {
 	}
 }
 
+// TestSmallPageDirtyAcrossItsOwnFlush: a checkpoint flushes mapping pages
+// and their small page in one action, so a mapping page's new home reaches
+// the small table after the small page's image was taken. The flush of that
+// image must not leave the small page clean.
+func TestSmallPageDirtyAcrossItsOwnFlush(t *testing.T) {
+	tb := newTable(t, smallConfig())
+	h1, h2 := addr.MustPack(1, 1, 0, 64), addr.MustPack(1, 2, 0, 64)
+	tb.MarkFlushed(0, h1, 10)
+	_ = tb.SerializeSmallPage(0)
+	tb.MarkFlushed(0, h2, 20)
+	tb.MarkSmallFlushed(0, addr.MustPack(1, 3, 0, 64))
+	if got := tb.DirtySmallPages(); len(got) != 1 || got[0] != 0 || tb.MinRecLSN() != 20 {
+		t.Fatalf("after a flush of the older image: dirty small pages %v, min rec LSN %d; want [0], 20", got, tb.MinRecLSN())
+	}
+	_ = tb.SerializeSmallPage(0)
+	tb.MarkSmallFlushed(0, addr.MustPack(1, 4, 0, 64))
+	if got := tb.DirtySmallPages(); len(got) != 0 || tb.MinRecLSN() != 0 {
+		t.Fatalf("after a flush of the current image: dirty small pages %v, min rec LSN %d; want none", got, tb.MinRecLSN())
+	}
+}
+
 func TestLoaderErrorsPropagate(t *testing.T) {
 	tb := newTable(t, smallConfig())
 	// Register a flushed page address but no loader.

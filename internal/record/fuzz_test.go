@@ -27,9 +27,13 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 // must be either detected or decode to a well-formed record.
 func TestDecodeMutatedValidFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	base := Append(nil, Update{Action: 5, LPID: 10, Type: 1, New: 0xABCD})
+	bases := [][]byte{
+		Append(nil, Update{Action: 5, LPID: 10, Type: 1, New: 0xABCD}),
+		Append(nil, Commit{Action: 5, AKind: ActionUser, SID: 7, WSN: 3, Sum: 0x9E3779B9}),
+		Append(nil, CloseEBlock{Channel: 1, EBlock: 2, Timestamp: 3, DataWBlocks: 15, MetaWBlocks: 1, Action: 5}),
+	}
 	for i := 0; i < 5000; i++ {
-		b := append([]byte(nil), base...)
+		b := append([]byte(nil), bases[i%len(bases)]...)
 		for k := 0; k < 1+rng.Intn(3); k++ {
 			b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
 		}
@@ -63,7 +67,7 @@ func TestEncodedSizeRandomRecords(t *testing.T) {
 		case KindGCUpdate:
 			r = GCUpdate{Action: rng.Uint64(), LPID: addr.LPID(rng.Uint64()), Old: addr.PhysAddr(rng.Uint64()), New: addr.PhysAddr(rng.Uint64())}
 		case KindCommit:
-			r = Commit{Action: rng.Uint64(), AKind: ActionKind(rng.Intn(256)), SID: rng.Uint64(), WSN: rng.Uint64()}
+			r = Commit{Action: rng.Uint64(), AKind: ActionKind(rng.Intn(256)), SID: rng.Uint64(), WSN: rng.Uint64(), Sum: rng.Uint32()}
 		case KindAbort:
 			r = Abort{Action: rng.Uint64()}
 		case KindGarbage:
@@ -73,7 +77,7 @@ func TestEncodedSizeRandomRecords(t *testing.T) {
 		case KindOpenEBlock:
 			r = OpenEBlock{Channel: rng.Uint32(), EBlock: rng.Uint32(), Stream: StreamKind(rng.Intn(256))}
 		case KindCloseEBlock:
-			r = CloseEBlock{Channel: rng.Uint32(), EBlock: rng.Uint32(), Timestamp: rng.Uint64()}
+			r = CloseEBlock{Channel: rng.Uint32(), EBlock: rng.Uint32(), Timestamp: rng.Uint64(), Action: rng.Uint64()}
 		case KindSessionOpen:
 			r = SessionOpen{SID: rng.Uint64(), Priority: uint8(rng.Intn(256)), Tenant: string(make([]byte, rng.Intn(400)))}
 		case KindSessionClose:

@@ -167,15 +167,19 @@ type GCUpdate struct {
 }
 
 // Commit marks action Action committed. SID/WSN are zero for sessionless
-// writes and for GC/checkpoint actions.
+// writes and for GC/checkpoint actions. A user action's commit is forced
+// while its data is still being programmed, so it carries Sum, the CRC-32C
+// of the action's page images in Update-record order: recovery counts the
+// action committed only if its data reads back to it (or a Done follows).
 type Commit struct {
 	Action uint64
 	AKind  ActionKind
 	SID    uint64
 	WSN    uint64
+	Sum    uint32
 }
 
-// Abort marks action Action aborted.
+// Abort marks action Action aborted; it overrides an earlier Commit.
 type Abort struct {
 	Action uint64
 }
@@ -202,13 +206,15 @@ type OpenEBlock struct {
 
 // CloseEBlock records that (Channel, EBlock) was closed with its metadata
 // flushed; Timestamp is the EBLOCK's closing timestamp (update sequence
-// number proxy, §IV-A1).
+// number proxy, §IV-A1). A non-zero Action makes the close conditional on
+// that user action being committed: it was logged before the metadata landed.
 type CloseEBlock struct {
 	Channel     uint32
 	EBlock      uint32
 	Timestamp   uint64
 	DataWBlocks uint32
 	MetaWBlocks uint32
+	Action      uint64
 }
 
 // SessionOpen records creation of session SID, tagged with the opening
@@ -267,7 +273,7 @@ func (r Commit) encodePayload(dst []byte) []byte {
 	dst = append(dst, byte(r.AKind))
 	dst = putU64(dst, r.SID)
 	dst = putU64(dst, r.WSN)
-	return dst
+	return putU32(dst, r.Sum)
 }
 
 func (r Abort) encodePayload(dst []byte) []byte { return putU64(dst, r.Action) }
@@ -296,7 +302,7 @@ func (r CloseEBlock) encodePayload(dst []byte) []byte {
 	dst = putU64(dst, r.Timestamp)
 	dst = putU32(dst, r.DataWBlocks)
 	dst = putU32(dst, r.MetaWBlocks)
-	return dst
+	return putU64(dst, r.Action)
 }
 
 func (r SessionOpen) encodePayload(dst []byte) []byte {
@@ -324,8 +330,8 @@ const frameOverhead = 1 + 4 + 4
 // payloadBytes is each fixed-size kind's encodePayload length; Garbage and
 // SessionOpen are variable and sized in EncodedSize.
 var payloadBytes = [kindMax]int{
-	KindUpdate: 25, KindGCUpdate: 33, KindCommit: 25, KindAbort: 8, KindDone: 8,
-	KindOpenEBlock: 9, KindCloseEBlock: 24, KindSessionClose: 8, KindFreeEBlock: 8,
+	KindUpdate: 25, KindGCUpdate: 33, KindCommit: 29, KindAbort: 8, KindDone: 8,
+	KindOpenEBlock: 9, KindCloseEBlock: 32, KindSessionClose: 8, KindFreeEBlock: 8,
 }
 
 // EncodedSize returns the framed size of r, len(Append(nil, r)), by
@@ -462,6 +468,7 @@ func Decode(b []byte) (Record, int, error) {
 		r.AKind = ActionKind(rd.u8())
 		r.SID = rd.u64()
 		r.WSN = rd.u64()
+		r.Sum = rd.u32()
 		rec = r
 	case KindAbort:
 		rec = Abort{Action: rd.u64()}
@@ -488,6 +495,7 @@ func Decode(b []byte) (Record, int, error) {
 		r.Timestamp = rd.u64()
 		r.DataWBlocks = rd.u32()
 		r.MetaWBlocks = rd.u32()
+		r.Action = rd.u64()
 		rec = r
 	case KindSessionOpen:
 		r := SessionOpen{SID: rd.u64()}

@@ -1,7 +1,9 @@
 package record
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -33,7 +35,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	recs := []Record{
 		Update{Action: 7, LPID: 99, Type: addr.PageUser, New: a1},
 		GCUpdate{Action: 8, LPID: 100, Type: addr.PageMap, Old: a1, New: a2},
-		Commit{Action: 9, AKind: ActionUser, SID: 1234, WSN: 5},
+		Commit{Action: 9, AKind: ActionUser, SID: 1234, WSN: 5, Sum: 0xC0FFEE42},
 		Commit{Action: 10, AKind: ActionGC},
 		Abort{Action: 11},
 		Garbage{Action: 12, Pairs: []AddrPair{{LPID: 1, Addr: a1}, {LPID: 2, Addr: a2}}},
@@ -41,6 +43,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		Done{Action: 14},
 		OpenEBlock{Channel: 2, EBlock: 17, Stream: StreamGC},
 		CloseEBlock{Channel: 1, EBlock: 3, Timestamp: 42, DataWBlocks: 200, MetaWBlocks: 4},
+		CloseEBlock{Channel: 1, EBlock: 3, Timestamp: 42, DataWBlocks: 200, MetaWBlocks: 4, Action: 9},
 		SessionOpen{SID: 777},
 		SessionClose{SID: 777},
 	}
@@ -56,6 +59,24 @@ func TestRoundTripAllKinds(t *testing.T) {
 		}
 		if got.Kind() != r.Kind() {
 			t.Errorf("kind mismatch: %v vs %v", got.Kind(), r.Kind())
+		}
+	}
+}
+
+// TestNarrowCommitAndCloseRejected: Commit and CloseEBlock were widened in
+// place (a checksum, a conditioning action) without a new kind, so a frame
+// of the width they had before — valid CRC and all — is malformed, not a
+// record with a zero field: a log written by an older build is not readable.
+func TestNarrowCommitAndCloseRejected(t *testing.T) {
+	for _, r := range []Record{Commit{Action: 9, AKind: ActionUser, SID: 1234, WSN: 5}, CloseEBlock{Channel: 1, EBlock: 3, Timestamp: 42}} {
+		wide := Append(nil, r)
+		narrow := payloadBytes[r.Kind()] - map[Kind]int{KindCommit: 4, KindCloseEBlock: 8}[r.Kind()]
+		b := append([]byte{byte(r.Kind())}, 0, 0, 0, 0)
+		binary.LittleEndian.PutUint32(b[1:], uint32(narrow))
+		b = append(b, wide[5:5+narrow]...)
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+		if rec, _, err := Decode(b); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%v frame with a %d-byte payload decoded to %+v, %v; want ErrMalformed", r.Kind(), narrow, rec, err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"eleos/internal/bufpool"
 	"eleos/internal/client"
 	"eleos/internal/core"
+	"eleos/internal/flash"
 	"eleos/internal/server"
 	"eleos/internal/trace"
 )
@@ -344,8 +345,12 @@ func TestCoalescingMediaFaultRetry(t *testing.T) {
 		}
 	}
 
-	// The next program attempt is the fault round's user-data program.
-	dev.FailNthProgram(1)
+	// The fault is aimed by address — "the next program attempt" would be
+	// the round's data program or its commit page, whichever reaches the
+	// device first: the WBLOCK after client 0's warm page, which client 0's
+	// fault-round flush reaches by being wide enough for every channel.
+	armFaultBehind(t, dev, pageData(0, 200))
+	geo := dev.Geometry()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, nClients)
@@ -354,6 +359,9 @@ func TestCoalescingMediaFaultRetry(t *testing.T) {
 		go func(w int, c cs) {
 			defer wg.Done()
 			pages := []core.LPage{{LPID: addr.LPID(500 + w), Data: pageData(100+w, 300)}}
+			for ch := 0; w == 0 && ch < geo.Channels; ch++ {
+				pages = append(pages, core.LPage{LPID: addr.LPID(600 + ch), Data: pageData(ch, geo.WBlockBytes)})
+			}
 			if _, err := c.cl.Flush(c.sid, 2, pages); err != nil {
 				errs <- fmt.Errorf("client %d: %w", w, err)
 			}
@@ -393,6 +401,28 @@ func TestCoalescingMediaFaultRetry(t *testing.T) {
 			t.Fatalf("lpid %d content wrong after retry", 500+w)
 		}
 	}
+}
+
+// armFaultBehind arms a program failure at the WBLOCK after the one that
+// starts with data — a one-page flush's only data program — which it finds
+// by reading the device.
+func armFaultBehind(t *testing.T, dev *flash.Device, data []byte) {
+	t.Helper()
+	geo := dev.Geometry()
+	for ch := 0; ch < geo.Channels; ch++ {
+		for eb := 0; eb < geo.EBlocksPerChannel; eb++ {
+			pos, err := dev.NextProgramPosition(ch, eb)
+			if err != nil || pos == 0 || pos == geo.WBlocksPerEBlock() {
+				continue
+			}
+			got, _, err := dev.ReadExtent(ch, eb, (pos-1)*geo.WBlockBytes, len(data))
+			if err == nil && bytes.Equal(got, data) {
+				dev.FailNextProgram(ch, eb, pos)
+				return
+			}
+		}
+	}
+	t.Fatal("no EBLOCK's last programmed WBLOCK starts with the page")
 }
 
 // TestPooledPathPoisonIntegrity turns on buffer poisoning (released

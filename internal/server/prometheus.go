@@ -27,23 +27,26 @@ import (
 // promHelp carries HELP strings for the families worth documenting;
 // families not listed get a generic line.
 var promHelp = map[string]string{
-	"eleos_qos_admitted_bytes_total":        "Bytes admitted through per-tenant QoS admission.",
-	"eleos_qos_throttled_total":             "Admissions delayed by per-tenant rate limiting.",
-	"eleos_qos_inflight_bytes":              "Bytes currently inside a tenant's inflight budget.",
-	"eleos_write_tenant_bytes_total":        "Logical bytes written, attributed to the issuing tenant.",
-	"eleos_write_tenant_pages_total":        "Logical pages written, attributed to the issuing tenant.",
-	"eleos_flash_src_bytes_total":           "Physical bytes programmed, split by traffic source.",
-	"eleos_flash_src_wblocks_total":         "WBLOCK programs, split by traffic source.",
-	"eleos_flash_programmed_bytes_total":    "Physical bytes programmed to flash, all sources.",
-	"eleos_flash_program_ns":                "Wall-clock time a WBLOCK program occupied its channel.",
-	"eleos_flash_erase_ns":                  "Wall-clock time an EBLOCK erase occupied its channel.",
-	"eleos_flash_read_ns":                   "Wall-clock time a gather read occupied its channel.",
-	"eleos_flash_wall_late_ns":              "How long after its deadline each emulated flash wait returned (wall-latency emulation only).",
-	"eleos_core_write_bytes_accepted_total": "Logical bytes accepted by the controller write path.",
-	"eleos_core_gc_bytes_moved_total":       "Valid bytes relocated by garbage collection.",
-	"eleos_core_gc_bytes_read_total":        "Media bytes transferred by garbage collection's relocation and metadata reads.",
-	"eleos_server_watch_pushes_total":       "stats_full frames pushed to watch_stats subscribers.",
-	"eleos_info":                            "Exporter facts (active GC policy and friends) as labels.",
+	"eleos_qos_admitted_bytes_total":            "Bytes admitted through per-tenant QoS admission.",
+	"eleos_qos_throttled_total":                 "Admissions delayed by per-tenant rate limiting.",
+	"eleos_qos_inflight_bytes":                  "Bytes currently inside a tenant's inflight budget.",
+	"eleos_write_tenant_bytes_total":            "Logical bytes written, attributed to the issuing tenant.",
+	"eleos_write_tenant_pages_total":            "Logical pages written, attributed to the issuing tenant.",
+	"eleos_flash_src_bytes_total":               "Physical bytes programmed, split by traffic source.",
+	"eleos_flash_src_wblocks_total":             "WBLOCK programs, split by traffic source.",
+	"eleos_flash_programmed_bytes_total":        "Physical bytes programmed to flash, all sources.",
+	"eleos_flash_program_ns":                    "Wall-clock time a WBLOCK program occupied its channel.",
+	"eleos_flash_erase_ns":                      "Wall-clock time an EBLOCK erase occupied its channel.",
+	"eleos_flash_read_ns":                       "Wall-clock time a gather read occupied its channel.",
+	"eleos_flash_wall_late_ns":                  "How long after its deadline each emulated flash wait returned (wall-latency emulation only).",
+	"eleos_core_write_bytes_accepted_total":     "Logical bytes accepted by the controller write path.",
+	"eleos_core_gc_bytes_moved_total":           "Valid bytes relocated by garbage collection.",
+	"eleos_core_gc_bytes_read_total":            "Media bytes transferred by garbage collection's relocation and metadata reads.",
+	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
+	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
+	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",
+	"eleos_server_watch_pushes_total":           "stats_full frames pushed to watch_stats subscribers.",
+	"eleos_info":                                "Exporter facts (active GC policy and friends) as labels.",
 }
 
 // promSample is one rendered sample line within a family.

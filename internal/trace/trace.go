@@ -217,6 +217,14 @@ func (r *Recorder) Emit(k Kind, traceID, sid, wsn uint64, arg1, arg2 int64) {
 // Span records an event that started at `start` and ends now. A zero
 // start degrades to an instant at the epoch.
 func (r *Recorder) Span(k Kind, traceID, sid, wsn uint64, start time.Time, arg1, arg2 int64) {
+	if r != nil {
+		r.SpanUntil(k, traceID, sid, wsn, start, time.Now(), arg1, arg2)
+	}
+}
+
+// SpanUntil is Span for an event that ended at `end`: a stage whose end
+// the caller learned of later than it happened.
+func (r *Recorder) SpanUntil(k Kind, traceID, sid, wsn uint64, start, end time.Time, arg1, arg2 int64) {
 	if r == nil {
 		return
 	}
@@ -224,8 +232,7 @@ func (r *Recorder) Span(k Kind, traceID, sid, wsn uint64, start time.Time, arg1,
 		r.record(k, 0, 0, traceID, sid, wsn, arg1, arg2)
 		return
 	}
-	ts := start.Sub(r.epoch)
-	r.record(k, int64(ts), int64(time.Since(start)), traceID, sid, wsn, arg1, arg2)
+	r.record(k, int64(start.Sub(r.epoch)), int64(end.Sub(start)), traceID, sid, wsn, arg1, arg2)
 }
 
 func (r *Recorder) record(k Kind, ts, dur int64, traceID, sid, wsn uint64, arg1, arg2 int64) {

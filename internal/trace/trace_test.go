@@ -37,6 +37,11 @@ func TestRingBasicEmitDump(t *testing.T) {
 	if e0.Seq != 1 || e1.Seq != 2 {
 		t.Fatalf("seqs = %d, %d", e0.Seq, e1.Seq)
 	}
+	// A span whose end the caller learned of late ends where it is told to.
+	r.SpanUntil(KProgramWait, 7, 3, 11, start, start.Add(250*time.Microsecond), 0, 0)
+	if e := r.Dump().Events[2]; e.Kind != KProgramWait || e.TS != e1.TS || e.Dur != int64(250*time.Microsecond) {
+		t.Fatalf("span with a given end = %+v, want it to start with event 1 and last 250µs", e)
+	}
 }
 
 // TestRingWraparound overfills a 64-slot ring and checks the survivors
