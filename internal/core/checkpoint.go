@@ -380,16 +380,23 @@ func encodeCkpt(ck *ckptRecord) []byte {
 
 var errBadCkpt = errors.New("core: bad checkpoint record")
 
+// decodeCkpt checks every read against the bytes the CRC covers and caps
+// every count by them: a CRC is no proof the body is well formed.
 func decodeCkpt(b []byte) (*ckptRecord, error) {
-	if len(b) < 8 {
+	if len(b) < 8 || crc32.ChecksumIEEE(b[:len(b)-4]) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
 		return nil, errBadCkpt
 	}
-	if crc32.ChecksumIEEE(b[:len(b)-4]) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
-		return nil, errBadCkpt
+	b, pos, short := b[:len(b)-4], 0, false
+	next := func(n int) []byte {
+		if short = short || len(b)-pos < n; short {
+			return make([]byte, 8)
+		}
+		pos += n
+		return b[pos-n : pos]
 	}
-	pos := 0
-	u64 := func() uint64 { v := binary.LittleEndian.Uint64(b[pos:]); pos += 8; return v }
-	u32 := func() uint32 { v := binary.LittleEndian.Uint32(b[pos:]); pos += 4; return v }
+	u64 := func() uint64 { return binary.LittleEndian.Uint64(next(8)) }
+	u32 := func() uint32 { return binary.LittleEndian.Uint32(next(4)) }
+	count := func(size int) int { return min(int(u32()), (len(b)-pos)/size) }
 	if u32() != ckptMagic {
 		return nil, errBadCkpt
 	}
@@ -397,23 +404,23 @@ func decodeCkpt(b []byte) (*ckptRecord, error) {
 	ck.Seq = u64()
 	ck.TruncLSN = record.LSN(u64())
 	ck.StartLSN = record.LSN(u64())
-	n := int(u32())
-	for i := 0; i < n; i++ {
+	for n := count(12); n > 0; n-- {
 		ck.StartSlots = append(ck.StartSlots, wal.Slot{
 			Channel: int(int32(u32())), EBlock: int(int32(u32())), WBlock: int(int32(u32())),
 		})
 	}
-	n = int(u32())
-	for i := 0; i < n; i++ {
+	for n := count(8); n > 0; n-- {
 		ck.Tiny = append(ck.Tiny, addr.PhysAddr(u64()))
 	}
-	n = int(u32())
-	for i := 0; i < n; i++ {
+	for n := count(8); n > 0; n-- {
 		ck.Locator = append(ck.Locator, addr.PhysAddr(u64()))
 	}
 	ck.SessAddr = addr.PhysAddr(u64())
 	ck.UpdateSeq = u64()
 	ck.NextAction = u64()
+	if short {
+		return nil, errBadCkpt
+	}
 	return ck, nil
 }
 
@@ -428,12 +435,7 @@ func (c *Controller) encodeCkptParts(ck *ckptRecord) [][]byte {
 	total := (len(body) + per - 1) / per
 	parts := make([][]byte, 0, total)
 	for i := 0; i < total; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > len(body) {
-			hi = len(body)
-		}
-		payload := body[lo:hi]
+		payload := body[i*per : min((i+1)*per, len(body))]
 		hdr := make([]byte, ckptPartHeader-4)
 		binary.LittleEndian.PutUint32(hdr[0:], ckptPartMagic)
 		binary.LittleEndian.PutUint64(hdr[4:], ck.Seq)

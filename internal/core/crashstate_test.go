@@ -189,121 +189,134 @@ func writeWide(t *testing.T, c *Controller, base addr.LPID) {
 	checkRead(t, c, base, pages[0].Data)
 }
 
-func TestRecoveryAtomicity(t *testing.T) {
-	const (
-		absent  = iota // every sub: no trace, session not advanced
-		present        // every sub: byte-exact, session advanced
-		mixed          // two writers: the named outcome for at least one, no sub torn
-	)
-	// failAt arms a program failure in X: its first or last data WBLOCK, or
-	// its metadata WBLOCK, which fails with every page of the plan programmed.
-	failAt := func(wb int) func(*atomRun) {
-		return func(r *atomRun) { r.dev.FailNextProgram(r.tch, r.x, max(wb, r.first)) }
-	}
-	cells := []struct {
-		name  string
-		arm   func(*atomRun) // fault injection before the flush
-		point string         // crash point armed before the flush
-		want  int            // of one writer; two writers race to the crash point
-		// x is X's state after recovery when the cell settles it: Open when
-		// the action that closed it did not commit, Used when it did.
-		x summary.State
-		// deadLog: the recovered log cannot be written, the known defect that
-		// TestRecoveryFromDeadLogWritable holds (ROADMAP item 2(a)).
-		deadLog bool
-		// after runs further checks on the recovered controller and returns the
-		// one to go on with.
-		after func(*atomRun, *Controller) *Controller
-	}{
-		// Nothing submitted: the records are in the log buffer, or durable
-		// by another writer's force without a byte of data.
-		{name: "write.after-init", point: "write.after-init", want: absent},
-		// The commit page is lost on all three forward candidates.
-		{name: "commit-page-lost", want: absent, deadLog: true, arm: func(r *atomRun) {
-			cands, err := r.c.log.StartCandidates()
-			if err != nil {
+// Outcomes of a crash-state cell for one writer; two writers race to the
+// crash point, so a cell names the outcome for at least one of them.
+const (
+	atomAbsent  = iota // every sub: no trace, session not advanced
+	atomPresent        // every sub: byte-exact, session advanced
+)
+
+// atomFailAt arms a program failure in X: its first or last data WBLOCK, or
+// its metadata WBLOCK, which fails with every page of the plan programmed.
+func atomFailAt(wb int) func(*atomRun) {
+	return func(r *atomRun) { r.dev.FailNextProgram(r.tch, r.x, max(wb, r.first)) }
+}
+
+// atomCell is one crash state of the table.
+type atomCell struct {
+	name  string
+	arm   func(*atomRun) // fault injection before the flush
+	point string         // crash point armed before the flush
+	want  int            // of one writer; two writers race to the crash point
+	// x is X's state after recovery when the cell settles it: Open when
+	// the action that closed it did not commit, Used when it did.
+	x summary.State
+	// deadLog: the recovered log cannot be written, the known defect that
+	// TestRecoveryFromDeadLogWritable holds (ROADMAP item 2(a)).
+	deadLog bool
+	// after runs further checks on the recovered controller and returns the
+	// one to go on with.
+	after func(*atomRun, *Controller) *Controller
+}
+
+var atomCells = []atomCell{
+	// Nothing submitted: the records are in the log buffer, or durable
+	// by another writer's force without a byte of data.
+	{name: "write.after-init", point: "write.after-init", want: atomAbsent},
+	// The commit page is lost on all three forward candidates.
+	{name: "commit-page-lost", want: atomAbsent, deadLog: true, arm: func(r *atomRun) {
+		cands, err := r.c.log.StartCandidates()
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		for _, s := range cands {
+			r.dev.FailNextProgram(s.Channel, s.EBlock, s.WBlock)
+		}
+	}},
+	// Commit durable, a data or metadata WBLOCK of the closing plan not.
+	{name: "data-failed-first", arm: atomFailAt(0), point: "write.after-exec", want: atomAbsent, x: summary.Open},
+	{name: "data-failed-last", arm: atomFailAt(14), point: "write.after-exec", want: atomAbsent, x: summary.Open},
+	{name: "data-failed-meta", arm: atomFailAt(15), point: "write.after-exec", want: atomAbsent, x: summary.Open},
+	// Commit and data durable, no install, no Done: proven by checksum,
+	// once. Recovery logs the Done the install did not, so X — every page
+	// in it superseded later in the same action — can be collected and
+	// erased without a second recovery rejecting what the first made visible.
+	{name: "write.after-exec", point: "write.after-exec", want: atomPresent, x: summary.Used,
+		// Sub 0's WSN 1 pages once more, one at the head of every channel's
+		// EBLOCK: the flush supersedes X's too, so X needs no relocation
+		// (whose commit would force the log), and the padding behind it is
+		// space GC knows it can reclaim.
+		arm: func(r *atomRun) {
+			for ch := 0; ch < r.c.geo.Channels; ch++ {
+				lp := r.lpid(0, ch%atomLPIDs)
+				mustWrite(r.t, r.c, LPage{LPID: lp, Data: atomPage(lp, 1, 500)})
+			}
+			r.first++
+		},
+		after: func(r *atomRun, c2 *Controller) *Controller {
+			was := make([]bool, len(r.sids))
+			for sub := range r.sids {
+				was[sub] = r.state(c2, sub)
+			}
+			if err := c2.GCNow(r.tch); err != nil {
 				r.t.Fatal(err)
 			}
-			for _, s := range cands {
-				r.dev.FailNextProgram(s.Channel, s.EBlock, s.WBlock)
+			if n, err := r.dev.EraseCount(r.tch, r.x); err != nil || n != 1 {
+				r.t.Fatalf("X (%d,%d) erased %d times (%v), want once", r.tch, r.x, n, err)
 			}
+			c2.Crash()
+			c3 := reopen(r.t, r.dev)
+			for sub := range r.sids {
+				if r.state(c3, sub) != was[sub] {
+					r.t.Fatalf("sub %d: present=%v after the first recovery, %v after the second", sub, was[sub], !was[sub])
+				}
+			}
+			if v := c3.Stats().RecoverVerified; r.shape.writers == 1 && v != 0 {
+				r.t.Fatalf("second recovery read back %d actions: the Done was not durable before the erase", v)
+			}
+			return c3
 		}},
-		// Commit durable, a data or metadata WBLOCK of the closing plan not.
-		{name: "data-failed-first", arm: failAt(0), point: "write.after-exec", want: absent, x: summary.Open},
-		{name: "data-failed-last", arm: failAt(14), point: "write.after-exec", want: absent, x: summary.Open},
-		{name: "data-failed-meta", arm: failAt(15), point: "write.after-exec", want: absent, x: summary.Open},
-		// Commit and data durable, no install, no Done: proven by checksum,
-		// once. Recovery logs the Done the install did not, so X — every page
-		// in it superseded later in the same action — can be collected and
-		// erased without a second recovery rejecting what the first made visible.
-		{name: "write.after-exec", point: "write.after-exec", want: present, x: summary.Used,
-			// Sub 0's WSN 1 pages once more, one at the head of every channel's
-			// EBLOCK: the flush supersedes X's too, so X needs no relocation
-			// (whose commit would force the log), and the padding behind it is
-			// space GC knows it can reclaim.
-			arm: func(r *atomRun) {
-				for ch := 0; ch < r.c.geo.Channels; ch++ {
-					lp := r.lpid(0, ch%atomLPIDs)
-					mustWrite(r.t, r.c, LPage{LPID: lp, Data: atomPage(lp, 1, 500)})
+	// A media failure met alive: the Abort is appended, not durable.
+	{name: "abort-not-durable", arm: atomFailAt(0), point: "write.after-abort", want: atomAbsent, x: summary.Open,
+		after: func(r *atomRun, c2 *Controller) *Controller {
+			before := c2.Stats()
+			r.flush(c2, true)
+			for sub, err := range r.errs {
+				if err != nil || !r.state(c2, sub) {
+					r.t.Fatalf("sub %d: retried WSN = %v, present %v", sub, err, err == nil)
 				}
-				r.first++
-			},
-			after: func(r *atomRun, c2 *Controller) *Controller {
-				was := make([]bool, len(r.sids))
-				for sub := range r.sids {
-					was[sub] = r.state(c2, sub)
-				}
-				if err := c2.GCNow(r.tch); err != nil {
-					r.t.Fatal(err)
-				}
-				if n, err := r.dev.EraseCount(r.tch, r.x); err != nil || n != 1 {
-					r.t.Fatalf("X (%d,%d) erased %d times (%v), want once", r.tch, r.x, n, err)
-				}
-				c2.Crash()
-				c3 := reopen(r.t, r.dev)
-				for sub := range r.sids {
-					if r.state(c3, sub) != was[sub] {
-						r.t.Fatalf("sub %d: present=%v after the first recovery, %v after the second", sub, was[sub], !was[sub])
-					}
-				}
-				if v := c3.Stats().RecoverVerified; r.shape.writers == 1 && v != 0 {
-					r.t.Fatalf("second recovery read back %d actions: the Done was not durable before the erase", v)
-				}
-				return c3
-			}},
-		// A media failure met alive: the Abort is appended, not durable.
-		{name: "abort-not-durable", arm: failAt(0), point: "write.after-abort", want: absent, x: summary.Open,
-			after: func(r *atomRun, c2 *Controller) *Controller {
-				before := c2.Stats()
-				r.flush(c2, true)
-				for sub, err := range r.errs {
-					if err != nil || !r.state(c2, sub) {
-						r.t.Fatalf("sub %d: retried WSN = %v, present %v", sub, err, err == nil)
-					}
-				}
-				applied := c2.Stats().BatchesWritten - before.BatchesWritten
-				r.flush(c2, true)
-				if st := c2.Stats(); applied+st.StaleWrites-before.StaleWrites != int64(2*len(r.sids)) || st.BatchesWritten-before.BatchesWritten != applied {
-					r.t.Fatalf("retried WSNs: %d applied, then %d stale and %d applied again", applied, st.StaleWrites-before.StaleWrites, st.BatchesWritten-before.BatchesWritten-applied)
-				}
-				return c2
-			}},
+			}
+			applied := c2.Stats().BatchesWritten - before.BatchesWritten
+			r.flush(c2, true)
+			if st := c2.Stats(); applied+st.StaleWrites-before.StaleWrites != int64(2*len(r.sids)) || st.BatchesWritten-before.BatchesWritten != applied {
+				r.t.Fatalf("retried WSNs: %d applied, then %d stale and %d applied again", applied, st.StaleWrites-before.StaleWrites, st.BatchesWritten-before.BatchesWritten-applied)
+			}
+			return c2
+		}},
+}
+
+// crash runs cell's flush on r.c and requires the controller to crash.
+func (r *atomRun) crash(cell atomCell) {
+	r.t.Helper()
+	if cell.arm != nil {
+		cell.arm(r)
 	}
-	for _, cell := range cells {
+	if cell.point != "" {
+		r.c.SetCrashPoint(cell.point)
+	}
+	r.flush(r.c, false)
+	if !r.c.Crashed() {
+		r.t.Fatalf("the controller did not crash: %v", r.errs)
+	}
+}
+
+func TestRecoveryAtomicity(t *testing.T) {
+	for _, cell := range atomCells {
 		t.Run(cell.name, func(t *testing.T) {
 			for _, shape := range atomShapes {
 				t.Run(shape.name, func(t *testing.T) {
 					r := atomSetup(t, shape)
-					if cell.arm != nil {
-						cell.arm(r)
-					}
-					if cell.point != "" {
-						r.c.SetCrashPoint(cell.point)
-					}
-					r.flush(r.c, false)
-					if !r.c.Crashed() {
-						t.Fatalf("the controller did not crash: %v", r.errs)
-					}
+					r.crash(cell)
 					c2 := reopen(t, r.dev)
 					n := 0
 					for sub, err := range r.errs {
@@ -315,7 +328,7 @@ func TestRecoveryAtomicity(t *testing.T) {
 							t.Fatalf("sub %d: acked and lost", sub)
 						}
 					}
-					switch want := cell.want == present; {
+					switch want := cell.want == atomPresent; {
 					case shape.writers == 1 && n != len(r.sids)*cell.want:
 						t.Fatalf("%d of %d subs present, want present=%v", n, len(r.sids), want)
 					case shape.writers > 1 && (want && n == 0 || !want && n == len(r.sids)):

@@ -6,8 +6,12 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
+
+	"eleos/internal/addr"
+	"eleos/internal/wal"
 )
 
 // TestDecodeBatchNeverPanics hammers the wire-batch parser (§IX-A2) with
@@ -145,4 +149,29 @@ func TestDecodeCkptNeverPanics(t *testing.T) {
 			t.Fatal("nil record with nil error")
 		}
 	}
+}
+
+// FuzzDecodeCkpt fuzzes the checkpoint record parser behind a valid CRC, as
+// an image loaded from disk (eleosd -img, eleosctl -img) can carry: any
+// body must decode or fail with errBadCkpt, and what decodes re-encodes to
+// itself.
+func FuzzDecodeCkpt(f *testing.F) {
+	f.Add(binary.LittleEndian.AppendUint32(nil, ckptMagic)) // magic | crc: read past the end
+	f.Add(encodeCkpt(&ckptRecord{Seq: 3, TruncLSN: 7, StartLSN: 1})[:4+24+4])
+	full := encodeCkpt(&ckptRecord{Seq: 9, StartSlots: []wal.Slot{{Channel: 1, EBlock: 2, WBlock: 3}},
+		Tiny: []addr.PhysAddr{5}, Locator: []addr.PhysAddr{6, 7}, SessAddr: 8, UpdateSeq: 10, NextAction: 11})
+	f.Add(full[:len(full)-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ck, err := decodeCkpt(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+		if err != nil {
+			if !errors.Is(err, errBadCkpt) {
+				t.Fatalf("non-errBadCkpt failure: %v", err)
+			}
+			return
+		}
+		again, err := decodeCkpt(encodeCkpt(ck))
+		if err != nil || !reflect.DeepEqual(again, ck) {
+			t.Fatalf("round trip: %+v, %v; want %+v", again, err, ck)
+		}
+	})
 }

@@ -290,55 +290,62 @@ func TestStaleWSNAfterSessionReopenFails(t *testing.T) {
 	}
 }
 
-// TestEraseLimitMarksBad drives an EBLOCK past its erase limit via GC and
-// verifies it is retired rather than reused.
+// TestEraseLimitMarksBad drives EBLOCKs past their erase limit via GC and
+// verifies they are retired rather than reused, with no committed data lost.
+// The churn runs until the first EBLOCK goes bad and a little further.
 func TestEraseLimitMarksBad(t *testing.T) {
 	g := flash.SmallGeometry()
 	g.EraseLimit = 3
 	dev := flash.MustNewDevice(g, flash.Latency{})
 	cfg := testConfig()
+	// Every flush forces a log page: without checkpoints to truncate it the
+	// log fills the device long before any EBLOCK wears out.
+	cfg.AutoCheckpointLogBytes = 1 << 20
 	c, err := Format(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// countBad counts the worn-out EBLOCKs and requires each to be retired:
+	// Bad in the summary, so never handed out again.
+	countBad := func() (bad int) {
+		for ch := 0; ch < g.Channels; ch++ {
+			for eb := 0; eb < g.EBlocksPerChannel; eb++ {
+				if isBad, _ := dev.IsBad(ch, eb); isBad {
+					bad++
+					if d, _ := c.st.Desc(ch, eb); d.State != summary.Bad {
+						t.Fatalf("worn-out EBLOCK (%d,%d) is %v", ch, eb, d.State)
+					}
+				}
+			}
+		}
+		return bad
+	}
 	version := map[addr.LPID]uint64{}
 	rng := rand.New(rand.NewSource(53))
-	var wedged bool
-	for round := 0; round < 1500 && !wedged; round++ {
+	after := -1 // rounds left once an EBLOCK went bad
+	for round := 0; round < 20000 && after != 0; round++ {
 		lp := addr.LPID(rng.Intn(10) + 1)
 		version[lp]++
 		err := c.WriteBatch(0, 0, []LPage{{LPID: lp, Data: pageContent(uint64(lp), version[lp], 4000)}})
+		if err != nil && !errors.Is(err, ErrWriteFailed) { // migrations handle transient failures
+			t.Fatalf("round %d: %v", round, err)
+		}
 		if err != nil {
-			// The device eventually wears out entirely; that is expected
-			// with EraseLimit 3 — but data must never be silently lost.
-			if errors.Is(err, ErrWriteFailed) {
-				continue // migrations handle transient failures
-			}
-			wedged = true
+			version[lp]--
+		}
+		if after > 0 {
+			after--
+		} else if after < 0 && round%100 == 0 && countBad() > 0 {
+			t.Logf("first bad EBLOCK by round %d", round)
+			after = 200
 		}
 	}
-	// Some eblocks must have been retired.
-	bad := 0
-	for ch := 0; ch < g.Channels; ch++ {
-		for eb := 0; eb < g.EBlocksPerChannel; eb++ {
-			if isBad, _ := dev.IsBad(ch, eb); isBad {
-				bad++
-			}
-		}
-	}
-	if bad == 0 {
-		t.Skip("erase limit never reached")
+	if countBad() == 0 {
+		t.Fatal("erase limit never reached in 20 000 rounds")
 	}
 	// All committed data still readable.
 	for lp, v := range version {
-		got, err := c.Read(lp)
-		if err != nil {
-			t.Fatalf("lpid %d lost after bad blocks: %v", lp, err)
-		}
-		want := pageContent(uint64(lp), v, 4000)
-		if len(got) < len(want) {
-			t.Fatalf("lpid %d truncated", lp)
-		}
+		checkRead(t, c, lp, pageContent(uint64(lp), v, 4000))
 	}
 }
 

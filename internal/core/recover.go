@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"slices"
+	"time"
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
@@ -12,12 +14,9 @@ import (
 	"eleos/internal/wal"
 )
 
-// Open recovers a controller from a formatted device (§VIII-C): it reads
-// the most recent complete checkpoint record from the well-known area and
-// performs the two-pass log replay — pass one repairs the flash addresses
-// of system-table pages that garbage collection moved after they were
-// checkpointed, pass two redoes committed system actions against the
-// loaded tables, guarded by per-page flush LSNs.
+// Open recovers a controller from a formatted device (§VIII-C): it loads
+// the most recent complete checkpoint record and replays the log in the
+// passes recoveryPhases lists, timing each into core.recover.<phase>_ns.
 func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 	c, err := newController(dev, cfg)
 	if err != nil {
@@ -27,313 +26,395 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 	// attributed to SrcRecovery for the write-amplification accounting.
 	c.recovering.Store(true)
 	defer c.recovering.Store(false)
-	ck, areaEB, areaWB, err := scanCheckpointArea(c)
-	if err != nil {
-		return nil, err
-	}
-	c.ckptSeq = ck.Seq
-	c.ckptEB, c.ckptWB = areaEB, areaWB
-	c.lastTruncLSN = ck.TruncLSN
-	c.updateSeq = ck.UpdateSeq
-	c.nextAction = ck.NextAction
-
-	// Walk the log chain once, collecting records at or past the
-	// truncation LSN, and determining which actions committed.
-	type logged struct {
-		lsn record.LSN
-		rec record.Record
-	}
-	var recs []logged
-	sink := logSink{c}
-	tail, err := wal.FollowChain(sink, ck.StartSlots, ck.StartLSN, func(p *wal.ChainPage) error {
-		lsn := p.FirstLSN
-		for _, r := range p.Records {
-			if lsn >= ck.TruncLSN {
-				recs = append(recs, logged{lsn: lsn, rec: r})
-			}
-			lsn++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// An action is committed when its Commit record is durable, no Abort
-	// follows it and its data is proven. A GC, migration or checkpoint action
-	// forces its commit after its programs. A user action forces it beside
-	// them, so its proof is a Done record (it installed) or, for the few the
-	// crash caught before that, pages that read back to the checksum its
-	// Commit carries and closes whose metadata decodes.
-	type proof struct {
-		want, got uint32
-		ok        bool
-	}
-	committed := make(map[uint64]record.ActionKind)
-	unproven := make(map[uint64]*proof)
-	for _, lr := range recs {
-		var id uint64
-		switch r := lr.rec.(type) {
-		case record.Commit:
-			committed[r.Action] = r.AKind
-			if r.AKind == record.ActionUser {
-				unproven[r.Action] = &proof{want: r.Sum, ok: true}
-			}
-		case record.Abort:
-			delete(committed, r.Action)
-			delete(unproven, r.Action)
-		case record.Done:
-			delete(unproven, r.Action)
-		case record.Update:
-			id = r.Action
-		case record.GCUpdate:
-			id = r.Action
-		}
-		// Track the highest action id seen so new actions are unique.
-		if id >= c.nextAction {
-			c.nextAction = id + 1
-		}
-	}
-	for _, lr := range recs {
-		switch r := lr.rec.(type) {
-		case record.Update:
-			if p := unproven[r.Action]; p != nil && p.ok {
-				p.got, p.ok = c.readBack(p.got, r.New)
-			}
-		case record.CloseEBlock:
-			if p := unproven[r.Action]; p != nil && p.ok {
-				p.ok = c.metaReadable(r)
-			}
-		}
-	}
-	var readBack []uint64
-	for id, p := range unproven {
-		readBack = append(readBack, id)
-		c.met.recoverVerified.Inc()
-		if p.ok = p.ok && p.got == p.want; !p.ok {
-			c.met.recoverRejected.Inc()
-			delete(committed, id)
-		}
-	}
-
-	// --- Pass 1: repair table-page addresses (§VIII-C1) ---------------------
-	tiny := append([]addr.PhysAddr(nil), ck.Tiny...)
-	locator := append([]addr.PhysAddr(nil), ck.Locator...)
-	sessAddr := ck.SessAddr
-	setAt := func(s *[]addr.PhysAddr, idx int, a addr.PhysAddr) {
-		for idx >= len(*s) {
-			*s = append(*s, 0)
-		}
-		(*s)[idx] = a
-	}
-	setIfAt := func(s *[]addr.PhysAddr, idx int, old, a addr.PhysAddr) {
-		if idx < len(*s) && (*s)[idx] == old {
-			(*s)[idx] = a
-		}
-	}
-	for _, lr := range recs {
-		switch r := lr.rec.(type) {
-		case record.Update:
-			if _, ok := committed[r.Action]; !ok {
-				continue
-			}
-			idx := int(r.LPID.TableIndex())
-			switch r.Type {
-			case addr.PageSmallMap:
-				setAt(&tiny, idx, r.New)
-			case addr.PageSummary:
-				setAt(&locator, idx, r.New)
-			case addr.PageSession:
-				sessAddr = r.New
-			}
-		case record.GCUpdate:
-			if _, ok := committed[r.Action]; !ok {
-				continue
-			}
-			idx := int(r.LPID.TableIndex())
-			switch r.Type {
-			case addr.PageSmallMap:
-				setIfAt(&tiny, idx, r.Old, r.New)
-			case addr.PageSummary:
-				setIfAt(&locator, idx, r.Old, r.New)
-			case addr.PageSession:
-				if sessAddr == r.Old {
-					sessAddr = r.New
-				}
-			}
-		}
-	}
-	if err := c.mt.LoadFromTiny(tiny); err != nil {
-		return nil, err
-	}
-	for _, lr := range recs {
-		switch r := lr.rec.(type) {
-		case record.Update:
-			if _, ok := committed[r.Action]; ok && r.Type == addr.PageMap {
-				c.mt.SetPageAddr(int(r.LPID.TableIndex()), r.New, lr.lsn)
-			}
-		case record.GCUpdate:
-			if _, ok := committed[r.Action]; ok && r.Type == addr.PageMap {
-				c.mt.SetPageAddrIf(int(r.LPID.TableIndex()), r.Old, r.New, lr.lsn)
-			}
-		}
-	}
-	// Grow the locator to the table's full size before loading.
-	full := make([]addr.PhysAddr, c.st.NumPages())
-	copy(full, locator)
-	if err := c.st.LoadFromLocator(full, c.loadExtent); err != nil {
-		return nil, err
-	}
-	if sessAddr.IsValid() {
-		img, err := c.loadExtent(sessAddr)
+	r := &recovery{c: c}
+	for _, p := range recoveryPhases {
+		start := time.Now()
+		err := p.run(r)
+		c.reg.Counter("core.recover." + p.name + "_ns").Add(time.Since(start).Nanoseconds())
 		if err != nil {
 			return nil, err
-		}
-		if err := c.sess.Load(img); err != nil {
-			return nil, err
-		}
-		c.sessSnapAddr = sessAddr
-	}
-
-	// --- Pass 2: redo committed actions (§VIII-C2, C3) ----------------------
-	ctx := &replayCtx{committed: committed, lastEnd: make(map[[2]int]int), post: make(map[[2]int]bool)}
-	for _, lr := range recs {
-		if err := c.replayRecordLocked(lr.lsn, lr.rec, ctx); err != nil {
-			return nil, err
-		}
-		if lr.rec.Kind() == record.KindUpdate || lr.rec.Kind() == record.KindGCUpdate {
-			c.updateSeq++
-		}
-	}
-
-	// --- Fix-ups (§VIII-C3) --------------------------------------------------
-	// Fix-up state is derived from the device itself (position probes, the
-	// chain walk), not from log records, so it is re-derived on any future
-	// recovery: dirty it at the log tail so it never pins the truncation
-	// LSN back.
-	fixLSN := tail.LastLSN + 1
-	candidateEBs := make(map[[2]int]bool)
-	for _, s := range tail.Candidates {
-		if s.IsValid() {
-			candidateEBs[[2]int{s.Channel, s.EBlock}] = true
-		}
-	}
-	chainEBs := make(map[[2]int]bool)
-	for _, p := range tail.Pages {
-		chainEBs[[2]int{p.Slot.Channel, p.Slot.EBlock}] = true
-		// Timestamp raises from post-flush programs are volatile; restore
-		// them from the chain so live log pages stay reclaim-protected.
-		if err := c.st.RaiseTimestamp(p.Slot.Channel, p.Slot.EBlock, uint64(p.Last), fixLSN); err != nil {
-			return nil, err
-		}
-	}
-	for k := range candidateEBs {
-		chainEBs[k] = true
-	}
-	// The chain is authoritative for log EBLOCKs: anything it touches that
-	// the summary believes free must be claimed for the log stream.
-	for k := range chainEBs {
-		d, err := c.st.Desc(k[0], k[1])
-		if err != nil {
-			return nil, err
-		}
-		if d.State == summary.Free {
-			d.State = summary.Open
-			d.Stream = record.StreamLog
-			if err := c.st.SetDesc(k[0], k[1], d, fixLSN); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for ch := 0; ch < c.geo.Channels; ch++ {
-		for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
-			d, err := c.st.Desc(ch, eb)
-			if err != nil {
-				return nil, err
-			}
-			if d.State != summary.Open {
-				continue
-			}
-			if d.Stream == record.StreamLog {
-				// Stale open-log EBLOCKs (not hosting the resume
-				// candidates) are retired so truncation can reclaim them.
-				if !candidateEBs[[2]int{ch, eb}] {
-					if err := c.st.CloseEBlock(ch, eb, uint64(tail.LastLSN), 0, fixLSN); err != nil {
-						return nil, err
-					}
-				}
-				continue
-			}
-			// Fix the write position of open user/GC EBLOCKs by probing
-			// for the first unwritten WBLOCK; WBLOCKs written by actions
-			// whose log records were lost count as aborted-write garbage.
-			pos, err := c.dev.NextProgramPosition(ch, eb)
-			if err != nil {
-				return nil, err
-			}
-			if pos > int(d.DataWBlocks) {
-				if err := c.st.AddAvail(ch, eb, (pos-int(d.DataWBlocks))*c.geo.WBlockBytes, fixLSN); err != nil {
-					return nil, err
-				}
-			}
-			if err := c.st.SetDataWBlocks(ch, eb, pos, fixLSN); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Resume the log at the tail candidates and rebuild cursors.
-	var resumeCands []wal.Slot
-	for _, s := range tail.Candidates {
-		if s.IsValid() {
-			resumeCands = append(resumeCands, s)
-		}
-	}
-	if len(resumeCands) == 0 {
-		return nil, fmt.Errorf("core: log chain has no resume candidates")
-	}
-	c.prov.SetLogCursorFromCandidates(resumeCands)
-	c.log, err = wal.Resume(sink, c.geo.WBlockBytes, tail.LastLSN+1, resumeCands, tail.Pages, wal.WithRegistry(c.reg), wal.WithTracer(c.trc))
-	if err != nil {
-		return nil, err
-	}
-	c.hintLSN.Store(uint64(tail.LastLSN + 1))
-	c.prov.RebuildFromSummary()
-	c.lastCkptLSN = tail.LastLSN + 1
-	// What this recovery read back it settles for every later one. A rejected
-	// action's Commit is still in the log: the Abort overrides it, whatever is
-	// programmed where it failed to. A verified action gets the Done its
-	// install never logged, and eraseAndFreeLocked forces it before an EBLOCK
-	// that proved the action goes, as it does for a live install.
-	slices.Sort(readBack)
-	var settled record.LSN
-	for _, id := range readBack {
-		var r record.Record = record.Done{Action: id}
-		if !unproven[id].ok {
-			r = record.Abort{Action: id}
-		}
-		if settled, err = c.append(r); err != nil {
-			return nil, err
-		}
-	}
-	for _, lr := range recs {
-		var id uint64
-		var eb [2]int
-		switch r := lr.rec.(type) {
-		case record.Update:
-			id, eb = r.Action, [2]int{r.New.Channel(), r.New.EBlock()}
-		case record.CloseEBlock:
-			id, eb = r.Action, [2]int{int(r.Channel), int(r.EBlock)}
-		}
-		if p := unproven[id]; p != nil && p.ok {
-			c.doneLSN[eb] = settled // the last one: a force covers them all
 		}
 	}
 	return c, nil
 }
 
-// readBack extends sum, the CRC-32C of an unproven action's pages so far,
-// with what the media holds at a. ok is false when the extent's last WBLOCK
-// was never programmed: the simulator reads that as zeroes, not an ECC error.
+// recoveryPhases are Open's passes in order (DESIGN.md §4, "Recovery
+// phases"). Only analyze, prove, repairTables and redo walk the records.
+var recoveryPhases = []struct {
+	name string
+	run  func(*recovery) error
+}{
+	{"scan_checkpoint", (*recovery).scanCheckpoint},
+	{"walk_log", (*recovery).walkLog},
+	{"analyze", (*recovery).analyze},
+	{"prove", (*recovery).prove},
+	{"repair_tables", (*recovery).repairTables}, // §VIII-C1
+	{"redo", (*recovery).redo},                  // §VIII-C2, C3
+	{"fix_ups", (*recovery).fixUps},             // §VIII-C3
+	{"resume_log", (*recovery).resumeLog},
+	{"settle", (*recovery).settle},
+}
+
+// recovery is what Open's phases hand each other.
+type recovery struct {
+	c     *Controller
+	ck    *ckptRecord
+	recs  []logged // the log from the checkpoint's truncation LSN on
+	tail  *wal.ChainTail
+	cands []wal.Slot // the tail's valid forward candidates
+
+	// committed: Commit durable, no Abort, and for a user action proven.
+	// unproven: the user actions with no Done, proven by reading them back;
+	// readIDs are their ids, sorted.
+	committed map[uint64]bool
+	unproven  map[uint64]*proof
+	readIDs   []uint64
+
+	// The homes pass 1 repairs: tiny table, locator, session snapshot (one).
+	tiny, locator, sess []addr.PhysAddr
+
+	open map[[2]int]openWrites // pass 2's view of the EBLOCKs open at redo
+}
+
+// openWrites is the end of an open EBLOCK's last replayed write and whether
+// a post-flush record was seen: what lets redo reconstruct fragmentation
+// gaps (run tails, placement padding) only the volatile AVAIL counters knew.
+type openWrites struct {
+	end  int
+	post bool
+}
+
+type logged struct {
+	lsn record.LSN
+	rec record.Record
+}
+
+// proof is an unproven user action's read-back: the checksum its Commit
+// carries, the one its pages read back to so far, and the EBLOCKs read.
+type proof struct {
+	want, got uint32
+	ok        bool
+	ebs       [][2]int
+}
+
+// pageWrite returns an LPAGE write record as a GCUpdate and whether its
+// install is conditional: an Update installs New wherever the page was.
+func pageWrite(rec record.Record) (w record.GCUpdate, conditional, ok bool) {
+	switch rec := rec.(type) {
+	case record.Update:
+		return record.GCUpdate{Action: rec.Action, LPID: rec.LPID, Type: rec.Type, New: rec.New}, false, true
+	case record.GCUpdate:
+		return rec, true, true
+	}
+	return w, false, false
+}
+
+// scanCheckpoint finds the most recent complete checkpoint record in the
+// well-known area and restores the controller's counters and the area
+// cursor (EBLOCK and next free WBLOCK) from it.
+func (r *recovery) scanCheckpoint() error {
+	c := r.c
+	type found struct {
+		seq                uint64
+		eb, firstWB, total int
+		parts              [][]byte
+	}
+	var best, cur *found
+	w := c.geo.WBlockBytes
+	for _, eb := range []int{ckptEBlockA, ckptEBlockB} {
+		cur = nil
+		for wb := 0; wb < c.geo.WBlocksPerEBlock(); wb++ {
+			raw, _, err := c.dev.ReadExtent(ckptChannel, eb, wb*w, w)
+			if err != nil {
+				return err
+			}
+			part, err := decodeCkptPart(raw)
+			switch {
+			case err == nil && part.part == 0:
+				cur = &found{seq: part.seq, eb: eb, firstWB: wb, total: part.total}
+			case err != nil || cur == nil || part.seq != cur.seq || part.part != len(cur.parts):
+				cur = nil
+				continue
+			}
+			if cur.parts = append(cur.parts, part.payload); len(cur.parts) == cur.total {
+				if best == nil || cur.seq > best.seq {
+					best = cur
+				}
+				cur = nil
+			}
+		}
+	}
+	if best == nil {
+		return ErrNoCheckpoint
+	}
+	ck, err := decodeCkpt(slices.Concat(best.parts...))
+	if err == nil {
+		r.ck, c.ckptSeq, c.lastTruncLSN = ck, ck.Seq, ck.TruncLSN
+		c.ckptEB, c.ckptWB = best.eb, best.firstWB+best.total
+		c.updateSeq, c.nextAction = ck.UpdateSeq, ck.NextAction
+	}
+	return err
+}
+
+// walkLog follows the log chain once from the checkpoint's start slots,
+// collecting the records at or past its truncation LSN.
+func (r *recovery) walkLog() error {
+	var err error
+	r.tail, err = wal.FollowChain(logSink{r.c}, r.ck.StartSlots, r.ck.StartLSN, func(p *wal.ChainPage) error {
+		lsn := p.FirstLSN
+		for _, rec := range p.Records {
+			if lsn >= r.ck.TruncLSN {
+				r.recs = append(r.recs, logged{lsn: lsn, rec: rec})
+			}
+			lsn++
+		}
+		return nil
+	})
+	if err == nil {
+		r.cands = slices.DeleteFunc(slices.Clone(r.tail.Candidates), func(s wal.Slot) bool { return !s.IsValid() })
+	}
+	return err
+}
+
+// analyze finds the actions whose Commit is durable with no Abort after it.
+// A user action forces its Commit beside its data programs, so unless a
+// Done follows (it installed) it stays unproven until prove reads it back.
+func (r *recovery) analyze() error {
+	r.committed = make(map[uint64]bool)
+	r.unproven = make(map[uint64]*proof)
+	for _, lr := range r.recs {
+		switch rec := lr.rec.(type) {
+		case record.Commit:
+			r.committed[rec.Action] = true
+			if rec.AKind == record.ActionUser {
+				r.unproven[rec.Action] = &proof{want: rec.Sum, ok: true}
+			}
+		case record.Abort:
+			delete(r.committed, rec.Action)
+			delete(r.unproven, rec.Action)
+		case record.Done:
+			delete(r.unproven, rec.Action)
+		}
+		// Track the highest action id seen so new actions are unique.
+		if w, _, ok := pageWrite(lr.rec); ok && w.Action >= r.c.nextAction {
+			r.c.nextAction = w.Action + 1
+		}
+	}
+	return nil
+}
+
+// prove reads back every unproven user action: its pages must read back to
+// the checksum its Commit carries and its closes' metadata must decode.
+// An action that fails is no longer committed.
+func (r *recovery) prove() error {
+	for _, lr := range r.recs {
+		switch rec := lr.rec.(type) {
+		case record.Update:
+			if p := r.unproven[rec.Action]; p != nil && p.ok {
+				p.ebs = append(p.ebs, [2]int{rec.New.Channel(), rec.New.EBlock()})
+				p.got, p.ok = r.c.readBack(p.got, rec.New)
+			}
+		case record.CloseEBlock:
+			if p := r.unproven[rec.Action]; p != nil && p.ok {
+				p.ebs = append(p.ebs, [2]int{int(rec.Channel), int(rec.EBlock)})
+				p.ok = r.c.metaReadable(rec)
+			}
+		}
+	}
+	for id, p := range r.unproven {
+		r.readIDs = append(r.readIDs, id)
+		r.c.met.recoverVerified.Inc()
+		if p.ok = p.ok && p.got == p.want; !p.ok {
+			r.c.met.recoverRejected.Inc()
+			delete(r.committed, id)
+		}
+	}
+	slices.Sort(r.readIDs)
+	return nil
+}
+
+// repairTables is pass 1 (§VIII-C1): it repairs the homes of the table
+// pages moved since the checkpoint record, then loads the tables from them.
+func (r *recovery) repairTables() error {
+	c := r.c
+	r.tiny = slices.Clone(r.ck.Tiny)
+	r.locator = slices.Clone(r.ck.Locator)
+	r.sess = []addr.PhysAddr{r.ck.SessAddr}
+	for _, lr := range r.recs {
+		if w, cond, ok := pageWrite(lr.rec); ok && r.committed[w.Action] {
+			r.setHome(w, cond)
+		}
+	}
+	if err := c.mt.LoadFromTiny(r.tiny); err != nil {
+		return err
+	}
+	for _, lr := range r.recs {
+		if w, cond, ok := pageWrite(lr.rec); ok && r.committed[w.Action] && w.Type == addr.PageMap {
+			idx := int(w.LPID.TableIndex())
+			if cond {
+				c.mt.SetPageAddrIf(idx, w.Old, w.New, lr.lsn)
+			} else {
+				c.mt.SetPageAddr(idx, w.New, lr.lsn)
+			}
+		}
+	}
+	// Grow the locator to the table's full size before loading.
+	full := make([]addr.PhysAddr, c.st.NumPages())
+	copy(full, r.locator)
+	if err := c.st.LoadFromLocator(full, c.loadExtent); err != nil {
+		return err
+	}
+	if a := r.sess[0]; a.IsValid() {
+		img, err := c.loadExtent(a)
+		if err == nil {
+			err = c.sess.Load(img)
+		}
+		c.sessSnapAddr = a
+		return err
+	}
+	return nil
+}
+
+// setHome applies a committed write of a small-table, summary or session
+// page: an Update sets its slot, a GCUpdate only if it still holds old.
+func (r *recovery) setHome(w record.GCUpdate, conditional bool) {
+	var s *[]addr.PhysAddr
+	idx := int(w.LPID.TableIndex())
+	switch w.Type {
+	case addr.PageSmallMap:
+		s = &r.tiny
+	case addr.PageSummary:
+		s = &r.locator
+	case addr.PageSession:
+		s, idx = &r.sess, 0
+	default:
+		return
+	}
+	switch {
+	case !conditional:
+		for idx >= len(*s) {
+			*s = append(*s, 0)
+		}
+		(*s)[idx] = w.New
+	case idx < len(*s) && (*s)[idx] == w.Old:
+		(*s)[idx] = w.New
+	}
+}
+
+// redo is pass 2 (§VIII-C2, C3): every record against the loaded tables.
+func (r *recovery) redo() error {
+	r.open = make(map[[2]int]openWrites)
+	for _, lr := range r.recs {
+		if err := r.replayRecordLocked(lr.lsn, lr.rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fixUps (§VIII-C3) restores from the device what the log cannot say. It
+// is re-derived by any future recovery, so it is dirtied at the log tail,
+// where it never pins the truncation LSN back.
+func (r *recovery) fixUps() error {
+	c := r.c
+	fixLSN := r.tail.LastLSN + 1
+	resume := make(map[[2]int]bool) // EBLOCKs hosting a resume candidate
+	for _, s := range r.cands {
+		resume[[2]int{s.Channel, s.EBlock}] = true
+	}
+	chain := maps.Clone(resume) // EBLOCKs the log chain touches
+	for _, p := range r.tail.Pages {
+		chain[[2]int{p.Slot.Channel, p.Slot.EBlock}] = true
+		// Timestamp raises from post-flush programs are volatile; restore
+		// them from the chain so live log pages stay reclaim-protected.
+		if err := c.st.RaiseTimestamp(p.Slot.Channel, p.Slot.EBlock, uint64(p.Last), fixLSN); err != nil {
+			return err
+		}
+	}
+	for ch := 0; ch < c.geo.Channels; ch++ {
+		for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
+			k := [2]int{ch, eb}
+			// The chain is authoritative for log EBLOCKs: anything it
+			// touches that the summary believes free is claimed for the log.
+			d, err := c.st.Desc(ch, eb)
+			if err == nil && chain[k] && d.State == summary.Free {
+				d.State, d.Stream = summary.Open, record.StreamLog
+				err = c.st.SetDesc(ch, eb, d, fixLSN)
+			}
+			switch {
+			case err != nil || d.State != summary.Open:
+			case d.Stream != record.StreamLog:
+				// Fix the write position of open user/GC EBLOCKs by probing
+				// for the first unwritten WBLOCK; WBLOCKs written by actions
+				// whose log records were lost count as aborted-write garbage.
+				var pos int
+				if pos, err = c.dev.NextProgramPosition(ch, eb); err == nil && pos > int(d.DataWBlocks) {
+					err = c.st.AddAvail(ch, eb, (pos-int(d.DataWBlocks))*c.geo.WBlockBytes, fixLSN)
+				}
+				if err == nil {
+					err = c.st.SetDataWBlocks(ch, eb, pos, fixLSN)
+				}
+			case !resume[k]:
+				// Stale open-log EBLOCKs (not hosting the resume candidates)
+				// are retired so truncation can reclaim them.
+				err = c.st.CloseEBlock(ch, eb, uint64(r.tail.LastLSN), 0, fixLSN)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// resumeLog resumes the log at the tail candidates and rebuilds the
+// provisioner's cursors.
+func (r *recovery) resumeLog() error {
+	c := r.c
+	if len(r.cands) == 0 {
+		return fmt.Errorf("core: log chain has no resume candidates")
+	}
+	c.prov.SetLogCursorFromCandidates(r.cands)
+	var err error
+	c.log, err = wal.Resume(logSink{c}, c.geo.WBlockBytes, r.tail.LastLSN+1, r.cands, r.tail.Pages, wal.WithRegistry(c.reg), wal.WithTracer(c.trc))
+	if err != nil {
+		return err
+	}
+	c.hintLSN.Store(uint64(r.tail.LastLSN + 1))
+	c.prov.RebuildFromSummary()
+	c.lastCkptLSN = r.tail.LastLSN + 1
+	return nil
+}
+
+// settle makes what this recovery read back hold for every later one: a
+// rejected action gets an Abort, a verified one the Done its install never
+// logged, which eraseAndFreeLocked forces before an EBLOCK that proved the
+// action goes, as it does for a live install.
+func (r *recovery) settle() error {
+	var settled record.LSN
+	for _, id := range r.readIDs {
+		var rec record.Record = record.Done{Action: id}
+		if !r.unproven[id].ok {
+			rec = record.Abort{Action: id}
+		}
+		var err error
+		if settled, err = r.c.append(rec); err != nil {
+			return err
+		}
+	}
+	for _, id := range r.readIDs {
+		if p := r.unproven[id]; p.ok {
+			for _, eb := range p.ebs {
+				r.c.doneLSN[eb] = settled // the last one: a force covers them all
+			}
+		}
+	}
+	return nil
+}
+
+// readBack extends sum, an unproven action's CRC-32C so far, with what the
+// media holds at a; not ok if a's last WBLOCK was never programmed (the
+// simulator reads that as zeroes, not an ECC error).
 func (c *Controller) readBack(sum uint32, a addr.PhysAddr) (_ uint32, ok bool) {
 	written, err := c.dev.IsWritten(a.Channel(), a.EBlock(), (a.End()-1)/c.geo.WBlockBytes)
 	if err != nil || !written {
@@ -356,34 +437,22 @@ func (c *Controller) metaReadable(r record.CloseEBlock) bool {
 	return err == nil
 }
 
-// replayCtx carries pass-2 state: the committed-action set and, per open
-// EBLOCK, the end offset of the last replayed write, which lets replay
-// reconstruct fragmentation gaps (run tails and placement padding) that
-// were only ever recorded in the volatile AVAIL counters.
-type replayCtx struct {
-	committed map[uint64]record.ActionKind
-	lastEnd   map[[2]int]int
-	post      map[[2]int]bool // saw a post-flush record for this EBLOCK
-}
-
 // replayRecordLocked applies one log record during pass 2 using the
 // paper's flush-LSN-guarded case analysis (§VIII-C3).
-func (c *Controller) replayRecordLocked(lsn record.LSN, r record.Record, ctx *replayCtx) error {
-	switch rec := r.(type) {
-	case record.Update:
-		_, isCommitted := ctx.committed[rec.Action]
-		return c.replayWriteLocked(lsn, rec.LPID, rec.Type, 0, rec.New, isCommitted, false, ctx)
-	case record.GCUpdate:
-		_, isCommitted := ctx.committed[rec.Action]
-		return c.replayWriteLocked(lsn, rec.LPID, rec.Type, rec.Old, rec.New, isCommitted, true, ctx)
+func (r *recovery) replayRecordLocked(lsn record.LSN, rec record.Record) error {
+	c := r.c
+	if w, cond, ok := pageWrite(rec); ok {
+		c.updateSeq++
+		return r.replayWriteLocked(lsn, w, cond)
+	}
+	switch rec := rec.(type) {
 	case record.Commit:
-		if _, ok := ctx.committed[rec.Action]; ok && rec.SID != 0 {
+		if r.committed[rec.Action] && rec.SID != 0 {
 			c.sess.AdvanceTo(rec.SID, rec.WSN)
 		}
 	case record.Garbage:
 		for _, p := range rec.Pairs {
-			ch, eb := p.Addr.Channel(), p.Addr.EBlock()
-			if lsn > c.st.FlushLSNFor(ch, eb) {
+			if ch, eb := p.Addr.Channel(), p.Addr.EBlock(); lsn > c.st.FlushLSNFor(ch, eb) {
 				if err := c.st.AddAvail(ch, eb, p.Addr.Length(), lsn); err != nil {
 					return err
 				}
@@ -391,78 +460,54 @@ func (c *Controller) replayRecordLocked(lsn record.LSN, r record.Record, ctx *re
 		}
 	case record.OpenEBlock:
 		ch, eb := int(rec.Channel), int(rec.EBlock)
-		flush := c.st.FlushLSNFor(ch, eb)
 		d, err := c.st.Desc(ch, eb)
 		if err != nil {
 			return err
 		}
-		if lsn > flush || d.State != summary.Open {
-			d = summary.Descriptor{State: summary.Open, Stream: rec.Stream, EraseCount: d.EraseCount}
-			if err := c.st.SetDesc(ch, eb, d, lsn); err != nil {
-				return err
-			}
-			c.st.ClearMeta(ch, eb)
-			ctx.lastEnd[[2]int{ch, eb}] = 0
-			ctx.post[[2]int{ch, eb}] = true
+		if lsn > c.st.FlushLSNFor(ch, eb) || d.State != summary.Open {
+			return r.reopen(ch, eb, rec.Stream, d, lsn)
 		}
 		c.st.SetOpenLSN(ch, eb, lsn)
 	case record.CloseEBlock:
-		if _, ok := ctx.committed[rec.Action]; !ok && rec.Action != 0 {
+		if !r.committed[rec.Action] && rec.Action != 0 {
 			return nil // logged ahead of its metadata by an action that did not commit
 		}
 		ch, eb := int(rec.Channel), int(rec.EBlock)
 		flush := c.st.FlushLSNFor(ch, eb)
 		d, err := c.st.Desc(ch, eb)
-		if err != nil {
-			return err
+		if err != nil || d.State == summary.Used && lsn <= flush {
+			return err // case 2: already reflected
 		}
-		if d.State == summary.Used && lsn <= flush {
-			return nil // case 2: already reflected
-		}
-		d.State = summary.Used
-		d.Timestamp = rec.Timestamp
-		d.DataWBlocks = rec.DataWBlocks
-		d.MetaWBlocks = rec.MetaWBlocks
+		d.State, d.Timestamp, d.DataWBlocks, d.MetaWBlocks = summary.Used, rec.Timestamp, rec.DataWBlocks, rec.MetaWBlocks
 		if err := c.st.SetDesc(ch, eb, d, lsn); err != nil {
 			return err
 		}
-		c.st.ClearMeta(ch, eb)
-		c.st.SetOpenLSN(ch, eb, 0)
 		if lsn > flush {
 			// Reconstruct the fragmentation only the volatile AVAIL knew:
 			// the gap between the last data byte and the metadata region,
 			// plus the unusable tail after the metadata.
 			w := c.geo.WBlockBytes
-			frag := 0
-			if le, ok := ctx.lastEnd[[2]int{ch, eb}]; ok && int(rec.DataWBlocks)*w > le {
-				frag += int(rec.DataWBlocks)*w - le
+			frag := (c.geo.WBlocksPerEBlock() - int(rec.DataWBlocks) - int(rec.MetaWBlocks)) * w
+			if o, ok := r.open[[2]int{ch, eb}]; ok && int(rec.DataWBlocks)*w > o.end {
+				frag += int(rec.DataWBlocks)*w - o.end
 			}
-			frag += (c.geo.WBlocksPerEBlock() - int(rec.DataWBlocks) - int(rec.MetaWBlocks)) * w
 			if frag > 0 {
 				if err := c.st.AddAvail(ch, eb, frag, lsn); err != nil {
 					return err
 				}
 			}
 		}
-		delete(ctx.lastEnd, [2]int{ch, eb})
-		delete(ctx.post, [2]int{ch, eb})
+		r.forget(ch, eb)
 	case record.FreeEBlock:
 		ch, eb := int(rec.Channel), int(rec.EBlock)
-		flush := c.st.FlushLSNFor(ch, eb)
 		d, err := c.st.Desc(ch, eb)
-		if err != nil {
+		if err != nil || lsn <= c.st.FlushLSNFor(ch, eb) || d.State == summary.Free {
 			return err
 		}
-		if lsn > flush && d.State != summary.Free {
-			d = summary.Descriptor{State: summary.Free, EraseCount: d.EraseCount + 1}
-			if err := c.st.SetDesc(ch, eb, d, lsn); err != nil {
-				return err
-			}
-			c.st.ClearMeta(ch, eb)
-			c.st.SetOpenLSN(ch, eb, 0)
-			delete(ctx.lastEnd, [2]int{ch, eb})
-			delete(ctx.post, [2]int{ch, eb})
+		if err := c.st.SetDesc(ch, eb, summary.Descriptor{State: summary.Free, EraseCount: d.EraseCount + 1}, lsn); err != nil {
+			return err
 		}
+		r.forget(ch, eb)
 	case record.SessionOpen:
 		c.sess.RestoreOpen(rec.SID, rec.Tenant, rec.Priority)
 	case record.SessionClose:
@@ -471,13 +516,31 @@ func (c *Controller) replayRecordLocked(lsn record.LSN, r record.Record, ctx *re
 	return nil
 }
 
-// replayWriteLocked redoes one LPAGE write record: summary-table case 1
-// plus the mapping-table install (user pages committed actions only;
-// table pages were handled in pass 1; aborted actions contribute their new
-// addresses to AVAIL).
-func (c *Controller) replayWriteLocked(lsn record.LSN, lpid addr.LPID, ty addr.PageType, old, new addr.PhysAddr, isCommitted, conditional bool, ctx *replayCtx) error {
-	ch, eb := new.Channel(), new.EBlock()
-	key := [2]int{ch, eb}
+// reopen redoes the opening of EBLOCK (ch, eb) for stream at lsn.
+func (r *recovery) reopen(ch, eb int, stream record.StreamKind, d summary.Descriptor, lsn record.LSN) error {
+	d = summary.Descriptor{State: summary.Open, Stream: stream, EraseCount: d.EraseCount}
+	if err := r.c.st.SetDesc(ch, eb, d, lsn); err != nil {
+		return err
+	}
+	r.c.st.ClearMeta(ch, eb)
+	r.c.st.SetOpenLSN(ch, eb, lsn)
+	r.open[[2]int{ch, eb}] = openWrites{post: true}
+	return nil
+}
+
+// forget drops the open-EBLOCK state of (ch, eb), closed or freed at redo.
+func (r *recovery) forget(ch, eb int) {
+	r.c.st.ClearMeta(ch, eb)
+	r.c.st.SetOpenLSN(ch, eb, 0)
+	delete(r.open, [2]int{ch, eb})
+}
+
+// replayWriteLocked redoes one LPAGE write: summary-table case 1, then the
+// mapping install of a committed user page (table pages had pass 1); an
+// aborted action's new address is AVAIL.
+func (r *recovery) replayWriteLocked(lsn record.LSN, w record.GCUpdate, conditional bool) error {
+	c := r.c
+	ch, eb := w.New.Channel(), w.New.EBlock()
 	flush := c.st.FlushLSNFor(ch, eb)
 	d, err := c.st.Desc(ch, eb)
 	if err != nil {
@@ -485,122 +548,56 @@ func (c *Controller) replayWriteLocked(lsn record.LSN, lpid addr.LPID, ty addr.P
 	}
 	// Case 1 (§VIII-C3): skip only when the EBLOCK is closed and the
 	// summary page already reflects this record.
-	if !(d.State != summary.Open && lsn <= flush) {
+	if d.State == summary.Open || lsn > flush {
 		if d.State != summary.Open {
 			// The write implies the EBLOCK was open; restore that.
-			d = summary.Descriptor{State: summary.Open, Stream: record.StreamUser, EraseCount: d.EraseCount}
-			if err := c.st.SetDesc(ch, eb, d, lsn); err != nil {
+			if err := r.reopen(ch, eb, record.StreamUser, d, lsn); err != nil {
 				return err
 			}
-			c.st.ClearMeta(ch, eb)
-			c.st.SetOpenLSN(ch, eb, lsn)
-			ctx.lastEnd[key] = 0
-			ctx.post[key] = true
+			d.DataWBlocks = 0
 		}
-		if err := c.st.AppendMeta(ch, eb, summary.MetaEntry{LPID: lpid, Type: ty, Offset: new.Offset(), Length: new.Length()}); err != nil {
+		if err := c.st.AppendMeta(ch, eb, summary.MetaEntry{LPID: w.LPID, Type: w.Type, Offset: w.New.Offset(), Length: w.New.Length()}); err != nil {
 			return err
 		}
+		o, ok := r.open[[2]int{ch, eb}]
 		if lsn > flush {
-			// Reconstruct fragmentation: a gap between the previous write
-			// end and this offset is run-tail padding that only the
-			// volatile AVAIL counter knew about. The first post-flush
-			// record measures from the flushed DataWBlocks boundary (runs
-			// always end at WBLOCK boundaries before a flush); subsequent
-			// records measure byte-exact from the previous record's end.
-			le, ok := ctx.lastEnd[key]
-			if !ctx.post[key] {
-				if base := int(d.DataWBlocks) * c.geo.WBlockBytes; !ok || base > le {
-					le = base
-				}
-				ctx.post[key] = true
-			} else if !ok {
-				le = 0
+			// A gap before this offset is run-tail padding. The first
+			// post-flush record measures from the flushed DataWBlocks
+			// boundary (runs end at WBLOCK boundaries before a flush), the
+			// rest byte-exact from the previous record's end.
+			le := o.end
+			if base := int(d.DataWBlocks) * c.geo.WBlockBytes; !o.post && (!ok || base > le) {
+				le = base
 			}
-			if new.Offset() > le {
-				if err := c.st.AddAvail(ch, eb, new.Offset()-le, lsn); err != nil {
+			o.post = true
+			if w.New.Offset() > le {
+				if err := c.st.AddAvail(ch, eb, w.New.Offset()-le, lsn); err != nil {
 					return err
 				}
 			}
-			w := c.geo.WBlockBytes
-			wbEnd := (new.End() + w - 1) / w
-			if wbEnd > int(d.DataWBlocks) {
+			wb := c.geo.WBlockBytes
+			if wbEnd := (w.New.End() + wb - 1) / wb; wbEnd > int(d.DataWBlocks) {
 				if err := c.st.SetDataWBlocks(ch, eb, wbEnd, lsn); err != nil {
 					return err
 				}
 			}
 		}
-		if new.End() > ctx.lastEnd[key] {
-			ctx.lastEnd[key] = new.End()
-		}
+		o.end = max(o.end, w.New.End())
+		r.open[[2]int{ch, eb}] = o
 	}
-	if !isCommitted {
+	if !r.committed[w.Action] {
 		// Aborted action: the provisioned space is garbage (case 3).
 		if lsn > flush {
-			return c.st.AddAvail(ch, eb, new.Length(), lsn)
+			return c.st.AddAvail(ch, eb, w.New.Length(), lsn)
 		}
 		return nil
 	}
-	if ty != addr.PageUser {
+	if w.Type != addr.PageUser {
 		return nil // table-page homes were repaired in pass 1
 	}
 	if conditional {
-		_, err = c.mt.SetIf(lpid, old, new, lsn)
+		_, err = c.mt.SetIf(w.LPID, w.Old, w.New, lsn)
 		return err
 	}
-	return c.mt.Set(lpid, new, lsn)
-}
-
-// scanCheckpointArea finds the most recent complete checkpoint record and
-// returns it with the area cursor (EBLOCK and next free WBLOCK).
-func scanCheckpointArea(c *Controller) (*ckptRecord, int, int, error) {
-	type found struct {
-		eb, firstWB, total int
-		parts              map[int][]byte
-	}
-	best := (*found)(nil)
-	var bestSeq uint64
-	w := c.geo.WBlockBytes
-	for _, eb := range []int{ckptEBlockA, ckptEBlockB} {
-		var cur *found
-		var curSeq uint64
-		for wb := 0; wb < c.geo.WBlocksPerEBlock(); wb++ {
-			raw, _, err := c.dev.ReadExtent(ckptChannel, eb, wb*w, w)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			part, err := decodeCkptPart(raw)
-			if err != nil {
-				cur = nil
-				continue
-			}
-			if cur == nil || part.seq != curSeq || part.part != len(cur.parts) {
-				cur = &found{eb: eb, firstWB: wb, total: part.total, parts: map[int][]byte{}}
-				curSeq = part.seq
-				if part.part != 0 {
-					cur = nil
-					continue
-				}
-			}
-			cur.parts[part.part] = part.payload
-			if len(cur.parts) == cur.total {
-				if best == nil || curSeq > bestSeq {
-					cp := *cur
-					best, bestSeq = &cp, curSeq
-				}
-				cur = nil
-			}
-		}
-	}
-	if best == nil {
-		return nil, 0, 0, ErrNoCheckpoint
-	}
-	var body []byte
-	for i := 0; i < best.total; i++ {
-		body = append(body, best.parts[i]...)
-	}
-	ck, err := decodeCkpt(body)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return ck, best.eb, best.firstWB + best.total, nil
+	return c.mt.Set(w.LPID, w.New, lsn)
 }

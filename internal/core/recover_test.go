@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
@@ -231,90 +235,201 @@ func TestRepeatedCrashRecoverCycles(t *testing.T) {
 // if the write returned success) or, for the batch in flight at the crash,
 // atomically all-or-none of it.
 func TestRandomCrashRecoveryProperty(t *testing.T) {
+	for seed := int64(0); seed < crashPropertySeeds; seed++ {
+		t.Run(string(rune('A'+seed)), func(t *testing.T) { crashProperty(t, seed, reopen) })
+	}
+}
+
+const crashPropertySeeds = 8
+
+// crashProperty runs one seed of TestRandomCrashRecoveryProperty, recovering
+// with open after every crash.
+func crashProperty(t *testing.T, seed int64, open func(*testing.T, *flash.Device) *Controller) {
 	points := []string{"write.after-init", "write.after-exec"}
-	for seed := int64(0); seed < 8; seed++ {
-		t.Run(string(rune('A'+seed)), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			_, dev := newFormatted(t)
-			acked := map[addr.LPID]uint64{}    // versions whose write returned nil
-			inflight := map[addr.LPID]uint64{} // versions in the crashed batch
-			version := map[addr.LPID]uint64{}
-			c := reopen(t, dev)
-			for op := 0; op < 120; op++ {
-				var pages []LPage
-				batch := map[addr.LPID]uint64{}
-				for k := 0; k < 1+rng.Intn(4); k++ {
-					lp := addr.LPID(rng.Intn(10) + 1)
-					version[lp]++
-					batch[lp] = version[lp]
-					pages = append(pages, LPage{LPID: lp, Data: pageContent(uint64(lp), version[lp], 300+rng.Intn(900))})
+	rng := rand.New(rand.NewSource(seed))
+	_, dev := newFormatted(t)
+	acked := map[addr.LPID]uint64{}    // versions whose write returned nil
+	inflight := map[addr.LPID]uint64{} // versions in the crashed batch
+	version := map[addr.LPID]uint64{}
+	c := open(t, dev)
+	for op := 0; op < 120; op++ {
+		var pages []LPage
+		batch := map[addr.LPID]uint64{}
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			lp := addr.LPID(rng.Intn(10) + 1)
+			version[lp]++
+			batch[lp] = version[lp]
+			pages = append(pages, LPage{LPID: lp, Data: pageContent(uint64(lp), version[lp], 300+rng.Intn(900))})
+		}
+		willCrash := rng.Intn(12) == 0
+		if willCrash {
+			c.SetCrashPoint(points[rng.Intn(len(points))])
+		}
+		err := c.WriteBatch(0, 0, pages)
+		// §VIII-C3: the controller tolerates write failures caused
+		// by EBLOCKs opened by actions whose log records were lost
+		// in a crash — the host simply retries, and migration has
+		// already cleaned the EBLOCK.
+		for retries := 0; errors.Is(err, ErrWriteFailed) && retries < 5; retries++ {
+			err = c.WriteBatch(0, 0, pages)
+		}
+		switch {
+		case err == nil:
+			for lp, v := range batch {
+				acked[lp] = v
+			}
+		case errors.Is(err, ErrCrashed):
+			inflight = batch
+			c = open(t, dev)
+			// Check: every acked version or newer is present.
+			for lp, v := range acked {
+				got, err := c.Read(lp)
+				if err != nil {
+					t.Fatalf("op %d: acked lpid %d unreadable: %v", op, lp, err)
 				}
-				willCrash := rng.Intn(12) == 0
-				if willCrash {
-					c.SetCrashPoint(points[rng.Intn(len(points))])
-				}
-				err := c.WriteBatch(0, 0, pages)
-				// §VIII-C3: the controller tolerates write failures caused
-				// by EBLOCKs opened by actions whose log records were lost
-				// in a crash — the host simply retries, and migration has
-				// already cleaned the EBLOCK.
-				for retries := 0; errors.Is(err, ErrWriteFailed) && retries < 5; retries++ {
-					err = c.WriteBatch(0, 0, pages)
-				}
-				switch {
-				case err == nil:
-					for lp, v := range batch {
-						acked[lp] = v
-					}
-				case errors.Is(err, ErrCrashed):
-					inflight = batch
-					c = reopen(t, dev)
-					// Check: every acked version or newer is present.
-					for lp, v := range acked {
-						got, err := c.Read(lp)
-						if err != nil {
-							t.Fatalf("op %d: acked lpid %d unreadable: %v", op, lp, err)
-						}
-						okAcked := contentMatches(got, uint64(lp), v)
-						okInflight := inflight[lp] > v && contentMatches(got, uint64(lp), inflight[lp])
-						if !okAcked && !okInflight {
-							t.Fatalf("op %d: lpid %d has neither acked v%d nor inflight content", op, lp, v)
-						}
-					}
-					// Atomicity: the inflight batch is all-in or all-out.
-					// (All-in only possible for post-commit crash points.)
-					in, out := 0, 0
-					for lp, v := range inflight {
-						got, err := c.Read(lp)
-						if err == nil && contentMatches(got, uint64(lp), v) {
-							in++
-						} else {
-							out++
-						}
-					}
-					if in > 0 && out > 0 {
-						t.Fatalf("op %d: torn batch after recovery (%d in, %d out)", op, in, out)
-					}
-					if in > 0 {
-						for lp, v := range inflight {
-							acked[lp] = v
-						}
-					} else {
-						for lp := range inflight {
-							version[lp] = acked[lp] // roll the model back
-						}
-					}
-					inflight = nil
-				default:
-					t.Fatalf("op %d: unexpected error %v", op, err)
-				}
-				if rng.Intn(25) == 0 {
-					if err := c.Checkpoint(); err != nil && !errors.Is(err, ErrCrashed) {
-						t.Fatalf("checkpoint: %v", err)
-					}
+				okAcked := contentMatches(got, uint64(lp), v)
+				okInflight := inflight[lp] > v && contentMatches(got, uint64(lp), inflight[lp])
+				if !okAcked && !okInflight {
+					t.Fatalf("op %d: lpid %d has neither acked v%d nor inflight content", op, lp, v)
 				}
 			}
-		})
+			// Atomicity: the inflight batch is all-in or all-out.
+			// (All-in only possible for post-commit crash points.)
+			in, out := 0, 0
+			for lp, v := range inflight {
+				got, err := c.Read(lp)
+				if err == nil && contentMatches(got, uint64(lp), v) {
+					in++
+				} else {
+					out++
+				}
+			}
+			if in > 0 && out > 0 {
+				t.Fatalf("op %d: torn batch after recovery (%d in, %d out)", op, in, out)
+			}
+			if in > 0 {
+				for lp, v := range inflight {
+					acked[lp] = v
+				}
+			} else {
+				for lp := range inflight {
+					version[lp] = acked[lp] // roll the model back
+				}
+			}
+			inflight = nil
+		default:
+			t.Fatalf("op %d: unexpected error %v", op, err)
+		}
+		if rng.Intn(25) == 0 {
+			if err := c.Checkpoint(); err != nil && !errors.Is(err, ErrCrashed) {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+	}
+}
+
+// fingerprint is the state a recovery rebuilds, one line per fact: every
+// mapped LPID below fpLPIDs (every LPID the crash tests write) and its
+// address, every EBLOCK descriptor, and every session with its WSN.
+func fingerprint(t *testing.T, c *Controller) []string {
+	t.Helper()
+	const fpLPIDs = 4096
+	var fp []string
+	for lp := addr.LPID(0); lp < fpLPIDs; lp++ {
+		a, err := c.mt.Get(lp)
+		if err != nil {
+			t.Fatalf("fingerprint: Get(%d): %v", lp, err)
+		}
+		if a.IsValid() {
+			fp = append(fp, fmt.Sprintf("lpid %d at %d/%d+%d:%d", lp, a.Channel(), a.EBlock(), a.Offset(), a.Length()))
+		}
+	}
+	for ch := 0; ch < c.geo.Channels; ch++ {
+		for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
+			d, err := c.st.Desc(ch, eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp = append(fp, fmt.Sprintf("eblock %d/%d %v stream %d data %d meta %d avail %d ts %d erases %d",
+				ch, eb, d.State, d.Stream, d.DataWBlocks, d.MetaWBlocks, d.Avail, d.Timestamp, d.EraseCount))
+		}
+	}
+	return append(fp, fmt.Sprintf("sessions %x", c.sess.Serialize()))
+}
+
+// reopenTwice is reopen that requires recovery to be idempotent: it opens
+// dev, crashes the recovered controller at once, opens dev again and
+// requires the same fingerprint from both. It logs a digest of it, so two
+// builds' recoveries of the same crash state can be compared by their -v
+// output.
+func reopenTwice(t *testing.T, dev *flash.Device) *Controller {
+	t.Helper()
+	c := reopen(t, dev)
+	first := fingerprint(t, c)
+	c.Crash()
+	c = reopen(t, dev)
+	second := fingerprint(t, c)
+	for i := range max(len(first), len(second)) {
+		if i >= len(first) || i >= len(second) || first[i] != second[i] {
+			t.Fatalf("recovery is not idempotent: fact %d is %q after the first Open, %q after the second", i, at(first, i), at(second, i))
+		}
+	}
+	t.Logf("recovered state %x", sha256.Sum256([]byte(strings.Join(first, "\n"))))
+	return c
+}
+
+func at(fp []string, i int) string {
+	if i < len(fp) {
+		return fp[i]
+	}
+	return "(none)"
+}
+
+// TestRecoveryIdempotent recovers every crash state of the crash-state table
+// and every crash of the crash property's seeds twice (reopenTwice): Open
+// rebuilds its state from the device and the log alone, so what it appends
+// and does not force — settle's Done and Abort records — must change
+// nothing a second recovery sees.
+func TestRecoveryIdempotent(t *testing.T) {
+	for _, cell := range atomCells {
+		for _, shape := range atomShapes {
+			t.Run(cell.name+"/"+shape.name, func(t *testing.T) {
+				r := atomSetup(t, shape)
+				r.crash(cell)
+				reopenTwice(t, r.dev)
+			})
+		}
+	}
+	for seed := int64(0); seed < crashPropertySeeds; seed++ {
+		t.Run("property/"+string(rune('A'+seed)), func(t *testing.T) { crashProperty(t, seed, reopenTwice) })
+	}
+}
+
+// TestRecoveryPhaseCounters: Open times each of its phases into
+// core.recover.<phase>_ns, and the phases do not overlap.
+func TestRecoveryPhaseCounters(t *testing.T) {
+	c, dev := newFormatted(t)
+	for i := 1; i <= 20; i++ {
+		mustWrite(t, c, LPage{LPID: addr.LPID(i), Data: pageContent(uint64(i), 1, 700)})
+	}
+	c.Crash()
+	start := time.Now()
+	c = reopen(t, dev)
+	wall := time.Since(start).Nanoseconds()
+	got := make(map[string]int64)
+	for _, cv := range c.MetricsSnapshot().Counters {
+		got[cv.Name] = cv.Value
+	}
+	var sum int64
+	for _, phase := range []string{"scan_checkpoint", "walk_log", "analyze", "prove", "repair_tables", "redo", "fix_ups", "resume_log", "settle"} {
+		ns, ok := got["core.recover."+phase+"_ns"]
+		if !ok {
+			t.Errorf("core.recover.%s_ns is not in the snapshot", phase)
+		}
+		sum += ns
+	}
+	if sum == 0 || sum > wall {
+		t.Fatalf("phases sum to %d ns, Open took %d ns", sum, wall)
 	}
 }
 

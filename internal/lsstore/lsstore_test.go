@@ -174,8 +174,10 @@ func TestCleaningMovesLivePages(t *testing.T) {
 
 func TestReadAmplificationOfCleaning(t *testing.T) {
 	s, _ := newStore(t, 64)
-	// Mostly-dead segments: cleaning reads far more than it moves.
-	for v := uint64(1); v <= 500; v++ {
+	// Mostly-dead segments: cleaning reads far more than it moves. One
+	// LPID rewritten until the log has wrapped the store's 128 segments
+	// (half of the 16 MB device at 64 KB each) and cleaning ran.
+	for v := uint64(1); v <= 4000; v++ {
 		if err := s.Write(1, content(1, v, 4000)); err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +185,7 @@ func TestReadAmplificationOfCleaning(t *testing.T) {
 	_ = s.Flush()
 	st := s.Stats()
 	if st.SegmentsCleaned == 0 {
-		t.Skip("no cleaning triggered")
+		t.Fatal("no cleaning triggered")
 	}
 	moved := st.PagesMoved * 4000
 	if st.GCBytesRead <= moved*2 {
