@@ -190,53 +190,58 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 
 // flushTablesLocked writes dirty mapping pages, dirty small-table pages,
 // dirty summary pages, and a full session snapshot as one checkpoint
-// system action, one WBLOCK at a time via the ordinary write path. When
-// there is no room and mayGC allows, it collects garbage and starts over.
+// system action through the write path's steps; its install gives each
+// page its new home and makes the old one garbage. When there is no room
+// and mayGC allows, it collects garbage and starts over.
 func (c *Controller) flushTablesLocked(mayGC bool) error {
 	mapDirty := c.mt.DirtyPages()
 	smallDirty := c.mt.DirtySmallPages()
 	sessImg := c.sess.Serialize()
 
-	// Mapping and small-table and session images are stable now; summary
+	// Mapping, small-table and session images are stable now; summary
 	// images must be serialized after provisioning (provisioning mutates
 	// the summary table), so only their sizes are fixed here.
-	type flushPage struct {
-		lpid addr.LPID
-		ty   addr.PageType
-		idx  int
-		img  []byte // nil for summary pages until post-provisioning
+	var bps []provision.BatchPage
+	var imgs [][]byte // nil for a summary page
+	off := 0
+	add := func(ty addr.PageType, idx int, img []byte, n int) {
+		bps = append(bps, provision.BatchPage{LPID: addr.MakeTableLPID(ty, uint64(idx)), Type: ty, Length: n, BufOff: off})
+		imgs = append(imgs, img)
+		off += n
 	}
-	var fps []flushPage
 	for _, idx := range mapDirty {
 		img, err := c.mt.SerializePage(idx)
 		if err != nil {
 			return err
 		}
-		fps = append(fps, flushPage{lpid: addr.MakeTableLPID(addr.PageMap, uint64(idx)), ty: addr.PageMap, idx: idx, img: img})
+		add(addr.PageMap, idx, img, len(img))
 	}
 	for _, sp := range smallDirty {
-		fps = append(fps, flushPage{lpid: addr.MakeTableLPID(addr.PageSmallMap, uint64(sp)), ty: addr.PageSmallMap, idx: sp, img: c.mt.SerializeSmallPage(sp)})
+		img := c.mt.SerializeSmallPage(sp)
+		add(addr.PageSmallMap, sp, img, len(img))
 	}
-	sumDirty := c.st.DirtyPages()
 	sumSize := len(c.st.SerializePage(0, 0))
-	for _, idx := range sumDirty {
-		fps = append(fps, flushPage{lpid: addr.MakeTableLPID(addr.PageSummary, uint64(idx)), ty: addr.PageSummary, idx: idx, img: nil})
+	for _, idx := range c.st.DirtyPages() {
+		add(addr.PageSummary, idx, nil, sumSize)
 	}
-	fps = append(fps, flushPage{lpid: addr.MakeTableLPID(addr.PageSession, 0), ty: addr.PageSession, idx: 0, img: sessImg})
+	add(addr.PageSession, 0, sessImg, len(sessImg))
 
-	// Provision the whole flush as one batch.
-	bps := make([]provision.BatchPage, len(fps))
-	off := 0
-	for i, fp := range fps {
-		n := sumSize
-		if fp.img != nil {
-			n = len(fp.img)
-		}
-		bps[i] = provision.BatchPage{LPID: fp.lpid, Type: fp.ty, Length: n, BufOff: off}
-		off += n
+	a := &action{kind: record.ActionCheckpoint, buf: make([]byte, off), bps: bps}
+	for i, img := range imgs {
+		copy(a.buf[bps[i].BufOff:], img)
 	}
-	hint := c.lsnHint()
-	plan, err := c.prov.ProvisionBatch(bps, c.clock, hint)
+	// Summary pages are serialized once the plan is logged, each embedding
+	// its own update-record LSN as its flush LSN (§VIII-C3).
+	a.seal = func(lsns []record.LSN) {
+		for i, pg := range a.plan.Pages {
+			if pg.Type == addr.PageSummary {
+				copy(a.buf[pg.BufOff:], c.st.SerializePage(int(pg.LPID.TableIndex()), lsns[i]))
+			}
+		}
+		a.sum = crc32.Checksum(a.buf, pageSum)
+	}
+	a.hint = c.lsnHint()
+	plan, err := c.prov.ProvisionBatch(bps, c.clock, a.hint)
 	if errors.Is(err, provision.ErrNoSpace) && mayGC {
 		// The pass relocates pages and releases c.mu while it erases, so
 		// other writers install too: the images above are stale.
@@ -246,86 +251,7 @@ func (c *Controller) flushTablesLocked(mayGC bool) error {
 	if err != nil {
 		return err
 	}
-	id := c.nextAction
-	c.nextAction++
-	c.active[id] = hint
-	lsns, err := c.logPlanLocked(id, plan, nil)
-	if err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-
-	// Serialize summary pages now, embedding each page's own update-record
-	// LSN as its flush LSN (§VIII-C3), then assemble the buffer.
-	buf := make([]byte, off)
-	lsnByLPID := make(map[addr.LPID]record.LSN, len(plan.Pages))
-	for i, pg := range plan.Pages {
-		lsnByLPID[pg.LPID] = lsns[i]
-	}
-	for i, fp := range fps {
-		img := fp.img
-		if fp.ty == addr.PageSummary {
-			img = c.st.SerializePage(fp.idx, lsnByLPID[fp.lpid])
-		}
-		copy(buf[bps[i].BufOff:], img)
-	}
-
-	failed := c.executeIOsLocked(buf, plan, flash.SrcCheckpoint)
-	if len(failed) > 0 {
-		c.abortActionLocked(id, plan)
-		c.migrateFailedLocked(failed, 0)
-		return fmt.Errorf("%w: checkpoint action %d", ErrWriteFailed, id)
-	}
-	// Commit-phase failures abort the action: the old table-page homes are
-	// still authoritative (nothing was installed), and leaving the action
-	// in c.active would pin the truncation LSN forever.
-	if err := c.logClosesLocked(plan, 0); err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-	for _, cl := range plan.Closes {
-		c.closedLocked(cl.Channel, cl.EBlock)
-	}
-	if _, err := c.append(record.Commit{Action: id, AKind: record.ActionCheckpoint}); err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-	if err := c.forceLog(); err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-
-	// Install: record new table-page homes; old homes become garbage.
-	var garbage []record.AddrPair
-	for i, pg := range plan.Pages {
-		fp := fps[i]
-		var old addr.PhysAddr
-		switch fp.ty {
-		case addr.PageMap:
-			old = c.mt.PageAddr(fp.idx)
-			c.mt.MarkFlushed(fp.idx, pg.Addr, lsns[i])
-		case addr.PageSmallMap:
-			old = c.mt.SmallPageAddr(fp.idx)
-			c.mt.MarkSmallFlushed(fp.idx, pg.Addr)
-		case addr.PageSummary:
-			old = c.st.Locator()[fp.idx]
-			c.st.MarkFlushed(fp.idx, pg.Addr, lsns[i])
-		case addr.PageSession:
-			old = c.sessSnapAddr
-			c.sessSnapAddr = pg.Addr
-		}
-		if old.IsValid() {
-			garbage = append(garbage, record.AddrPair{LPID: pg.LPID, Addr: old})
-			if err := c.st.AddAvail(old.Channel(), old.EBlock(), old.Length(), lsns[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := c.lazyGarbageLocked(id, garbage); err != nil {
-		return err
-	}
-	delete(c.active, id)
-	return nil
+	return c.runLocked(a, plan)
 }
 
 // --- checkpoint record -------------------------------------------------------
@@ -344,15 +270,25 @@ type ckptRecord struct {
 }
 
 const (
-	ckptMagic     = 0x434B5054 // "CKPT"
-	ckptPartMagic = 0x434B5050 // "CKPP"
+	ckptMagic = 0x434B5045 // "CKPE": a checkpoint record, its format epoch next
+	// ckptMagicNoEpoch opened the records of the builds before the epoch,
+	// whose GC, migration and checkpoint commits carry no checksum.
+	ckptMagicNoEpoch = 0x434B5054 // "CKPT"
+	ckptPartMagic    = 0x434B5050 // "CKPP"
 )
+
+// formatEpoch names what this build's log and media mean, not only their
+// bytes. Epoch 1: every action is proven by a durable Commit, no Abort, then
+// a Done or a read-back matching its checksum, and a Done means its Garbage
+// names all it superseded. Another epoch's image does not open.
+const formatEpoch = 1
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	u32(ckptMagic)
+	u32(formatEpoch)
 	u64(ck.Seq)
 	u64(uint64(ck.TruncLSN))
 	u64(uint64(ck.StartLSN))
@@ -381,7 +317,8 @@ func encodeCkpt(ck *ckptRecord) []byte {
 var errBadCkpt = errors.New("core: bad checkpoint record")
 
 // decodeCkpt checks every read against the bytes the CRC covers and caps
-// every count by them: a CRC is no proof the body is well formed.
+// every count by them: a CRC is no proof the body is well formed. A record
+// of another format epoch, or of none, is ErrImageFormat.
 func decodeCkpt(b []byte) (*ckptRecord, error) {
 	if len(b) < 8 || crc32.ChecksumIEEE(b[:len(b)-4]) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
 		return nil, errBadCkpt
@@ -397,8 +334,15 @@ func decodeCkpt(b []byte) (*ckptRecord, error) {
 	u64 := func() uint64 { return binary.LittleEndian.Uint64(next(8)) }
 	u32 := func() uint32 { return binary.LittleEndian.Uint32(next(4)) }
 	count := func(size int) int { return min(int(u32()), (len(b)-pos)/size) }
-	if u32() != ckptMagic {
+	switch u32() {
+	case ckptMagic:
+	case ckptMagicNoEpoch:
+		return nil, fmt.Errorf("%w: a checkpoint record without an epoch; this build reads epoch %d", ErrImageFormat, formatEpoch)
+	default:
 		return nil, errBadCkpt
+	}
+	if e := u32(); !short && e != formatEpoch {
+		return nil, fmt.Errorf("%w: epoch %d; this build reads epoch %d", ErrImageFormat, e, formatEpoch)
 	}
 	ck := &ckptRecord{}
 	ck.Seq = u64()
@@ -428,8 +372,9 @@ func decodeCkpt(b []byte) (*ckptRecord, error) {
 // payloadLen u32 | crc u32 (over header sans crc + payload).
 const ckptPartHeader = 4 + 8 + 2 + 2 + 4 + 4
 
-func (c *Controller) encodeCkptParts(ck *ckptRecord) [][]byte {
-	body := encodeCkpt(ck)
+// encodeCkptParts cuts the encoded record body of checkpoint seq into the
+// WBLOCK-sized parts the checkpoint area stores.
+func (c *Controller) encodeCkptParts(seq uint64, body []byte) [][]byte {
 	w := c.geo.WBlockBytes
 	per := w - ckptPartHeader
 	total := (len(body) + per - 1) / per
@@ -438,7 +383,7 @@ func (c *Controller) encodeCkptParts(ck *ckptRecord) [][]byte {
 		payload := body[i*per : min((i+1)*per, len(body))]
 		hdr := make([]byte, ckptPartHeader-4)
 		binary.LittleEndian.PutUint32(hdr[0:], ckptPartMagic)
-		binary.LittleEndian.PutUint64(hdr[4:], ck.Seq)
+		binary.LittleEndian.PutUint64(hdr[4:], seq)
 		binary.LittleEndian.PutUint16(hdr[12:], uint16(i))
 		binary.LittleEndian.PutUint16(hdr[14:], uint16(total))
 		binary.LittleEndian.PutUint32(hdr[16:], uint32(len(payload)))
@@ -489,7 +434,7 @@ func decodeCkptPart(raw []byte) (*ckptPart, error) {
 // is fully durable. A program failure in the current EBLOCK (which
 // disables its remaining WBLOCKs) fails over to the other EBLOCK once.
 func (c *Controller) writeCkptRecordLocked(ck *ckptRecord) error {
-	parts := c.encodeCkptParts(ck)
+	parts := c.encodeCkptParts(ck.Seq, encodeCkpt(ck))
 	if len(parts) > c.geo.WBlocksPerEBlock() {
 		return fmt.Errorf("core: checkpoint record too large (%d parts)", len(parts))
 	}

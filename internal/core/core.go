@@ -124,6 +124,7 @@ var (
 	ErrNotFound     = errors.New("core: LPID not mapped")
 	ErrWriteFailed  = errors.New("core: write buffer aborted by media failure; retry")
 	ErrNoCheckpoint = errors.New("core: no valid checkpoint record on device")
+	ErrImageFormat  = errors.New("core: device image of another format epoch; format anew")
 )
 
 // LPage is one logical page of a write buffer. Data of any length is
@@ -160,7 +161,7 @@ type Stats struct {
 	GCMetaUnreadable int64 // core.gc.meta_unreadable
 	Migrations       int64 // core.migrations
 	Checkpoints      int64 // core.checkpoints
-	RecoverVerified  int64 // core.recover.actions_verified: user actions Open proved by reading their data back
+	RecoverVerified  int64 // core.recover.actions_verified: actions Open proved by reading their data back
 	RecoverRejected  int64 // core.recover.actions_rejected: those whose data did not match their commit's checksum
 	RecoverBytes     int64 // core.recover.verify_bytes: media bytes read to prove them
 }
@@ -180,9 +181,10 @@ const (
 // it only for short critical sections — WSN admission, the
 // provision/log/submit sequence, and the install — and releases it while
 // flash programs execute on the per-channel device workers and the commit
-// force runs beside them (see DESIGN.md §4, "Concurrency model"). GC, migration
-// and checkpointing run under c.mu except while an erase batch is on the
-// device (DESIGN.md §4.1, "GC erase protocol").
+// force runs beside them (see DESIGN.md §4, "Concurrency model"). GC,
+// migration and checkpoint actions take the same steps holding c.mu, which
+// they release only while an erase batch is on the device (DESIGN.md §4.1,
+// "GC erase protocol").
 type Controller struct {
 	mu      sync.Mutex
 	wsnCond *sync.Cond // admission waiters (WSN order, duplicate claims)
@@ -216,9 +218,9 @@ type Controller struct {
 	// submit and released at install/abort; GC victim selection and
 	// migration skip or wait on them exactly like inflight.
 	pinned map[[2]int]int
-	// doneLSN is, per EBLOCK, the LSN of the Done record of the last user
-	// action that wrote there. Until it is durable recovery proves the action
-	// by reading its pages back, so eraseAndFreeLocked forces the log first.
+	// doneLSN is, per EBLOCK, the LSN of the Done record of the last action
+	// that wrote there. Until it is durable recovery proves the action by
+	// reading its pages back, so eraseAndFreeLocked forces the log first.
 	doneLSN map[[2]int]record.LSN
 	// wsnInflight claims a (sid, wsn) admission while its batch runs with
 	// c.mu released, so a concurrent duplicate submission cannot be

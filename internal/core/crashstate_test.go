@@ -243,9 +243,9 @@ var atomCells = []atomCell{
 	// erased without a second recovery rejecting what the first made visible.
 	{name: "write.after-exec", point: "write.after-exec", want: atomPresent, x: summary.Used,
 		// Sub 0's WSN 1 pages once more, one at the head of every channel's
-		// EBLOCK: the flush supersedes X's too, so X needs no relocation
-		// (whose commit would force the log), and the padding behind it is
-		// space GC knows it can reclaim.
+		// EBLOCK: the flush supersedes X's too, so X needs no relocation of
+		// user pages (a relocation's commit forces the log), and the padding
+		// behind it is space GC knows it can reclaim.
 		arm: func(r *atomRun) {
 			for ch := 0; ch < r.c.geo.Channels; ch++ {
 				lp := r.lpid(0, ch%atomLPIDs)
@@ -258,9 +258,14 @@ var atomCells = []atomCell{
 			for sub := range r.sids {
 				was[sub] = r.state(c2, sub)
 			}
+			moved := c2.Stats().GCPagesMoved
 			if err := c2.GCNow(r.tch); err != nil {
 				r.t.Fatal(err)
 			}
+			// On channel 0 X's head holds the table pages Format flushed. Their
+			// relocation leaves its Done unforced, so the second recovery reads
+			// it back — and nothing else.
+			relocations := min(c2.Stats().GCPagesMoved-moved, 1)
 			if n, err := r.dev.EraseCount(r.tch, r.x); err != nil || n != 1 {
 				r.t.Fatalf("X (%d,%d) erased %d times (%v), want once", r.tch, r.x, n, err)
 			}
@@ -271,8 +276,8 @@ var atomCells = []atomCell{
 					r.t.Fatalf("sub %d: present=%v after the first recovery, %v after the second", sub, was[sub], !was[sub])
 				}
 			}
-			if v := c3.Stats().RecoverVerified; r.shape.writers == 1 && v != 0 {
-				r.t.Fatalf("second recovery read back %d actions: the Done was not durable before the erase", v)
+			if v := c3.Stats().RecoverVerified; r.shape.writers == 1 && v != relocations {
+				r.t.Fatalf("second recovery read back %d actions, the pass relocated with %d: the Done was not durable before the erase", v, relocations)
 			}
 			return c3
 		}},
@@ -407,6 +412,172 @@ func TestEraseAfterDoneIsDurable(t *testing.T) {
 				t.Fatalf("recovery read back %d actions with %d writers", v, shape.writers)
 			}
 			writeWide(t, c2, 1000)
+		})
+	}
+}
+
+// The crash states of a system action (DESIGN.md §8.4): a GC relocation and
+// a checkpoint's table flush take the write path's steps with c.mu held, so
+// they have its windows — init logged and nothing submitted, the commit
+// durable and a destination WBLOCK failed with the Abort not durable, the
+// commit and the data durable with nothing installed.
+
+// sysKind is one kind of system action under test: how to build the device
+// up to it, how to run it, and the address of a page it moves.
+type sysKind struct {
+	setup func(*testing.T) *sysRun
+	act   func(*Controller) error
+	probe func(*sysRun, *Controller) addr.PhysAddr
+}
+
+// sysRun is a device built up to a system action.
+type sysRun struct {
+	c      *Controller
+	dev    *flash.Device
+	check  func(*Controller) // reads every acked version byte-exact
+	victim [2]int            // the relocation's source EBLOCK, or -1s
+	lpid   addr.LPID         // the moved page a GC probe follows
+	// At the crash: where the probe page was before the action, and how
+	// often the victim had been erased.
+	before addr.PhysAddr
+	erases int
+}
+
+// sysGCChannel is where the relocation runs: channel 0 also holds the table
+// pages Format flushed, whose old copies redo does not credit to AVAIL.
+const sysGCChannel = 1
+
+var sysGC = sysKind{
+	setup: func(t *testing.T) *sysRun {
+		c, dev, version := halfDeadController(t, 600, 1)
+		r := &sysRun{c: c, dev: dev, check: func(c *Controller) { checkRelocContent(t, c, version, 1) }}
+		c.mu.Lock()
+		eb, ok := c.selectVictimLocked(sysGCChannel, false)
+		c.mu.Unlock()
+		r.victim = [2]int{sysGCChannel, eb}
+		for i := range version {
+			if a := mustAddr(t, c, relocLPID(i)); ok && a.Channel() == sysGCChannel && a.EBlock() == eb {
+				r.lpid = relocLPID(i)
+				return r
+			}
+		}
+		t.Fatalf("no victim on channel %d holds a user page (%v): the pass would not relocate", sysGCChannel, ok)
+		return nil
+	},
+	act: func(c *Controller) error { return c.GCNow(sysGCChannel) },
+	probe: func(r *sysRun, c *Controller) addr.PhysAddr {
+		a, _ := c.mt.Get(r.lpid)
+		return a
+	},
+}
+
+var sysCkpt = sysKind{
+	setup: func(t *testing.T) *sysRun {
+		c, dev := newFormatted(t)
+		for i := 1; i <= 30; i++ {
+			mustWrite(t, c, LPage{LPID: addr.LPID(i), Data: pageContent(uint64(i), 1, 700)})
+			if i == 10 {
+				if err := c.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		mustWrite(t, c, LPage{LPID: 3, Data: pageContent(3, 2, 900)})
+		return &sysRun{c: c, dev: dev, victim: [2]int{-1, -1}, check: func(c *Controller) {
+			for i := 1; i <= 30; i++ {
+				if i == 3 {
+					checkRead(t, c, 3, pageContent(3, 2, 900))
+				} else {
+					checkRead(t, c, addr.LPID(i), pageContent(uint64(i), 1, 700))
+				}
+			}
+		}}
+	},
+	act:   func(c *Controller) error { return c.Checkpoint() },
+	probe: func(_ *sysRun, c *Controller) addr.PhysAddr { return c.sessSnapAddr },
+}
+
+// sysCell is one crash state of a system action.
+type sysCell struct {
+	name string // the crash point
+	kind *sysKind
+	fail bool // a program of the action fails, aimed at the probe's WBLOCK
+	want int  // atomPresent: the probe page has the action's address after recovery
+}
+
+var sysCells = []sysCell{
+	{name: "gc.after-init", kind: &sysGC, want: atomAbsent},
+	{name: "gc.after-abort", kind: &sysGC, fail: true, want: atomAbsent},
+	{name: "gc.after-commit", kind: &sysGC, want: atomPresent},
+	{name: "ckpt.after-init", kind: &sysCkpt, want: atomAbsent},
+	{name: "ckpt.after-abort", kind: &sysCkpt, fail: true, want: atomAbsent},
+	{name: "ckpt.after-commit", kind: &sysCkpt, want: atomPresent},
+}
+
+// crash builds cell's device and runs its action into the crash point.
+func (cell sysCell) crash(t *testing.T) *sysRun {
+	t.Helper()
+	var dest addr.PhysAddr
+	if cell.fail {
+		// The same build on a second device, run to the end, shows where the
+		// action programs the probe page.
+		dry := cell.kind.setup(t)
+		if err := cell.kind.act(dry.c); err != nil {
+			t.Fatal(err)
+		}
+		dest = cell.kind.probe(dry, dry.c)
+	}
+	r := cell.kind.setup(t)
+	r.before = cell.kind.probe(r, r.c)
+	if r.victim[0] >= 0 {
+		r.erases, _ = r.dev.EraseCount(r.victim[0], r.victim[1])
+	}
+	if cell.fail {
+		r.dev.FailNextProgram(dest.Channel(), dest.EBlock(), dest.Offset()/r.c.geo.WBlockBytes)
+	}
+	failures := r.dev.Stats().WriteFailures
+	r.c.SetCrashPoint(cell.name)
+	if err := cell.kind.act(r.c); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("the action returned %v, want a crash at %s", err, cell.name)
+	}
+	if fired := r.dev.Stats().WriteFailures > failures; fired != cell.fail {
+		t.Fatalf("a program failed: %v, want %v", fired, cell.fail)
+	}
+	return r
+}
+
+func TestSystemActionCrashStates(t *testing.T) {
+	for _, cell := range sysCells {
+		t.Run(cell.name, func(t *testing.T) {
+			r := cell.crash(t)
+			c2 := reopen(t, r.dev)
+			r.check(c2)
+			st := c2.Stats()
+			switch moved := cell.kind.probe(r, c2) != r.before; {
+			case moved != (cell.want == atomPresent):
+				t.Fatalf("probe page moved=%v after recovery, want %v", moved, cell.want == atomPresent)
+			case cell.want == atomPresent && (st.RecoverVerified == 0 || st.RecoverRejected != 0):
+				t.Fatalf("recovery verified %d actions and rejected %d: the commit should have been proven by checksum", st.RecoverVerified, st.RecoverRejected)
+			case cell.fail && st.RecoverRejected == 0:
+				t.Fatal("recovery took a commit whose data failed to program")
+			}
+			// The victim is erased only once its relocation is proven and
+			// installed: not by the crashed pass, and not by recovery.
+			if r.victim[0] >= 0 {
+				if n, _ := r.dev.EraseCount(r.victim[0], r.victim[1]); n != r.erases {
+					t.Fatalf("victim (%d,%d) erased %d times, %d before the action", r.victim[0], r.victim[1], n, r.erases)
+				}
+			}
+			// And the recovered controller runs the action again.
+			err := cell.kind.act(c2)
+			for i := 0; errors.Is(err, ErrWriteFailed) && i < 3; i++ {
+				err = cell.kind.act(c2)
+			}
+			if err != nil {
+				t.Fatalf("the action after recovery: %v", err)
+			}
+			r.check(c2)
+			writeWide(t, c2, 5000)
 		})
 	}
 }

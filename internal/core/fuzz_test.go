@@ -153,19 +153,22 @@ func TestDecodeCkptNeverPanics(t *testing.T) {
 
 // FuzzDecodeCkpt fuzzes the checkpoint record parser behind a valid CRC, as
 // an image loaded from disk (eleosd -img, eleosctl -img) can carry: any
-// body must decode or fail with errBadCkpt, and what decodes re-encodes to
-// itself.
+// body must decode or fail with errBadCkpt or ErrImageFormat, and what
+// decodes re-encodes to itself.
 func FuzzDecodeCkpt(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, ckptMagic)) // magic | crc: read past the end
-	f.Add(encodeCkpt(&ckptRecord{Seq: 3, TruncLSN: 7, StartLSN: 1})[:4+24+4])
+	f.Add(encodeCkpt(&ckptRecord{Seq: 3, TruncLSN: 7, StartLSN: 1})[:4+4+24+4])
 	full := encodeCkpt(&ckptRecord{Seq: 9, StartSlots: []wal.Slot{{Channel: 1, EBlock: 2, WBlock: 3}},
 		Tiny: []addr.PhysAddr{5}, Locator: []addr.PhysAddr{6, 7}, SessAddr: 8, UpdateSeq: 10, NextAction: 11})
-	f.Add(full[:len(full)-4])
+	body := full[:len(full)-4]
+	f.Add(body)
+	f.Add(noEpoch(body))
+	f.Add(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, ckptMagic), formatEpoch+1))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ck, err := decodeCkpt(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
 		if err != nil {
-			if !errors.Is(err, errBadCkpt) {
-				t.Fatalf("non-errBadCkpt failure: %v", err)
+			if !errors.Is(err, errBadCkpt) && !errors.Is(err, ErrImageFormat) {
+				t.Fatalf("failure neither errBadCkpt nor ErrImageFormat: %v", err)
 			}
 			return
 		}
@@ -174,4 +177,10 @@ func FuzzDecodeCkpt(f *testing.F) {
 			t.Fatalf("round trip: %+v, %v; want %+v", again, err, ck)
 		}
 	})
+}
+
+// noEpoch lays a record body (no CRC) out as the builds before the format
+// epoch wrote it: their magic, and no epoch after it.
+func noEpoch(body []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, ckptMagicNoEpoch), body[8:]...)
 }

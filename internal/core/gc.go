@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math"
 	"slices"
 	"time"
@@ -235,20 +236,20 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 	return summary.DecodeMetaBlock(raw.Bytes())
 }
 
-// currentAddrLocked returns the authoritative current address for a TAG,
-// dispatching on the page type (user data, mapping page, small-table page,
+// currentAddrLocked returns the authoritative current address of a page,
+// dispatching on its type (user data, mapping page, small-table page,
 // summary page, session snapshot).
-func (c *Controller) currentAddrLocked(e summary.MetaEntry) (addr.PhysAddr, error) {
-	switch e.Type {
+func (c *Controller) currentAddrLocked(lpid addr.LPID, ty addr.PageType) (addr.PhysAddr, error) {
+	idx := int(lpid.TableIndex())
+	switch ty {
 	case addr.PageUser:
-		return c.mt.Get(e.LPID)
+		return c.mt.Get(lpid)
 	case addr.PageMap:
-		return c.mt.PageAddr(int(e.LPID.TableIndex())), nil
+		return c.mt.PageAddr(idx), nil
 	case addr.PageSmallMap:
-		return c.mt.SmallPageAddr(int(e.LPID.TableIndex())), nil
+		return c.mt.SmallPageAddr(idx), nil
 	case addr.PageSummary:
 		loc := c.st.Locator()
-		idx := int(e.LPID.TableIndex())
 		if idx < 0 || idx >= len(loc) {
 			return 0, nil
 		}
@@ -260,25 +261,48 @@ func (c *Controller) currentAddrLocked(e summary.MetaEntry) (addr.PhysAddr, erro
 	}
 }
 
-// installRelocationLocked conditionally installs a relocation old->new for
-// the TAG's page type (§VI-C). It reports whether the install happened.
-func (c *Controller) installRelocationLocked(e summary.MetaEntry, old, new addr.PhysAddr, lsn record.LSN) (bool, error) {
-	switch e.Type {
+// setHomeLocked installs new as a page's address wherever it was: a user
+// mapping, or a table page's checkpointed home, which marks it clean.
+func (c *Controller) setHomeLocked(lpid addr.LPID, ty addr.PageType, new addr.PhysAddr, lsn record.LSN) error {
+	idx := int(lpid.TableIndex())
+	switch ty {
 	case addr.PageUser:
-		ok, err := c.mt.SetIf(e.LPID, old, new, lsn)
+		if err := c.mt.Set(lpid, new, lsn); err != nil {
+			return err
+		}
+		c.invalidateRead(lpid) // the read cache never serves pre-install bytes
+	case addr.PageMap:
+		c.mt.MarkFlushed(idx, new, lsn)
+	case addr.PageSmallMap:
+		c.mt.MarkSmallFlushed(idx, new)
+	case addr.PageSummary:
+		c.st.MarkFlushed(idx, new, lsn)
+	case addr.PageSession:
+		c.sessSnapAddr = new
+	}
+	return nil
+}
+
+// installRelocationLocked conditionally installs a relocation old->new for
+// the page's type (§VI-C). It reports whether the install happened.
+func (c *Controller) installRelocationLocked(lpid addr.LPID, ty addr.PageType, old, new addr.PhysAddr, lsn record.LSN) (bool, error) {
+	idx := int(lpid.TableIndex())
+	switch ty {
+	case addr.PageUser:
+		ok, err := c.mt.SetIf(lpid, old, new, lsn)
 		if ok {
 			// Relocation preserves content but retires the old address;
 			// invalidating keeps the cache's coherence rule uniform: any
 			// mapping change drops the entry and poisons in-flight fills.
-			c.invalidateRead(e.LPID)
+			c.invalidateRead(lpid)
 		}
 		return ok, err
 	case addr.PageMap:
-		return c.mt.SetPageAddrIf(int(e.LPID.TableIndex()), old, new, lsn), nil
+		return c.mt.SetPageAddrIf(idx, old, new, lsn), nil
 	case addr.PageSmallMap:
-		return c.mt.SmallPageAddrIf(int(e.LPID.TableIndex()), old, new), nil
+		return c.mt.SmallPageAddrIf(idx, old, new), nil
 	case addr.PageSummary:
-		return c.st.PageAddrIf(int(e.LPID.TableIndex()), old, new), nil
+		return c.st.PageAddrIf(idx, old, new), nil
 	case addr.PageSession:
 		if c.sessSnapAddr != old {
 			return false, nil
@@ -304,7 +328,7 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 	prevOff := c.geo.EBlockBytes + 1
 	for i := len(entries) - 1; i >= 0; i-- {
 		e := entries[i]
-		cur, err := c.currentAddrLocked(e)
+		cur, err := c.currentAddrLocked(e.LPID, e.Type)
 		if err != nil {
 			return err
 		}
@@ -327,8 +351,8 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 
 	// One gather read puts each valid page straight into its place in one
 	// pooled move buffer of exactly their total size, transferring an RBLOCK
-	// that neighbours share once. The deferred release runs after
-	// executeIOsLocked has waited for the programs that read it.
+	// that neighbours share once. The deferred release runs after the
+	// action's round has waited for the programs that read it.
 	total := 0
 	for _, v := range valid {
 		total += v.e.Length
@@ -354,70 +378,19 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 	c.met.readRBlocks.Add(int64(nR))
 	c.met.gcBytesRead.Add(int64(nR * c.geo.RBlockBytes))
 
-	// System action: same code path as user writes (§VI-C).
-	hint := c.lsnHint()
-	plan, err := c.prov.ProvisionGC(ch, bps, srcTS, c.clock, hint)
+	// System action: same code path as user writes (§VI-C). Its installs
+	// are conditional: a page that moved on meanwhile stays where it went,
+	// and its relocated copy is garbage (the GCUpdate logged the old address).
+	a := &action{kind: kind, buf: buf, sum: crc32.Checksum(buf, pageSum), bps: bps, olds: olds, hint: c.lsnHint()}
+	plan, err := c.prov.ProvisionGC(ch, bps, srcTS, c.clock, a.hint)
 	if err != nil {
 		return err
 	}
-	id := c.nextAction
-	c.nextAction++
-	c.active[id] = hint
-	lsns, err := c.logPlanLocked(id, plan, olds)
-	if err != nil {
-		c.abortActionLocked(id, plan)
+	if err := c.runLocked(a, plan); err != nil {
 		return err
 	}
-	failed := c.executeIOsLocked(buf, plan, flash.SrcGC)
-	if len(failed) > 0 {
-		c.abortActionLocked(id, plan)
-		c.migrateFailedLocked(failed, 0)
-		return fmt.Errorf("%w: gc action %d", ErrWriteFailed, id)
-	}
-	// A commit-phase failure aborts the relocation: both copies stay valid
-	// (the source EBLOCK is only erased after a successful return), and the
-	// abort unpins the action's truncation LSN. Aborting after a failed
-	// force is safe because the unforced commit record was never written.
-	if err := c.logClosesLocked(plan, 0); err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-	for _, cl := range plan.Closes {
-		c.closedLocked(cl.Channel, cl.EBlock)
-	}
-	if _, err := c.append(record.Commit{Action: id, AKind: kind}); err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-	if err := c.forceLog(); err != nil {
-		c.abortActionLocked(id, plan)
-		return err
-	}
-	if err := c.crashIf("gc.after-commit"); err != nil {
-		return err
-	}
-
-	// Conditional installs; abandoned relocations become garbage at their
-	// new location (old addresses were already logged in GCUpdate records).
-	var abandoned []record.AddrPair
-	for i, pg := range plan.Pages {
-		ok, err := c.installRelocationLocked(valid[i].e, olds[i], pg.Addr, lsns[i])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			abandoned = append(abandoned, record.AddrPair{LPID: pg.LPID, Addr: pg.Addr})
-			if err := c.st.AddAvail(pg.Addr.Channel(), pg.Addr.EBlock(), pg.Addr.Length(), lsns[i]); err != nil {
-				return err
-			}
-		}
-		c.met.gcPagesMoved.Inc()
-		c.met.gcBytesMoved.Add(int64(pg.Addr.Length()))
-	}
-	if err := c.lazyGarbageLocked(id, abandoned); err != nil {
-		return err
-	}
-	delete(c.active, id)
+	c.met.gcPagesMoved.Add(int64(len(valid)))
+	c.met.gcBytesMoved.Add(int64(total))
 	return nil
 }
 
@@ -453,7 +426,7 @@ func eraseBatch(dev *flash.Device, ebs ...[2]int) [][2]int {
 // checkpoint force-close skip them and migration waits; nothing maps into
 // them (the caller relocated) and provisioning only takes Free EBLOCKs.
 func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
-	// A user action whose Done is not durable is proven at recovery by
+	// An action whose Done is not durable is proven at recovery by
 	// reading its pages back, dead duplicates included: its Done goes first.
 	for _, k := range victims {
 		if lsn, ok := c.doneLSN[k]; ok && lsn > c.log.DurableLSN() {

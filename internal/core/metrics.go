@@ -49,7 +49,7 @@ type coreMetrics struct {
 	checkpoints  *metrics.Counter
 	checkpointNS *metrics.Histogram
 
-	// Open's proof of the user actions the crash caught between init and
+	// Open's proof of the actions the crash caught between init and
 	// install: actions read back, those of them rejected, bytes read.
 	recoverVerified    *metrics.Counter
 	recoverRejected    *metrics.Counter

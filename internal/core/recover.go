@@ -63,8 +63,8 @@ type recovery struct {
 	tail  *wal.ChainTail
 	cands []wal.Slot // the tail's valid forward candidates
 
-	// committed: Commit durable, no Abort, and for a user action proven.
-	// unproven: the user actions with no Done, proven by reading them back;
+	// committed: Commit durable, no Abort, and a Done or a proof.
+	// unproven: the actions with no Done, proven by reading them back;
 	// readIDs are their ids, sorted.
 	committed map[uint64]bool
 	unproven  map[uint64]*proof
@@ -89,12 +89,15 @@ type logged struct {
 	rec record.Record
 }
 
-// proof is an unproven user action's read-back: the checksum its Commit
-// carries, the one its pages read back to so far, and the EBLOCKs read.
+// proof is an unproven action's read-back: the checksum its Commit carries,
+// the one its pages read back to so far, the EBLOCKs read; the versions its
+// durable Garbage names, and those redo credited for it, which settle logs.
 type proof struct {
 	want, got uint32
 	ok        bool
 	ebs       [][2]int
+	garbage   map[record.AddrPair]bool
+	credited  []record.AddrPair
 }
 
 // pageWrite returns an LPAGE write record as a GCUpdate and whether its
@@ -177,8 +180,8 @@ func (r *recovery) walkLog() error {
 }
 
 // analyze finds the actions whose Commit is durable with no Abort after it.
-// A user action forces its Commit beside its data programs, so unless a
-// Done follows (it installed) it stays unproven until prove reads it back.
+// Every action forces its Commit beside its data programs, so unless a Done
+// follows (it installed) it stays unproven until prove reads it back.
 func (r *recovery) analyze() error {
 	r.committed = make(map[uint64]bool)
 	r.unproven = make(map[uint64]*proof)
@@ -186,9 +189,7 @@ func (r *recovery) analyze() error {
 		switch rec := lr.rec.(type) {
 		case record.Commit:
 			r.committed[rec.Action] = true
-			if rec.AKind == record.ActionUser {
-				r.unproven[rec.Action] = &proof{want: rec.Sum, ok: true}
-			}
+			r.unproven[rec.Action] = &proof{want: rec.Sum, ok: true, garbage: map[record.AddrPair]bool{}}
 		case record.Abort:
 			delete(r.committed, rec.Action)
 			delete(r.unproven, rec.Action)
@@ -203,21 +204,30 @@ func (r *recovery) analyze() error {
 	return nil
 }
 
-// prove reads back every unproven user action: its pages must read back to
-// the checksum its Commit carries and its closes' metadata must decode.
-// An action that fails is no longer committed.
+// prove reads back every unproven action: its pages must read back to the
+// checksum its Commit carries and its closes' metadata must decode. An
+// action that fails is no longer committed. It also collects what the
+// unproven actions' durable Garbage records name.
 func (r *recovery) prove() error {
 	for _, lr := range r.recs {
-		switch rec := lr.rec.(type) {
-		case record.Update:
-			if p := r.unproven[rec.Action]; p != nil && p.ok {
-				p.ebs = append(p.ebs, [2]int{rec.New.Channel(), rec.New.EBlock()})
-				p.got, p.ok = r.c.readBack(p.got, rec.New)
+		if w, _, ok := pageWrite(lr.rec); ok {
+			if p := r.unproven[w.Action]; p != nil && p.ok {
+				p.ebs = append(p.ebs, [2]int{w.New.Channel(), w.New.EBlock()})
+				p.got, p.ok = r.c.readBack(p.got, w.New)
 			}
+			continue
+		}
+		switch rec := lr.rec.(type) {
 		case record.CloseEBlock:
 			if p := r.unproven[rec.Action]; p != nil && p.ok {
 				p.ebs = append(p.ebs, [2]int{int(rec.Channel), int(rec.EBlock)})
 				p.ok = r.c.metaReadable(rec)
+			}
+		case record.Garbage:
+			if p := r.unproven[rec.Action]; p != nil {
+				for _, g := range rec.Pairs {
+					p.garbage[g] = true
+				}
 			}
 		}
 	}
@@ -387,21 +397,23 @@ func (r *recovery) resumeLog() error {
 }
 
 // settle makes what this recovery read back hold for every later one: a
-// rejected action gets an Abort, a verified one the Done its install never
-// logged, which eraseAndFreeLocked forces before an EBLOCK that proved the
-// action goes, as it does for a live install.
+// rejected action gets an Abort, a verified one the Garbage and Done its
+// install never logged — the Garbage names what redo credited, so a Done
+// means its action's Garbage is complete — and eraseAndFreeLocked forces
+// them before an EBLOCK that proved the action goes, as for a live install.
 func (r *recovery) settle() error {
-	var settled record.LSN
 	for _, id := range r.readIDs {
-		var rec record.Record = record.Done{Action: id}
-		if !r.unproven[id].ok {
-			rec = record.Abort{Action: id}
-		}
 		var err error
-		if settled, err = r.c.append(rec); err != nil {
+		if p := r.unproven[id]; p.ok {
+			err = r.c.lazyGarbageLocked(id, p.credited)
+		} else {
+			_, err = r.c.append(record.Abort{Action: id})
+		}
+		if err != nil {
 			return err
 		}
 	}
+	settled := r.c.lsnHint() - 1
 	for _, id := range r.readIDs {
 		if p := r.unproven[id]; p.ok {
 			for _, eb := range p.ebs {
@@ -452,10 +464,8 @@ func (r *recovery) replayRecordLocked(lsn record.LSN, rec record.Record) error {
 		}
 	case record.Garbage:
 		for _, p := range rec.Pairs {
-			if ch, eb := p.Addr.Channel(), p.Addr.EBlock(); lsn > c.st.FlushLSNFor(ch, eb) {
-				if err := c.st.AddAvail(ch, eb, p.Addr.Length(), lsn); err != nil {
-					return err
-				}
+			if _, err := r.credit(p.Addr, lsn); err != nil {
+				return err
 			}
 		}
 	case record.OpenEBlock:
@@ -586,18 +596,48 @@ func (r *recovery) replayWriteLocked(lsn record.LSN, w record.GCUpdate, conditio
 		r.open[[2]int{ch, eb}] = o
 	}
 	if !r.committed[w.Action] {
-		// Aborted action: the provisioned space is garbage (case 3).
-		if lsn > flush {
-			return c.st.AddAvail(ch, eb, w.New.Length(), lsn)
-		}
-		return nil
+		_, err := r.credit(w.New, lsn) // aborted action: the provisioned space is garbage (case 3)
+		return err
 	}
 	if w.Type != addr.PageUser {
 		return nil // table-page homes were repaired in pass 1
 	}
+	// What an install supersedes is AVAIL (DESIGN.md §4 decision 13): a
+	// relocation's victim page always, an Update's old version when the
+	// action has no Done and no durable Garbage record names it.
 	if conditional {
-		_, err = c.mt.SetIf(w.LPID, w.Old, w.New, lsn)
+		if moved, err := c.mt.SetIf(w.LPID, w.Old, w.New, lsn); err != nil || !moved {
+			return err
+		}
+		_, err = r.credit(w.Old, lsn)
 		return err
 	}
-	return c.mt.Set(w.LPID, w.New, lsn)
+	p := r.unproven[w.Action]
+	if p == nil {
+		return c.mt.Set(w.LPID, w.New, lsn)
+	}
+	old, err := c.mt.Get(w.LPID)
+	if err == nil {
+		err = c.mt.Set(w.LPID, w.New, lsn)
+	}
+	g := record.AddrPair{LPID: w.LPID, Addr: old}
+	if err != nil || old == w.New || p.garbage[g] {
+		return err
+	}
+	credited, err := r.credit(old, lsn)
+	if credited {
+		p.credited = append(p.credited, g)
+	}
+	return err
+}
+
+// credit counts a superseded version as AVAIL as a Garbage record at lsn
+// does, and reports whether it did: not when its EBLOCK's summary page was
+// flushed after lsn, which counts it already or describes a later life.
+func (r *recovery) credit(a addr.PhysAddr, lsn record.LSN) (bool, error) {
+	ch, eb := a.Channel(), a.EBlock()
+	if !a.IsValid() || lsn <= r.c.st.FlushLSNFor(ch, eb) {
+		return false, nil
+	}
+	return true, r.c.st.AddAvail(ch, eb, a.Length(), lsn)
 }

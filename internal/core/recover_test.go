@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +147,10 @@ func TestRecoveryAfterGCActivity(t *testing.T) {
 	}
 }
 
+// TestCrashDuringGC crashes a pass at each of its points. 150 one-page
+// flushes over 20 LPIDs close EBLOCKs that still hold some of the LPIDs'
+// last versions, so one forced pass per channel relocates
+// (gc.after-commit) and erases (gc.before-erase, gc.after-erase).
 func TestCrashDuringGC(t *testing.T) {
 	for _, point := range []string{"gc.after-commit", "gc.before-erase", "gc.after-erase"} {
 		t.Run(point, func(t *testing.T) {
@@ -158,19 +165,16 @@ func TestCrashDuringGC(t *testing.T) {
 				}
 			}
 			c.SetCrashPoint(point)
-			// Force GC until the crash point fires (GC may or may not move
-			// pages in any given round).
 			crashed := false
 			for ch := 0; ch < c.Geometry().Channels && !crashed; ch++ {
-				for i := 0; i < 10; i++ {
-					if err := c.GCNow(ch); errors.Is(err, ErrCrashed) {
-						crashed = true
-						break
-					}
+				err := c.GCNow(ch)
+				crashed = errors.Is(err, ErrCrashed)
+				if err != nil && !crashed {
+					t.Fatalf("GCNow(%d): %v", ch, err)
 				}
 			}
 			if !crashed {
-				t.Skip("crash point not reached (no GC movement)")
+				t.Fatalf("a forced pass on every channel never reached %s (%d pages moved)", point, c.Stats().GCPagesMoved)
 			}
 			c2 := reopen(t, dev)
 			for lp, v := range version {
@@ -385,7 +389,7 @@ func at(fp []string, i int) string {
 	return "(none)"
 }
 
-// TestRecoveryIdempotent recovers every crash state of the crash-state table
+// TestRecoveryIdempotent recovers every crash state of the crash-state tables
 // and every crash of the crash property's seeds twice (reopenTwice): Open
 // rebuilds its state from the device and the log alone, so what it appends
 // and does not force — settle's Done and Abort records — must change
@@ -399,6 +403,9 @@ func TestRecoveryIdempotent(t *testing.T) {
 				reopenTwice(t, r.dev)
 			})
 		}
+	}
+	for _, cell := range sysCells {
+		t.Run(cell.name, func(t *testing.T) { reopenTwice(t, cell.crash(t).dev) })
 	}
 	for seed := int64(0); seed < crashPropertySeeds; seed++ {
 		t.Run("property/"+string(rune('A'+seed)), func(t *testing.T) { crashProperty(t, seed, reopenTwice) })
@@ -505,6 +512,60 @@ func TestOpenWithoutFormatFails(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsOtherFormatEpoch: a device whose newest checkpoint record
+// is of another format epoch, or of the builds before the epoch — whose GC,
+// migration and checkpoint commits carry no checksum, so the one proof rule
+// would reject them — does not open: Open returns ErrImageFormat, not
+// errBadCkpt, a panic or a recovery that silently drops what those commits
+// moved. The record the last checkpoint wrote is written again as the next
+// one, forged; unforged, the device opens.
+func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(body []byte) []byte
+		want  error
+	}{
+		{"this epoch", func(b []byte) []byte { return b }, nil},
+		{"no epoch", noEpoch, ErrImageFormat},
+		{"next epoch", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], formatEpoch+1)
+			return b
+		}, ErrImageFormat},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, dev := newFormatted(t)
+			mustWrite(t, c, LPage{LPID: 1, Data: pageContent(1, 1, 700)})
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			w := c.geo.WBlockBytes
+			raw, _, err := dev.ReadExtent(ckptChannel, c.ckptEB, (c.ckptWB-1)*w, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := decodeCkptPart(raw)
+			if err != nil || part.total != 1 {
+				t.Fatalf("last checkpoint part: %+v, %v; want a one-part record", part, err)
+			}
+			body := tc.forge(slices.Clone(part.payload[:len(part.payload)-4]))
+			body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+			for i, p := range c.encodeCkptParts(part.seq+1, body) {
+				if err := dev.Program(ckptChannel, c.ckptEB, c.ckptWB+i, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Crash()
+			c2, err := Open(dev, testConfig())
+			if !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
+				t.Fatalf("Open = %v, want %v", err, tc.want)
+			}
+			if err == nil {
+				checkRead(t, c2, 1, pageContent(1, 1, 700))
+			}
+		})
+	}
+}
+
 func TestManyCheckpointsCycleArea(t *testing.T) {
 	// Enough checkpoints to wrap the ping-pong checkpoint area several
 	// times; recovery must always find the latest.
@@ -568,4 +629,153 @@ func TestFreeCountMatchesScanAcrossRecovery(t *testing.T) {
 	check(c2, "after recovery")
 	mustWrite(t, c2, LPage{LPID: 1, Data: pageContent(1, 999, 8000)})
 	check(c2, "after a post-recovery write")
+}
+
+// TestRedoCreditsSupersededVersions: the version an install supersedes is
+// AVAIL after recovery whichever log records survived the crash — credited
+// by the action's Garbage record where that is durable and by redo where it
+// is not, each byte once. Each case recovers the same build crashed a
+// different way and compares the AVAIL of the EBLOCKs holding the old
+// versions with a recovery in which the action never happened.
+func TestRedoCreditsSupersededVersions(t *testing.T) {
+	avail := func(c *Controller, eb [2]int) uint64 {
+		t.Helper()
+		d, err := c.st.Desc(eb[0], eb[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Avail
+	}
+	t.Run("user", func(t *testing.T) {
+		base, superseded := creditUser(t, "write.after-init")
+		checkRead(t, base, 1, atomPage(1, 1, 64))
+		for _, how := range []string{"write.after-exec", "settled", "garbage-partial", "garbage-durable"} {
+			c, _ := creditUser(t, how)
+			checkRead(t, c, 1, atomPage(1, 2, 64))
+			for eb, n := range superseded {
+				if got, want := avail(c, eb), avail(base, eb)+uint64(n); got != want {
+					t.Errorf("%s: EBLOCK %v Avail %d, want %d: %d without the overwrite + the %d bytes it superseded there", how, eb, got, want, avail(base, eb), n)
+				}
+			}
+		}
+	})
+	t.Run("gc", func(t *testing.T) {
+		base, victim, _ := creditGC(t, "gc.after-init")
+		for _, point := range []string{"gc.after-commit", "gc.before-erase"} {
+			c, v, valid := creditGC(t, point)
+			if v != victim {
+				t.Fatalf("%s: victim %v, %v without the relocation", point, v, victim)
+			}
+			if got, want := avail(c, victim), avail(base, victim)+uint64(valid); got != want {
+				t.Errorf("%s: victim %v Avail %d, want %d: %d without the relocation + the %d bytes it moved", point, victim, got, want, avail(base, victim), valid)
+			}
+		}
+	})
+}
+
+// creditUser formats a device that logs one Garbage pair per record, writes
+// creditPages 64-byte pages in one flush, closes every EBLOCK they landed in
+// with filler, and overwrites them all in one flush, ended by how: a crash
+// point; "settled" — a crash at write.after-exec, then one more once the
+// records that recovery settled the overwrite with are durable;
+// "garbage-partial" / "garbage-durable" — the overwrite acked, then a crash
+// with the log durable only as far as its Garbage records filled a page, or
+// forced to its end. It returns the recovered controller and, per EBLOCK of
+// the first versions, the bytes the overwrite supersedes there.
+func creditUser(t *testing.T, how string) (*Controller, map[[2]int]int) {
+	t.Helper()
+	const creditPages = 600 // their Garbage records fill more than a 16 KB log page
+	cfg := testConfig()
+	cfg.GarbagePairsPerRecord = 1
+	c, dev := newFormattedCfg(t, cfg)
+	var v1, v2 []LPage
+	for i := 1; i <= creditPages; i++ {
+		lp := addr.LPID(i)
+		v1 = append(v1, LPage{LPID: lp, Data: atomPage(lp, 1, 64)})
+		v2 = append(v2, LPage{LPID: lp, Data: atomPage(lp, 2, 64)})
+	}
+	mustWrite(t, c, v1...)
+	superseded := map[[2]int]int{}
+	for _, p := range v1 {
+		a := mustAddr(t, c, p.LPID)
+		superseded[[2]int{a.Channel(), a.EBlock()}] += a.Length()
+	}
+	// The filler's LPIDs are never overwritten, and the overwrite lands in
+	// other EBLOCKs: AVAIL moves there by the credit alone.
+	for i := 0; ; i++ {
+		open := false
+		for eb := range superseded {
+			if d, _ := c.st.Desc(eb[0], eb[1]); d.State == summary.Open {
+				open = true
+			}
+		}
+		if !open {
+			break
+		}
+		if i == 100 {
+			t.Fatal("100 filler flushes left an EBLOCK of the first versions open")
+		}
+		var fill []LPage
+		for ch := 0; ch < c.geo.Channels; ch++ {
+			lp := addr.LPID(10_000 + i*c.geo.Channels + ch)
+			fill = append(fill, LPage{LPID: lp, Data: atomPage(lp, 1, c.geo.WBlockBytes)})
+		}
+		mustWrite(t, c, fill...)
+	}
+	switch how {
+	case "garbage-partial", "garbage-durable":
+		mustWrite(t, c, v2...)
+		a := mustAddr(t, c, 1)
+		c.mu.Lock()
+		done := c.doneLSN[[2]int{a.Channel(), a.EBlock()}]
+		if how == "garbage-durable" {
+			if err := c.forceLog(); err != nil {
+				t.Fatal(err)
+			}
+		} else if d := c.log.DurableLSN(); d < done-creditPages || d >= done-1 {
+			t.Fatalf("log durable to %d, the overwrite's Garbage records at %d..%d: want some of them durable, not all", d, done-creditPages, done-1)
+		}
+		c.mu.Unlock()
+	case "settled":
+		c.SetCrashPoint("write.after-exec")
+		if err := c.WriteBatch(0, 0, v2); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("overwrite = %v, want a crash", err)
+		}
+		c = reopen(t, dev)
+		c.mu.Lock()
+		if err := c.forceLog(); err != nil {
+			t.Fatal(err)
+		}
+		c.mu.Unlock()
+		c.Crash()
+		if c = reopen(t, dev); c.Stats().RecoverVerified != 0 {
+			t.Fatal("the second recovery read the overwrite back: its settled Done was not durable")
+		}
+		return c, superseded
+	default:
+		c.SetCrashPoint(how)
+		if err := c.WriteBatch(0, 0, v2); !errors.Is(err, ErrCrashed) {
+			t.Fatalf("overwrite = %v, want a crash at %s", err, how)
+		}
+	}
+	c.Crash()
+	return reopen(t, dev), superseded
+}
+
+// creditGC runs sysGC's relocation into point and returns the recovered
+// controller, the victim and the bytes of the user pages it held.
+func creditGC(t *testing.T, point string) (*Controller, [2]int, int) {
+	t.Helper()
+	r := sysGC.setup(t)
+	valid := 0
+	for i := 0; i < 600; i++ {
+		if a := mustAddr(t, r.c, relocLPID(i)); a.Channel() == r.victim[0] && a.EBlock() == r.victim[1] {
+			valid += a.Length()
+		}
+	}
+	r.c.SetCrashPoint(point)
+	if err := sysGC.act(r.c); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("GCNow = %v, want a crash at %s", err, point)
+	}
+	return reopen(t, r.dev), r.victim, valid
 }

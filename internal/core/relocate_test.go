@@ -184,7 +184,7 @@ func TestRelocationReadsEachRBlockOnce(t *testing.T) {
 		seen := make(map[int]bool)
 		var pages, union, perPage int
 		for _, e := range entries {
-			cur, err := c.currentAddrLocked(e)
+			cur, err := c.currentAddrLocked(e.LPID, e.Type)
 			if err != nil {
 				c.mu.Unlock()
 				t.Fatal(err)
@@ -259,11 +259,23 @@ func TestRelocationFaultReleasesMoveBuffer(t *testing.T) {
 		t.Fatalf("GCNow: %v", err)
 	}
 	taken := len(bufs)
-	dev.FailNthProgram(2) // the relocation's second WBLOCK program
+	// The relocation's second WBLOCK program, aimed by address: its commit
+	// page is programmed beside its data, so the device's nth program may
+	// be the log's.
+	open := c.prov.GCOpen(0)
+	if len(open) != 1 {
+		t.Fatalf("channel 0 has GC EBLOCKs %v open, want the one the pass filled", open)
+	}
+	next, err := dev.NextProgramPosition(0, open[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.FailNextProgram(0, open[0], next+1)
+	failures := dev.Stats().WriteFailures
 	if err := c.GCNow(0); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("GCNow = %v, want the relocation's media abort", err)
 	}
-	if programs, _ := dev.PendingInjectedFailures(); programs != 0 {
+	if dev.Stats().WriteFailures == failures {
 		t.Fatal("the armed program fault never fired")
 	}
 	if taken == 0 || len(bufs) < taken+2 {

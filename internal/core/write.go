@@ -27,23 +27,44 @@ type flushRef struct {
 	bytes int64  // logical byte count of this flush
 }
 
-// action carries one batched write's state through the pipeline phases.
-// Keeping it explicit (instead of controller fields) lets many actions be
-// in flight at once: each runs its own init/execute/install sequence and
-// c.mu is held only for the sections that touch shared state.
+// action carries one system action — a user flush or a coalesced group of
+// them, a GC relocation, an EBLOCK migration, a checkpoint's table flush —
+// through the steps every kind shares: initLocked logs it and queues its
+// programs, one device round programs the data beside the commit force, and
+// landLocked settles and installs it. Keeping it explicit (instead of
+// controller fields) lets many actions be in flight at once.
 type action struct {
 	id   uint64
+	kind record.ActionKind
 	hint record.LSN // lsnHint at init; pins the truncation LSN while active
 
 	buf  []byte                // aligned page images, back to back
 	sum  uint32                // CRC-32C of buf: what the Commit records carry (pageSum)
-	pb   *bufpool.Buf          // pooled backing of buf; released by finishRoundLocked after writeUser
+	pb   *bufpool.Buf          // a user action's pooled buf; released by finishRoundLocked after writeUser
 	bps  []provision.BatchPage // layout handed to the provisioner
 	plan *provision.Plan
-	lsns []record.LSN // per-page Update record LSNs
+	lsns []record.LSN // per-page Update (GCUpdate) record LSNs
+	// olds are a relocation's source addresses: each page installs only if
+	// it is still there (GCUpdate). nil for the other kinds.
+	olds []addr.PhysAddr
+	// seal, set by a checkpoint, completes buf once the plan's records have
+	// their LSNs — a summary page embeds its own (§VIII-C3) — and sets sum.
+	seal func(lsns []record.LSN)
 
-	subs    []flushRef  // the flushes this action carries (≥1)
+	subs    []flushRef  // the flushes this action carries (≥1; a system action's one is zero)
 	subsArr [1]flushRef // inline storage for the group of one
+}
+
+// kinds names what a kind changes in the shared steps: its programs' source
+// and crash points (init logged, round landed, a media failure's Abort).
+var kinds = [...]struct {
+	src               flash.Source
+	init, land, abort string
+}{
+	record.ActionUser:       {flash.SrcUser, "write.after-init", "write.after-exec", "write.after-abort"},
+	record.ActionGC:         {flash.SrcGC, "gc.after-init", "gc.after-commit", "gc.after-abort"},
+	record.ActionMigration:  {flash.SrcGC, "migrate.after-init", "migrate.after-commit", "migrate.after-abort"},
+	record.ActionCheckpoint: {flash.SrcCheckpoint, "ckpt.after-init", "ckpt.after-commit", "ckpt.after-abort"},
 }
 
 // SubFlush is one host flush: a buffer of pages with its own (SID, WSN)
@@ -215,7 +236,7 @@ func layoutClaimed(subs []*SubFlush) *action {
 	if nsubs == 0 {
 		return nil
 	}
-	a := &action{}
+	a := &action{kind: record.ActionUser}
 	a.pb = bufpool.Get(total)
 	a.buf = a.pb.Bytes()
 	a.bps = make([]provision.BatchPage, 0, npages)
@@ -235,8 +256,8 @@ func layoutClaimed(subs []*SubFlush) *action {
 	return a
 }
 
-// pageSum is the polynomial of the checksum a user action's Commit carries
-// over its page images: CRC-32C, which amd64 and arm64 compute in hardware.
+// pageSum is the polynomial of the checksum an action's Commit carries over
+// its page images: CRC-32C, which amd64 and arm64 compute in hardware.
 var pageSum = crc32.MakeTable(crc32.Castagnoli)
 
 // finishRoundLocked runs the round's action (nil when every claimed sub
@@ -341,12 +362,7 @@ func (c *Controller) writeUser(a *action) error {
 	c.updateSeq += uint64(len(a.bps))
 	tInit := time.Now()
 
-	// Initialization phase (§IV-A). Provisioning, the log records and the
-	// queue submission form one critical section: the provisioner assigns
-	// consecutive WBLOCK ranges, recovery's per-EBLOCK replay and the GC
-	// validity scan assume the log sees them in ascending-offset order, and
-	// the per-channel FIFO queues must receive the programs in that same
-	// order for the NAND sequential-program rule.
+	// Initialization phase (§IV-A).
 	a.hint = c.lsnHint()
 	plan, err := c.prov.ProvisionBatch(a.bps, c.clock, a.hint)
 	if errors.Is(err, provision.ErrNoSpace) {
@@ -360,61 +376,26 @@ func (c *Controller) writeUser(a *action) error {
 		return err
 	}
 	a.plan = plan
-	a.id = c.nextAction
-	c.nextAction++
-	c.active[a.id] = a.hint
-	if a.lsns, err = c.logPlanLocked(a.id, plan, nil); err == nil {
-		err = c.logClosesLocked(plan, a.id)
-	}
-	// One Commit record per carried flush, all sharing the action's id and
-	// checksum. Recovery treats repeated commits of one action idempotently
-	// and replays each record's session advance independently, so a coalesced
-	// group commits every merged (sid, wsn) atomically with the action.
-	for i := 0; err == nil && i < len(a.subs); i++ {
-		s := &a.subs[i]
-		_, err = c.append(record.Commit{Action: a.id, AKind: record.ActionUser, SID: s.sid, WSN: s.wsn, Sum: a.sum})
+	batch, err := c.initLocked(a)
+	if errors.Is(err, provision.ErrNoSpace) {
+		// Log space ran out mid-init; GC plus the checkpoint it takes first
+		// free truncated log EBLOCKs, so the caller's retry can proceed.
+		c.gcAllLocked()
+		return fmt.Errorf("%w: log space exhausted: %v", ErrWriteFailed, err)
 	}
 	if err != nil {
-		// Log-space exhaustion mid-init aborts the action; GC plus the
-		// checkpoint it takes first free truncated log EBLOCKs, so the
-		// caller's retry can proceed.
-		c.abortActionLocked(a.id, plan)
-		if errors.Is(err, provision.ErrNoSpace) {
-			c.gcAllLocked()
-			return fmt.Errorf("%w: log space exhausted: %v", ErrWriteFailed, err)
-		}
-		return err
-	}
-	if err := c.crashIf("write.after-init"); err != nil {
 		return err
 	}
 
 	// Execution phase (§IV-B, with §IV-C's force inside it): one device
-	// round with c.mu released. The data programs run on the per-channel
-	// workers and the commit page is forced on the log's channel beside
-	// them, so a flush pays one program latency, not two. The commit record
-	// can be durable before the data, or after a crash without it: recovery
-	// takes it only with a Done record or data that matches its checksum.
-	batch := c.submitPlanLocked(a.buf, plan, flash.SrcUser)
-	// The submit pinned the plan's EBLOCKs against GC/migration erase.
-	// Every exit from here on must release the pins — after the install
-	// or the abort, whichever ends the action. The deferred call covers
-	// the error returns; paths that must unpin earlier (migration waits
-	// on pins and would self-deadlock) call unpin directly.
-	unpinned := false
-	unpin := func() {
-		if !unpinned {
-			unpinned = true
-			c.unpinPlanLocked(plan)
-		}
-	}
-	defer unpin()
+	// round. The data programs are running on the per-channel workers and
+	// the commit page is forced on the log's channel beside them, so a flush
+	// pays one program latency, not two. A user action releases c.mu for
+	// the round; a system action runs the same round holding it (runLocked).
 	tExec := time.Now()
 	c.met.initNS.ObserveDuration(tExec.Sub(tInit))
 	c.spanSubs(trace.KInit, a, tInit, tExec)
 	c.mu.Unlock()
-	// The data programs are running on the channel workers; the force runs
-	// here, beside them.
 	forceErr := c.log.Force()
 	res := batch.Wait()
 	// The stages stay a sum: program_wait ends when the data is complete,
@@ -425,104 +406,224 @@ func (c *Controller) writeUser(a *action) error {
 	c.met.forceWaitNS.ObserveDuration(tForced.Sub(tData))
 	c.spanSubs(trace.KForceWait, a, tData, tForced)
 	c.mu.Lock()
-	c.finishPlanLocked(plan, res)
-	if c.crashed {
-		return ErrCrashed
-	}
-	if err := c.crashIf("write.after-exec"); err != nil {
-		return err
-	}
 	if len(res.FailedEBlocks) > 0 {
 		c.met.mediaAborts.Inc()
 		for i := range a.subs {
 			s := &a.subs[i]
 			c.trc.Emit(trace.KMediaAbort, s.tid, s.sid, s.wsn, int64(len(res.FailedEBlocks)), 0)
 		}
-		// The commit record may be durable already: the Abort overrides it,
-		// and until the Abort is durable the data does not verify.
-		c.abortActionLocked(a.id, plan)
-		if err := c.crashIf("write.after-abort"); err != nil {
-			return err
-		}
-		unpin()
-		c.migrateFailedLocked(res.FailedEBlocks, a.subs[0].tid)
-		return fmt.Errorf("%w: action %d", ErrWriteFailed, a.id)
-	}
-	if err := c.commitForcedLocked(a.id, forceErr); err != nil {
-		return err
 	}
 	tInstall := time.Now()
-
-	// Install phase: publish the new addresses, record old versions as
-	// garbage, and advance the session. The plan's closes are final now.
-	for _, cl := range plan.Closes {
-		c.closedLocked(cl.Channel, cl.EBlock)
-	}
-	garbage := make([]record.AddrPair, 0, len(a.plan.Pages))
-	for i, pg := range a.plan.Pages {
-		old, err := c.mt.Get(pg.LPID)
-		if err != nil {
-			return err
-		}
-		if err := c.mt.Set(pg.LPID, pg.Addr, a.lsns[i]); err != nil {
-			return err
-		}
-		// Mapping install under c.mu: drop any cached copy and poison
-		// in-flight fills so the read cache can never serve pre-install
-		// bytes (see internal/readcache).
-		c.invalidateRead(pg.LPID)
-		if old.IsValid() {
-			garbage = append(garbage, record.AddrPair{LPID: pg.LPID, Addr: old})
-			if err := c.st.AddAvail(old.Channel(), old.EBlock(), old.Length(), a.lsns[i]); err != nil {
-				return err
-			}
-		}
-	}
-	var totalPages int64
-	for i := range a.subs {
-		s := &a.subs[i]
-		if s.sid != 0 {
-			if err := c.sess.Advance(s.sid, s.wsn); err != nil {
-				return err
-			}
-		}
-		totalPages += int64(s.pages)
-		c.met.bytesAccepted.Add(s.bytes)
-		c.tenantWriteLocked(s.sid, s.bytes, int64(s.pages))
-	}
-	if err := c.lazyGarbageLocked(a.id, garbage); err != nil {
+	if err := c.landLocked(a, res, forceErr); err != nil {
 		return err
 	}
-	// Until that Done is durable recovery proves the action by reading it back.
-	done := c.lsnHint() - 1
-	for _, io := range plan.IOs {
-		c.doneLSN[[2]int{io.Channel, io.EBlock}] = done
-	}
-	delete(c.active, a.id)
 
+	for i := range a.subs {
+		s := &a.subs[i]
+		c.met.bytesAccepted.Add(s.bytes)
+		c.met.pages.Add(int64(s.pages))
+		c.met.batchPages.Observe(int64(s.pages))
+		c.tenantWriteLocked(s.sid, s.bytes, int64(s.pages))
+	}
 	if len(a.subs) > 1 {
 		c.met.groupWrites.Inc()
 		c.met.groupedFlushes.Add(int64(len(a.subs)))
 	}
 	c.met.bytesStored.Add(int64(len(a.buf))) // the aligned pages, back to back
+	c.met.batches.Add(int64(len(a.subs)))
 	tEnd := time.Now()
 	c.met.installNS.ObserveDuration(tEnd.Sub(tInstall))
-	c.met.batches.Add(int64(len(a.subs)))
-	c.met.pages.Add(totalPages)
-	for i := range a.subs {
-		c.met.batchPages.Observe(int64(a.subs[i].pages))
-	}
 	c.spanSubs(trace.KInstall, a, tInstall, tEnd)
 	return nil
 }
 
-// commitForcedLocked settles the exec phase's force of a user action's
-// commit record, which returned forceErr. If it failed the record's
-// durability is unknown and the log can no longer record an abort; after
-// one rescue attempt (checkpoint + GC to free log space, a second force)
-// the controller declares itself crashed and recovery resolves the action
-// from the durable log prefix.
-func (c *Controller) commitForcedLocked(id uint64, forceErr error) error {
+// runLocked runs a GC, migration or checkpoint action provisioned as plan
+// through writeUser's steps, holding c.mu through the device round. It
+// carries one zero flush: one Commit, for no session.
+func (c *Controller) runLocked(a *action, plan *provision.Plan) error {
+	a.plan, a.subs = plan, a.subsArr[:1]
+	batch, err := c.initLocked(a)
+	if err != nil {
+		return err
+	}
+	forceErr := c.log.Force()
+	return c.landLocked(a, batch.Wait(), forceErr)
+}
+
+// initLocked ends a provisioned action's init phase in the c.mu hold that
+// provisioned it — recovery's replay, the GC validity scan and the NAND rule
+// need the log and each channel's FIFO to see WBLOCK ranges in ascending
+// order: it logs the action and queues its programs, or aborts it.
+func (c *Controller) initLocked(a *action) (*flash.Batch, error) {
+	a.id = c.nextAction
+	c.nextAction++
+	c.active[a.id] = a.hint
+	if err := c.logActionLocked(a); err != nil {
+		c.abortActionLocked(a.id, a.plan)
+		return nil, err
+	}
+	if err := c.crashIf(kinds[a.kind].init); err != nil {
+		return nil, err
+	}
+	return c.submitPlanLocked(a.buf, a.plan, kinds[a.kind].src), nil
+}
+
+// logActionLocked appends an action's init-phase records: an OpenEBlock per
+// data EBLOCK the plan opens, an Update (a relocation's GCUpdate) per page,
+// a CloseEBlock per EBLOCK it closes, conditional on the action (§VIII-C),
+// and a Commit per carried flush with the action's id and checksum: every
+// merged (sid, wsn) of a group commits atomically with the action.
+func (c *Controller) logActionLocked(a *action) error {
+	for _, op := range a.plan.Opens {
+		if op.Stream == record.StreamLog {
+			continue // the chain itself is the durable record for log EBLOCKs
+		}
+		if _, err := c.append(record.OpenEBlock{Channel: uint32(op.Channel), EBlock: uint32(op.EBlock), Stream: op.Stream}); err != nil {
+			return err
+		}
+	}
+	a.lsns = make([]record.LSN, len(a.plan.Pages))
+	for i, pg := range a.plan.Pages {
+		var r record.Record
+		if a.olds != nil {
+			r = record.GCUpdate{Action: a.id, LPID: pg.LPID, Type: pg.Type, Old: a.olds[i], New: pg.Addr}
+		} else {
+			r = record.Update{Action: a.id, LPID: pg.LPID, Type: pg.Type, New: pg.Addr}
+		}
+		lsn, err := c.append(r)
+		if err != nil {
+			return err
+		}
+		a.lsns[i] = lsn
+	}
+	if a.seal != nil {
+		a.seal(a.lsns)
+	}
+	for _, cl := range a.plan.Closes {
+		if _, err := c.append(record.CloseEBlock{
+			Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock),
+			Timestamp:   cl.Timestamp,
+			DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks),
+			Action: a.id,
+		}); err != nil {
+			return err
+		}
+	}
+	for i := range a.subs {
+		s := &a.subs[i]
+		if _, err := c.append(record.Commit{Action: a.id, AKind: a.kind, SID: s.sid, WSN: s.wsn, Sum: a.sum}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// landLocked settles an action after its round (res; forceErr from the log
+// force). A media failure aborts it and migrates the failed EBLOCKs (§VII).
+// Otherwise its closes are final, its pages install, its sessions advance
+// and its Garbage and Done are appended (§VIII-C2); until the Done is
+// durable recovery proves it by read-back, so c.doneLSN guards its EBLOCKs.
+func (c *Controller) landLocked(a *action, res flash.BatchResult, forceErr error) error {
+	c.finishPlanLocked(a.plan, res)
+	// The submit pinned the plan's EBLOCKs against GC/migration erase. Every
+	// exit from here on releases the pins — after the install or the abort,
+	// whichever ends the action; the migration of an abort waits on pins and
+	// would wait on its own, so that path releases them first.
+	unpinned := false
+	unpin := func() {
+		if !unpinned {
+			unpinned = true
+			c.unpinPlanLocked(a.plan)
+		}
+	}
+	defer unpin()
+	if c.crashed {
+		return ErrCrashed
+	}
+	if err := c.crashIf(kinds[a.kind].land); err != nil {
+		return err
+	}
+	if len(res.FailedEBlocks) > 0 {
+		// The commit record may be durable already: the Abort overrides it,
+		// and until the Abort is durable the data does not verify.
+		c.abortActionLocked(a.id, a.plan)
+		if err := c.crashIf(kinds[a.kind].abort); err != nil {
+			return err
+		}
+		unpin()
+		c.migrateFailedLocked(res.FailedEBlocks, a.subs[0].tid)
+		return fmt.Errorf("%w: %v action %d", ErrWriteFailed, a.kind, a.id)
+	}
+	if err := c.commitForcedLocked(a, forceErr); err != nil {
+		return err
+	}
+	for _, cl := range a.plan.Closes {
+		c.closedLocked(cl.Channel, cl.EBlock)
+	}
+	garbage, err := c.installLocked(a)
+	if err != nil {
+		return err
+	}
+	for i := range a.subs {
+		if s := &a.subs[i]; s.sid != 0 {
+			if err := c.sess.Advance(s.sid, s.wsn); err != nil {
+				return err
+			}
+		}
+	}
+	if err := c.lazyGarbageLocked(a.id, garbage); err != nil {
+		return err
+	}
+	done := c.lsnHint() - 1
+	for _, io := range a.plan.IOs {
+		c.doneLSN[[2]int{io.Channel, io.EBlock}] = done
+	}
+	delete(c.active, a.id)
+	return nil
+}
+
+// installLocked publishes an action's new addresses (§IV-C, §VI-C): an
+// Update moves its page wherever it was, a GCUpdate only if the page is
+// still where the relocation read it. What each install supersedes — or a
+// relocation that lost its page — is garbage: it is credited to AVAIL and
+// returned for the Garbage records.
+func (c *Controller) installLocked(a *action) ([]record.AddrPair, error) {
+	// Sized for an Update per superseded page; a relocation rarely loses one.
+	garbage := make([]record.AddrPair, 0, len(a.plan.Pages)-len(a.olds))
+	for i, pg := range a.plan.Pages {
+		var gone addr.PhysAddr // what the install leaves behind
+		var err error
+		if a.olds != nil {
+			var moved bool
+			if moved, err = c.installRelocationLocked(pg.LPID, pg.Type, a.olds[i], pg.Addr, a.lsns[i]); !moved {
+				gone = pg.Addr
+			}
+		} else if gone, err = c.currentAddrLocked(pg.LPID, pg.Type); err == nil {
+			err = c.setHomeLocked(pg.LPID, pg.Type, pg.Addr, a.lsns[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+		if gone.IsValid() {
+			garbage = append(garbage, record.AddrPair{LPID: pg.LPID, Addr: gone})
+			if err := c.st.AddAvail(gone.Channel(), gone.EBlock(), gone.Length(), a.lsns[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return garbage, nil
+}
+
+// commitForcedLocked settles the round's force, which returned forceErr. A
+// failed force kills the log: the commit is not durable. A system action
+// aborts — inside a GC pass or a checkpoint the rescue's gcAllLocked would
+// wait for itself. A user action gets one rescue (checkpoint + GC, a second
+// force), then the controller crashes and recovery resolves the action.
+func (c *Controller) commitForcedLocked(a *action, forceErr error) error {
+	if forceErr != nil && a.kind != record.ActionUser {
+		c.abortActionLocked(a.id, a.plan)
+		return forceErr
+	}
 	if forceErr != nil && !c.crashed && !c.log.Dead() {
 		c.gcAllLocked()
 		c.mu.Unlock()
@@ -540,57 +641,9 @@ func (c *Controller) commitForcedLocked(id uint64, forceErr error) error {
 	c.crashed = true
 	c.crashedA.Store(true)
 	c.wsnCond.Broadcast()
-	delete(c.active, id)
+	delete(c.active, a.id)
 	c.met.aborted.Inc()
 	return fmt.Errorf("%w: commit force failed: %v", ErrCrashed, forceErr)
-}
-
-// logPlanLocked produces the init-phase log records for a plan: open-EBLOCK
-// records plus one Update (or GCUpdate when olds is non-nil) per page. It
-// returns the per-page LSNs.
-func (c *Controller) logPlanLocked(id uint64, plan *provision.Plan, olds []addr.PhysAddr) ([]record.LSN, error) {
-	for _, op := range plan.Opens {
-		if op.Stream == record.StreamLog {
-			continue // the chain itself is the durable record for log EBLOCKs
-		}
-		if _, err := c.append(record.OpenEBlock{Channel: uint32(op.Channel), EBlock: uint32(op.EBlock), Stream: op.Stream}); err != nil {
-			return nil, err
-		}
-	}
-	lsns := make([]record.LSN, len(plan.Pages))
-	for i, pg := range plan.Pages {
-		var r record.Record
-		if olds != nil {
-			r = record.GCUpdate{Action: id, LPID: pg.LPID, Type: pg.Type, Old: olds[i], New: pg.Addr}
-		} else {
-			r = record.Update{Action: id, LPID: pg.LPID, Type: pg.Type, New: pg.Addr}
-		}
-		lsn, err := c.append(r)
-		if err != nil {
-			return nil, err
-		}
-		lsns[i] = lsn
-	}
-	return lsns, nil
-}
-
-// logClosesLocked logs close records for the EBLOCKs a plan closes. A GC,
-// migration or checkpoint action does at commit time, after its programs:
-// the record implies readable metadata (§VIII-C) and action is 0. A user
-// action does during init, each record conditional on the action committing.
-// Either calls closedLocked for each once the closes are final.
-func (c *Controller) logClosesLocked(plan *provision.Plan, action uint64) error {
-	for _, cl := range plan.Closes {
-		if _, err := c.append(record.CloseEBlock{
-			Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock),
-			Timestamp:   cl.Timestamp,
-			DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks),
-			Action: action,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // closedLocked retires what outlives an EBLOCK's close until its metadata
@@ -648,28 +701,12 @@ func (c *Controller) finishPlanLocked(plan *provision.Plan, res flash.BatchResul
 // no landed-but-uninstalled action pins it. The wait is bounded: queued
 // programs always complete (the workers depend only on device locks), and
 // pins drain when their action installs or aborts — both of which happen
-// on every writeUser exit path.
+// on every landLocked exit path.
 func (c *Controller) waitInflightLocked(ch, eb int) {
 	key := [2]int{ch, eb}
 	for c.inflight[key] > 0 || c.pinned[key] > 0 {
 		c.ioCond.Wait()
 	}
-}
-
-// executeIOsLocked runs a plan's I/O commands to completion while holding
-// c.mu — GC, migration and checkpoint actions stay fully serialized. The
-// failed EBLOCKs come back sorted by (channel, eblock), keeping migration
-// order (and the virtual-time accounting after injected failures)
-// deterministic.
-func (c *Controller) executeIOsLocked(buf []byte, plan *provision.Plan, src flash.Source) [][2]int {
-	batch := c.submitPlanLocked(buf, plan, src)
-	res := batch.Wait()
-	c.finishPlanLocked(plan, res)
-	// The pins are moot here — c.mu is held from submit through the
-	// caller's install — but submit takes them unconditionally, so
-	// release them before anyone else can observe the counts.
-	c.unpinPlanLocked(plan)
-	return res.FailedEBlocks
 }
 
 // abortActionLocked aborts a system action: the provisioned space is
