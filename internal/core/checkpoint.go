@@ -278,10 +278,10 @@ const (
 )
 
 // formatEpoch names what this build's log and media mean, not only their
-// bytes. Epoch 1: every action is proven by a durable Commit, no Abort, then
-// a Done or a read-back matching its checksum, and a Done means its Garbage
-// names all it superseded. Another epoch's image does not open.
-const formatEpoch = 1
+// bytes. Epoch 1: an action is proven by a durable Commit, no Abort, then a
+// Done or a read-back matching its checksum; a Done's Garbage is complete.
+// Epoch 2 adds: log pages may overlap, each repeating what was not durable.
+const formatEpoch = 2
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte

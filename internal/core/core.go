@@ -542,7 +542,8 @@ func (c *Controller) SessionHighestWSN(sid uint64) (uint64, error) {
 
 // --- wal sink ----------------------------------------------------------------
 
-// logSink adapts the provisioner + device to the WAL's Sink interface.
+// logSink adapts the provisioner + device to the WAL's Sink interface. Its
+// Program runs concurrently for slots of different EBLOCKs (two log pages).
 type logSink struct{ c *Controller }
 
 func (s logSink) ProvisionSlots(n int) ([]wal.Slot, error) {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
 	"eleos/internal/summary"
+	"eleos/internal/wal"
 )
 
 // The crash-state table of a user action (DESIGN.md §8): every state a
@@ -202,6 +205,18 @@ func atomFailAt(wb int) func(*atomRun) {
 	return func(r *atomRun) { r.dev.FailNextProgram(r.tch, r.x, max(wb, r.first)) }
 }
 
+// atomHeads writes sub 0's WSN 1 pages once more, one at the head of every
+// channel's EBLOCK: the flush supersedes X's too, so X needs no relocation
+// of user pages (a relocation's commit forces the log), and the padding
+// behind it is space GC knows it can reclaim.
+func atomHeads(r *atomRun) {
+	for ch := 0; ch < r.c.geo.Channels; ch++ {
+		lp := r.lpid(0, ch%atomLPIDs)
+		mustWrite(r.t, r.c, LPage{LPID: lp, Data: atomPage(lp, 1, 500)})
+	}
+	r.first++
+}
+
 // atomCell is one crash state of the table.
 type atomCell struct {
 	name  string
@@ -242,18 +257,21 @@ var atomCells = []atomCell{
 	// in it superseded later in the same action — can be collected and
 	// erased without a second recovery rejecting what the first made visible.
 	{name: "write.after-exec", point: "write.after-exec", want: atomPresent, x: summary.Used,
-		// Sub 0's WSN 1 pages once more, one at the head of every channel's
-		// EBLOCK: the flush supersedes X's too, so X needs no relocation of
-		// user pages (a relocation's commit forces the log), and the padding
-		// behind it is space GC knows it can reclaim.
-		arm: func(r *atomRun) {
-			for ch := 0; ch < r.c.geo.Channels; ch++ {
-				lp := r.lpid(0, ch%atomLPIDs)
-				mustWrite(r.t, r.c, LPage{LPID: lp, Data: atomPage(lp, 1, 500)})
-			}
-			r.first++
-		},
+		arm: atomHeads,
 		after: func(r *atomRun, c2 *Controller) *Controller {
+			// Redo counts X's AVAIL as the live flush did: its run padding
+			// once, though X's summary page was flushed with records of the
+			// same WBLOCK still to replay (the group shape: 245 120 B, not
+			// 260 864).
+			if r.shape.writers == 1 {
+				live := atomSetup(r.t, r.shape)
+				atomHeads(live)
+				live.flush(live.c, false)
+				want, _ := live.c.st.Desc(live.tch, live.x)
+				if got, _ := c2.st.Desc(r.tch, r.x); got.Avail != want.Avail {
+					r.t.Fatalf("X (%d,%d) recovers with Avail %d, the live flush leaves %d", r.tch, r.x, got.Avail, want.Avail)
+				}
+			}
 			was := make([]bool, len(r.sids))
 			for sub := range r.sids {
 				was[sub] = r.state(c2, sub)
@@ -410,6 +428,194 @@ func TestEraseAfterDoneIsDurable(t *testing.T) {
 			}
 			if v := c2.Stats().RecoverVerified; v > int64(shape.writers+1) {
 				t.Fatalf("recovery read back %d actions with %d writers", v, shape.writers)
+			}
+			writeWide(t, c2, 1000)
+		})
+	}
+}
+
+// The crash states of two log pages in flight (DESIGN.md §8.4): writer 1's
+// commit page A is programmed while writer 2's page B, which carries writer
+// 1's records as well as its own, goes beside it on the other log stream.
+// A logGate holds both programs until the cell releases them.
+
+// logGate holds the first two programs of the log until the test decides
+// their fate; later ones pass, unless the controller crashed.
+type logGate struct {
+	logSink
+	calls chan *logCall
+	quit  chan struct{} // closed when the test ends: a held program fails
+	held  atomic.Int32
+	lost  atomic.Bool
+}
+
+type logCall struct {
+	slot wal.Slot
+	fate chan logFate
+}
+
+type logFate int
+
+const (
+	logLands logFate = iota
+	logFails         // the program fails on the device
+	logLost          // the controller crashes first: nothing reaches the device
+)
+
+func (g *logGate) Program(s wal.Slot, page []byte) error {
+	fate := logLands
+	if g.held.Add(1) <= 2 {
+		c := &logCall{slot: s, fate: make(chan logFate)}
+		select {
+		case g.calls <- c:
+		case <-g.quit:
+			return errors.New("the test ended")
+		}
+		select {
+		case fate = <-c.fate:
+		case <-g.quit:
+			return errors.New("the test ended")
+		}
+	}
+	switch {
+	case fate == logLost:
+		g.lost.Store(true)
+	case g.lost.Load():
+	case fate == logFails:
+		g.c.dev.FailNextProgram(s.Channel, s.EBlock, s.WBlock)
+		fallthrough
+	default:
+		return g.logSink.Program(s, page)
+	}
+	return errors.New("the controller crashed")
+}
+
+// gateLog forces c's log and resumes it over a logGate at the forward
+// candidates of its last page, which a quiescent log has provisioned last.
+func gateLog(t *testing.T, c *Controller) *logGate {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.log.Force(); err != nil {
+		t.Fatal(err)
+	}
+	cands, err := c.log.StartCandidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch, eb, wb := c.prov.LogCursor(); (wal.Slot{Channel: ch, EBlock: eb, WBlock: wb}) != (wal.Slot{Channel: cands[1].Channel, EBlock: cands[1].EBlock, WBlock: cands[1].WBlock + 1}) {
+		t.Fatalf("log cursor at (%d,%d,%d) is not past candidates %v", ch, eb, wb, cands)
+	}
+	g := &logGate{logSink: logSink{c}, calls: make(chan *logCall), quit: make(chan struct{})}
+	t.Cleanup(func() { close(g.quit) })
+	c.log, err = wal.Resume(g, c.geo.WBlockBytes, c.log.NextLSN(), cands, c.log.Pages(), wal.WithRegistry(c.reg), wal.WithTracer(c.trc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func (g *logGate) next(t *testing.T) *logCall {
+	t.Helper()
+	select {
+	case c := <-g.calls:
+		return c
+	case <-time.After(5 * time.Second):
+		t.Fatal("the log started no program")
+		return nil
+	}
+}
+
+// logStep releases page A (0) or B (1) with a fate; logLost crashes the
+// controller first.
+type logStep struct {
+	page int
+	fate logFate
+}
+
+var logCells = []struct {
+	name  string
+	steps []logStep
+}{
+	{"log.a-failed-b-landed", []logStep{{0, logFails}, {1, logLands}}},
+	{"log.crash-b-landed-a-in-flight", []logStep{{1, logLands}, {0, logLost}}},
+	{"log.b-landed-first", []logStep{{1, logLands}, {0, logLands}}},
+}
+
+// logPages is writer w's WSN 2 flush: four pages over its WSN 1 ones.
+func logPages(w int, version uint64) []LPage {
+	var pages []LPage
+	for k := range 4 {
+		lp := addr.LPID(1 + 4*w + k)
+		pages = append(pages, LPage{LPID: lp, Data: atomPage(lp, version, 700)})
+	}
+	return pages
+}
+
+// logCrash runs a cell's two flushes into their crash and returns the
+// device with each writer's session and outcome.
+func logCrash(t *testing.T, steps []logStep) (*flash.Device, [2]uint64, [2]error) {
+	t.Helper()
+	c, dev := newFormatted(t)
+	var sids [2]uint64
+	for w := range sids {
+		var err error
+		if sids[w], err = c.OpenSession(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteBatch(sids[w], 1, logPages(w, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := gateLog(t, c)
+	var errs [2]error
+	var done [2]chan struct{}
+	var calls [2]*logCall
+	for w := range sids {
+		done[w] = make(chan struct{})
+		go func() {
+			defer close(done[w])
+			errs[w] = c.WriteBatch(sids[w], 2, logPages(w, 2))
+		}()
+		calls[w] = g.next(t) // B starts while A is in flight
+	}
+	if calls[0].slot.Channel == calls[1].slot.Channel && calls[0].slot.EBlock == calls[1].slot.EBlock {
+		t.Fatalf("pages A %v and B %v in flight in one EBLOCK", calls[0].slot, calls[1].slot)
+	}
+	for _, st := range steps {
+		if st.fate == logLost {
+			c.Crash()
+		}
+		calls[st.page].fate <- st.fate
+		if st.fate == logLands {
+			<-done[st.page] // the page carries its writer's commit
+		}
+	}
+	<-done[0]
+	<-done[1]
+	c.Crash()
+	return dev, sids, errs
+}
+
+// TestTwoLogPagesInFlight: whatever becomes of A, B makes writer 1's
+// commit durable beside writer 2's, so Open reads both flushes back
+// byte-exact — writer 1's too when the crash came before it was acked.
+func TestTwoLogPagesInFlight(t *testing.T) {
+	for _, cell := range logCells {
+		t.Run(cell.name, func(t *testing.T) {
+			dev, sids, errs := logCrash(t, cell.steps)
+			crashed := cell.steps[len(cell.steps)-1].fate == logLost
+			if errs[1] != nil || errs[0] != nil && !crashed {
+				t.Fatalf("writers returned %v", errs)
+			}
+			c2 := reopen(t, dev)
+			for w := range errs {
+				for _, p := range logPages(w, 2) {
+					checkRead(t, c2, p.LPID, p.Data)
+				}
+				if high, err := c2.SessionHighestWSN(sids[w]); err != nil || high != 2 {
+					t.Fatalf("writer %d: session at WSN %d (%v), want 2", w+1, high, err)
+				}
 			}
 			writeWide(t, c2, 1000)
 		})

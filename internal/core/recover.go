@@ -76,9 +76,9 @@ type recovery struct {
 	open map[[2]int]openWrites // pass 2's view of the EBLOCKs open at redo
 }
 
-// openWrites is the end of an open EBLOCK's last replayed write and whether
-// a post-flush record was seen: what lets redo reconstruct fragmentation
-// gaps (run tails, placement padding) only the volatile AVAIL counters knew.
+// openWrites is where an open EBLOCK's AVAIL is counted up to (its replayed
+// writes, its flushed boundary) and whether a post-flush record was seen:
+// what lets redo reconstruct gaps only the volatile AVAIL counters knew.
 type openWrites struct {
 	end  int
 	post bool
@@ -569,19 +569,18 @@ func (r *recovery) replayWriteLocked(lsn record.LSN, w record.GCUpdate, conditio
 		if err := c.st.AppendMeta(ch, eb, summary.MetaEntry{LPID: w.LPID, Type: w.Type, Offset: w.New.Offset(), Length: w.New.Length()}); err != nil {
 			return err
 		}
-		o, ok := r.open[[2]int{ch, eb}]
+		o := r.open[[2]int{ch, eb}]
 		if lsn > flush {
-			// A gap before this offset is run-tail padding. The first
-			// post-flush record measures from the flushed DataWBlocks
-			// boundary (runs end at WBLOCK boundaries before a flush), the
-			// rest byte-exact from the previous record's end.
-			le := o.end
-			if base := int(d.DataWBlocks) * c.geo.WBlockBytes; !o.post && (!ok || base > le) {
-				le = base
+			// A gap before this offset is run-tail padding. The flushed
+			// summary page counts what lies below its DataWBlocks boundary
+			// (runs end at WBLOCK boundaries before a flush): gaps count
+			// byte-exact from there or the previous record's end, the later.
+			if !o.post {
+				o.end = max(o.end, int(d.DataWBlocks)*c.geo.WBlockBytes)
 			}
 			o.post = true
-			if w.New.Offset() > le {
-				if err := c.st.AddAvail(ch, eb, w.New.Offset()-le, lsn); err != nil {
+			if w.New.Offset() > o.end {
+				if err := c.st.AddAvail(ch, eb, w.New.Offset()-o.end, lsn); err != nil {
 					return err
 				}
 			}

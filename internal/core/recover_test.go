@@ -407,6 +407,12 @@ func TestRecoveryIdempotent(t *testing.T) {
 	for _, cell := range sysCells {
 		t.Run(cell.name, func(t *testing.T) { reopenTwice(t, cell.crash(t).dev) })
 	}
+	for _, cell := range logCells {
+		t.Run(cell.name, func(t *testing.T) {
+			dev, _, _ := logCrash(t, cell.steps)
+			reopenTwice(t, dev)
+		})
+	}
 	for seed := int64(0); seed < crashPropertySeeds; seed++ {
 		t.Run("property/"+string(rune('A'+seed)), func(t *testing.T) { crashProperty(t, seed, reopenTwice) })
 	}
@@ -527,6 +533,12 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 	}{
 		{"this epoch", func(b []byte) []byte { return b }, nil},
 		{"no epoch", noEpoch, ErrImageFormat},
+		// Epoch 1 walked the chain by exact first LSNs: it would end the chain
+		// at a page overlapping its predecessor, before acknowledged records.
+		{"epoch 1", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], 1)
+			return b
+		}, ErrImageFormat},
 		{"next epoch", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], formatEpoch+1)
 			return b

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkAppend(b *testing.B) {
-	l, _ := New(newFakeSink(32<<10), 32<<10)
+	l, _ := New(newFakeSink(b, 32<<10), 32<<10)
 	r := record.Update{Action: 1, LPID: 2, Type: 1, New: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -18,7 +18,7 @@ func BenchmarkAppend(b *testing.B) {
 }
 
 func BenchmarkAppendForce(b *testing.B) {
-	l, _ := New(newFakeSink(32<<10), 32<<10)
+	l, _ := New(newFakeSink(b, 32<<10), 32<<10)
 	r := record.Commit{Action: 1, AKind: record.ActionUser}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@ import (
 )
 
 // TestStatsConcurrentWithGroupCommit is the regression test for the
-// Stats/group-commit race: flushLocked drops l.mu around the physical
+// Stats/group-commit race: a page's writer drops l.mu around the physical
 // page program and bumps PageWrites/RecordsFlushed on return, so the old
 // struct-field Stats read could observe the counters mid-update. Stats
 // now reads lock-free atomics; this test hammers Force from many
@@ -21,7 +21,7 @@ func TestStatsConcurrentWithGroupCommit(t *testing.T) {
 		committers   = 8
 		perCommitter = 200
 	)
-	sink := newFakeSink(4096)
+	sink := newFakeSink(t, 4096)
 	l, err := New(sink, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestStatsConcurrentWithGroupCommit(t *testing.T) {
 // size histogram fills.
 func TestWithRegistryExportsCounters(t *testing.T) {
 	reg := metrics.New()
-	sink := newFakeSink(4096)
+	sink := newFakeSink(t, 4096)
 	l, err := New(sink, 4096, WithRegistry(reg))
 	if err != nil {
 		t.Fatal(err)

@@ -8,16 +8,25 @@
 // cannot be written to any of its three candidate locations, the log shuts
 // down (the paper does the same).
 //
+// Several pages may be in flight at once, each carrying every record past
+// the durable LSN, so pages overlap: whichever lands makes all it carries
+// durable, and a page may follow any predecessor whose records it extends.
+// A page goes to a forward candidate of the newest landed page, and only
+// once every earlier slot of its EBLOCK has finished (NAND programs an
+// EBLOCK's WBLOCKs in order), which bounds the depth by the sink's streams.
+//
 // The package is independent of the rest of the controller: the owner
 // supplies a Sink that provisions WBLOCK slots in log-stream order and
 // performs the raw programs/reads.
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"eleos/internal/metrics"
@@ -54,7 +63,9 @@ type Sink interface {
 	ProvisionSlots(n int) ([]Slot, error)
 	// Program writes one full log page to the slot. A failed program makes
 	// the remainder of the slot's EBLOCK unwritable until erased. It must
-	// not retain page: the log encodes the next page into the same buffer.
+	// not retain page: the log encodes a later page into the same buffer.
+	// It is called concurrently for slots of different EBLOCKs, never for
+	// two slots of one EBLOCK, and for an EBLOCK's slots in provision order.
 	Program(s Slot, page []byte) error
 	// Read returns the slot's WBLOCK content (zeroes if unwritten).
 	Read(s Slot) ([]byte, error)
@@ -89,13 +100,13 @@ type Stats struct {
 	Appends        int64 // records appended
 	ForceCalls     int64 // Force invocations
 	FreeRides      int64 // Force calls satisfied without writing a page
-	PageWrites     int64 // physical log-page programs (capacity flushes included)
-	RecordsFlushed int64 // records carried by those page writes
+	PageWrites     int64 // log pages landed (capacity flushes included)
+	RecordsFlushed int64 // records those pages made durable, each counted once
 }
 
 // logMetrics holds the log's instrument handles, resolved once at
-// construction. The counters are the system of record for Stats():
-// flushLocked increments PageWrites/RecordsFlushed *after* re-acquiring
+// construction. The counters are the system of record for Stats(): a
+// page's writer increments PageWrites/RecordsFlushed *after* re-acquiring
 // l.mu from the unlocked page program, so a struct-field version read
 // under a different lock interleaving raced with group-commit writers —
 // atomics make Stats() safe to call from any goroutine at any time.
@@ -154,32 +165,45 @@ func (s Stats) GroupCommitSize() float64 {
 
 // Log is the append side of the recovery log. Safe for concurrent use.
 //
-// Flushes release the log lock around the physical page program: the
-// flusher snapshots the buffered records into an encoded page under the
+// A page's writer encodes every buffered record into a page under the log
 // lock, programs it unlocked, and reconciles on return. Appends therefore
-// proceed while a page write is in flight, and a Force whose records the
-// in-flight page already covers waits only for that write, not for a page
-// write of its own (leader/follower group commit).
+// proceed while pages are in flight; a Force whose records a page in flight
+// already carries waits only for that page (leader/follower group commit),
+// and any other Force writes its own page beside it.
 type Log struct {
-	mu        sync.Mutex
-	flushCond *sync.Cond // broadcast when an in-flight flush completes
-	flushing  bool       // a flush has released mu around its page program
-	sink      Sink
+	mu     sync.Mutex
+	landed *sync.Cond // broadcast when a page in flight lands or fails
+	sink   Sink
 
 	nextLSN    record.LSN // LSN the next appended record will receive
 	durableLSN record.LSN // all records with LSN <= durableLSN are durable
 
-	buf      []byte     // payload of the page being assembled
-	page     []byte     // one log page, encodePage's buffer: one flush is in flight at a time
-	bufFirst record.LSN // LSN of first record in buf
-	bufCount int
+	// buf holds every record past durableLSN, encoded: what the next page
+	// carries. bufStart counts the bytes landed pages have trimmed from its
+	// front, so a page in flight knows by its end what of buf it carried.
+	buf      []byte
+	bufStart int64
+	spare    [][]byte // page buffers not in flight
+	pageSize int
 
-	slots []Slot // provisioned future slots; slots[0] is the current page's home
-	pages []PageIndexEntry
-	dead  bool
+	// slots[:numForward] are the forward candidates of the newest landed
+	// page; slots[:next] of them are used, in flight or failed; the rest are
+	// provisioned for the headers of the pages in flight.
+	slots    []Slot
+	next     int
+	inflight []flight
+	pages    []PageIndexEntry // in LSN order
+	dead     bool
 
 	met logMetrics
 	trc *trace.Recorder // nil-safe; see WithTracer
+}
+
+// flight is a log page being programmed.
+type flight struct {
+	slot        Slot
+	first, last record.LSN // the records it carries
+	end         int64      // where its payload ends, in bufStart's terms
 }
 
 // New creates a fresh, empty log (after device format). The first page will
@@ -188,8 +212,8 @@ func New(sink Sink, pageBytes int, opts ...Option) (*Log, error) {
 	if pageBytes <= headerSize+record.EncodedSize(record.Done{}) {
 		return nil, ErrPageTooSmall
 	}
-	l := &Log{sink: sink, nextLSN: 1, page: make([]byte, pageBytes)}
-	l.flushCond = sync.NewCond(&l.mu)
+	l := &Log{sink: sink, nextLSN: 1, pageSize: pageBytes}
+	l.landed = sync.NewCond(&l.mu)
 	l.met = newLogMetrics(metrics.New())
 	for _, o := range opts {
 		o(l)
@@ -218,7 +242,7 @@ func Resume(sink Sink, pageBytes int, nextLSN record.LSN, candidates []Slot, pag
 }
 
 // Capacity returns the payload bytes available per log page.
-func (l *Log) Capacity() int { return len(l.page) - headerSize }
+func (l *Log) Capacity() int { return l.pageSize - headerSize }
 
 // ensureSlots extends the provisioned-slot queue to at least n entries.
 func (l *Log) ensureSlots(n int) error {
@@ -248,26 +272,22 @@ func (l *Log) Append(r record.Record) (record.LSN, error) {
 	if sz > l.Capacity() {
 		return 0, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, sz, l.Capacity())
 	}
-	if len(l.buf)+sz > l.Capacity() {
-		// A flush in flight will drain the buffer; wait for it rather
-		// than racing it for the slot queue.
-		for l.flushing {
-			l.flushCond.Wait()
-			if l.dead {
-				return 0, ErrLogDead
-			}
+	// Every page carries the whole buffer, so it never outgrows one. The
+	// pages in flight drain it when they land; what is left goes in a page
+	// of its own.
+	for len(l.buf)+sz > l.Capacity() {
+		if l.dead {
+			return 0, ErrLogDead
 		}
-		if len(l.buf)+sz > l.Capacity() {
-			if err := l.flushLocked(); err != nil {
-				return 0, err
-			}
+		if len(l.inflight) > 0 {
+			l.landed.Wait()
+			continue
 		}
-	}
-	if l.bufCount == 0 {
-		l.bufFirst = l.nextLSN
+		if _, err := l.writeIfReady(); err != nil {
+			return 0, err
+		}
 	}
 	l.buf = record.Append(l.buf, r)
-	l.bufCount++
 	l.met.appends.Inc()
 	lsn := l.nextLSN
 	l.nextLSN++
@@ -278,32 +298,53 @@ func (l *Log) Append(r record.Record) (record.LSN, error) {
 // partially-filled current page (if any) to flash; subsequent appends start
 // a new page.
 //
-// Concurrent committers group-commit: the first Force to start a flush is
-// the leader and its page write carries every record appended so far —
-// including the followers' commit records. A follower whose records the
-// leader's page covers waits for that single write and returns without a
-// page write of its own, counted as a FreeRide. A follower whose records
-// arrived after the leader snapshotted its page becomes the next leader.
+// Concurrent committers group-commit: a Force that writes a page is a
+// leader and its page carries every record not yet durable — including the
+// followers' commit records. A follower whose records a page in flight
+// carries waits for it and returns without a page write of its own, counted
+// as a FreeRide; if that page fails, the follower writes the next one. A
+// Force whose records arrived after every page in flight was encoded writes
+// its own page at once, beside them.
 func (l *Log) Force() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.met.forceCalls.Inc()
 	target := l.nextLSN - 1 // last LSN this caller needs durable
+	leader := false
 	for {
 		if l.dead {
 			return ErrLogDead
 		}
 		if l.durableLSN >= target {
-			l.met.freeRides.Inc()
-			l.trc.Emit(trace.KWalForce, 0, 0, 0, 0, 0)
-			return nil
-		}
-		if !l.flushing {
 			break
 		}
-		l.flushCond.Wait()
+		if !l.carried(target) {
+			wrote, err := l.writeIfReady()
+			if err != nil {
+				return err
+			}
+			if wrote {
+				leader = true
+				continue
+			}
+		}
+		l.landed.Wait()
 	}
-	return l.flushLocked()
+	if !leader {
+		l.met.freeRides.Inc()
+		l.trc.Emit(trace.KWalForce, 0, 0, 0, 0, 0)
+	}
+	return nil
+}
+
+// carried reports whether a page in flight carries the record at lsn.
+func (l *Log) carried(lsn record.LSN) bool {
+	for _, f := range l.inflight {
+		if f.last >= lsn {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats returns a snapshot of the log activity counters. Reads are
@@ -336,53 +377,73 @@ func (l *Log) AppendForce(rs ...record.Record) (record.LSN, error) {
 	return last, nil
 }
 
-// flushLocked writes the buffered records to flash. Called with l.mu held
-// and no flush in flight; returns with l.mu held. The lock is released
-// around each physical page program so concurrent Appends (and free-riding
-// Forces) are not serialized behind NAND program latency; the records being
-// flushed stay in l.buf until the program succeeds, and any records
-// appended meanwhile are preserved for the next page.
-func (l *Log) flushLocked() error {
-	l.flushing = true
-	defer func() {
-		l.flushing = false
-		l.flushCond.Broadcast()
-	}()
-	first := l.bufFirst
-	count := l.bufCount
-	nbytes := len(l.buf)
-	// Try the current slot, then its forward candidates (§VIII-A). Each
-	// attempt needs numForward further slots for its header.
-	for attempt := 0; attempt < numForward; attempt++ {
-		if err := l.ensureSlots(attempt + 1 + numForward); err != nil {
-			return err
-		}
-		home := l.slots[attempt]
-		page := encodePage(l.page, first, count, l.buf[:nbytes], l.slots[attempt+1:attempt+1+numForward])
-		tWrite := l.trc.Now()
-		l.mu.Unlock()
-		err := l.sink.Program(home, page)
-		l.mu.Lock()
-		if err != nil {
-			continue
-		}
-		l.trc.Span(trace.KWalForce, 0, 0, 0, tWrite, 1, int64(count))
-		last := first + record.LSN(count) - 1
-		l.pages = append(l.pages, PageIndexEntry{First: first, Last: last, Slot: home})
-		l.durableLSN = last
-		l.met.pageWrites.Inc()
-		l.met.recordsFlushed.Add(int64(count))
-		l.met.groupCommit.Observe(int64(count))
-		l.buf = append(l.buf[:0], l.buf[nbytes:]...)
-		l.bufCount -= count
-		if l.bufCount > 0 {
-			l.bufFirst = last + 1
-		}
-		l.slots = l.slots[attempt+1:]
-		return nil
+// writeIfReady writes one page carrying every record past durableLSN to the
+// next unused forward candidate (§VIII-A), if that slot may be programmed
+// now, and reports whether it did. Called with l.mu held; returns with it
+// held, once the page has landed or failed. The lock is released around the
+// program, so Appends, free-riding Forces and a page for another EBLOCK are
+// not serialized behind NAND program latency; the records stay in l.buf
+// until a page carrying them lands.
+func (l *Log) writeIfReady() (bool, error) {
+	if l.next >= numForward {
+		return false, nil // a page in flight lands, or the last one fails and the log dies
 	}
-	l.dead = true
-	return ErrLogDead
+	// The page's header names the numForward slots after its own.
+	if err := l.ensureSlots(l.next + 1 + numForward); err != nil {
+		return false, err
+	}
+	home := l.slots[l.next]
+	for _, f := range l.inflight {
+		if f.slot.Channel == home.Channel && f.slot.EBlock == home.EBlock {
+			return false, nil // NAND: an earlier slot of home's EBLOCK is in flight
+		}
+	}
+	f := flight{slot: home, first: l.durableLSN + 1, last: l.nextLSN - 1, end: l.bufStart + int64(len(l.buf))}
+	var page []byte // a buffer no page in flight holds
+	if n := len(l.spare); n > 0 {
+		page, l.spare = l.spare[n-1], l.spare[:n-1]
+	} else {
+		page = make([]byte, l.pageSize)
+	}
+	page = encodePage(page, f.first, int(f.last-f.first+1), l.buf, l.slots[l.next+1:l.next+1+numForward])
+	l.next++
+	l.inflight = append(l.inflight, f)
+	tWrite := l.trc.Now()
+	l.mu.Unlock()
+	err := l.sink.Program(home, page)
+	l.mu.Lock()
+	l.spare = append(l.spare, page)
+	l.inflight = slices.DeleteFunc(l.inflight, func(g flight) bool { return g.slot == home })
+	if err == nil {
+		l.trc.Span(trace.KWalForce, 0, 0, 0, tWrite, 1, int64(f.last-f.first+1))
+		l.land(f)
+	}
+	if l.next >= numForward && len(l.inflight) == 0 {
+		l.dead = true // every candidate of the newest landed page failed
+	}
+	l.landed.Broadcast()
+	return true, nil
+}
+
+// land records page f. Unless a page written after it landed first, it
+// makes the records it carries durable and its forward candidates the next
+// pages' homes.
+func (l *Log) land(f flight) {
+	made := max(int64(f.last)-int64(l.durableLSN), 0)
+	l.met.pageWrites.Inc()
+	l.met.recordsFlushed.Add(made)
+	l.met.groupCommit.Observe(made)
+	i, _ := slices.BinarySearchFunc(l.pages, f.last, func(p PageIndexEntry, last record.LSN) int { return cmp.Compare(p.Last, last) })
+	l.pages = slices.Insert(l.pages, i, PageIndexEntry{First: f.first, Last: f.last, Slot: f.slot})
+	if made == 0 {
+		return
+	}
+	l.buf = append(l.buf[:0], l.buf[f.end-l.bufStart:]...)
+	l.bufStart = f.end
+	l.durableLSN = f.last
+	j := slices.Index(l.slots, f.slot) + 1
+	l.slots = l.slots[j:]
+	l.next -= j
 }
 
 // Dead reports whether the log has shut down after exhausting forward
@@ -437,8 +498,8 @@ func (l *Log) LastPage() (s Slot, first record.LSN, ok bool) {
 func (l *Log) StartCandidates() ([]Slot, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.flushing {
-		l.flushCond.Wait()
+	for len(l.inflight) > 0 {
+		l.landed.Wait()
 	}
 	if l.dead {
 		return nil, ErrLogDead
@@ -588,8 +649,11 @@ type ChainTail struct {
 }
 
 // FollowChain walks the log chain starting from the candidate slots,
-// expecting the first page to carry firstLSN == expectFirst. Each valid page
-// is passed to fn in order. It returns the tail state for resuming appends.
+// expecting the first page to carry the record at expectFirst. A successor
+// may repeat records its predecessor carried (pages overlap when several
+// were in flight): the walk takes the first candidate that carries the next
+// expected LSN and trims what was already delivered, so fn sees each record
+// once, in LSN order. It returns the tail state for resuming appends.
 func FollowChain(sink Sink, start []Slot, expectFirst record.LSN, fn func(*ChainPage) error) (*ChainTail, error) {
 	tail := &ChainTail{LastLSN: expectFirst - 1, Candidates: append([]Slot(nil), start...)}
 	candidates := start
@@ -604,8 +668,8 @@ func FollowChain(sink Sink, start []Slot, expectFirst record.LSN, fn func(*Chain
 			if err != nil {
 				continue // unwritten, torn or stale page: probe next candidate
 			}
-			if p.FirstLSN != expect {
-				continue // stale page from an earlier generation
+			if expect < p.FirstLSN || expect-p.FirstLSN >= record.LSN(len(p.Records)) {
+				continue // stale page from an earlier generation, or one the chain has passed
 			}
 			page = p
 			break
@@ -613,6 +677,8 @@ func FollowChain(sink Sink, start []Slot, expectFirst record.LSN, fn func(*Chain
 		if page == nil {
 			return tail, nil
 		}
+		page.Records = page.Records[expect-page.FirstLSN:]
+		page.FirstLSN = expect
 		if err := fn(page); err != nil {
 			return nil, err
 		}

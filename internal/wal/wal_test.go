@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"sync"
 	"testing"
 
 	"eleos/internal/record"
@@ -12,8 +14,12 @@ import (
 // fakeSink provisions slots round-robin across channels (as the real
 // provisioner does, so that forward candidates do not all share one
 // EBLOCK) and mimics flash failure semantics: a failed program disables
-// the rest of its EBLOCK.
+// the rest of its EBLOCK. It holds the log to the NAND rules the Sink
+// contract states — one program at a time per EBLOCK, its WBLOCKs in
+// order — and fails the test on a breach.
 type fakeSink struct {
+	mu         sync.Mutex
+	tb         testing.TB
 	pageBytes  int
 	wblocksPer int
 	channels   int
@@ -21,65 +27,145 @@ type fakeSink struct {
 	programs   map[Slot][]byte
 	fail       map[Slot]bool
 	disabled   map[[2]int]bool // {channel,eblock} disabled after failure
-	provCount  int
+	busy       map[[2]int]bool // {channel,eblock} with a program under way
+	nextWB     map[[2]int]int  // the WBLOCK each EBLOCK programs next
+	failures   int             // programs that returned an error
+	// hold, when set, runs mid-program without the lock — the device's
+	// program time — and decides the page's fate.
+	hold func(Slot) pageFate
 }
 
-func newFakeSink(pageBytes int) *fakeSink {
+// pageFate is what becomes of a page being programmed.
+type pageFate int
+
+const (
+	lands pageFate = iota
+	fails          // nothing is stored and the EBLOCK is disabled
+	tears          // the header is stored, not the payload: a crash mid-program
+)
+
+func newFakeSink(tb testing.TB, pageBytes int) *fakeSink {
 	return &fakeSink{
+		tb:         tb,
 		pageBytes:  pageBytes,
 		wblocksPer: 8,
 		channels:   2,
 		programs:   make(map[Slot][]byte),
 		fail:       make(map[Slot]bool),
 		disabled:   make(map[[2]int]bool),
+		busy:       make(map[[2]int]bool),
+		nextWB:     make(map[[2]int]int),
+	}
+}
+
+// slotAt is the seq'th slot the sink provisions.
+func (f *fakeSink) slotAt(seq int) Slot {
+	return Slot{
+		Channel: seq % f.channels,
+		WBlock:  (seq / f.channels) % f.wblocksPer,
+		EBlock:  seq / (f.channels * f.wblocksPer),
 	}
 }
 
 func (f *fakeSink) ProvisionSlots(n int) ([]Slot, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := make([]Slot, 0, n)
 	for i := 0; i < n; i++ {
-		s := Slot{
-			Channel: f.seq % f.channels,
-			WBlock:  (f.seq / f.channels) % f.wblocksPer,
-			EBlock:  f.seq / (f.channels * f.wblocksPer),
-		}
-		out = append(out, s)
+		out = append(out, f.slotAt(f.seq))
 		f.seq++
 	}
-	f.provCount += n
 	return out, nil
 }
 
 func (f *fakeSink) Program(s Slot, page []byte) error {
-	if f.disabled[[2]int{s.Channel, s.EBlock}] {
+	return f.program(s, page, func() pageFate {
+		if f.hold == nil {
+			return lands
+		}
+		return f.hold(s)
+	})
+}
+
+// program checks the NAND rules around wait, which stands for the device's
+// program time and decides the page's fate.
+func (f *fakeSink) program(s Slot, page []byte, wait func() pageFate) error {
+	eb := [2]int{s.Channel, s.EBlock}
+	f.mu.Lock()
+	if f.busy[eb] {
+		f.mu.Unlock()
+		f.tb.Errorf("fake: %v programmed while another slot of its eblock is", s)
+		return errors.New("fake: eblock busy")
+	}
+	f.busy[eb] = true
+	f.mu.Unlock()
+	fate := wait()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.busy, eb)
+	err := f.apply(s, page, fate)
+	if err != nil {
+		f.failures++
+	}
+	return err
+}
+
+func (f *fakeSink) apply(s Slot, page []byte, fate pageFate) error {
+	eb := [2]int{s.Channel, s.EBlock}
+	if f.disabled[eb] {
 		return errors.New("fake: eblock disabled")
 	}
-	if f.fail[s] {
+	if f.fail[s] || fate == fails {
 		delete(f.fail, s)
-		f.disabled[[2]int{s.Channel, s.EBlock}] = true
+		f.disabled[eb] = true
 		return errors.New("fake: program failed")
 	}
 	if _, dup := f.programs[s]; dup {
 		return errors.New("fake: write twice")
 	}
+	if s.WBlock != f.nextWB[eb] {
+		f.tb.Errorf("fake: %v programmed out of order, wblock %d is next", s, f.nextWB[eb])
+		return errors.New("fake: out of order")
+	}
+	f.nextWB[eb] = s.WBlock + 1
 	cp := make([]byte, len(page))
+	if fate == tears {
+		copy(cp, page[:headerSize])
+		f.programs[s] = cp
+		return errors.New("fake: torn program")
+	}
 	copy(cp, page)
 	f.programs[s] = cp
 	return nil
 }
 
 func (f *fakeSink) Read(s Slot) ([]byte, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if p, ok := f.programs[s]; ok {
 		return append([]byte(nil), p...), nil
 	}
 	return make([]byte, f.pageBytes), nil
 }
 
+// image is a copy of what the sink's media holds now, a crash image: the
+// programs under way are not in it.
+func (f *fakeSink) image() *fakeSink {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	g := newFakeSink(f.tb, f.pageBytes)
+	g.seq = f.seq
+	maps.Copy(g.programs, f.programs)
+	maps.Copy(g.disabled, f.disabled)
+	maps.Copy(g.nextWB, f.nextWB)
+	return g
+}
+
 const testPageBytes = 1024
 
 func newTestLog(t *testing.T) (*Log, *fakeSink) {
 	t.Helper()
-	sink := newFakeSink(testPageBytes)
+	sink := newFakeSink(t, testPageBytes)
 	l, err := New(sink, testPageBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -329,15 +415,20 @@ func TestPageForAndTruncate(t *testing.T) {
 }
 
 func TestFollowChainIgnoresStalePages(t *testing.T) {
-	// A page with the right format but wrong firstLSN (stale generation)
-	// must not be treated as the successor.
-	sink := newFakeSink(testPageBytes)
+	// A page with the right format that does not carry the next LSN must
+	// not be treated as the successor: one from a stale generation that
+	// starts past it, and one the chain has passed (its LastLSN is below it).
+	sink := newFakeSink(t, testPageBytes)
 	l, _ := New(sink, testPageBytes)
 	start, _ := l.StartCandidates()
 	if _, err := l.AppendForce(record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Manually place a stale page (firstLSN 99) at the next candidate.
+	// Manually place both at the page's first two forward candidates.
+	passed := encodePage(make([]byte, testPageBytes), 1, 1, record.Append(nil, record.Done{Action: 1}), nil)
+	if err := sink.Program(Slot{1, 0, 0}, passed); err != nil {
+		t.Fatal(err)
+	}
 	stale := encodePage(make([]byte, testPageBytes), 99, 0, nil, nil)
 	if err := sink.Program(Slot{0, 0, 1}, stale); err != nil {
 		t.Fatal(err)
@@ -397,7 +488,7 @@ func TestStartCandidatesStable(t *testing.T) {
 }
 
 func TestNewRejectsTinyPages(t *testing.T) {
-	if _, err := New(newFakeSink(16), 16); !errors.Is(err, ErrPageTooSmall) {
+	if _, err := New(newFakeSink(t, 16), 16); !errors.Is(err, ErrPageTooSmall) {
 		t.Fatal("tiny page size accepted")
 	}
 }
@@ -491,7 +582,7 @@ func TestPageBufferReuseClearsTail(t *testing.T) {
 // remains is the sink's and the page index's work per page written, far
 // below one allocation per record.
 func TestAppendAllocFree(t *testing.T) {
-	l, err := New(newFakeSink(32<<10), 32<<10)
+	l, err := New(newFakeSink(t, 32<<10), 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
