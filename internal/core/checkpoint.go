@@ -33,7 +33,7 @@ func (c *Controller) Checkpoint() error {
 // maybeCheckpointLocked takes the auto checkpoint when it is due and
 // reports whether it did.
 func (c *Controller) maybeCheckpointLocked() bool {
-	due := c.cfg.AutoCheckpointLogBytes > 0 && c.logBytes >= c.cfg.AutoCheckpointLogBytes
+	due := c.cfg.AutoCheckpointLogBytes > 0 && c.logBytes() >= c.cfg.AutoCheckpointLogBytes
 	if due {
 		_ = c.checkpointLocked()
 	}
@@ -122,7 +122,7 @@ func (c *Controller) checkpointLocked() error {
 	c.lastTruncLSN = trunc
 	c.lastCkptLSN = c.log.NextLSN()
 	c.log.Truncate(trunc)
-	c.logBytes = 0
+	c.ckptPages = c.log.Stats().PageWrites
 	c.met.checkpoints.Inc()
 	c.met.checkpointNS.ObserveDuration(time.Since(t0))
 	c.trc.Span(trace.KCheckpoint, 0, 0, 0, t0, int64(ck.Seq), 0)
@@ -281,7 +281,9 @@ const (
 // bytes. Epoch 1: an action is proven by a durable Commit, no Abort, then a
 // Done or a read-back matching its checksum; a Done's Garbage is complete.
 // Epoch 2 adds: log pages may overlap, each repeating what was not durable.
-const formatEpoch = 2
+// Epoch 3 adds: a data WBLOCK's padding may end in a carried set of log
+// records (DESIGN.md §4 decision 14), which recovery reads.
+const formatEpoch = 3
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte

@@ -62,9 +62,10 @@ type Config struct {
 	// SessionSeed seeds random SID generation.
 	SessionSeed int64
 	// AutoCheckpointLogBytes forces a checkpoint after this much log
-	// *space* has been consumed — every log force burns a WBLOCK-sized
-	// page — so truncation keeps pace with log growth (0 disables auto
-	// checkpointing). Values below a few WBLOCKs checkpoint every write.
+	// *space* has been consumed — every log page that lands burns a whole
+	// WBLOCK, however few records it carries — so truncation keeps pace
+	// with log growth (0 disables auto checkpointing). Values below a few
+	// WBLOCKs checkpoint every write.
 	AutoCheckpointLogBytes int
 	// ReadCacheBytes sizes the server-side read cache
 	// (internal/readcache) in bytes. 0 — the default — disables caching:
@@ -233,7 +234,8 @@ type Controller struct {
 	ckptWB       int // next WBLOCK within it
 	lastTruncLSN record.LSN
 	lastCkptLSN  record.LSN // log position at last checkpoint
-	logBytes     int        // record bytes appended since last checkpoint
+	ckptPages    int64      // wal.Stats().PageWrites at the last checkpoint
+	freedLSN     record.LSN // LSN of the last FreeEBlock record (see carryLocked)
 
 	migrationDepth int
 	inCheckpoint   bool
@@ -377,12 +379,15 @@ func (c *Controller) forceLog() error {
 		return err
 	}
 	c.met.logForces.Inc()
-	// Auto-checkpoint accounting tracks log *space*: every force consumes
-	// a whole WBLOCK-sized log page regardless of how few records it
-	// carries, and reclaiming that space needs the truncation LSN to
-	// advance — i.e. a checkpoint.
-	c.logBytes += c.geo.WBlockBytes
 	return nil
+}
+
+// logBytes is the log space consumed since the last checkpoint: a whole
+// WBLOCK per page that landed, capacity pages included and free-riding
+// forces not. Reclaiming it needs the truncation LSN to advance — i.e. a
+// checkpoint.
+func (c *Controller) logBytes() int {
+	return int(c.log.Stats().PageWrites-c.ckptPages) * c.geo.WBlockBytes
 }
 
 // --- crash simulation -------------------------------------------------------

@@ -516,20 +516,33 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	<-done
 }
 
+// TestAutoCheckpoint: log pages that land, forced by whole-WBLOCK flushes
+// or written when small flushes' carried sets outgrow their padding, fill
+// the auto-checkpoint budget.
 func TestAutoCheckpoint(t *testing.T) {
-	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
-	cfg := testConfig()
-	cfg.AutoCheckpointLogBytes = 128 << 10 // ~8 forced log pages
-	c, err := Format(dev, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := c.Stats().Checkpoints
-	for i := 0; i < 100; i++ {
-		mustWrite(t, c, LPage{LPID: addr.LPID(i + 1), Data: make([]byte, 256)})
-	}
-	if c.Stats().Checkpoints <= base {
-		t.Fatal("auto checkpoint never fired")
+	for _, tc := range []struct {
+		name         string
+		size, writes int
+	}{
+		{"carried", 256, 3000},
+		{"forced", wholeWBlock, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
+			cfg := testConfig()
+			cfg.AutoCheckpointLogBytes = 128 << 10 // 8 log pages
+			c, err := Format(dev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := c.Stats().Checkpoints
+			for i := 0; i < tc.writes && c.Stats().Checkpoints == base; i++ {
+				mustWrite(t, c, LPage{LPID: addr.LPID(i%100 + 1), Data: make([]byte, tc.size)})
+			}
+			if c.Stats().Checkpoints <= base {
+				t.Fatal("auto checkpoint never fired")
+			}
+		})
 	}
 }
 

@@ -533,41 +533,63 @@ type logStep struct {
 	fate logFate
 }
 
+// In the carried cells the flushes' pages are small, but the log holds so
+// many records that earlier flushes carried in their data WBLOCKs that
+// neither set fits the padding: the two flushes force, and pages A and B
+// re-carry what the trailers held.
 var logCells = []struct {
 	name  string
+	size  int // each page's bytes
 	steps []logStep
 }{
-	{"log.a-failed-b-landed", []logStep{{0, logFails}, {1, logLands}}},
-	{"log.crash-b-landed-a-in-flight", []logStep{{1, logLands}, {0, logLost}}},
-	{"log.b-landed-first", []logStep{{1, logLands}, {0, logLands}}},
+	{"log.a-failed-b-landed", wholeWBlock, []logStep{{0, logFails}, {1, logLands}}},
+	{"log.crash-b-landed-a-in-flight", wholeWBlock, []logStep{{1, logLands}, {0, logLost}}},
+	{"log.b-landed-first", wholeWBlock, []logStep{{1, logLands}, {0, logLands}}},
+	{"log.carried.a-failed-b-landed", 700, []logStep{{0, logFails}, {1, logLands}}},
+	{"log.carried.crash-b-landed-a-in-flight", 700, []logStep{{1, logLands}, {0, logLost}}},
+	{"log.carried.b-landed-first", 700, []logStep{{1, logLands}, {0, logLands}}},
 }
 
-// logPages is writer w's WSN 2 flush: four pages over its WSN 1 ones.
-func logPages(w int, version uint64) []LPage {
+// wholeWBlock is a page that leaves no run-tail padding to carry a commit
+// in: its flush forces the log.
+var wholeWBlock = flash.SmallGeometry().WBlockBytes
+
+// logPages is writer w's flush: four pages of size bytes over LPIDs of its
+// own.
+func logPages(w int, version uint64, size int) []LPage {
 	var pages []LPage
 	for k := range 4 {
 		lp := addr.LPID(1 + 4*w + k)
-		pages = append(pages, LPage{LPID: lp, Data: atomPage(lp, version, 700)})
+		pages = append(pages, LPage{LPID: lp, Data: atomPage(lp, version, size)})
 	}
 	return pages
 }
 
-// logCrash runs a cell's two flushes into their crash and returns the
-// device with each writer's session and outcome.
-func logCrash(t *testing.T, steps []logStep) (*flash.Device, [2]uint64, [2]error) {
+// logCrash runs a cell's two flushes into their crash. It returns the
+// device, with the pages written before them that carried their commits,
+// and each writer's session and outcome.
+func logCrash(t *testing.T, size int, steps []logStep) (*carryRun, [2]uint64, [2]error) {
 	t.Helper()
 	c, dev := newFormatted(t)
+	r := &carryRun{t: t, c: c, dev: dev, want: make(map[addr.LPID][]byte)}
 	var sids [2]uint64
 	for w := range sids {
 		var err error
 		if sids[w], err = c.OpenSession(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.WriteBatch(sids[w], 1, logPages(w, 1)); err != nil {
+		if err := c.WriteBatch(sids[w], 1, logPages(w, 1, size)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	g := gateLog(t, c)
+	// Fill the log with carried records until the flushes' sets do not fit.
+	if n := c.geo.WBlockBytes - 4*addr.AlignUp(size); n > 0 {
+		pad := make([]byte, n)
+		for lp := addr.LPID(100); lp == 100 || c.log.Carry(pad) != 0; lp++ {
+			r.write(lp, 1, 64)
+		}
+	}
 	var errs [2]error
 	var done [2]chan struct{}
 	var calls [2]*logCall
@@ -575,7 +597,7 @@ func logCrash(t *testing.T, steps []logStep) (*flash.Device, [2]uint64, [2]error
 		done[w] = make(chan struct{})
 		go func() {
 			defer close(done[w])
-			errs[w] = c.WriteBatch(sids[w], 2, logPages(w, 2))
+			errs[w] = c.WriteBatch(sids[w], 2, logPages(w, 2, size))
 		}()
 		calls[w] = g.next(t) // B starts while A is in flight
 	}
@@ -594,7 +616,7 @@ func logCrash(t *testing.T, steps []logStep) (*flash.Device, [2]uint64, [2]error
 	<-done[0]
 	<-done[1]
 	c.Crash()
-	return dev, sids, errs
+	return r, sids, errs
 }
 
 // TestTwoLogPagesInFlight: whatever becomes of A, B makes writer 1's
@@ -603,14 +625,15 @@ func logCrash(t *testing.T, steps []logStep) (*flash.Device, [2]uint64, [2]error
 func TestTwoLogPagesInFlight(t *testing.T) {
 	for _, cell := range logCells {
 		t.Run(cell.name, func(t *testing.T) {
-			dev, sids, errs := logCrash(t, cell.steps)
+			r, sids, errs := logCrash(t, cell.size, cell.steps)
 			crashed := cell.steps[len(cell.steps)-1].fate == logLost
 			if errs[1] != nil || errs[0] != nil && !crashed {
 				t.Fatalf("writers returned %v", errs)
 			}
-			c2 := reopen(t, dev)
+			c2 := reopen(t, r.dev)
+			r.check(c2)
 			for w := range errs {
-				for _, p := range logPages(w, 2) {
+				for _, p := range logPages(w, 2, cell.size) {
 					checkRead(t, c2, p.LPID, p.Data)
 				}
 				if high, err := c2.SessionHighestWSN(sids[w]); err != nil || high != 2 {

@@ -480,7 +480,7 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 			_ = c.st.MarkBad(k[0], k[1], c.lsnHint()) // cannot fail: the address came from the summary table
 			err = fmt.Errorf("%w: ch=%d eb=%d", flash.ErrEraseFailed, k[0], k[1])
 		} else if err = c.st.FreeEBlock(k[0], k[1], c.lsnHint()); err == nil {
-			if _, err = c.append(record.FreeEBlock{Channel: uint32(k[0]), EBlock: uint32(k[1])}); err == nil {
+			if c.freedLSN, err = c.append(record.FreeEBlock{Channel: uint32(k[0]), EBlock: uint32(k[1])}); err == nil {
 				c.met.gcFreed.Inc()
 			}
 		}

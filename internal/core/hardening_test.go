@@ -66,26 +66,44 @@ func TestWearLevelling(t *testing.T) {
 
 // TestLogProgramFailuresDuringOperation injects failures on upcoming log
 // slots; the forward-pointer failover must keep the log alive, and the
-// device must still recover afterwards.
+// device must still recover afterwards. Small pages carry their commits, so
+// a log page lands only when the carried set outgrows a flush's padding
+// (or GC forces), and re-carries what the trailers held; a whole-WBLOCK
+// page forces one per flush.
 func TestLogProgramFailuresDuringOperation(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		size, rounds int
+	}{
+		{"carried", 1200, 1200},
+		{"forced", wholeWBlock, 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) { logProgramFailures(t, tc.size, tc.rounds) })
+	}
+}
+
+func logProgramFailures(t *testing.T, size, rounds int) {
 	c, dev := newFormatted(t)
 	version := map[addr.LPID]uint64{}
 	rng := rand.New(rand.NewSource(37))
-	failures := 0
-	for round := 0; round < 120; round++ {
-		if round%17 == 5 {
-			// Fail the next log-page program wherever the cursor is.
+	failures, armed := 0, int64(-3)
+	for round := 0; round < rounds; round++ {
+		if round%17 == 5 && c.log.Stats().PageWrites >= armed+3 {
+			// Fail the next log-page program wherever the cursor is, once
+			// three pages landed since the last: three failed programs in a
+			// row kill the log by design (§VIII-A).
 			ch, eb, wb := c.prov.LogCursor()
 			if eb >= 0 && wb < c.geo.WBlocksPerEBlock() {
 				if w, _ := dev.IsWritten(ch, eb, wb); !w {
 					dev.FailNextProgram(ch, eb, wb)
 					failures++
+					armed = c.log.Stats().PageWrites
 				}
 			}
 		}
 		lp := addr.LPID(rng.Intn(15) + 1)
 		version[lp]++
-		if err := c.WriteBatch(0, 0, []LPage{{LPID: lp, Data: pageContent(uint64(lp), version[lp], 1200)}}); err != nil {
+		if err := c.WriteBatch(0, 0, []LPage{{LPID: lp, Data: pageContent(uint64(lp), version[lp], size)}}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -95,11 +113,12 @@ func TestLogProgramFailuresDuringOperation(t *testing.T) {
 	if dev.Stats().WriteFailures == 0 {
 		t.Fatal("injected failures never fired")
 	}
+	t.Logf("%d log programs failed, %d pages landed", dev.Stats().WriteFailures, c.log.Stats().PageWrites)
 	// Everything still readable, and recovery still works.
 	c.Crash()
 	c2 := reopen(t, dev)
 	for lp, v := range version {
-		checkRead(t, c2, lp, pageContent(uint64(lp), v, 1200))
+		checkRead(t, c2, lp, pageContent(uint64(lp), v, size))
 	}
 }
 
@@ -149,6 +168,50 @@ func TestTruncationAdvances(t *testing.T) {
 	}
 	if c.lastTruncLSN <= t1 {
 		t.Fatalf("truncation LSN stuck: %d -> %d", t1, c.lastTruncLSN)
+	}
+}
+
+// TestTruncationPassesOpenLogEBlock: an open log EBLOCK does not pin the
+// truncation LSN (summary.MinOpenLSN skips it), so a checkpoint may
+// truncate past the LSN it opened at. Nothing the log still needs goes: the
+// checkpoint starts the chain at the page holding the truncation LSN, and a
+// log EBLOCK is reclaimed only once retired with every page it holds below
+// that LSN. Whole-WBLOCK flushes force a log page each; after every few, a
+// checkpoint and a GC pass that reclaims what it truncated, and after every
+// fifth such pass a crash, and Open reads every version back.
+func TestTruncationPassesOpenLogEBlock(t *testing.T) {
+	c, dev := newFormatted(t)
+	w := c.geo.WBlockBytes
+	version := map[addr.LPID]uint64{}
+	passed, reclaimed := 0, int64(0)
+	for round := 1; round <= 90; round++ {
+		lp := addr.LPID(round%7 + 1)
+		version[lp]++
+		mustWrite(t, c, LPage{LPID: lp, Data: pageContent(uint64(lp), version[lp], w)})
+		if round%6 != 0 {
+			continue
+		}
+		c.mu.Lock()
+		freed := c.met.gcFreed.Value()
+		c.gcAllLocked() // a checkpoint, then every truncated log EBLOCK reclaimed
+		reclaimed += c.met.gcFreed.Value() - freed
+		for _, ref := range c.st.OpenEBlocks() {
+			if ref.Stream == record.StreamLog && ref.OpenLSN != 0 && ref.OpenLSN < c.lastTruncLSN {
+				passed++
+			}
+		}
+		c.mu.Unlock()
+		if round%30 != 0 {
+			continue
+		}
+		c.Crash()
+		c = reopen(t, dev)
+		for lp, v := range version {
+			checkRead(t, c, lp, pageContent(uint64(lp), v, w))
+		}
+	}
+	if passed == 0 || reclaimed == 0 {
+		t.Fatalf("%d checkpoints truncated past an open log EBLOCK's open LSN, %d EBLOCKs reclaimed", passed, reclaimed)
 	}
 }
 
@@ -215,7 +278,7 @@ func TestGCPoliciesIntegrity(t *testing.T) {
 			}
 			version := map[addr.LPID]uint64{}
 			rng := rand.New(rand.NewSource(43))
-			for round := 0; round < 500; round++ {
+			for round := 0; round < 1000; round++ {
 				lp := addr.LPID(rng.Intn(25) + 1)
 				version[lp]++
 				if err := c.WriteBatch(0, 0, []LPage{{LPID: lp, Data: pageContent(uint64(lp), version[lp], 3500)}}); err != nil {
@@ -298,8 +361,9 @@ func TestEraseLimitMarksBad(t *testing.T) {
 	g.EraseLimit = 3
 	dev := flash.MustNewDevice(g, flash.Latency{})
 	cfg := testConfig()
-	// Every flush forces a log page: without checkpoints to truncate it the
-	// log fills the device long before any EBLOCK wears out.
+	// A log page lands whenever a flush's records outgrow its padding:
+	// without checkpoints to truncate it the log fills the device long
+	// before any EBLOCK wears out.
 	cfg.AutoCheckpointLogBytes = 1 << 20
 	c, err := Format(dev, cfg)
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // spans several EBLOCK closes, retries the aborted flush as a host would,
 // and requires every acknowledged page back byte-exact.
 func TestProgramFaultOnClosingEBlockKeepsCommittedPages(t *testing.T) {
-	const batches, pagesPerBatch = 40, 6
+	const batches, pagesPerBatch = 60, 6
 	size := func(k int) int { return 3000 + k*500 }
 	want := make(map[addr.LPID][]byte)
 	for b := 1; b <= batches; b++ {

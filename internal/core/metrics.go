@@ -32,6 +32,8 @@ type coreMetrics struct {
 	groupedFlushes *metrics.Counter // flushes written as part of such actions
 	ioCommands     *metrics.Counter
 	logForces      *metrics.Counter
+	commitsCarried *metrics.Counter // user actions whose commit rode their data WBLOCK
+	carriedBytes   *metrics.Counter // the trailers those actions programmed
 
 	gcRounds         *metrics.Counter
 	gcVictims        *metrics.Counter
@@ -95,6 +97,8 @@ func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 		groupedFlushes: reg.Counter("core.write.grouped_flushes"),
 		ioCommands:     reg.Counter("core.io_commands"),
 		logForces:      reg.Counter("core.log_forces"),
+		commitsCarried: reg.Counter("core.commits_carried"),
+		carriedBytes:   reg.Counter("core.carried_bytes"),
 
 		gcRounds:         reg.Counter("core.gc.rounds"),
 		gcVictims:        reg.Counter("core.gc.victim_selections"),

@@ -39,7 +39,8 @@ func Open(dev *flash.Device, cfg Config) (*Controller, error) {
 }
 
 // recoveryPhases are Open's passes in order (DESIGN.md §4, "Recovery
-// phases"). Only analyze, prove, repairTables and redo walk the records.
+// phases"). Only analyze, prove, repairTables, findCarried and redo walk
+// the records.
 var recoveryPhases = []struct {
 	name string
 	run  func(*recovery) error
@@ -49,26 +50,30 @@ var recoveryPhases = []struct {
 	{"analyze", (*recovery).analyze},
 	{"prove", (*recovery).prove},
 	{"repair_tables", (*recovery).repairTables}, // §VIII-C1
-	{"redo", (*recovery).redo},                  // §VIII-C2, C3
-	{"fix_ups", (*recovery).fixUps},             // §VIII-C3
+	{"find_carried", (*recovery).findCarried},
+	{"redo", (*recovery).redo},      // §VIII-C2, C3
+	{"fix_ups", (*recovery).fixUps}, // §VIII-C3
 	{"resume_log", (*recovery).resumeLog},
 	{"settle", (*recovery).settle},
 }
 
 // recovery is what Open's phases hand each other.
 type recovery struct {
-	c     *Controller
-	ck    *ckptRecord
-	recs  []logged // the log from the checkpoint's truncation LSN on
-	tail  *wal.ChainTail
-	cands []wal.Slot // the tail's valid forward candidates
+	c       *Controller
+	ck      *ckptRecord
+	recs    []logged // the log from the checkpoint's truncation LSN on
+	tail    *wal.ChainTail
+	cands   []wal.Slot      // the tail's valid forward candidates
+	last    record.LSN      // where recs reach: the chain's end, or a carried set's
+	carried []record.Record // recs past the chain's end
 
 	// committed: Commit durable, no Abort, and a Done or a proof.
 	// unproven: the actions with no Done, proven by reading them back;
 	// readIDs are their ids, sorted.
-	committed map[uint64]bool
-	unproven  map[uint64]*proof
-	readIDs   []uint64
+	committed   map[uint64]bool
+	unproven    map[uint64]*proof
+	readIDs     []uint64
+	verifyBytes int64 // media bytes prove read
 
 	// The homes pass 1 repairs: tiny table, locator, session snapshot (one).
 	tiny, locator, sess []addr.PhysAddr
@@ -175,6 +180,7 @@ func (r *recovery) walkLog() error {
 	})
 	if err == nil {
 		r.cands = slices.DeleteFunc(slices.Clone(r.tail.Candidates), func(s wal.Slot) bool { return !s.IsValid() })
+		r.last = r.tail.LastLSN
 	}
 	return err
 }
@@ -209,11 +215,12 @@ func (r *recovery) analyze() error {
 // action that fails is no longer committed. It also collects what the
 // unproven actions' durable Garbage records name.
 func (r *recovery) prove() error {
+	r.readIDs, r.verifyBytes = nil, 0
 	for _, lr := range r.recs {
 		if w, _, ok := pageWrite(lr.rec); ok {
 			if p := r.unproven[w.Action]; p != nil && p.ok {
 				p.ebs = append(p.ebs, [2]int{w.New.Channel(), w.New.EBlock()})
-				p.got, p.ok = r.c.readBack(p.got, w.New)
+				p.got, p.ok = r.readBack(p.got, w.New)
 			}
 			continue
 		}
@@ -221,7 +228,7 @@ func (r *recovery) prove() error {
 		case record.CloseEBlock:
 			if p := r.unproven[rec.Action]; p != nil && p.ok {
 				p.ebs = append(p.ebs, [2]int{int(rec.Channel), int(rec.EBlock)})
-				p.ok = r.c.metaReadable(rec)
+				p.ok = r.metaReadable(rec)
 			}
 		case record.Garbage:
 			if p := r.unproven[rec.Action]; p != nil {
@@ -233,9 +240,7 @@ func (r *recovery) prove() error {
 	}
 	for id, p := range r.unproven {
 		r.readIDs = append(r.readIDs, id)
-		r.c.met.recoverVerified.Inc()
 		if p.ok = p.ok && p.got == p.want; !p.ok {
-			r.c.met.recoverRejected.Inc()
 			delete(r.committed, id)
 		}
 	}
@@ -311,6 +316,83 @@ func (r *recovery) setHome(w record.GCUpdate, conditional bool) {
 	}
 }
 
+// findCarried extends the records past the chain with the farthest carried
+// set (DESIGN.md §4 decision 14) that names a page the walk visited. Every
+// non-log EBLOCK Free or Open at the chain's end is read from the first
+// WBLOCK the chain does not explain up to its program position; a WBLOCK
+// outside that window belongs to an action whose records the chain holds.
+// analyze and prove then run again over chain and carried records. A
+// carried set holds no committed table-page write — system actions force
+// their commits — so the homes repairTables set stand.
+func (r *recovery) findCarried() error {
+	c, w := r.c, r.c.geo.WBlockBytes
+	named := make(map[wal.Slot]record.LSN)
+	skip := make(map[[2]int]bool) // log EBLOCKs: the chain's and its candidates'
+	for _, p := range r.tail.Pages {
+		named[p.Slot] = p.Last
+		skip[[2]int{p.Slot.Channel, p.Slot.EBlock}] = true
+	}
+	for _, s := range r.cands {
+		skip[[2]int{s.Channel, s.EBlock}] = true
+	}
+	type span struct {
+		from     int  // the first WBLOCK the chain does not explain
+		reopened bool // the chain opens or frees the EBLOCK
+	}
+	spans := make(map[[2]int]span)
+	for _, lr := range r.recs {
+		switch rec := lr.rec.(type) {
+		case record.OpenEBlock:
+			spans[[2]int{int(rec.Channel), int(rec.EBlock)}] = span{reopened: true}
+		case record.FreeEBlock:
+			spans[[2]int{int(rec.Channel), int(rec.EBlock)}] = span{reopened: true}
+		}
+		if wr, _, ok := pageWrite(lr.rec); ok {
+			k := [2]int{wr.New.Channel(), wr.New.EBlock()}
+			s := spans[k]
+			spans[k] = span{from: max(s.from, (wr.New.End()-1)/w), reopened: s.reopened}
+		}
+	}
+	var best *wal.Carried
+	reach := r.last
+	for ch := 0; ch < c.geo.Channels; ch++ {
+		for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
+			k := [2]int{ch, eb}
+			d, err := c.st.Desc(ch, eb)
+			s, inChain := spans[k]
+			if !inChain {
+				s.from = int(d.DataWBlocks)
+			}
+			if err != nil || skip[k] || !s.reopened && (d.State != summary.Free && d.State != summary.Open || d.Stream == record.StreamLog) {
+				continue
+			}
+			end, err := c.dev.NextProgramPosition(ch, eb)
+			for wb := s.from; err == nil && wb < end; wb++ {
+				raw, _, _ := c.dev.ReadExtent(ch, eb, wb*w, w) // unreadable: nil, which decodes as nothing
+				if set, err := wal.DecodeCarried(raw); err == nil {
+					if last, ok := named[set.Named]; ok && last == set.First-1 && set.Last() > reach {
+						best, reach = set, set.Last()
+					}
+				}
+			}
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	for i, rec := range best.Records {
+		if lsn := best.First + record.LSN(i); lsn > r.last {
+			r.recs = append(r.recs, logged{lsn: lsn, rec: rec})
+			r.carried = append(r.carried, rec)
+		}
+	}
+	r.last = reach
+	if err := r.analyze(); err != nil {
+		return err
+	}
+	return r.prove()
+}
+
 // redo is pass 2 (§VIII-C2, C3): every record against the loaded tables.
 func (r *recovery) redo() error {
 	r.open = make(map[[2]int]openWrites)
@@ -327,7 +409,7 @@ func (r *recovery) redo() error {
 // where it never pins the truncation LSN back.
 func (r *recovery) fixUps() error {
 	c := r.c
-	fixLSN := r.tail.LastLSN + 1
+	fixLSN := r.last + 1
 	resume := make(map[[2]int]bool) // EBLOCKs hosting a resume candidate
 	for _, s := range r.cands {
 		resume[[2]int{s.Channel, s.EBlock}] = true
@@ -367,7 +449,7 @@ func (r *recovery) fixUps() error {
 			case !resume[k]:
 				// Stale open-log EBLOCKs (not hosting the resume candidates)
 				// are retired so truncation can reclaim them.
-				err = c.st.CloseEBlock(ch, eb, uint64(r.tail.LastLSN), 0, fixLSN)
+				err = c.st.CloseEBlock(ch, eb, uint64(r.last), 0, fixLSN)
 			}
 			if err != nil {
 				return err
@@ -377,8 +459,8 @@ func (r *recovery) fixUps() error {
 	return nil
 }
 
-// resumeLog resumes the log at the tail candidates and rebuilds the
-// provisioner's cursors.
+// resumeLog resumes the log at the tail candidates, the carried records
+// its buffer, and rebuilds the provisioner's cursors.
 func (r *recovery) resumeLog() error {
 	c := r.c
 	if len(r.cands) == 0 {
@@ -390,10 +472,15 @@ func (r *recovery) resumeLog() error {
 	if err != nil {
 		return err
 	}
-	c.hintLSN.Store(uint64(r.tail.LastLSN + 1))
+	for _, rec := range r.carried { // they take back the LSNs they were found at
+		if _, err := c.log.Append(rec); err != nil {
+			return err
+		}
+	}
+	c.hintLSN.Store(uint64(r.last + 1))
 	c.prov.RebuildFromSummary()
-	c.lastCkptLSN = r.tail.LastLSN + 1
-	return nil
+	c.lastCkptLSN = r.last + 1
+	return r.forceCarried()
 }
 
 // settle makes what this recovery read back hold for every later one: a
@@ -402,11 +489,19 @@ func (r *recovery) resumeLog() error {
 // means its action's Garbage is complete — and eraseAndFreeLocked forces
 // them before an EBLOCK that proved the action goes, as for a live install.
 func (r *recovery) settle() error {
+	r.c.met.recoverVerifyBytes.Add(r.verifyBytes)
 	for _, id := range r.readIDs {
+		r.c.met.recoverVerified.Inc()
+		p := r.unproven[id]
+		if !p.ok {
+			r.c.met.recoverRejected.Inc()
+		}
 		var err error
-		if p := r.unproven[id]; p.ok {
+		switch {
+		case r.c.log.Dead(): // forceCarried met a dead log: nothing appended could be durable
+		case p.ok:
 			err = r.c.lazyGarbageLocked(id, p.credited)
-		} else {
+		default:
 			_, err = r.c.append(record.Abort{Action: id})
 		}
 		if err != nil {
@@ -424,26 +519,46 @@ func (r *recovery) settle() error {
 	return nil
 }
 
+// forceCarried lands a page holding the carried records recovery found, so
+// a second crash does not depend on a trailer GC may erase. On a dead log
+// they stay in their trailers, as writes fail.
+func (r *recovery) forceCarried() error {
+	c := r.c
+	if len(r.carried) == 0 || c.forceLog() != nil {
+		return nil
+	}
+	// The page moved the log's tail: retire the log EBLOCKs fixUps kept
+	// open for candidates the log no longer uses, as the next Open would.
+	cands, err := c.log.StartCandidates()
+	for _, s := range r.cands {
+		d, derr := c.st.Desc(s.Channel, s.EBlock)
+		if err == nil && derr == nil && d.State == summary.Open && !slices.ContainsFunc(cands, func(n wal.Slot) bool { return n.Channel == s.Channel && n.EBlock == s.EBlock }) {
+			err = c.st.CloseEBlock(s.Channel, s.EBlock, uint64(r.last), 0, r.last+1)
+		}
+	}
+	return err
+}
+
 // readBack extends sum, an unproven action's CRC-32C so far, with what the
 // media holds at a; not ok if a's last WBLOCK was never programmed (the
 // simulator reads that as zeroes, not an ECC error).
-func (c *Controller) readBack(sum uint32, a addr.PhysAddr) (_ uint32, ok bool) {
-	written, err := c.dev.IsWritten(a.Channel(), a.EBlock(), (a.End()-1)/c.geo.WBlockBytes)
+func (r *recovery) readBack(sum uint32, a addr.PhysAddr) (_ uint32, ok bool) {
+	written, err := r.c.dev.IsWritten(a.Channel(), a.EBlock(), (a.End()-1)/r.c.geo.WBlockBytes)
 	if err != nil || !written {
 		return 0, false
 	}
-	data, _, err := c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
-	c.met.recoverVerifyBytes.Add(int64(len(data)))
+	data, _, err := r.c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
+	r.verifyBytes += int64(len(data))
 	return crc32.Update(sum, pageSum, data), err == nil
 }
 
 // metaReadable reports whether the metadata block a conditional close
 // describes is on the media (it is programmed last, DESIGN.md §4 decision 4).
-func (c *Controller) metaReadable(r record.CloseEBlock) bool {
-	w := c.geo.WBlockBytes
-	raw, _, err := c.dev.ReadExtent(int(r.Channel), int(r.EBlock), int(r.DataWBlocks)*w, int(r.MetaWBlocks)*w)
+func (r *recovery) metaReadable(cl record.CloseEBlock) bool {
+	w := r.c.geo.WBlockBytes
+	raw, _, err := r.c.dev.ReadExtent(int(cl.Channel), int(cl.EBlock), int(cl.DataWBlocks)*w, int(cl.MetaWBlocks)*w)
 	if err == nil {
-		c.met.recoverVerifyBytes.Add(int64(len(raw)))
+		r.verifyBytes += int64(len(raw))
 		_, err = summary.DecodeMetaBlock(raw)
 	}
 	return err == nil

@@ -107,7 +107,7 @@ func TestRecoveryAfterGCActivity(t *testing.T) {
 	size := map[addr.LPID]int{}
 	// Churn far beyond capacity so GC runs, with periodic checkpoints so
 	// table pages land on flash and can be moved by GC (two-pass replay).
-	for round := 0; round < 300; round++ {
+	for round := 0; round < 600; round++ {
 		var pages []LPage
 		for k := 0; k < 6; k++ {
 			lp := addr.LPID(rng.Intn(30) + 1)
@@ -409,10 +409,24 @@ func TestRecoveryIdempotent(t *testing.T) {
 	}
 	for _, cell := range logCells {
 		t.Run(cell.name, func(t *testing.T) {
-			dev, _, _ := logCrash(t, cell.steps)
-			reopenTwice(t, dev)
+			r, _, _ := logCrash(t, cell.size, cell.steps)
+			r.check(reopenTwice(t, r.dev))
 		})
 	}
+	for _, cell := range carryCells {
+		t.Run(cell.name, func(t *testing.T) {
+			r := carryCrash(t, cell.crash)
+			r.check(reopenTwice(t, r.dev))
+		})
+	}
+	t.Run("carry.commit-rides-another-trailer", func(t *testing.T) {
+		r := commitRidesAnotherTrailer(t)
+		r.check(reopenTwice(t, r.dev))
+	})
+	t.Run("carry.freed-eblock-reopened-by-another-writer", func(t *testing.T) {
+		r := freedEBlockReopened(t)
+		r.check(reopenTwice(t, r.dev))
+	})
 	for seed := int64(0); seed < crashPropertySeeds; seed++ {
 		t.Run("property/"+string(rune('A'+seed)), func(t *testing.T) { crashProperty(t, seed, reopenTwice) })
 	}
@@ -434,7 +448,7 @@ func TestRecoveryPhaseCounters(t *testing.T) {
 		got[cv.Name] = cv.Value
 	}
 	var sum int64
-	for _, phase := range []string{"scan_checkpoint", "walk_log", "analyze", "prove", "repair_tables", "redo", "fix_ups", "resume_log", "settle"} {
+	for _, phase := range []string{"scan_checkpoint", "walk_log", "analyze", "prove", "repair_tables", "find_carried", "redo", "fix_ups", "resume_log", "settle"} {
 		ns, ok := got["core.recover."+phase+"_ns"]
 		if !ok {
 			t.Errorf("core.recover.%s_ns is not in the snapshot", phase)
@@ -537,6 +551,12 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 		// at a page overlapping its predecessor, before acknowledged records.
 		{"epoch 1", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], 1)
+			return b
+		}, ErrImageFormat},
+		// Epoch 2 never wrote a carried set: its recovery would drop every
+		// commit that rode a data WBLOCK's padding.
+		{"epoch 2", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], 2)
 			return b
 		}, ErrImageFormat},
 		{"next epoch", func(b []byte) []byte {

@@ -53,6 +53,11 @@ type action struct {
 
 	subs    []flushRef  // the flushes this action carries (≥1; a system action's one is zero)
 	subsArr [1]flushRef // inline storage for the group of one
+
+	// The data WBLOCK carrying the commit (carryLocked): its image, released
+	// with pb, and its trailer's size; 0 when the round forces the log.
+	img     *bufpool.Buf
+	carried int
 }
 
 // kinds names what a kind changes in the shared steps: its programs' source
@@ -274,6 +279,9 @@ func (c *Controller) finishRoundLocked(a *action, subs []*SubFlush) {
 			err = c.writeUser(a)
 		}
 		a.pb.Release()
+		if a.img != nil {
+			a.img.Release()
+		}
 	}
 	for _, s := range subs {
 		if s.state != subClaimed {
@@ -371,6 +379,12 @@ func (c *Controller) writeUser(a *action) error {
 		c.gcAllLocked()
 		a.hint = c.lsnHint()
 		plan, err = c.prov.ProvisionBatch(a.bps, c.clock, a.hint)
+		// A channel GC could not free (its EBLOCKs worn out) does not stop
+		// a batch that fits the others: the deal starts one channel on.
+		for n := 1; n < c.geo.Channels && errors.Is(err, provision.ErrNoSpace); n++ {
+			c.prov.SkipChannel()
+			plan, err = c.prov.ProvisionBatch(a.bps, c.clock, a.hint)
+		}
 	}
 	if err != nil {
 		return err
@@ -390,13 +404,17 @@ func (c *Controller) writeUser(a *action) error {
 	// Execution phase (§IV-B, with §IV-C's force inside it): one device
 	// round. The data programs are running on the per-channel workers and
 	// the commit page is forced on the log's channel beside them, so a flush
-	// pays one program latency, not two. A user action releases c.mu for
-	// the round; a system action runs the same round holding it (runLocked).
+	// pays one program latency, not two — or none, when a data WBLOCK
+	// carries the commit. A user action releases c.mu for the round; a
+	// system action runs the same round holding it (runLocked).
 	tExec := time.Now()
 	c.met.initNS.ObserveDuration(tExec.Sub(tInit))
 	c.spanSubs(trace.KInit, a, tInit, tExec)
 	c.mu.Unlock()
-	forceErr := c.log.Force()
+	var forceErr error
+	if a.carried == 0 {
+		forceErr = c.log.Force()
+	}
 	res := batch.Wait()
 	// The stages stay a sum: program_wait ends when the data is complete,
 	// force_wait is the rest until the commit page is durable (≈ 0 if it won).
@@ -465,7 +483,43 @@ func (c *Controller) initLocked(a *action) (*flash.Batch, error) {
 	if err := c.crashIf(kinds[a.kind].init); err != nil {
 		return nil, err
 	}
+	if a.kind == record.ActionUser {
+		c.carryLocked(a)
+	}
 	return c.submitPlanLocked(a.buf, a.plan, kinds[a.kind].src), nil
+}
+
+// carryLocked lets a user action commit in its own data WBLOCK (DESIGN.md
+// §4 decision 14): the log's carried set, its Commit among them, goes at
+// the end of the plan's data WBLOCK with the most run-tail padding, which
+// is then programmed as an inline image, and the round skips the force. It
+// declines when the set does not fit, and while the last FreeEBlock is not
+// durable: the freed EBLOCK may be open again — by this plan, or by another
+// writer's whose force has not landed — and recovery would take it for Used
+// and not look there.
+func (c *Controller) carryLocked(a *action) {
+	var io *provision.IO // the data WBLOCK with the most run-tail padding
+	for i := range a.plan.IOs {
+		if x := &a.plan.IOs[i]; x.Inline == nil && (io == nil || x.BufHi-x.BufLo < io.BufHi-io.BufLo) {
+			io = x
+		}
+	}
+	w := c.geo.WBlockBytes
+	if io == nil || io.BufHi-io.BufLo == w || c.freedLSN > c.log.DurableLSN() {
+		return
+	}
+	img := bufpool.Get(w)
+	n := copy(img.Bytes(), a.buf[io.BufLo:io.BufHi])
+	clear(img.Bytes()[n:])
+	if a.carried = c.log.Carry(img.Bytes()[n:]); a.carried == 0 {
+		img.Release()
+		return
+	}
+	a.img, io.Inline = img, img.Bytes()
+	// The erase guard covers the set until the install raises it to the
+	// Done: an abort never does.
+	k := [2]int{io.Channel, io.EBlock}
+	c.doneLSN[k] = max(c.doneLSN[k], c.lsnHint()-1)
 }
 
 // logActionLocked appends an action's init-phase records: an OpenEBlock per
@@ -630,9 +684,13 @@ func (c *Controller) commitForcedLocked(a *action, forceErr error) error {
 		forceErr = c.log.Force()
 		c.mu.Lock()
 	}
-	if forceErr == nil {
+	switch {
+	case forceErr == nil && a.carried > 0:
+		c.met.commitsCarried.Inc()
+		c.met.carriedBytes.Add(int64(a.carried))
+		return nil
+	case forceErr == nil:
 		c.met.logForces.Inc()
-		c.logBytes += c.geo.WBlockBytes
 		return nil
 	}
 	if c.crashed {

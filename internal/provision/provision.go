@@ -534,6 +534,14 @@ func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsn
 	return p.applyLocked(c, lsnHint)
 }
 
+// SkipChannel moves the next buffer's deal on by one channel, for a batch
+// whose channel has no space left that garbage collection could free.
+func (p *Provisioner) SkipChannel() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rotate = (p.rotate + 1) % p.geo.Channels
+}
+
 // ProvisionGC plans placement for a GC (or migration) buffer within one
 // channel, routing the pages to the open GC EBLOCK whose timestamp is
 // closest to srcTS (§VI-B).

@@ -42,6 +42,8 @@ var promHelp = map[string]string{
 	"eleos_core_write_bytes_accepted_total":     "Logical bytes accepted by the controller write path.",
 	"eleos_core_gc_bytes_moved_total":           "Valid bytes relocated by garbage collection.",
 	"eleos_core_gc_bytes_read_total":            "Media bytes transferred by garbage collection's relocation and metadata reads.",
+	"eleos_core_commits_carried_total":          "User actions whose commit rode the run-tail padding of their own data WBLOCK instead of a log page.",
+	"eleos_core_carried_bytes_total":            "Log-record trailer bytes those actions programmed into data WBLOCK padding.",
 	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
 	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
 	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",

@@ -464,13 +464,15 @@ func (t *Table) OpenEBlocks() []OpenRef {
 }
 
 // MinOpenLSN returns the smallest open-LSN across open EBLOCKs (0 if none),
-// a component of the truncation LSN (§VIII-B).
+// a component of the truncation LSN (§VIII-B). A log EBLOCK pins nothing: it
+// logged no OpenEBlock (the chain is its record) and is never a GC victim,
+// and a log whose commits ride data WBLOCKs keeps one open a long time.
 func (t *Table) MinOpenLSN() record.LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var min record.LSN
-	for _, l := range t.openLSN {
-		if l != 0 && (min == 0 || l < min) {
+	for k, l := range t.openLSN {
+		if l != 0 && t.desc[k[0]][k[1]].Stream != record.StreamLog && (min == 0 || l < min) {
 			min = l
 		}
 	}

@@ -193,6 +193,7 @@ type Log struct {
 	next     int
 	inflight []flight
 	pages    []PageIndexEntry // in LSN order
+	tip      Slot             // the page that made durableLSN durable: what a carried set names
 	dead     bool
 
 	met logMetrics
@@ -212,7 +213,7 @@ func New(sink Sink, pageBytes int, opts ...Option) (*Log, error) {
 	if pageBytes <= headerSize+record.EncodedSize(record.Done{}) {
 		return nil, ErrPageTooSmall
 	}
-	l := &Log{sink: sink, nextLSN: 1, pageSize: pageBytes}
+	l := &Log{sink: sink, nextLSN: 1, pageSize: pageBytes, tip: NoSlot}
 	l.landed = sync.NewCond(&l.mu)
 	l.met = newLogMetrics(metrics.New())
 	for _, o := range opts {
@@ -232,6 +233,9 @@ func Resume(sink Sink, pageBytes int, nextLSN record.LSN, candidates []Slot, pag
 	}
 	l.nextLSN = nextLSN
 	l.durableLSN = nextLSN - 1
+	if n := len(pages); n > 0 && pages[n-1].Last == l.durableLSN {
+		l.tip = pages[n-1].Slot
+	}
 	for _, s := range candidates {
 		if s.IsValid() {
 			l.slots = append(l.slots, s)
@@ -441,6 +445,7 @@ func (l *Log) land(f flight) {
 	l.buf = append(l.buf[:0], l.buf[f.end-l.bufStart:]...)
 	l.bufStart = f.end
 	l.durableLSN = f.last
+	l.tip = f.slot
 	j := slices.Index(l.slots, f.slot) + 1
 	l.slots = l.slots[j:]
 	l.next -= j
@@ -542,16 +547,12 @@ func encodePage(page []byte, first record.LSN, count int, payload []byte, next [
 	binary.LittleEndian.PutUint64(page[8:], uint64(first))
 	binary.LittleEndian.PutUint32(page[16:], uint32(count))
 	binary.LittleEndian.PutUint32(page[20:], uint32(len(payload)))
-	off := 24
 	for i := 0; i < numForward; i++ {
 		s := NoSlot
 		if i < len(next) {
 			s = next[i]
 		}
-		binary.LittleEndian.PutUint32(page[off:], uint32(int32(s.Channel)))
-		binary.LittleEndian.PutUint32(page[off+4:], uint32(int32(s.EBlock)))
-		binary.LittleEndian.PutUint32(page[off+8:], uint32(int32(s.WBlock)))
-		off += 12
+		putSlot(page[24+12*i:], s)
 	}
 	n := copy(page[headerSize:], payload)
 	clear(page[headerSize+n:])
@@ -602,16 +603,88 @@ func DecodePage(s Slot, page []byte) (*ChainPage, error) {
 		return nil, fmt.Errorf("%w: record count mismatch", ErrBadPage)
 	}
 	cp := &ChainPage{Slot: s, FirstLSN: first, Records: recs}
-	off := 24
-	for i := 0; i < numForward; i++ {
-		cp.Next[i] = Slot{
-			Channel: int(int32(binary.LittleEndian.Uint32(page[off:]))),
-			EBlock:  int(int32(binary.LittleEndian.Uint32(page[off+4:]))),
-			WBlock:  int(int32(binary.LittleEndian.Uint32(page[off+8:]))),
-		}
-		off += 12
+	for i := range cp.Next {
+		cp.Next[i] = getSlot(page[24+12*i:])
 	}
 	return cp, nil
+}
+
+func putSlot(b []byte, s Slot) {
+	binary.LittleEndian.PutUint32(b, uint32(int32(s.Channel)))
+	binary.LittleEndian.PutUint32(b[4:], uint32(int32(s.EBlock)))
+	binary.LittleEndian.PutUint32(b[8:], uint32(int32(s.WBlock)))
+}
+
+func getSlot(b []byte) Slot {
+	u := func(i int) int { return int(int32(binary.LittleEndian.Uint32(b[i:]))) }
+	return Slot{Channel: u(0), EBlock: u(4), WBlock: u(8)}
+}
+
+// --- carried sets (DESIGN.md §4 decision 14) -----------------------------
+
+// A carried set's trailer ends its data WBLOCK: the encoded records, then
+// first LSN (8), count (4), payload length (4), the named page's slot
+// (12), a CRC-32 of everything before it (4) and the magic (4).
+const (
+	carryMagic  = 0x43525259 // "CRRY"
+	carryHeader = 36
+)
+
+// Carry encodes every record past the durable LSN — what the next page
+// would carry — as a trailer right-aligned in pad, the zeroed run-tail
+// padding of a data WBLOCK, and returns its size: 0 if it does not fit,
+// nothing is buffered, the log is dead or no page has landed to name. The
+// records stay buffered: a carried set makes them durable early and never
+// advances the durable LSN, so the next page carries them again.
+func (l *Log) Carry(pad []byte) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.buf) + carryHeader
+	if l.dead || !l.tip.IsValid() || len(l.buf) == 0 || n > len(pad) {
+		return 0
+	}
+	t := pad[len(pad)-n:]
+	h := t[copy(t, l.buf):]
+	binary.LittleEndian.PutUint64(h, uint64(l.durableLSN+1))
+	binary.LittleEndian.PutUint32(h[8:], uint32(l.nextLSN-1-l.durableLSN))
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(l.buf)))
+	putSlot(h[16:], l.tip)
+	binary.LittleEndian.PutUint32(h[28:], crc32.ChecksumIEEE(t[:n-8]))
+	binary.LittleEndian.PutUint32(h[32:], carryMagic)
+	return n
+}
+
+// Carried is a decoded carried set: records from First on, and the slot of
+// the page that was durable when it was encoded (its last LSN is First-1).
+type Carried struct {
+	Named   Slot
+	First   record.LSN
+	Records []record.Record
+}
+
+// Last returns the LSN of the set's final record.
+func (s *Carried) Last() record.LSN { return s.First + record.LSN(len(s.Records)) - 1 }
+
+// DecodeCarried parses and validates the carried set that ends b, a data
+// WBLOCK read back. Zeroes, page data and torn or stale bytes are an error.
+func DecodeCarried(b []byte) (*Carried, error) {
+	if len(b) < carryHeader || binary.LittleEndian.Uint32(b[len(b)-4:]) != carryMagic {
+		return nil, fmt.Errorf("%w: no carried set", ErrBadPage)
+	}
+	h := b[len(b)-carryHeader:]
+	n := int(binary.LittleEndian.Uint32(h[12:]))
+	if n > len(b)-carryHeader {
+		return nil, fmt.Errorf("%w: bad carried length", ErrBadPage)
+	}
+	t := b[len(b)-carryHeader-n:]
+	if crc32.ChecksumIEEE(t[:len(t)-8]) != binary.LittleEndian.Uint32(h[28:]) {
+		return nil, fmt.Errorf("%w: carried checksum mismatch", ErrBadPage)
+	}
+	recs, err := record.DecodeAll(t[:n])
+	if err != nil || len(recs) == 0 || len(recs) != int(binary.LittleEndian.Uint32(h[8:])) {
+		return nil, fmt.Errorf("%w: carried records: %v", ErrBadPage, err)
+	}
+	return &Carried{Named: getSlot(h[16:]), First: record.LSN(binary.LittleEndian.Uint64(h)), Records: recs}, nil
 }
 
 // PageLSNRange cheaply parses a raw log page's LSN coverage without
