@@ -101,6 +101,9 @@ func (p *Proxy) pipe(cl net.Conn) {
 	replies := make(chan struct{})
 	go func() {
 		_, _ = io.Copy(cl, be) // reply direction
+		// The server hung up (a crash, a drain): hang up on the client too,
+		// or it waits out its request timeout for a reply that never comes.
+		_ = cl.Close()
 		close(replies)
 	}()
 	finish := func() {

@@ -352,9 +352,10 @@ func TestUnforcedFreeForcesNextFlush(t *testing.T) {
 // TestFreedEBlockReopenedByAnotherWriter: GC erased EBLOCK E and logged its
 // FreeEBlock unforced. Writer A's flush opens E and forces; its log page is
 // held. Writer B's flush then lands in E without opening anything. Had B
-// carried its commit there, a crash before A's page lands would leave the
-// chain calling E Used, recovery would not read it, and B's acked flush
-// would be lost; B forces instead, and its page carries A's records too.
+// carried its commit there, it would be acked while A's page is held, a
+// crash before A's page lands would leave the chain calling E Used,
+// recovery would not read it, and B's acked flush would be lost. B forces
+// instead: its force waits for A's page, then lands a page of its own.
 func TestFreedEBlockReopenedByAnotherWriter(t *testing.T) {
 	r := freedEBlockReopened(t)
 	c2 := reopen(t, r.dev)
@@ -435,15 +436,17 @@ func freedEBlockReopened(t *testing.T) *carryRun {
 	pagesB := batch(sizes...)
 	var errB error
 	bDone := make(chan struct{})
+	forces := c.log.Stats().ForceCalls
 	go func() {
 		defer close(bDone)
 		errB = c.WriteBatch(0, 0, pagesB) // writer B
 	}()
-	select {
-	case <-bDone:
-	case call := <-g.calls:
-		call.fate <- logLands
+	if forcing(t, c, forces, bDone) {
+		aPage.fate <- logLands
+		g.next(t).fate <- logLands // B's page
+		<-aDone
 		<-bDone
+		aPage = nil
 	}
 	if errB != nil {
 		t.Fatalf("writer B: %v", errB)

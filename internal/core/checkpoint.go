@@ -280,10 +280,10 @@ const (
 // formatEpoch names what this build's log and media mean, not only their
 // bytes. Epoch 1: an action is proven by a durable Commit, no Abort, then a
 // Done or a read-back matching its checksum; a Done's Garbage is complete.
-// Epoch 2 adds: log pages may overlap, each repeating what was not durable.
-// Epoch 3 adds: a data WBLOCK's padding may end in a carried set of log
-// records (DESIGN.md §4 decision 14), which recovery reads.
-const formatEpoch = 3
+// Epoch 2 let log pages overlap. Epoch 3 adds carried sets: a data WBLOCK's
+// padding may end in log records (DESIGN.md §4 decision 14), which recovery
+// reads. Epoch 4 has one log page in flight, so pages never overlap again.
+const formatEpoch = 4
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte

@@ -547,8 +547,7 @@ func (c *Controller) SessionHighestWSN(sid uint64) (uint64, error) {
 
 // --- wal sink ----------------------------------------------------------------
 
-// logSink adapts the provisioner + device to the WAL's Sink interface. Its
-// Program runs concurrently for slots of different EBLOCKs (two log pages).
+// logSink adapts the provisioner + device to the WAL's Sink interface.
 type logSink struct{ c *Controller }
 
 func (s logSink) ProvisionSlots(n int) ([]wal.Slot, error) {

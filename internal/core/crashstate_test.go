@@ -434,19 +434,23 @@ func TestEraseAfterDoneIsDurable(t *testing.T) {
 	}
 }
 
-// The crash states of two log pages in flight (DESIGN.md §8.4): writer 1's
-// commit page A is programmed while writer 2's page B, which carries writer
-// 1's records as well as its own, goes beside it on the other log stream.
-// A logGate holds both programs until the cell releases them.
+// The crash states of a log page in flight (DESIGN.md §8.4): writer 1's
+// commit page A is held while writer 2's flush, which forces too, waits for
+// it. B is the page the log writes next: writer 2's records, and writer 1's
+// as well if A failed. A logGate holds both programs until the cell
+// releases them.
 
 // logGate holds the first two programs of the log until the test decides
-// their fate; later ones pass, unless the controller crashed.
+// their fate; later ones pass, unless the controller crashed. It notes a
+// program that starts while another is under way.
 type logGate struct {
 	logSink
-	calls chan *logCall
-	quit  chan struct{} // closed when the test ends: a held program fails
-	held  atomic.Int32
-	lost  atomic.Bool
+	calls   chan *logCall
+	quit    chan struct{} // closed when the test ends: a held program fails
+	held    atomic.Int32
+	lost    atomic.Bool
+	busy    atomic.Int32 // programs under way
+	overlap atomic.Bool  // two were under way at once
 }
 
 type logCall struct {
@@ -463,6 +467,10 @@ const (
 )
 
 func (g *logGate) Program(s wal.Slot, page []byte) error {
+	if g.busy.Add(1) > 1 {
+		g.overlap.Store(true)
+	}
+	defer g.busy.Add(-1)
 	fate := logLands
 	if g.held.Add(1) <= 2 {
 		c := &logCall{slot: s, fate: make(chan logFate)}
@@ -527,7 +535,7 @@ func (g *logGate) next(t *testing.T) *logCall {
 }
 
 // logStep releases page A (0) or B (1) with a fate; logLost crashes the
-// controller first.
+// controller first. A page that lands acks its writer.
 type logStep struct {
 	page int
 	fate logFate
@@ -542,12 +550,12 @@ var logCells = []struct {
 	size  int // each page's bytes
 	steps []logStep
 }{
+	{"log.a-landed-b-landed", wholeWBlock, []logStep{{0, logLands}, {1, logLands}}},
 	{"log.a-failed-b-landed", wholeWBlock, []logStep{{0, logFails}, {1, logLands}}},
-	{"log.crash-b-landed-a-in-flight", wholeWBlock, []logStep{{1, logLands}, {0, logLost}}},
-	{"log.b-landed-first", wholeWBlock, []logStep{{1, logLands}, {0, logLands}}},
+	{"log.crash-a-landed-b-in-flight", wholeWBlock, []logStep{{0, logLands}, {1, logLost}}},
+	{"log.carried.a-landed-b-landed", 700, []logStep{{0, logLands}, {1, logLands}}},
 	{"log.carried.a-failed-b-landed", 700, []logStep{{0, logFails}, {1, logLands}}},
-	{"log.carried.crash-b-landed-a-in-flight", 700, []logStep{{1, logLands}, {0, logLost}}},
-	{"log.carried.b-landed-first", 700, []logStep{{1, logLands}, {0, logLands}}},
+	{"log.carried.crash-a-landed-b-in-flight", 700, []logStep{{0, logLands}, {1, logLost}}},
 }
 
 // wholeWBlock is a page that leaves no run-tail padding to carry a commit
@@ -595,16 +603,21 @@ func logCrash(t *testing.T, size int, steps []logStep) (*carryRun, [2]uint64, [2
 	var calls [2]*logCall
 	for w := range sids {
 		done[w] = make(chan struct{})
+		forces := c.log.Stats().ForceCalls
 		go func() {
 			defer close(done[w])
 			errs[w] = c.WriteBatch(sids[w], 2, logPages(w, 2, size))
 		}()
-		calls[w] = g.next(t) // B starts while A is in flight
-	}
-	if calls[0].slot.Channel == calls[1].slot.Channel && calls[0].slot.EBlock == calls[1].slot.EBlock {
-		t.Fatalf("pages A %v and B %v in flight in one EBLOCK", calls[0].slot, calls[1].slot)
+		if w == 0 {
+			calls[0] = g.next(t)
+		} else if !forcing(t, c, forces, done[1]) {
+			t.Fatalf("writer 2 returned without forcing: %v", errs[1])
+		}
 	}
 	for _, st := range steps {
+		if calls[st.page] == nil {
+			calls[st.page] = g.next(t) // B starts once A has landed or failed
+		}
 		if st.fate == logLost {
 			c.Crash()
 		}
@@ -616,28 +629,53 @@ func logCrash(t *testing.T, size int, steps []logStep) (*carryRun, [2]uint64, [2
 	<-done[0]
 	<-done[1]
 	c.Crash()
+	if g.overlap.Load() {
+		t.Fatal("the log programmed a page while another was in flight")
+	}
 	return r, sids, errs
 }
 
-// TestTwoLogPagesInFlight: whatever becomes of A, B makes writer 1's
-// commit durable beside writer 2's, so Open reads both flushes back
-// byte-exact — writer 1's too when the crash came before it was acked.
-func TestTwoLogPagesInFlight(t *testing.T) {
+// forcing waits for a Force call on c's log past the first forces, and
+// reports false if done closes first.
+func forcing(t *testing.T, c *Controller, forces int64, done <-chan struct{}) bool {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.log.Stats().ForceCalls == forces; {
+		select {
+		case <-done:
+			return false
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the log saw no force")
+		}
+	}
+	return true
+}
+
+// TestLogPageCrashStates: A lands or fails, and the page after it carries
+// what A did not make durable, so Open reads both flushes back byte-exact;
+// if the crash takes B in flight, writer 2's flush is not acked and Open
+// keeps writer 2's earlier version.
+func TestLogPageCrashStates(t *testing.T) {
 	for _, cell := range logCells {
 		t.Run(cell.name, func(t *testing.T) {
 			r, sids, errs := logCrash(t, cell.size, cell.steps)
-			crashed := cell.steps[len(cell.steps)-1].fate == logLost
-			if errs[1] != nil || errs[0] != nil && !crashed {
+			lost := cell.steps[len(cell.steps)-1].fate == logLost
+			if errs[0] != nil || (errs[1] != nil) != lost {
 				t.Fatalf("writers returned %v", errs)
 			}
 			c2 := reopen(t, r.dev)
 			r.check(c2)
-			for w := range errs {
-				for _, p := range logPages(w, 2, cell.size) {
+			for w, err := range errs {
+				version := uint64(2)
+				if err != nil {
+					version = 1 // its commit was only in B
+				}
+				for _, p := range logPages(w, version, cell.size) {
 					checkRead(t, c2, p.LPID, p.Data)
 				}
-				if high, err := c2.SessionHighestWSN(sids[w]); err != nil || high != 2 {
-					t.Fatalf("writer %d: session at WSN %d (%v), want 2", w+1, high, err)
+				if high, err := c2.SessionHighestWSN(sids[w]); err != nil || high != version {
+					t.Fatalf("writer %d: session at WSN %d (%v), want %d", w+1, high, err, version)
 				}
 			}
 			writeWide(t, c2, 1000)

@@ -532,6 +532,14 @@ func TestOpenWithoutFormatFails(t *testing.T) {
 	}
 }
 
+// forgeEpoch rewrites a checkpoint record body's format epoch.
+func forgeEpoch(e uint32) func([]byte) []byte {
+	return func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[4:], e)
+		return b
+	}
+}
+
 // TestOpenRejectsOtherFormatEpoch: a device whose newest checkpoint record
 // is of another format epoch, or of the builds before the epoch — whose GC,
 // migration and checkpoint commits carry no checksum, so the one proof rule
@@ -547,22 +555,14 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 	}{
 		{"this epoch", func(b []byte) []byte { return b }, nil},
 		{"no epoch", noEpoch, ErrImageFormat},
-		// Epoch 1 walked the chain by exact first LSNs: it would end the chain
-		// at a page overlapping its predecessor, before acknowledged records.
-		{"epoch 1", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[4:], 1)
-			return b
-		}, ErrImageFormat},
+		{"epoch 1", forgeEpoch(1), ErrImageFormat},
 		// Epoch 2 never wrote a carried set: its recovery would drop every
-		// commit that rode a data WBLOCK's padding.
-		{"epoch 2", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[4:], 2)
-			return b
-		}, ErrImageFormat},
-		{"next epoch", func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[4:], formatEpoch+1)
-			return b
-		}, ErrImageFormat},
+		// commit that rode a data WBLOCK's padding. Epochs 2 and 3 let log
+		// pages overlap: this build's exact walk would end the chain at
+		// one, before acknowledged records.
+		{"epoch 2", forgeEpoch(2), ErrImageFormat},
+		{"epoch 3", forgeEpoch(3), ErrImageFormat},
+		{"next epoch", forgeEpoch(formatEpoch + 1), ErrImageFormat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, dev := newFormatted(t)

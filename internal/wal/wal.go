@@ -8,12 +8,10 @@
 // cannot be written to any of its three candidate locations, the log shuts
 // down (the paper does the same).
 //
-// Several pages may be in flight at once, each carrying every record past
-// the durable LSN, so pages overlap: whichever lands makes all it carries
-// durable, and a page may follow any predecessor whose records it extends.
-// A page goes to a forward candidate of the newest landed page, and only
-// once every earlier slot of its EBLOCK has finished (NAND programs an
-// EBLOCK's WBLOCKs in order), which bounds the depth by the sink's streams.
+// One page is in flight at a time. It carries every record past the
+// durable LSN, so a page that fails is written again, with the same records
+// and any appended since, at the next forward candidate, and each page's
+// first LSN is one past its predecessor's last.
 //
 // The package is independent of the rest of the controller: the owner
 // supplies a Sink that provisions WBLOCK slots in log-stream order and
@@ -21,12 +19,10 @@
 package wal
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sync"
 
 	"eleos/internal/metrics"
@@ -63,9 +59,9 @@ type Sink interface {
 	ProvisionSlots(n int) ([]Slot, error)
 	// Program writes one full log page to the slot. A failed program makes
 	// the remainder of the slot's EBLOCK unwritable until erased. It must
-	// not retain page: the log encodes a later page into the same buffer.
-	// It is called concurrently for slots of different EBLOCKs, never for
-	// two slots of one EBLOCK, and for an EBLOCK's slots in provision order.
+	// not retain page: the log encodes the next page into the same buffer.
+	// It is never called concurrently, and for an EBLOCK's slots in
+	// provision order.
 	Program(s Slot, page []byte) error
 	// Read returns the slot's WBLOCK content (zeroes if unwritten).
 	Read(s Slot) ([]byte, error)
@@ -167,44 +163,32 @@ func (s Stats) GroupCommitSize() float64 {
 //
 // A page's writer encodes every buffered record into a page under the log
 // lock, programs it unlocked, and reconciles on return. Appends therefore
-// proceed while pages are in flight; a Force whose records a page in flight
-// already carries waits only for that page (leader/follower group commit),
-// and any other Force writes its own page beside it.
+// proceed while the page is in flight, and every Force waits for it
+// (leader/follower group commit): one whose records it carries returns
+// when it lands, any other writes the next page.
 type Log struct {
 	mu     sync.Mutex
-	landed *sync.Cond // broadcast when a page in flight lands or fails
+	landed *sync.Cond // broadcast when the page in flight lands or fails
 	sink   Sink
 
 	nextLSN    record.LSN // LSN the next appended record will receive
 	durableLSN record.LSN // all records with LSN <= durableLSN are durable
 
-	// buf holds every record past durableLSN, encoded: what the next page
-	// carries. bufStart counts the bytes landed pages have trimmed from its
-	// front, so a page in flight knows by its end what of buf it carried.
-	buf      []byte
-	bufStart int64
-	spare    [][]byte // page buffers not in flight
-	pageSize int
+	buf    []byte // every record past durableLSN, encoded: what the next page carries
+	page   []byte // the page in flight, encodePage's buffer
+	flying bool   // a page's writer has released mu around its program
 
 	// slots[:numForward] are the forward candidates of the newest landed
-	// page; slots[:next] of them are used, in flight or failed; the rest are
-	// provisioned for the headers of the pages in flight.
-	slots    []Slot
-	next     int
-	inflight []flight
-	pages    []PageIndexEntry // in LSN order
-	tip      Slot             // the page that made durableLSN durable: what a carried set names
-	dead     bool
+	// page; slots[:next] of them have failed or are in flight; the rest are
+	// provisioned for the page header.
+	slots []Slot
+	next  int
+	pages []PageIndexEntry
+	tip   Slot // the page that made durableLSN durable: what a carried set names
+	dead  bool
 
 	met logMetrics
 	trc *trace.Recorder // nil-safe; see WithTracer
-}
-
-// flight is a log page being programmed.
-type flight struct {
-	slot        Slot
-	first, last record.LSN // the records it carries
-	end         int64      // where its payload ends, in bufStart's terms
 }
 
 // New creates a fresh, empty log (after device format). The first page will
@@ -213,7 +197,7 @@ func New(sink Sink, pageBytes int, opts ...Option) (*Log, error) {
 	if pageBytes <= headerSize+record.EncodedSize(record.Done{}) {
 		return nil, ErrPageTooSmall
 	}
-	l := &Log{sink: sink, nextLSN: 1, pageSize: pageBytes, tip: NoSlot}
+	l := &Log{sink: sink, nextLSN: 1, page: make([]byte, pageBytes), tip: NoSlot}
 	l.landed = sync.NewCond(&l.mu)
 	l.met = newLogMetrics(metrics.New())
 	for _, o := range opts {
@@ -246,7 +230,7 @@ func Resume(sink Sink, pageBytes int, nextLSN record.LSN, candidates []Slot, pag
 }
 
 // Capacity returns the payload bytes available per log page.
-func (l *Log) Capacity() int { return l.pageSize - headerSize }
+func (l *Log) Capacity() int { return len(l.page) - headerSize }
 
 // ensureSlots extends the provisioned-slot queue to at least n entries.
 func (l *Log) ensureSlots(n int) error {
@@ -277,17 +261,15 @@ func (l *Log) Append(r record.Record) (record.LSN, error) {
 		return 0, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, sz, l.Capacity())
 	}
 	// Every page carries the whole buffer, so it never outgrows one. The
-	// pages in flight drain it when they land; what is left goes in a page
-	// of its own.
+	// page in flight drains it when it lands; what is left goes in a page of
+	// its own.
 	for len(l.buf)+sz > l.Capacity() {
 		if l.dead {
 			return 0, ErrLogDead
 		}
-		if len(l.inflight) > 0 {
+		if l.flying {
 			l.landed.Wait()
-			continue
-		}
-		if _, err := l.writeIfReady(); err != nil {
+		} else if err := l.writePage(); err != nil {
 			return 0, err
 		}
 	}
@@ -304,11 +286,10 @@ func (l *Log) Append(r record.Record) (record.LSN, error) {
 //
 // Concurrent committers group-commit: a Force that writes a page is a
 // leader and its page carries every record not yet durable — including the
-// followers' commit records. A follower whose records a page in flight
-// carries waits for it and returns without a page write of its own, counted
-// as a FreeRide; if that page fails, the follower writes the next one. A
-// Force whose records arrived after every page in flight was encoded writes
-// its own page at once, beside them.
+// followers' commit records. A follower waits for the page in flight and,
+// if it carried the follower's records, returns without a page write of its
+// own, counted as a FreeRide; otherwise (it failed, or was encoded before
+// they were appended) the follower writes the next page.
 func (l *Log) Force() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -322,33 +303,20 @@ func (l *Log) Force() error {
 		if l.durableLSN >= target {
 			break
 		}
-		if !l.carried(target) {
-			wrote, err := l.writeIfReady()
-			if err != nil {
-				return err
-			}
-			if wrote {
-				leader = true
-				continue
-			}
+		if l.flying {
+			l.landed.Wait()
+			continue
 		}
-		l.landed.Wait()
+		if err := l.writePage(); err != nil {
+			return err
+		}
+		leader = true
 	}
 	if !leader {
 		l.met.freeRides.Inc()
 		l.trc.Emit(trace.KWalForce, 0, 0, 0, 0, 0)
 	}
 	return nil
-}
-
-// carried reports whether a page in flight carries the record at lsn.
-func (l *Log) carried(lsn record.LSN) bool {
-	for _, f := range l.inflight {
-		if f.last >= lsn {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats returns a snapshot of the log activity counters. Reads are
@@ -381,74 +349,47 @@ func (l *Log) AppendForce(rs ...record.Record) (record.LSN, error) {
 	return last, nil
 }
 
-// writeIfReady writes one page carrying every record past durableLSN to the
-// next unused forward candidate (§VIII-A), if that slot may be programmed
-// now, and reports whether it did. Called with l.mu held; returns with it
-// held, once the page has landed or failed. The lock is released around the
-// program, so Appends, free-riding Forces and a page for another EBLOCK are
-// not serialized behind NAND program latency; the records stay in l.buf
-// until a page carrying them lands.
-func (l *Log) writeIfReady() (bool, error) {
-	if l.next >= numForward {
-		return false, nil // a page in flight lands, or the last one fails and the log dies
-	}
+// writePage writes one page carrying every record past durableLSN to the
+// next unused forward candidate (§VIII-A). Called with l.mu held and no page
+// in flight; returns with it held, once the page has landed or failed. The
+// lock is released around the program, so Appends and free-riding Forces
+// are not serialized behind NAND program latency; the records stay in l.buf
+// until a page carrying them lands, and records appended meanwhile stay
+// there for the next page.
+func (l *Log) writePage() error {
 	// The page's header names the numForward slots after its own.
 	if err := l.ensureSlots(l.next + 1 + numForward); err != nil {
-		return false, err
+		return err
 	}
 	home := l.slots[l.next]
-	for _, f := range l.inflight {
-		if f.slot.Channel == home.Channel && f.slot.EBlock == home.EBlock {
-			return false, nil // NAND: an earlier slot of home's EBLOCK is in flight
-		}
-	}
-	f := flight{slot: home, first: l.durableLSN + 1, last: l.nextLSN - 1, end: l.bufStart + int64(len(l.buf))}
-	var page []byte // a buffer no page in flight holds
-	if n := len(l.spare); n > 0 {
-		page, l.spare = l.spare[n-1], l.spare[:n-1]
-	} else {
-		page = make([]byte, l.pageSize)
-	}
-	page = encodePage(page, f.first, int(f.last-f.first+1), l.buf, l.slots[l.next+1:l.next+1+numForward])
+	first, last, n := l.durableLSN+1, l.nextLSN-1, len(l.buf)
+	count := int64(last - first + 1)
+	page := encodePage(l.page, first, int(count), l.buf, l.slots[l.next+1:l.next+1+numForward])
 	l.next++
-	l.inflight = append(l.inflight, f)
+	l.flying = true
 	tWrite := l.trc.Now()
 	l.mu.Unlock()
 	err := l.sink.Program(home, page)
 	l.mu.Lock()
-	l.spare = append(l.spare, page)
-	l.inflight = slices.DeleteFunc(l.inflight, func(g flight) bool { return g.slot == home })
-	if err == nil {
-		l.trc.Span(trace.KWalForce, 0, 0, 0, tWrite, 1, int64(f.last-f.first+1))
-		l.land(f)
+	l.flying = false
+	defer l.landed.Broadcast()
+	if err != nil {
+		if l.next >= numForward {
+			l.dead = true // every candidate of the newest landed page failed
+		}
+		return nil
 	}
-	if l.next >= numForward && len(l.inflight) == 0 {
-		l.dead = true // every candidate of the newest landed page failed
-	}
-	l.landed.Broadcast()
-	return true, nil
-}
-
-// land records page f. Unless a page written after it landed first, it
-// makes the records it carries durable and its forward candidates the next
-// pages' homes.
-func (l *Log) land(f flight) {
-	made := max(int64(f.last)-int64(l.durableLSN), 0)
+	l.trc.Span(trace.KWalForce, 0, 0, 0, tWrite, 1, count)
 	l.met.pageWrites.Inc()
-	l.met.recordsFlushed.Add(made)
-	l.met.groupCommit.Observe(made)
-	i, _ := slices.BinarySearchFunc(l.pages, f.last, func(p PageIndexEntry, last record.LSN) int { return cmp.Compare(p.Last, last) })
-	l.pages = slices.Insert(l.pages, i, PageIndexEntry{First: f.first, Last: f.last, Slot: f.slot})
-	if made == 0 {
-		return
-	}
-	l.buf = append(l.buf[:0], l.buf[f.end-l.bufStart:]...)
-	l.bufStart = f.end
-	l.durableLSN = f.last
-	l.tip = f.slot
-	j := slices.Index(l.slots, f.slot) + 1
-	l.slots = l.slots[j:]
-	l.next -= j
+	l.met.recordsFlushed.Add(count)
+	l.met.groupCommit.Observe(count)
+	l.pages = append(l.pages, PageIndexEntry{First: first, Last: last, Slot: home})
+	l.buf = append(l.buf[:0], l.buf[n:]...)
+	l.durableLSN = last
+	l.tip = home
+	l.slots = l.slots[l.next:]
+	l.next = 0
+	return nil
 }
 
 // Dead reports whether the log has shut down after exhausting forward
@@ -503,7 +444,7 @@ func (l *Log) LastPage() (s Slot, first record.LSN, ok bool) {
 func (l *Log) StartCandidates() ([]Slot, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.inflight) > 0 {
+	for l.flying {
 		l.landed.Wait()
 	}
 	if l.dead {
@@ -722,11 +663,9 @@ type ChainTail struct {
 }
 
 // FollowChain walks the log chain starting from the candidate slots,
-// expecting the first page to carry the record at expectFirst. A successor
-// may repeat records its predecessor carried (pages overlap when several
-// were in flight): the walk takes the first candidate that carries the next
-// expected LSN and trims what was already delivered, so fn sees each record
-// once, in LSN order. It returns the tail state for resuming appends.
+// expecting the first page to carry firstLSN == expectFirst and each
+// successor to start one past its predecessor's last LSN. Each valid page is
+// passed to fn in order. It returns the tail state for resuming appends.
 func FollowChain(sink Sink, start []Slot, expectFirst record.LSN, fn func(*ChainPage) error) (*ChainTail, error) {
 	tail := &ChainTail{LastLSN: expectFirst - 1, Candidates: append([]Slot(nil), start...)}
 	candidates := start
@@ -741,8 +680,8 @@ func FollowChain(sink Sink, start []Slot, expectFirst record.LSN, fn func(*Chain
 			if err != nil {
 				continue // unwritten, torn or stale page: probe next candidate
 			}
-			if expect < p.FirstLSN || expect-p.FirstLSN >= record.LSN(len(p.Records)) {
-				continue // stale page from an earlier generation, or one the chain has passed
+			if p.FirstLSN != expect {
+				continue // stale page from an earlier generation
 			}
 			page = p
 			break
@@ -750,8 +689,6 @@ func FollowChain(sink Sink, start []Slot, expectFirst record.LSN, fn func(*Chain
 		if page == nil {
 			return tail, nil
 		}
-		page.Records = page.Records[expect-page.FirstLSN:]
-		page.FirstLSN = expect
 		if err := fn(page); err != nil {
 			return nil, err
 		}

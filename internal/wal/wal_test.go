@@ -14,9 +14,9 @@ import (
 // fakeSink provisions slots round-robin across channels (as the real
 // provisioner does, so that forward candidates do not all share one
 // EBLOCK) and mimics flash failure semantics: a failed program disables
-// the rest of its EBLOCK. It holds the log to the NAND rules the Sink
-// contract states — one program at a time per EBLOCK, its WBLOCKs in
-// order — and fails the test on a breach.
+// the rest of its EBLOCK. It holds the log to the rules the Sink contract
+// states — one program at a time, an EBLOCK's WBLOCKs in order — and fails
+// the test on a breach.
 type fakeSink struct {
 	mu         sync.Mutex
 	tb         testing.TB
@@ -27,7 +27,7 @@ type fakeSink struct {
 	programs   map[Slot][]byte
 	fail       map[Slot]bool
 	disabled   map[[2]int]bool // {channel,eblock} disabled after failure
-	busy       map[[2]int]bool // {channel,eblock} with a program under way
+	busy       bool            // a program is under way
 	nextWB     map[[2]int]int  // the WBLOCK each EBLOCK programs next
 	failures   int             // programs that returned an error
 	// hold, when set, runs mid-program without the lock — the device's
@@ -53,7 +53,6 @@ func newFakeSink(tb testing.TB, pageBytes int) *fakeSink {
 		programs:   make(map[Slot][]byte),
 		fail:       make(map[Slot]bool),
 		disabled:   make(map[[2]int]bool),
-		busy:       make(map[[2]int]bool),
 		nextWB:     make(map[[2]int]int),
 	}
 }
@@ -87,22 +86,21 @@ func (f *fakeSink) Program(s Slot, page []byte) error {
 	})
 }
 
-// program checks the NAND rules around wait, which stands for the device's
+// program checks the Sink rules around wait, which stands for the device's
 // program time and decides the page's fate.
 func (f *fakeSink) program(s Slot, page []byte, wait func() pageFate) error {
-	eb := [2]int{s.Channel, s.EBlock}
 	f.mu.Lock()
-	if f.busy[eb] {
+	if f.busy {
 		f.mu.Unlock()
-		f.tb.Errorf("fake: %v programmed while another slot of its eblock is", s)
-		return errors.New("fake: eblock busy")
+		f.tb.Errorf("fake: %v programmed while another log page is", s)
+		return errors.New("fake: busy")
 	}
-	f.busy[eb] = true
+	f.busy = true
 	f.mu.Unlock()
 	fate := wait()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.busy, eb)
+	f.busy = false
 	err := f.apply(s, page, fate)
 	if err != nil {
 		f.failures++
@@ -415,9 +413,10 @@ func TestPageForAndTruncate(t *testing.T) {
 }
 
 func TestFollowChainIgnoresStalePages(t *testing.T) {
-	// A page with the right format that does not carry the next LSN must
+	// A page with the right format whose first LSN is not the next one must
 	// not be treated as the successor: one from a stale generation that
-	// starts past it, and one the chain has passed (its LastLSN is below it).
+	// starts past it, and one that overlaps its predecessor, repeating LSN 1
+	// before the LSN 2 the walk expects.
 	sink := newFakeSink(t, testPageBytes)
 	l, _ := New(sink, testPageBytes)
 	start, _ := l.StartCandidates()
@@ -425,8 +424,8 @@ func TestFollowChainIgnoresStalePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Manually place both at the page's first two forward candidates.
-	passed := encodePage(make([]byte, testPageBytes), 1, 1, record.Append(nil, record.Done{Action: 1}), nil)
-	if err := sink.Program(Slot{1, 0, 0}, passed); err != nil {
+	overlap := encodePage(make([]byte, testPageBytes), 1, 2, record.Append(record.Append(nil, record.Done{Action: 1}), record.Done{Action: 2}), nil)
+	if err := sink.Program(Slot{1, 0, 0}, overlap); err != nil {
 		t.Fatal(err)
 	}
 	stale := encodePage(make([]byte, testPageBytes), 99, 0, nil, nil)
