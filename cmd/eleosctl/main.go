@@ -55,6 +55,10 @@ func main() {
 	}
 	if err := run(*img, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "eleosctl: %v\n", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -71,8 +75,9 @@ commands:
   checkpoint                          take a fuzzy checkpoint
   stats [-json] [-addr HOST:PORT]     print media, health, tenant and metrics statistics
                                       (with -addr: fetched from a running eleosd over stats_full)
-  top [-addr HOST:PORT] [-interval D] live device dashboard streamed from a running eleosd
-                                      over watch_stats (throughput, WAF, GC, wear, tenants)
+  top [-addr HOST:PORT] [-interval D] [-n N] [-plain]
+                                      live device dashboard polling a running eleosd's
+                                      stats_full (throughput, WAF, GC, wear, tenants)
   session-open                        open a durable write-ordering session
   swrite -sid S -wsn N <lpid>=<text>  ordered write (stale WSNs are ACKed, not re-applied)
   session-status -sid S               show a session's highest applied WSN
@@ -100,8 +105,10 @@ func run(img string, args []string) error {
 		return doGet(rest)
 	}
 	if cmd == "top" {
-		// Network command: live dashboard over the watch_stats stream.
-		return doTop(rest)
+		// Network command: live dashboard polling stats_full.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		return runTop(ctx, os.Stdout, rest)
 	}
 	if cmd == "stats" && hasAddrFlag(rest) {
 		// Network mode: one stats_full round trip to a running eleosd
@@ -187,6 +194,12 @@ func doFormat(img string, args []string) error {
 	return nil
 }
 
+// dialServer connects to a running eleosd for a network command: a few
+// quick attempts, then the error.
+func dialServer(address string) (*client.Client, error) {
+	return client.Dial(address, client.Options{DialTimeout: 3 * time.Second, RequestTimeout: 10 * time.Second, MaxAttempts: 3})
+}
+
 // doTrace fetches a running eleosd's flight recorder over TCP and
 // renders it: a per-batch text timeline by default, or Chrome
 // trace_event JSON (loadable in chrome://tracing / Perfetto) with
@@ -196,11 +209,7 @@ func doTrace(args []string) error {
 	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
 	chrome := fs.String("chrome", "", "write Chrome trace_event JSON to FILE ('-' for stdout) instead of the text timeline")
 	_ = fs.Parse(args)
-	cl, err := client.Dial(*addrFlag, client.Options{
-		DialTimeout:    3 * time.Second,
-		RequestTimeout: 10 * time.Second,
-		MaxAttempts:    3,
-	})
+	cl, err := dialServer(*addrFlag)
 	if err != nil {
 		return err
 	}
@@ -232,11 +241,7 @@ func doGet(args []string) error {
 		}
 		lpids = append(lpids, addr.LPID(lpid))
 	}
-	cl, err := client.Dial(*addrFlag, client.Options{
-		DialTimeout:    3 * time.Second,
-		RequestTimeout: 10 * time.Second,
-		MaxAttempts:    3,
-	})
+	cl, err := dialServer(*addrFlag)
 	if err != nil {
 		return err
 	}
@@ -502,11 +507,7 @@ func doStatsRemote(args []string) error {
 	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
 	jsonOut := fs.Bool("json", false, "emit the full metrics snapshot as JSON")
 	_ = fs.Parse(args)
-	cl, err := client.Dial(*addrFlag, client.Options{
-		DialTimeout:    3 * time.Second,
-		RequestTimeout: 10 * time.Second,
-		MaxAttempts:    3,
-	})
+	cl, err := dialServer(*addrFlag)
 	if err != nil {
 		return err
 	}
@@ -521,59 +522,105 @@ func doStatsRemote(args []string) error {
 	return renderStats(os.Stdout, sf, *jsonOut)
 }
 
-// errTopDone ends the watch stream after `top -n N` frames.
-var errTopDone = errors.New("eleosctl: frame budget reached")
+// topConfig is `top`'s command line, checked by Validate before dialling.
+type topConfig struct {
+	addr     string
+	interval time.Duration
+	frames   int
+	plain    bool
+	extra    []string // arguments left over after the flags
+}
 
-// doTop is the live dashboard: subscribe to watch_stats and redraw the
-// terminal from each pushed payload. Rates come from the delta between
-// successive pushes (health.Compute), so the first frame appears after
-// two pushes.
-func doTop(args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
-	interval := fs.Duration("interval", time.Second, "sampling interval (server clamps to [10ms, 60s])")
-	frames := fs.Int("n", 0, "exit after N rendered frames (0: run until interrupted)")
-	plain := fs.Bool("plain", false, "append frames instead of redrawing (for logs and pipes)")
-	_ = fs.Parse(args)
-	cl, err := client.Dial(*addrFlag, client.Options{
-		DialTimeout:    3 * time.Second,
-		RequestTimeout: 10 * time.Second,
-		MaxAttempts:    3,
-	})
+// parseTopFlags reads top's arguments without judging them (Validate
+// does); a syntax error comes back after the FlagSet has written it to out.
+func parseTopFlags(args []string, out io.Writer) (topConfig, error) {
+	var c topConfig
+	fs := flag.NewFlagSet("top", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:9420", "eleosd address")
+	fs.DurationVar(&c.interval, "interval", time.Second, "sampling interval (0: 1s; clamped to [10ms, 60s])")
+	fs.IntVar(&c.frames, "n", 0, "exit after N rendered frames (0: run until interrupted)")
+	fs.BoolVar(&c.plain, "plain", false, "append frames instead of redrawing (for logs and pipes)")
+	err := fs.Parse(args)
+	c.extra = fs.Args()
+	return c, err
+}
+
+// Validate rejects a negative interval or frame count and a stray
+// argument, which ends flag parsing and drops every flag after it.
+func (c topConfig) Validate() error {
+	switch {
+	case len(c.extra) > 0:
+		return fmt.Errorf("unexpected argument %q", c.extra[0])
+	case c.interval < 0:
+		return fmt.Errorf("-interval %v: must not be negative (0 selects 1s)", c.interval)
+	case c.frames < 0:
+		return fmt.Errorf("-n %d: must not be negative (0 runs until interrupted)", c.frames)
+	}
+	return nil
+}
+
+// period is the sampling period: 0 selects 1s, others clamp to [10ms, 60s].
+func (c topConfig) period() time.Duration {
+	if c.interval == 0 {
+		return time.Second
+	}
+	return min(max(c.interval, 10*time.Millisecond), time.Minute)
+}
+
+// usageError is a command-line mistake: main exits 2 for it, as a
+// FlagSet that exits on error does.
+type usageError struct{ error }
+
+// runTop is the live dashboard: poll stats_full once per period and
+// redraw w from each pair of samples, timed by when they arrived. It
+// returns nil after -n frames or when ctx ends, else the first error.
+func runTop(ctx context.Context, w io.Writer, args []string) error {
+	cfg, err := parseTopFlags(args, os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return nil
+	case err == nil:
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return usageError{err}
+	}
+	cl, err := dialServer(cfg.addr)
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	tick := time.NewTicker(cfg.period())
+	defer tick.Stop()
 	var prev netproto.StatsFull
 	var prevAt time.Time
-	have := false
-	rendered := 0
-	err = cl.WatchStats(ctx, *interval, func(sf netproto.StatsFull) error {
+	for rendered := 0; ; {
+		sf, err := cl.StatsFull()
+		if err != nil {
+			return err
+		}
 		now := time.Now()
-		if have {
-			if !*plain {
-				fmt.Print("\x1b[H\x1b[2J") // home + clear: redraw in place
+		if !prevAt.IsZero() {
+			if !cfg.plain {
+				fmt.Fprint(w, "\x1b[H\x1b[2J") // home + clear: redraw in place
 			}
-			fmt.Print(renderTop(*addrFlag, prev, sf, now.Sub(prevAt)))
-			rendered++
-			if *frames > 0 && rendered >= *frames {
-				return errTopDone
+			fmt.Fprint(w, renderTop(cfg.addr, prev, sf, now.Sub(prevAt)))
+			if rendered++; rendered == cfg.frames {
+				return nil
 			}
 		}
-		prev, prevAt, have = sf, now, true
-		return nil
-	})
-	if errors.Is(err, errTopDone) || errors.Is(err, context.Canceled) {
-		return nil
+		prev, prevAt = sf, now
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-tick.C:
+		}
 	}
-	return err
 }
 
-// renderTop builds one dashboard frame from two successive watch_stats
-// payloads. Pure (no clock, no I/O) so tests can pin it with fixtures.
+// renderTop builds one dashboard frame from two successive stats_full
+// samples. Pure (no clock, no I/O) so tests can pin it with fixtures.
 func renderTop(target string, prev, cur netproto.StatsFull, dt time.Duration) string {
 	var sb strings.Builder
 	r := health.Compute(prev.Snap, cur.Snap, dt)

@@ -2,17 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"eleos/internal/core"
+	"eleos/internal/flash"
 	"eleos/internal/health"
 	"eleos/internal/metrics"
 	"eleos/internal/netproto"
+	"eleos/internal/server"
 	"eleos/internal/trace"
 )
 
@@ -200,12 +207,12 @@ func TestPrintMetricsTable(t *testing.T) {
 	}
 }
 
-// watchFixture builds a pair of stats_full payloads 1s apart with known
+// topFixture builds a pair of stats_full payloads 1s apart with known
 // deltas so renderTop's rate math is pinned exactly: 1 MB/s user,
 // 2 MB/s flash (WAF 2.00), 1.25 MB of user-source programs for the 1 MB
 // stored (pad 20.0%), 10 batches/s, and one reclaimed EBLOCK whose 1 MB of
 // survivors took 1.75 MB of media reads to move.
-func watchFixture() (prev, cur netproto.StatsFull) {
+func topFixture() (prev, cur netproto.StatsFull) {
 	build := func(user, flash, batches, moved, freed int64) netproto.StatsFull {
 		reg := metrics.New()
 		reg.Counter("core.write.bytes_accepted").Add(user)
@@ -247,7 +254,7 @@ func watchFixture() (prev, cur netproto.StatsFull) {
 // derived from the payload deltas, the health census, and the tenant
 // table all render from a pure function with no server.
 func TestRenderTop(t *testing.T) {
-	prev, cur := watchFixture()
+	prev, cur := topFixture()
 	out := renderTop("10.0.0.1:9420", prev, cur, time.Second)
 	for _, want := range []string{
 		"eleos top — 10.0.0.1:9420",
@@ -279,7 +286,7 @@ func TestRenderTop(t *testing.T) {
 // stats_full payload renders the GC policy, the health census, the tenant
 // table and the metrics table, and -json is the snapshot alone.
 func TestRenderStats(t *testing.T) {
-	_, sf := watchFixture()
+	_, sf := topFixture()
 	var buf bytes.Buffer
 	if err := renderStats(&buf, sf, false); err != nil {
 		t.Fatal(err)
@@ -343,5 +350,138 @@ func TestHasAddrFlag(t *testing.T) {
 		if got := hasAddrFlag(tc.args); got != tc.want {
 			t.Errorf("hasAddrFlag(%v) = %v, want %v", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestTopConfigValidate: top's flags parse into one value and Validate
+// names the flag it rejects; period applies the 1s default and the
+// [10ms, 60s] clamp.
+func TestTopConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		args       []string
+		wantErr    string // substring of the Validate error; "" = valid
+		wantPeriod time.Duration
+	}{
+		{"defaults", nil, "", time.Second},
+		{"interval 0 selects the default", []string{"-interval", "0"}, "", time.Second},
+		{"interval in range", []string{"-interval", "250ms"}, "", 250 * time.Millisecond},
+		{"interval below the floor clamps up", []string{"-interval", "1ms"}, "", 10 * time.Millisecond},
+		{"interval above the ceiling clamps down", []string{"-interval", "2h"}, "", time.Minute},
+		{"all four flags", []string{"-addr", "x:1", "-interval", "100ms", "-n", "2", "-plain"}, "", 100 * time.Millisecond},
+		{"interval negative", []string{"-interval", "-1s"}, "-interval", 0},
+		{"n negative", []string{"-n", "-1"}, "-n", 0},
+		{"stray argument drops the flags after it", []string{"-plain", "true", "-n", "2"}, `"true"`, 0},
+	} {
+		cfg, err := parseTopFlags(tc.args, io.Discard)
+		if err != nil {
+			t.Errorf("%s: parse: %v", tc.name, err)
+			continue
+		}
+		err = cfg.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: valid flags rejected: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %s", tc.name, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.wantErr)
+		case tc.wantErr == "" && cfg.period() != tc.wantPeriod:
+			t.Errorf("%s: period %v, want %v", tc.name, cfg.period(), tc.wantPeriod)
+		}
+	}
+	for _, bad := range [][]string{{"-no-such-flag"}, {"-n", "many"}, {"-interval", "5"}} {
+		if _, err := parseTopFlags(bad, io.Discard); err == nil {
+			t.Errorf("parseTopFlags(%q) accepted", bad)
+		}
+	}
+	var ue usageError
+	if err := runTop(context.Background(), io.Discard, []string{"-n", "-1"}); !errors.As(err, &ue) {
+		t.Errorf("runTop with -n -1 = %v, want a usage error", err)
+	}
+}
+
+// frameRecorder is the writer runTop renders into: with -plain each frame
+// is one Write. onFrame runs after each, with the count so far.
+type frameRecorder struct {
+	frames  []string
+	onFrame func(n int)
+}
+
+func (f *frameRecorder) Write(p []byte) (int, error) {
+	f.frames = append(f.frames, string(p))
+	if f.onFrame != nil {
+		f.onFrame(len(f.frames))
+	}
+	return len(p), nil
+}
+
+// startTopServer serves a fresh in-memory controller on loopback.
+func startTopServer(t *testing.T) (*server.Server, string) {
+	t.Helper()
+	dev := flash.MustNewDevice(flash.Geometry{
+		Channels: 2, EBlocksPerChannel: 16,
+		EBlockBytes: 1 << 20, WBlockBytes: 32 << 10, RBlockBytes: 4 << 10,
+	}, flash.Latency{})
+	ctl, err := core.Format(dev, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(ctl, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = drain(srv) })
+	return srv, ln.Addr().String()
+}
+
+func drain(srv *server.Server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return srv.Drain(ctx)
+}
+
+// TestTopLoopback runs top against an in-process eleosd: -n 3 renders
+// exactly three frames, each naming the server, and a server drained
+// after the first frame ends top with an error instead of a hang.
+func TestTopLoopback(t *testing.T) {
+	_, addr := startTopServer(t)
+	var out frameRecorder
+	if err := runTop(context.Background(), &out, []string{"-addr", addr, "-n", "3", "-plain", "-interval", "10ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.frames) != 3 {
+		t.Fatalf("rendered %d frames, want 3", len(out.frames))
+	}
+	for i, f := range out.frames {
+		if !strings.HasPrefix(f, "eleos top — "+addr) {
+			t.Errorf("frame %d does not name %s:\n%s", i, addr, f)
+		}
+	}
+
+	srv, addr := startTopServer(t)
+	out = frameRecorder{onFrame: func(n int) {
+		if n == 1 {
+			if err := drain(srv); err != nil {
+				t.Errorf("drain: %v", err)
+			}
+		}
+	}}
+	done := make(chan error, 1)
+	go func() {
+		done <- runTop(context.Background(), &out, []string{"-addr", addr, "-plain", "-interval", "10ms"})
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("top returned nil after its server drained")
+		}
+		if len(out.frames) != 1 {
+			t.Fatalf("rendered %d frames, want 1 before the drain", len(out.frames))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("top still running 10s after its server drained")
 	}
 }

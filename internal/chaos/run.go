@@ -57,9 +57,6 @@ type Result struct {
 // Failed reports whether any invariant (or the harness itself) failed.
 func (r Result) Failed() bool { return len(r.Violations) > 0 }
 
-// RunSeed generates and executes the schedule derived from seed.
-func RunSeed(seed int64, opts Options) Result { return Run(Generate(seed), opts) }
-
 func chaosGeometry() flash.Geometry {
 	return flash.Geometry{
 		Channels: 4, EBlocksPerChannel: 48,

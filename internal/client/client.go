@@ -23,7 +23,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -256,137 +255,6 @@ func (c *Client) StatsFull() (netproto.StatsFull, error) {
 		return netproto.StatsFull{}, err
 	}
 	return netproto.DecodeStatsFull(rbody)
-}
-
-// WatchStats subscribes to the server's periodic stats push stream and
-// calls fn for every pushed payload. interval is the requested sampling
-// period (0 asks for the server default); the server clamps it and the
-// granted period governs the stream. The stream runs until ctx is done
-// or fn returns an error — both end it with a clean unsubscribe
-// handshake (stop request, drain any in-flight pushes, stop ack) that
-// leaves the connection reusable, returning ctx.Err() or fn's error
-// respectively. A transport failure tears the connection down and is
-// returned as-is; there is no automatic re-subscribe.
-//
-// The client is locked for the whole stream: one watch per Client, and
-// no other requests can interleave (use a dedicated Client, as
-// `eleosctl top` does).
-func (c *Client) WatchStats(ctx context.Context, interval time.Duration, fn func(netproto.StatsFull) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		if err := c.connectLocked(); err != nil {
-			return fmt.Errorf("client: watch_stats: %w", err)
-		}
-	}
-
-	// Subscribe and read the grant (the clamped interval).
-	c.stats.Requests++
-	_ = c.conn.SetDeadline(time.Now().Add(c.opts.RequestTimeout))
-	if err := c.fw.WriteFrame(netproto.MsgWatchStats, netproto.WatchStatsBody(uint32(interval/time.Millisecond))); err != nil {
-		_ = c.dropConnLocked()
-		return fmt.Errorf("client: watch_stats subscribe: %w", err)
-	}
-	rtyp, rbody, err := netproto.ReadFrame(c.conn, c.opts.MaxFrameBytes)
-	if err != nil {
-		_ = c.dropConnLocked()
-		return fmt.Errorf("client: watch_stats subscribe: %w", err)
-	}
-	var granted uint32
-	switch rtyp {
-	case netproto.MsgRespWatchStats:
-		if granted, err = netproto.ParseWatchStats(rbody); err != nil {
-			_ = c.dropConnLocked()
-			return err
-		}
-	case netproto.MsgRespError:
-		re, perr := netproto.ParseError(rbody)
-		if perr != nil {
-			_ = c.dropConnLocked()
-			return perr
-		}
-		return re
-	default:
-		_ = c.dropConnLocked()
-		return fmt.Errorf("client: unexpected reply type 0x%02x", rtyp)
-	}
-
-	// A watchdog pokes the read deadline when ctx ends, so a stream
-	// blocked waiting for the next push notices the cancellation without
-	// waiting a full period. It fires at most once; the unsubscribe
-	// handshake below sets fresh deadlines afterwards.
-	watchdone := make(chan struct{})
-	defer close(watchdone)
-	conn := c.conn // stable for the goroutine even if the conn is dropped
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = conn.SetReadDeadline(time.Now())
-		case <-watchdone:
-		}
-	}()
-
-	// Each push must arrive within ~2 periods plus the usual request
-	// slack; a server that stops pushing without closing is a dead peer.
-	frameWait := 2*time.Duration(granted)*time.Millisecond + c.opts.RequestTimeout
-	for {
-		if ctx.Err() != nil {
-			return c.watchStopLocked(ctx.Err())
-		}
-		_ = c.conn.SetReadDeadline(time.Now().Add(frameWait))
-		rtyp, rbody, err := netproto.ReadFrame(c.conn, c.opts.MaxFrameBytes)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The watchdog's deadline poke, not a dead peer.
-				return c.watchStopLocked(ctx.Err())
-			}
-			c.noteTimeout(err)
-			_ = c.dropConnLocked()
-			return fmt.Errorf("client: watch_stats stream: %w", err)
-		}
-		if rtyp != netproto.MsgStatsPush {
-			_ = c.dropConnLocked()
-			return fmt.Errorf("client: unexpected stream frame type 0x%02x", rtyp)
-		}
-		sf, err := netproto.DecodeStatsFull(rbody)
-		if err != nil {
-			_ = c.dropConnLocked()
-			return err
-		}
-		if err := fn(sf); err != nil {
-			return c.watchStopLocked(err)
-		}
-	}
-}
-
-// watchStopLocked runs the clean unsubscribe handshake — stop request,
-// drain in-flight pushes, stop ack — and returns cause (why the stream
-// ended) on success, or the transport error if the handshake itself
-// broke the connection.
-func (c *Client) watchStopLocked(cause error) error {
-	_ = c.conn.SetDeadline(time.Now().Add(c.opts.RequestTimeout))
-	if err := c.fw.WriteFrame(netproto.MsgWatchStatsStop, nil); err != nil {
-		_ = c.dropConnLocked()
-		return fmt.Errorf("client: watch_stats stop: %w", err)
-	}
-	for {
-		_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.RequestTimeout))
-		rtyp, _, err := netproto.ReadFrame(c.conn, c.opts.MaxFrameBytes)
-		if err != nil {
-			_ = c.dropConnLocked()
-			return fmt.Errorf("client: watch_stats stop: %w", err)
-		}
-		switch rtyp {
-		case netproto.MsgStatsPush:
-			// A push that was already in flight when the stop landed;
-			// discard and keep draining.
-		case netproto.MsgRespWatchStatsStop:
-			return cause
-		default:
-			_ = c.dropConnLocked()
-			return fmt.Errorf("client: unexpected reply type 0x%02x during watch stop", rtyp)
-		}
-	}
 }
 
 // TraceDump fetches the server's flight recorder — the last few thousand

@@ -328,13 +328,6 @@ func (s *Store) readLocked(loc location, charge bool) ([]byte, error) {
 	return append([]byte(nil), buf[lo:lo+loc.length]...), nil
 }
 
-// FreeSegments returns the number of unused segments.
-func (s *Store) FreeSegments() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.freeSegmentsLocked()
-}
-
 func (s *Store) freeSegmentsLocked() int {
 	n := 0
 	for i := range s.segs {
@@ -421,14 +414,6 @@ func Recover(ftl *blockftl.FTL, meter *nvme.Meter, cfg Config) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// CleanNow forces one cleaning round (benchmarks). Returns whether a
-// segment was cleaned.
-func (s *Store) CleanNow() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cleanOneLocked()
 }
 
 // cleanOneLocked cleans the oldest flushed segment: reads it back in full,

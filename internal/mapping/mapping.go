@@ -486,16 +486,6 @@ func (t *Table) SmallPageAddr(sp int) addr.PhysAddr {
 	return t.tiny[sp]
 }
 
-// SetSmallPageAddr installs a small-page address directly (recovery).
-func (t *Table) SetSmallPageAddr(sp int, a addr.PhysAddr) {
-	t.tablesMu.Lock()
-	defer t.tablesMu.Unlock()
-	for sp >= len(t.tiny) {
-		t.tiny = append(t.tiny, 0)
-	}
-	t.tiny[sp] = a
-}
-
 // TinyTable returns a copy of the tiny table for the checkpoint record.
 func (t *Table) TinyTable() []addr.PhysAddr {
 	t.tablesMu.Lock()

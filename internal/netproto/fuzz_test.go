@@ -32,25 +32,6 @@ func FuzzDecodeStatsFull(f *testing.F) {
 	})
 }
 
-// FuzzParseWatchStats: same contract for the watch_stats interval codec.
-// The body is a single fixed-width u32, so canonicality is exact: any
-// accepted body re-encodes byte-identically.
-func FuzzParseWatchStats(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(WatchStatsBody(0))
-	f.Add(WatchStatsBody(DefaultWatchIntervalMS))
-	f.Add(WatchStatsBody(^uint32(0)))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ms, err := ParseWatchStats(data)
-		if err != nil {
-			return
-		}
-		if re := WatchStatsBody(ms); string(re) != string(data) {
-			t.Fatalf("accepted non-canonical encoding:\n in  %x\n out %x", data, re)
-		}
-	})
-}
-
 // FuzzDecodeOpenSession: same contract for the open_session tenant-tag
 // codec — no panics, and any body the parser accepts must re-encode to
 // the identical bytes. Canonicality here has teeth: the default tag has

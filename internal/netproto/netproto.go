@@ -11,10 +11,9 @@
 // message is a 5-byte frame. The commands mirror the controller's host
 // interface: open/close session, flush_batch (carrying the §IX-A2 batch
 // buffer of core.AppendBatch verbatim, prefixed by trace_id+sid+wsn),
-// read by LPID (one or a batch), stats_full with its watch_stats stream,
-// and trace_dump. Responses either carry the command's payload or a
-// RespError frame with a numeric code; the code tells the client whether
-// a retry is safe (see Retryable).
+// read by LPID (one or a batch), stats_full and trace_dump. Responses
+// either carry the command's payload or a RespError frame with a numeric
+// code; the code tells the client whether a retry is safe (see Retryable).
 //
 // The protocol is deliberately strict. A frame that cannot be delimited —
 // an oversized or zero length prefix — terminates the connection
@@ -57,15 +56,9 @@ const (
 	// MsgReadBatch reads many LPIDs in one round trip; the server
 	// scatter-gathers the flash transfers across channels.
 	MsgReadBatch = 0x09 // body: count u32 | lpid u64 × count
-	// MsgWatchStats subscribes the connection to a periodic stats
-	// stream: the server acknowledges with MsgRespWatchStats (carrying
-	// the granted interval) and then pushes MsgStatsPush frames until
-	// the client sends MsgWatchStatsStop or the connection dies.
-	MsgWatchStats = 0x0A // body: interval_ms u32 (0 selects the default)
-	// MsgWatchStatsStop unsubscribes. The server stops the pusher and
-	// answers MsgRespWatchStatsStop after the final push, so the client
-	// can drain deterministically and reuse the connection.
-	MsgWatchStatsStop = 0x0B // body: empty
+	// 0x0A/0x0B (watch_stats subscribe/stop) and their replies 0x8A-0x8C
+	// are retired: a client polls stats_full instead. Like any unknown
+	// type they are answered CodeBadRequest.
 
 	// Responses.
 	MsgRespOpenSession  = 0x81 // body: sid u64
@@ -78,55 +71,8 @@ const (
 	// by u32 len | bytes) or 1 (not found, nothing follows). Per-page
 	// absence is data, not an error frame.
 	MsgRespReadBatch = 0x89 // body: count u32 | (status u8 [| len u32 | bytes]) × count
-	// MsgRespWatchStats acknowledges a subscription with the granted
-	// (clamped) push interval.
-	MsgRespWatchStats = 0x8A // body: interval_ms u32
-	// MsgStatsPush is one server-initiated stats delta: a full
-	// stats_full v3 body (snapshot + health census). Consumers compute
-	// rates from successive pushes.
-	MsgStatsPush = 0x8B // body: EncodeStatsFull
-	// MsgRespWatchStatsStop acknowledges an unsubscribe; no pushes
-	// follow it on the connection.
-	MsgRespWatchStatsStop = 0x8C // body: empty
-	MsgRespError          = 0xFF // body: code u16 | message bytes
+	MsgRespError     = 0xFF // body: code u16 | message bytes
 )
-
-// Watch-stats interval policy, shared by both ends: a requested 0 means
-// DefaultWatchIntervalMS, and grants clamp into [Min, Max].
-const (
-	DefaultWatchIntervalMS = 1000
-	MinWatchIntervalMS     = 10
-	MaxWatchIntervalMS     = 60_000
-)
-
-// ClampWatchInterval maps a requested interval to the granted one.
-func ClampWatchInterval(ms uint32) uint32 {
-	if ms == 0 {
-		return DefaultWatchIntervalMS
-	}
-	if ms < MinWatchIntervalMS {
-		return MinWatchIntervalMS
-	}
-	if ms > MaxWatchIntervalMS {
-		return MaxWatchIntervalMS
-	}
-	return ms
-}
-
-// WatchStatsBody encodes a watch_stats request (or response) body: the
-// interval in milliseconds as one u32.
-func WatchStatsBody(intervalMS uint32) []byte {
-	return binary.LittleEndian.AppendUint32(nil, intervalMS)
-}
-
-// ParseWatchStats decodes a watch_stats request/response body. Exactly
-// four bytes; trailing bytes are rejected so decode∘encode is canonical.
-func ParseWatchStats(body []byte) (uint32, error) {
-	if len(body) != 4 {
-		return 0, fmt.Errorf("%w: watch_stats wants 4 bytes, have %d", ErrShortBody, len(body))
-	}
-	return binary.LittleEndian.Uint32(body), nil
-}
 
 // Error codes carried by RespError frames.
 const (

@@ -51,9 +51,8 @@ const (
 // ErrBadStats reports a malformed stats_full body.
 var ErrBadStats = errors.New("netproto: malformed stats snapshot")
 
-// StatsFull is the full payload of a stats_full (or stats push) body:
-// the instrument snapshot plus the device-health census taken alongside
-// it.
+// StatsFull is the full payload of a stats_full body: the instrument
+// snapshot plus the device-health census taken alongside it.
 type StatsFull struct {
 	Snap   metrics.Snapshot
 	Health health.DeviceHealth

@@ -214,37 +214,3 @@ func TestHealthBinaryRoundTrip(t *testing.T) {
 		t.Fatal("short health block accepted")
 	}
 }
-
-func TestWatchStatsCodec(t *testing.T) {
-	for _, ms := range []uint32{0, 1, 10, 250, 1000, 60_000, 1 << 31} {
-		body := WatchStatsBody(ms)
-		got, err := ParseWatchStats(body)
-		if err != nil {
-			t.Fatalf("interval %d: %v", ms, err)
-		}
-		if got != ms {
-			t.Fatalf("interval %d round-tripped to %d", ms, got)
-		}
-	}
-	for _, bad := range [][]byte{nil, {1}, {1, 2, 3}, {1, 2, 3, 4, 5}} {
-		if _, err := ParseWatchStats(bad); err == nil {
-			t.Fatalf("body %v accepted", bad)
-		}
-	}
-}
-
-func TestClampWatchInterval(t *testing.T) {
-	cases := map[uint32]uint32{
-		0:                  DefaultWatchIntervalMS,
-		1:                  MinWatchIntervalMS,
-		MinWatchIntervalMS: MinWatchIntervalMS,
-		250:                250,
-		MaxWatchIntervalMS: MaxWatchIntervalMS,
-		1 << 31:            MaxWatchIntervalMS,
-	}
-	for in, want := range cases {
-		if got := ClampWatchInterval(in); got != want {
-			t.Fatalf("ClampWatchInterval(%d) = %d, want %d", in, got, want)
-		}
-	}
-}

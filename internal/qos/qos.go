@@ -25,7 +25,6 @@ package qos
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -355,19 +354,4 @@ func (q *Controller) Stats() map[string]TenantStats {
 		}
 	}
 	return out
-}
-
-// TenantNames lists tenants seen so far, sorted.
-func (q *Controller) TenantNames() []string {
-	if q == nil {
-		return nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	names := make([]string, 0, len(q.tenants))
-	for name := range q.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -47,7 +47,6 @@ var promHelp = map[string]string{
 	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
 	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
 	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",
-	"eleos_server_watch_pushes_total":           "stats_full frames pushed to watch_stats subscribers.",
 	"eleos_info":                                "Exporter facts (active GC policy and friends) as labels.",
 }
 

@@ -136,8 +136,6 @@ type srvMetrics struct {
 	bytesOut  *metrics.Counter
 	drained   *metrics.Counter
 
-	watchPushes *metrics.Counter
-
 	activeConns   *metrics.Gauge
 	inflightBytes *metrics.Gauge
 	peakInflight  *metrics.Gauge
@@ -156,8 +154,6 @@ func newSrvMetrics(reg *metrics.Registry) srvMetrics {
 		bytesIn:   reg.Counter("server.bytes_in"),
 		bytesOut:  reg.Counter("server.bytes_out"),
 		drained:   reg.Counter("server.drained_conns"),
-
-		watchPushes: reg.Counter("server.watch_pushes"),
 
 		activeConns:   reg.Gauge("server.active_conns"),
 		inflightBytes: reg.Gauge("server.inflight_bytes"),
@@ -205,16 +201,6 @@ func New(ctl *core.Controller, cfg Config) *Server {
 		s.qos = qos.New(s.cfg.QoS, ctl.Metrics())
 	}
 	return s
-}
-
-// ListenAndServe listens on addr and serves until Drain or a listener
-// error.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until Drain closes it. It returns
@@ -357,40 +343,13 @@ func (s *Server) Drain(ctx context.Context) error {
 // connState is one connection's reusable hot-path machinery: the frame
 // writer with its scratch, the reply-body scratch the dispatch cases
 // append into, the zero-copy page views of the flush path, and the
-// connection's flush seat. One goroutine owns all of it —
-// except while a stats watcher is active, when the watcher goroutine
-// shares the socket's write side under wmu.
+// connection's flush seat. One goroutine owns all of it, the socket
+// included.
 type connState struct {
 	fw      *netproto.FrameWriter
 	scratch []byte       // reply bodies are appended here
 	views   []core.LPage // batch views of the flush being written
 	pf      pendingFlush // reusable flush seat (coalescing or direct)
-
-	// wmu serializes frame writes (and the write deadline) between the
-	// request/reply loop and the watch_stats push goroutine. Uncontended
-	// unless the connection subscribed to watch_stats.
-	wmu          sync.Mutex
-	watch        *watcher
-	pendingWatch uint32 // granted interval (ms) to start after the reply
-}
-
-// watcher is one connection's active watch_stats subscription.
-type watcher struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// stopWatcher tears down the connection's push goroutine, if any, and
-// waits for it to finish (so its final push, if one was in flight, is on
-// the wire before the caller writes anything else). Safe to call with no
-// watcher active.
-func (cn *connState) stopWatcher() {
-	if cn.watch == nil {
-		return
-	}
-	close(cn.watch.stop)
-	<-cn.watch.done
-	cn.watch = nil
 }
 
 // u64 builds a one-u64 reply body in the connection's scratch.
@@ -409,11 +368,7 @@ func (s *Server) handle(conn net.Conn) {
 	cn := &connState{fw: netproto.NewFrameWriter(conn), pf: pendingFlush{done: make(chan struct{}, 1)}}
 	defer func() {
 		s.trc.Emit(trace.KConnClose, 0, cid, 0, 0, 0)
-		// Close before reaping the watcher: a push blocked on a stalled
-		// peer fails immediately once the socket is gone, so the reap
-		// never waits out a write deadline.
 		_ = conn.Close()
-		cn.stopWatcher()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.met.activeConns.Add(-1)
@@ -430,15 +385,7 @@ func (s *Server) handle(conn net.Conn) {
 		if draining {
 			return
 		}
-		if cn.watch != nil {
-			// A watching connection is expected to sit quiet between
-			// pushes; suspend the idle timeout. Drain's read-deadline poke
-			// (an absolute past deadline) still overrides this and aborts
-			// the stream.
-			_ = conn.SetReadDeadline(time.Time{})
-		} else {
-			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
+		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		typ, body, fbuf, err := netproto.ReadFrameBuf(conn, s.cfg.MaxFrameBytes)
 		if err != nil {
 			// EOF and deadline pokes are routine; anything else malformed
@@ -460,20 +407,9 @@ func (s *Server) handle(conn net.Conn) {
 		// write's page views, the flash programs) finished inside
 		// dispatch; the frame goes back to the pool before the reply I/O.
 		fbuf.Release()
-		cn.wmu.Lock()
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		err = cn.fw.WriteFrame2(rtyp, rhead, rtail)
-		cn.wmu.Unlock()
-		if err != nil {
+		if err := cn.fw.WriteFrame2(rtyp, rhead, rtail); err != nil {
 			return
-		}
-		if cn.pendingWatch != 0 {
-			// The subscription starts only after its grant reply is on the
-			// wire, so the client never sees a push ahead of the grant.
-			w := &watcher{stop: make(chan struct{}), done: make(chan struct{})}
-			cn.watch = w
-			go s.watchLoop(conn, cn, cn.pendingWatch, w.stop, w.done)
-			cn.pendingWatch = 0
 		}
 		s.met.bytesOut.Add(int64(5 + len(rhead) + len(rtail)))
 		s.met.requestNS.ObserveDuration(time.Since(t0))
@@ -544,27 +480,6 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 	case netproto.MsgStatsFull:
 		return netproto.MsgRespStatsFull, netproto.EncodeStatsFull(s.statsPayload()), nil
 
-	case netproto.MsgWatchStats:
-		ms, err := netproto.ParseWatchStats(body)
-		if err != nil {
-			return s.badRequest(cn, err)
-		}
-		if cn.watch != nil || cn.pendingWatch != 0 {
-			return s.errCode(cn, netproto.CodeBadRequest, "watch_stats already active on this connection")
-		}
-		cn.pendingWatch = netproto.ClampWatchInterval(ms)
-		return netproto.MsgRespWatchStats, netproto.WatchStatsBody(cn.pendingWatch), nil
-
-	case netproto.MsgWatchStatsStop:
-		if len(body) != 0 {
-			return s.badRequest(cn, fmt.Errorf("watch_stats_stop: want empty body, have %d bytes", len(body)))
-		}
-		// Reap the pusher before replying: any final push is on the wire
-		// ahead of the stop ack, so the client drains deterministically.
-		cn.stopWatcher()
-		cn.pendingWatch = 0
-		return netproto.MsgRespWatchStatsStop, nil, nil
-
 	case netproto.MsgTraceDump:
 		return netproto.MsgRespTraceDump, netproto.EncodeTraceDump(s.ctl.TraceDump()), nil
 
@@ -578,38 +493,6 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 // census taken alongside it.
 func (s *Server) statsPayload() netproto.StatsFull {
 	return netproto.StatsFull{Snap: s.ctl.MetricsSnapshot(), Health: s.ctl.DeviceHealth()}
-}
-
-// watchLoop is one connection's watch_stats pusher: every interval it
-// snapshots the registry + health census and writes a stats push frame,
-// sharing the socket's write side with the reply loop under cn.wmu. A
-// peer that cannot drain pushes within IOTimeout loses the connection —
-// the write deadline fires, the socket is closed, and the reader
-// unblocks into its teardown path. Snapshot and encode happen outside
-// wmu so a slow peer never holds the lock hostage longer than one
-// kernel write.
-func (s *Server) watchLoop(conn net.Conn, cn *connState, intervalMS uint32, stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(time.Duration(intervalMS) * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		body := netproto.EncodeStatsFull(s.statsPayload())
-		cn.wmu.Lock()
-		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		err := cn.fw.WriteFrame(netproto.MsgStatsPush, body)
-		cn.wmu.Unlock()
-		if err != nil {
-			_ = conn.Close()
-			return
-		}
-		s.met.bytesOut.Add(int64(5 + len(body)))
-		s.met.watchPushes.Inc()
-	}
 }
 
 // flush admits the batch under the in-flight byte bound, applies it, and

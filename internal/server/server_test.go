@@ -528,9 +528,9 @@ func TestHostileFrames(t *testing.T) {
 // TestLegacyFlushAndRetiredStats drives raw frames down one connection.
 // The legacy 0x03 flush body (no trace ID) applies and is acknowledged
 // exactly like 0x08 with trace ID 0 — its replay is the same stale re-ACK
-// — a body short of either header and the retired 0x05 stats request are
-// answered CodeBadRequest like any request the server cannot act on, and
-// none of it costs the connection.
+// — a body short of either header and the retired 0x05 stats and
+// 0x0A/0x0B watch requests are answered CodeBadRequest like any request
+// the server cannot act on, and none of it costs the connection.
 func TestLegacyFlushAndRetiredStats(t *testing.T) {
 	ctl, _, srv, addrStr, _ := startServer(t, server.Config{})
 	sid, err := ctl.OpenSession()
@@ -551,6 +551,8 @@ func TestLegacyFlushAndRetiredStats(t *testing.T) {
 	}{
 		{"flush_batch, trace ID 0", netproto.MsgFlushBatch, flushBody(1, 50), 1},
 		{"legacy 0x03", netproto.MsgFlushBatchLegacy, flushBody(2, 51)[8:], 2},
+		{"retired watch_stats 0x0A", 0x0A, []byte{0xe8, 0x03, 0, 0}, 0},
+		{"retired watch_stats_stop 0x0B", 0x0B, nil, 0},
 		{"legacy 0x03 replayed", netproto.MsgFlushBatchLegacy, flushBody(2, 51)[8:], 2},
 		{"flush_batch replayed", netproto.MsgFlushBatch, flushBody(1, 50), 2},
 		{"flush_batch one byte short of its header", netproto.MsgFlushBatch, flushBody(3, 52)[:23], 0},
@@ -596,8 +598,8 @@ func TestLegacyFlushAndRetiredStats(t *testing.T) {
 	if len(traced) != 2 || traced[0] {
 		t.Fatalf("install spans carry trace IDs %v, want two server-assigned ones", traced)
 	}
-	if st := srv.Stats(); st.BadFrames != 0 || st.Errors != 3 || st.ActiveConns != 1 {
-		t.Fatalf("front-end stats %+v, want 3 error replies on a connection still open", st)
+	if st := srv.Stats(); st.BadFrames != 0 || st.Errors != 5 || st.ActiveConns != 1 {
+		t.Fatalf("front-end stats %+v, want 5 error replies on a connection still open", st)
 	}
 }
 
