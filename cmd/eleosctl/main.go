@@ -54,6 +54,9 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*img, flag.Args()); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintf(os.Stderr, "eleosctl: %v\n", err)
 		var ue usageError
 		if errors.As(err, &ue) {
@@ -355,18 +358,55 @@ func doRead(ctl *core.Controller, args []string) error {
 	return nil
 }
 
+// fillConfig is `fill`'s command line, checked by Validate before writing.
+type fillConfig struct {
+	pages, size int
+	seed        int64
+	extra       []string // arguments left over after the flags
+}
+
+// parseFillFlags reads fill's arguments without judging them (Validate
+// does); a syntax error comes back after the FlagSet has written it to out.
+func parseFillFlags(args []string, out io.Writer) (fillConfig, error) {
+	var c fillConfig
+	fs := flag.NewFlagSet("fill", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.IntVar(&c.pages, "pages", 100, "pages to write")
+	fs.IntVar(&c.size, "size", 2000, "page size in bytes")
+	fs.Int64Var(&c.seed, "seed", 1, "rng seed")
+	err := fs.Parse(args)
+	c.extra = fs.Args()
+	return c, err
+}
+
+// Validate rejects a negative page count, a page size below one byte and
+// a stray argument.
+func (c fillConfig) Validate() error {
+	switch {
+	case len(c.extra) > 0:
+		return fmt.Errorf("unexpected argument %q", c.extra[0])
+	case c.pages < 0:
+		return fmt.Errorf("-pages %d: must not be negative", c.pages)
+	case c.size <= 0:
+		return fmt.Errorf("-size %d: must be at least 1 byte", c.size)
+	}
+	return nil
+}
+
 func doFill(ctl *core.Controller, args []string) error {
-	fs := flag.NewFlagSet("fill", flag.ExitOnError)
-	pages := fs.Int("pages", 100, "pages to write")
-	size := fs.Int("size", 2000, "page size in bytes")
-	seed := fs.Int64("seed", 1, "rng seed")
-	_ = fs.Parse(args)
-	rng := rand.New(rand.NewSource(*seed))
+	cfg, err := parseFillFlags(args, os.Stderr)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	if err != nil {
+		return usageError{err}
+	}
+	rng := rand.New(rand.NewSource(cfg.seed))
 	var batch []core.LPage
-	for i := 0; i < *pages; i++ {
-		data := make([]byte, *size)
+	for i := 0; i < cfg.pages; i++ {
+		data := make([]byte, cfg.size)
 		rng.Read(data)
-		batch = append(batch, core.LPage{LPID: addr.LPID(1000 + rng.Intn(*pages)), Data: data})
+		batch = append(batch, core.LPage{LPID: addr.LPID(1000 + rng.Intn(cfg.pages)), Data: data})
 		if len(batch) >= 64 {
 			if err := ctl.WriteBatch(0, 0, batch); err != nil {
 				return err
@@ -379,30 +419,62 @@ func doFill(ctl *core.Controller, args []string) error {
 			return err
 		}
 	}
-	fmt.Printf("filled %d pages of %d bytes\n", *pages, *size)
+	fmt.Printf("filled %d pages of %d bytes\n", cfg.pages, cfg.size)
+	return nil
+}
+
+// gcConfig is `gc`'s command line, checked by Validate against the
+// device's channel count.
+type gcConfig struct {
+	channel int
+	extra   []string // arguments left over after the flags
+}
+
+// parseGCFlags reads gc's arguments without judging them (Validate does).
+func parseGCFlags(args []string, out io.Writer) (gcConfig, error) {
+	var c gcConfig
+	fs := flag.NewFlagSet("gc", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.IntVar(&c.channel, "channel", -1, "channel to collect (-1 = all)")
+	err := fs.Parse(args)
+	c.extra = fs.Args()
+	return c, err
+}
+
+// Validate rejects a channel outside [-1, channels) — -1 collects all —
+// and a stray argument.
+func (c gcConfig) Validate(channels int) error {
+	switch {
+	case len(c.extra) > 0:
+		return fmt.Errorf("unexpected argument %q", c.extra[0])
+	case c.channel < -1 || c.channel >= channels:
+		return fmt.Errorf("-channel %d: want -1 (all) or a channel in [0, %d)", c.channel, channels)
+	}
 	return nil
 }
 
 func doGC(ctl *core.Controller, args []string) error {
-	fs := flag.NewFlagSet("gc", flag.ExitOnError)
-	channel := fs.Int("channel", -1, "channel to collect (-1 = all)")
-	_ = fs.Parse(args)
+	geo := ctl.Geometry()
+	cfg, err := parseGCFlags(args, os.Stderr)
+	if err == nil {
+		err = cfg.Validate(geo.Channels)
+	}
+	if err != nil {
+		return usageError{err}
+	}
 	before := ctl.Stats()
-	if *channel >= 0 {
-		if err := ctl.GCNow(*channel); err != nil {
-			return err
+	for ch := 0; ch < geo.Channels; ch++ {
+		if cfg.channel >= 0 && ch != cfg.channel {
+			continue
 		}
-	} else {
-		for ch := 0; ch < ctl.Geometry().Channels; ch++ {
-			if err := ctl.GCNow(ch); err != nil {
-				return err
-			}
+		if err := ctl.GCNow(ch); err != nil {
+			return err
 		}
 	}
 	after := ctl.Stats()
-	fmt.Printf("gc: %d rounds, %d pages moved, %d eblocks freed\n",
+	fmt.Printf("gc: %d rounds, %d pages moved, %d eblocks freed, %d rblocks read\n",
 		after.GCRounds-before.GCRounds, after.GCPagesMoved-before.GCPagesMoved,
-		after.GCEBlocksFreed-before.GCEBlocksFreed)
+		after.GCEBlocksFreed-before.GCEBlocksFreed, (after.GCBytesRead-before.GCBytesRead)/int64(geo.RBlockBytes))
 	return nil
 }
 
@@ -569,18 +641,18 @@ func (c topConfig) period() time.Duration {
 }
 
 // usageError is a command-line mistake: main exits 2 for it, as a
-// FlagSet that exits on error does.
+// FlagSet that exits on error does — or 0 for -h, once the FlagSet has
+// printed its usage.
 type usageError struct{ error }
+
+func (e usageError) Unwrap() error { return e.error }
 
 // runTop is the live dashboard: poll stats_full once per period and
 // redraw w from each pair of samples, timed by when they arrived. It
 // returns nil after -n frames or when ctx ends, else the first error.
 func runTop(ctx context.Context, w io.Writer, args []string) error {
 	cfg, err := parseTopFlags(args, os.Stderr)
-	switch {
-	case errors.Is(err, flag.ErrHelp):
-		return nil
-	case err == nil:
+	if err == nil {
 		err = cfg.Validate()
 	}
 	if err != nil {

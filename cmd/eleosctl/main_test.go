@@ -401,6 +401,75 @@ func TestTopConfigValidate(t *testing.T) {
 	}
 }
 
+// TestFillAndGCConfigValidate: fill's and gc's flags parse into one value
+// each, Validate names the flag it rejects — gc's against the device's
+// channel count — and the commands turn a rejection into a usage error
+// before they write or collect anything.
+func TestFillAndGCConfigValidate(t *testing.T) {
+	const channels = 4
+	for _, tc := range []struct {
+		name    string
+		cmd     string
+		args    []string
+		wantErr string // substring of the Validate error; "" = valid
+	}{
+		{"fill defaults", "fill", nil, ""},
+		{"fill all three flags", "fill", []string{"-pages", "0", "-size", "1", "-seed", "7"}, ""},
+		{"fill pages negative", "fill", []string{"-pages", "-1"}, "-pages"},
+		{"fill size zero", "fill", []string{"-size", "0"}, "-size"},
+		{"fill size negative", "fill", []string{"-size", "-5"}, "-size"},
+		{"fill stray argument", "fill", []string{"-pages", "3", "x", "-size", "0"}, `"x"`},
+		{"gc defaults to all channels", "gc", nil, ""},
+		{"gc first channel", "gc", []string{"-channel", "0"}, ""},
+		{"gc last channel", "gc", []string{"-channel", "3"}, ""},
+		{"gc channel past the device", "gc", []string{"-channel", "4"}, "-channel"},
+		{"gc channel far past the device", "gc", []string{"-channel", "99"}, "-channel"},
+		{"gc channel below -1", "gc", []string{"-channel", "-5"}, "-channel"},
+		{"gc stray argument", "gc", []string{"2"}, `"2"`},
+	} {
+		var err error
+		if tc.cmd == "fill" {
+			var cfg fillConfig
+			if cfg, err = parseFillFlags(tc.args, io.Discard); err == nil {
+				err = cfg.Validate()
+			}
+		} else {
+			var cfg gcConfig
+			if cfg, err = parseGCFlags(tc.args, io.Discard); err == nil {
+				err = cfg.Validate(channels)
+			}
+		}
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: valid flags rejected: %v", tc.name, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want an error naming %s", tc.name, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.wantErr)
+		}
+	}
+
+	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
+	ctl, err := core.Format(dev, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ctl.Stats()
+	var ue usageError
+	if err := doGC(ctl, []string{"-channel", "99"}); !errors.As(err, &ue) {
+		t.Errorf("gc -channel 99 = %v, want a usage error", err)
+	}
+	if err := doFill(ctl, []string{"-size", "0"}); !errors.As(err, &ue) {
+		t.Errorf("fill -size 0 = %v, want a usage error", err)
+	}
+	if err := doGC(ctl, []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("gc -h = %v, want flag.ErrHelp (exit 0)", err)
+	}
+	if after := ctl.Stats(); after.GCRounds != before.GCRounds || after.BatchesWritten != before.BatchesWritten {
+		t.Errorf("rejected commands ran: %d GC rounds, %d batches", after.GCRounds-before.GCRounds, after.BatchesWritten-before.BatchesWritten)
+	}
+}
+
 // frameRecorder is the writer runTop renders into: with -plain each frame
 // is one Write. onFrame runs after each, with the count so far.
 type frameRecorder struct {

@@ -184,8 +184,8 @@ const (
 // flash programs execute on the per-channel device workers and the commit
 // force runs beside them (see DESIGN.md §4, "Concurrency model"). GC,
 // migration and checkpoint actions take the same steps holding c.mu, which
-// they release only while an erase batch is on the device (DESIGN.md §4.1,
-// "GC erase protocol").
+// they release only while a metadata read or an erase batch is on the
+// device (DESIGN.md §4.1, "GC media waits").
 type Controller struct {
 	mu      sync.Mutex
 	wsnCond *sync.Cond // admission waiters (WSN order, duplicate claims)
@@ -205,9 +205,9 @@ type Controller struct {
 	active       map[uint64]record.LSN // active actions -> first LSN
 	sessSnapAddr addr.PhysAddr         // current durable session snapshot
 
-	// inflight counts programs queued on the device workers per (channel,
-	// eblock). GC victim selection, checkpoint force-close and migration
-	// must not touch an EBLOCK while its count is non-zero.
+	// inflight counts programs queued on the device workers and GC's media
+	// waits per (channel, eblock). Victim selection, checkpoint force-close
+	// and migration must not touch an EBLOCK while its count is non-zero.
 	inflight map[[2]int]int
 	// pinned counts actions whose programs landed on an EBLOCK but whose
 	// mapping install (or abort) has not happened yet. A user action waits
@@ -240,8 +240,8 @@ type Controller struct {
 	migrationDepth int
 	inCheckpoint   bool
 	// gcBusy marks a GC pass in flight. The pass releases c.mu while its
-	// erase batches run, so the flag is what keeps passes from overlapping:
-	// a threshold trigger skips, a forced caller waits on ioCond.
+	// metadata reads and erase batches run, so the flag is what keeps passes
+	// from overlapping: a threshold trigger skips, a forced caller waits.
 	gcBusy bool
 
 	crashed     bool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -34,8 +35,8 @@ func (c *Controller) maybeGCLocked() bool {
 // provisioning runs out of space). It first takes a checkpoint so the log
 // truncation LSN advances and truncated log EBLOCKs become reclaimable —
 // under log-heavy workloads those are usually the bulk of the reclaimable
-// space. The pass releases c.mu while it erases (DESIGN.md §4.1), so
-// callers re-derive what they read before the call.
+// space. The pass releases c.mu while it reads metadata and erases
+// (DESIGN.md §4.1), so callers re-derive what they read before the call.
 func (c *Controller) gcAllLocked() {
 	if !c.inCheckpoint {
 		_ = c.checkpointLocked()
@@ -58,16 +59,16 @@ func (c *Controller) freeFractionLocked(ch int) float64 {
 }
 
 // gcPassLocked runs one GC pass, round-major: in each round every
-// collecting channel selects and relocates one victim under c.mu, then the
-// round's victims are erased as one cross-channel batch with c.mu released
-// (eraseAndFreeLocked), so a channel still sees select → relocate → erase
-// → free → select. only ≥ 0 restricts the pass to that channel; force
-// collects a victim in round 0 whatever the free fraction. Without force
-// the channels below GCFreeFraction select by policy and relocate, and
-// every other channel joins, up to the same high-water mark, with victims
-// that need no relocation (DESIGN.md §4 decision 11). Passes never
-// overlap: a caller waits for the one in flight. It returns the pass's
-// first error and counts each in core.gc.errors.
+// collecting channel selects, reads (c.mu released) and relocates one
+// victim, then the round's victims are erased as one batch with c.mu
+// released (eraseAndFreeLocked), so a channel sees select → read →
+// relocate → erase → free → select. only ≥ 0 restricts the pass to that
+// channel; force collects a victim in round 0 whatever the free fraction.
+// Without force the channels below GCFreeFraction select by policy and
+// relocate, and every other channel joins, up to the same high-water mark,
+// with victims that need no relocation (DESIGN.md §4 decision 11). Passes
+// never overlap: a caller waits for the one in flight. It returns the
+// pass's first error and counts each in core.gc.errors.
 func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 	for c.gcBusy {
 		c.ioCond.Wait()
@@ -108,18 +109,26 @@ func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 			if !ok {
 				continue
 			}
+			k := [2]int{ch, eb}
+			c.inflight[k]++ // its collector's count: see eraseAndFreeLocked
 			if err := c.gcEBlockLocked(ch, eb); err != nil {
+				c.dropCount(c.inflight, k)
 				fail(err)
 				continue
 			}
-			victims = append(victims, [2]int{ch, eb})
+			victims = append(victims, k)
 			done[ch] = false
+		}
+		if len(victims) > 0 && !c.crashed {
+			if err := c.eraseAndFreeLocked(victims...); err != nil {
+				fail(err)
+			}
+		}
+		for _, k := range victims {
+			c.dropCount(c.inflight, k)
 		}
 		if len(victims) == 0 || c.crashed {
 			break
-		}
-		if err := c.eraseAndFreeLocked(victims...); err != nil {
-			fail(err)
 		}
 	}
 	return first
@@ -193,6 +202,9 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 		return nil
 	}
 	entries, err := c.readMetaLocked(ch, eb, d)
+	if errors.Is(err, ErrCrashed) {
+		return err
+	}
 	if err != nil {
 		// Metadata unreadable: the EBLOCK was erased after a committed GC
 		// pre-crash (nothing reachable lives here) — reclaim it.
@@ -216,7 +228,9 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 // readMetaLocked returns a closed EBLOCK's metadata: the in-memory copy
 // while the summary table still holds one — the closing action never
 // logged the close, so the flushed block may have failed to program —
-// otherwise the flushed block, read and decoded.
+// otherwise the flushed block, read with c.mu released and the EBLOCK in
+// c.inflight (DESIGN.md §4.1, GC media waits): its first RBLOCK, then the
+// RBLOCKs its header says it occupies, never past the area.
 func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary.MetaEntry, error) {
 	if entries := c.st.Meta(ch, eb); len(entries) > 0 {
 		return entries, nil
@@ -224,16 +238,29 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 	if d.MetaWBlocks == 0 {
 		return nil, fmt.Errorf("core: eblock (%d,%d) has no metadata", ch, eb)
 	}
-	w := c.geo.WBlockBytes
-	raw := bufpool.Get(int(d.MetaWBlocks) * w) // decoded into fresh entries, so pooled
+	w, r, k := c.geo.WBlockBytes, c.geo.RBlockBytes, [2]int{ch, eb}
+	area, off := int(d.MetaWBlocks)*w, int(d.DataWBlocks)*w
+	raw := bufpool.Get(area) // decoded into fresh entries, so pooled
 	defer raw.Release()
-	nR, err := c.dev.ReadInto(raw.Bytes(), ch, eb, int(d.DataWBlocks)*w)
-	if err != nil {
-		return nil, err
+	buf, n := raw.Bytes(), min(r, area)
+	c.inflight[k]++
+	c.mu.Unlock()
+	nR, err := c.dev.ReadInto(buf[:n], ch, eb, off)
+	if end := min(summary.MetaBlockLen(buf[:n]), area); err == nil && end > n {
+		more, moreErr := c.dev.ReadInto(buf[n:end], ch, eb, off+n)
+		nR, n, err = nR+more, end, moreErr
 	}
 	c.met.readRBlocks.Add(int64(nR))
-	c.met.gcBytesRead.Add(int64(nR * c.geo.RBlockBytes))
-	return summary.DecodeMetaBlock(raw.Bytes())
+	c.met.gcBytesRead.Add(int64(nR * r))
+	c.mu.Lock()
+	c.dropCount(c.inflight, k)
+	switch {
+	case c.crashed:
+		return nil, ErrCrashed
+	case err != nil:
+		return nil, err
+	}
+	return summary.DecodeMetaBlock(buf[:n])
 }
 
 // currentAddrLocked returns the authoritative current address of a page,
@@ -421,10 +448,10 @@ func eraseBatch(dev *flash.Device, ebs ...[2]int) [][2]int {
 // eraseAndFreeLocked is the one erase path of GC and migration: it erases
 // the victims as one batch with c.mu released, then returns each to the
 // free list, logging the transition (unforced; recovery tolerates a lost
-// free record by re-collecting the EBLOCK), or marks it bad. While c.mu is
-// released the victims count as in flight, so victim selection and
-// checkpoint force-close skip them and migration waits; nothing maps into
-// them (the caller relocated) and provisioning only takes Free EBLOCKs.
+// free record by re-collecting the EBLOCK), or marks it bad. The caller
+// counts each victim in c.inflight until this returns, so selection and
+// checkpoint force-close skip it and migration waits; nothing maps into
+// it (the caller relocated) and provisioning only takes Free EBLOCKs.
 func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 	// An action whose Done is not durable is proven at recovery by
 	// reading its pages back, dead duplicates included: its Done goes first.
@@ -437,11 +464,14 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 		delete(c.doneLSN, k)
 	}
 	for _, k := range victims {
-		if c.inflight[k] > 0 || c.pinned[k] > 0 {
-			// Should be unreachable: victim selection skips these, and an
-			// erasing EBLOCK is one of them. Counted rather than panicking
-			// so a chaos schedule that finds a hole in the protocol fails
-			// its invariant check with a replayable seed.
+		for c.pinned[k] > 0 { // a reader that looked it up during its metadata read
+			c.ioCond.Wait()
+		}
+		if c.inflight[k] != 1 || c.pinned[k] > 0 {
+			// Should be unreachable: selection and migration take only
+			// EBLOCKs no one else counts, and hold them. Counted rather
+			// than panicking so a chaos schedule that finds a hole in the
+			// protocol fails its invariant check with a replayable seed.
 			c.met.eraseWhilePinned.Inc()
 		}
 		// Drop any provisioner cursor BEFORE attempting the erase: whether
@@ -454,19 +484,12 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 		// close: eblock not open: (ch,eb) is bad` (see
 		// TestGCMarkBadDropsCursor).
 		c.prov.DropOpen(k[0], k[1])
-		c.inflight[k]++
 	}
 	t0 := time.Now()
 	c.mu.Unlock()
 	failed := eraseBatch(c.dev, victims...)
 	c.mu.Lock()
 	c.met.gcEraseWaitNS.ObserveDuration(time.Since(t0))
-	for _, k := range victims {
-		if c.inflight[k]--; c.inflight[k] <= 0 {
-			delete(c.inflight, k)
-		}
-	}
-	c.ioCond.Broadcast()
 	if c.crashed {
 		return ErrCrashed
 	}

@@ -1,21 +1,25 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eleos/internal/addr"
+	"eleos/internal/chaos/invariant"
 	"eleos/internal/flash"
 	"eleos/internal/record"
 	"eleos/internal/summary"
 	"eleos/internal/trace"
 )
 
-// GC erase protocol tests (DESIGN.md §4.1): erases are queued device
-// commands a pass waits for with c.mu released, one cross-channel batch
-// per round. All of these must pass `go test -race`.
+// GC media-wait tests (DESIGN.md §4.1): a pass waits for a victim's
+// metadata read and for its erase with c.mu released; erases are queued
+// device commands, one cross-channel batch per round. All of these must
+// pass `go test -race`.
 
 const (
 	gcEraseBatches  = 40   // full-width batches per version in deadEBlockController
@@ -77,19 +81,15 @@ func checkDeadEBlockContent(t *testing.T, c *Controller) {
 	}
 }
 
-// TestGCEraseReleasesLock: while a pass waits ~300 ms for its erase, a
-// Read of a page on another channel and a one-WBLOCK WriteBatch whose
-// program and log force avoid the erasing channel both finish — the
-// controller lock is not held across the erase.
-func TestGCEraseReleasesLock(t *testing.T) {
-	const erase = 300 * time.Millisecond
-	c, dev := deadEBlockController(t, erase)
+// quietChannel writes a one-page probe and returns it with a channel that
+// holds neither the probe, nor the next one-WBLOCK batch, nor an open log
+// EBLOCK: one-WBLOCK batches go to successive channels, so the probe
+// tells where the next one lands.
+func quietChannel(t *testing.T, c *Controller) (probe addr.LPID, probeData []byte, gcCh int) {
+	t.Helper()
 	n := c.geo.Channels
-
-	// One-WBLOCK batches go to successive channels: a probe tells where
-	// the next one lands.
-	probe := addr.LPID(1 << 20)
-	probeData := gcErasePage(probe, 1)
+	probe = addr.LPID(1 << 20)
+	probeData = gcErasePage(probe, 1)
 	mustWrite(t, c, LPage{LPID: probe, Data: probeData})
 	probeCh := mustAddr(t, c, probe).Channel()
 	busy := map[int]bool{probeCh: true, (probeCh + 1) % n: true}
@@ -98,16 +98,23 @@ func TestGCEraseReleasesLock(t *testing.T) {
 			busy[ref.Channel] = true
 		}
 	}
-	gcCh := -1
 	for ch := 0; ch < n; ch++ {
 		if !busy[ch] {
-			gcCh = ch
-			break
+			return probe, probeData, ch
 		}
 	}
-	if gcCh < 0 {
-		t.Fatal("no channel free of the probe, the next stripe and the log")
-	}
+	t.Fatal("no channel free of the probe, the next stripe and the log")
+	return 0, nil, 0
+}
+
+// TestGCEraseReleasesLock: while a pass waits ~300 ms for its erase, a
+// Read of a page on another channel and a one-WBLOCK WriteBatch whose
+// program and log force avoid the erasing channel both finish — the
+// controller lock is not held across the erase.
+func TestGCEraseReleasesLock(t *testing.T) {
+	const erase = 300 * time.Millisecond
+	c, dev := deadEBlockController(t, erase)
+	probe, probeData, gcCh := quietChannel(t, c)
 
 	dev.SetWallLatencyScale(1)
 	gcDone := make(chan error, 1)
@@ -151,6 +158,352 @@ func TestGCEraseReleasesLock(t *testing.T) {
 	}
 	checkRead(t, c, next, nextData)
 	checkDeadEBlockContent(t, c)
+}
+
+// The metadata read is the protocol's other media wait: a victim whose
+// metadata block is only on media is read with c.mu released, counted in
+// c.inflight like an erasing one.
+
+const (
+	metaReadPageSize = 128 // 120 of them fill one WBLOCK but its last KB
+	metaReadBatch    = 120
+	metaReadBatches  = 64 // one-WBLOCK batches per version: 8 per channel
+)
+
+func metaReadLPID(i int) addr.LPID { return addr.LPID(i + 1) }
+
+func metaReadPage(i int, version uint64) []byte {
+	b := make([]byte, metaReadPageSize)
+	for j := range b {
+		b[j] = byte(uint64(i)*31 + version*7 + uint64(j)*uint64(i|1))
+	}
+	return b
+}
+
+// metaOnMediaController formats an 8-channel device of 128 KB EBLOCKs
+// whose RBLOCK reads take the given wall time once the test turns wall
+// latency on, writes metaReadBatches one-WBLOCK batches of small pages
+// and overwrites every step-th page: step 1 leaves closed EBLOCKs with
+// nothing live in them, step 2 half-dead ones. Their metadata blocks hold
+// hundreds of entries over several RBLOCKs, and only the media has them.
+// It returns each page's current version.
+func metaOnMediaController(t *testing.T, read time.Duration, step int) (*Controller, *flash.Device, []uint64) {
+	t.Helper()
+	geo := flash.Geometry{
+		Channels: 8, EBlocksPerChannel: 16,
+		EBlockBytes: 128 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
+	}
+	dev := flash.MustNewDevice(geo, flash.Latency{ReadRBlock: read})
+	t.Cleanup(dev.Close)
+	cfg := testConfig()
+	cfg.GCFreeFraction = 0.01
+	c, err := Format(dev, cfg)
+	if err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	version := make([]uint64, metaReadBatches*metaReadBatch)
+	for v := uint64(1); v <= 2; v++ {
+		for b := 0; b < metaReadBatches; b++ {
+			var pages []LPage
+			for i := b * metaReadBatch; i < (b+1)*metaReadBatch; i++ {
+				if v == 1 || i%step == 0 {
+					version[i] = v
+					pages = append(pages, LPage{LPID: metaReadLPID(i), Data: metaReadPage(i, v)})
+				}
+			}
+			mustWrite(t, c, pages...)
+		}
+	}
+	return c, dev, version
+}
+
+// victimMetaLocked names the EBLOCK a forced pass on ch collects and
+// returns the entries of its pages the tables still point at and the
+// length of its flushed metadata block, failing the test unless that
+// block is on media only and spans several RBLOCKs of its area.
+func victimMetaLocked(t *testing.T, c *Controller, ch int) (int, []summary.MetaEntry, int) {
+	t.Helper()
+	victim, ok := c.selectVictimLocked(ch, false)
+	if !ok {
+		t.Fatalf("test set-up: no victim on channel %d", ch)
+	}
+	d, _ := c.st.Desc(ch, victim)
+	if len(c.st.Meta(ch, victim)) > 0 {
+		t.Fatalf("test set-up: (%d,%d) still has its metadata in memory", ch, victim)
+	}
+	entries, err := c.readMetaLocked(ch, victim, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, r := summary.MetaBlockLen(summary.EncodeMetaBlock(entries)), c.geo.RBlockBytes
+	if n <= r || n > int(d.MetaWBlocks)*c.geo.WBlockBytes-r {
+		t.Fatalf("test set-up: a %d-byte metadata block in a %d-WBLOCK area tests nothing", n, d.MetaWBlocks)
+	}
+	var valid []summary.MetaEntry
+	seen := make(map[int]bool)
+	for _, e := range entries {
+		cur, err := c.currentAddrLocked(e.LPID, e.Type)
+		if want, _ := addr.Pack(ch, victim, e.Offset, e.Length); err == nil && cur == want && !seen[e.Offset] {
+			valid, seen[e.Offset] = append(valid, e), true
+		}
+	}
+	return victim, valid, n
+}
+
+// inMetaRead starts run — a GC pass or a migration — and returns once it
+// waits in a metadata read: its EBLOCK is in flight and nothing has been
+// erased.
+func inMetaRead(t *testing.T, c *Controller, dev *flash.Device, run func() error) chan error {
+	t.Helper()
+	erased := dev.Stats().EraseAttempts
+	gcDone := make(chan error, 1)
+	go func() { gcDone <- run() }()
+	// InflightEBlocks takes c.mu: seeing the victim at all means the pass
+	// has let go of it.
+	for c.InflightEBlocks() == 0 {
+		select {
+		case err := <-gcDone:
+			t.Fatalf("returned (%v) before its metadata read was seen in flight", err)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if dev.Stats().EraseAttempts != erased {
+		t.Fatal("erasing, not reading metadata")
+	}
+	return gcDone
+}
+
+// TestGCMetaReadReleasesLock: while a pass waits for a victim's metadata
+// block — seven RBLOCKs of 40 ms — a Read of a page on another channel and
+// a one-WBLOCK WriteBatch that avoids the victim's channel both finish.
+// The pass reads exactly the RBLOCKs the block occupies and erases its
+// victim once, after the read.
+func TestGCMetaReadReleasesLock(t *testing.T) {
+	c, dev, version := metaOnMediaController(t, 40*time.Millisecond, 1)
+	probe, probeData, gcCh := quietChannel(t, c)
+	c.mu.Lock()
+	victim, valid, metaLen := victimMetaLocked(t, c, gcCh)
+	c.mu.Unlock()
+	// Relocation reads the RBLOCKs under the pages a checkpoint left in the
+	// victim (every user page in it is overwritten).
+	r, covered := c.geo.RBlockBytes, map[int]bool{}
+	for _, e := range valid {
+		for rb := e.Offset / r; rb <= (e.Offset+e.Length-1)/r; rb++ {
+			covered[rb] = true
+		}
+	}
+	want := (metaLen+r-1)/r + len(covered)
+	before, erases := c.MetricsSnapshot(), dev.Stats().EraseAttempts
+
+	dev.SetWallLatencyScale(1)
+	gcDone := inMetaRead(t, c, dev, func() error { return c.GCNow(gcCh) })
+	start := time.Now()
+	checkRead(t, c, probe, probeData)
+	next := addr.LPID(1<<20 + 1)
+	nextData := gcErasePage(next, 1)
+	mustWrite(t, c, LPage{LPID: next, Data: nextData})
+	took := time.Since(start)
+	select {
+	case err := <-gcDone:
+		t.Fatalf("pass returned (%v) before the concurrent read and write did (%v)", err, took)
+	default:
+	}
+	if got := dev.Stats().EraseAttempts; got != erases {
+		t.Fatalf("%d erases before the metadata read ended", got-erases)
+	}
+	if ch := mustAddr(t, c, next).Channel(); ch == gcCh {
+		t.Fatalf("test set-up: the concurrent write landed on the reading channel %d", ch)
+	}
+	if err := <-gcDone; err != nil {
+		t.Fatalf("GCNow: %v", err)
+	}
+	dev.SetWallLatencyScale(0)
+
+	after := c.MetricsSnapshot()
+	if got := dev.Stats().EraseAttempts - erases; got != 1 {
+		t.Fatalf("%d erases, want the victim's one", got)
+	}
+	if d, _ := c.st.Desc(gcCh, victim); d.State != summary.Free {
+		t.Fatalf("victim (%d,%d) is %v after the pass", gcCh, victim, d.State)
+	}
+	if got := after.Counter("core.erase_while_pinned"); got != 0 {
+		t.Fatalf("core.erase_while_pinned = %d", got)
+	}
+	if got := (after.Counter("core.gc.bytes_read") - before.Counter("core.gc.bytes_read")) / int64(r); got != int64(want) {
+		t.Fatalf("the pass read %d RBLOCKs, want %d: the %d-byte metadata block's and its survivors'", got, want, metaLen)
+	}
+	checkRead(t, c, next, nextData)
+	for i, v := range version {
+		checkRead(t, c, metaReadLPID(i), metaReadPage(i, v))
+	}
+}
+
+// TestGCMetaReadRacesOverwrite: while the pass reads a half-dead victim's
+// metadata, one of its pages is overwritten and a reader pins the victim
+// to read another. The pass moves every other valid page, leaves the
+// overwritten one where its writer put it, and erases the victim only
+// after the reader let go; the invariant set holds before and after a
+// crash right after the pass.
+func TestGCMetaReadRacesOverwrite(t *testing.T) {
+	c, dev, version := metaOnMediaController(t, 40*time.Millisecond, 2)
+	probe, probeData, gcCh := quietChannel(t, c)
+	c.mu.Lock()
+	victim, valid, _ := victimMetaLocked(t, c, gcCh)
+	c.mu.Unlock()
+	var users []int // the victim's user pages: the first is overwritten, the second read
+	for _, e := range valid {
+		if e.Type == addr.PageUser {
+			users = append(users, int(e.LPID)-1)
+		}
+	}
+	if len(users) < 2 {
+		t.Fatalf("test set-up: victim (%d,%d) holds %d valid user pages", gcCh, victim, len(users))
+	}
+	x, y := users[0], users[1]
+	before, erases := c.Stats().GCPagesMoved, dev.Stats().EraseAttempts
+
+	dev.SetWallLatencyScale(1)
+	gcDone := inMetaRead(t, c, dev, func() error { return c.GCNow(gcCh) })
+	version[x]++
+	mustWrite(t, c, LPage{LPID: metaReadLPID(x), Data: metaReadPage(x, version[x])})
+	readDone := make(chan error, 1)
+	go func() {
+		got, err := c.Read(metaReadLPID(y))
+		if err == nil && !bytes.Equal(got[:metaReadPageSize], metaReadPage(y, version[y])) {
+			err = errors.New("content differs")
+		}
+		readDone <- err
+	}()
+	for c.PinnedEBlocks() == 0 {
+		select {
+		case err := <-gcDone:
+			t.Fatalf("pass returned (%v) before the reader pinned its victim", err)
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if dev.Stats().EraseAttempts != erases {
+		t.Fatal("test set-up: the reader pinned the victim after its erase began")
+	}
+	dev.SetWallLatencyScale(0) // the remaining reads need not wait
+	if err := <-readDone; err != nil {
+		t.Fatalf("Read(%d) during the pass: %v", metaReadLPID(y), err)
+	}
+	if err := <-gcDone; err != nil {
+		t.Fatalf("GCNow: %v", err)
+	}
+	if a := mustAddr(t, c, metaReadLPID(x)); a.Channel() == gcCh {
+		t.Fatalf("test set-up: the overwrite landed on the reading channel %d", gcCh)
+	}
+	if moved := c.Stats().GCPagesMoved - before; moved != int64(len(valid)-1) {
+		t.Fatalf("the pass moved %d pages; %d were valid when it started and one was overwritten during its read", moved, len(valid))
+	}
+	// MustHold also finds core.erase_while_pinned 0: the erase waited for
+	// the reader.
+	exp := invariant.Expect{Pages: []invariant.Page{{LPID: probe, Want: probeData}}}
+	for i, v := range version {
+		exp.Pages = append(exp.Pages, invariant.Page{LPID: metaReadLPID(i), Want: metaReadPage(i, v)})
+	}
+	invariant.MustHold(t, c, exp)
+	c.Crash()
+	c2, err := Open(dev, c.cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	invariant.MustHold(t, c2, exp)
+}
+
+// TestGCMetaReadHoldsEarlierVictims: a round's victims stay in flight
+// from selection to their erase, so a migration of the first victim that
+// gets c.mu while a later victim's metadata is read waits, finds the
+// EBLOCK erased and free, and leaves it alone: one erase per victim.
+func TestGCMetaReadHoldsEarlierVictims(t *testing.T) {
+	c, dev, version := metaOnMediaController(t, time.Millisecond, 2)
+	c.cfg.GCMaxRounds = 1
+	migrated := make(chan error, 1)
+	var once sync.Once
+	SetTraceForTests(func(format string, args ...any) {
+		if !strings.HasPrefix(format, "relocate") {
+			return
+		}
+		// The pass holds c.mu here; the migration gets it when the pass
+		// releases it for the next channel's metadata read.
+		once.Do(func() {
+			ch, eb := args[0].(int), args[1].(int)
+			go func() {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				migrated <- c.migrateEBlockLocked(ch, eb, 0)
+			}()
+		})
+	})
+	t.Cleanup(func() { SetTraceForTests(nil) })
+	before, erases := c.Stats(), dev.Stats().EraseAttempts
+	dev.SetWallLatencyScale(1)
+	c.mu.Lock()
+	err := c.gcPassLocked(-1, true)
+	c.mu.Unlock()
+	dev.SetWallLatencyScale(0)
+	if err != nil {
+		t.Fatalf("pass: %v", err)
+	}
+	if err := <-migrated; err != nil {
+		t.Fatalf("migration of the first victim: %v", err)
+	}
+	after := c.Stats()
+	freed := after.GCEBlocksFreed - before.GCEBlocksFreed
+	if got := dev.Stats().EraseAttempts - erases; freed < 2 || got != freed {
+		t.Fatalf("%d erases for %d victims freed", got, freed)
+	}
+	if after.Migrations != before.Migrations {
+		t.Fatalf("the migration moved a victim the pass held (%d migrations)", after.Migrations-before.Migrations)
+	}
+	exp := invariant.Expect{}
+	for i, v := range version {
+		exp.Pages = append(exp.Pages, invariant.Page{LPID: metaReadLPID(i), Want: metaReadPage(i, v)})
+	}
+	invariant.MustHold(t, c, exp)
+}
+
+// TestGCMetaReadSeesCrash: the controller crashes while a GC pass, or a
+// migration, reads a half-dead EBLOCK's metadata. It returns ErrCrashed
+// and neither relocates nor erases; Open recovers every page.
+func TestGCMetaReadSeesCrash(t *testing.T) {
+	for _, migrate := range []bool{false, true} {
+		c, dev, version := metaOnMediaController(t, 40*time.Millisecond, 2)
+		const ch = 3
+		c.mu.Lock()
+		victim, _ := c.selectVictimLocked(ch, false)
+		c.mu.Unlock()
+		run := func() error { return c.GCNow(ch) }
+		if migrate {
+			run = func() error {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				return c.migrateEBlockLocked(ch, victim, 0)
+			}
+		}
+		media := dev.Stats()
+		dev.SetWallLatencyScale(1)
+		done := inMetaRead(t, c, dev, run)
+		c.Crash()
+		if err := <-done; !errors.Is(err, ErrCrashed) {
+			t.Fatalf("migrate %v: returned %v, want ErrCrashed", migrate, err)
+		}
+		dev.SetWallLatencyScale(0)
+		if st := dev.Stats(); st.WBlocksWritten != media.WBlocksWritten || st.EraseAttempts != media.EraseAttempts {
+			t.Fatalf("migrate %v: after the crash %d WBLOCKs were programmed and %d EBLOCKs erased", migrate,
+				st.WBlocksWritten-media.WBlocksWritten, st.EraseAttempts-media.EraseAttempts)
+		}
+		c2, err := Open(dev, c.cfg)
+		if err != nil {
+			t.Fatalf("migrate %v: Open: %v", migrate, err)
+		}
+		for i, v := range version {
+			checkRead(t, c2, metaReadLPID(i), metaReadPage(i, v))
+		}
+	}
 }
 
 // TestGCPassErasesChannelsInParallel: a round's victims are one erase

@@ -71,9 +71,9 @@ type coreMetrics struct {
 	readNotFound   *metrics.Counter
 	readNS         *metrics.Histogram
 
-	// eraseWhilePinned counts erases issued against an EBLOCK that a
-	// concurrent action still had inflight or pinned — the PR 4 data-loss
-	// bug class. It must stay zero; the chaos invariant checker asserts it.
+	// eraseWhilePinned counts erases issued against an EBLOCK that another
+	// path still had in flight or pinned (readers drained) — the PR 4
+	// data-loss bug class. It must stay zero; the chaos checker asserts it.
 	eraseWhilePinned *metrics.Counter
 }
 

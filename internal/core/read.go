@@ -20,10 +20,10 @@ import (
 // fence — it extends the pinned-EBLOCK protocol that already protects the
 // commit-force window of writes to readers:
 //
-//   - GC victim selection (selectVictimLocked) skips pinned EBLOCKs, and
-//     migration/checkpoint force-close wait on ioCond for pins to drain
-//     (waitInflightLocked), so an EBLOCK can never be erased between a
-//     reader's lookup and its flash transfer;
+//   - GC victim selection (selectVictimLocked) skips pinned EBLOCKs,
+//     migration waits on ioCond for pins to drain (waitInflightLocked) and
+//     the erase path for a reader that pinned a victim during its metadata
+//     read, so no EBLOCK is erased between a lookup and its transfer;
 //   - the lookup and the pin happen atomically under c.mu, and every
 //     mapping install and relocation also runs under c.mu, so a pinned
 //     address is current at pin time and the pinned EBLOCK keeps its
@@ -240,12 +240,8 @@ func (c *Controller) readFenced(pages []pageRead) {
 
 	c.mu.Lock()
 	for _, pn := range pins {
-		key := [2]int{pn.a.Channel(), pn.a.EBlock()}
-		if c.pinned[key]--; c.pinned[key] <= 0 {
-			delete(c.pinned, key)
-		}
+		c.dropCount(c.pinned, [2]int{pn.a.Channel(), pn.a.EBlock()})
 	}
-	c.ioCond.Broadcast()
 	c.mu.Unlock()
 }
 

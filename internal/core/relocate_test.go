@@ -10,6 +10,7 @@ import (
 	"eleos/internal/addr"
 	"eleos/internal/bufpool"
 	"eleos/internal/flash"
+	"eleos/internal/summary"
 )
 
 // Copy-once relocation tests (DESIGN.md §4.1, byte-movement budget): GC
@@ -155,9 +156,9 @@ func TestRelocationStraddlesBlocksUnderPoison(t *testing.T) {
 // TestRelocationReadsEachRBlockOnce: a victim's survivors alternate with
 // dead pages, so they share RBLOCKs without being adjacent. The pass
 // transfers the union of the RBLOCKs covering them — computed here from the
-// tables, before the pass — plus the victim's flushed metadata when no
-// in-memory copy is left: fewer than one read per page would, and exactly
-// what core.gc.bytes_read reports.
+// tables, before the pass — plus the RBLOCKs the victim's flushed metadata
+// block occupies when no in-memory copy is left: fewer than one read per
+// page would, and exactly what core.gc.bytes_read reports.
 func TestRelocationReadsEachRBlockOnce(t *testing.T) {
 	c, dev, version := halfDeadController(t, 600, 1)
 	r := c.geo.RBlockBytes
@@ -171,14 +172,15 @@ func TestRelocationReadsEachRBlockOnce(t *testing.T) {
 		// Valid is what the tables still point at: user pages through the
 		// mapping, the few table pages a checkpoint put here through theirs.
 		d, _ := c.st.Desc(0, victim)
-		meta := 0
-		if len(c.st.Meta(0, victim)) == 0 {
-			meta = int(d.MetaWBlocks) * c.geo.WBlockBytes / r
-		}
+		flushed := len(c.st.Meta(0, victim)) == 0
 		entries, err := c.readMetaLocked(0, victim, d)
 		if err != nil {
 			c.mu.Unlock()
 			t.Fatal(err)
+		}
+		meta := 0 // the RBLOCKs the encoded block occupies, not its whole area
+		if flushed {
+			meta = (summary.MetaBlockLen(summary.EncodeMetaBlock(entries)) + r - 1) / r
 		}
 		covered := make([]bool, c.geo.RBlocksPerEBlock())
 		seen := make(map[int]bool)

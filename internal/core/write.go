@@ -734,10 +734,15 @@ func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flas
 // Called once per plan when the owning action installs or aborts.
 func (c *Controller) unpinPlanLocked(plan *provision.Plan) {
 	for _, io := range plan.IOs {
-		key := [2]int{io.Channel, io.EBlock}
-		if c.pinned[key]--; c.pinned[key] <= 0 {
-			delete(c.pinned, key)
-		}
+		c.dropCount(c.pinned, [2]int{io.Channel, io.EBlock})
+	}
+}
+
+// dropCount takes one count of k off a per-EBLOCK counter (c.inflight,
+// c.pinned), deleting the entry at zero, and wakes the ioCond waiters.
+func (c *Controller) dropCount(m map[[2]int]int, k [2]int) {
+	if m[k]--; m[k] <= 0 {
+		delete(m, k)
 	}
 	c.ioCond.Broadcast()
 }
@@ -746,13 +751,9 @@ func (c *Controller) unpinPlanLocked(plan *provision.Plan) {
 // wakes waiters (GC, checkpoint and migration drain on ioCond).
 func (c *Controller) finishPlanLocked(plan *provision.Plan, res flash.BatchResult) {
 	for _, io := range plan.IOs {
-		key := [2]int{io.Channel, io.EBlock}
-		if c.inflight[key]--; c.inflight[key] <= 0 {
-			delete(c.inflight, key)
-		}
+		c.dropCount(c.inflight, [2]int{io.Channel, io.EBlock})
 	}
 	c.met.ioCommands.Add(int64(res.Attempted))
-	c.ioCond.Broadcast()
 }
 
 // waitInflightLocked blocks until no queued programs target (ch, eb) and
@@ -834,6 +835,9 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 		entries = c.st.Meta(ch, eb)
 	case summary.Used:
 		entries, err = c.readMetaLocked(ch, eb, d)
+		if errors.Is(err, ErrCrashed) {
+			return err
+		}
 		if err != nil {
 			entries = nil // unreadable: nothing reachable lives here
 			c.met.gcMetaUnreadable.Inc()
@@ -846,5 +850,7 @@ func (c *Controller) migrateEBlockLocked(ch, eb int, traceID uint64) error {
 		return err
 	}
 	c.met.migrations.Inc()
+	c.inflight[[2]int{ch, eb}]++ // its collector's count: see eraseAndFreeLocked
+	defer c.dropCount(c.inflight, [2]int{ch, eb})
 	return c.eraseAndFreeLocked([2]int{ch, eb})
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,6 +71,8 @@ func fastOpts(seed int64) client.Options {
 // frames. Arming it kills the next request's connection AFTER the full
 // request frame reached the server but BEFORE any reply byte reaches the
 // client — the mid-reply connection kill the retry protocol must absorb.
+// The kill waits for the reply's first byte, so the server has read and
+// claimed the request; that byte is dropped and the client cut off.
 type killerProxy struct {
 	ln      net.Listener
 	backend string
@@ -130,10 +133,26 @@ func (p *killerProxy) pipe(cl net.Conn) {
 		_ = cl.Close()
 		return
 	}
+	var kill atomic.Bool // the request in flight is the armed one
 	replies := make(chan struct{})
-	go func() {
-		_, _ = io.Copy(cl, be) // reply direction
-		close(replies)
+	go func() { // reply direction
+		defer close(replies)
+		buf := make([]byte, 32<<10)
+		for {
+			n, err := be.Read(buf)
+			if n > 0 && kill.Load() {
+				_ = cl.Close() // drop the reply's first byte and the client with it
+				return
+			}
+			if n > 0 {
+				if _, werr := cl.Write(buf[:n]); werr != nil {
+					return
+				}
+			}
+			if err != nil {
+				return
+			}
+		}
 	}()
 	finish := func() {
 		_ = cl.Close()
@@ -158,12 +177,10 @@ func (p *killerProxy) pipe(cl net.Conn) {
 		if _, err := io.ReadFull(cl, frame[4:]); err != nil {
 			return
 		}
-		if _, err := be.Write(frame); err != nil {
-			return
-		}
 		if p.takeKill() {
-			// The request is on its way to the server; cut the client off
-			// before the reply can cross back.
+			kill.Store(true) // before the request can draw a reply
+		}
+		if _, err := be.Write(frame); err != nil {
 			return
 		}
 	}

@@ -771,5 +771,16 @@ func DecodeMetaBlock(raw []byte) ([]MetaEntry, error) {
 	return out, nil
 }
 
+// MetaBlockLen returns the bytes DecodeMetaBlock reads of the block whose
+// first bytes are head — a count past the flushed area included, so that
+// decoding the area still reports it truncated — or 0 when head is too
+// short to carry the count or has the wrong magic.
+func MetaBlockLen(head []byte) int {
+	if len(head) < 16 || binary.LittleEndian.Uint32(head[0:]) != metaMagic {
+		return 0
+	}
+	return 12 + int(binary.LittleEndian.Uint32(head[4:]))*16 + 4
+}
+
 // MetaBlockSize returns the encoded size for n entries, 64-byte aligned.
 func MetaBlockSize(n int) int { return addr.AlignUp(12 + n*16 + 4) }

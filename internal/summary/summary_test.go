@@ -1,8 +1,13 @@
 package summary
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -357,6 +362,77 @@ func TestMetaBlockCorruption(t *testing.T) {
 	}
 	if _, err := DecodeMetaBlock(nil); !errors.Is(err, ErrBadMeta) {
 		t.Fatal("nil block not rejected")
+	}
+}
+
+// metaPrefix is the part of a flushed metadata area GC reads: the first
+// RBLOCK, then up to the length its header gives, never past the area.
+func metaPrefix(area []byte, rblock int) []byte {
+	n := min(rblock, len(area))
+	if end := min(MetaBlockLen(area[:n]), len(area)); end > n {
+		n = end
+	}
+	return area[:n]
+}
+
+// TestMetaBlockLenMatchesDecode: decoding the exact-length prefix of a
+// metadata area gives what decoding the whole area gives — the same
+// entries for every count up to 2 000, the same error for a bad magic, an
+// erased area, a count past the area and a bad checksum — so reading
+// fewer RBLOCKs never changes whether GC finds a victim unreadable.
+func TestMetaBlockLenMatchesDecode(t *testing.T) {
+	geo := flash.SmallGeometry()
+	r, w := geo.RBlockBytes, geo.WBlockBytes
+	same := func(name string, area []byte) {
+		t.Helper()
+		prefix := metaPrefix(area, r)
+		want, wantErr := DecodeMetaBlock(area)
+		got, err := DecodeMetaBlock(prefix)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("%s: the %d-byte prefix decodes to %d entries, %v; the %d-byte area to %d, %v",
+				name, len(prefix), len(got), err, len(area), len(want), wantErr)
+		}
+		if wantErr == nil && len(prefix) > (MetaBlockLen(area)+r-1)/r*r {
+			t.Fatalf("%s: read %d bytes for a %d-byte block", name, len(prefix), MetaBlockLen(area))
+		}
+	}
+	// flushed lays a block out as a close does: at the start of its
+	// WBLOCKs, the rest of the area stale.
+	flushed := func(entries []MetaEntry) []byte {
+		img := EncodeMetaBlock(entries)
+		area := bytes.Repeat([]byte{0xEE}, (len(img)+w-1)/w*w)
+		copy(area, img)
+		return area
+	}
+	entries := make([]MetaEntry, 2000)
+	for i := range entries {
+		entries[i] = MetaEntry{LPID: addr.LPID(i + 1), Type: addr.PageUser, Offset: i * addr.Align, Length: addr.Align}
+	}
+	for n := 0; n <= len(entries); n++ {
+		area := flushed(entries[:n])
+		if got := MetaBlockLen(area); got != 12+16*n+4 {
+			t.Fatalf("%d entries: MetaBlockLen %d", n, got)
+		}
+		same(fmt.Sprintf("%d entries", n), area)
+	}
+
+	valid := flushed(entries[:300]) // two RBLOCKs of one WBLOCK
+	corrupt := func(name string, f func(area []byte)) {
+		area := slices.Clone(valid)
+		f(area)
+		same(name, area)
+	}
+	corrupt("bad magic", func(a []byte) { a[0] ^= 0xFF })
+	corrupt("erased", func(a []byte) { clear(a) })
+	corrupt("count one entry past the area", func(a []byte) { binary.LittleEndian.PutUint32(a[4:], uint32(w/16)) })
+	corrupt("count at the maximum", func(a []byte) { binary.LittleEndian.PutUint32(a[4:], math.MaxUint32) })
+	corrupt("count short of the block", func(a []byte) { binary.LittleEndian.PutUint32(a[4:], 299) })
+	corrupt("entry in the second RBLOCK", func(a []byte) { a[r+8] ^= 0x01 })
+	corrupt("checksum", func(a []byte) { a[12+300*16] ^= 0x01 })
+	for _, head := range [][]byte{nil, valid[:15], make([]byte, r)} {
+		if got := MetaBlockLen(head); got != 0 {
+			t.Fatalf("MetaBlockLen of a %d-byte head without a block = %d, want 0", len(head), got)
+		}
 	}
 }
 
