@@ -10,14 +10,14 @@
 // belongs to a different experiment is a usage error (exit 2), as is an
 // unknown experiment; both print the experiment list.
 //
-// The paper experiments — fig1, fig9, table2, fig10a, fig10b, fig10c, the
-// readheavy and durability extensions and the GC ablation — replay
-// single-threaded and report virtual device time from the resource model
-// (DESIGN.md §1): the *shape*, who wins and by what factor, is the
-// reproduction target. They run at a laptop scale (seconds each); raise
-// -txns / -records / -ops to approach the paper's. `all` runs fig1 fig9
-// table2 fig10a fig10b fig10c ablation in that order, collecting the
-// TPC-C trace and running the Fig. 10 cache sweep once.
+// The paper experiments — fig1, fig9, table2, fig10a, fig10b, fig10c and
+// the readheavy and durability extensions — replay single-threaded and
+// report virtual device time from the resource model (DESIGN.md §1): the
+// *shape*, who wins and by what factor, is the reproduction target. They
+// run at a laptop scale (seconds each); raise -txns / -records / -ops to
+// approach the paper's. `all` runs fig1 fig9 table2 fig10a fig10b fig10c in
+// that order, collecting the TPC-C trace and running the Fig. 10 cache
+// sweep once.
 //
 // The gated experiments exit nonzero when their bound is crossed. waf
 // measures end-to-end write amplification per GC policy on a
@@ -161,8 +161,8 @@ func (in *inputs) fig10Rows() ([]harness.Fig10Row, error) {
 	return in.fig10, nil
 }
 
-// allOrder is what `all` runs: the paper's evaluation, then the ablation.
-var allOrder = []string{"fig1", "fig9", "table2", "fig10a", "fig10b", "fig10c", "ablation"}
+// allOrder is what `all` runs: the paper's evaluation.
+var allOrder = []string{"fig1", "fig9", "table2", "fig10a", "fig10b", "fig10c"}
 
 // experiments builds the table. The figure experiments share one inputs
 // value; each gated experiment keeps its flags to itself.
@@ -201,8 +201,6 @@ func experiments() []*experiment {
 		harness.PrintFig1(w)
 		return nil
 	}
-	ablation := newExperiment("ablation", "GC design-choice ablations (§VI)")
-	ablation.run = func(w io.Writer) error { return harness.PrintGCAblation(w, 900, 1) }
 
 	exps := []*experiment{
 		fig1,
@@ -248,13 +246,12 @@ func experiments() []*experiment {
 			harness.PrintDurability(w, res)
 			return nil
 		}),
-		ablation,
 		wafExperiment(),
 		fairnessExperiment(),
 		chaosExperiment(),
 	}
 
-	all := newExperiment("all", "fig1 fig9 table2 fig10a fig10b fig10c ablation, in that order")
+	all := newExperiment("all", "fig1 fig9 table2 fig10a fig10b fig10c, in that order")
 	in.tpccFlags(all.fs)
 	in.ycsbFlags(all.fs)
 	byName := make(map[string]*experiment, len(exps))

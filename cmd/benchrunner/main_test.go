@@ -102,7 +102,7 @@ func TestFig1RunsAndPrints(t *testing.T) {
 	}
 }
 
-func TestAllRunsTheSevenInOrder(t *testing.T) {
+func TestAllRunsThePaperFiguresInOrder(t *testing.T) {
 	var ran []string
 	exps := experiments()
 	stub(exps, &ran)
@@ -110,7 +110,7 @@ func TestAllRunsTheSevenInOrder(t *testing.T) {
 	if code := run([]string{"all", "-txns", "40"}, exps, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	want := []string{"fig1", "fig9", "table2", "fig10a", "fig10b", "fig10c", "ablation"}
+	want := []string{"fig1", "fig9", "table2", "fig10a", "fig10b", "fig10c"}
 	if !reflect.DeepEqual(ran, want) {
 		t.Fatalf("all ran %v, want %v", ran, want)
 	}

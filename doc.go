@@ -6,10 +6,10 @@
 // simulator in internal/flash; the baselines (a conventional block FTL and
 // a host-based log-structured store), the applications (Bw-tree key-value
 // store, compressed B+-tree with a TPC-C workload), and the experiment
-// harness live in the other internal packages. The benchmarks in
-// bench_test.go, and `benchrunner <experiment> [flags]` in cmd/benchrunner,
-// regenerate every table and figure of the paper's evaluation in virtual
-// time; wall-clock throughput and latency are measured by the benchmark
-// in bench/ (BENCHMARK.json) and by nothing else. See DESIGN.md for the
+// harness live in the other internal packages. `benchrunner <experiment>
+// [flags]` in cmd/benchrunner regenerates every table and figure of the
+// paper's evaluation in virtual time; wall-clock throughput and latency
+// are measured by the benchmark in bench/ (BENCHMARK.json) and by nothing
+// else. See DESIGN.md for the
 // system inventory and EXPERIMENTS.md for paper-versus-measured results.
 package eleos

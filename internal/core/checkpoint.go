@@ -48,7 +48,7 @@ func (c *Controller) checkpointLocked() error {
 	defer func() { c.inCheckpoint = false }()
 	t0 := time.Now()
 	// Force-close EBLOCKs open since before the previous checkpoint so the
-	// truncation LSN can advance (GC buckets can stay open a long time).
+	// truncation LSN can advance (a GC EBLOCK can stay open a long time).
 	for _, ref := range c.st.OpenEBlocks() {
 		if ref.Stream == record.StreamLog {
 			continue
@@ -283,7 +283,9 @@ const (
 // Epoch 2 let log pages overlap. Epoch 3 adds carried sets: a data WBLOCK's
 // padding may end in log records (DESIGN.md §4 decision 14), which recovery
 // reads. Epoch 4 has one log page in flight, so pages never overlap again.
-const formatEpoch = 4
+// Epoch 5 keeps one open GC EBLOCK per channel; an older image may hold
+// three.
+const formatEpoch = 5
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte

@@ -44,8 +44,6 @@ type Config struct {
 	Mapping mapping.Config
 	// SummaryPerPage is the number of EBLOCK descriptors per summary page.
 	SummaryPerPage int
-	// Provision tunes write provisioning (GC buckets etc.).
-	Provision provision.Config
 	// GCFreeFraction triggers GC on a channel when its free-EBLOCK
 	// fraction drops below this value (the paper uses 10%).
 	GCFreeFraction float64
@@ -59,8 +57,6 @@ type Config struct {
 	GCPolicy gcpolicy.Policy
 	// GarbagePairsPerRecord chunks lazy Garbage log records.
 	GarbagePairsPerRecord int
-	// SessionSeed seeds random SID generation.
-	SessionSeed int64
 	// AutoCheckpointLogBytes forces a checkpoint after this much log
 	// *space* has been consumed — every log page that lands burns a whole
 	// WBLOCK, however few records it carries — so truncation keeps pace
@@ -82,11 +78,9 @@ func DefaultConfig() Config {
 	return Config{
 		Mapping:                mapping.DefaultConfig(),
 		SummaryPerPage:         64,
-		Provision:              provision.DefaultConfig(),
 		GCFreeFraction:         0.10,
 		GCMaxRounds:            8,
 		GarbagePairsPerRecord:  256,
-		SessionSeed:            1,
 		AutoCheckpointLogBytes: 0,
 	}
 }
@@ -99,9 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.SummaryPerPage == 0 {
 		c.SummaryPerPage = d.SummaryPerPage
 	}
-	if c.Provision.GCBuckets == 0 {
-		c.Provision = d.Provision
-	}
 	if c.GCFreeFraction == 0 {
 		c.GCFreeFraction = d.GCFreeFraction
 	}
@@ -110,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GarbagePairsPerRecord == 0 {
 		c.GarbagePairsPerRecord = d.GarbagePairsPerRecord
-	}
-	if c.SessionSeed == 0 {
-		c.SessionSeed = d.SessionSeed
 	}
 	return c
 }
@@ -291,7 +279,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	prov, err := provision.New(geo, st, cfg.Provision)
+	prov, err := provision.New(geo, st)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +289,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		geo:          geo,
 		st:           st,
 		mt:           mt,
-		sess:         session.New(cfg.SessionSeed),
+		sess:         session.New(1), // SIDs are random; a fixed seed repeats them across runs
 		prov:         prov,
 		nextAction:   1,
 		active:       make(map[uint64]record.LSN),
@@ -551,8 +539,7 @@ func (c *Controller) SessionHighestWSN(sid uint64) (uint64, error) {
 type logSink struct{ c *Controller }
 
 func (s logSink) ProvisionSlots(n int) ([]wal.Slot, error) {
-	slots, _, err := s.c.prov.ProvisionLogSlots(n, s.c.lsnHint())
-	return slots, err
+	return s.c.prov.ProvisionLogSlots(n, s.c.lsnHint())
 }
 
 func (s logSink) Program(sl wal.Slot, page []byte) error {

@@ -142,11 +142,11 @@ func TestCheckpointAreaFailover(t *testing.T) {
 }
 
 // TestTruncationAdvances verifies that checkpoints advance the truncation
-// LSN even with long-open GC buckets (forced closes, §VIII-B).
+// LSN even with long-open GC EBLOCKs (forced closes, §VIII-B).
 func TestTruncationAdvances(t *testing.T) {
 	c, _ := newFormatted(t)
 	rng := rand.New(rand.NewSource(41))
-	// Create GC activity so GC buckets open (they would otherwise pin the
+	// Create GC activity so GC EBLOCKs open (they would otherwise pin the
 	// truncation LSN forever).
 	for round := 0; round < 300; round++ {
 		lp := addr.LPID(rng.Intn(10) + 1)

@@ -562,6 +562,9 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 		// one, before acknowledged records.
 		{"epoch 2", forgeEpoch(2), ErrImageFormat},
 		{"epoch 3", forgeEpoch(3), ErrImageFormat},
+		// Epoch 4 kept up to three open GC EBLOCKs per channel; this
+		// build's provisioner has one cursor for them.
+		{"epoch 4", forgeEpoch(4), ErrImageFormat},
 		{"next epoch", forgeEpoch(formatEpoch + 1), ErrImageFormat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

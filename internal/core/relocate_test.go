@@ -265,14 +265,14 @@ func TestRelocationFaultReleasesMoveBuffer(t *testing.T) {
 	// page is programmed beside its data, so the device's nth program may
 	// be the log's.
 	open := c.prov.GCOpen(0)
-	if len(open) != 1 {
-		t.Fatalf("channel 0 has GC EBLOCKs %v open, want the one the pass filled", open)
+	if open < 0 {
+		t.Fatal("channel 0 has no GC EBLOCK open, want the one the pass filled")
 	}
-	next, err := dev.NextProgramPosition(0, open[0])
+	next, err := dev.NextProgramPosition(0, open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.FailNextProgram(0, open[0], next+1)
+	dev.FailNextProgram(0, open, next+1)
 	failures := dev.Stats().WriteFailures
 	if err := c.GCNow(0); !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("GCNow = %v, want the relocation's media abort", err)

@@ -68,8 +68,8 @@ type WAFResult struct {
 }
 
 // wafGeometry is deliberately small: enough churn pressure to force
-// steady-state GC in seconds, matching the ablation experiment's scale.
-// The keyspace in runWAFArm keeps 37.5 % of it live.
+// steady-state GC in seconds. The keyspace in runWAFArm keeps 37.5 % of
+// it live.
 func wafGeometry() flash.Geometry {
 	return flash.Geometry{
 		Channels: 4, EBlocksPerChannel: 32,

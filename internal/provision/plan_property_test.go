@@ -29,7 +29,7 @@ func TestPlanGeometryPropertyQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := New(geo, st, DefaultConfig())
+		p, err := New(geo, st)
 		if err != nil {
 			return false
 		}
@@ -264,7 +264,7 @@ func TestPartitionQuotaPropertyQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		p, err := New(geo, st, DefaultConfig())
+		p, err := New(geo, st)
 		if err != nil {
 			t.Log(err)
 			return false

@@ -61,7 +61,7 @@ type OpenEvent struct {
 	Channel   int
 	EBlock    int
 	Stream    record.StreamKind
-	Timestamp uint64 // GC bucket timestamp (0 for user stream)
+	Timestamp uint64 // a GC destination's source timestamp (0 for user stream)
 }
 
 // CloseEvent records that the plan closes an EBLOCK (metadata scheduled).
@@ -91,29 +91,14 @@ type Plan struct {
 	Frags  []FragEvent
 }
 
-// Config tunes the provisioner.
-type Config struct {
-	// GCBuckets is the number of open GC EBLOCKs kept per channel for
-	// cold/hot separation (§VI-B).
-	GCBuckets int
-	// GCBucketSpread is the timestamp distance beyond which GC writes get
-	// a fresh bucket (while under the GCBuckets cap) instead of the
-	// closest existing one.
-	GCBucketSpread uint64
-	// GCReserveEBlocks holds back this many free EBLOCKs per channel from
-	// user and log allocation. GC relocation places survivors on the
-	// victim's own channel, so without a reserve a channel can wedge:
-	// zero free EBLOCKs, no open GC destination, and every victim worth
-	// collecting needs a relocation that itself needs a free EBLOCK. The
-	// reserve guarantees GC can always open a destination, and erasing
-	// the victim immediately repays the loan.
-	GCReserveEBlocks int
-}
-
-// DefaultConfig returns the defaults used by the paper's description.
-func DefaultConfig() Config {
-	return Config{GCBuckets: 3, GCBucketSpread: 1024, GCReserveEBlocks: 1}
-}
+// GCReserveEBlocks free EBLOCKs per channel are held back from user and
+// log allocation. GC relocation places survivors on the victim's own
+// channel, so without a reserve a channel can wedge: zero free EBLOCKs, no
+// open GC destination, and every victim worth collecting needs a
+// relocation that itself needs a free EBLOCK. The reserve guarantees GC
+// can always open a destination, and erasing the victim immediately
+// repays the loan.
+const GCReserveEBlocks = 1
 
 // Errors.
 var (
@@ -122,21 +107,15 @@ var (
 	ErrBadPage      = errors.New("provision: malformed batch page")
 )
 
-type gcBucket struct {
-	eb int
-	ts uint64
-}
-
 // Provisioner allocates flash space. Safe for concurrent use.
 type Provisioner struct {
 	mu  sync.Mutex
 	geo flash.Geometry
 	st  *summary.Table
-	cfg Config
 
-	userOpen []int        // per-channel open user EBLOCK (-1 = none)
-	gcOpen   [][]gcBucket // per-channel open GC EBLOCKs
-	rotate   int          // channel of the next buffer's chunk 0 (see partition)
+	userOpen []int // per-channel open user EBLOCK (-1 = none)
+	gcOpen   []int // per-channel open GC EBLOCK (-1 = none)
+	rotate   int   // channel of the next buffer's chunk 0 (see partition)
 
 	// The log alternates between two open EBLOCKs (on different channels
 	// when possible) so that any three consecutive slots — a page's
@@ -160,24 +139,21 @@ func dtrace(format string, args ...any) {
 }
 
 // New creates a provisioner over the summary table.
-func New(geo flash.Geometry, st *summary.Table, cfg Config) (*Provisioner, error) {
+func New(geo flash.Geometry, st *summary.Table) (*Provisioner, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.GCBuckets <= 0 {
-		return nil, errors.New("provision: GCBuckets must be positive")
-	}
-	p := &Provisioner{geo: geo, st: st, cfg: cfg}
+	p := &Provisioner{geo: geo, st: st}
 	p.resetCursors()
 	return p, nil
 }
 
 func (p *Provisioner) resetCursors() {
 	p.userOpen = make([]int, p.geo.Channels)
+	p.gcOpen = make([]int, p.geo.Channels)
 	for i := range p.userOpen {
-		p.userOpen[i] = -1
+		p.userOpen[i], p.gcOpen[i] = -1, -1
 	}
-	p.gcOpen = make([][]gcBucket, p.geo.Channels)
 	p.logStreams = [2]logStream{{eb: -1}, {eb: -1}}
 	p.logParity = 0
 }
@@ -194,11 +170,7 @@ func (p *Provisioner) RebuildFromSummary() {
 		case record.StreamUser:
 			p.userOpen[ref.Channel] = ref.EBlock
 		case record.StreamGC:
-			d, err := p.st.Desc(ref.Channel, ref.EBlock)
-			if err != nil {
-				continue
-			}
-			p.gcOpen[ref.Channel] = append(p.gcOpen[ref.Channel], gcBucket{eb: ref.EBlock, ts: d.Timestamp})
+			p.gcOpen[ref.Channel] = ref.EBlock
 		}
 	}
 }
@@ -260,7 +232,8 @@ func (p *Provisioner) MaxLPageBytes() int {
 type chanPlanner struct {
 	p      *Provisioner
 	stream record.StreamKind
-	bucket uint64 // GC bucket timestamp (stream == StreamGC)
+	open   []int  // the stream's per-channel cursors: userOpen or gcOpen
+	srcTS  uint64 // a GC destination's timestamp (stream == StreamGC)
 	clock  func() uint64
 	plan   *Plan
 	metas  []summary.MetaEntry // the TAG of each plan.Pages entry, same order
@@ -289,15 +262,7 @@ func (c *chanPlanner) wbytes() int { return c.p.geo.WBlockBytes }
 // EBLOCK for the stream (if any).
 func (c *chanPlanner) loadCursor(ch int) error {
 	c.ch, c.cur, c.free = ch, -1, nil
-	var eb int
-	switch c.stream {
-	case record.StreamUser:
-		eb = c.p.userOpen[c.ch]
-	case record.StreamGC:
-		eb = c.p.pickBucket(c.ch, c.bucket)
-	default:
-		return fmt.Errorf("provision: unsupported stream %v", c.stream)
-	}
+	eb := c.open[ch]
 	if eb < 0 {
 		return nil
 	}
@@ -318,29 +283,6 @@ func (c *chanPlanner) loadCursor(ch int) error {
 	c.dataWB = int(d.DataWBlocks)
 	c.base = c.p.st.MetaLen(c.ch, eb)
 	return nil
-}
-
-// pickBucket returns the open GC EBLOCK whose timestamp is closest to ts.
-// While under the bucket cap, a timestamp farther than the configured
-// spread gets a fresh bucket instead (-1), keeping LPAGEs of similar age
-// together (§VI-B).
-func (p *Provisioner) pickBucket(ch int, ts uint64) int {
-	best, bestDist := -1, uint64(0)
-	for _, b := range p.gcOpen[ch] {
-		var dist uint64
-		if b.ts > ts {
-			dist = b.ts - ts
-		} else {
-			dist = ts - b.ts
-		}
-		if best < 0 || dist < bestDist {
-			best, bestDist = b.eb, dist
-		}
-	}
-	if best >= 0 && len(p.gcOpen[ch]) < p.cfg.GCBuckets && bestDist > p.cfg.GCBucketSpread {
-		return -1
-	}
-	return best
 }
 
 // fits reports whether an LPAGE of length at ebOff leaves room for the
@@ -407,7 +349,7 @@ func (c *chanPlanner) closeCur() {
 		}
 		c.plan.IOs = append(c.plan.IOs, IO{Channel: c.ch, EBlock: c.cur, WBlock: c.dataWB + k, Inline: metaImg[lo:hi]})
 	}
-	ts := c.bucket
+	ts := c.srcTS
 	if c.stream == record.StreamUser {
 		ts = c.clock()
 	}
@@ -427,7 +369,7 @@ func (c *chanPlanner) closeCur() {
 func (c *chanPlanner) openFresh() error {
 	reserve := 0
 	if c.stream != record.StreamGC {
-		reserve = c.p.cfg.GCReserveEBlocks
+		reserve = GCReserveEBlocks
 	}
 	if c.free == nil {
 		c.free = c.p.st.FreeList(c.ch)
@@ -442,7 +384,7 @@ func (c *chanPlanner) openFresh() error {
 	c.base = 0
 	ev := OpenEvent{Channel: c.ch, EBlock: eb, Stream: c.stream}
 	if c.stream == record.StreamGC {
-		ev.Timestamp = c.bucket
+		ev.Timestamp = c.srcTS
 	}
 	c.plan.Opens = append(c.plan.Opens, ev)
 	return nil
@@ -500,9 +442,13 @@ func (c *chanPlanner) place(pages []BatchPage) error {
 
 // newPlanner starts a plan for n pages expected to program about nwb
 // WBLOCKs (closes and run splits add a few), sizing what it gathers once.
-func (p *Provisioner) newPlanner(stream record.StreamKind, bucket uint64, clock func() uint64, n, nwb int) *chanPlanner {
+func (p *Provisioner) newPlanner(stream record.StreamKind, srcTS uint64, clock func() uint64, n, nwb int) *chanPlanner {
+	open := p.userOpen
+	if stream == record.StreamGC {
+		open = p.gcOpen
+	}
 	return &chanPlanner{
-		p: p, stream: stream, bucket: bucket, clock: clock,
+		p: p, stream: stream, open: open, srcTS: srcTS, clock: clock,
 		plan:   &Plan{Pages: make([]PlacedPage, 0, n), IOs: make([]IO, 0, nwb)},
 		metas:  make([]summary.MetaEntry, 0, n),
 		runs:   make([]summary.MetaRun, 0, min(nwb, p.geo.Channels)+1),
@@ -543,8 +489,8 @@ func (p *Provisioner) SkipChannel() {
 }
 
 // ProvisionGC plans placement for a GC (or migration) buffer within one
-// channel, routing the pages to the open GC EBLOCK whose timestamp is
-// closest to srcTS (§VI-B).
+// channel, appending the pages to the channel's open GC EBLOCK. An EBLOCK
+// opened for it takes srcTS, the victim's timestamp, as its own.
 func (p *Provisioner) ProvisionGC(ch int, pages []BatchPage, srcTS uint64, clock func() uint64, lsnHint record.LSN) (*Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -555,9 +501,6 @@ func (p *Provisioner) ProvisionGC(ch int, pages []BatchPage, srcTS uint64, clock
 	if err := c.loadCursor(ch); err != nil {
 		return nil, err
 	}
-	// Respect the bucket cap: if we have no cursor and the channel is at
-	// capacity, reuse the closest bucket anyway (loadCursor already did);
-	// a fresh bucket is only opened by place() when needed.
 	if err := c.place(pages); err != nil {
 		return nil, err
 	}
@@ -576,7 +519,6 @@ func (p *Provisioner) applyLocked(c *chanPlanner, lsn record.LSN) (*Plan, error)
 			if err := p.st.SetTimestamp(ev.Channel, ev.EBlock, ev.Timestamp, lsn); err != nil {
 				return nil, err
 			}
-			p.gcOpen[ev.Channel] = append(p.gcOpen[ev.Channel], gcBucket{eb: ev.EBlock, ts: ev.Timestamp})
 		}
 	}
 	if err := p.st.AppendMetaRuns(c.runs); err != nil {
@@ -608,10 +550,7 @@ func (p *Provisioner) applyLocked(c *chanPlanner, lsn record.LSN) (*Plan, error)
 				return nil, err
 			}
 		}
-		// GC bucket membership is handled in Opens; nothing further.
-		if c.stream == record.StreamUser {
-			p.userOpen[f.ch] = f.eb
-		}
+		c.open[f.ch] = f.eb
 	}
 	return plan, nil
 }
@@ -620,13 +559,9 @@ func (p *Provisioner) dropCursor(ch, eb int) {
 	if p.userOpen[ch] == eb {
 		p.userOpen[ch] = -1
 	}
-	buckets := p.gcOpen[ch][:0]
-	for _, b := range p.gcOpen[ch] {
-		if b.eb != eb {
-			buckets = append(buckets, b)
-		}
+	if p.gcOpen[ch] == eb {
+		p.gcOpen[ch] = -1
 	}
-	p.gcOpen[ch] = buckets
 }
 
 // partition is the global tier: it cuts the buffer into at most Channels
@@ -676,33 +611,23 @@ func (p *Provisioner) partition(pages []BatchPage) (chunks [][]BatchPage, nwb in
 
 // --- log stream -------------------------------------------------------------
 
-// openEventForLog is returned alongside log slots so the controller can
-// update bookkeeping without logging (the chain itself is the durable
-// record for log EBLOCKs).
-type LogEvent struct {
-	OpenedCh, OpenedEB int // newly opened log EBLOCK (-1 if none)
-	ClosedCh, ClosedEB int // log EBLOCK retired by this provisioning (-1 if none)
-}
-
 // ProvisionLogSlots hands out the next n log-page WBLOCK slots,
 // alternating between the two open log EBLOCK streams and opening fresh
 // EBLOCKs (rotating channels) as streams exhaust. Unlike batch
 // provisioning this mutates immediately: the WAL requests slots while
 // forcing a page, and a failed program is handled by the WAL's forward
 // candidates, not by aborting.
-func (p *Provisioner) ProvisionLogSlots(n int, lsnHint record.LSN) ([]wal.Slot, []LogEvent, error) {
+func (p *Provisioner) ProvisionLogSlots(n int, lsnHint record.LSN) ([]wal.Slot, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []wal.Slot
-	var events []LogEvent
 	for len(out) < n {
 		st := &p.logStreams[p.logParity]
 		if st.eb < 0 || st.wb >= p.geo.WBlocksPerEBlock() {
-			ev := LogEvent{OpenedCh: -1, OpenedEB: -1, ClosedCh: -1, ClosedEB: -1}
 			if st.eb >= 0 {
 				d, err := p.st.Desc(st.ch, st.eb)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				// Retire only if still open: a previous provisioning may
 				// have closed this EBLOCK and then failed to allocate a
@@ -710,25 +635,22 @@ func (p *Provisioner) ProvisionLogSlots(n int, lsnHint record.LSN) ([]wal.Slot, 
 				// cursor pointing at an already-retired EBLOCK.
 				if d.State == summary.Open && d.Stream == record.StreamLog {
 					if err := p.st.CloseEBlock(st.ch, st.eb, d.Timestamp, 0, lsnHint); err != nil {
-						return nil, nil, fmt.Errorf("provision: retire log stream %d at wb=%d: %w", p.logParity, st.wb, err)
+						return nil, fmt.Errorf("provision: retire log stream %d at wb=%d: %w", p.logParity, st.wb, err)
 					}
-					ev.ClosedCh, ev.ClosedEB = st.ch, st.eb
 				}
 			}
 			ch, eb, err := p.takeLogEBlock(st.ch, p.logStreams[1-p.logParity].ch, lsnHint)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			dtrace("log stream %d: closed (%d,%d) opened (%d,%d)", p.logParity, ev.ClosedCh, ev.ClosedEB, ch, eb)
+			dtrace("log stream %d: (%d,%d) -> opened (%d,%d)", p.logParity, st.ch, st.eb, ch, eb)
 			st.ch, st.eb, st.wb = ch, eb, 0
-			ev.OpenedCh, ev.OpenedEB = ch, eb
-			events = append(events, ev)
 		}
 		out = append(out, wal.Slot{Channel: st.ch, EBlock: st.eb, WBlock: st.wb})
 		st.wb++
 		p.logParity = 1 - p.logParity
 	}
-	return out, events, nil
+	return out, nil
 }
 
 // takeLogEBlock allocates a free EBLOCK for a log stream, preferring a
@@ -747,7 +669,7 @@ func (p *Provisioner) takeLogEBlock(prevCh, siblingCh int, lsn record.LSN) (int,
 			if pass == 0 && ch == siblingCh && p.geo.Channels > 1 {
 				continue
 			}
-			if p.st.FreeCount(ch) <= p.cfg.GCReserveEBlocks {
+			if p.st.FreeCount(ch) <= GCReserveEBlocks {
 				continue // leave the GC relocation reserve untouched
 			}
 			if eb, ok := p.st.TakeFree(ch); ok {
@@ -797,15 +719,11 @@ func (p *Provisioner) UserOpen(ch int) int {
 	return p.userOpen[ch]
 }
 
-// GCOpen returns the channel's open GC EBLOCKs.
-func (p *Provisioner) GCOpen(ch int) []int {
+// GCOpen returns the channel's open GC EBLOCK (-1 if none).
+func (p *Provisioner) GCOpen(ch int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]int, 0, len(p.gcOpen[ch]))
-	for _, b := range p.gcOpen[ch] {
-		out = append(out, b.eb)
-	}
-	return out
+	return p.gcOpen[ch]
 }
 
 // DropOpen forgets a cursor for an EBLOCK (used when migration retires an

@@ -29,7 +29,7 @@ func newEnv(t *testing.T) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(geo, st, DefaultConfig())
+	p, err := New(geo, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestProvisionAllocsIndependentOfFill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := New(geo, st, DefaultConfig())
+			p, err := New(geo, st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestNoSpaceDoesNotMutate(t *testing.T) {
 	geo := flash.SmallGeometry()
 	geo.EBlocksPerChannel = 1
 	st, _ := summary.New(geo, 8)
-	p, _ := New(geo, st, DefaultConfig())
+	p, _ := New(geo, st)
 	// Fill channel 0's only eblock nearly full, then ask for more than fits
 	// anywhere: with one eblock per channel and 4 channels, a batch bigger
 	// than total capacity must fail without changing state.
@@ -396,60 +396,56 @@ func TestBadPageValidation(t *testing.T) {
 	}
 }
 
-func TestProvisionGCUsesBuckets(t *testing.T) {
+// TestProvisionGCOneEBlockPerChannel: successive GC rounds on a channel
+// share its one open GC EBLOCK, however far apart their victims'
+// timestamps. The EBLOCK keeps the timestamp of the round that opened it,
+// and a second one opens only when the first closes.
+func TestProvisionGCOneEBlockPerChannel(t *testing.T) {
 	e := newEnv(t)
-	// Two GC rounds with far-apart timestamps get separate buckets.
-	p1, err := e.p.ProvisionGC(0, contiguousPages(128), 100, e.clock, 1)
+	first, err := e.p.ProvisionGC(0, contiguousPages(128), 100, e.clock, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.p.ProvisionGC(0, contiguousPages(128), 100000, e.clock, 2)
-	if err != nil {
-		t.Fatal(err)
+	eb := first.Pages[0].Addr.EBlock()
+	if len(first.Opens) != 1 || e.p.GCOpen(0) != eb {
+		t.Fatalf("first round opened %+v, cursor %d, want one GC EBLOCK %d", first.Opens, e.p.GCOpen(0), eb)
 	}
-	eb1 := p1.Pages[0].Addr.EBlock()
-	eb2 := p2.Pages[0].Addr.EBlock()
-	if eb1 == eb2 {
-		t.Fatal("far-apart timestamps shared a bucket")
-	}
-	if len(e.p.GCOpen(0)) != 2 {
-		t.Fatalf("buckets = %v", e.p.GCOpen(0))
-	}
-	// A timestamp near the first bucket reuses it.
-	p3, err := e.p.ProvisionGC(0, contiguousPages(128), 150, e.clock, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.Pages[0].Addr.EBlock() != eb1 {
-		t.Fatal("nearby timestamp did not reuse bucket")
-	}
-	// GC eblocks carry the bucket timestamp.
-	d, _ := e.st.Desc(0, eb1)
-	if d.Stream != record.StreamGC || d.Timestamp != 100 {
-		t.Fatalf("gc eblock desc: %+v", d)
-	}
-}
-
-func TestGCBucketCap(t *testing.T) {
-	geo := flash.SmallGeometry()
-	st, _ := summary.New(geo, 8)
-	cfg := DefaultConfig()
-	cfg.GCBuckets = 2
-	p, _ := New(geo, st, cfg)
-	clock := func() uint64 { return 1 }
-	for i, ts := range []uint64{10, 100000, 200000, 300000} {
-		if _, err := p.ProvisionGC(1, contiguousPages(128), ts, clock, record.LSN(i+1)); err != nil {
+	lsn := record.LSN(2)
+	for ts := uint64(100_000); ; ts += 100_000 {
+		plan, err := e.p.ProvisionGC(0, contiguousPages(16<<10), ts, e.clock, lsn)
+		if err != nil {
 			t.Fatal(err)
 		}
+		lsn++
+		if len(plan.Closes) == 0 {
+			if len(plan.Opens) != 0 || plan.Pages[0].Addr.EBlock() != eb || e.p.GCOpen(0) != eb {
+				t.Fatalf("timestamp %d: opens %+v, placed in %d, cursor %d; want EBLOCK %d shared",
+					ts, plan.Opens, plan.Pages[0].Addr.EBlock(), e.p.GCOpen(0), eb)
+			}
+			d, _ := e.st.Desc(0, eb)
+			if d.State != summary.Open || d.Stream != record.StreamGC || d.Timestamp != 100 {
+				t.Fatalf("shared GC eblock desc: %+v, want open with the first round's timestamp", d)
+			}
+			continue
+		}
+		if len(plan.Closes) != 1 || plan.Closes[0].EBlock != eb {
+			t.Fatalf("closes %+v, want only EBLOCK %d", plan.Closes, eb)
+		}
+		if len(plan.Opens) != 1 || plan.Opens[0].EBlock == eb || plan.Opens[0].Timestamp != ts || e.p.GCOpen(0) != plan.Opens[0].EBlock {
+			t.Fatalf("opens %+v, cursor %d: want one successor taking timestamp %d", plan.Opens, e.p.GCOpen(0), ts)
+		}
+		break
 	}
-	if got := len(p.GCOpen(1)); got > 2 {
-		t.Fatalf("bucket cap exceeded: %d", got)
+	for ch := 1; ch < e.geo.Channels; ch++ {
+		if e.p.GCOpen(ch) >= 0 {
+			t.Fatalf("channel %d has GC EBLOCK %d open, want none", ch, e.p.GCOpen(ch))
+		}
 	}
 }
 
 func TestProvisionLogSlots(t *testing.T) {
 	e := newEnv(t)
-	slots, events, err := e.p.ProvisionLogSlots(3, 1)
+	slots, err := e.p.ProvisionLogSlots(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,9 +454,6 @@ func TestProvisionLogSlots(t *testing.T) {
 	}
 	// Two streams open: consecutive slots alternate EBLOCKs so that any
 	// three consecutive forward candidates span two EBLOCKs.
-	if len(events) != 2 || events[0].OpenedEB < 0 || events[1].OpenedEB < 0 {
-		t.Fatalf("events = %+v", events)
-	}
 	if slots[0].Channel == slots[1].Channel && slots[0].EBlock == slots[1].EBlock {
 		t.Fatalf("candidates share an eblock: %+v", slots)
 	}
@@ -474,26 +467,32 @@ func TestProvisionLogSlots(t *testing.T) {
 			t.Fatalf("log eblock desc: %+v", d)
 		}
 	}
-	// Exhaust both streams: new eblocks open and old ones close.
+	// Exhaust both streams: the two EBLOCKs close and two new ones open.
 	per := e.geo.WBlocksPerEBlock()
-	slots2, events2, err := e.p.ProvisionLogSlots(2*per, 2)
+	slots2, err := e.p.ProvisionLogSlots(2*per, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(slots2) != 2*per {
 		t.Fatalf("slots2 = %d", len(slots2))
 	}
+	first := map[[2]int]bool{{slots[0].Channel, slots[0].EBlock}: true, {slots[1].Channel, slots[1].EBlock}: true}
 	var opened, closed int
-	for _, ev := range events2 {
-		if ev.OpenedEB >= 0 {
-			opened++
+	seen := map[[2]int]bool{}
+	for _, sl := range slots2 {
+		k := [2]int{sl.Channel, sl.EBlock}
+		if seen[k] {
+			continue
 		}
-		if ev.ClosedEB >= 0 {
+		seen[k] = true
+		d, _ := e.st.Desc(sl.Channel, sl.EBlock)
+		switch {
+		case first[k] && d.State == summary.Used:
 			closed++
-			d, _ := e.st.Desc(ev.ClosedCh, ev.ClosedEB)
-			if d.State != summary.Used {
-				t.Fatalf("closed log eblock not used: %+v", d)
-			}
+		case !first[k] && d.State == summary.Open && d.Stream == record.StreamLog:
+			opened++
+		default:
+			t.Fatalf("log eblock (%d,%d) desc %+v (first pair: %v)", sl.Channel, sl.EBlock, d, first[k])
 		}
 	}
 	if opened != 2 || closed != 2 {
@@ -503,7 +502,7 @@ func TestProvisionLogSlots(t *testing.T) {
 
 func TestAbandonLogEBlock(t *testing.T) {
 	e := newEnv(t)
-	slots, _, err := e.p.ProvisionLogSlots(1, 1)
+	slots, err := e.p.ProvisionLogSlots(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +514,7 @@ func TestAbandonLogEBlock(t *testing.T) {
 		t.Fatalf("abandoned log eblock: %+v", d)
 	}
 	// Fresh slots come from a new eblock.
-	slots2, _, err := e.p.ProvisionLogSlots(1, 6)
+	slots2, err := e.p.ProvisionLogSlots(1, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +532,7 @@ func TestRebuildFromSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fresh provisioner over the same summary table.
-	p2, err := New(e.geo, e.st, DefaultConfig())
+	p2, err := New(e.geo, e.st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,8 +546,8 @@ func TestRebuildFromSummary(t *testing.T) {
 	if !foundUser {
 		t.Fatal("user cursor not rebuilt")
 	}
-	if len(p2.GCOpen(2)) != 1 {
-		t.Fatalf("gc buckets not rebuilt: %v", p2.GCOpen(2))
+	if p2.GCOpen(2) < 0 || p2.GCOpen(2) != e.p.GCOpen(2) {
+		t.Fatalf("gc cursor rebuilt as %d, want %d", p2.GCOpen(2), e.p.GCOpen(2))
 	}
 }
 
@@ -616,7 +615,7 @@ func TestBenchGeometryDenseAndBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(geo, st, DefaultConfig())
+	p, err := New(geo, st)
 	if err != nil {
 		t.Fatal(err)
 	}

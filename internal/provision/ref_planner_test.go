@@ -24,7 +24,7 @@ type refPlanner struct {
 	p      *Provisioner
 	ch     int
 	stream record.StreamKind
-	bucket uint64
+	srcTS  uint64
 	clock  func() uint64
 	free   []int
 	cur    int
@@ -42,14 +42,9 @@ func (c *refPlanner) wbytes() int { return c.p.geo.WBlockBytes }
 
 func (c *refPlanner) loadCursor() error {
 	c.cur = -1
-	var eb int
-	switch c.stream {
-	case record.StreamUser:
-		eb = c.p.userOpen[c.ch]
-	case record.StreamGC:
-		eb = c.p.pickBucket(c.ch, c.bucket)
-	default:
-		return fmt.Errorf("provision: unsupported stream %v", c.stream)
+	eb := c.p.userOpen[c.ch]
+	if c.stream == record.StreamGC {
+		eb = c.p.gcOpen[c.ch]
 	}
 	if eb < 0 {
 		return nil
@@ -115,7 +110,7 @@ func (c *refPlanner) closeCur() {
 		}
 		c.plan.IOs = append(c.plan.IOs, IO{Channel: c.ch, EBlock: c.cur, WBlock: c.dataWB + k, Inline: metaImg[lo:hi]})
 	}
-	ts := c.bucket
+	ts := c.srcTS
 	if c.stream == record.StreamUser {
 		ts = c.clock()
 	}
@@ -133,7 +128,7 @@ func (c *refPlanner) closeCur() {
 func (c *refPlanner) openFresh() error {
 	reserve := 0
 	if c.stream != record.StreamGC {
-		reserve = c.p.cfg.GCReserveEBlocks
+		reserve = GCReserveEBlocks
 	}
 	if len(c.free) <= reserve {
 		return fmt.Errorf("%w: channel %d", ErrNoSpace, c.ch)
@@ -145,7 +140,7 @@ func (c *refPlanner) openFresh() error {
 	c.meta = nil
 	ev := OpenEvent{Channel: c.ch, EBlock: eb, Stream: c.stream}
 	if c.stream == record.StreamGC {
-		ev.Timestamp = c.bucket
+		ev.Timestamp = c.srcTS
 	}
 	c.plan.Opens = append(c.plan.Opens, ev)
 	return nil
@@ -224,7 +219,7 @@ func refProvisionGC(p *Provisioner, ch int, pages []BatchPage, srcTS uint64, clo
 	if len(pages) == 0 {
 		return plan, nil
 	}
-	c := &refPlanner{p: p, ch: ch, stream: record.StreamGC, bucket: srcTS, clock: clock, free: p.st.FreeList(ch), plan: plan}
+	c := &refPlanner{p: p, ch: ch, stream: record.StreamGC, srcTS: srcTS, clock: clock, free: p.st.FreeList(ch), plan: plan}
 	if err := c.loadCursor(); err != nil {
 		return nil, err
 	}
@@ -246,7 +241,7 @@ func refApply(p *Provisioner, plan *Plan, finals map[int]*refPlanner, stream rec
 			if err := p.st.SetTimestamp(ev.Channel, ev.EBlock, ev.Timestamp, lsn); err != nil {
 				return err
 			}
-			p.gcOpen[ev.Channel] = append(p.gcOpen[ev.Channel], gcBucket{eb: ev.EBlock, ts: ev.Timestamp})
+			p.gcOpen[ev.Channel] = ev.EBlock
 		}
 	}
 	for _, pg := range plan.Pages {
@@ -298,7 +293,7 @@ type tableState struct {
 	open    []summary.OpenRef
 	dirty   []int
 	userCur []int
-	gcCur   [][]int
+	gcCur   []int
 	rotate  int
 }
 
@@ -328,7 +323,7 @@ func (s tableState) diff(o tableState, cursors bool) string {
 	if !slices.Equal(s.open, o.open) || !slices.Equal(s.dirty, o.dirty) {
 		return fmt.Sprintf("open %+v dirty %v vs open %+v dirty %v", s.open, s.dirty, o.open, o.dirty)
 	}
-	if cursors && (s.rotate != o.rotate || !slices.Equal(s.userCur, o.userCur) || !slices.EqualFunc(s.gcCur, o.gcCur, slices.Equal[[]int])) {
+	if cursors && (s.rotate != o.rotate || !slices.Equal(s.userCur, o.userCur) || !slices.Equal(s.gcCur, o.gcCur)) {
 		return fmt.Sprintf("cursors: user %v gc %v rotate %d vs user %v gc %v rotate %d", s.userCur, s.gcCur, s.rotate, o.userCur, o.gcCur, o.rotate)
 	}
 	return ""
@@ -364,7 +359,7 @@ func TestDeltaPlannerMatchesReference(t *testing.T) {
 			if s.st, err = summary.New(geo, 8); err != nil {
 				t.Fatal(err)
 			}
-			if s.p, err = New(geo, s.st, DefaultConfig()); err != nil {
+			if s.p, err = New(geo, s.st); err != nil {
 				t.Fatal(err)
 			}
 			// As core does for the checkpoint area; (0,0,0) with a 64-byte
@@ -406,7 +401,7 @@ func TestDeltaPlannerMatchesReference(t *testing.T) {
 				}
 				continue
 			default: // an open EBLOCK retired behind the provisioner's back
-				open := append(got.p.GCOpen(ch), got.p.UserOpen(ch))
+				open := []int{got.p.GCOpen(ch), got.p.UserOpen(ch)}
 				eb := open[rng.Intn(len(open))]
 				if d, _ := got.st.Desc(ch, max(eb, 0)); eb >= 0 && d.State == summary.Open {
 					stale++
