@@ -20,9 +20,9 @@
 // sweep once.
 //
 // The gated experiments exit nonzero when their bound is crossed. waf
-// measures end-to-end write amplification per GC policy on a
-// B-tree-churn arm plus one sequential arm, reconciled against the
-// device program ledger (-maxwaf, -maxseqwaf). fairness measures a quiet
+// measures end-to-end write amplification on a B-tree-churn arm and a
+// sequential arm, reconciled against the device program ledger
+// (-maxwaf, -maxseqwaf). fairness measures a quiet
 // tenant's flush p99 solo, beside rate-shaped aggressors with QoS
 // admission on, and beside the same aggressors with QoS off
 // (-maxp99inflation). chaos executes the seeded fault-schedule corpus
@@ -42,7 +42,6 @@ import (
 	"io"
 	"os"
 
-	gcpolicy "eleos/internal/gc"
 	"eleos/internal/harness"
 	"eleos/internal/tpcc"
 )
@@ -283,12 +282,12 @@ func jsonFlag(fs *flag.FlagSet) *string {
 }
 
 func wafExperiment() *experiment {
-	e := newExperiment("waf", "gate: write amplification per GC policy, B-tree churn and sequential arms")
-	maxWAF := e.fs.Float64("maxwaf", 0, "fail if the default policy's btree-churn WAF exceeds this (0 disables the gate)")
+	e := newExperiment("waf", "gate: write amplification, B-tree churn and sequential arms")
+	maxWAF := e.fs.Float64("maxwaf", 0, "fail if the churn arm's WAF exceeds this (0 disables the gate)")
 	maxSeqWAF := e.fs.Float64("maxseqwaf", 0, "fail if the sequential arm's WAF, where GC moves nothing, exceeds this (0 disables the gate)")
 	jsonPath := jsonFlag(e.fs)
 	e.run = func(w io.Writer) error {
-		res, err := harness.RunWAF([]gcpolicy.Policy{gcpolicy.MinCostDecline{}, gcpolicy.Greedy{}, gcpolicy.Oldest{}}, 1200, 1)
+		res, err := harness.RunWAF(1200, 1)
 		if err != nil {
 			return err
 		}

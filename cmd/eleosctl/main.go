@@ -541,8 +541,8 @@ func doStats(ctl *core.Controller, args []string) error {
 }
 
 // renderStats is the one renderer behind both `stats` modes: the snapshot
-// as JSON with -json, otherwise the GC policy, health census, tenant table
-// and metrics table of one stats_full payload.
+// as JSON with -json, otherwise the health census, tenant table and
+// metrics table of one stats_full payload.
 func renderStats(w io.Writer, sf netproto.StatsFull, jsonOut bool) error {
 	if jsonOut {
 		b, err := marshalSnapshot(sf.Snap)
@@ -551,9 +551,6 @@ func renderStats(w io.Writer, sf netproto.StatsFull, jsonOut bool) error {
 		}
 		_, err = w.Write(b)
 		return err
-	}
-	if pol := sf.Snap.Label("gc.policy"); pol != "" {
-		fmt.Fprintf(w, "gc policy: %s\n", pol)
 	}
 	printHealth(w, sf.Health)
 	printTenants(w, sf.Snap)
@@ -697,9 +694,6 @@ func renderTop(target string, prev, cur netproto.StatsFull, dt time.Duration) st
 	var sb strings.Builder
 	r := health.Compute(prev.Snap, cur.Snap, dt)
 	fmt.Fprintf(&sb, "eleos top — %s", target)
-	if pol := cur.Snap.Label("gc.policy"); pol != "" {
-		fmt.Fprintf(&sb, "   gc=%s", pol)
-	}
 	fmt.Fprintf(&sb, "   interval=%s\n\n", dt.Round(time.Millisecond))
 	fmt.Fprintf(&sb, "write   %8.2f MB/s user  %8.2f MB/s flash   WAF %5.2f  pad %4.1f%%   %7.0f batches/s %9.0f pages/s\n",
 		r.UserMBps, r.FlashMBps, r.WAF, 100*r.PadFrac, r.BatchesPS, r.PagesPS)

@@ -231,10 +231,8 @@ func topFixture() (prev, cur netproto.StatsFull) {
 		reg.Counter("qos.default.throttled").Add(freed) // any delta > 0
 		reg.Counter("write.tenant.default.bytes").Add(user)
 		reg.Counter("write.tenant.default.pages").Add(batches * 4)
-		snap := reg.Snapshot()
-		snap.Labels = append(snap.Labels, metrics.Label{Key: "gc.policy", Value: "greedy"})
 		return netproto.StatsFull{
-			Snap: snap,
+			Snap: reg.Snapshot(),
 			Health: health.DeviceHealth{
 				EBlocksTotal: 64, FreeEBlocks: 32, OpenEBlocks: 4,
 				UsedEBlocks: 26, BadEBlocks: 1, ReservedEBlocks: 1,
@@ -257,8 +255,7 @@ func TestRenderTop(t *testing.T) {
 	prev, cur := topFixture()
 	out := renderTop("10.0.0.1:9420", prev, cur, time.Second)
 	for _, want := range []string{
-		"eleos top — 10.0.0.1:9420",
-		"gc=greedy",
+		"eleos top — 10.0.0.1:9420   interval=1s\n",
 		"WAF  2.00",       // 2 MB flash / 1 MB user
 		"pad 20.0%",       // 1 - 1 MB stored / 1.25 MB user-source programs
 		"1.00 MB/s user",  // Δ1 MB over 1s
@@ -283,15 +280,15 @@ func TestRenderTop(t *testing.T) {
 }
 
 // TestRenderStats pins the renderer both `stats` modes share: one
-// stats_full payload renders the GC policy, the health census, the tenant
-// table and the metrics table, and -json is the snapshot alone.
+// stats_full payload renders the health census, the tenant table and the
+// metrics table, and -json is the snapshot alone.
 func TestRenderStats(t *testing.T) {
 	_, sf := topFixture()
 	var buf bytes.Buffer
 	if err := renderStats(&buf, sf, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"gc policy: greedy", "space:  free 64.0 MB", "TENANT", "metrics:", "core.write.batches"} {
+	for _, want := range []string{"space:  free 64.0 MB", "TENANT", "metrics:", "core.write.batches"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("renderStats missing %q:\n%s", want, buf.String())
 		}

@@ -26,7 +26,6 @@ import (
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
-	gcpolicy "eleos/internal/gc"
 	"eleos/internal/mapping"
 	"eleos/internal/metrics"
 	"eleos/internal/provision"
@@ -50,11 +49,6 @@ type Config struct {
 	// GCMaxRounds bounds how many EBLOCKs one GC pass may collect per
 	// channel.
 	GCMaxRounds int
-	// GCPolicy ranks GC victims (§VI-A); nil is the paper's minimum cost
-	// decline, gcpolicy.MinCostDecline{}. The core still enforces the
-	// safety rules (inflight/pinned skip, truncated-log fast path); the
-	// policy only ranks.
-	GCPolicy gcpolicy.Policy
 	// GarbagePairsPerRecord chunks lazy Garbage log records.
 	GarbagePairsPerRecord int
 	// AutoCheckpointLogBytes forces a checkpoint after this much log
@@ -246,13 +240,6 @@ type Controller struct {
 	// (see tenantWriteLocked). Protected by c.mu.
 	tenantWrites map[string]*tenantWriteCounters
 
-	// gcPolicy ranks GC victims (resolved once from Config at
-	// construction; see internal/gc). gcRetime marks circular-log
-	// policies whose relocations take the current timestamp so moved
-	// cold data does not immediately become "oldest" again.
-	gcPolicy gcpolicy.Policy
-	gcRetime bool
-
 	// reg and trc are born and die with the controller. reg is the only
 	// counter store: every layer records into it and Stats() is a view.
 	reg *metrics.Registry
@@ -301,11 +288,6 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		crashPoints:  make(map[string]bool),
 		tenantWrites: make(map[string]*tenantWriteCounters),
 	}
-	c.gcPolicy = cfg.GCPolicy
-	if c.gcPolicy == nil {
-		c.gcPolicy = gcpolicy.MinCostDecline{}
-	}
-	c.gcRetime = c.gcPolicy.Name() == gcpolicy.Oldest{}.Name()
 	c.hintLSN.Store(1)
 	c.wsnCond = sync.NewCond(&c.mu)
 	c.ioCond = sync.NewCond(&c.mu)

@@ -11,7 +11,6 @@ import (
 	"eleos/internal/addr"
 	"eleos/internal/bufpool"
 	"eleos/internal/flash"
-	gcpolicy "eleos/internal/gc"
 	"eleos/internal/provision"
 	"eleos/internal/record"
 	"eleos/internal/summary"
@@ -134,14 +133,12 @@ func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 	return first
 }
 
-// selectVictimLocked picks a used EBLOCK to collect. The core owns the
-// safety rules — skipping EBLOCKs with inflight or pinned actions and
-// the truncated-log fast path (no data movement, always the "smallest
-// score") — and delegates only the ranking to the pluggable policy
-// (internal/gc): each eligible EBLOCK becomes a gcpolicy.Candidate and
-// the lowest score wins; +Inf declines the candidate. deadOnly restricts
-// the choice to EBLOCKs with nothing to relocate: truncated log EBLOCKs
-// and data EBLOCKs whose every data WBLOCK is reclaimable.
+// selectVictimLocked picks a used EBLOCK to collect. It never offers an
+// EBLOCK with inflight or pinned actions, takes a truncated log EBLOCK at
+// once (no data movement), skips data EBLOCKs with nothing reclaimable,
+// and ranks the rest by victimScore, lowest first. deadOnly restricts the
+// choice to EBLOCKs with nothing to relocate: truncated log EBLOCKs and
+// data EBLOCKs whose every data WBLOCK is reclaimable.
 func (c *Controller) selectVictimLocked(ch int, deadOnly bool) (int, bool) {
 	best, bestScore := -1, math.Inf(1)
 	for _, eb := range c.st.UsedEBlocks(ch) {
@@ -172,20 +169,22 @@ func (c *Controller) selectVictimLocked(ch int, deadOnly bool) (int, bool) {
 		if c.updateSeq < d.Timestamp {
 			age = 1
 		}
-		score := c.gcPolicy.Score(gcpolicy.Candidate{
-			Ch:         ch,
-			EB:         eb,
-			Avail:      d.Avail,
-			CapBytes:   uint64(c.geo.EBlockBytes),
-			Age:        age,
-			EraseCount: d.EraseCount,
-			Timestamp:  d.Timestamp,
-		})
-		if score < bestScore {
+		if score := c.victimScore(d.Avail, age); score < bestScore {
 			best, bestScore = eb, score
 		}
 	}
 	return best, best >= 0
+}
+
+// victimScore is the paper's minimum cost decline (§VI-A), (1-E)/(E²·age):
+// E is the reclaimable fraction of the EBLOCK, clamped to 1 because Avail
+// counts fragmentation too, and age is the update-sequence distance since
+// the EBLOCK closed. Low scores go first, so collection favours cold,
+// mostly-garbage EBLOCKs; a full-garbage one scores 0. Callers pass
+// avail > 0 and age >= 1.
+func (c *Controller) victimScore(avail, age uint64) float64 {
+	e := min(float64(avail)/float64(c.geo.EBlockBytes), 1)
+	return (1 - e) / (e * e * float64(age))
 }
 
 // gcEBlockLocked prepares one victim for the round's erase batch: it moves
@@ -211,15 +210,7 @@ func (c *Controller) gcEBlockLocked(ch, eb int) error {
 		c.met.gcMetaUnreadable.Inc()
 		return nil
 	}
-	srcTS := d.Timestamp
-	if c.gcRetime {
-		// Circular-log cleaning (LLAMA) re-appends survivors at the tail:
-		// give relocations the current time, or the moved cold data would
-		// immediately be "oldest" again and the cleaner would livelock
-		// reshuffling it.
-		srcTS = c.updateSeq
-	}
-	if err := c.relocateLocked(ch, eb, entries, srcTS, record.ActionGC); err != nil {
+	if err := c.relocateLocked(ch, eb, entries, d.Timestamp, record.ActionGC); err != nil {
 		return err
 	}
 	return c.crashIf("gc.before-erase")

@@ -175,14 +175,11 @@ type tenantWriteCounters struct {
 // empty with the controller); the server and QoS register into it.
 func (c *Controller) Metrics() *metrics.Registry { return c.reg }
 
-// MetricsSnapshot exports every instrument in the controller's registry
-// plus the "gc.policy" label — attached here and nowhere else, so
-// stats_full, /metrics and eleosctl render the same snapshot. Lock-free:
+// MetricsSnapshot exports every instrument in the controller's registry,
+// the one snapshot stats_full, /metrics and eleosctl render. Lock-free:
 // safe to call concurrently with writes, GC and checkpoints.
 func (c *Controller) MetricsSnapshot() metrics.Snapshot {
-	snap := c.reg.Snapshot()
-	snap.Labels = []metrics.Label{{Key: "gc.policy", Value: c.gcPolicy.Name()}}
-	return snap
+	return c.reg.Snapshot()
 }
 
 // Tracer returns the controller's own always-on flight recorder (never

@@ -8,7 +8,6 @@ import (
 	"eleos/internal/addr"
 	"eleos/internal/core"
 	"eleos/internal/flash"
-	gcpolicy "eleos/internal/gc"
 	"eleos/internal/health"
 )
 
@@ -21,27 +20,24 @@ import (
 //   - sequential: cyclic ascending overwrites of a bounded keyspace —
 //     pages die in exactly the order they were written, so reclaimed
 //     EBLOCKs are all dead and GC relocates nothing. The WAF floor is
-//     set by stripe padding plus checkpoint/WAL metadata. With nothing
-//     to relocate no policy has a choice to make, so the arm runs once,
-//     under the first policy.
+//     set by stripe padding plus checkpoint/WAL metadata.
 //   - btree-churn: uniformly random updates of the same keyspace at the
 //     same volume — the B-tree page-churn case the paper targets, where
 //     every reclaimed EBLOCK still holds valid pages and victim
-//     selection decides how many ride along. One row per policy.
+//     selection decides how many ride along.
 //
 // Both arms write the same bytes over the same keyspace on the same
 // capacity-constrained device; only the update order differs, so the
 // WAF delta is pure GC relocation cost.
 //
-// CI gates two numbers. The paper-default policy's churn-arm WAF: a
-// regression in GC victim selection, hot/cold separation, or the
-// attribution plumbing surfaces there. And the sequential floor: GC
+// CI gates two numbers. The churn arm's WAF: a regression in GC victim
+// selection, hot/cold separation, or the attribution plumbing surfaces
+// there. And the sequential floor: GC
 // moves nothing, so it rises only when provisioning pads more or the
 // log/checkpoint write more per accepted byte.
 
-// WAFArm is one (policy, workload) cell with its reconciled accounting.
+// WAFArm is one workload's run with its reconciled accounting.
 type WAFArm struct {
-	Policy   string `json:"policy"`
 	Workload string `json:"workload"` // "sequential" | "btree-churn"
 
 	UserBytes  int64   `json:"user_bytes"`  // core.write.bytes_accepted
@@ -55,12 +51,11 @@ type WAFArm struct {
 	Erases       int64            `json:"erases"`
 }
 
-// WAFResult holds every arm plus the two gated numbers.
+// WAFResult holds both arms plus the two gated numbers.
 type WAFResult struct {
 	Batches int
 	Arms    []WAFArm
-	// GatedWAF is the paper-default policy's btree-churn WAF — the
-	// number -maxwaf bounds.
+	// GatedWAF is the btree-churn arm's WAF — the number -maxwaf bounds.
 	GatedWAF float64
 	// SequentialWAF is the sequential arm's WAF — the number -maxseqwaf
 	// bounds.
@@ -77,16 +72,15 @@ func wafGeometry() flash.Geometry {
 	}
 }
 
-// runWAFArm executes one (policy, workload) cell on a fresh device and
-// reconciles the three accounting views before reporting.
-func runWAFArm(policy gcpolicy.Policy, workload string, batches int, seed int64) (WAFArm, error) {
-	arm := WAFArm{Policy: policy.Name(), Workload: workload}
+// runWAFArm executes one workload on a fresh device and reconciles the
+// three accounting views before reporting.
+func runWAFArm(workload string, batches int, seed int64) (WAFArm, error) {
+	arm := WAFArm{Workload: workload}
 	dev, err := flash.NewDevice(wafGeometry(), flash.Latency{})
 	if err != nil {
 		return arm, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.GCPolicy = policy
 	cfg.GCFreeFraction = 0.12
 	cfg.GCMaxRounds = 64
 	cfg.AutoCheckpointLogBytes = 2 << 20
@@ -117,7 +111,7 @@ func runWAFArm(policy gcpolicy.Policy, workload string, batches int, seed int64)
 			batch = append(batch, core.LPage{LPID: lpid, Data: payload})
 		}
 		if err := ctl.WriteBatch(0, 0, batch); err != nil {
-			return arm, fmt.Errorf("%s/%s batch %d: %w", arm.Policy, workload, b, err)
+			return arm, fmt.Errorf("%s batch %d: %w", workload, b, err)
 		}
 	}
 
@@ -135,45 +129,37 @@ func runWAFArm(policy gcpolicy.Policy, workload string, batches int, seed int64)
 	// source attribution must agree to the byte. The telemetry being
 	// gated is only trustworthy if they do.
 	if arm.FlashBytes != d.BytesWritten {
-		return arm, fmt.Errorf("%s/%s: flash.programmed_bytes %d != device ledger %d",
-			arm.Policy, workload, arm.FlashBytes, d.BytesWritten)
+		return arm, fmt.Errorf("%s: flash.programmed_bytes %d != device ledger %d",
+			workload, arm.FlashBytes, d.BytesWritten)
 	}
 	var srcSum int64
 	for _, v := range arm.SourceBytes {
 		srcSum += v
 	}
 	if srcSum != arm.FlashBytes {
-		return arm, fmt.Errorf("%s/%s: source attribution sums to %d, programmed %d",
-			arm.Policy, workload, srcSum, arm.FlashBytes)
+		return arm, fmt.Errorf("%s: source attribution sums to %d, programmed %d",
+			workload, srcSum, arm.FlashBytes)
 	}
 	if arm.UserBytes <= 0 {
-		return arm, fmt.Errorf("%s/%s: no accepted bytes recorded", arm.Policy, workload)
+		return arm, fmt.Errorf("%s: no accepted bytes recorded", workload)
 	}
 	arm.WAF = float64(arm.FlashBytes) / float64(arm.UserBytes)
 	return arm, nil
 }
 
-// RunWAF executes the sequential arm under the first policy and the
-// btree-churn arm under each.
-func RunWAF(policies []gcpolicy.Policy, batches int, seed int64) (WAFResult, error) {
+// RunWAF executes the sequential arm, then the btree-churn arm.
+func RunWAF(batches int, seed int64) (WAFResult, error) {
 	res := WAFResult{Batches: batches}
-	for i, p := range policies {
-		workloads := []string{"btree-churn"}
-		if i == 0 {
-			workloads = []string{"sequential", "btree-churn"}
+	for _, workload := range []string{"sequential", "btree-churn"} {
+		arm, err := runWAFArm(workload, batches, seed)
+		if err != nil {
+			return res, err
 		}
-		for _, workload := range workloads {
-			arm, err := runWAFArm(p, workload, batches, seed)
-			if err != nil {
-				return res, err
-			}
-			res.Arms = append(res.Arms, arm)
-			switch {
-			case workload == "sequential":
-				res.SequentialWAF = arm.WAF
-			case p == gcpolicy.MinCostDecline{}:
-				res.GatedWAF = arm.WAF
-			}
+		res.Arms = append(res.Arms, arm)
+		if workload == "sequential" {
+			res.SequentialWAF = arm.WAF
+		} else {
+			res.GatedWAF = arm.WAF
 		}
 	}
 	return res, nil
@@ -182,17 +168,17 @@ func RunWAF(policies []gcpolicy.Policy, batches int, seed int64) (WAFResult, err
 // PrintWAF renders the matrix with the per-source split that makes a WAF
 // regression diagnosable at a glance.
 func PrintWAF(w io.Writer, res WAFResult) {
-	fmt.Fprintf(w, "WAF — write amplification by GC policy and workload (%d batches/arm)\n\n", res.Batches)
-	fmt.Fprintf(w, "%-18s %-12s %8s %10s %10s %10s %10s %8s %8s\n",
-		"policy", "workload", "waf", "user MB", "flash MB", "gc MB", "ckpt MB", "freed", "erases")
+	fmt.Fprintf(w, "WAF — write amplification by workload (%d batches/arm)\n\n", res.Batches)
+	fmt.Fprintf(w, "%-12s %8s %10s %10s %10s %10s %8s %8s\n",
+		"workload", "waf", "user MB", "flash MB", "gc MB", "ckpt MB", "freed", "erases")
 	for _, a := range res.Arms {
-		fmt.Fprintf(w, "%-18s %-12s %8.3f %10.1f %10.1f %10.1f %10.1f %8d %8d\n",
-			a.Policy, a.Workload, a.WAF,
+		fmt.Fprintf(w, "%-12s %8.3f %10.1f %10.1f %10.1f %10.1f %8d %8d\n",
+			a.Workload, a.WAF,
 			float64(a.UserBytes)/(1<<20), float64(a.FlashBytes)/(1<<20),
 			float64(a.SourceBytes["gc"])/(1<<20), float64(a.SourceBytes["checkpoint"])/(1<<20),
 			a.EBlocksFreed, a.Erases)
 	}
-	fmt.Fprintf(w, "\ngated WAF (%s, btree-churn): %.3f\n", gcpolicy.MinCostDecline{}.Name(), res.GatedWAF)
+	fmt.Fprintf(w, "\ngated WAF (btree-churn): %.3f\n", res.GatedWAF)
 	fmt.Fprintf(w, "gated WAF (sequential floor): %.3f\n", res.SequentialWAF)
 }
 

@@ -289,8 +289,7 @@ func (h *HistogramValue) Finalize() {
 }
 
 // Label is one non-numeric fact attached to a snapshot by the registry's
-// owner — e.g. the active GC policy name, which
-// core.Controller.MetricsSnapshot attaches. Labels are not instruments:
+// owner; the controller attaches none today. Labels are not instruments:
 // the registry never produces them. They travel sorted by key.
 type Label struct {
 	Key   string `json:"key"`

@@ -21,7 +21,7 @@ import (
 //	health block (health.WireBytes, fixed size)
 //
 // Version 2 added the trailing labels section, which carries exporter
-// facts that are not instruments (e.g. the active "gc.policy" name).
+// facts that are not instruments.
 // Version 3 appends the device-health census as a fixed-size block —
 // ALWAYS present, never length-prefixed or flagged, because an optional
 // block would give the zero-valued census two encodings and break the

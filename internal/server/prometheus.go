@@ -22,7 +22,7 @@ import (
 // Everything else flattens '.' to '_' under the eleos_ namespace;
 // counters get the conventional _total suffix, histograms render as
 // real Prometheus histograms (cumulative le buckets, _sum, _count), and
-// the snapshot's labels (gc.policy) become one eleos_info gauge.
+// the snapshot's labels, if any, become one eleos_info gauge.
 
 // promHelp carries HELP strings for the families worth documenting;
 // families not listed get a generic line.

@@ -110,8 +110,8 @@ func TestStatsFullRoundTripTCP(t *testing.T) {
 	if hv := got.Histogram("core.write.init_ns"); hv == nil || hv.Count != got.Counter("core.write.batches") {
 		t.Fatalf("core.write.init_ns = %+v, want one observation per batch", hv)
 	}
-	if got.Label("gc.policy") != "min-cost-decline" {
-		t.Fatalf("gc.policy label = %q, want min-cost-decline (default)", got.Label("gc.policy"))
+	if len(got.Labels) != 0 {
+		t.Fatalf("labels = %v, want none: the controller attaches no labels", got.Labels)
 	}
 
 	// The v3 health census rides the same reply; it must describe the

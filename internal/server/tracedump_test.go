@@ -181,7 +181,6 @@ func TestDebugHandler(t *testing.T) {
 		"# TYPE eleos_core_write_init_ns histogram",
 		"eleos_core_write_init_ns_count 1",
 		`eleos_flash_src_bytes_total{source="user"}`,
-		`eleos_info{gc_policy="min-cost-decline"} 1`,
 	} {
 		if !strings.Contains(metricsOut, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metricsOut)
