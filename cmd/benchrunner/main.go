@@ -32,7 +32,7 @@
 //
 // Wall-clock throughput and latency are not measured here: that is
 // bench/ (BENCHMARK.json). Experiments this command used to carry are
-// frozen tables in EXPERIMENTS.md.
+// listed in EXPERIMENTS.md ("Retired experiments").
 package main
 
 import (

@@ -75,7 +75,7 @@ func TestRetryAfterMidReplyKill(t *testing.T) {
 			if typ != netproto.MsgFlushBatch {
 				t.Errorf("first request type 0x%02x", typ)
 			}
-			_, firstSID, firstWSN, _, _ = netproto.ParseFlush(typ, body)
+			_, firstSID, firstWSN, _, _ = netproto.ParseFlush(body)
 			// Kill without replying: the "applied but un-ACKed" case.
 		},
 		func(t *testing.T, conn net.Conn) {
@@ -83,7 +83,7 @@ func TestRetryAfterMidReplyKill(t *testing.T) {
 			if typ != netproto.MsgFlushBatch {
 				t.Errorf("retry request type 0x%02x", typ)
 			}
-			_, secondSID, secondWSN, _, _ = netproto.ParseFlush(typ, body)
+			_, secondSID, secondWSN, _, _ = netproto.ParseFlush(body)
 			reply(t, conn, netproto.MsgRespFlushBatch, netproto.AppendU64(nil, secondWSN))
 		},
 	)

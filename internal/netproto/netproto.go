@@ -41,10 +41,9 @@ const (
 	// Requests.
 	MsgOpenSession  = 0x01 // body: empty (default tag) | u8 ver | u8 prio | u8 len | tenant
 	MsgCloseSession = 0x02 // body: sid u64
-	// MsgFlushBatchLegacy is the flush body from before the trace ID: no
-	// client sends it any more, the server still decodes it as trace ID 0.
-	MsgFlushBatchLegacy = 0x03 // body: sid u64 | wsn u64 | batch wire bytes
-	MsgRead             = 0x04 // body: lpid u64
+	// 0x03 (flush with no trace ID) is retired: MsgFlushBatch is the one
+	// flush message. Like any unknown type it is answered CodeBadRequest.
+	MsgRead = 0x04 // body: lpid u64
 	// 0x05 (stats, JSON core.Stats) is retired: stats_full carries every
 	// number it did. Like any unknown type it is answered CodeBadRequest.
 	MsgStatsFull = 0x06 // body: empty
@@ -260,24 +259,16 @@ func ParseOpenSession(body []byte) (tenant string, priority uint8, err error) {
 	return tenant, priority, nil
 }
 
-// ParseFlush decodes a flush request body of either type byte:
-// AppendFlushHead's prefix, then the core.AppendBatch buffer. The legacy
-// body has no trace ID and decodes as trace ID 0 (the server assigns
-// one). The returned wire slice aliases body.
-func ParseFlush(typ byte, body []byte) (traceID, sid, wsn uint64, wire []byte, err error) {
-	n := 8 // trace ID bytes ahead of sid | wsn
-	if typ == MsgFlushBatchLegacy {
-		n = 0
-	}
-	if len(body) < n+16 {
+// ParseFlush decodes a MsgFlushBatch body: AppendFlushHead's prefix, then
+// the core.AppendBatch buffer. The returned wire slice aliases body.
+func ParseFlush(body []byte) (traceID, sid, wsn uint64, wire []byte, err error) {
+	if len(body) < 24 {
 		return 0, 0, 0, nil, fmt.Errorf("%w: flush header", ErrShortBody)
 	}
-	if n > 0 {
-		traceID = binary.LittleEndian.Uint64(body)
-	}
-	sid = binary.LittleEndian.Uint64(body[n:])
-	wsn = binary.LittleEndian.Uint64(body[n+8:])
-	return traceID, sid, wsn, body[n+16:], nil
+	traceID = binary.LittleEndian.Uint64(body)
+	sid = binary.LittleEndian.Uint64(body[8:])
+	wsn = binary.LittleEndian.Uint64(body[16:])
+	return traceID, sid, wsn, body[24:], nil
 }
 
 // Per-page statuses in a MsgRespReadBatch body.

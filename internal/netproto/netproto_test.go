@@ -69,29 +69,17 @@ func TestReadFrameShortAndTorn(t *testing.T) {
 }
 
 // TestFlushBodyRoundTrip: the one flush encoder round-trips through
-// ParseFlush, and the legacy 0x03 body — the same bytes minus the leading
-// trace ID — still decodes, to the same (sid, wsn, wire) with trace ID 0.
-// A body one byte short of either header is ErrShortBody.
+// ParseFlush with the core batch encoder's bytes, and a body one byte
+// short of the header is ErrShortBody.
 func TestFlushBodyRoundTrip(t *testing.T) {
 	wire := core.EncodeBatch([]core.LPage{{LPID: 7, Data: []byte("hello")}})
 	body := append(AppendFlushHead(nil, 77, 11, 22), wire...)
-	for _, tc := range []struct {
-		name      string
-		typ       byte
-		body      []byte
-		head      int
-		wantTrace uint64
-	}{
-		{"flush_batch", MsgFlushBatch, body, 24, 77},
-		{"legacy 0x03", MsgFlushBatchLegacy, body[8:], 16, 0},
-	} {
-		traceID, sid, wsn, gotWire, err := ParseFlush(tc.typ, tc.body)
-		if err != nil || traceID != tc.wantTrace || sid != 11 || wsn != 22 || !bytes.Equal(gotWire, wire) {
-			t.Fatalf("%s round trip: trace=%d sid=%d wsn=%d err=%v", tc.name, traceID, sid, wsn, err)
-		}
-		if _, _, _, _, err := ParseFlush(tc.typ, tc.body[:tc.head-1]); !errors.Is(err, ErrShortBody) {
-			t.Fatalf("%s: short body accepted: %v", tc.name, err)
-		}
+	traceID, sid, wsn, gotWire, err := ParseFlush(body)
+	if err != nil || traceID != 77 || sid != 11 || wsn != 22 || !bytes.Equal(gotWire, wire) {
+		t.Fatalf("round trip: trace=%d sid=%d wsn=%d err=%v", traceID, sid, wsn, err)
+	}
+	if _, _, _, _, err := ParseFlush(body[:23]); !errors.Is(err, ErrShortBody) {
+		t.Fatalf("short body accepted: %v", err)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestDecodeTraceDumpBadMagicVersion(t *testing.T) {
 func TestFlushTracedBodyRoundTrip(t *testing.T) {
 	wire := []byte{1, 2, 3, 4, 5}
 	body := append(AppendFlushHead(nil, 77, 3, 12), wire...)
-	traceID, sid, wsn, gotWire, err := ParseFlush(MsgFlushBatch, body)
+	traceID, sid, wsn, gotWire, err := ParseFlush(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFlushTracedBodyRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d/%d/%d/%v", traceID, sid, wsn, gotWire)
 	}
 	for n := 0; n < 24; n++ {
-		if _, _, _, _, err := ParseFlush(MsgFlushBatch, body[:n]); !errors.Is(err, ErrShortBody) {
+		if _, _, _, _, err := ParseFlush(body[:n]); !errors.Is(err, ErrShortBody) {
 			t.Fatalf("short traced flush at %d: %v", n, err)
 		}
 	}

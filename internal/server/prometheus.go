@@ -47,7 +47,7 @@ var promHelp = map[string]string{
 	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
 	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
 	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",
-	"eleos_info":                                "Exporter facts (active GC policy and friends) as labels.",
+	"eleos_info":                                "The registry snapshot's labels, carried as labels of a constant 1 gauge.",
 }
 
 // promSample is one rendered sample line within a family.

@@ -456,8 +456,8 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 		}
 		return netproto.MsgRespCloseSession, nil, nil
 
-	case netproto.MsgFlushBatch, netproto.MsgFlushBatchLegacy:
-		traceID, sid, wsn, wire, err := netproto.ParseFlush(typ, body)
+	case netproto.MsgFlushBatch:
+		traceID, sid, wsn, wire, err := netproto.ParseFlush(body)
 		if err != nil {
 			return s.badRequest(cn, err)
 		}
@@ -497,8 +497,7 @@ func (s *Server) statsPayload() netproto.StatsFull {
 
 // flush admits the batch under the in-flight byte bound, applies it, and
 // acknowledges the session's highest applied WSN (which, for a retried
-// stale WSN, is the dedup re-ACK of §III-A2). traceID 0 (the client
-// declined to pick an ID, or sent the legacy body that has none) gets a
+// stale WSN, is the dedup re-ACK of §III-A2). traceID 0 gets a
 // server-assigned ID so the slow-batch log and the flight recorder can
 // still name the batch.
 func (s *Server) flush(cn *connState, sid, wsn, traceID uint64, wire []byte) (byte, []byte, []byte) {

@@ -543,9 +543,9 @@ func TestHostileFrames(t *testing.T) {
 }
 
 // TestLegacyFlushAndRetiredStats drives raw frames down one connection.
-// The legacy 0x03 flush body (no trace ID) applies and is acknowledged
-// exactly like 0x08 with trace ID 0 — its replay is the same stale re-ACK
-// — a body short of either header and the retired 0x05 stats and
+// A flush_batch with trace ID 0 applies and gets a server-assigned trace
+// ID, and its replay is a stale re-ACK. A body short of the header, the
+// retired 0x03 flush (no trace ID), the retired 0x05 stats and the
 // 0x0A/0x0B watch requests are answered CodeBadRequest like any request
 // the server cannot act on, and none of it costs the connection.
 func TestLegacyFlushAndRetiredStats(t *testing.T) {
@@ -567,13 +567,11 @@ func TestLegacyFlushAndRetiredStats(t *testing.T) {
 		wantAck uint64 // highest applied WSN acknowledged; 0 = want CodeBadRequest
 	}{
 		{"flush_batch, trace ID 0", netproto.MsgFlushBatch, flushBody(1, 50), 1},
-		{"legacy 0x03", netproto.MsgFlushBatchLegacy, flushBody(2, 51)[8:], 2},
+		{"retired flush 0x03", 0x03, flushBody(2, 51)[8:], 0},
 		{"retired watch_stats 0x0A", 0x0A, []byte{0xe8, 0x03, 0, 0}, 0},
 		{"retired watch_stats_stop 0x0B", 0x0B, nil, 0},
-		{"legacy 0x03 replayed", netproto.MsgFlushBatchLegacy, flushBody(2, 51)[8:], 2},
-		{"flush_batch replayed", netproto.MsgFlushBatch, flushBody(1, 50), 2},
+		{"flush_batch replayed", netproto.MsgFlushBatch, flushBody(1, 50), 1},
 		{"flush_batch one byte short of its header", netproto.MsgFlushBatch, flushBody(3, 52)[:23], 0},
-		{"legacy 0x03 one byte short of its header", netproto.MsgFlushBatchLegacy, flushBody(3, 52)[8:23], 0},
 		{"retired stats 0x05", 0x05, nil, 0},
 	} {
 		if err := fw.WriteFrame(tc.typ, tc.body); err != nil {
@@ -593,27 +591,26 @@ func TestLegacyFlushAndRetiredStats(t *testing.T) {
 			t.Fatalf("%s: reply type 0x%02x ack %d (%v), want flush ack %d", tc.name, typ, ack, err, tc.wantAck)
 		}
 	}
-	for _, lpid := range []addr.LPID{50, 51} {
-		got, err := ctl.Read(lpid)
-		if want := []byte(fmt.Sprintf("page %d", lpid)); err != nil || !bytes.HasPrefix(got, want) {
-			t.Fatalf("lpid %d = %q, %v; want %q", lpid, got, err, want)
+	if got, err := ctl.Read(50); err != nil || !bytes.HasPrefix(got, []byte("page 50")) {
+		t.Fatalf("lpid 50 = %q, %v; want %q", got, err, "page 50")
+	}
+	for _, lpid := range []addr.LPID{51, 52} {
+		if _, err := ctl.Read(lpid); !errors.Is(err, core.ErrNotFound) {
+			t.Fatalf("lpid %d: %v, want core.ErrNotFound: a retired or short flush was applied", lpid, err)
 		}
 	}
-	if ok, _ := ctl.Exists(52); ok {
-		t.Fatal("a flush with a short header was applied")
+	if st := ctl.Stats(); st.BatchesWritten != 1 || st.StaleWrites != 1 {
+		t.Fatalf("controller wrote %d batches and re-ACKed %d, want 1 and 1", st.BatchesWritten, st.StaleWrites)
 	}
-	if st := ctl.Stats(); st.BatchesWritten != 2 || st.StaleWrites != 2 {
-		t.Fatalf("controller wrote %d batches and re-ACKed %d, want 2 and 2", st.BatchesWritten, st.StaleWrites)
-	}
-	// Both applied flushes got a server-assigned trace ID.
+	// The applied flush got a server-assigned trace ID.
 	traced := make(map[uint64]bool)
 	for _, ev := range ctl.TraceDump().Events {
 		if ev.Kind == trace.KInstall {
 			traced[ev.TraceID] = true
 		}
 	}
-	if len(traced) != 2 || traced[0] {
-		t.Fatalf("install spans carry trace IDs %v, want two server-assigned ones", traced)
+	if len(traced) != 1 || traced[0] {
+		t.Fatalf("install spans carry trace IDs %v, want one server-assigned one", traced)
 	}
 	if st := srv.Stats(); st.BadFrames != 0 || st.Errors != 5 || st.ActiveConns != 1 {
 		t.Fatalf("front-end stats %+v, want 5 error replies on a connection still open", st)
