@@ -427,9 +427,63 @@ func TestRecoveryIdempotent(t *testing.T) {
 		r := freedEBlockReopened(t)
 		r.check(reopenTwice(t, r.dev))
 	})
+	t.Run("reconcile.erased-open-eblock", func(t *testing.T) { erasedOpenEBlock(t, reopenTwice) })
 	for seed := int64(0); seed < crashPropertySeeds; seed++ {
 		t.Run("property/"+string(rune('A'+seed)), func(t *testing.T) { crashProperty(t, seed, reopenTwice) })
 	}
+}
+
+// erasedOpenEBlock: a migration erases open user EBLOCK X and the controller
+// crashes before X's FreeEBlock is durable, so the log still has X open with
+// four WBLOCKs written. The next controller's small flushes carry their
+// commits in data-WBLOCK trailers, the last one on X's channel; after the
+// next crash that flush's WSN and bytes must be back, wherever it landed.
+func erasedOpenEBlock(t *testing.T, open func(*testing.T, *flash.Device) *Controller) {
+	c, dev := newFormatted(t)
+	sid, err := c.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wsn := uint64(0)
+	flush := func(lp addr.LPID) error {
+		wsn++
+		return c.WriteBatch(sid, wsn, []LPage{{LPID: lp, Data: pageContent(uint64(lp), wsn, 700)}})
+	}
+	for lp := addr.LPID(1); lp <= 16; lp++ { // one WBLOCK each, channels in turn
+		if err := flush(lp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch := (mustAddr(t, c, 16).Channel() + 1) % c.geo.Channels
+	x := c.prov.UserOpen(ch)
+	armUserFault(t, c, dev, 16, 0)
+	c.SetCrashPoint("gc.after-erase")
+	if err := flush(17); err == nil || !c.Crashed() {
+		t.Fatalf("the flush into the failing WBLOCK returned %v, crashed %v", err, c.Crashed())
+	}
+	wsn-- // never acked: the next controller retries it
+	if pos, _ := dev.NextProgramPosition(ch, x); pos != 0 {
+		t.Fatalf("the migration did not erase (%d,%d): program position %d", ch, x, pos)
+	}
+	c = open(t, dev)
+	for lp := addr.LPID(17); ; lp++ {
+		carried := c.met.commitsCarried.Value()
+		if err := flush(lp); err != nil {
+			t.Fatal(err)
+		}
+		if lp > 17 && mustAddr(t, c, lp).Channel() == ch {
+			if c.met.commitsCarried.Value() != carried+1 {
+				t.Fatal("the last flush did not carry its commit")
+			}
+			break
+		}
+	}
+	c.Crash()
+	c = open(t, dev)
+	if got, err := c.SessionHighestWSN(sid); err != nil || got != wsn {
+		t.Fatalf("highest WSN %d (%v), want the acked %d", got, err, wsn)
+	}
+	checkRead(t, c, addr.LPID(wsn), pageContent(wsn, wsn, 700)) // flush n writes LPID n
 }
 
 // TestRecoveryPhaseCounters: Open times each of its phases into
