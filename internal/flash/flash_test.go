@@ -376,3 +376,36 @@ func TestUnwrittenReadsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledWBlockProgramAllocFree: a WBLOCK's first program stores its
+// payload at exact size; the first reprogram after an erase that needs more
+// grows the slot to a whole WBLOCK, so from then on reprogramming the
+// recycled WBLOCK at any size allocates nothing.
+func TestRecycledWBlockProgramAllocFree(t *testing.T) {
+	d := testDevice(t)
+	w := d.Geometry().WBlockBytes
+	small, full := make([]byte, 100), make([]byte, w)
+	cycle := func(data []byte) {
+		if err := d.Erase(2, 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Program(2, 3, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(small)
+	if got := cap(d.channels[2].eblocks[3].wblocks[0]); got != len(small) {
+		t.Fatalf("first program stored %d bytes of capacity, want %d", got, len(small))
+	}
+	cycle(make([]byte, 200)) // the one growth
+	if got := cap(d.channels[2].eblocks[3].wblocks[0]); got != w {
+		t.Fatalf("a grown slot has %d bytes of capacity, want a whole WBLOCK (%d)", got, w)
+	}
+	size := 0
+	if n := testing.AllocsPerRun(100, func() {
+		size = (size + 4099) % (w + 1)
+		cycle(full[:size])
+	}); n != 0 {
+		t.Fatalf("reprogramming a recycled WBLOCK allocates %v times per program", n)
+	}
+}

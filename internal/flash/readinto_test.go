@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -383,10 +384,12 @@ func TestQueuedReadExactLength(t *testing.T) {
 // TestQueuedReadIsReadGather: the seeded segment sets of
 // TestReadGatherMatchesReference, each run directly on one device and as an
 // OpRead on its twin, give identical bytes, RBLOCK counts, Stats and channel
-// time. A closed device and one with a failure probability set run the
-// command in the submitter's goroutine (no worker starts), same result.
+// time. With wall latency off the submitter's goroutine runs the command —
+// queued, on a closed device, or with a failure probability set — and no
+// worker starts.
 func TestQueuedReadIsReadGather(t *testing.T) {
 	for _, mode := range []string{"queued", "closed", "failure probability"} {
+		goroutines := runtime.NumGoroutine()
 		direct, queued := mixedEBlockDevice(t), mixedEBlockDevice(t)
 		switch mode {
 		case "closed":
@@ -422,8 +425,8 @@ func TestQueuedReadIsReadGather(t *testing.T) {
 				t.Fatalf("%s, set %d: ledgers diverge: %+v %v, %+v %v", mode, i, direct.Stats(), direct.ChannelTime(1), queued.Stats(), queued.ChannelTime(1))
 			}
 		}
-		if started := queued.workers != nil; started != (mode == "queued") {
-			t.Fatalf("%s: worker started = %v", mode, started)
+		if after := runtime.NumGoroutine(); after > goroutines { // fewer: an earlier test's workers returning
+			t.Fatalf("%s: goroutines %d -> %d over 600 queued reads", mode, goroutines, after)
 		}
 		queued.Close()
 	}
