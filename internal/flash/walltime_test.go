@@ -233,8 +233,8 @@ func procThreads() (n int, ok bool) {
 
 // TestTimekeeperLifecycle: the timekeeper belongs to the process, not to a
 // device — 50 devices run at scale 1 and closed leave at most one goroutine
-// and one thread behind, not 50 — and a closed device, which runs its
-// commands inline, still waits their full time.
+// and one thread behind, not 50 — and a closed device, whose waiters run
+// its commands, still waits their full time.
 func TestTimekeeperLifecycle(t *testing.T) {
 	lat := TypicalNANDLatency()
 	run := func() *Device {
