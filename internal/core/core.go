@@ -163,8 +163,8 @@ const (
 // Concurrency: c.mu protects all controller state, but the write path holds
 // it only for short critical sections — WSN admission, the
 // provision/log/submit sequence, and the install — and releases it while
-// flash programs execute on the per-channel device workers and the commit
-// force runs beside them (see DESIGN.md §4, "Concurrency model"). GC,
+// flash programs run on the device's per-channel FIFOs and the commit force
+// runs beside them (see DESIGN.md §4, "Concurrency model"). GC,
 // migration and checkpoint actions take the same steps holding c.mu, which
 // they release only while a metadata read or an erase batch is on the
 // device (DESIGN.md §4.1, "GC media waits").

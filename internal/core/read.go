@@ -70,13 +70,13 @@ func (c *Controller) Read(lpid addr.LPID) ([]byte, error) {
 	return page[0].data, nil
 }
 
-// ReadBatch reads many LPAGEs at once, scatter-gathering the flash
-// transfers through the per-channel I/O workers. The result slice is
-// indexed like lpids; an unmapped LPID yields a nil entry (the batch
-// succeeds — per-page absence is data, not failure), any other page error
-// fails the batch. With a cache configured, hits and coalesced in-flight
-// fills are served without touching flash, and only the remaining misses
-// are submitted.
+// ReadBatch reads many LPAGEs at once: one flash.ReadAll gathers every
+// page's extent on the calling goroutine, the channels overlapping in
+// device time. The result slice is indexed like lpids; an unmapped LPID
+// yields a nil entry (the batch succeeds — per-page absence is data, not
+// failure), any other page error fails the batch. With a cache configured,
+// hits and coalesced in-flight fills are served without touching flash,
+// and only the remaining misses are read.
 func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 	if len(lpids) == 0 {
 		return nil, nil
@@ -156,16 +156,17 @@ func (c *Controller) readPages(pages []pageRead) {
 }
 
 // readFenced is the one fenced flash read, of every page marked load:
-// resolve and pin under c.mu, read the media with the lock released, unpin
-// under c.mu again and wake the pin-drain waiters (GC, checkpoint and
-// migration wait on ioCond). A page whose lookup or media read fails gets
-// that error and pins nothing.
+// resolve and pin under c.mu, read every extent in one flash.ReadAll with
+// the lock released, unpin under c.mu again and wake the pin-drain waiters
+// (GC, checkpoint and migration wait on ioCond). A page whose lookup or
+// media read fails gets that error and pins nothing.
 func (c *Controller) readFenced(pages []pageRead) {
 	type pin struct {
 		i int // index into pages
 		a addr.PhysAddr
 	}
-	var few [8]pin // no allocation for a single read or a small batch
+	var few [8]pin // with fewReads, on the stack for up to eight pages
+	var fewReads [8]flash.Read
 	pins := few[:0]
 	tl := time.Now()
 	looked, notFound := 0, 0
@@ -198,41 +199,23 @@ func (c *Controller) readFenced(pages []pageRead) {
 	}
 
 	tf := time.Now()
+	segs, reads := make([]flash.ReadSeg, len(pins)), fewReads[:0]
+	for k, pn := range pins {
+		p := &pages[pn.i]
+		p.data = make([]byte, pn.a.Length())
+		segs[k] = flash.ReadSeg{Off: pn.a.Offset(), Dst: p.data}
+		reads = append(reads, flash.Read{Channel: pn.a.Channel(), EBlock: pn.a.EBlock(), Segs: segs[k : k+1]})
+	}
+	c.dev.ReadAll(reads)
 	var nPages, nRBlocks int64
-	settle := func(p *pageRead, rblocks int, err error) {
-		if err != nil {
-			p.data, p.err = nil, err
-			return
+	for k, r := range reads {
+		if r.Err != nil {
+			p := &pages[pins[k].i]
+			p.data, p.err = nil, r.Err
+			continue
 		}
 		nPages++
-		nRBlocks += int64(rblocks)
-	}
-	if len(pins) == 1 {
-		// One extent has nothing to overlap with, so it is read on the
-		// calling goroutine: the hand-off to a channel worker and back costs
-		// more than a zero-latency read itself (it doubled churn_gc's read
-		// p50). Two or more extents are queued, one OpRead each, and the
-		// channels run them concurrently.
-		p, a := &pages[pins[0].i], pins[0].a
-		p.data = make([]byte, a.Length())
-		n, err := c.dev.ReadInto(p.data, a.Channel(), a.EBlock(), a.Offset())
-		settle(p, n, err)
-	} else {
-		cmds := make([]flash.BatchCmd, len(pins))
-		io := make([]struct {
-			seg [1]flash.ReadSeg
-			res flash.ReadOutcome
-		}, len(pins))
-		for k, pn := range pins {
-			p := &pages[pn.i]
-			p.data = make([]byte, pn.a.Length())
-			io[k].seg[0] = flash.ReadSeg{Off: pn.a.Offset(), Dst: p.data}
-			cmds[k] = flash.BatchCmd{Op: flash.OpRead, Channel: pn.a.Channel(), EBlock: pn.a.EBlock(), Segs: io[k].seg[:], Read: &io[k].res}
-		}
-		c.dev.SubmitBatch(cmds).Wait()
-		for k, pn := range pins {
-			settle(&pages[pn.i], io[k].res.RBlocks, io[k].res.Err)
-		}
+		nRBlocks += int64(r.RBlocks)
 	}
 	c.trc.Span(trace.KReadFlash, 0, 0, 0, tf, int64(len(pins)), 0)
 	c.met.readFlashLoads.Add(nPages)

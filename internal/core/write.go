@@ -107,9 +107,9 @@ const (
 //
 // WriteBatch is safe for concurrent use. Concurrent batches pipeline: each
 // holds c.mu only for the claim, the provision/log/submit critical section,
-// and the install; the flash programs execute on the per-channel device
-// workers and the commit force runs beside them, both with the lock
-// released (committers share forced log pages — group commit).
+// and the install; the flash programs run on the device's per-channel FIFOs
+// and the commit force runs beside them, both with the lock released
+// (committers share forced log pages — group commit).
 func (c *Controller) WriteBatch(sid, wsn uint64, pages []LPage) error {
 	s := SubFlush{SID: sid, WSN: wsn, Pages: pages}
 	c.WriteBatchGroup([]*SubFlush{&s})
@@ -402,11 +402,13 @@ func (c *Controller) writeUser(a *action) error {
 	}
 
 	// Execution phase (§IV-B, with §IV-C's force inside it): one device
-	// round. The data programs are running on the per-channel workers and
-	// the commit page is forced on the log's channel beside them, so a flush
-	// pays one program latency, not two — or none, when a data WBLOCK
-	// carries the commit. A user action releases c.mu for the round; a
-	// system action runs the same round holding it (runLocked).
+	// round. The data programs are queued on their channels' FIFOs and the
+	// commit page is forced on the log's channel. Under wall latency the
+	// channel workers run the data beside the force, so a flush pays one
+	// program latency, not two — or none, when a data WBLOCK carries the
+	// commit; with it off, Wait below runs the data after the force. A user
+	// action releases c.mu for the round; a system action runs the same
+	// round holding it (runLocked).
 	tExec := time.Now()
 	c.met.initNS.ObserveDuration(tExec.Sub(tInit))
 	c.spanSubs(trace.KInit, a, tInit, tExec)

@@ -6,10 +6,9 @@ import (
 	"time"
 )
 
-// One FIFO per channel (DESIGN.md §4.1, "Per-channel workers, one command
-// type"): commands with a wall-latency arrival are run by the channel's
-// worker, the rest by the goroutine in Batch.Wait, and whoever runs the FIFO
-// runs it from the head.
+// One FIFO per channel, for programs and erases (DESIGN.md §4.1): a segment
+// with a wall-latency arrival is run by the channel's worker, the rest by
+// Batch.Wait's goroutine, and whoever runs the FIFO runs it from the head.
 
 // TestWaitersDrainInFIFOOrder: two batches program sequential WBLOCKs of one
 // EBLOCK, the first also a WBLOCK that fails, and are waited on later-first.

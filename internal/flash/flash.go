@@ -23,9 +23,9 @@
 // one timekeeper (timekeeper.go) wakes it — never before, and later by a
 // lateness reported as "flash.wall_late_ns". Virtual time does not notice.
 //
-// Channels are independently locked, and SubmitBatch queues commands —
-// programs, erases and reads are one BatchCmd type on one FIFO per channel.
-// Commands with a wall-latency arrival are run by the channel's worker
+// Channels are independently locked. SubmitBatch queues the commands that
+// must stay ordered — programs and erases — on one FIFO per channel.
+// Segments with a wall-latency arrival are run by the channel's worker
 // goroutine, so different channels hold their time concurrently; the rest
 // are run by the goroutine that waits for them (Batch.Wait), with no
 // handoff. One rule beside FIFO: a SrcWAL program waiting for a channel
@@ -33,8 +33,9 @@
 // time is a sum over its own operations, so the totals do not depend on
 // wall-clock interleaving and virtual-time results stay deterministic.
 //
-// The read surface is ReadGather, its ReadInto/ReadExtent wrappers for the
-// calling goroutine, and the queued OpRead, which is a ReadGather.
+// Reads never queue. The read surface is ReadGather, its ReadInto and
+// ReadExtent wrappers, and ReadAll, many gathers with one arrival stamp;
+// all of them run on the calling goroutine.
 package flash
 
 import (
@@ -381,7 +382,7 @@ type devMetrics struct {
 // histograms, "flash.wall_late_ns" (how long after its deadline each
 // emulated wait returned; no samples with wall latency off), and one
 // "flash.chan<i>.queue_depth" gauge per channel counting commands queued
-// on the channel's submission worker. A nil registry uninstalls
+// on the channel's FIFO. A nil registry uninstalls
 // instrumentation. Install before submitting traffic: batches in flight
 // across the swap can skew the queue-depth gauges.
 func (d *Device) SetMetrics(reg *metrics.Registry) {
@@ -521,10 +522,9 @@ func (d *Device) PendingInjectedFailures() (programs, erases int) {
 }
 
 // SetFailureProbability makes every program fail independently with
-// probability p, using the device's seeded RNG (deterministic runs).
-// A non-zero probability also switches SubmitBatch to synchronous
-// execution: the shared RNG makes outcomes order-dependent, and the
-// fault-injection experiments rely on the single-threaded draw order.
+// probability p, using the device's seeded RNG. The draws follow the order
+// in which programs reach the media: each channel's FIFO order, which is
+// deterministic with wall latency off and one submitter.
 func (d *Device) SetFailureProbability(p float64, seed int64) {
 	d.injectMu.Lock()
 	defer d.injectMu.Unlock()
@@ -729,6 +729,30 @@ func (d *Device) readGather(arrived time.Time, ch, eb int, segs []ReadSeg) (rblo
 	return n, nil
 }
 
+// Read is one gather of a ReadAll: Segs of (Channel, EBlock) going in,
+// what ReadGather returned for them coming out.
+type Read struct {
+	Channel int
+	EBlock  int
+	Segs    []ReadSeg
+	RBlocks int
+	Err     error
+}
+
+// ReadAll runs every read's gather on the calling goroutine, in slice
+// order, with one arrival stamp for the whole call. Under wall latency a
+// read's deadline counts from that stamp, or from the end of its channel's
+// previous command (wallWait), so reads on k idle channels overlap in
+// device time and cost one read latency, not k. A malformed read fails
+// only its own Err. Nothing is queued and nothing is allocated.
+func (d *Device) ReadAll(reads []Read) {
+	arrived := d.arrival()
+	for i := range reads {
+		r := &reads[i]
+		r.RBlocks, r.Err = d.readGather(arrived, r.Channel, r.EBlock, r.Segs)
+	}
+}
+
 // ReadInto is the one-segment gather: dst receives the EBLOCK's bytes
 // [off, off+len(dst)).
 func (d *Device) ReadInto(dst []byte, ch, eb, off int) (rblocks int, err error) {
@@ -930,13 +954,11 @@ type Op uint8
 const (
 	OpProgram Op = iota // program Data into (Channel, EBlock, WBlock)
 	OpErase             // erase (Channel, EBlock)
-	OpRead              // ReadGather(Channel, EBlock, Segs), reported through Read
 )
 
 // BatchCmd is one media command destined for a channel's submission queue:
-// a WBLOCK program, an EBLOCK erase or a gather read. All three ride the
-// same FIFO, so a program queued behind an erase of its EBLOCK lands after
-// it and a read queued behind a program sees it.
+// a WBLOCK program or an EBLOCK erase. Both ride the same FIFO, so a
+// program queued behind an erase of its EBLOCK lands after it.
 type BatchCmd struct {
 	Op      Op
 	Channel int
@@ -946,17 +968,6 @@ type BatchCmd struct {
 	// Src attributes the program for write-amplification accounting
 	// (zero value: SrcUnattributed).
 	Src Source
-	// Segs are an OpRead's caller-owned destinations and Read receives its
-	// outcome; both belong to the submitter and are valid once Batch.Wait
-	// returns.
-	Segs []ReadSeg
-	Read *ReadOutcome
-}
-
-// ReadOutcome is what ReadGather returned for one OpRead.
-type ReadOutcome struct {
-	RBlocks int
-	Err     error
 }
 
 // BatchResult reports the outcome of a submitted batch.
@@ -966,9 +977,8 @@ type BatchResult struct {
 	// a failure in the same EBLOCK are skipped (§VII: the EBLOCK is
 	// unwritable until erased).
 	FailedEBlocks [][2]int
-	// Attempted counts the programs and erases actually issued (failures
-	// included, skipped commands excluded). A read is in neither: it fails
-	// only itself, through its ReadOutcome, and is never skipped.
+	// Attempted counts the commands actually issued (failures included,
+	// skipped commands excluded).
 	Attempted int
 	// Done is when the batch's last command completed, which a submitter
 	// that did other work before Wait cannot read off its own clock.
@@ -1039,18 +1049,11 @@ func (b *Batch) finish(attempted int, failed [][2]int) {
 	b.mu.Unlock()
 }
 
-// runSegment executes one channel's commands in order, skipping programs
-// and erases to EBLOCKs that failed earlier within this batch. Each read
-// writes only its own ReadOutcome and destinations, so segments on
-// different channels never race; Wait's lock acquisition orders the writes
-// before the submitter's reads.
+// runSegment executes one channel's commands in order, skipping those to
+// EBLOCKs that failed earlier within this batch.
 func (d *Device) runSegment(arrived time.Time, cmds []BatchCmd) (attempted int, failed [][2]int) {
 	var failedSet map[[2]int]bool
 	for _, c := range cmds {
-		if c.Op == OpRead {
-			c.Read.RBlocks, c.Read.Err = d.readGather(arrived, c.Channel, c.EBlock, c.Segs)
-			continue
-		}
 		key := [2]int{c.Channel, c.EBlock}
 		if failedSet[key] {
 			continue
@@ -1100,34 +1103,20 @@ func (d *Device) drain(ch int, last uint64) {
 // SubmitBatch queues commands onto the per-channel FIFOs and returns a
 // handle to wait on. Commands for the same channel execute in slice order
 // (FIFO per channel, preserving the NAND sequential-program constraint for
-// commands the caller ordered correctly, and letting a read follow the
-// program it depends on); commands for different channels execute
-// concurrently in wall-clock time, which is what makes a multi-channel
-// read a scatter-gather rather than a serial loop. A failed program or
-// erase disables the rest of its EBLOCK for the programs and erases in the
-// remainder of the batch.
+// commands the caller ordered correctly); commands for different channels
+// execute concurrently in wall-clock time. A failed program or erase
+// disables the rest of its EBLOCK for the remainder of the batch.
 //
 // With wall latency on, each channel's worker runs its segment, so the
 // channels hold their time concurrently; otherwise, or on a closed device,
-// Wait runs it. A configured failure probability runs the batch in the
-// caller's goroutine in exact slice order: the shared seeded RNG makes
-// outcomes draw-order dependent, and deterministic fault-injection runs
-// require the single-threaded order.
+// Wait runs it.
 func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 	b := &Batch{d: d}
 	b.done.L = &b.mu
 	if len(cmds) == 0 {
 		return b
 	}
-	d.injectMu.Lock()
-	sequential := d.failProb > 0
-	d.injectMu.Unlock()
 	arrived := d.arrival()
-	if sequential {
-		b.pending = 1
-		b.finish(d.runSegment(arrived, cmds))
-		return b
-	}
 	// Split into per-channel segments, preserving order within a channel:
 	// a counting scatter into one backing array instead of a map of
 	// growing slices, so the split costs three fixed allocations however

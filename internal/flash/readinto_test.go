@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -358,128 +357,86 @@ func TestReadGatherAllocFree(t *testing.T) {
 	}
 }
 
-// TestQueuedReadExactLength: a queued read fills exactly the Dst it was
-// given — a slice of the extent's length, so a holder (the read cache)
-// retains what it charges — and not a byte around it.
-func TestQueuedReadExactLength(t *testing.T) {
+// TestReadAllAllocFree: a ReadAll over caller-owned reads and segments
+// allocates nothing, one read or eight on four channels.
+func TestReadAllAllocFree(t *testing.T) {
 	d := mixedEBlockDevice(t)
-	defer d.Close()
-	g := d.Geometry()
-	want, _, err := refReadExtent(mixedEBlockDevice(t), 1, 2, g.WBlockBytes-300, 1000)
-	if err != nil {
-		t.Fatal(err)
+	reads := make([]Read, 8)
+	for k := range reads {
+		reads[k] = Read{Channel: k % 4, EBlock: 2, Segs: []ReadSeg{{Off: k * 700, Dst: make([]byte, 1920)}}}
 	}
-	buf := bytes.Repeat([]byte{0xDB}, 1200)
-	dst := buf[100:1100:1100]
-	var res ReadOutcome
-	d.SubmitBatch([]BatchCmd{{Op: OpRead, Channel: 1, EBlock: 2, Segs: []ReadSeg{{Off: g.WBlockBytes - 300, Dst: dst}}, Read: &res}}).Wait()
-	if res.Err != nil || !bytes.Equal(dst, want) || cap(dst) != 1000 || res.RBlocks != 2 {
-		t.Fatalf("queued read: err %v, cap %d, rblocks %d", res.Err, cap(dst), res.RBlocks)
-	}
-	if bytes.Count(buf[:100], []byte{0xDB})+bytes.Count(buf[1100:], []byte{0xDB}) != 200 {
-		t.Fatal("queued read wrote outside its Dst")
+	for _, n := range []int{1, len(reads)} {
+		if a := testing.AllocsPerRun(200, func() { d.ReadAll(reads[:n]) }); a != 0 || reads[n-1].Err != nil {
+			t.Fatalf("ReadAll of %d: %v allocs/op, err %v", n, a, reads[n-1].Err)
+		}
 	}
 }
 
-// TestQueuedReadIsReadGather: the seeded segment sets of
-// TestReadGatherMatchesReference, each run directly on one device and as an
-// OpRead on its twin, give identical bytes, RBLOCK counts, Stats and channel
-// time. With wall latency off the submitter's goroutine runs the command —
-// queued, on a closed device, or with a failure probability set — and no
-// worker starts.
-func TestQueuedReadIsReadGather(t *testing.T) {
-	for _, mode := range []string{"queued", "closed", "failure probability"} {
-		goroutines := runtime.NumGoroutine()
-		direct, queued := mixedEBlockDevice(t), mixedEBlockDevice(t)
-		switch mode {
-		case "closed":
-			queued.Close()
-		case "failure probability":
-			queued.SetFailureProbability(0.5, 7)
+// TestReadAllExactLength: a read fills exactly the Dst it was given — a
+// slice of the extent's length, so a holder (the read cache) retains what
+// it charges — and not a byte around it.
+func TestReadAllExactLength(t *testing.T) {
+	d := mixedEBlockDevice(t)
+	off := d.Geometry().WBlockBytes - 300
+	want, _, err := refReadExtent(mixedEBlockDevice(t), 1, 2, off, 1000)
+	buf := bytes.Repeat([]byte{0xDB}, 1200)
+	reads := []Read{{Channel: 1, EBlock: 2, Segs: []ReadSeg{{Off: off, Dst: buf[100:1100:1100]}}}}
+	d.ReadAll(reads)
+	if r := reads[0]; err != nil || r.Err != nil || !bytes.Equal(buf[100:1100], want) || r.RBlocks != 2 ||
+		bytes.Count(buf[:100], []byte{0xDB})+bytes.Count(buf[1100:], []byte{0xDB}) != 200 {
+		t.Fatalf("read: err %v / %v, rblocks %d, or it wrote outside its Dst", err, r.Err, r.RBlocks)
+	}
+}
+
+// TestReadAllIsReadGather: the seeded segment sets of
+// TestReadGatherMatchesReference, one to three to a call, run as ReadGathers
+// on one device and as one ReadAll on its twin, give identical bytes,
+// RBLOCK counts, Stats and channel time.
+func TestReadAllIsReadGather(t *testing.T) {
+	direct, twin := mixedEBlockDevice(t), mixedEBlockDevice(t)
+	g := direct.Geometry()
+	rd, rt := rand.New(rand.NewSource(29)), rand.New(rand.NewSource(29)) // one stream of sets each
+	for i := 0; i < 600; i++ {
+		reads := make([]Read, 1+i%3)
+		for k := range reads {
+			reads[k] = Read{Channel: 1, EBlock: 2, Segs: randomSegs(rt, g)}
 		}
-		g := direct.Geometry()
-		rng := rand.New(rand.NewSource(29))
-		for i := 0; i < 600; i++ {
-			segs := randomSegs(rng, g)
-			twin := make([]ReadSeg, len(segs))
-			for j, s := range segs {
-				twin[j] = ReadSeg{Off: s.Off, Dst: bytes.Repeat([]byte{0xDB}, len(s.Dst))}
-			}
+		twin.ReadAll(reads)
+		for k, r := range reads {
+			segs := randomSegs(rd, g)
 			n, err := direct.ReadGather(1, 2, segs)
-			var res ReadOutcome
-			b := queued.SubmitBatch([]BatchCmd{{Op: OpRead, Channel: 1, EBlock: 2, Segs: twin, Read: &res}}).Wait()
-			if err != nil || res.Err != nil || res.RBlocks != n || n == 0 {
-				t.Fatalf("%s, set %d: direct (%d, %v), queued (%d, %v)", mode, i, n, err, res.RBlocks, res.Err)
-			}
-			if b.Attempted != 0 || len(b.FailedEBlocks) != 0 {
-				t.Fatalf("%s, set %d: a read counted as attempted or failed: %+v", mode, i, b)
+			if err != nil || r.Err != nil || r.RBlocks != n || n == 0 {
+				t.Fatalf("call %d, read %d: ReadGather (%d, %v), ReadAll (%d, %v)", i, k, n, err, r.RBlocks, r.Err)
 			}
 			for j := range segs {
-				if !bytes.Equal(segs[j].Dst, twin[j].Dst) {
-					t.Fatalf("%s, set %d: segment %d differs", mode, i, j)
+				if !bytes.Equal(segs[j].Dst, r.Segs[j].Dst) {
+					t.Fatalf("call %d, read %d: segment %d differs", i, k, j)
 				}
 			}
-			// The twins start equal, so equal ledgers after every set are
-			// equal deltas for every set.
-			if direct.Stats() != queued.Stats() || direct.ChannelTime(1) != queued.ChannelTime(1) {
-				t.Fatalf("%s, set %d: ledgers diverge: %+v %v, %+v %v", mode, i, direct.Stats(), direct.ChannelTime(1), queued.Stats(), queued.ChannelTime(1))
-			}
 		}
-		if after := runtime.NumGoroutine(); after > goroutines { // fewer: an earlier test's workers returning
-			t.Fatalf("%s: goroutines %d -> %d over 600 queued reads", mode, goroutines, after)
+		// Equal ledgers after every call are equal deltas for every call.
+		if direct.Stats() != twin.Stats() || direct.ChannelTime(1) != twin.ChannelTime(1) {
+			t.Fatalf("call %d: ledgers diverge: %+v %v, %+v %v", i, direct.Stats(), direct.ChannelTime(1), twin.Stats(), twin.ChannelTime(1))
 		}
-		queued.Close()
 	}
 }
 
-// TestQueuedReadOrderingAndFailure: reads ride the programs' FIFO but not
-// their failure rule. A read queued behind a program of its EBLOCK sees it;
-// a malformed read fails only itself — its own ReadOutcome.Err, not
-// Attempted, not in FailedEBlocks, and the programs behind it still land;
-// and a read behind a failed program of its EBLOCK still executes, while the
-// program behind that failure is skipped.
-func TestQueuedReadOrderingAndFailure(t *testing.T) {
-	d := MustNewDevice(SmallGeometry(), Latency{})
-	defer d.Close()
-	g := d.Geometry()
-	w0, w1, w2 := bytes.Repeat([]byte{0xA0}, g.WBlockBytes), bytes.Repeat([]byte{0xA1}, 100), bytes.Repeat([]byte{0xA2}, g.WBlockBytes)
-	read := func(off, n int) ([]ReadSeg, *ReadOutcome) {
-		return []ReadSeg{{Off: off, Dst: bytes.Repeat([]byte{0xDB}, n)}}, &ReadOutcome{}
+// TestReadAllFailsOnlyTheMalformedRead: a malformed read gets its own Err
+// and writes nothing (and, as a rejected ReadGather, charges nothing); the
+// reads beside it in the same call, before and after, still read.
+func TestReadAllFailsOnlyTheMalformedRead(t *testing.T) {
+	d, g := mixedEBlockDevice(t), SmallGeometry()
+	want, n, _ := refReadExtent(mixedEBlockDevice(t), 1, 2, 0, 2*g.WBlockBytes)
+	read := func(ch, off, n int) Read {
+		return Read{Channel: ch, EBlock: 2, Segs: []ReadSeg{{Off: off, Dst: bytes.Repeat([]byte{0xDB}, n)}}}
 	}
-	early, earlyRes := read(0, 2*g.WBlockBytes) // queued between the two programs: sees the first only
-	late, lateRes := read(g.WBlockBytes, 100)
-	bad, badRes := read(g.EBlockBytes-4, 8)
-	res := d.SubmitBatch([]BatchCmd{
-		{Channel: 0, EBlock: 3, WBlock: 0, Data: w0},
-		{Op: OpRead, Channel: 0, EBlock: 3, Segs: early, Read: earlyRes},
-		{Op: OpRead, Channel: 0, EBlock: 3, Segs: bad, Read: badRes},
-		{Channel: 0, EBlock: 3, WBlock: 1, Data: w1},
-		{Op: OpRead, Channel: 0, EBlock: 3, Segs: late, Read: lateRes},
-	}).Wait()
-	if res.Attempted != 2 || len(res.FailedEBlocks) != 0 {
-		t.Fatalf("two programs and three reads: %+v", res)
-	}
-	if earlyRes.Err != nil || !bytes.Equal(early[0].Dst[:g.WBlockBytes], w0) || bytes.Count(early[0].Dst[g.WBlockBytes:], []byte{0}) != g.WBlockBytes {
-		t.Fatalf("the read between the programs (%v) must see WBLOCK 0 programmed and WBLOCK 1 not yet", earlyRes.Err)
-	}
-	if lateRes.Err != nil || !bytes.Equal(late[0].Dst, w1) || lateRes.RBlocks != 1 {
-		t.Fatalf("the read behind the second program: %+v", lateRes)
-	}
-	if !errors.Is(badRes.Err, ErrOutOfRange) || badRes.RBlocks != 0 || bytes.Count(bad[0].Dst, []byte{0xDB}) != 8 {
-		t.Fatalf("malformed read: %+v", badRes)
-	}
-
-	d.FailNextProgram(0, 3, 2)
-	after, afterRes := read(0, g.WBlockBytes)
-	res = d.SubmitBatch([]BatchCmd{
-		{Channel: 0, EBlock: 3, WBlock: 2, Data: w2}, // fails
-		{Channel: 0, EBlock: 3, WBlock: 3, Data: w2}, // skipped behind it
-		{Op: OpRead, Channel: 0, EBlock: 3, Segs: after, Read: afterRes},
-	}).Wait()
-	if res.Attempted != 1 || len(res.FailedEBlocks) != 1 || res.FailedEBlocks[0] != [2]int{0, 3} {
-		t.Fatalf("failed program: %+v", res)
-	}
-	if afterRes.Err != nil || afterRes.RBlocks != g.RBlocksPerWBlock() || !bytes.Equal(after[0].Dst, w0) {
-		t.Fatalf("the read behind the failed program must still execute: %+v", afterRes)
+	reads := []Read{read(1, 0, len(want)), read(1, g.EBlockBytes-4, 8), read(g.Channels, 0, 8), read(1, 0, len(want))}
+	d.ReadAll(reads)
+	for k, r := range reads {
+		good := k == 0 || k == 3
+		if good && (r.Err != nil || r.RBlocks != n || !bytes.Equal(r.Segs[0].Dst, want)) ||
+			!good && (!errors.Is(r.Err, ErrOutOfRange) || r.RBlocks != 0 || bytes.Count(r.Segs[0].Dst, []byte{0xDB}) != 8) {
+			t.Fatalf("read %d: err %v, rblocks %d (good ones read %d)", k, r.Err, r.RBlocks, n)
+		}
 	}
 }

@@ -376,3 +376,47 @@ func TestLogPageOvertakesQueued(t *testing.T) {
 	}
 	t.Fatalf("three attempts, the last took %v: the log page waited for more than the running program", took)
 }
+
+// TestReadAllWallLatency: a ReadAll holds each channel for its own read
+// only. One RBLOCK on each of eight idle channels returns within two read
+// latencies, not eight; one behind eight programs queued on its channel
+// returns before they have all run; neither ever within one read latency.
+// The upper bounds need the host to run two goroutines on time; three
+// attempts, as TestLogPageOvertakesQueued takes.
+func TestReadAllWallLatency(t *testing.T) {
+	lat := Latency{ReadRBlock: 4 * time.Millisecond, ProgramWBlock: 10 * time.Millisecond}
+	run := func() (overlapped, passed bool) {
+		d := MustNewDevice(wallGeometry(), lat) // eight channels
+		defer d.Close()
+		d.SetWallLatencyScale(1)
+		reads, cmds := make([]Read, 8), make([]BatchCmd, 8)
+		for k := range reads {
+			reads[k] = Read{Channel: k, Segs: []ReadSeg{{Dst: make([]byte, 512)}}}
+			cmds[k] = BatchCmd{Channel: 0, EBlock: 1, WBlock: k, Data: make([]byte, 64)}
+		}
+		t0 := time.Now()
+		d.ReadAll(reads)
+		took := time.Since(t0)
+		b := d.SubmitBatch(cmds)
+		for cs := &d.channels[0]; cs.mu.TryLock(); runtime.Gosched() {
+			cs.mu.Unlock() // nobody held the channel: the worker is between two programs
+		}
+		t1 := time.Now()
+		d.ReadAll(reads[:1])
+		behind := time.Since(t1)
+		res := b.Wait()
+		for _, r := range reads {
+			if r.Err != nil || r.RBlocks != 1 || took < lat.ReadRBlock || behind < lat.ReadRBlock {
+				t.Fatalf("read %+v; the calls took %v and %v, model %v", r, took, behind, lat.ReadRBlock)
+			}
+		}
+		t.Logf("8 channels took %v (model %v); one read behind 8 programs %v, the programs done %v later", took, lat.ReadRBlock, behind, res.Done.Sub(t1.Add(behind)))
+		return took < 2*lat.ReadRBlock, t1.Add(behind).Before(res.Done)
+	}
+	for attempt := 1; attempt <= 3; attempt++ {
+		if overlapped, passed := run(); overlapped && passed {
+			return
+		}
+	}
+	t.Fatal("three attempts: reads on idle channels took two read latencies or more, or the read behind the queue waited for it")
+}
