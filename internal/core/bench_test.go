@@ -31,9 +31,14 @@ func benchController(b *testing.B) *Controller {
 
 // BenchmarkWriteBatchVP measures batched variable-size writes through the
 // whole controller stack (provisioning, logging, media programs, install).
+// The batch_cpu arm is bench/'s batch_cpu workload without the wire: two
+// writers, each in its own session, flush 134 pages of 1 956 B (a 256 KB
+// buffer) with flash latency off, so what they contend for is c.mu, and
+// allocs/op is what one flush allocates.
 func BenchmarkWriteBatchVP(b *testing.B) {
 	for _, pages := range []int{16, 256} {
 		b.Run(fmt.Sprintf("pages%d", pages), func(b *testing.B) {
+			b.ReportAllocs()
 			c := benchController(b)
 			data := make([]byte, 1920)
 			batch := make([]LPage, pages)
@@ -52,6 +57,40 @@ func BenchmarkWriteBatchVP(b *testing.B) {
 			b.SetBytes(int64(pages * len(data)))
 		})
 	}
+	b.Run("batch_cpu", func(b *testing.B) {
+		const writers, pages, size = 2, 134, 1956
+		const perWriter = 64 << 20 / size / writers // bench/'s 64 MB working set
+		b.ReportAllocs()
+		c := benchController(b)
+		data := make([]byte, size)
+		sids := make([]uint64, writers)
+		for w := range sids {
+			var err error
+			if sids[w], err = c.OpenSession(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w, n int) {
+				defer wg.Done()
+				batch := make([]LPage, pages)
+				for i := 0; i < n; i++ {
+					for j := range batch {
+						batch[j] = LPage{LPID: addr.LPID(w*perWriter + (i*pages+j)%perWriter + 1), Data: data}
+					}
+					if err := c.WriteBatch(sids[w], uint64(i+1), batch); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w, (b.N+writers-1-w)/writers)
+		}
+		wg.Wait()
+		b.SetBytes(pages * size)
+	})
 }
 
 // BenchmarkReadLPID measures the read path (mapping lookup + RBLOCK

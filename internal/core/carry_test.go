@@ -282,7 +282,7 @@ func TestLogBytesCountsPagesLanded(t *testing.T) {
 	c, _ := newFormatted(t)
 	g := gateLog(t, c)
 	before, stats := c.logBytes(), c.log.Stats()
-	if _, err := c.log.Append(record.Done{Action: 1}); err != nil {
+	if _, err := c.log.Append(record.Append(nil, record.Done{Action: 1})); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -307,7 +307,7 @@ func TestLogBytesCountsPagesLanded(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for c.log.Stats().PageWrites-stats.PageWrites < 2 {
-			if _, err := c.log.Append(record.Garbage{Action: 2, Pairs: make([]record.AddrPair, 64)}); err != nil {
+			if _, err := c.log.Append(record.Append(nil, record.Garbage{Action: 2, Pairs: make([]record.AddrPair, 64)})); err != nil {
 				t.Error(err)
 				return
 			}
@@ -494,7 +494,7 @@ func TestFindCarriedNeedsAVisitedPage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := forged.Append(record.SessionOpen{SID: 777, Tenant: "carried"}); err != nil {
+			if _, err := forged.Append(record.Append(nil, record.SessionOpen{SID: 777, Tenant: "carried"})); err != nil {
 				t.Fatal(err)
 			}
 			img := make([]byte, c.geo.WBlockBytes)

@@ -153,11 +153,7 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 	}
 	for k := 0; k < metaWB; k++ {
 		lo := k * w
-		hi := lo + w
-		if hi > len(img) {
-			hi = len(img)
-		}
-		if err := c.dev.ProgramSrc(c.attributeSrc(flash.SrcCheckpoint), ref.Channel, ref.EBlock, int(d.DataWBlocks)+k, img[lo:hi]); err != nil {
+		if err := c.dev.ProgramSrc(c.attributeSrc(flash.SrcCheckpoint), ref.Channel, ref.EBlock, int(d.DataWBlocks)+k, img[lo:min(lo+w, len(img))]); err != nil {
 			// Treat like any write failure: migrate the EBLOCK away.
 			c.migrateFailedLocked([][2]int{{ref.Channel, ref.EBlock}}, 0)
 			return nil
@@ -180,10 +176,8 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 		}
 	}
 	// The EBLOCK is closed whether or not the log takes the record.
-	_, err = c.append(record.CloseEBlock{
-		Channel: uint32(ref.Channel), EBlock: uint32(ref.EBlock),
-		Timestamp: ts, DataWBlocks: d.DataWBlocks, MetaWBlocks: uint32(metaWB),
-	})
+	_, err = c.append(record.CloseEBlock{Channel: uint32(ref.Channel), EBlock: uint32(ref.EBlock),
+		Timestamp: ts, DataWBlocks: d.DataWBlocks, MetaWBlocks: uint32(metaWB)})
 	c.closedLocked(ref.Channel, ref.EBlock)
 	return err
 }
@@ -232,10 +226,10 @@ func (c *Controller) flushTablesLocked(mayGC bool) error {
 	}
 	// Summary pages are serialized once the plan is logged, each embedding
 	// its own update-record LSN as its flush LSN (§VIII-C3).
-	a.seal = func(lsns []record.LSN) {
+	a.seal = func(first record.LSN) {
 		for i, pg := range a.plan.Pages {
 			if pg.Type == addr.PageSummary {
-				copy(a.buf[pg.BufOff:], c.st.SerializePage(int(pg.LPID.TableIndex()), lsns[i]))
+				copy(a.buf[pg.BufOff:], c.st.SerializePage(int(pg.LPID.TableIndex()), first+record.LSN(i)))
 			}
 		}
 		a.sum = crc32.Checksum(a.buf, pageSum)

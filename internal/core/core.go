@@ -183,6 +183,7 @@ type Controller struct {
 	log  *wal.Log
 
 	updateSeq    uint64                // timestamp proxy (update sequence number)
+	clock        func() uint64         // reads updateSeq; bound once, as a method value allocates
 	nextAction   uint64                // next system action ID
 	active       map[uint64]record.LSN // active actions -> first LSN
 	sessSnapAddr addr.PhysAddr         // current durable session snapshot
@@ -210,7 +211,13 @@ type Controller struct {
 	// admitted twice.
 	wsnInflight map[[2]uint64]bool
 
-	hintLSN      atomic.Uint64 // mirrors log.NextLSN without taking the log lock
+	hintLSN atomic.Uint64 // mirrors log.NextLSN without taking the log lock
+	// Scratch under c.mu, so a flush allocates alike whatever its pages.
+	frames       []byte // records put for the next logFrames, nframes of them
+	nframes      int
+	garbage      []record.AddrPair
+	credits      []summary.Credit
+	cmds         []flash.BatchCmd
 	ckptSeq      uint64
 	ckptEB       int // current checkpoint-area EBLOCK (A or B)
 	ckptWB       int // next WBLOCK within it
@@ -289,6 +296,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		tenantWrites: make(map[string]*tenantWriteCounters),
 	}
 	c.hintLSN.Store(1)
+	c.clock = func() uint64 { return c.updateSeq }
 	c.wsnCond = sync.NewCond(&c.mu)
 	c.ioCond = sync.NewCond(&c.mu)
 	c.mt.SetLoader(c.loadExtent)
@@ -317,10 +325,6 @@ func (c *Controller) loadExtent(a addr.PhysAddr) ([]byte, error) {
 	return data, nil
 }
 
-// clock returns the current update sequence number (the paper's time
-// proxy).
-func (c *Controller) clock() uint64 { return c.updateSeq }
-
 // lsnHint returns a conservative lower bound for LSNs about to be
 // assigned. It deliberately avoids log.NextLSN(): the WAL calls back into
 // the controller (slot provisioning, program failover) while holding its
@@ -334,14 +338,32 @@ func (c *Controller) lsnHint() record.LSN {
 	return h
 }
 
-// append adds a log record and advances the LSN hint. Requires c.mu.
-func (c *Controller) append(r record.Record) (record.LSN, error) {
-	lsn, err := c.log.Append(r)
+// put encodes r into the controller's log scratch for the next logFrames.
+// Generic, so a record of a concrete kind is encoded unboxed. Requires c.mu.
+func put[R record.Record](c *Controller, r R) {
+	c.frames = record.Append(c.frames, r)
+	c.nframes++
+}
+
+// logFrames appends every record put since the last call in one log append
+// (DESIGN.md §4.1, "One log append per action"), returns the first one's
+// LSN and advances the LSN hint. Requires c.mu.
+func (c *Controller) logFrames() (record.LSN, error) {
+	first, err := c.log.Append(c.frames)
+	n := c.nframes
+	c.frames, c.nframes = c.frames[:0], 0
 	if err != nil {
+		c.hintLSN.Store(uint64(c.log.NextLSN())) // a capacity flush failed partway
 		return 0, err
 	}
-	c.hintLSN.Store(uint64(lsn + 1))
-	return lsn, nil
+	c.hintLSN.Store(uint64(first) + uint64(n))
+	return first, nil
+}
+
+// append logs one record. Requires c.mu.
+func (c *Controller) append(r record.Record) (record.LSN, error) {
+	put(c, r)
+	return c.logFrames()
 }
 
 func (c *Controller) forceLog() error {

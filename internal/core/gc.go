@@ -279,16 +279,11 @@ func (c *Controller) currentAddrLocked(lpid addr.LPID, ty addr.PageType) (addr.P
 	}
 }
 
-// setHomeLocked installs new as a page's address wherever it was: a user
-// mapping, or a table page's checkpointed home, which marks it clean.
-func (c *Controller) setHomeLocked(lpid addr.LPID, ty addr.PageType, new addr.PhysAddr, lsn record.LSN) error {
+// setHomeLocked installs new as a table page's checkpointed home, which
+// marks it clean (a user page's install is installLocked's mapping swap).
+func (c *Controller) setHomeLocked(lpid addr.LPID, ty addr.PageType, new addr.PhysAddr, lsn record.LSN) {
 	idx := int(lpid.TableIndex())
 	switch ty {
-	case addr.PageUser:
-		if err := c.mt.Set(lpid, new, lsn); err != nil {
-			return err
-		}
-		c.invalidateRead(lpid) // the read cache never serves pre-install bytes
 	case addr.PageMap:
 		c.mt.MarkFlushed(idx, new, lsn)
 	case addr.PageSmallMap:
@@ -298,7 +293,6 @@ func (c *Controller) setHomeLocked(lpid addr.LPID, ty addr.PageType, new addr.Ph
 	case addr.PageSession:
 		c.sessSnapAddr = new
 	}
-	return nil
 }
 
 // installRelocationLocked conditionally installs a relocation old->new for

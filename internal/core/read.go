@@ -199,12 +199,12 @@ func (c *Controller) readFenced(pages []pageRead) {
 	}
 
 	tf := time.Now()
-	segs, reads := make([]flash.ReadSeg, len(pins)), fewReads[:0]
-	for k, pn := range pins {
+	reads := fewReads[:0]
+	for _, pn := range pins {
 		p := &pages[pn.i]
 		p.data = make([]byte, pn.a.Length())
-		segs[k] = flash.ReadSeg{Off: pn.a.Offset(), Dst: p.data}
-		reads = append(reads, flash.Read{Channel: pn.a.Channel(), EBlock: pn.a.EBlock(), Segs: segs[k : k+1]})
+		// The Read carries its one segment: no segment list to allocate.
+		reads = append(reads, flash.Read{Channel: pn.a.Channel(), EBlock: pn.a.EBlock(), Seg: flash.ReadSeg{Off: pn.a.Offset(), Dst: p.data}})
 	}
 	c.dev.ReadAll(reads)
 	var nPages, nRBlocks int64

@@ -537,3 +537,32 @@ func summarize(o readObservation) string {
 	o.pages = nil
 	return fmt.Sprintf("page lengths %v %+v", lens, o)
 }
+
+// TestOnePinReadAllocs: a read that pins one EBLOCK allocates its page
+// image and its result slices and nothing else — its pin, read and
+// segment lists are on the stack for up to eight pages. Read returns the
+// image itself (one allocation); ReadBatch adds its page list and its
+// result slice (three), and for eight pages still only its images beyond.
+func TestOnePinReadAllocs(t *testing.T) {
+	c, _ := newFormatted(t)
+	var pages []LPage
+	for i := 1; i <= 8; i++ {
+		pages = append(pages, LPage{LPID: addr.LPID(i), Data: pageContent(uint64(i), 1, 1920)})
+	}
+	mustWrite(t, c, pages...)
+	lpids := []addr.LPID{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, tc := range []struct {
+		name string
+		read func() error
+		want float64
+	}{
+		{"Read", func() error { _, err := c.Read(3); return err }, 1},
+		{"ReadBatch/1", func() error { _, err := c.ReadBatch(lpids[2:3]); return err }, 3},
+		{"ReadBatch/8", func() error { _, err := c.ReadBatch(lpids); return err }, 10},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(200, func() { err = tc.read() }); err != nil || n != tc.want {
+			t.Errorf("%s: %v allocs/op (%v), want %v", tc.name, n, err, tc.want)
+		}
+	}
+}

@@ -497,9 +497,10 @@ func (r *recovery) resumeLog() error {
 		return err
 	}
 	for _, rec := range r.carried { // they take back the LSNs they were found at
-		if _, err := c.log.Append(rec); err != nil {
-			return err
-		}
+		put(c, rec)
+	}
+	if _, err := c.logFrames(); err != nil {
+		return err
 	}
 	c.hintLSN.Store(uint64(r.last + 1))
 	c.prov.RebuildFromSummary()
@@ -760,10 +761,7 @@ func (r *recovery) replayWriteLocked(lsn record.LSN, w record.GCUpdate, conditio
 	if p == nil {
 		return c.mt.Set(w.LPID, w.New, lsn)
 	}
-	old, err := c.mt.Get(w.LPID)
-	if err == nil {
-		err = c.mt.Set(w.LPID, w.New, lsn)
-	}
+	old, err := c.mt.Swap(w.LPID, w.New, lsn)
 	g := record.AddrPair{LPID: w.LPID, Addr: old}
 	if err != nil || old == w.New || p.garbage[g] {
 		return err

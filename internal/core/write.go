@@ -38,18 +38,18 @@ type action struct {
 	kind record.ActionKind
 	hint record.LSN // lsnHint at init; pins the truncation LSN while active
 
-	buf  []byte                // aligned page images, back to back
-	sum  uint32                // CRC-32C of buf: what the Commit records carry (pageSum)
-	pb   *bufpool.Buf          // a user action's pooled buf; released by finishRoundLocked after writeUser
-	bps  []provision.BatchPage // layout handed to the provisioner
-	plan *provision.Plan
-	lsns []record.LSN // per-page Update (GCUpdate) record LSNs
+	buf   []byte                // aligned page images, back to back
+	sum   uint32                // CRC-32C of buf: what the Commit records carry (pageSum)
+	pb    *bufpool.Buf          // a user action's pooled buf; released by finishRoundLocked after writeUser
+	bps   []provision.BatchPage // layout handed to the provisioner
+	plan  *provision.Plan
+	first record.LSN // plan.Pages[i]'s Update (GCUpdate) record has LSN first+i
 	// olds are a relocation's source addresses: each page installs only if
 	// it is still there (GCUpdate). nil for the other kinds.
 	olds []addr.PhysAddr
 	// seal, set by a checkpoint, completes buf once the plan's records have
 	// their LSNs — a summary page embeds its own (§VIII-C3) — and sets sum.
-	seal func(lsns []record.LSN)
+	seal func(first record.LSN)
 
 	subs    []flushRef  // the flushes this action carries (≥1; a system action's one is zero)
 	subsArr [1]flushRef // inline storage for the group of one
@@ -241,11 +241,8 @@ func layoutClaimed(subs []*SubFlush) *action {
 	if nsubs == 0 {
 		return nil
 	}
-	a := &action{kind: record.ActionUser}
-	a.pb = bufpool.Get(total)
-	a.buf = a.pb.Bytes()
-	a.bps = make([]provision.BatchPage, 0, npages)
-	a.subs = a.subsArr[:0]
+	a := &action{kind: record.ActionUser, pb: bufpool.Get(total), bps: make([]provision.BatchPage, 0, npages)}
+	a.buf, a.subs = a.pb.Bytes(), a.subsArr[:0]
 	if nsubs > 1 {
 		a.subs = make([]flushRef, 0, nsubs)
 	}
@@ -524,54 +521,45 @@ func (c *Controller) carryLocked(a *action) {
 	c.doneLSN[k] = max(c.doneLSN[k], c.lsnHint()-1)
 }
 
-// logActionLocked appends an action's init-phase records: an OpenEBlock per
-// data EBLOCK the plan opens, an Update (a relocation's GCUpdate) per page,
-// a CloseEBlock per EBLOCK it closes, conditional on the action (§VIII-C),
-// and a Commit per carried flush with the action's id and checksum: every
-// merged (sid, wsn) of a group commits atomically with the action.
+// logActionLocked logs an action's init-phase records in one log append:
+// an OpenEBlock per data EBLOCK the plan opens, an Update (a relocation's
+// GCUpdate) per page, a CloseEBlock per EBLOCK it closes, conditional on
+// the action (§VIII-C), and a Commit per carried flush with the action's id
+// and checksum: every merged (sid, wsn) of a group commits atomically with
+// the action. A checkpoint's pages are appended first, so that seal has
+// their LSNs before the Commit carries its checksum.
 func (c *Controller) logActionLocked(a *action) error {
-	for _, op := range a.plan.Opens {
-		if op.Stream == record.StreamLog {
-			continue // the chain itself is the durable record for log EBLOCKs
-		}
-		if _, err := c.append(record.OpenEBlock{Channel: uint32(op.Channel), EBlock: uint32(op.EBlock), Stream: op.Stream}); err != nil {
-			return err
+	for _, op := range a.plan.Opens { // a user or GC stream's: a log EBLOCK's record is the chain
+		put(c, record.OpenEBlock{Channel: uint32(op.Channel), EBlock: uint32(op.EBlock), Stream: op.Stream})
+	}
+	opens := record.LSN(c.nframes)
+	for i, pg := range a.plan.Pages {
+		if a.olds != nil {
+			put(c, record.GCUpdate{Action: a.id, LPID: pg.LPID, Type: pg.Type, Old: a.olds[i], New: pg.Addr})
+		} else {
+			put(c, record.Update{Action: a.id, LPID: pg.LPID, Type: pg.Type, New: pg.Addr})
 		}
 	}
-	a.lsns = make([]record.LSN, len(a.plan.Pages))
-	for i, pg := range a.plan.Pages {
-		var r record.Record
-		if a.olds != nil {
-			r = record.GCUpdate{Action: a.id, LPID: pg.LPID, Type: pg.Type, Old: a.olds[i], New: pg.Addr}
-		} else {
-			r = record.Update{Action: a.id, LPID: pg.LPID, Type: pg.Type, New: pg.Addr}
-		}
-		lsn, err := c.append(r)
+	if a.seal != nil {
+		first, err := c.logFrames()
 		if err != nil {
 			return err
 		}
-		a.lsns[i] = lsn
-	}
-	if a.seal != nil {
-		a.seal(a.lsns)
+		a.first, opens = first+opens, 0
+		a.seal(a.first)
 	}
 	for _, cl := range a.plan.Closes {
-		if _, err := c.append(record.CloseEBlock{
-			Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock),
-			Timestamp:   cl.Timestamp,
-			DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks),
-			Action: a.id,
-		}); err != nil {
-			return err
-		}
+		put(c, record.CloseEBlock{Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock), Timestamp: cl.Timestamp,
+			DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks), Action: a.id})
 	}
-	for i := range a.subs {
-		s := &a.subs[i]
-		if _, err := c.append(record.Commit{Action: a.id, AKind: a.kind, SID: s.sid, WSN: s.wsn, Sum: a.sum}); err != nil {
-			return err
-		}
+	for _, s := range a.subs {
+		put(c, record.Commit{Action: a.id, AKind: a.kind, SID: s.sid, WSN: s.wsn, Sum: a.sum})
 	}
-	return nil
+	first, err := c.logFrames()
+	if a.seal == nil {
+		a.first = first + opens
+	}
+	return err
 }
 
 // landLocked settles an action after its round (res; forceErr from the log
@@ -644,30 +632,33 @@ func (c *Controller) landLocked(a *action, res flash.BatchResult, forceErr error
 // relocation that lost its page — is garbage: it is credited to AVAIL and
 // returned for the Garbage records.
 func (c *Controller) installLocked(a *action) ([]record.AddrPair, error) {
-	// Sized for an Update per superseded page; a relocation rarely loses one.
-	garbage := make([]record.AddrPair, 0, len(a.plan.Pages)-len(a.olds))
+	// c.mu's scratch: lazyGarbageLocked logs the garbage before c.mu is released.
+	garbage, credits := c.garbage[:0], c.credits[:0]
 	for i, pg := range a.plan.Pages {
+		lsn := a.first + record.LSN(i)
 		var gone addr.PhysAddr // what the install leaves behind
 		var err error
 		if a.olds != nil {
 			var moved bool
-			if moved, err = c.installRelocationLocked(pg.LPID, pg.Type, a.olds[i], pg.Addr, a.lsns[i]); !moved {
+			if moved, err = c.installRelocationLocked(pg.LPID, pg.Type, a.olds[i], pg.Addr, lsn); !moved {
 				gone = pg.Addr
 			}
-		} else if gone, err = c.currentAddrLocked(pg.LPID, pg.Type); err == nil {
-			err = c.setHomeLocked(pg.LPID, pg.Type, pg.Addr, a.lsns[i])
+		} else if pg.Type != addr.PageUser {
+			gone, _ = c.currentAddrLocked(pg.LPID, pg.Type) // a table page's home: no lookup to fail
+			c.setHomeLocked(pg.LPID, pg.Type, pg.Addr, lsn)
+		} else if gone, err = c.mt.Swap(pg.LPID, pg.Addr, lsn); err == nil { // one shard lock
+			c.invalidateRead(pg.LPID) // the read cache never serves pre-install bytes
 		}
 		if err != nil {
 			return nil, err
 		}
 		if gone.IsValid() {
 			garbage = append(garbage, record.AddrPair{LPID: pg.LPID, Addr: gone})
-			if err := c.st.AddAvail(gone.Channel(), gone.EBlock(), gone.Length(), a.lsns[i]); err != nil {
-				return nil, err
-			}
+			credits = append(credits, summary.Credit{Addr: gone, LSN: lsn})
 		}
 	}
-	return garbage, nil
+	c.garbage, c.credits = garbage, credits
+	return garbage, c.st.AddAvails(credits)
 }
 
 // commitForcedLocked settles the round's force, which returned forceErr. A
@@ -718,7 +709,7 @@ func (c *Controller) closedLocked(ch, eb int) {
 // critical section as the provisioning: within a channel the FIFO queue
 // must receive WBLOCK programs in provisioning order.
 func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flash.Source) *flash.Batch {
-	cmds := make([]flash.BatchCmd, 0, len(plan.IOs))
+	cmds := c.cmds[:0] // c.mu's scratch: SubmitBatch copies the commands out
 	for _, io := range plan.IOs {
 		data := io.Inline
 		if data == nil {
@@ -729,6 +720,7 @@ func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flas
 		c.inflight[key]++
 		c.pinned[key]++
 	}
+	c.cmds = cmds
 	return c.dev.SubmitBatch(cmds)
 }
 
@@ -773,7 +765,8 @@ func (c *Controller) waitInflightLocked(ch, eb int) {
 // abortActionLocked aborts a system action: the provisioned space is
 // treated as garbage via AVAIL (§IV-C); nothing is installed.
 func (c *Controller) abortActionLocked(id uint64, plan *provision.Plan) {
-	lsn, _ := c.append(record.Abort{Action: id})
+	put(c, record.Abort{Action: id})
+	lsn, _ := c.logFrames()
 	for _, pg := range plan.Pages {
 		_ = c.st.AddAvail(pg.Addr.Channel(), pg.Addr.EBlock(), pg.Addr.Length(), lsn)
 	}
@@ -784,18 +777,13 @@ func (c *Controller) abortActionLocked(id uint64, plan *provision.Plan) {
 // lazyGarbageLocked appends the lazy old-address records and the DONE
 // record for a committed action (§VIII-C2). They are not forced.
 func (c *Controller) lazyGarbageLocked(id uint64, pairs []record.AddrPair) error {
-	per := c.cfg.GarbagePairsPerRecord
 	for len(pairs) > 0 {
-		n := per
-		if n > len(pairs) {
-			n = len(pairs)
-		}
-		if _, err := c.append(record.Garbage{Action: id, Pairs: pairs[:n]}); err != nil {
-			return err
-		}
+		n := min(c.cfg.GarbagePairsPerRecord, len(pairs))
+		put(c, record.Garbage{Action: id, Pairs: pairs[:n]})
 		pairs = pairs[n:]
 	}
-	_, err := c.append(record.Done{Action: id})
+	put(c, record.Done{Action: id})
+	_, err := c.logFrames()
 	return err
 }
 

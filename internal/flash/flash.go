@@ -730,11 +730,14 @@ func (d *Device) readGather(arrived time.Time, ch, eb int, segs []ReadSeg) (rblo
 }
 
 // Read is one gather of a ReadAll: Segs of (Channel, EBlock) going in,
-// what ReadGather returned for them coming out.
+// what ReadGather returned for them coming out. A read of one segment may
+// leave Segs nil and name it in Seg instead: its caller then needs no
+// segment list of its own.
 type Read struct {
 	Channel int
 	EBlock  int
 	Segs    []ReadSeg
+	Seg     ReadSeg // the one segment read when Segs is nil
 	RBlocks int
 	Err     error
 }
@@ -749,7 +752,11 @@ func (d *Device) ReadAll(reads []Read) {
 	arrived := d.arrival()
 	for i := range reads {
 		r := &reads[i]
-		r.RBlocks, r.Err = d.readGather(arrived, r.Channel, r.EBlock, r.Segs)
+		one, segs := [1]ReadSeg{r.Seg}, r.Segs
+		if segs == nil {
+			segs = one[:]
+		}
+		r.RBlocks, r.Err = d.readGather(arrived, r.Channel, r.EBlock, segs)
 	}
 }
 
@@ -989,7 +996,8 @@ type BatchResult struct {
 // completed.
 type Batch struct {
 	d         *Device
-	drains    [][2]uint64 // (channel, segment number) of the segments Wait runs
+	drains    [][2]uint64  // (channel, segment number) of the segments Wait runs
+	drainsArr [8][2]uint64 // drains' storage for up to eight channels
 	mu        sync.Mutex
 	done      sync.Cond
 	pending   int
@@ -1119,14 +1127,19 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 	arrived := d.arrival()
 	// Split into per-channel segments, preserving order within a channel:
 	// a counting scatter into one backing array instead of a map of
-	// growing slices, so the split costs three fixed allocations however
-	// many commands the batch carries.
-	counts := make([]int, d.geo.Channels)
+	// growing slices, so the split costs one allocation however many
+	// commands the batch carries (its counters are on the stack for up to
+	// 32 channels).
+	var scratch [64]int
+	buf, n := scratch[:], d.geo.Channels
+	if 2*n > len(buf) {
+		buf = make([]int, 2*n)
+	}
+	counts, next := buf[:n], buf[n:2*n]
 	for _, c := range cmds {
 		counts[c.Channel]++
 	}
 	backing := make([]BatchCmd, len(cmds))
-	next := make([]int, d.geo.Channels)
 	sum := 0
 	for ch, cnt := range counts {
 		next[ch] = sum
@@ -1140,7 +1153,7 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 		next[c.Channel]++
 	}
 	m := d.met.Load()
-	b.drains = make([][2]uint64, 0, b.pending)
+	b.drains = b.drainsArr[:0]
 	for ch, cnt := range counts {
 		if cnt == 0 {
 			continue

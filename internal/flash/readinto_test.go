@@ -358,12 +358,16 @@ func TestReadGatherAllocFree(t *testing.T) {
 }
 
 // TestReadAllAllocFree: a ReadAll over caller-owned reads and segments
-// allocates nothing, one read or eight on four channels.
+// allocates nothing, one read or eight on four channels, their segments in
+// a list or (every other one) in the Read itself.
 func TestReadAllAllocFree(t *testing.T) {
 	d := mixedEBlockDevice(t)
 	reads := make([]Read, 8)
 	for k := range reads {
-		reads[k] = Read{Channel: k % 4, EBlock: 2, Segs: []ReadSeg{{Off: k * 700, Dst: make([]byte, 1920)}}}
+		seg := ReadSeg{Off: k * 700, Dst: make([]byte, 1920)}
+		if reads[k] = (Read{Channel: k % 4, EBlock: 2, Seg: seg}); k%2 == 0 {
+			reads[k] = Read{Channel: k % 4, EBlock: 2, Segs: []ReadSeg{seg}}
+		}
 	}
 	for _, n := range []int{1, len(reads)} {
 		if a := testing.AllocsPerRun(200, func() { d.ReadAll(reads[:n]) }); a != 0 || reads[n-1].Err != nil {
@@ -379,12 +383,18 @@ func TestReadAllExactLength(t *testing.T) {
 	d := mixedEBlockDevice(t)
 	off := d.Geometry().WBlockBytes - 300
 	want, _, err := refReadExtent(mixedEBlockDevice(t), 1, 2, off, 1000)
-	buf := bytes.Repeat([]byte{0xDB}, 1200)
-	reads := []Read{{Channel: 1, EBlock: 2, Segs: []ReadSeg{{Off: off, Dst: buf[100:1100:1100]}}}}
-	d.ReadAll(reads)
-	if r := reads[0]; err != nil || r.Err != nil || !bytes.Equal(buf[100:1100], want) || r.RBlocks != 2 ||
-		bytes.Count(buf[:100], []byte{0xDB})+bytes.Count(buf[1100:], []byte{0xDB}) != 200 {
-		t.Fatalf("read: err %v / %v, rblocks %d, or it wrote outside its Dst", err, r.Err, r.RBlocks)
+	for _, inline := range []bool{false, true} { // the segment in Segs, or in Seg
+		buf := bytes.Repeat([]byte{0xDB}, 1200)
+		seg := ReadSeg{Off: off, Dst: buf[100:1100:1100]}
+		reads := []Read{{Channel: 1, EBlock: 2, Segs: []ReadSeg{seg}}}
+		if inline {
+			reads[0] = Read{Channel: 1, EBlock: 2, Seg: seg}
+		}
+		d.ReadAll(reads)
+		if r := reads[0]; err != nil || r.Err != nil || !bytes.Equal(buf[100:1100], want) || r.RBlocks != 2 ||
+			bytes.Count(buf[:100], []byte{0xDB})+bytes.Count(buf[1100:], []byte{0xDB}) != 200 {
+			t.Fatalf("read (inline %v): err %v / %v, rblocks %d, or it wrote outside its Dst", inline, err, r.Err, r.RBlocks)
+		}
 	}
 }
 

@@ -274,17 +274,25 @@ func (t *Table) Get(lpid addr.LPID) (addr.PhysAddr, error) {
 	return a, nil
 }
 
-// Set unconditionally installs a new address for lpid (user writes and
-// redo). lsn is the log record LSN backing the change.
+// Set unconditionally installs a new address for lpid (redo). lsn is the
+// log record LSN backing the change.
 func (t *Table) Set(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) error {
+	_, err := t.Swap(lpid, a, lsn)
+	return err
+}
+
+// Swap is Set returning the address it replaced (invalid if unmapped): a
+// user write's install, one shard lock for the lookup and the update.
+func (t *Table) Swap(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) (addr.PhysAddr, error) {
 	idx, slot := t.pageOf(lpid)
 	sh := t.shard(idx)
 	sh.mu.Lock()
 	p, err := t.getPageLocked(sh, idx, true)
 	if err != nil {
 		sh.mu.Unlock()
-		return err
+		return 0, err
 	}
+	old := p.entries[slot]
 	p.entries[slot] = a
 	if !p.dirty {
 		p.dirty = true
@@ -292,7 +300,7 @@ func (t *Table) Set(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) error {
 	}
 	sh.mu.Unlock()
 	t.cacheMaintain(idx)
-	return nil
+	return old, nil
 }
 
 // SetIf installs a new address only if the current address equals old —

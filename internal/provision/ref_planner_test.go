@@ -118,7 +118,6 @@ func (c *refPlanner) closeCur() {
 	c.plan.Closes = append(c.plan.Closes, CloseEvent{
 		Channel: c.ch, EBlock: c.cur, Timestamp: ts,
 		DataWBlocks: c.dataWB, MetaWBlocks: metaWB, TailFrag: tail,
-		Meta: append([]summary.MetaEntry(nil), c.meta...),
 	})
 	c.cur = -1
 	c.dataWB = 0

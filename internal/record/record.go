@@ -346,8 +346,10 @@ func EncodedSize(r Record) int {
 	return frameOverhead + payloadBytes[r.Kind()]
 }
 
-// Append appends the framed encoding of r to dst.
-func Append(dst []byte, r Record) []byte {
+// Append appends the framed encoding of r to dst. It is generic so that a
+// caller naming a concrete kind encodes it unboxed: an action's records go
+// into one scratch buffer with no allocation beyond that buffer's growth.
+func Append[R Record](dst []byte, r R) []byte {
 	start := len(dst)
 	dst = append(dst, byte(r.Kind()))
 	dst = putU32(dst, 0) // payload length placeholder
@@ -433,18 +435,29 @@ func (r *reader) done() error {
 	return nil
 }
 
+// FrameSize returns the length of the frame at the front of b, the bytes
+// Decode would consume, from its header alone: the CRC is not checked.
+// ErrTruncated means b does not hold a whole frame.
+func FrameSize(b []byte) (int, error) {
+	if len(b) < frameOverhead {
+		return 0, ErrTruncated
+	}
+	payloadLen := int(binary.LittleEndian.Uint32(b[1:]))
+	if payloadLen < 0 || len(b) < frameOverhead+payloadLen {
+		return 0, ErrTruncated
+	}
+	return frameOverhead + payloadLen, nil
+}
+
 // Decode decodes one framed record from the front of b, returning the
 // record and the number of bytes consumed.
 func Decode(b []byte) (Record, int, error) {
-	if len(b) < frameOverhead {
-		return nil, 0, ErrTruncated
+	total, err := FrameSize(b)
+	if err != nil {
+		return nil, 0, err
 	}
 	kind := Kind(b[0])
-	payloadLen := int(binary.LittleEndian.Uint32(b[1:]))
-	total := frameOverhead + payloadLen
-	if payloadLen < 0 || len(b) < total {
-		return nil, 0, ErrTruncated
-	}
+	payloadLen := total - frameOverhead
 	wantCRC := binary.LittleEndian.Uint32(b[5+payloadLen:])
 	if crc32.ChecksumIEEE(b[:5+payloadLen]) != wantCRC {
 		return nil, 0, ErrBadCRC

@@ -2,6 +2,7 @@ package record
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -255,15 +256,96 @@ func TestEncodedSizeMatchesAppend(t *testing.T) {
 }
 
 // TestEncodedSizeAllocFree: sizing a record allocates nothing (it used to
-// encode the payload into a nil slice, three growslices per record).
+// encode the payload into a nil slice, three growslices per record), and
+// neither does encoding a concrete record of every kind into a warm buffer
+// (Append is generic: nothing is boxed) or sizing the frames back with
+// FrameSize, as the log does before it appends them.
 func TestEncodedSizeAllocFree(t *testing.T) {
 	cases := sizeCases()
+	pairs := []AddrPair{{LPID: 1, Addr: 2}, {LPID: 3, Addr: 4}}
+	buf := make([]byte, 0, 4096)
 	var sink int
 	if n := testing.AllocsPerRun(200, func() {
 		for _, r := range cases {
 			sink += EncodedSize(r)
 		}
+		buf = Append(buf[:0], Update{Action: 1, LPID: 2, Type: addr.PageUser, New: 3})
+		buf = Append(buf, GCUpdate{Action: 1, LPID: 2, Type: addr.PageMap, Old: 3, New: 4})
+		buf = Append(buf, Commit{Action: 1, AKind: ActionUser, SID: 2, WSN: 3, Sum: 4})
+		buf = Append(buf, Abort{Action: 1})
+		buf = Append(buf, Garbage{Action: 1, Pairs: pairs})
+		buf = Append(buf, Done{Action: 1})
+		buf = Append(buf, OpenEBlock{Channel: 1, EBlock: 2, Stream: StreamUser})
+		buf = Append(buf, CloseEBlock{Channel: 1, EBlock: 2, Timestamp: 3, DataWBlocks: 4, MetaWBlocks: 1, Action: 5})
+		buf = Append(buf, SessionOpen{SID: 1, Priority: 2, Tenant: "t"})
+		buf = Append(buf, SessionClose{SID: 1})
+		buf = Append(buf, FreeEBlock{Channel: 1, EBlock: 2})
+		for b := buf; len(b) > 0; {
+			n, err := FrameSize(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink, b = sink+n, b[n:]
+		}
 	}); n != 0 {
-		t.Fatalf("EncodedSize allocates: %v allocs/op", n)
+		t.Fatalf("sizing or encoding records allocates: %v allocs/op", n)
+	}
+}
+
+// TestGoldenFrames pins the encoding of every kind byte for byte: a log
+// page written by one build must read back in another, so a change to the
+// encoder that moves a byte fails here rather than in recovery.
+func TestGoldenFrames(t *testing.T) {
+	a1 := addr.MustPack(1, 2, 128, 256)
+	a2 := addr.MustPack(3, 4, 4096, 1920)
+	golden := []struct {
+		r   Record
+		hex string
+	}{
+		{Update{Action: 7, LPID: 99, Type: addr.PageUser, New: a1},
+			"01190000000700000000000000630000000000000001030008002000000179b2ca3b"},
+		{GCUpdate{Action: 8, LPID: 100, Type: addr.PageMap, Old: a1, New: a2},
+			"0221000000080000000000000064000000000000000203000800200000011d0000014000000321276e99"},
+		{Commit{Action: 9, AKind: ActionUser, SID: 1234, WSN: 5, Sum: 0xC0FFEE42},
+			"031d000000090000000000000001d204000000000000050000000000000042eeffc083440bb9"},
+		{Abort{Action: 11}, "04080000000b00000000000000bc46ab94"},
+		{Garbage{Action: 12, Pairs: []AddrPair{{LPID: 1, Addr: a1}, {LPID: 2, Addr: a2}}},
+			"052c0000000c00000000000000020000000100000000000000030008002000000102000000000000001d00000140000003ea734097"},
+		{Done{Action: 14}, "06080000000e0000000000000093fd17bc"},
+		{OpenEBlock{Channel: 2, EBlock: 17, Stream: StreamGC}, "0709000000020000001100000002772e9bae"},
+		{CloseEBlock{Channel: 1, EBlock: 3, Timestamp: 42, DataWBlocks: 200, MetaWBlocks: 4, Action: 9},
+			"082000000001000000030000002a00000000000000c8000000040000000900000000000000b0b8b9fa"},
+		{SessionOpen{SID: 777, Priority: 2, Tenant: "tenant-a"}, "09120000000903000000000000020874656e616e742d6159b8df8f"},
+		{SessionClose{SID: 777}, "0a080000000903000000000000ec57801d"},
+		{FreeEBlock{Channel: 5, EBlock: 6}, "0b08000000050000000600000067de3a83"},
+	}
+	seen := map[Kind]bool{}
+	var all []byte
+	for _, g := range golden {
+		seen[g.r.Kind()] = true
+		if got := hex.EncodeToString(Append(nil, g.r)); got != g.hex {
+			t.Errorf("%v frame drifted:\n got %s\nwant %s", g.r.Kind(), got, g.hex)
+		}
+		all = Append(all, g.r)
+	}
+	for k := KindInvalid + 1; k < kindMax; k++ {
+		if !seen[k] {
+			t.Errorf("kind %v has no golden frame", k)
+		}
+	}
+	// The frames back to back are the log's payload: each sizes and
+	// decodes to its own record.
+	for _, g := range golden {
+		n, err := FrameSize(all)
+		if err != nil || n != len(g.hex)/2 {
+			t.Fatalf("%v: FrameSize %d, %v; want %d", g.r.Kind(), n, err, len(g.hex)/2)
+		}
+		if _, err := FrameSize(all[:n-1]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%v: a frame cut short sizes with %v, want ErrTruncated", g.r.Kind(), err)
+		}
+		if rec, m, err := Decode(all); err != nil || m != n || !reflect.DeepEqual(rec, g.r) {
+			t.Fatalf("%v: decoded %+v, %d, %v", g.r.Kind(), rec, m, err)
+		}
+		all = all[n:]
 	}
 }

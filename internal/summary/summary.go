@@ -93,6 +93,7 @@ type Table struct {
 	free []int          // [channel] descriptors in state Free, kept by setState
 
 	meta    map[[2]int][]MetaEntry // open-EBLOCK metadata
+	spare   [][]MetaEntry          // cleared metadata slices for the next opens, at most one per channel
 	openLSN map[[2]int]record.LSN  // LSN at open, for the truncation LSN
 
 	dirty    map[int]record.LSN // page index -> recLSN
@@ -243,7 +244,11 @@ func (t *Table) OpenEBlock(ch, eb int, stream record.StreamKind, lsn record.LSN)
 	d.MetaWBlocks = 0
 	d.Avail = 0
 	d.Timestamp = 0
-	t.meta[[2]int{ch, eb}] = nil
+	var m []MetaEntry // a cleared EBLOCK's slice, so the new one's does not regrow from nil
+	if n := len(t.spare); n > 0 && stream != record.StreamLog {
+		m, t.spare = t.spare[n-1], t.spare[:n-1]
+	}
+	t.meta[[2]int{ch, eb}] = m
 	t.openLSN[[2]int{ch, eb}] = lsn
 	t.markDirty(ch, eb, lsn)
 	return nil
@@ -343,6 +348,29 @@ func (t *Table) AddAvail(ch, eb, n int, lsn record.LSN) error {
 	return nil
 }
 
+// Credit is reclaimable space: the extent at Addr, made garbage by the log
+// record at LSN.
+type Credit struct {
+	Addr addr.PhysAddr
+	LSN  record.LSN
+}
+
+// AddAvails is AddAvail of each credit's extent, in order, under one hold
+// of the lock: how an install's garbage arrives.
+func (t *Table) AddAvails(cs []Credit) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, c := range cs {
+		ch, eb := c.Addr.Channel(), c.Addr.EBlock()
+		if err := t.check(ch, eb); err != nil {
+			return err
+		}
+		t.desc[ch][eb].Avail += uint64(c.Addr.Length())
+		t.markDirty(ch, eb, c.LSN)
+	}
+	return nil
+}
+
 // SetTimestamp updates the EBLOCK timestamp (log EBLOCKs track their
 // highest contained LSN here, enabling truncation-based reclaim).
 func (t *Table) SetTimestamp(ch, eb int, ts uint64, lsn record.LSN) error {
@@ -420,6 +448,14 @@ func (t *Table) MetaWith(ch, eb int, extra []MetaEntry) []MetaEntry {
 	return slices.Concat(t.meta[[2]int{ch, eb}], extra)
 }
 
+// EncodeMetaWith encodes MetaWith's list (EncodeMetaBlock) straight from the
+// table's entries: the list an EBLOCK closes with is not copied first.
+func (t *Table) EncodeMetaWith(ch, eb int, extra []MetaEntry) []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return EncodeMetaBlock(t.meta[[2]int{ch, eb}], extra)
+}
+
 // MetaLen returns how many entries Meta would return, without copying them.
 func (t *Table) MetaLen(ch, eb int) int {
 	t.mu.Lock()
@@ -429,11 +465,15 @@ func (t *Table) MetaLen(ch, eb int) int {
 
 // ClearMeta drops an EBLOCK's in-memory metadata once its flushed copy is
 // durable: when the close record is logged, and on recovery's replay of
-// one (§VIII-C3 case 2).
+// one (§VIII-C3 case 2). The emptied slice serves the next OpenEBlock.
 func (t *Table) ClearMeta(ch, eb int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.meta, [2]int{ch, eb})
+	k := [2]int{ch, eb}
+	if m := t.meta[k]; cap(m) > 0 && len(t.spare) < len(t.desc) {
+		t.spare = append(t.spare, m[:0])
+	}
+	delete(t.meta, k)
 }
 
 // OpenRef identifies an open EBLOCK and the stream that owns it.
@@ -721,17 +761,22 @@ const metaMagic = 0x4D455441 // "META"
 
 // EncodeMetaBlock serializes TAG entries into the byte image flushed to an
 // EBLOCK's final WBLOCKs on close.
-func EncodeMetaBlock(entries []MetaEntry) []byte {
-	n := 12 + len(entries)*16 + 4
-	buf := make([]byte, addr.AlignUp(n))
+func EncodeMetaBlock(lists ...[]MetaEntry) []byte {
+	count := 0
+	for _, l := range lists {
+		count += len(l)
+	}
+	buf := make([]byte, addr.AlignUp(12+count*16+4))
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(entries)))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(count))
 	off := 12
-	for _, e := range entries {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(e.LPID))
-		packed := uint64(e.Type)<<48 | uint64(e.Offset/addr.Align)<<24 | uint64(e.Length/addr.Align)
-		binary.LittleEndian.PutUint64(buf[off+8:], packed)
-		off += 16
+	for _, l := range lists {
+		for _, e := range l {
+			binary.LittleEndian.PutUint64(buf[off:], uint64(e.LPID))
+			packed := uint64(e.Type)<<48 | uint64(e.Offset/addr.Align)<<24 | uint64(e.Length/addr.Align)
+			binary.LittleEndian.PutUint64(buf[off+8:], packed)
+			off += 16
+		}
 	}
 	crc := crc32.ChecksumIEEE(buf[:off])
 	binary.LittleEndian.PutUint32(buf[off:], crc)

@@ -17,11 +17,11 @@ func carryLog(t testing.TB) (*Log, *fakeSink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendForce(record.Done{Action: 1}, record.Done{Action: 2}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}, record.Done{Action: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(3); i <= 5; i++ {
-		if _, err := l.Append(record.Commit{Action: i, SID: 7, WSN: i, Sum: uint32(i)}); err != nil {
+		if _, err := appendRecs(l, record.Commit{Action: i, SID: 7, WSN: i, Sum: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,14 +85,14 @@ func TestCarryDeclines(t *testing.T) {
 		t.Fatalf("an empty buffer carried %d bytes", n)
 	}
 	fresh, _ := newTestLog(t)
-	if _, err := fresh.Append(record.Done{Action: 1}); err != nil {
+	if _, err := appendRecs(fresh, record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if n := fresh.Carry(make([]byte, testPageBytes)); n != 0 {
 		t.Fatalf("a log with no landed page carried %d bytes", n)
 	}
 	l.dead = true
-	if _, err := l.Append(record.Done{Action: 9}); !errors.Is(err, ErrLogDead) {
+	if _, err := appendRecs(l, record.Done{Action: 9}); !errors.Is(err, ErrLogDead) {
 		t.Fatal(err)
 	}
 	l.buf = record.Append(l.buf, record.Done{Action: 9})
@@ -119,7 +119,7 @@ func TestResumeWithCarried(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range set.Records {
-		if lsn, err := l2.Append(r); err != nil || lsn != set.First+record.LSN(i) {
+		if lsn, err := appendRecs(l2, r); err != nil || lsn != set.First+record.LSN(i) {
 			t.Fatalf("record %d appended at LSN %d (%v), want %d", i, lsn, err, set.First+record.LSN(i))
 		}
 	}

@@ -158,7 +158,7 @@ func TestLogPageStates(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, errs[w] = l.AppendForce(record.Done{Action: uint64(w + 1)})
+					_, errs[w] = appendForce(l, record.Done{Action: uint64(w + 1)})
 				}()
 				if w == 0 {
 					calls = append(calls, g.next(t))
@@ -216,7 +216,7 @@ func TestLogPageStates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := l2.AppendForce(record.Done{Action: uint64(tc.last + 1)}); err != nil {
+			if _, err := appendForce(l2, record.Done{Action: uint64(tc.last + 1)}); err != nil {
 				t.Fatalf("force after Resume: %v", err)
 			}
 			walkOnce(t, image, start, tc.last+1)
@@ -317,7 +317,7 @@ func TestOneLogPageStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range perCommitter {
-				if _, err := l.AppendForce(record.Commit{Action: uint64(c*perCommitter + i + 1)}); err != nil {
+				if _, err := appendForce(l, record.Commit{Action: uint64(c*perCommitter + i + 1)}); err != nil {
 					t.Errorf("committer %d: %v", c, err)
 					return
 				}

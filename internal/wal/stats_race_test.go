@@ -56,7 +56,7 @@ func TestStatsConcurrentWithGroupCommit(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < perCommitter; i++ {
-				if _, err := l.AppendForce(record.Commit{Action: uint64(id*perCommitter + i + 1)}); err != nil {
+				if _, err := appendForce(l, record.Commit{Action: uint64(id*perCommitter + i + 1)}); err != nil {
 					t.Errorf("committer %d: %v", id, err)
 					return
 				}
@@ -98,7 +98,7 @@ func TestWithRegistryExportsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := l.AppendForce(record.Commit{Action: uint64(i + 1)}); err != nil {
+		if _, err := appendForce(l, record.Commit{Action: uint64(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}

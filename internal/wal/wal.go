@@ -177,6 +177,9 @@ type Log struct {
 	buf    []byte // every record past durableLSN, encoded: what the next page carries
 	page   []byte // the page in flight, encodePage's buffer
 	flying bool   // a page's writer has released mu around its program
+	// appending marks an Append that released mu to land a full buffer:
+	// other appends wait, so each call's LSNs stay contiguous.
+	appending bool
 
 	// slots[:numForward] are the forward candidates of the newest landed
 	// page; slots[:next] of them have failed or are in flight; the rest are
@@ -247,37 +250,73 @@ func (l *Log) ensureSlots(n int) error {
 	return nil
 }
 
-// Append buffers a record into the current log page and returns its LSN.
-// The record is durable only after a successful Force whose durable LSN
-// covers it.
-func (l *Log) Append(r record.Record) (record.LSN, error) {
+// Append buffers frames, records encoded back to back by record.Append, and
+// returns the first one's LSN; the rest follow it in order, contiguous
+// whatever other appenders do meanwhile. It sizes every frame before it
+// buffers any: a malformed frame, or one larger than a page
+// (ErrRecordTooLarge), fails the call with nothing appended. A frame that
+// would overfill the buffer lands what is buffered first, exactly as
+// appending the records one at a time would. The records are durable only
+// after a successful Force whose durable LSN covers them.
+func (l *Log) Append(frames []byte) (record.LSN, error) {
+	for b := frames; len(b) > 0; {
+		sz, err := record.FrameSize(b)
+		if err != nil {
+			return 0, err
+		}
+		if sz > l.Capacity() {
+			return 0, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, sz, l.Capacity())
+		}
+		b = b[sz:]
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.appending && !l.dead {
+		l.landed.Wait()
+	}
 	if l.dead {
 		return 0, ErrLogDead
 	}
-	sz := record.EncodedSize(r)
-	if sz > l.Capacity() {
-		return 0, fmt.Errorf("%w: %d > %d", ErrRecordTooLarge, sz, l.Capacity())
-	}
-	// Every page carries the whole buffer, so it never outgrows one. The
-	// page in flight drains it when it lands; what is left goes in a page of
-	// its own.
-	for len(l.buf)+sz > l.Capacity() {
-		if l.dead {
-			return 0, ErrLogDead
+	first := l.nextLSN
+	for len(frames) > 0 {
+		// The longest run of whole frames that fits what the buffer has left.
+		n, count := 0, int64(0)
+		for n < len(frames) {
+			sz, _ := record.FrameSize(frames[n:])
+			if len(l.buf)+n+sz > l.Capacity() {
+				break
+			}
+			n, count = n+sz, count+1
 		}
-		if l.flying {
-			l.landed.Wait()
-		} else if err := l.writePage(); err != nil {
-			return 0, err
+		l.buf = append(l.buf, frames[:n]...)
+		l.met.appends.Add(count)
+		l.nextLSN += record.LSN(count)
+		if frames = frames[n:]; len(frames) > 0 {
+			// Every page carries the whole buffer, so it never outgrows one.
+			// The page in flight drains it when it lands; what is left goes
+			// in a page of its own. Meanwhile l.mu is released, and other
+			// appends wait for this one to finish.
+			if err := l.makeRoom(); err != nil {
+				return 0, err
+			}
 		}
 	}
-	l.buf = record.Append(l.buf, r)
-	l.met.appends.Inc()
-	lsn := l.nextLSN
-	l.nextLSN++
-	return lsn, nil
+	return first, nil
+}
+
+// makeRoom lands the buffered records: it waits for the page in flight, or
+// writes one. Called with l.mu held, which it releases meanwhile.
+func (l *Log) makeRoom() error {
+	if l.dead {
+		return ErrLogDead
+	}
+	l.appending = true
+	defer func() { l.appending = false; l.landed.Broadcast() }()
+	if l.flying {
+		l.landed.Wait()
+		return nil
+	}
+	return l.writePage()
 }
 
 // Force makes all records appended before the call durable. It writes the
@@ -330,23 +369,6 @@ func (l *Log) Stats() Stats {
 		PageWrites:     l.met.pageWrites.Value(),
 		RecordsFlushed: l.met.recordsFlushed.Value(),
 	}
-}
-
-// AppendForce appends records and forces the log; it returns the LSN of the
-// last appended record.
-func (l *Log) AppendForce(rs ...record.Record) (record.LSN, error) {
-	var last record.LSN
-	for _, r := range rs {
-		lsn, err := l.Append(r)
-		if err != nil {
-			return 0, err
-		}
-		last = lsn
-	}
-	if err := l.Force(); err != nil {
-		return 0, err
-	}
-	return last, nil
 }
 
 // writePage writes one page carrying every record past durableLSN to the

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"eleos/internal/record"
 )
@@ -171,10 +173,163 @@ func newTestLog(t *testing.T) (*Log, *fakeSink) {
 	return l, sink
 }
 
+// appendRecs encodes rs back to back and appends them in one call; it
+// returns the first one's LSN.
+func appendRecs(l *Log, rs ...record.Record) (record.LSN, error) {
+	var frames []byte
+	for _, r := range rs {
+		frames = record.Append(frames, r)
+	}
+	return l.Append(frames)
+}
+
+// appendForce appends rs in one call and forces the log; it returns the
+// last one's LSN.
+func appendForce(l *Log, rs ...record.Record) (record.LSN, error) {
+	first, err := appendRecs(l, rs...)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Force(); err != nil {
+		return 0, err
+	}
+	return first + record.LSN(len(rs)) - 1, nil
+}
+
+// TestAppendBatch: one Append of many frames is the per-record loop page
+// for page: a batch that crosses two capacity flushes mid-call leaves log
+// pages byte-identical to appending its records one at a time, its LSNs
+// are contiguous, an appender arriving while it waits for a page takes
+// the LSN after its last, and a frame too large for a page (or cut short)
+// fails the call before anything is appended.
+func TestAppendBatch(t *testing.T) {
+	var recs []record.Record
+	for i := 0; i < 80; i++ {
+		recs = append(recs, record.Update{Action: 7, LPID: 100, Type: 1, New: 64})
+		if i%20 == 19 {
+			recs = append(recs, record.Garbage{Action: uint64(i), Pairs: make([]record.AddrPair, i/10)})
+		}
+	}
+	recs = append(recs, record.Commit{Action: 7, AKind: record.ActionUser, SID: 3, WSN: 4, Sum: 5})
+	var frames []byte
+	for _, r := range recs {
+		frames = record.Append(frames, r)
+	}
+	const prefix = 9 // records buffered before the batch, so it starts mid-page
+	one, oneSink := newTestLog(t)
+	batch, batchSink := newTestLog(t)
+	for _, l := range []*Log{one, batch} {
+		for i := 0; i < prefix; i++ {
+			if _, err := appendRecs(l, record.Done{Action: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, r := range recs {
+		if lsn, err := appendRecs(one, r); err != nil || lsn != record.LSN(prefix+1+i) {
+			t.Fatalf("record %d: LSN %d, %v", i, lsn, err)
+		}
+	}
+	first, err := batch.Append(frames)
+	if err != nil || first != prefix+1 || batch.NextLSN() != first+record.LSN(len(recs)) {
+		t.Fatalf("batch: first LSN %d, next %d, %v; want %d, %d", first, batch.NextLSN(), err, prefix+1, prefix+1+len(recs))
+	}
+	if w := batch.Stats().PageWrites; w < 2 {
+		t.Fatalf("the batch crossed %d capacity flushes, want at least two", w)
+	}
+	for _, l := range []*Log{one, batch} {
+		if err := l.Force(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !maps.EqualFunc(oneSink.programs, batchSink.programs, bytes.Equal) {
+		t.Fatal("a batch append wrote other log pages than appending its records one at a time")
+	}
+	if one.Stats() != batch.Stats() {
+		t.Fatalf("stats differ: one at a time %+v, batch %+v", one.Stats(), batch.Stats())
+	}
+	var got []record.Record
+	if _, err := FollowChain(batchSink, []Slot{batchSink.slotAt(0)}, 1, func(p *ChainPage) error {
+		if p.FirstLSN != record.LSN(len(got)+1) {
+			t.Fatalf("page starts at LSN %d after %d records", p.FirstLSN, len(got))
+		}
+		got = append(got, p.Records...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != prefix+len(recs) || !reflect.DeepEqual(got[prefix:], recs) {
+		t.Fatalf("the chain holds %d records, want the %d-record prefix and the batch in order", len(got), prefix)
+	}
+
+	pages, next, appends := len(batchSink.programs), batch.NextLSN(), batch.Stats().Appends
+	big := record.Append(record.Append(nil, record.Done{Action: 1}), record.Garbage{Action: 1, Pairs: make([]record.AddrPair, testPageBytes/16)})
+	for _, bad := range [][]byte{big, frames[:len(frames)-1]} {
+		if _, err := batch.Append(bad); err == nil {
+			t.Fatal("a batch with a bad frame was appended")
+		} else if bad[0] == big[0] && len(bad) == len(big) && !errors.Is(err, ErrRecordTooLarge) {
+			t.Fatalf("oversize frame: %v, want ErrRecordTooLarge", err)
+		} else if len(bad) != len(big) && !errors.Is(err, record.ErrTruncated) {
+			t.Fatalf("truncated frame: %v, want record.ErrTruncated", err)
+		}
+	}
+	if err := batch.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if batch.NextLSN() != next || batch.Stats().Appends != appends || len(batchSink.programs) != pages {
+		t.Fatal("a failed batch appended some of its frames")
+	}
+
+	// A second appender arriving while the batch waits for a page it filled
+	// takes the LSN after the batch's last: it is not spliced into it.
+	g := newGateSink(t)
+	l, err := New(g, testPageBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		lsn record.LSN
+		err error
+	}
+	batchDone, lateDone := make(chan result, 1), make(chan result, 1)
+	go func() {
+		lsn, err := l.Append(frames)
+		batchDone <- result{lsn, err}
+	}()
+	c := g.next(t) // the batch's first capacity flush, l.mu released
+	go func() {
+		lsn, err := appendRecs(l, record.Done{Action: 1000})
+		lateDone <- result{lsn, err}
+	}()
+	var b, late *result
+	for b == nil || late == nil {
+		var fate chan pageFate // nil while no program is held
+		if c != nil {
+			fate = c.fate
+		}
+		select {
+		case fate <- lands:
+			<-c.done
+			c = nil
+		case r := <-batchDone:
+			b = &r
+		case r := <-lateDone:
+			late = &r
+		case nc := <-g.calls:
+			c = nc
+		case <-time.After(5 * time.Second):
+			t.Fatal("the appends did not finish")
+		}
+	}
+	if b.err != nil || late.err != nil || b.lsn != 1 || late.lsn != record.LSN(1+len(recs)) {
+		t.Fatalf("batch LSN %d (%v), late LSN %d (%v); want 1 and %d", b.lsn, b.err, late.lsn, late.err, 1+len(recs))
+	}
+}
+
 func TestAppendAssignsDenseLSNs(t *testing.T) {
 	l, _ := newTestLog(t)
 	for i := 1; i <= 10; i++ {
-		lsn, err := l.Append(record.Done{Action: uint64(i)})
+		lsn, err := appendRecs(l, record.Done{Action: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +347,7 @@ func TestAppendAssignsDenseLSNs(t *testing.T) {
 
 func TestForceMakesDurable(t *testing.T) {
 	l, sink := newTestLog(t)
-	if _, err := l.AppendForce(record.Done{Action: 1}, record.Done{Action: 2}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}, record.Done{Action: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if l.DurableLSN() != 2 {
@@ -216,7 +371,7 @@ func TestPageRollsOverWhenFull(t *testing.T) {
 	recSize := record.EncodedSize(record.Done{Action: 1})
 	perPage := l.Capacity() / recSize
 	for i := 0; i < perPage+1; i++ {
-		if _, err := l.Append(record.Done{Action: uint64(i)}); err != nil {
+		if _, err := appendRecs(l, record.Done{Action: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +390,7 @@ func TestPageRollsOverWhenFull(t *testing.T) {
 func TestRecordTooLarge(t *testing.T) {
 	l, _ := newTestLog(t)
 	pairs := make([]record.AddrPair, testPageBytes/16+10)
-	_, err := l.Append(record.Garbage{Action: 1, Pairs: pairs})
+	_, err := appendRecs(l, record.Garbage{Action: 1, Pairs: pairs})
 	if !errors.Is(err, ErrRecordTooLarge) {
 		t.Fatalf("expected ErrRecordTooLarge, got %v", err)
 	}
@@ -251,7 +406,7 @@ func TestChainTraversal(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r := record.Update{Action: uint64(i), LPID: 5, Type: 1, New: 77}
 		want = append(want, r)
-		if _, err := l.Append(r); err != nil {
+		if _, err := appendRecs(l, r); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 0 {
@@ -296,13 +451,13 @@ func TestChainTraversal(t *testing.T) {
 func TestWriteFailureFailsOverToCandidate(t *testing.T) {
 	l, sink := newTestLog(t)
 	start, _ := l.StartCandidates()
-	if _, err := l.AppendForce(record.Done{Action: 1}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Fail the next page's home slot; it must be written to candidate 2.
 	slot2 := Slot{Channel: 1, EBlock: 0, WBlock: 0}
 	sink.fail[slot2] = true
-	if _, err := l.AppendForce(record.Done{Action: 2}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 2}); err != nil {
 		t.Fatalf("failover should succeed: %v", err)
 	}
 	// Chain traversal must still see both records, skipping the bad slot.
@@ -326,7 +481,7 @@ func TestWriteFailureFailsOverToCandidate(t *testing.T) {
 
 func TestLogDeadAfterThreeFailures(t *testing.T) {
 	l, sink := newTestLog(t)
-	if _, err := l.AppendForce(record.Done{Action: 1}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Provision order alternates channels: {0,0,0} {1,0,0} {0,0,1} {1,0,1}.
@@ -335,14 +490,14 @@ func TestLogDeadAfterThreeFailures(t *testing.T) {
 	// channel 0, eblock 0) fails too — the log must die.
 	sink.fail[Slot{1, 0, 0}] = true
 	sink.fail[Slot{0, 0, 1}] = true
-	_, err := l.AppendForce(record.Done{Action: 2})
+	_, err := appendForce(l, record.Done{Action: 2})
 	if !errors.Is(err, ErrLogDead) {
 		t.Fatalf("expected ErrLogDead, got %v", err)
 	}
 	if !l.Dead() {
 		t.Fatal("log should be dead")
 	}
-	if _, err := l.Append(record.Done{Action: 3}); !errors.Is(err, ErrLogDead) {
+	if _, err := appendRecs(l, record.Done{Action: 3}); !errors.Is(err, ErrLogDead) {
 		t.Fatal("appends after death must fail")
 	}
 }
@@ -350,7 +505,7 @@ func TestLogDeadAfterThreeFailures(t *testing.T) {
 func TestResumeContinuesChain(t *testing.T) {
 	l, sink := newTestLog(t)
 	start, _ := l.StartCandidates()
-	if _, err := l.AppendForce(record.Done{Action: 1}, record.Done{Action: 2}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}, record.Done{Action: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate crash: follow chain, then resume and keep writing.
@@ -362,7 +517,7 @@ func TestResumeContinuesChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l2.AppendForce(record.Done{Action: 3})
+	lsn, err := appendForce(l2, record.Done{Action: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +541,7 @@ func TestResumeContinuesChain(t *testing.T) {
 func TestPageForAndTruncate(t *testing.T) {
 	l, _ := newTestLog(t)
 	for i := 1; i <= 3; i++ {
-		if _, err := l.AppendForce(record.Done{Action: uint64(i)}); err != nil {
+		if _, err := appendForce(l, record.Done{Action: uint64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +575,7 @@ func TestFollowChainIgnoresStalePages(t *testing.T) {
 	sink := newFakeSink(t, testPageBytes)
 	l, _ := New(sink, testPageBytes)
 	start, _ := l.StartCandidates()
-	if _, err := l.AppendForce(record.Done{Action: 1}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Manually place both at the page's first two forward candidates.
@@ -477,7 +632,7 @@ func TestStartCandidatesStable(t *testing.T) {
 		t.Fatalf("StartCandidates not stable: %v vs %v", a, b)
 	}
 	// First durable page must land on the first candidate.
-	if _, err := l.AppendForce(record.Done{Action: 1}); err != nil {
+	if _, err := appendForce(l, record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s, _, ok := l.LastPage()
@@ -507,7 +662,7 @@ func TestManyPagesChainIntegrity(t *testing.T) {
 	start, _ := l.StartCandidates()
 	total := 0
 	for i := 0; i < 500; i++ {
-		if _, err := l.Append(record.Update{Action: uint64(i), LPID: 1, Type: 1, New: 2}); err != nil {
+		if _, err := appendRecs(l, record.Update{Action: uint64(i), LPID: 1, Type: 1, New: 2}); err != nil {
 			t.Fatal(err)
 		}
 		total++
@@ -543,7 +698,7 @@ func TestManyPagesChainIntegrity(t *testing.T) {
 func TestPageBufferReuseClearsTail(t *testing.T) {
 	l, sink := newTestLog(t)
 	for i := 0; i < l.Capacity()/record.EncodedSize(record.Done{}); i++ {
-		if _, err := l.Append(record.Done{Action: 0xFFFFFFFFFFFFFFFF}); err != nil {
+		if _, err := appendRecs(l, record.Done{Action: 0xFFFFFFFFFFFFFFFF}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -551,7 +706,7 @@ func TestPageBufferReuseClearsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	full, _, _ := l.LastPage()
-	last, err := l.AppendForce(record.Done{Action: 7})
+	last, err := appendForce(l, record.Done{Action: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,23 +731,27 @@ func TestPageBufferReuseClearsTail(t *testing.T) {
 }
 
 // TestAppendAllocFree: once the payload and page buffers are warm an
-// append allocates nothing — sizing is arithmetic, encoding appends in
-// place, and a capacity flush encodes into the log's one page buffer. What
-// remains is the sink's and the page index's work per page written, far
-// below one allocation per record.
+// append allocates nothing — sizing reads each frame's header, the frames
+// are copied in place, and a capacity flush encodes into the log's one page
+// buffer. What remains is the sink's and the page index's work per page
+// written, far below one allocation per record.
 func TestAppendAllocFree(t *testing.T) {
 	l, err := New(newFakeSink(t, 32<<10), 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r record.Record = record.Update{Action: 1, LPID: 2, Type: 1, New: 3}
-	for i := 0; i < 2500; i++ { // two capacity flushes: l.buf is at its final size
-		if _, err := l.Append(r); err != nil {
+	var frames []byte
+	for i := 0; i < 8; i++ { // an action's worth: its Updates and Commit
+		frames = record.Append(frames, record.Update{Action: uint64(i), LPID: 2, Type: 1, New: 3})
+	}
+	frames = record.Append(frames, record.Commit{Action: 1, AKind: record.ActionUser})
+	for i := 0; i < 300; i++ { // two capacity flushes: l.buf is at its final size
+		if _, err := l.Append(frames); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(5000, func() {
-		if _, err := l.Append(r); err != nil {
+	if n := testing.AllocsPerRun(600, func() {
+		if _, err := l.Append(frames); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
