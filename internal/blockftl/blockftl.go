@@ -278,9 +278,12 @@ func (f *FTL) readSlotLocked(a slotAddr) ([]byte, error) {
 			return out, nil
 		}
 	}
-	off := a.slot * f.blockBytes
-	data, _, err := f.dev.ReadExtent(a.ch, a.eb, off, f.blockBytes)
-	return data, err
+	r := [1]flash.Read{{Channel: a.ch, EBlock: a.eb, Seg: flash.ReadSeg{Off: a.slot * f.blockBytes, Dst: make([]byte, f.blockBytes)}}}
+	f.dev.ReadAll(r[:])
+	if r[0].Err != nil {
+		return nil, r[0].Err
+	}
+	return r[0].Seg.Dst, nil
 }
 
 // FreeFraction returns the fraction of a channel's eblocks that are free.

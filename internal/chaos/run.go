@@ -169,14 +169,21 @@ func (co *coordinator) address() string {
 }
 
 // crashAndRecover kills the volatile state, drains the dead server, and
-// reopens the device read-only into a fresh controller+server.
+// reopens the device read-only into a fresh controller+server. A crash is a
+// power cut: from Crash's return to Open, no program or erase of the dead
+// controller reaches the device, the server's Drain and the churn
+// goroutine's calls included.
 func (co *coordinator) crashAndRecover() error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.ctl.Crash()
+	cut := co.dev.Stats()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	_ = co.srv.Drain(ctx) // in-flight requests die on ErrCrashed; tolerated
 	cancel()
+	if st := co.dev.Stats(); st.WBlocksWritten != cut.WBlocksWritten || st.WriteFailures != cut.WriteFailures || st.EraseAttempts != cut.EraseAttempts {
+		return fmt.Errorf("the media moved after Crash returned: %+v, then %+v", cut, st)
+	}
 	ctl2, err := core.Open(co.dev, co.cfg)
 	if err != nil {
 		return fmt.Errorf("recovery Open: %w", err)

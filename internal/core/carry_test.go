@@ -251,7 +251,7 @@ func TestCarriedEBlockEraseForcesFirst(t *testing.T) {
 	}
 	ch, eb := nextChannel(t, c, 1)
 	wb, _ := dev.NextProgramPosition(ch, eb)
-	raw, _, err := dev.ReadExtent(ch, eb, (wb-1)*c.geo.WBlockBytes, c.geo.WBlockBytes)
+	raw, _, err := c.port.read(ch, eb, (wb-1)*c.geo.WBlockBytes, c.geo.WBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

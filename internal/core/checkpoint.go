@@ -153,7 +153,7 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 	}
 	for k := 0; k < metaWB; k++ {
 		lo := k * w
-		if err := c.dev.ProgramSrc(c.attributeSrc(flash.SrcCheckpoint), ref.Channel, ref.EBlock, int(d.DataWBlocks)+k, img[lo:min(lo+w, len(img))]); err != nil {
+		if err := c.port.program(c.attributeSrc(flash.SrcCheckpoint), ref.Channel, ref.EBlock, int(d.DataWBlocks)+k, img[lo:min(lo+w, len(img))]); err != nil {
 			// Treat like any write failure: migrate the EBLOCK away.
 			c.migrateFailedLocked([][2]int{{ref.Channel, ref.EBlock}}, 0)
 			return nil
@@ -441,7 +441,9 @@ func (c *Controller) writeCkptRecordLocked(ck *ckptRecord) error {
 		if c.ckptEB == ckptEBlockA {
 			other = ckptEBlockB
 		}
-		if len(eraseBatch(c.dev, [2]int{ckptChannel, other})) > 0 {
+		if failed, err := c.port.erase([2]int{ckptChannel, other}); err != nil {
+			return err
+		} else if len(failed) > 0 {
 			return fmt.Errorf("%w: checkpoint area eblock %d", flash.ErrEraseFailed, other)
 		}
 		c.ckptEB, c.ckptWB = other, 0
@@ -455,7 +457,7 @@ func (c *Controller) writeCkptRecordLocked(ck *ckptRecord) error {
 	for attempt := 0; attempt < 2; attempt++ {
 		err := func() error {
 			for i, part := range parts {
-				if err := c.dev.ProgramSrc(c.attributeSrc(flash.SrcCheckpoint), ckptChannel, c.ckptEB, c.ckptWB+i, part); err != nil {
+				if err := c.port.program(c.attributeSrc(flash.SrcCheckpoint), ckptChannel, c.ckptEB, c.ckptWB+i, part); err != nil {
 					return err
 				}
 				c.met.ioCommands.Inc()

@@ -14,8 +14,9 @@
 //
 // A Controller is obtained by formatting a device (Format) or recovering
 // one (Open). Crash simulation: SetCrashPoint makes the controller die at
-// a named point; a dead controller rejects every call, and Open on the
-// same device recovers exactly the committed state.
+// a named point, Crash at once. A dead controller's media port (port.go)
+// is closed and it rejects every call; Open on the same device recovers
+// exactly the committed state.
 package core
 
 import (
@@ -174,7 +175,7 @@ type Controller struct {
 	ioCond  *sync.Cond // waiters draining in-flight programs per EBLOCK
 
 	cfg  Config
-	dev  *flash.Device
+	port *port
 	geo  flash.Geometry
 	st   *summary.Table
 	mt   *mapping.Table
@@ -279,7 +280,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:          cfg,
-		dev:          dev,
+		port:         &port{dev: dev},
 		geo:          geo,
 		st:           st,
 		mt:           mt,
@@ -317,7 +318,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 // loadExtent reads an LPAGE image from flash given its physical address
 // (the shared loader for all table pages).
 func (c *Controller) loadExtent(a addr.PhysAddr) ([]byte, error) {
-	data, nR, err := c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
+	data, nR, err := c.port.read(a.Channel(), a.EBlock(), a.Offset(), a.Length())
 	if err != nil {
 		return nil, err
 	}
@@ -394,12 +395,13 @@ func (c *Controller) SetCrashPoint(name string) {
 
 // Crash kills the controller immediately (simulated power loss). All
 // volatile state is considered lost; recover with Open on the same device.
+// As in a power cut, the commands already on the device complete before
+// Crash returns, and no later one reaches it.
 func (c *Controller) Crash() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.crashed = true
-	c.crashedA.Store(true)
-	c.wsnCond.Broadcast()
+	c.dieLocked()
+	c.mu.Unlock()
+	c.port.close(true) // outside c.mu: a submitter waits for its batch without it
 }
 
 // Crashed reports whether the controller has died.
@@ -409,13 +411,21 @@ func (c *Controller) Crashed() bool {
 	return c.crashed
 }
 
+// dieLocked marks the controller dead, closes its media port without
+// waiting (its own goroutine may hold a batch) and wakes every waiter.
+func (c *Controller) dieLocked() {
+	c.crashed = true
+	c.crashedA.Store(true)
+	c.port.close(false)
+	c.wsnCond.Broadcast()
+	c.ioCond.Broadcast()
+}
+
 // crashIf kills the controller if the named crash point is armed.
 func (c *Controller) crashIf(point string) error {
 	if c.crashPoints[point] {
 		delete(c.crashPoints, point)
-		c.crashed = true
-		c.crashedA.Store(true)
-		c.wsnCond.Broadcast()
+		c.dieLocked()
 		return fmt.Errorf("%w: at %q", ErrCrashed, point)
 	}
 	return nil
@@ -458,7 +468,7 @@ func (c *Controller) Stats() Stats {
 
 // Device returns the underlying flash device (for media-time accounting in
 // benchmarks).
-func (c *Controller) Device() *flash.Device { return c.dev }
+func (c *Controller) Device() *flash.Device { return c.port.dev }
 
 // Geometry returns the device geometry.
 func (c *Controller) Geometry() flash.Geometry { return c.geo }
@@ -547,7 +557,7 @@ func (s logSink) ProvisionSlots(n int) ([]wal.Slot, error) {
 }
 
 func (s logSink) Program(sl wal.Slot, page []byte) error {
-	err := s.c.dev.ProgramSrc(s.c.attributeSrc(flash.SrcWAL), sl.Channel, sl.EBlock, sl.WBlock, page)
+	err := s.c.port.program(s.c.attributeSrc(flash.SrcWAL), sl.Channel, sl.EBlock, sl.WBlock, page)
 	if err != nil {
 		// Retire the EBLOCK so fresh slots come from elsewhere; the WAL's
 		// forward candidates handle the in-flight page.
@@ -565,6 +575,6 @@ func (s logSink) Program(sl wal.Slot, page []byte) error {
 }
 
 func (s logSink) Read(sl wal.Slot) ([]byte, error) {
-	data, _, err := s.c.dev.ReadExtent(sl.Channel, sl.EBlock, sl.WBlock*s.c.geo.WBlockBytes, s.c.geo.WBlockBytes)
+	data, _, err := s.c.port.read(sl.Channel, sl.EBlock, sl.WBlock*s.c.geo.WBlockBytes, s.c.geo.WBlockBytes)
 	return data, err
 }

@@ -490,7 +490,7 @@ func (g *logGate) Program(s wal.Slot, page []byte) error {
 		g.lost.Store(true)
 	case g.lost.Load():
 	case fate == logFails:
-		g.c.dev.FailNextProgram(s.Channel, s.EBlock, s.WBlock)
+		g.c.Device().FailNextProgram(s.Channel, s.EBlock, s.WBlock)
 		fallthrough
 	default:
 		return g.logSink.Program(s, page)
@@ -619,7 +619,17 @@ func logCrash(t *testing.T, size int, steps []logStep) (*carryRun, [2]uint64, [2
 			calls[st.page] = g.next(t) // B starts once A has landed or failed
 		}
 		if st.fate == logLost {
-			c.Crash()
+			// Crash returns once the writer's data batch is waited for,
+			// which comes after the force the gate holds: release the page
+			// once the controller is dead, and let Crash return after.
+			crashed := make(chan struct{})
+			go func() { c.Crash(); close(crashed) }()
+			for !c.Crashed() {
+				time.Sleep(time.Millisecond)
+			}
+			calls[st.page].fate <- st.fate
+			<-crashed
+			continue
 		}
 		calls[st.page].fate <- st.fate
 		if st.fate == logLands {

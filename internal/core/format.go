@@ -14,7 +14,7 @@ func Format(dev *flash.Device, cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	if failed := eraseBatch(dev, [2]int{ckptChannel, ckptEBlockA}, [2]int{ckptChannel, ckptEBlockB}); len(failed) > 0 {
+	if failed, _ := c.port.erase([2]int{ckptChannel, ckptEBlockA}, [2]int{ckptChannel, ckptEBlockB}); len(failed) > 0 { // a new port is open
 		return nil, fmt.Errorf("%w: checkpoint area %v", flash.ErrEraseFailed, failed)
 	}
 	if err := c.st.Reserve(ckptChannel, ckptEBlockA); err != nil {

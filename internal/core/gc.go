@@ -236,10 +236,13 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 	buf, n := raw.Bytes(), min(r, area)
 	c.inflight[k]++
 	c.mu.Unlock()
-	nR, err := c.dev.ReadInto(buf[:n], ch, eb, off)
+	reads := [1]flash.Read{{Channel: ch, EBlock: eb, Seg: flash.ReadSeg{Off: off, Dst: buf[:n]}}}
+	c.port.readAll(reads[:])
+	nR, err := reads[0].RBlocks, reads[0].Err
 	if end := min(summary.MetaBlockLen(buf[:n]), area); err == nil && end > n {
-		more, moreErr := c.dev.ReadInto(buf[n:end], ch, eb, off+n)
-		nR, n, err = nR+more, end, moreErr
+		reads[0].Seg = flash.ReadSeg{Off: off + n, Dst: buf[n:end]}
+		c.port.readAll(reads[:])
+		nR, n, err = nR+reads[0].RBlocks, end, reads[0].Err
 	}
 	c.met.readRBlocks.Add(int64(nR))
 	c.met.gcBytesRead.Add(int64(nR * r))
@@ -383,7 +386,9 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 		olds = append(olds, v.old)
 		off += v.e.Length
 	}
-	nR, err := c.dev.ReadGather(ch, eb, segs)
+	reads := [1]flash.Read{{Channel: ch, EBlock: eb, Segs: segs}}
+	c.port.readAll(reads[:])
+	nR, err := reads[0].RBlocks, reads[0].Err
 	if err != nil {
 		return err
 	}
@@ -419,17 +424,6 @@ func dbg(format string, args ...any) {
 	}
 }
 
-// eraseBatch is the one erase primitive: it queues one erase per EBLOCK on
-// the per-channel device workers, waits for all of them — erases on
-// different channels overlap — and returns the EBLOCKs whose erase failed.
-func eraseBatch(dev *flash.Device, ebs ...[2]int) [][2]int {
-	cmds := make([]flash.BatchCmd, len(ebs))
-	for i, k := range ebs {
-		cmds[i] = flash.BatchCmd{Op: flash.OpErase, Channel: k[0], EBlock: k[1]}
-	}
-	return dev.SubmitBatch(cmds).Wait().FailedEBlocks
-}
-
 // eraseAndFreeLocked is the one erase path of GC and migration: it erases
 // the victims as one batch with c.mu released, then returns each to the
 // free list, logging the transition (unforced; recovery tolerates a lost
@@ -449,8 +443,11 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 		delete(c.doneLSN, k)
 	}
 	for _, k := range victims {
-		for c.pinned[k] > 0 { // a reader that looked it up during its metadata read
+		for c.pinned[k] > 0 && !c.crashed { // a reader that looked it up during its metadata read
 			c.ioCond.Wait()
+		}
+		if c.crashed {
+			return ErrCrashed
 		}
 		if c.inflight[k] != 1 || c.pinned[k] > 0 {
 			// Should be unreachable: selection and migration take only
@@ -472,10 +469,10 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 	}
 	t0 := time.Now()
 	c.mu.Unlock()
-	failed := eraseBatch(c.dev, victims...)
+	failed, err := c.port.erase(victims...)
 	c.mu.Lock()
 	c.met.gcEraseWaitNS.ObserveDuration(time.Since(t0))
-	if c.crashed {
+	if c.crashed || err != nil {
 		return ErrCrashed
 	}
 	if err := c.crashIf("gc.after-erase"); err != nil {

@@ -506,6 +506,78 @@ func TestGCMetaReadSeesCrash(t *testing.T) {
 	}
 }
 
+// TestCrashClosesMediaPort: a GC pass waits in eraseAndFreeLocked for a
+// reader that pinned its victim during the metadata read, and the
+// controller crashes while the reader's media read runs. The pass returns
+// ErrCrashed; Crash returns once the read has; from then on no program or
+// erase reaches the device, and Open reads every page back.
+func TestCrashClosesMediaPort(t *testing.T) {
+	c, dev, version := metaOnMediaController(t, 10*time.Millisecond, 2)
+	const ch, other = 3, 4
+	c.mu.Lock()
+	victim, _ := c.selectVictimLocked(ch, false)
+	k := [2]int{ch, victim}
+	var lpids, onVictim []addr.LPID // 60 pages on the other channel, then one on the victim
+	for i := range version {
+		switch a, _ := c.mt.Get(metaReadLPID(i)); {
+		case a.Channel() == other && len(lpids) < 60:
+			lpids = append(lpids, metaReadLPID(i))
+		case a.Channel() == ch && a.EBlock() == victim:
+			onVictim = append(onVictim, metaReadLPID(i))
+		}
+	}
+	c.mu.Unlock()
+	if len(onVictim) == 0 || len(lpids) < 60 {
+		t.Fatalf("test set-up: %d pages on the victim, %d on channel %d", len(onVictim), len(lpids), other)
+	}
+	lpids = append(lpids, onVictim[0])
+	moved := c.Stats().GCPagesMoved
+
+	dev.SetWallLatencyScale(1)
+	gcDone := inMetaRead(t, c, dev, func() error { return c.GCNow(ch) })
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := c.ReadBatch(lpids)
+		readDone <- err
+	}()
+	// The pass relocates under c.mu and then waits on ioCond: holding c.mu
+	// after the relocation with the pin still taken is holding it while
+	// the pass waits for the reader.
+	for parked := false; !parked; {
+		select {
+		case err := <-gcDone:
+			t.Fatalf("test set-up: the pass returned (%v) without waiting for the reader", err)
+		case <-time.After(time.Millisecond):
+		}
+		c.mu.Lock()
+		parked = c.met.gcPagesMoved.Value() > moved && c.pinned[k] > 0
+		c.mu.Unlock()
+	}
+	c.Crash()
+	media := dev.Stats()
+	if err := <-gcDone; !errors.Is(err, ErrCrashed) {
+		t.Fatalf("GCNow: %v, want ErrCrashed", err)
+	}
+	if err := <-readDone; err != nil && !errors.Is(err, ErrCrashed) {
+		t.Fatalf("ReadBatch: %v", err)
+	}
+	dev.SetWallLatencyScale(0)
+	// The reader's RBLOCKs were all read before Crash returned.
+	if st := dev.Stats(); st.WBlocksWritten != media.WBlocksWritten || st.WriteFailures != media.WriteFailures ||
+		st.EraseAttempts != media.EraseAttempts || st.RBlocksRead != media.RBlocksRead {
+		t.Fatalf("after Crash returned: %d programs, %d program failures, %d erases, %d RBLOCKs read",
+			st.WBlocksWritten-media.WBlocksWritten, st.WriteFailures-media.WriteFailures,
+			st.EraseAttempts-media.EraseAttempts, st.RBlocksRead-media.RBlocksRead)
+	}
+	c2, err := Open(dev, c.cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	for i, v := range version {
+		checkRead(t, c2, metaReadLPID(i), metaReadPage(i, v))
+	}
+}
+
 // TestGCPassErasesChannelsInParallel: a round's victims are one erase
 // batch, so a pass over eight channels waits about one erase, not eight.
 func TestGCPassErasesChannelsInParallel(t *testing.T) {

@@ -93,7 +93,7 @@ func logProgramFailures(t *testing.T, size, rounds int) {
 			// row kill the log by design (§VIII-A).
 			ch, eb, wb := c.prov.LogCursor()
 			if eb >= 0 && wb < c.geo.WBlocksPerEBlock() {
-				if w, _ := dev.IsWritten(ch, eb, wb); !w {
+				if next, _ := dev.NextProgramPosition(ch, eb); wb >= next {
 					dev.FailNextProgram(ch, eb, wb)
 					failures++
 					armed = c.log.Stats().PageWrites

@@ -25,7 +25,7 @@ func (c *Controller) deviceHealthLocked() health.DeviceHealth {
 	for ch := 0; ch < c.geo.Channels; ch++ {
 		for eb := 0; eb < c.geo.EBlocksPerChannel; eb++ {
 			h.EBlocksTotal++
-			ec, err := c.dev.EraseCount(ch, eb)
+			ec, err := c.port.eraseCount(ch, eb)
 			if err == nil {
 				e := int64(ec)
 				h.EraseTotal += e

@@ -206,7 +206,7 @@ func (c *Controller) readFenced(pages []pageRead) {
 		// The Read carries its one segment: no segment list to allocate.
 		reads = append(reads, flash.Read{Channel: pn.a.Channel(), EBlock: pn.a.EBlock(), Seg: flash.ReadSeg{Off: pn.a.Offset(), Dst: p.data}})
 	}
-	c.dev.ReadAll(reads)
+	c.port.readAll(reads)
 	var nPages, nRBlocks int64
 	for k, r := range reads {
 		if r.Err != nil {

@@ -134,7 +134,7 @@ func (r *recovery) scanCheckpoint() error {
 	for _, eb := range []int{ckptEBlockA, ckptEBlockB} {
 		cur = nil
 		for wb := 0; wb < c.geo.WBlocksPerEBlock(); wb++ {
-			raw, _, err := c.dev.ReadExtent(ckptChannel, eb, wb*w, w)
+			raw, _, err := c.port.read(ckptChannel, eb, wb*w, w)
 			if err != nil {
 				return err
 			}
@@ -368,12 +368,12 @@ func (r *recovery) findCarried() error {
 			if err != nil || skip[k] || !s.reopened && (d.State != summary.Free && d.State != summary.Open || d.Stream == record.StreamLog) {
 				continue
 			}
-			end, err := c.dev.NextProgramPosition(ch, eb)
+			end, err := c.port.nextProgramPosition(ch, eb)
 			if s.from > end {
 				s.from = 0 // the window starts past it: erased and written again since
 			}
 			for wb := s.from; err == nil && wb < end; wb++ {
-				raw, _, _ := c.dev.ReadExtent(ch, eb, wb*w, w) // unreadable: nil, which decodes as nothing
+				raw, _, _ := c.port.read(ch, eb, wb*w, w) // unreadable: nil, which decodes as nothing
 				if set, err := wal.DecodeCarried(raw); err == nil {
 					if last, ok := named[set.Named]; ok && last == set.First-1 && set.Last() > reach {
 						best, reach = set, set.Last()
@@ -461,8 +461,8 @@ func (r *recovery) reconcile() (err error) {
 	for _, o := range c.st.OpenEBlocks() {
 		ch, eb := o.Channel, o.EBlock
 		d, _ := c.st.Desc(ch, eb) // in range, as the table listed it
-		pos, _ := c.dev.NextProgramPosition(ch, eb)
-		erases, _ := c.dev.EraseCount(ch, eb)
+		pos, _ := c.port.nextProgramPosition(ch, eb)
+		erases, _ := c.port.eraseCount(ch, eb)
 		switch {
 		case o.Stream == record.StreamLog:
 		case pos < int(d.DataWBlocks) && erases > int(d.EraseCount):
@@ -574,11 +574,11 @@ func (r *recovery) forceCarried() error {
 // media holds at a; not ok if a's last WBLOCK was never programmed (the
 // simulator reads that as zeroes, not an ECC error).
 func (r *recovery) readBack(sum uint32, a addr.PhysAddr) (_ uint32, ok bool) {
-	written, err := r.c.dev.IsWritten(a.Channel(), a.EBlock(), (a.End()-1)/r.c.geo.WBlockBytes)
-	if err != nil || !written {
+	next, err := r.c.port.nextProgramPosition(a.Channel(), a.EBlock())
+	if err != nil || (a.End()-1)/r.c.geo.WBlockBytes >= next {
 		return 0, false
 	}
-	data, _, err := r.c.dev.ReadExtent(a.Channel(), a.EBlock(), a.Offset(), a.Length())
+	data, _, err := r.c.port.read(a.Channel(), a.EBlock(), a.Offset(), a.Length())
 	r.verifyBytes += int64(len(data))
 	return crc32.Update(sum, pageSum, data), err == nil
 }
@@ -587,7 +587,7 @@ func (r *recovery) readBack(sum uint32, a addr.PhysAddr) (_ uint32, ok bool) {
 // describes is on the media (it is programmed last, DESIGN.md §4 decision 4).
 func (r *recovery) metaReadable(cl record.CloseEBlock) bool {
 	w := r.c.geo.WBlockBytes
-	raw, _, err := r.c.dev.ReadExtent(int(cl.Channel), int(cl.EBlock), int(cl.DataWBlocks)*w, int(cl.MetaWBlocks)*w)
+	raw, _, err := r.c.port.read(int(cl.Channel), int(cl.EBlock), int(cl.DataWBlocks)*w, int(cl.MetaWBlocks)*w)
 	if err == nil {
 		r.verifyBytes += int64(len(raw))
 		_, err = summary.DecodeMetaBlock(raw)

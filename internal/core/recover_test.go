@@ -628,7 +628,7 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := c.geo.WBlockBytes
-			raw, _, err := dev.ReadExtent(ckptChannel, c.ckptEB, (c.ckptWB-1)*w, w)
+			raw, _, err := c.port.read(ckptChannel, c.ckptEB, (c.ckptWB-1)*w, w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -414,7 +414,7 @@ func (c *Controller) writeUser(a *action) error {
 	if a.carried == 0 {
 		forceErr = c.log.Force()
 	}
-	res := batch.Wait()
+	res := c.port.wait(batch)
 	// The stages stay a sum: program_wait ends when the data is complete,
 	// force_wait is the rest until the commit page is durable (≈ 0 if it won).
 	tData, tForced := res.Done, time.Now()
@@ -464,7 +464,7 @@ func (c *Controller) runLocked(a *action, plan *provision.Plan) error {
 		return err
 	}
 	forceErr := c.log.Force()
-	return c.landLocked(a, batch.Wait(), forceErr)
+	return c.landLocked(a, c.port.wait(batch), forceErr)
 }
 
 // initLocked ends a provisioned action's init phase in the c.mu hold that
@@ -485,7 +485,7 @@ func (c *Controller) initLocked(a *action) (*flash.Batch, error) {
 	if a.kind == record.ActionUser {
 		c.carryLocked(a)
 	}
-	return c.submitPlanLocked(a.buf, a.plan, kinds[a.kind].src), nil
+	return c.submitPlanLocked(a.buf, a.plan, kinds[a.kind].src)
 }
 
 // carryLocked lets a user action commit in its own data WBLOCK (DESIGN.md
@@ -689,9 +689,7 @@ func (c *Controller) commitForcedLocked(a *action, forceErr error) error {
 	if c.crashed {
 		return ErrCrashed
 	}
-	c.crashed = true
-	c.crashedA.Store(true)
-	c.wsnCond.Broadcast()
+	c.dieLocked()
 	delete(c.active, a.id)
 	c.met.aborted.Inc()
 	return fmt.Errorf("%w: commit force failed: %v", ErrCrashed, forceErr)
@@ -708,7 +706,7 @@ func (c *Controller) closedLocked(ch, eb int) {
 // workers and marks their EBLOCKs in flight. Must run in the same c.mu
 // critical section as the provisioning: within a channel the FIFO queue
 // must receive WBLOCK programs in provisioning order.
-func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flash.Source) *flash.Batch {
+func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flash.Source) (*flash.Batch, error) {
 	cmds := c.cmds[:0] // c.mu's scratch: SubmitBatch copies the commands out
 	for _, io := range plan.IOs {
 		data := io.Inline
@@ -716,12 +714,18 @@ func (c *Controller) submitPlanLocked(buf []byte, plan *provision.Plan, src flas
 			data = buf[io.BufLo:io.BufHi]
 		}
 		cmds = append(cmds, flash.BatchCmd{Channel: io.Channel, EBlock: io.EBlock, WBlock: io.WBlock, Data: data, Src: c.attributeSrc(src)})
+	}
+	c.cmds = cmds
+	batch, err := c.port.submit(cmds)
+	if err != nil {
+		return nil, err
+	}
+	for _, io := range plan.IOs {
 		key := [2]int{io.Channel, io.EBlock}
 		c.inflight[key]++
 		c.pinned[key]++
 	}
-	c.cmds = cmds
-	return c.dev.SubmitBatch(cmds)
+	return batch, nil
 }
 
 // unpinPlanLocked releases the erase-protection pins taken at submit.

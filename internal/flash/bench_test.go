@@ -32,7 +32,7 @@ func BenchmarkReadExtent(b *testing.B) {
 	b.SetBytes(1920)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := d.ReadExtent(0, 0, 64, 1920); err != nil {
+		if _, _, err := readExtent(d, 0, 0, 64, 1920); err != nil {
 			b.Fatal(err)
 		}
 	}

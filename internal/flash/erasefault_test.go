@@ -73,7 +73,7 @@ func TestFailNthErase(t *testing.T) {
 	}
 	// The failed erase left the block un-erased: content readable,
 	// position unchanged (re-programming wb 0 is still a write-twice).
-	got, _, err := d.ReadExtent(0, 0, 0, len(data))
+	got, _, err := readExtent(d, 0, 0, 0, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestQueuedEraseThenProgram(t *testing.T) {
 			t.Fatalf("batch %d: failed EBLOCKs %v", i, res.FailedEBlocks)
 		}
 	}
-	got, _, err := d.ReadExtent(1, 3, 0, len(fresh))
+	got, _, err := readExtent(d, 1, 3, 0, len(fresh))
 	if err != nil || !bytes.Equal(got, fresh) {
 		t.Fatalf("content after erase+program = %q, %v; want %q", got, err, fresh)
 	}
@@ -209,7 +209,7 @@ func TestQueuedEraseFaultInBatchResult(t *testing.T) {
 	if st := d.Stats(); st.EraseFailures != 1 || st.EBlocksErased != 2 {
 		t.Fatalf("Stats: %d failures, %d erased; want 1, 2", st.EraseFailures, st.EBlocksErased)
 	}
-	if got, _, err := d.ReadExtent(2, 0, 0, len(data)); err != nil || !bytes.Equal(got, data) {
+	if got, _, err := readExtent(d, 2, 0, 0, len(data)); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("content after the failed erase = %q, %v", got, err)
 	}
 }

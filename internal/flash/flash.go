@@ -33,9 +33,8 @@
 // time is a sum over its own operations, so the totals do not depend on
 // wall-clock interleaving and virtual-time results stay deterministic.
 //
-// Reads never queue. The read surface is ReadGather, its ReadInto and
-// ReadExtent wrappers, and ReadAll, many gathers with one arrival stamp;
-// all of them run on the calling goroutine.
+// Reads never queue. The one read is ReadAll: many gathers, each of one
+// EBLOCK, with one arrival stamp, run on the calling goroutine.
 package flash
 
 import (
@@ -305,7 +304,7 @@ func (d *Device) SetWallLatencyScale(scale float64) {
 
 // arrival stamps a command's arrival at the device for wallWait: the zero
 // Time while wall-latency emulation is off. program, readGather and erase
-// are ProgramSrc, ReadGather and Erase for a command that arrived at arrived.
+// run one program, gather or erase that arrived at arrived.
 func (d *Device) arrival() time.Time {
 	if d.wallScaleMilli.Load() <= 0 {
 		return time.Time{}
@@ -367,7 +366,7 @@ type devMetrics struct {
 	eraseFailures   *metrics.Counter
 	programNS       *metrics.Histogram
 	eraseNS         *metrics.Histogram
-	readNS          *metrics.Histogram           // per ReadGather
+	readNS          *metrics.Histogram           // per gather
 	wallLateNS      *metrics.Histogram           // per emulated wait: return time past its deadline
 	queueDepth      []*metrics.Gauge             // per channel, in queued commands
 	srcWBlocks      [NumSources]*metrics.Counter // flash.src.<name>.wblocks
@@ -666,18 +665,14 @@ type ReadSeg struct {
 	Dst []byte
 }
 
-// ReadGather is the one media read: it fills every segment's Dst with its
-// extent of the EBLOCK and returns the number of RBLOCKs it transferred —
-// the union of the RBLOCKs covering the segments, each charged once to the
-// channel's virtual time, the wall-latency emulation and Stats (the paper's
-// §V read path). Segments are ascending and non-overlapping; all are checked
-// before anything is written or charged. Every byte of every Dst is written:
-// unprogrammed WBLOCKs and the tail past a short program read as zeroes, so
-// a Dst may be a dirty pooled buffer. It allocates nothing.
-func (d *Device) ReadGather(ch, eb int, segs []ReadSeg) (rblocks int, err error) {
-	return d.readGather(d.arrival(), ch, eb, segs)
-}
-
+// readGather is one gather of ReadAll: it fills every segment's Dst with
+// its extent of the EBLOCK and returns the number of RBLOCKs it transferred
+// — the union of the RBLOCKs covering the segments, each charged once to
+// the channel's virtual time, the wall-latency emulation and Stats (the
+// paper's §V read path). Segments are ascending and non-overlapping; all are
+// checked before anything is written or charged. Every byte of every Dst is
+// written: unprogrammed WBLOCKs and the tail past a short program read as
+// zeroes, so a Dst may be a dirty pooled buffer. It allocates nothing.
 func (d *Device) readGather(arrived time.Time, ch, eb int, segs []ReadSeg) (rblocks int, err error) {
 	if err := d.checkAddr(ch, eb); err != nil {
 		return 0, err
@@ -730,7 +725,7 @@ func (d *Device) readGather(arrived time.Time, ch, eb int, segs []ReadSeg) (rblo
 }
 
 // Read is one gather of a ReadAll: Segs of (Channel, EBlock) going in,
-// what ReadGather returned for them coming out. A read of one segment may
+// the RBLOCKs transferred or the error coming out. A read of one segment may
 // leave Segs nil and name it in Seg instead: its caller then needs no
 // segment list of its own.
 type Read struct {
@@ -742,12 +737,13 @@ type Read struct {
 	Err     error
 }
 
-// ReadAll runs every read's gather on the calling goroutine, in slice
-// order, with one arrival stamp for the whole call. Under wall latency a
-// read's deadline counts from that stamp, or from the end of its channel's
-// previous command (wallWait), so reads on k idle channels overlap in
-// device time and cost one read latency, not k. A malformed read fails
-// only its own Err. Nothing is queued and nothing is allocated.
+// ReadAll is the one media read. It runs every read's gather on the
+// calling goroutine, in slice order, with one arrival stamp for the whole
+// call. Under wall latency a read's deadline counts from that stamp, or from
+// the end of its channel's previous command (wallWait), so reads on k idle
+// channels overlap in device time and cost one read latency, not k. A
+// malformed read fails only its own Err. Nothing is queued and nothing is
+// allocated.
 func (d *Device) ReadAll(reads []Read) {
 	arrived := d.arrival()
 	for i := range reads {
@@ -758,45 +754,6 @@ func (d *Device) ReadAll(reads []Read) {
 		}
 		r.RBlocks, r.Err = d.readGather(arrived, r.Channel, r.EBlock, segs)
 	}
-}
-
-// ReadInto is the one-segment gather: dst receives the EBLOCK's bytes
-// [off, off+len(dst)).
-func (d *Device) ReadInto(dst []byte, ch, eb, off int) (rblocks int, err error) {
-	segs := [1]ReadSeg{{Off: off, Dst: dst}}
-	return d.ReadGather(ch, eb, segs[:])
-}
-
-// ReadExtent reads an arbitrary byte extent [off, off+length) within an
-// EBLOCK into a new slice of exactly that length (ReadInto). It returns
-// the extent bytes along with the number of RBLOCKs transferred (for
-// amplification accounting).
-func (d *Device) ReadExtent(ch, eb, off, length int) ([]byte, int, error) {
-	if length <= 0 || off < 0 || off+length > d.geo.EBlockBytes {
-		return nil, 0, fmt.Errorf("%w: extent [%d,%d)", ErrOutOfRange, off, off+length)
-	}
-	out := make([]byte, length)
-	n, err := d.ReadInto(out, ch, eb, off)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, n, nil
-}
-
-// IsWritten reports whether a WBLOCK has been programmed since its last
-// erase. Recovery uses this to fix up open-EBLOCK write positions
-// (§VIII-C3).
-func (d *Device) IsWritten(ch, eb, wb int) (bool, error) {
-	if err := d.checkAddr(ch, eb); err != nil {
-		return false, err
-	}
-	if wb < 0 || wb >= d.geo.WBlocksPerEBlock() {
-		return false, fmt.Errorf("%w: wb=%d", ErrOutOfRange, wb)
-	}
-	cs := &d.channels[ch]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return wb < cs.eblocks[eb].nextWBlock, nil
 }
 
 // Erase erases an EBLOCK, making all its WBLOCKs writable again. It fails

@@ -61,7 +61,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if err := d.Program(1, 2, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadExtent(1, 2, 0, d.Geometry().WBlockBytes)
+	got, _, err := readExtent(d, 1, 2, 0, d.Geometry().WBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestProgramShortDataZeroPadded(t *testing.T) {
 	if err := d.Program(0, 1, 0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d.ReadExtent(0, 1, 0, d.Geometry().RBlockBytes)
+	got, _, err := readExtent(d, 0, 1, 0, d.Geometry().RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReadSpansWBlocks(t *testing.T) {
 	}
 	// Read the last RBLOCK of wblock 0 and the first of wblock 1.
 	start := g.RBlocksPerWBlock() - 1
-	got, _, err := d.ReadExtent(2, 3, start*g.RBlockBytes, 2*g.RBlockBytes)
+	got, _, err := readExtent(d, 2, 3, start*g.RBlockBytes, 2*g.RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestReadExtent(t *testing.T) {
 	}
 	// An extent crossing an RBLOCK boundary.
 	off, length := g.RBlockBytes-100, 300
-	got, nR, err := d.ReadExtent(0, 5, off, length)
+	got, nR, err := readExtent(d, 0, 5, off, length)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestReadExtent(t *testing.T) {
 	if nR != 2 {
 		t.Fatalf("expected 2 rblocks transferred, got %d", nR)
 	}
-	if _, _, err := d.ReadExtent(0, 5, g.EBlockBytes-10, 20); err == nil {
+	if _, _, err := readExtent(d, 0, 5, g.EBlockBytes-10, 20); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 }
@@ -188,7 +188,7 @@ func TestExplicitWriteFailureDisablesEBlock(t *testing.T) {
 		t.Fatalf("expected ErrEBlockDisabled, got %v", err)
 	}
 	// Prior data remains readable.
-	got, _, err := d.ReadExtent(1, 1, 0, d.Geometry().RBlockBytes)
+	got, _, err := readExtent(d, 1, 1, 0, d.Geometry().RBlockBytes)
 	if err != nil || got[0] != 1 {
 		t.Fatalf("prior data unreadable: %v %v", got[:1], err)
 	}
@@ -251,25 +251,28 @@ func TestEraseLimit(t *testing.T) {
 	}
 }
 
-func TestIsWritten(t *testing.T) {
+// TestNextProgramPosition: a WBLOCK is programmed since its EBLOCK's last
+// erase exactly when it lies below the next program position.
+func TestNextProgramPosition(t *testing.T) {
 	d := testDevice(t)
-	w, err := d.IsWritten(0, 0, 0)
-	if err != nil || w {
-		t.Fatal("fresh wblock should be unwritten")
+	for _, step := range []struct {
+		do   func() error
+		want int
+	}{
+		{func() error { return nil }, 0},
+		{func() error { return d.Program(0, 0, 0, []byte{1}) }, 1},
+		{func() error { return d.Program(0, 0, 1, []byte{2}) }, 2},
+		{func() error { return d.Erase(0, 0) }, 0},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatal(err)
+		}
+		if pos, err := d.NextProgramPosition(0, 0); err != nil || pos != step.want {
+			t.Fatalf("next program position %d (%v), want %d", pos, err, step.want)
+		}
 	}
-	if err := d.Program(0, 0, 0, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	w, _ = d.IsWritten(0, 0, 0)
-	if !w {
-		t.Fatal("wblock should be written")
-	}
-	if err := d.Erase(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	w, _ = d.IsWritten(0, 0, 0)
-	if w {
-		t.Fatal("erased wblock should be unwritten")
+	if _, err := d.NextProgramPosition(0, d.Geometry().EBlocksPerChannel); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("out-of-range eblock: %v", err)
 	}
 }
 
@@ -286,7 +289,7 @@ func TestVirtualTimeAccounting(t *testing.T) {
 	if err := d.Program(1, 0, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.ReadExtent(0, 0, 0, 3*d.Geometry().RBlockBytes); err != nil {
+	if _, _, err := readExtent(d, 0, 0, 0, 3*d.Geometry().RBlockBytes); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Erase(2, 5); err != nil {
@@ -323,7 +326,7 @@ func TestStatsCounting(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geometry()
 	_ = d.Program(0, 0, 0, make([]byte, 100))
-	_, _, _ = d.ReadExtent(0, 0, 0, 2*g.RBlockBytes)
+	_, _, _ = readExtent(d, 0, 0, 0, 2*g.RBlockBytes)
 	_ = d.Erase(3, 3)
 	s := d.Stats()
 	if s.WBlocksWritten != 1 || s.RBlocksRead != 2 || s.EBlocksErased != 1 {
@@ -353,10 +356,10 @@ func TestOutOfRangeErrors(t *testing.T) {
 	if err := d.Program(0, 0, 0, make([]byte, g.WBlockBytes+1)); !errors.Is(err, ErrDataTooLarge) {
 		t.Fatal("oversized data not rejected")
 	}
-	if _, _, err := d.ReadExtent(0, 0, 0, g.EBlockBytes+g.RBlockBytes); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := readExtent(d, 0, 0, 0, g.EBlockBytes+g.RBlockBytes); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("read range not enforced")
 	}
-	if _, _, err := d.ReadExtent(0, 0, 0, 0); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := readExtent(d, 0, 0, 0, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("zero-length read not rejected")
 	}
 	if err := d.Erase(-1, 0); !errors.Is(err, ErrOutOfRange) {
@@ -366,7 +369,7 @@ func TestOutOfRangeErrors(t *testing.T) {
 
 func TestUnwrittenReadsZero(t *testing.T) {
 	d := testDevice(t)
-	got, _, err := d.ReadExtent(3, 7, 0, 4*d.Geometry().RBlockBytes)
+	got, _, err := readExtent(d, 3, 7, 0, 4*d.Geometry().RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

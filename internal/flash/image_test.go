@@ -36,11 +36,11 @@ func TestImageRoundTrip(t *testing.T) {
 	if d2.Geometry() != d.Geometry() {
 		t.Fatal("geometry mismatch")
 	}
-	got, _, err := d2.ReadExtent(0, 0, 0, d2.Geometry().RBlockBytes)
+	got, _, err := readExtent(d2, 0, 0, 0, d2.Geometry().RBlockBytes)
 	if err != nil || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatal("data lost in image")
 	}
-	got, _, _ = d2.ReadExtent(1, 2, 0, d2.Geometry().RBlockBytes)
+	got, _, _ = readExtent(d2, 1, 2, 0, d2.Geometry().RBlockBytes)
 	if got[0] != 7 {
 		t.Fatal("full wblock lost")
 	}
@@ -72,7 +72,7 @@ func TestImageFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := d2.ReadExtent(0, 5, 0, d2.Geometry().RBlockBytes)
+	got, _, err := readExtent(d2, 0, 5, 0, d2.Geometry().RBlockBytes)
 	if err != nil || got[0] != 42 {
 		t.Fatal("file image roundtrip lost data")
 	}

@@ -54,7 +54,7 @@ func sampleWall(t *testing.T, d *Device) (programs, reads, erases []time.Duratio
 	for i := 0; i < wallSamples; i++ {
 		ch, wb := i%g.Channels, i/g.Channels
 		programs = append(programs, timed(func() error { return d.Program(ch, 0, wb, data) }))
-		reads = append(reads, timed(func() error { _, err := d.ReadInto(dst, ch, 0, wb*g.WBlockBytes); return err }))
+		reads = append(reads, timed(func() error { _, err := readInto(d, dst, ch, 0, wb*g.WBlockBytes); return err }))
 	}
 	for i := 0; i < wallSamples; i++ {
 		erases = append(erases, timed(func() error { return d.Erase(i%g.Channels, 1) }))
@@ -195,7 +195,7 @@ func TestWallLatencyOffUntouched(t *testing.T) {
 		if err := d.ProgramSrc(SrcUser, 3, 1, wb, data); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.ReadInto(dst, 3, 1, wb*g.WBlockBytes); err != nil {
+		if _, err := readInto(d, dst, 3, 1, wb*g.WBlockBytes); err != nil {
 			t.Fatal(err)
 		}
 		wb++
@@ -246,7 +246,7 @@ func TestTimekeeperLifecycle(t *testing.T) {
 			go func(ch int) {
 				defer wg.Done()
 				d.SubmitBatch([]BatchCmd{{Channel: ch, Data: make([]byte, 64)}}).Wait()
-				if _, err := d.ReadInto(make([]byte, 512), ch, 0, 0); err != nil {
+				if _, err := readInto(d, make([]byte, 512), ch, 0, 0); err != nil {
 					t.Error(err)
 				}
 			}(ch)

@@ -277,11 +277,11 @@ func TestChargedBytesAreRetainedBytes(t *testing.T) {
 	off := 0
 	for key := uint64(0); off+1792 <= 4*g.WBlockBytes; key++ {
 		length := 256 + 64*int(key%25) // 256..1792, mean 1 KB
-		data, _, err := dev.ReadExtent(0, 0, off, length)
-		if err != nil {
-			t.Fatal(err)
+		r := []flash.Read{{Channel: 0, EBlock: 0, Seg: flash.ReadSeg{Off: off, Dst: make([]byte, length)}}}
+		if dev.ReadAll(r); r[0].Err != nil {
+			t.Fatal(r[0].Err)
 		}
-		fill(t, c, key, data)
+		fill(t, c, key, r[0].Seg.Dst)
 		off += length
 	}
 	var retained int64

@@ -415,8 +415,8 @@ func armFaultBehind(t *testing.T, dev *flash.Device, data []byte) {
 			if err != nil || pos == 0 || pos == geo.WBlocksPerEBlock() {
 				continue
 			}
-			got, _, err := dev.ReadExtent(ch, eb, (pos-1)*geo.WBlockBytes, len(data))
-			if err == nil && bytes.Equal(got, data) {
+			r := []flash.Read{{Channel: ch, EBlock: eb, Seg: flash.ReadSeg{Off: (pos - 1) * geo.WBlockBytes, Dst: make([]byte, len(data))}}}
+			if dev.ReadAll(r); r[0].Err == nil && bytes.Equal(r[0].Seg.Dst, data) {
 				dev.FailNextProgram(ch, eb, pos)
 				return
 			}

@@ -236,14 +236,11 @@ func (t *Table) DropVolatile() {
 
 // --- snapshot (flushed in full at each checkpoint, §VIII-B) ----------------
 
-const (
-	imageMagic   = 0x53455353 // "SESS" — v1: fixed 16-byte entries, no tags
-	imageMagicV2 = 0x32534553 // "SES2" — variable entries with tenant tags
-)
+const imageMagicV2 = 0x32534553 // "SES2" — variable entries with tenant tags
 
-// Serialize returns the full-table snapshot image, 64-byte aligned.
-// Always written in the v2 format: sid, wsn, priority, tenant per entry,
-// sorted by SID, CRC32 over the prefix.
+// Serialize returns the full-table snapshot image, 64-byte aligned, in the
+// v2 format: sid, wsn, priority, tenant per entry, sorted by SID, CRC32
+// over the prefix.
 func (t *Table) Serialize() []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -272,35 +269,25 @@ func (t *Table) Serialize() []byte {
 	return buf
 }
 
-// Load replaces the table contents with a snapshot image. Both the
-// legacy v1 image (untagged sessions) and the v2 image are accepted, so
-// recovery can read checkpoints taken before tenant tags existed.
+// Load replaces the table contents with a v2 snapshot image. The v1 image
+// ("SESS", no tenant tags) predates the checkpoint's format epoch, so
+// recovery rejects a device holding one before it reaches here; Load
+// rejects it as any other magic.
 func (t *Table) Load(raw []byte) error {
 	if len(raw) < 12 {
 		return fmt.Errorf("%w: short", ErrBadImage)
 	}
 	magic := binary.LittleEndian.Uint32(raw[0:])
 	n := int(binary.LittleEndian.Uint32(raw[4:]))
-	// The smallest entry is 16 (v1) / 18 (v2) bytes, so a count beyond
-	// len(raw)/16 is forged; bounding it here keeps a hostile image from
-	// sizing the map (or spinning the decode loop) off a lie.
-	if n < 0 || n > len(raw)/16 {
+	// The smallest entry is 18 bytes, so a count beyond len(raw)/18 is
+	// forged; bounding it here keeps a hostile image from sizing the map
+	// (or spinning the decode loop) off a lie.
+	if n < 0 || n > len(raw)/18 {
 		return fmt.Errorf("%w: count", ErrBadImage)
 	}
 	sessions := make(map[uint64]*state, n)
 	var off int
 	switch magic {
-	case imageMagic:
-		need := 8 + n*16 + 4
-		if len(raw) < need {
-			return fmt.Errorf("%w: truncated", ErrBadImage)
-		}
-		for i := 0; i < n; i++ {
-			o := 8 + i*16
-			sid := binary.LittleEndian.Uint64(raw[o:])
-			sessions[sid] = &state{highestWSN: binary.LittleEndian.Uint64(raw[o+8:]), open: true}
-		}
-		off = 8 + n*16
 	case imageMagicV2:
 		off = 8
 		for i := 0; i < n; i++ {

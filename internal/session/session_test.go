@@ -371,9 +371,10 @@ func TestTenantTagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1Image pins backward compatibility: a checkpoint image
-// written before tenant tags existed (magic "SESS", fixed 16-byte
-// entries) must still load, with every session on the default tenant.
+// TestLoadLegacyV1Image: a v1 snapshot image (magic "SESS", fixed 16-byte
+// entries, no tenant tags) is no longer read — no device of this format
+// epoch holds one — and fails like any other foreign image, leaving the
+// table as it was.
 func TestLoadLegacyV1Image(t *testing.T) {
 	entries := []struct{ sid, wsn uint64 }{{11, 3}, {22, 0}}
 	raw := make([]byte, 8+len(entries)*16+4)
@@ -387,18 +388,12 @@ func TestLoadLegacyV1Image(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw[crcAt:], crc32.ChecksumIEEE(raw[:crcAt]))
 
 	tb := New(33)
-	if err := tb.Load(raw); err != nil {
-		t.Fatalf("legacy image rejected: %v", err)
+	sid := tb.Open()
+	if err := tb.Load(raw); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("v1 image: %v, want ErrBadImage", err)
 	}
-	for _, e := range entries {
-		got, err := tb.HighestWSN(e.sid)
-		if err != nil || got != e.wsn {
-			t.Fatalf("sid %d: wsn %d %v", e.sid, got, err)
-		}
-		tenant, prio, err := tb.Tenant(e.sid)
-		if err != nil || tenant != "" || prio != 0 {
-			t.Fatalf("sid %d: tag (%q,%d,%v), want default", e.sid, tenant, prio, err)
-		}
+	if tb.Count() != 1 || !tb.IsOpen(sid) {
+		t.Fatalf("a rejected image changed the table: %d sessions", tb.Count())
 	}
 }
 
