@@ -186,7 +186,7 @@ func (f *FTL) writeInternalLocked(lba int, data []byte) error {
 	// Program when the wblock fills.
 	if cs.stagedN == f.blocksPerW {
 		wb := (slot / f.blocksPerW)
-		if err := f.dev.Program(ch, eb, wb, cs.staged); err != nil {
+		if err := f.dev.Program(flash.SrcUser, ch, eb, wb, cs.staged); err != nil {
 			return err
 		}
 		f.stats.WBlocksFlush++
@@ -352,7 +352,8 @@ func (f *FTL) gcOnceLocked(ch int) bool {
 		}
 		f.stats.GCMoves++
 	}
-	if err := f.dev.Erase(ch, victim); err != nil {
+	erase := []flash.BatchCmd{{Op: flash.OpErase, Channel: ch, EBlock: victim}}
+	if len(f.dev.SubmitBatch(erase).Wait().FailedEBlocks) > 0 {
 		return false
 	}
 	cs.eblocks[victim] = eblockState{state: stFree}

@@ -34,7 +34,7 @@
 //  9. Programmed-byte conservation — the per-source program attribution
 //     (user / GC / checkpoint / WAL / recovery) partitions the device's
 //     program counters exactly: the source sums equal WBlocksWritten and
-//     BytesWritten, and no controller program is unattributed. WAF
+//     BytesWritten (the device refuses a program without a source). WAF
 //     reported from flash.src.* is therefore reconciled against the
 //     media's own ledger, not a parallel estimate. Device-side, so it
 //     survives any number of crash→recover registry swaps.
@@ -132,13 +132,6 @@ type Expect struct {
 	// a sanity floor proving the schedule actually generated traffic.
 	MinPrograms int64
 
-	// AllowUnattributed permits programs charged to SrcUnattributed
-	// (direct Device.Program calls outside the controller). Unset, any
-	// unattributed program is a violation: every controller-issued
-	// program names its source, which is what makes the WAF split
-	// trustworthy.
-	AllowUnattributed bool
-
 	// CheckMetricsAttribution additionally requires the metrics
 	// registry's flash.src.* and flash.programmed_bytes counters to
 	// equal the device's own ledger. Only exact while one registry
@@ -231,15 +224,11 @@ func Check(s Store, e Expect) []string {
 	if srcBytes != st.BytesWritten {
 		fail("programmed-byte conservation: sources sum to %d, device wrote %d", srcBytes, st.BytesWritten)
 	}
-	if !e.AllowUnattributed && st.SrcWBlocks[flash.SrcUnattributed] != 0 {
-		fail("attribution: %d WBLOCK programs (%d bytes) bypassed source attribution",
-			st.SrcWBlocks[flash.SrcUnattributed], st.SrcBytes[flash.SrcUnattributed])
-	}
 	if e.CheckMetricsAttribution {
 		if got := snap.Counter("flash.programmed_bytes"); got != st.BytesWritten {
 			fail("flash.programmed_bytes = %d, device wrote %d", got, st.BytesWritten)
 		}
-		for src := flash.Source(0); src < flash.NumSources; src++ {
+		for src := flash.SrcUser; src < flash.NumSources; src++ {
 			name := "flash.src." + src.String()
 			if got := snap.Counter(name + ".wblocks"); got != st.SrcWBlocks[src] {
 				fail("%s.wblocks = %d, device counted %d", name, got, st.SrcWBlocks[src])

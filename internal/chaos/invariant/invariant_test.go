@@ -114,13 +114,19 @@ func newFakeStore(t *testing.T, h Expect) *fakeStore {
 		s.wsn[sess.SID] = sess.MinWSN
 		s.tenant[sess.SID] = sess
 	}
-	if err := s.dev.ProgramSrc(flash.SrcUser, 0, 0, 0, make([]byte, 100)); err != nil {
+	if err := s.dev.Program(flash.SrcUser, 0, 0, 0, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.dev.Erase(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	erase(t, s.dev, 0, 1)
 	return s
+}
+
+// erase erases one EBLOCK through the device's queue and fails t if it fails.
+func erase(t *testing.T, dev *flash.Device, ch, eb int) {
+	t.Helper()
+	if res := dev.SubmitBatch([]flash.BatchCmd{{Op: flash.OpErase, Channel: ch, EBlock: eb}}).Wait(); len(res.FailedEBlocks) > 0 {
+		t.Fatalf("erase (%d,%d) failed", ch, eb)
+	}
 }
 
 // invariantRow arranges one outcome of a run and returns the violations
@@ -234,17 +240,26 @@ var invariantRows = []invariantRow{
 		return nil
 	}},
 	{"programmed-byte conservation", true, func(t *testing.T, rng *rand.Rand, s *fakeStore, e *Expect) []string {
-		if err := s.dev.Program(0, 2, 0, make([]byte, 1+rng.Intn(fakeGeometry.WBlockBytes))); err != nil {
+		// The registry saw the user program but missed a GC one. The device
+		// charges a program the whole WBLOCK.
+		w := int64(fakeGeometry.WBlockBytes)
+		s.counters["flash.programmed_bytes"] = w
+		s.counters["flash.src.user.wblocks"], s.counters["flash.src.user.bytes"] = 1, w
+		e.CheckMetricsAttribution = true
+		if err := s.dev.Program(flash.SrcGC, 0, 2, 0, make([]byte, 1+rng.Intn(fakeGeometry.WBlockBytes))); err != nil {
 			t.Fatal(err)
 		}
-		// The device charges a program the whole WBLOCK.
-		return []string{fmt.Sprintf("attribution: 1 WBLOCK programs (%d bytes) bypassed source attribution", fakeGeometry.WBlockBytes)}
+		return []string{
+			fmt.Sprintf("flash.programmed_bytes = %d, device wrote %d", w, 2*w),
+			"flash.src.gc.wblocks = 0, device counted 1",
+			fmt.Sprintf("flash.src.gc.bytes = 0, device counted %d", w),
+		}
 	}},
 	{"programmed-byte conservation", false, func(t *testing.T, rng *rand.Rand, s *fakeStore, e *Expect) []string {
-		if err := s.dev.Program(0, 2, 0, make([]byte, 1+rng.Intn(fakeGeometry.WBlockBytes))); err != nil {
+		src := flash.SrcUser + flash.Source(rng.Intn(int(flash.NumSources-flash.SrcUser)))
+		if err := s.dev.Program(src, 0, 2, 0, make([]byte, 1+rng.Intn(fakeGeometry.WBlockBytes))); err != nil {
 			t.Fatal(err)
 		}
-		e.AllowUnattributed = true
 		return nil
 	}},
 	{"erase conservation", true, func(_ *testing.T, rng *rand.Rand, s *fakeStore, e *Expect) []string {
@@ -253,9 +268,7 @@ var invariantRows = []invariantRow{
 	}},
 	{"erase conservation", false, func(t *testing.T, rng *rand.Rand, s *fakeStore, e *Expect) []string {
 		for i := rng.Intn(3); i >= 0; i-- {
-			if err := s.dev.Erase(0, rng.Intn(fakeGeometry.EBlocksPerChannel)); err != nil {
-				t.Fatal(err)
-			}
+			erase(t, s.dev, 0, rng.Intn(fakeGeometry.EBlocksPerChannel))
 		}
 		return nil
 	}},
@@ -265,7 +278,7 @@ var invariantRows = []invariantRow{
 func failProgram(t *testing.T, dev *flash.Device) {
 	t.Helper()
 	dev.FailNextProgram(0, 3, 0)
-	if err := dev.ProgramSrc(flash.SrcUser, 0, 3, 0, make([]byte, 64)); !errors.Is(err, flash.ErrWriteFailed) {
+	if err := dev.Program(flash.SrcUser, 0, 3, 0, make([]byte, 64)); !errors.Is(err, flash.ErrWriteFailed) {
 		t.Fatalf("injected program failure: %v", err)
 	}
 }

@@ -502,7 +502,7 @@ func TestFindCarriedNeedsAVisitedPage(t *testing.T) {
 				t.Fatal("the set did not fit")
 			}
 			wb, _ := dev.NextProgramPosition(a.Channel(), a.EBlock())
-			if err := dev.Program(a.Channel(), a.EBlock(), wb, img); err != nil {
+			if err := dev.Program(flash.SrcUser, a.Channel(), a.EBlock(), wb, img); err != nil {
 				t.Fatal(err)
 			}
 			c2 := reopen(t, dev)

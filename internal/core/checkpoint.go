@@ -24,7 +24,7 @@ import (
 func (c *Controller) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.crashed {
+	if c.port.dead() {
 		return ErrCrashed
 	}
 	return c.checkpointLocked()
@@ -165,7 +165,6 @@ func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
 		ts = d.Timestamp
 	}
 	lsn := c.lsnHint()
-	dbg("forceClose (%d,%d) stream=%v openLSN=%d lastCkptLSN=%d", ref.Channel, ref.EBlock, ref.Stream, ref.OpenLSN, c.lastCkptLSN)
 	if err := c.st.CloseEBlock(ref.Channel, ref.EBlock, ts, metaWB, lsn); err != nil {
 		return err
 	}

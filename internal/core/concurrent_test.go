@@ -187,12 +187,8 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 			checkRead(t, c2, churn, pageContent(uint64(churn), high, 8000))
 		}
 		lost := stressLPID(w, high+1)
-		ok, err := c2.Exists(lost)
-		if err != nil {
-			t.Fatalf("Exists(%d): %v", lost, err)
-		}
-		if ok {
-			t.Fatalf("writer %d: uncommitted WSN %d visible after recovery", w, high+1)
+		if _, err := c2.Length(lost); !IsNotFound(err) {
+			t.Fatalf("writer %d: uncommitted WSN %d after recovery: Length err %v, want not found", w, high+1, err)
 		}
 	}
 

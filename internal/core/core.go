@@ -234,8 +234,6 @@ type Controller struct {
 	// from overlapping: a threshold trigger skips, a forced caller waits.
 	gcBusy bool
 
-	crashed     bool
-	crashedA    atomic.Bool // lock-free mirror of crashed for the cache-hit read path
 	crashPoints map[string]bool
 
 	// recovering is set for the duration of Open so flash programs issued
@@ -405,17 +403,11 @@ func (c *Controller) Crash() {
 }
 
 // Crashed reports whether the controller has died.
-func (c *Controller) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
+func (c *Controller) Crashed() bool { return c.port.dead() }
 
-// dieLocked marks the controller dead, closes its media port without
-// waiting (its own goroutine may hold a batch) and wakes every waiter.
+// dieLocked kills the controller: it closes the media port without waiting
+// (its own goroutine may hold a batch) and wakes every waiter.
 func (c *Controller) dieLocked() {
-	c.crashed = true
-	c.crashedA.Store(true)
 	c.port.close(false)
 	c.wsnCond.Broadcast()
 	c.ioCond.Broadcast()
@@ -504,7 +496,7 @@ func (c *Controller) OpenSession() (uint64, error) {
 func (c *Controller) OpenSessionTenant(tenant string, priority uint8) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.crashed {
+	if c.port.dead() {
 		return 0, ErrCrashed
 	}
 	sid := c.sess.OpenTenant(tenant, priority)
@@ -528,7 +520,7 @@ func (c *Controller) SessionTenant(sid uint64) (string, uint8, error) {
 func (c *Controller) CloseSession(sid uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.crashed {
+	if c.port.dead() {
 		return ErrCrashed
 	}
 	if err := c.sess.Close(sid); err != nil {

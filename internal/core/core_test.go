@@ -112,9 +112,8 @@ func TestReadUnknownLPID(t *testing.T) {
 	if _, err := c.Read(999); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("expected ErrNotFound, got %v", err)
 	}
-	ok, err := c.Exists(999)
-	if err != nil || ok {
-		t.Fatal("Exists should be false")
+	if _, err := c.Length(999); !IsNotFound(err) {
+		t.Fatalf("Length(unmapped) err = %v, want not found", err)
 	}
 }
 
@@ -124,10 +123,6 @@ func TestLengthAndExists(t *testing.T) {
 	n, err := c.Length(5)
 	if err != nil || n != 128 {
 		t.Fatalf("Length = %d %v", n, err)
-	}
-	ok, err := c.Exists(5)
-	if err != nil || !ok {
-		t.Fatal("Exists should be true")
 	}
 }
 
@@ -392,8 +387,8 @@ func TestGCReclaimsSpaceUnderChurn(t *testing.T) {
 			want := pageContent(uint64(lp), v, len(got))
 			_ = want
 		}
-		if ok, _ := c.Exists(lp); !ok {
-			t.Fatalf("lpid %d lost", lp)
+		if _, err := c.Length(lp); err != nil {
+			t.Fatalf("lpid %d lost: %v", lp, err)
 		}
 	}
 }

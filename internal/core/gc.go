@@ -47,7 +47,7 @@ func (c *Controller) gcAllLocked() {
 func (c *Controller) GCNow(ch int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.crashed {
+	if c.port.dead() {
 		return ErrCrashed
 	}
 	return c.gcPassLocked(ch, true)
@@ -72,7 +72,7 @@ func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 	for c.gcBusy {
 		c.ioCond.Wait()
 	}
-	if c.crashed {
+	if c.port.dead() {
 		return ErrCrashed
 	}
 	c.gcBusy = true
@@ -95,7 +95,7 @@ func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 	victims := make([][2]int, 0, n)
 	for round := 0; round < c.cfg.GCMaxRounds; round++ {
 		victims = victims[:0]
-		for ch := 0; ch < n && !c.crashed; ch++ {
+		for ch := 0; ch < n && !c.port.dead(); ch++ {
 			if done[ch] {
 				continue
 			}
@@ -118,7 +118,7 @@ func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 			victims = append(victims, k)
 			done[ch] = false
 		}
-		if len(victims) > 0 && !c.crashed {
+		if len(victims) > 0 && !c.port.dead() {
 			if err := c.eraseAndFreeLocked(victims...); err != nil {
 				fail(err)
 			}
@@ -126,7 +126,7 @@ func (c *Controller) gcPassLocked(only int, force bool) (first error) {
 		for _, k := range victims {
 			c.dropCount(c.inflight, k)
 		}
-		if len(victims) == 0 || c.crashed {
+		if len(victims) == 0 || c.port.dead() {
 			break
 		}
 	}
@@ -249,7 +249,7 @@ func (c *Controller) readMetaLocked(ch, eb int, d summary.Descriptor) ([]summary
 	c.mu.Lock()
 	c.dropCount(c.inflight, k)
 	switch {
-	case c.crashed:
+	case c.port.dead():
 		return nil, ErrCrashed
 	case err != nil:
 		return nil, err
@@ -415,9 +415,6 @@ func (c *Controller) relocateLocked(ch, eb int, entries []summary.MetaEntry, src
 // from the flight recorder in internal/trace, which is always on).
 var dbgFn func(format string, args ...any)
 
-// SetTraceForTests installs a debug-trace sink (tests only).
-func SetTraceForTests(fn func(format string, args ...any)) { dbgFn = fn }
-
 func dbg(format string, args ...any) {
 	if dbgFn != nil {
 		dbgFn(format, args...)
@@ -443,10 +440,10 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 		delete(c.doneLSN, k)
 	}
 	for _, k := range victims {
-		for c.pinned[k] > 0 && !c.crashed { // a reader that looked it up during its metadata read
+		for c.pinned[k] > 0 && !c.port.dead() { // a reader that looked it up during its metadata read
 			c.ioCond.Wait()
 		}
-		if c.crashed {
+		if c.port.dead() {
 			return ErrCrashed
 		}
 		if c.inflight[k] != 1 || c.pinned[k] > 0 {
@@ -472,7 +469,7 @@ func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 	failed, err := c.port.erase(victims...)
 	c.mu.Lock()
 	c.met.gcEraseWaitNS.ObserveDuration(time.Since(t0))
-	if c.crashed || err != nil {
+	if c.port.dead() || err != nil {
 		return ErrCrashed
 	}
 	if err := c.crashIf("gc.after-erase"); err != nil {

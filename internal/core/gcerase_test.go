@@ -423,7 +423,7 @@ func TestGCMetaReadHoldsEarlierVictims(t *testing.T) {
 	c.cfg.GCMaxRounds = 1
 	migrated := make(chan error, 1)
 	var once sync.Once
-	SetTraceForTests(func(format string, args ...any) {
+	dbgFn = func(format string, args ...any) {
 		if !strings.HasPrefix(format, "relocate") {
 			return
 		}
@@ -437,8 +437,8 @@ func TestGCMetaReadHoldsEarlierVictims(t *testing.T) {
 				migrated <- c.migrateEBlockLocked(ch, eb, 0)
 			}()
 		})
-	})
-	t.Cleanup(func() { SetTraceForTests(nil) })
+	}
+	t.Cleanup(func() { dbgFn = nil })
 	before, erases := c.Stats(), dev.Stats().EraseAttempts
 	dev.SetWallLatencyScale(1)
 	c.mu.Lock()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"eleos/internal/flash"
 )
@@ -13,15 +14,18 @@ import (
 type port struct {
 	dev    *flash.Device
 	mu     sync.Mutex // orders admissions against close
-	closed bool
+	closed atomic.Bool
 	busy   sync.WaitGroup
 }
+
+// dead reports whether the port is closed, the controller's one crash state.
+func (p *port) dead() bool { return p.closed.Load() }
 
 // admit admits one command, which busy.Done ends, unless the port is closed.
 func (p *port) admit() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return ErrCrashed
 	}
 	p.busy.Add(1)
@@ -32,7 +36,7 @@ func (p *port) admit() error {
 // admitted one has completed.
 func (p *port) close(wait bool) {
 	p.mu.Lock()
-	p.closed = true
+	p.closed.Store(true)
 	p.mu.Unlock()
 	if wait {
 		p.busy.Wait()
@@ -96,7 +100,7 @@ func (p *port) program(src flash.Source, ch, eb, wb int, data []byte) error {
 		return err
 	}
 	defer p.busy.Done()
-	return p.dev.ProgramSrc(src, ch, eb, wb, data)
+	return p.dev.Program(src, ch, eb, wb, data)
 }
 
 // The probes move nothing, so a closed port answers them.

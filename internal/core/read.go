@@ -105,9 +105,9 @@ func (c *Controller) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 // around the fenced read of the misses this call leads: serve hits, claim
 // leaderships, join the fills already in flight.
 func (c *Controller) readPages(pages []pageRead) {
-	// The lock-free mirror of c.crashed: a cache hit must not touch c.mu,
-	// but a dead controller still rejects every call.
-	if c.crashedA.Load() {
+	// A cache hit must not touch c.mu, but a dead controller still rejects
+	// every call.
+	if c.port.dead() {
 		for i := range pages {
 			pages[i].err = ErrCrashed
 		}
@@ -232,7 +232,7 @@ func (c *Controller) readFenced(pages []pageRead) {
 // ErrCrashed on a dead controller, ErrNotFound (wrapped with the LPID)
 // when unmapped.
 func (c *Controller) lookupLocked(lpid addr.LPID) (addr.PhysAddr, error) {
-	if c.crashed {
+	if c.port.dead() {
 		return 0, ErrCrashed
 	}
 	a, err := c.mt.Get(lpid)
@@ -264,21 +264,6 @@ func (c *Controller) Length(lpid addr.LPID) (int, error) {
 		return 0, err
 	}
 	return a.Length(), nil
-}
-
-// Exists reports whether an LPID is currently mapped, holding c.mu only
-// for the lookup.
-func (c *Controller) Exists(lpid addr.LPID) (bool, error) {
-	c.mu.Lock()
-	a, err := c.lookupLocked(lpid)
-	c.mu.Unlock()
-	if err != nil {
-		if IsNotFound(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	return a.IsValid(), nil
 }
 
 // IsNotFound reports whether err is the typed not-found error every

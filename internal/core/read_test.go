@@ -268,14 +268,6 @@ func TestLengthExistsShortLockAndTypedErrors(t *testing.T) {
 	if _, err := c.Read(6); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Read(unmapped) err = %v, want ErrNotFound", err)
 	}
-	ok, err := c.Exists(5)
-	if err != nil || !ok {
-		t.Fatalf("Exists(5) = %v, %v", ok, err)
-	}
-	ok, err = c.Exists(6)
-	if err != nil || ok {
-		t.Fatalf("Exists(6) = %v, %v (want false, nil)", ok, err)
-	}
 }
 
 func TestReadAfterCrashRejected(t *testing.T) {

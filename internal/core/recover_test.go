@@ -502,10 +502,10 @@ func TestRecoveryPhaseCounters(t *testing.T) {
 		got[cv.Name] = cv.Value
 	}
 	var sum int64
-	for _, phase := range []string{"scan_checkpoint", "walk_log", "analyze", "prove", "repair_tables", "find_carried", "redo", "fix_ups", "resume_log", "settle"} {
-		ns, ok := got["core.recover."+phase+"_ns"]
+	for _, phase := range recoveryPhases {
+		ns, ok := got["core.recover."+phase.name+"_ns"]
 		if !ok {
-			t.Errorf("core.recover.%s_ns is not in the snapshot", phase)
+			t.Errorf("core.recover.%s_ns is not in the snapshot", phase.name)
 		}
 		sum += ns
 	}
@@ -639,7 +639,7 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 			body := tc.forge(slices.Clone(part.payload[:len(part.payload)-4]))
 			body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 			for i, p := range c.encodeCkptParts(part.seq+1, body) {
-				if err := dev.Program(ckptChannel, c.ckptEB, c.ckptWB+i, p); err != nil {
+				if err := dev.Program(flash.SrcCheckpoint, ckptChannel, c.ckptEB, c.ckptWB+i, p); err != nil {
 					t.Fatal(err)
 				}
 			}

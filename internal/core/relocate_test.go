@@ -46,19 +46,7 @@ func halfDeadController(t *testing.T, n, scale int) (*Controller, *flash.Device,
 	geo := flash.SmallGeometry()
 	dev := flash.MustNewDevice(geo, flash.Latency{})
 	t.Cleanup(dev.Close)
-	stale := bytes.Repeat([]byte{0xEE}, geo.WBlockBytes)
-	for ch := 0; ch < geo.Channels; ch++ {
-		for eb := 0; eb < geo.EBlocksPerChannel; eb++ {
-			for wb := 0; wb < geo.WBlocksPerEBlock(); wb++ {
-				if err := dev.Program(ch, eb, wb, stale); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := dev.Erase(ch, eb); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	programAndErase(t, dev, bytes.Repeat([]byte{0xEE}, geo.WBlockBytes))
 	cfg := testConfig()
 	cfg.GCFreeFraction = 0.01
 	c, err := Format(dev, cfg)
@@ -182,7 +170,7 @@ func TestRelocationReadsEachRBlockOnce(t *testing.T) {
 		if flushed {
 			meta = (summary.MetaBlockLen(summary.EncodeMetaBlock(entries)) + r - 1) / r
 		}
-		covered := make([]bool, c.geo.RBlocksPerEBlock())
+		covered := make([]bool, c.geo.EBlockBytes/c.geo.RBlockBytes)
 		seen := make(map[int]bool)
 		var pages, union, perPage int
 		for _, e := range entries {
@@ -238,7 +226,7 @@ func TestRelocationReadsEachRBlockOnce(t *testing.T) {
 func TestRelocationFaultReleasesMoveBuffer(t *testing.T) {
 	bufpool.SetPoison(true)
 	var bufs []*bufpool.Buf
-	SetTraceForTests(func(_ string, args ...any) {
+	dbgFn = func(_ string, args ...any) {
 		for _, a := range args {
 			if pb, ok := a.(*bufpool.Buf); ok {
 				if pb.Refs() != 1 {
@@ -247,9 +235,9 @@ func TestRelocationFaultReleasesMoveBuffer(t *testing.T) {
 				bufs = append(bufs, pb)
 			}
 		}
-	})
+	}
 	t.Cleanup(func() {
-		SetTraceForTests(nil)
+		dbgFn = nil
 		bufpool.SetPoison(false)
 	})
 	c, dev, version := halfDeadController(t, 600, 1)

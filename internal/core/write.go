@@ -188,7 +188,7 @@ func (c *Controller) claimLocked(subs []*SubFlush) bool {
 			v := session.Apply // unordered (sid 0) writes are always next
 			var err error
 			switch {
-			case c.crashed:
+			case c.port.dead():
 				err = ErrCrashed
 			case len(s.Pages) == 0:
 				err = ErrEmptyBatch
@@ -270,7 +270,7 @@ var pageSum = crc32.MakeTable(crc32.Castagnoli)
 func (c *Controller) finishRoundLocked(a *action, subs []*SubFlush) {
 	var err error
 	if a != nil {
-		if c.crashed {
+		if c.port.dead() {
 			err = ErrCrashed
 		} else {
 			err = c.writeUser(a)
@@ -581,7 +581,7 @@ func (c *Controller) landLocked(a *action, res flash.BatchResult, forceErr error
 		}
 	}
 	defer unpin()
-	if c.crashed {
+	if c.port.dead() {
 		return ErrCrashed
 	}
 	if err := c.crashIf(kinds[a.kind].land); err != nil {
@@ -671,7 +671,7 @@ func (c *Controller) commitForcedLocked(a *action, forceErr error) error {
 		c.abortActionLocked(a.id, a.plan)
 		return forceErr
 	}
-	if forceErr != nil && !c.crashed && !c.log.Dead() {
+	if forceErr != nil && !c.port.dead() && !c.log.Dead() {
 		c.gcAllLocked()
 		c.mu.Unlock()
 		forceErr = c.log.Force()
@@ -686,7 +686,7 @@ func (c *Controller) commitForcedLocked(a *action, forceErr error) error {
 		c.met.logForces.Inc()
 		return nil
 	}
-	if c.crashed {
+	if c.port.dead() {
 		return ErrCrashed
 	}
 	c.dieLocked()

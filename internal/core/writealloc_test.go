@@ -7,6 +7,26 @@ import (
 	"eleos/internal/flash"
 )
 
+// programAndErase programs every WBLOCK of dev with fill and then erases
+// its EBLOCK, in one batch: the device's backing arrays exist and hold
+// stale bytes, as on a used drive.
+func programAndErase(t *testing.T, dev *flash.Device, fill []byte) {
+	t.Helper()
+	geo := dev.Geometry()
+	var cmds []flash.BatchCmd
+	for ch := 0; ch < geo.Channels; ch++ {
+		for eb := 0; eb < geo.EBlocksPerChannel; eb++ {
+			for wb := 0; wb < geo.WBlocksPerEBlock(); wb++ {
+				cmds = append(cmds, flash.BatchCmd{Src: flash.SrcUser, Channel: ch, EBlock: eb, WBlock: wb, Data: fill})
+			}
+			cmds = append(cmds, flash.BatchCmd{Op: flash.OpErase, Channel: ch, EBlock: eb})
+		}
+	}
+	if res := dev.SubmitBatch(cmds).Wait(); len(res.FailedEBlocks) > 0 || res.Attempted != len(cmds) {
+		t.Fatalf("program and erase: %+v", res)
+	}
+}
+
 // TestWriteBatchAllocsIndependentOfPages: what one flush allocates does not
 // grow with its page count (DESIGN.md §4.1, init-phase cost). The action's
 // records are encoded into controller scratch and appended in one call,
@@ -26,19 +46,7 @@ func TestWriteBatchAllocsIndependentOfPages(t *testing.T) {
 		// EBLOCK is programmed and erased once first: what is counted is the
 		// controller's, not the simulator's first touch of its storage.
 		dev := flash.MustNewDevice(geo, flash.Latency{})
-		full := make([]byte, geo.WBlockBytes)
-		for ch := 0; ch < geo.Channels; ch++ {
-			for eb := 0; eb < geo.EBlocksPerChannel; eb++ {
-				for wb := 0; wb < geo.WBlocksPerEBlock(); wb++ {
-					if err := dev.Program(ch, eb, wb, full); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := dev.Erase(ch, eb); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+		programAndErase(t, dev, make([]byte, geo.WBlockBytes))
 		c, err := Format(dev, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)

@@ -16,10 +16,10 @@ func BenchmarkProgram(b *testing.B) {
 		wb := pos % per
 		if wb == 0 && pos >= per*g.EBlocksPerChannel {
 			b.StopTimer()
-			_ = d.Erase(ch, eb)
+			_ = eraseNow(d, ch, eb)
 			b.StartTimer()
 		}
-		if err := d.Program(ch, eb, wb, data); err != nil {
+		if err := d.Program(SrcUser, ch, eb, wb, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkProgram(b *testing.B) {
 func BenchmarkReadExtent(b *testing.B) {
 	d := MustNewDevice(SmallGeometry(), Latency{})
 	data := make([]byte, d.Geometry().WBlockBytes)
-	_ = d.Program(0, 0, 0, data)
+	_ = d.Program(SrcUser, 0, 0, 0, data)
 	b.SetBytes(1920)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

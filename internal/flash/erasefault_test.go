@@ -54,7 +54,7 @@ func TestFailNthErase(t *testing.T) {
 	d.SetTracer(trc)
 
 	data := []byte("survives a failed erase pulse")
-	if err := d.Program(0, 0, 0, data); err != nil {
+	if err := d.Program(SrcUser, 0, 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,10 +65,10 @@ func TestFailNthErase(t *testing.T) {
 		t.Fatalf("pending = (%d,%d), want (0,2)", p, e)
 	}
 
-	if err := d.Erase(1, 0); err != nil { // 1st: clean
+	if err := eraseNow(d, 1, 0); err != nil { // 1st: clean
 		t.Fatalf("1st erase: %v", err)
 	}
-	if err := d.Erase(0, 0); !errors.Is(err, ErrEraseFailed) { // 2nd: armed
+	if err := eraseNow(d, 0, 0); !errors.Is(err, ErrEraseFailed) { // 2nd: armed
 		t.Fatalf("2nd erase: %v, want ErrEraseFailed", err)
 	}
 	// The failed erase left the block un-erased: content readable,
@@ -80,16 +80,16 @@ func TestFailNthErase(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("content after failed erase = %q, want %q", got, data)
 	}
-	if err := d.Program(0, 0, 0, data); !errors.Is(err, ErrWriteTwice) {
+	if err := d.Program(SrcUser, 0, 0, 0, data); !errors.Is(err, ErrWriteTwice) {
 		t.Fatalf("reprogram after failed erase: %v, want ErrWriteTwice", err)
 	}
-	if err := d.Erase(2, 0); !errors.Is(err, ErrEraseFailed) { // 3rd: armed
+	if err := eraseNow(d, 2, 0); !errors.Is(err, ErrEraseFailed) { // 3rd: armed
 		t.Fatalf("3rd erase: %v, want ErrEraseFailed", err)
 	}
-	if err := d.Erase(0, 0); err != nil { // 4th: retry succeeds
+	if err := eraseNow(d, 0, 0); err != nil { // 4th: retry succeeds
 		t.Fatalf("retry erase: %v", err)
 	}
-	if err := d.Program(0, 0, 0, data); err != nil {
+	if err := d.Program(SrcUser, 0, 0, 0, data); err != nil {
 		t.Fatalf("program after successful retry: %v", err)
 	}
 
@@ -117,19 +117,19 @@ func TestFailNthEraseCountsAgainstLimit(t *testing.T) {
 	d.SetMetrics(reg)
 	d.SetTracer(trc)
 	d.FailNthErase(1)
-	if err := d.Erase(0, 0); !errors.Is(err, ErrEraseFailed) {
+	if err := eraseNow(d, 0, 0); !errors.Is(err, ErrEraseFailed) {
 		t.Fatalf("armed erase: %v", err)
 	}
-	if err := d.Erase(0, 0); err != nil {
+	if err := eraseNow(d, 0, 0); err != nil {
 		t.Fatalf("2nd erase: %v", err)
 	}
-	if err := d.Erase(0, 0); !errors.Is(err, ErrBadBlock) {
+	if err := eraseNow(d, 0, 0); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("over-limit erase: %v, want ErrBadBlock", err)
 	}
 	// The over-limit rejection is an attempt everywhere, a failed pulse
 	// nowhere; an erase of the now-bad block never reaches the media.
 	checkEraseAccounting(t, d, reg, trc, 3, 1)
-	if err := d.Erase(0, 0); !errors.Is(err, ErrBadBlock) {
+	if err := eraseNow(d, 0, 0); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("erase of a bad block: %v, want ErrBadBlock", err)
 	}
 	checkEraseAccounting(t, d, reg, trc, 3, 1)
@@ -146,19 +146,19 @@ func TestQueuedEraseThenProgram(t *testing.T) {
 	defer d.Close()
 	old, fresh := []byte("old content"), []byte("new content")
 	for wb := 0; wb < 2; wb++ {
-		if err := d.Program(1, 3, wb, old); err != nil {
+		if err := d.Program(SrcUser, 1, 3, wb, old); err != nil {
 			t.Fatal(err)
 		}
 	}
 	first := d.SubmitBatch([]BatchCmd{
 		{Op: OpErase, Channel: 1, EBlock: 3},
-		{Channel: 1, EBlock: 3, WBlock: 0, Data: fresh},
+		{Src: SrcUser, Channel: 1, EBlock: 3, WBlock: 0, Data: fresh},
 	})
 	second := d.SubmitBatch([]BatchCmd{
 		{Op: OpErase, Channel: 1, EBlock: 3},
 		{Op: OpErase, Channel: 2, EBlock: 0},
 	})
-	third := d.SubmitBatch([]BatchCmd{{Channel: 1, EBlock: 3, WBlock: 0, Data: fresh}})
+	third := d.SubmitBatch([]BatchCmd{{Src: SrcUser, Channel: 1, EBlock: 3, WBlock: 0, Data: fresh}})
 	for i, b := range []*Batch{first, second, third} {
 		if res := b.Wait(); len(res.FailedEBlocks) != 0 {
 			t.Fatalf("batch %d: failed EBLOCKs %v", i, res.FailedEBlocks)
@@ -187,14 +187,14 @@ func TestQueuedEraseFaultInBatchResult(t *testing.T) {
 	defer d.Close()
 	data := []byte("kept by the failed erase")
 	for ch := 0; ch < 3; ch++ {
-		if err := d.Program(ch, 0, 0, data); err != nil {
+		if err := d.Program(SrcUser, ch, 0, 0, data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d.FailNthErase(1)
 	res := d.SubmitBatch([]BatchCmd{
 		{Op: OpErase, Channel: 2, EBlock: 0},
-		{Channel: 2, EBlock: 0, WBlock: 0, Data: data},
+		{Src: SrcUser, Channel: 2, EBlock: 0, WBlock: 0, Data: data},
 	}).Wait()
 	if len(res.FailedEBlocks) != 1 || res.FailedEBlocks[0] != [2]int{2, 0} || res.Attempted != 1 {
 		t.Fatalf("faulted batch: %+v, want (2,0) failed and the program skipped", res)

@@ -22,14 +22,14 @@ func TestWaitersDrainInFIFOOrder(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	d.FailNextProgram(0, 5, 0)
 	first := d.SubmitBatch([]BatchCmd{
-		{Channel: 0, EBlock: 1, WBlock: 0, Data: data},
-		{Channel: 0, EBlock: 5, WBlock: 0, Data: data}, // fails
-		{Channel: 0, EBlock: 1, WBlock: 1, Data: data},
-		{Channel: 1, EBlock: 1, WBlock: 0, Data: data},
+		{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: 0, Data: data},
+		{Src: SrcUser, Channel: 0, EBlock: 5, WBlock: 0, Data: data}, // fails
+		{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: 1, Data: data},
+		{Src: SrcUser, Channel: 1, EBlock: 1, WBlock: 0, Data: data},
 	})
 	second := d.SubmitBatch([]BatchCmd{
-		{Channel: 0, EBlock: 1, WBlock: 2, Data: data},
-		{Channel: 0, EBlock: 1, WBlock: 3, Data: data},
+		{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: 2, Data: data},
+		{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: 3, Data: data},
 	})
 	if n, _ := d.NextProgramPosition(0, 1); n != 0 {
 		t.Fatalf("%d WBLOCKs programmed before any Wait, want 0: the waiters run the FIFO", n)
@@ -68,13 +68,13 @@ func TestScaleChangeKeepsFIFO(t *testing.T) {
 	const queued = 4
 	cmds := make([]BatchCmd, queued)
 	for wb := range cmds {
-		cmds[wb] = BatchCmd{Channel: 2, EBlock: 0, WBlock: wb, Data: make([]byte, 64)}
+		cmds[wb] = BatchCmd{Src: SrcUser, Channel: 2, EBlock: 0, WBlock: wb, Data: make([]byte, 64)}
 	}
 	cs := &d.channels[2]
 	cs.mu.Lock()
 	on := d.SubmitBatch(cmds)
 	d.SetWallLatencyScale(0)
-	later := d.SubmitBatch([]BatchCmd{{Channel: 2, EBlock: 0, WBlock: queued, Data: make([]byte, 64)}})
+	later := d.SubmitBatch([]BatchCmd{{Src: SrcUser, Channel: 2, EBlock: 0, WBlock: queued, Data: make([]byte, 64)}})
 	cs.mu.Unlock()
 	off := later.Wait()
 	if off.Attempted != 1 || len(off.FailedEBlocks) != 0 {
@@ -102,10 +102,10 @@ func TestClosedDeviceWaitersDrain(t *testing.T) {
 		goroutines := runtime.NumGoroutine()
 		t0 := time.Now()
 		first := d.SubmitBatch([]BatchCmd{
-			{Channel: 0, EBlock: 1, WBlock: 0, Data: make([]byte, 64)},
-			{Channel: 3, EBlock: 1, WBlock: 0, Data: make([]byte, 64)},
+			{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: 0, Data: make([]byte, 64)},
+			{Src: SrcUser, Channel: 3, EBlock: 1, WBlock: 0, Data: make([]byte, 64)},
 		})
-		second := d.SubmitBatch([]BatchCmd{{Channel: 0, EBlock: 1, WBlock: 1, Data: make([]byte, 64)}})
+		second := d.SubmitBatch([]BatchCmd{{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: 1, Data: make([]byte, 64)}})
 		if after := runtime.NumGoroutine(); after > goroutines {
 			t.Fatalf("scale %v: goroutines %d -> %d on a closed device", scale, goroutines, after)
 		}

@@ -60,19 +60,6 @@ type Geometry struct {
 	EraseLimit        int // erases before an EBLOCK goes bad; 0 = unlimited
 }
 
-// DefaultGeometry returns the paper's Table I sizes with a modest channel
-// and EBLOCK count suitable for in-memory simulation.
-func DefaultGeometry() Geometry {
-	return Geometry{
-		Channels:          8,
-		EBlocksPerChannel: 64,
-		EBlockBytes:       8 << 20,
-		WBlockBytes:       32 << 10,
-		RBlockBytes:       4 << 10,
-		EraseLimit:        0,
-	}
-}
-
 // SmallGeometry returns a compact geometry convenient for unit tests:
 // 4 channels x 16 EBLOCKs x 256 KB with 16 KB WBLOCKs and 4 KB RBLOCKs.
 func SmallGeometry() Geometry {
@@ -108,12 +95,6 @@ func (g Geometry) Validate() error {
 // WBlocksPerEBlock returns the number of WBLOCKs in one EBLOCK.
 func (g Geometry) WBlocksPerEBlock() int { return g.EBlockBytes / g.WBlockBytes }
 
-// RBlocksPerWBlock returns the number of RBLOCKs in one WBLOCK.
-func (g Geometry) RBlocksPerWBlock() int { return g.WBlockBytes / g.RBlockBytes }
-
-// RBlocksPerEBlock returns the number of RBLOCKs in one EBLOCK.
-func (g Geometry) RBlocksPerEBlock() int { return g.EBlockBytes / g.RBlockBytes }
-
 // CapacityBytes returns the raw capacity of the whole array.
 func (g Geometry) CapacityBytes() int64 {
 	return int64(g.Channels) * int64(g.EBlocksPerChannel) * int64(g.EBlockBytes)
@@ -140,16 +121,13 @@ func TypicalNANDLatency() Latency {
 // The write-amplification story is an accounting argument, and the split
 // makes it exact: every successful program charges exactly one source, so
 // the per-source sums reconcile with the device totals byte-for-byte (the
-// chaos byte-conservation invariant).
+// chaos byte-conservation invariant). The zero Source is none: a program
+// must name its source.
 type Source uint8
 
 const (
-	// SrcUnattributed marks programs issued through the legacy Program
-	// entry point (direct device tests); controller-driven traffic never
-	// uses it.
-	SrcUnattributed Source = iota
 	// SrcUser is a user write-buffer program.
-	SrcUser
+	SrcUser Source = iota + 1
 	// SrcGC is a garbage-collection or migration relocation program.
 	SrcGC
 	// SrcCheckpoint covers checkpoint-area records, table flushes and
@@ -176,7 +154,7 @@ func (s Source) String() string {
 	case SrcRecovery:
 		return "recovery"
 	default:
-		return "unattributed"
+		return fmt.Sprintf("Source(%d)", uint8(s))
 	}
 }
 
@@ -217,7 +195,7 @@ var (
 
 // eblockState keeps each WBLOCK's backing array across erases: the
 // sequential-program rule makes "programmed" equivalent to
-// wb < nextWBlock, so Erase only resets the position and the stale
+// wb < nextWBlock, so an erase only resets the position and the stale
 // entries beyond it are unobservable (reads of unprogrammed WBLOCKs
 // return zeroes by construction, exactly as an erased cell would).
 // Each array's len is the payload it stores (reads treat bytes past len
@@ -404,7 +382,7 @@ func (d *Device) SetMetrics(reg *metrics.Registry) {
 	for i := range m.queueDepth {
 		m.queueDepth[i] = reg.Gauge(fmt.Sprintf("flash.chan%d.queue_depth", i))
 	}
-	for s := Source(0); s < NumSources; s++ {
+	for s := SrcUser; s < NumSources; s++ {
 		m.srcWBlocks[s] = reg.Counter(fmt.Sprintf("flash.src.%s.wblocks", s))
 		m.srcBytes[s] = reg.Counter(fmt.Sprintf("flash.src.%s.bytes", s))
 	}
@@ -560,27 +538,18 @@ func (d *Device) shouldFailErase() bool {
 	return false
 }
 
-// Program writes data into a WBLOCK. len(data) must not exceed the WBLOCK
-// size; shorter data is implicitly zero-padded on read. Programs within an
-// EBLOCK must be issued at strictly increasing WBLOCK indices.
-// Attribution defaults to SrcUnattributed; controller paths use
-// ProgramSrc.
-func (d *Device) Program(ch, eb, wb int, data []byte) error {
-	return d.ProgramSrc(SrcUnattributed, ch, eb, wb, data)
-}
-
-// ProgramSrc is Program with the issuing subsystem attributed: a
-// successful program charges exactly one source's WBLOCK and byte
-// counters, so the per-source sums reconcile with WBlocksWritten and
-// BytesWritten exactly. Out-of-range sources are clamped to
-// SrcUnattributed.
-func (d *Device) ProgramSrc(src Source, ch, eb, wb int, data []byte) error {
+// Program writes data into a WBLOCK and charges it to src; a zero or
+// out-of-range src fails with ErrOutOfRange before anything is touched.
+// len(data) must not exceed the WBLOCK size; shorter data is implicitly
+// zero-padded on read. Programs within an EBLOCK must be issued at strictly
+// increasing WBLOCK indices.
+func (d *Device) Program(src Source, ch, eb, wb int, data []byte) error {
 	return d.program(d.arrival(), src, ch, eb, wb, data)
 }
 
 func (d *Device) program(arrived time.Time, src Source, ch, eb, wb int, data []byte) error {
-	if src >= NumSources {
-		src = SrcUnattributed
+	if src == 0 || src >= NumSources {
+		return fmt.Errorf("%w: source %d", ErrOutOfRange, src)
 	}
 	if err := d.checkAddr(ch, eb); err != nil {
 		return err
@@ -756,16 +725,12 @@ func (d *Device) ReadAll(reads []Read) {
 	}
 }
 
-// Erase erases an EBLOCK, making all its WBLOCKs writable again. It fails
+// erase erases an EBLOCK, making all its WBLOCKs writable again. It fails
 // with ErrBadBlock once the erase limit is exceeded. Every attempt that
 // reaches the media — success, injected failure or over-limit rejection —
 // is accounted the same way on one exit path: Stats.EraseAttempts, the
 // "flash.erases" counter, one "flash.erase_ns" sample and one KFlashErase
 // span, so registry, Stats and trace always agree.
-func (d *Device) Erase(ch, eb int) error {
-	return d.erase(d.arrival(), ch, eb)
-}
-
 func (d *Device) erase(arrived time.Time, ch, eb int) error {
 	if err := d.checkAddr(ch, eb); err != nil {
 		return err
@@ -803,7 +768,7 @@ func (d *Device) erase(arrived time.Time, ch, eb int) error {
 			// The backing arrays survive the erase (see eblockState):
 			// resetting the program position makes every WBLOCK
 			// unprogrammed, and unread stale bytes cost nothing. This keeps
-			// Erase O(1) and lets a warmed device program without allocating.
+			// an erase O(1) and lets a warmed device program without allocating.
 			ebs.nextWBlock = 0
 			ebs.failed = false
 		}
@@ -929,8 +894,8 @@ type BatchCmd struct {
 	EBlock  int
 	WBlock  int    // OpProgram
 	Data    []byte // OpProgram
-	// Src attributes the program for write-amplification accounting
-	// (zero value: SrcUnattributed).
+	// Src attributes an OpProgram for write-amplification accounting; a
+	// program without one fails (Program).
 	Src Source
 }
 

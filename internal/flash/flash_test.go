@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"eleos/internal/metrics"
 )
 
 func testDevice(t *testing.T) *Device {
@@ -16,8 +18,14 @@ func testDevice(t *testing.T) *Device {
 	return d
 }
 
+// eraseNow erases (ch, eb) on the calling goroutine, as a channel's FIFO
+// runs a queued erase, and returns its error, which a BatchResult reports
+// only as a failed EBLOCK.
+func eraseNow(d *Device, ch, eb int) error { return d.erase(d.arrival(), ch, eb) }
+
 func TestGeometryValidate(t *testing.T) {
-	good := []Geometry{DefaultGeometry(), SmallGeometry()}
+	paper := Geometry{Channels: 8, EBlocksPerChannel: 64, EBlockBytes: 8 << 20, WBlockBytes: 32 << 10, RBlockBytes: 4 << 10} // Table I
+	good := []Geometry{paper, SmallGeometry()}
 	for _, g := range good {
 		if err := g.Validate(); err != nil {
 			t.Errorf("%+v should validate: %v", g, err)
@@ -43,12 +51,6 @@ func TestGeometryDerived(t *testing.T) {
 	if g.WBlocksPerEBlock() != 16 {
 		t.Fatalf("WBlocksPerEBlock = %d", g.WBlocksPerEBlock())
 	}
-	if g.RBlocksPerWBlock() != 4 {
-		t.Fatalf("RBlocksPerWBlock = %d", g.RBlocksPerWBlock())
-	}
-	if g.RBlocksPerEBlock() != 64 {
-		t.Fatalf("RBlocksPerEBlock = %d", g.RBlocksPerEBlock())
-	}
 	want := int64(4) * 16 * (256 << 10)
 	if g.CapacityBytes() != want {
 		t.Fatalf("CapacityBytes = %d, want %d", g.CapacityBytes(), want)
@@ -58,7 +60,7 @@ func TestGeometryDerived(t *testing.T) {
 func TestProgramReadRoundTrip(t *testing.T) {
 	d := testDevice(t)
 	data := bytes.Repeat([]byte{0xAB}, d.Geometry().WBlockBytes)
-	if err := d.Program(1, 2, 0, data); err != nil {
+	if err := d.Program(SrcUser, 1, 2, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readExtent(d, 1, 2, 0, d.Geometry().WBlockBytes)
@@ -72,7 +74,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 
 func TestProgramShortDataZeroPadded(t *testing.T) {
 	d := testDevice(t)
-	if err := d.Program(0, 1, 0, []byte{1, 2, 3}); err != nil {
+	if err := d.Program(SrcUser, 0, 1, 0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := readExtent(d, 0, 1, 0, d.Geometry().RBlockBytes)
@@ -91,29 +93,29 @@ func TestProgramShortDataZeroPadded(t *testing.T) {
 
 func TestEraseBeforeWriteEnforced(t *testing.T) {
 	d := testDevice(t)
-	if err := d.Program(0, 0, 0, []byte{1}); err != nil {
+	if err := d.Program(SrcUser, 0, 0, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Program(0, 0, 0, []byte{2})
+	err := d.Program(SrcUser, 0, 0, 0, []byte{2})
 	if !errors.Is(err, ErrWriteTwice) {
 		t.Fatalf("expected ErrWriteTwice, got %v", err)
 	}
-	if err := d.Erase(0, 0); err != nil {
+	if err := eraseNow(d, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Program(0, 0, 0, []byte{2}); err != nil {
+	if err := d.Program(SrcUser, 0, 0, 0, []byte{2}); err != nil {
 		t.Fatalf("program after erase: %v", err)
 	}
 }
 
 func TestSequentialProgramOrder(t *testing.T) {
 	d := testDevice(t)
-	err := d.Program(0, 0, 1, []byte{1})
+	err := d.Program(SrcUser, 0, 0, 1, []byte{1})
 	if !errors.Is(err, ErrWriteOrder) {
 		t.Fatalf("expected ErrWriteOrder, got %v", err)
 	}
 	for wb := 0; wb < 3; wb++ {
-		if err := d.Program(0, 0, wb, []byte{byte(wb)}); err != nil {
+		if err := d.Program(SrcUser, 0, 0, wb, []byte{byte(wb)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,14 +130,14 @@ func TestReadSpansWBlocks(t *testing.T) {
 	g := d.Geometry()
 	a := bytes.Repeat([]byte{0x11}, g.WBlockBytes)
 	b := bytes.Repeat([]byte{0x22}, g.WBlockBytes)
-	if err := d.Program(2, 3, 0, a); err != nil {
+	if err := d.Program(SrcUser, 2, 3, 0, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Program(2, 3, 1, b); err != nil {
+	if err := d.Program(SrcUser, 2, 3, 1, b); err != nil {
 		t.Fatal(err)
 	}
 	// Read the last RBLOCK of wblock 0 and the first of wblock 1.
-	start := g.RBlocksPerWBlock() - 1
+	start := g.WBlockBytes/g.RBlockBytes - 1
 	got, _, err := readExtent(d, 2, 3, start*g.RBlockBytes, 2*g.RBlockBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +154,7 @@ func TestReadExtent(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
-	if err := d.Program(0, 5, 0, data); err != nil {
+	if err := d.Program(SrcUser, 0, 5, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	// An extent crossing an RBLOCK boundary.
@@ -175,15 +177,15 @@ func TestReadExtent(t *testing.T) {
 func TestExplicitWriteFailureDisablesEBlock(t *testing.T) {
 	d := testDevice(t)
 	d.FailNextProgram(1, 1, 1)
-	if err := d.Program(1, 1, 0, []byte{1}); err != nil {
+	if err := d.Program(SrcUser, 1, 1, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Program(1, 1, 1, []byte{2})
+	err := d.Program(SrcUser, 1, 1, 1, []byte{2})
 	if !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("expected ErrWriteFailed, got %v", err)
 	}
 	// Subsequent WBLOCKs of the same EBLOCK cannot be written (§VII).
-	err = d.Program(1, 1, 2, []byte{3})
+	err = d.Program(SrcUser, 1, 1, 2, []byte{3})
 	if !errors.Is(err, ErrEBlockDisabled) {
 		t.Fatalf("expected ErrEBlockDisabled, got %v", err)
 	}
@@ -193,10 +195,10 @@ func TestExplicitWriteFailureDisablesEBlock(t *testing.T) {
 		t.Fatalf("prior data unreadable: %v %v", got[:1], err)
 	}
 	// Erase restores writability.
-	if err := d.Erase(1, 1); err != nil {
+	if err := eraseNow(d, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Program(1, 1, 0, []byte{9}); err != nil {
+	if err := d.Program(SrcUser, 1, 1, 0, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().WriteFailures != 1 {
@@ -210,7 +212,7 @@ func TestProbabilisticFailuresDeterministic(t *testing.T) {
 		d.SetFailureProbability(0.3, 7)
 		for eb := 0; eb < 8; eb++ {
 			for wb := 0; wb < 4; wb++ {
-				_ = d.Program(0, eb, wb, []byte{1})
+				_ = d.Program(SrcUser, 0, eb, wb, []byte{1})
 			}
 		}
 		return d.Stats().WriteFailures
@@ -228,13 +230,13 @@ func TestEraseLimit(t *testing.T) {
 	g := SmallGeometry()
 	g.EraseLimit = 2
 	d := MustNewDevice(g, Latency{})
-	if err := d.Erase(0, 0); err != nil {
+	if err := eraseNow(d, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Erase(0, 0); err != nil {
+	if err := eraseNow(d, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := d.Erase(0, 0)
+	err := eraseNow(d, 0, 0)
 	if !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("expected ErrBadBlock, got %v", err)
 	}
@@ -242,7 +244,7 @@ func TestEraseLimit(t *testing.T) {
 	if !bad {
 		t.Fatal("block should be bad")
 	}
-	if err := d.Program(0, 0, 0, []byte{1}); !errors.Is(err, ErrBadBlock) {
+	if err := d.Program(SrcUser, 0, 0, 0, []byte{1}); !errors.Is(err, ErrBadBlock) {
 		t.Fatalf("program to bad block: %v", err)
 	}
 	n, _ := d.EraseCount(0, 0)
@@ -260,9 +262,9 @@ func TestNextProgramPosition(t *testing.T) {
 		want int
 	}{
 		{func() error { return nil }, 0},
-		{func() error { return d.Program(0, 0, 0, []byte{1}) }, 1},
-		{func() error { return d.Program(0, 0, 1, []byte{2}) }, 2},
-		{func() error { return d.Erase(0, 0) }, 0},
+		{func() error { return d.Program(SrcUser, 0, 0, 0, []byte{1}) }, 1},
+		{func() error { return d.Program(SrcUser, 0, 0, 1, []byte{2}) }, 2},
+		{func() error { return eraseNow(d, 0, 0) }, 0},
 	} {
 		if err := step.do(); err != nil {
 			t.Fatal(err)
@@ -283,16 +285,16 @@ func TestVirtualTimeAccounting(t *testing.T) {
 		EraseEBlock:   time.Millisecond,
 	}
 	d := MustNewDevice(SmallGeometry(), lat)
-	if err := d.Program(0, 0, 0, []byte{1}); err != nil {
+	if err := d.Program(SrcUser, 0, 0, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Program(1, 0, 0, []byte{1}); err != nil {
+	if err := d.Program(SrcUser, 1, 0, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readExtent(d, 0, 0, 0, 3*d.Geometry().RBlockBytes); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Erase(2, 5); err != nil {
+	if err := eraseNow(d, 2, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.ChannelTime(0); got != 130*time.Microsecond {
@@ -314,7 +316,7 @@ func TestFailedProgramStillConsumesTime(t *testing.T) {
 	lat := Latency{ProgramWBlock: 50 * time.Microsecond}
 	d := MustNewDevice(SmallGeometry(), lat)
 	d.FailNextProgram(0, 0, 0)
-	if err := d.Program(0, 0, 0, []byte{1}); !errors.Is(err, ErrWriteFailed) {
+	if err := d.Program(SrcUser, 0, 0, 0, []byte{1}); !errors.Is(err, ErrWriteFailed) {
 		t.Fatal("expected failure")
 	}
 	if d.ChannelTime(0) != 50*time.Microsecond {
@@ -325,9 +327,9 @@ func TestFailedProgramStillConsumesTime(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geometry()
-	_ = d.Program(0, 0, 0, make([]byte, 100))
+	_ = d.Program(SrcUser, 0, 0, 0, make([]byte, 100))
 	_, _, _ = readExtent(d, 0, 0, 0, 2*g.RBlockBytes)
-	_ = d.Erase(3, 3)
+	_ = eraseNow(d, 3, 3)
 	s := d.Stats()
 	if s.WBlocksWritten != 1 || s.RBlocksRead != 2 || s.EBlocksErased != 1 {
 		t.Fatalf("stats: %+v", s)
@@ -344,16 +346,16 @@ func TestStatsCounting(t *testing.T) {
 func TestOutOfRangeErrors(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geometry()
-	if err := d.Program(g.Channels, 0, 0, nil); !errors.Is(err, ErrOutOfRange) {
+	if err := d.Program(SrcUser, g.Channels, 0, 0, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("channel range not enforced")
 	}
-	if err := d.Program(0, g.EBlocksPerChannel, 0, nil); !errors.Is(err, ErrOutOfRange) {
+	if err := d.Program(SrcUser, 0, g.EBlocksPerChannel, 0, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("eblock range not enforced")
 	}
-	if err := d.Program(0, 0, g.WBlocksPerEBlock(), nil); !errors.Is(err, ErrOutOfRange) {
+	if err := d.Program(SrcUser, 0, 0, g.WBlocksPerEBlock(), nil); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("wblock range not enforced")
 	}
-	if err := d.Program(0, 0, 0, make([]byte, g.WBlockBytes+1)); !errors.Is(err, ErrDataTooLarge) {
+	if err := d.Program(SrcUser, 0, 0, 0, make([]byte, g.WBlockBytes+1)); !errors.Is(err, ErrDataTooLarge) {
 		t.Fatal("oversized data not rejected")
 	}
 	if _, _, err := readExtent(d, 0, 0, 0, g.EBlockBytes+g.RBlockBytes); !errors.Is(err, ErrOutOfRange) {
@@ -362,8 +364,49 @@ func TestOutOfRangeErrors(t *testing.T) {
 	if _, _, err := readExtent(d, 0, 0, 0, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("zero-length read not rejected")
 	}
-	if err := d.Erase(-1, 0); !errors.Is(err, ErrOutOfRange) {
+	if err := eraseNow(d, -1, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("erase range not enforced")
+	}
+}
+
+// TestProgramNeedsSource: a program that names no source, or one past
+// NumSources, fails with ErrOutOfRange before it touches the media, the
+// channel's time or a counter, whether it comes through Program or a batch.
+func TestProgramNeedsSource(t *testing.T) {
+	d := MustNewDevice(SmallGeometry(), TypicalNANDLatency())
+	reg := metrics.New()
+	d.SetMetrics(reg)
+	unmoved := func(what string) {
+		t.Helper()
+		if st := d.Stats(); st != (Stats{}) {
+			t.Fatalf("%s: Stats moved: %+v", what, st)
+		}
+		if got := d.ChannelTime(1); got != 0 {
+			t.Fatalf("%s: channel time %v, want 0", what, got)
+		}
+		if pos, _ := d.NextProgramPosition(1, 2); pos != 0 {
+			t.Fatalf("%s: program position %d, want 0", what, pos)
+		}
+		if got := reg.Snapshot().Counter("flash.programs"); got != 0 {
+			t.Fatalf("%s: flash.programs = %d, want 0", what, got)
+		}
+	}
+	for _, src := range []Source{0, NumSources} {
+		if err := d.Program(src, 1, 2, 0, []byte{1}); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("Program with source %d: %v, want ErrOutOfRange", src, err)
+		}
+		unmoved(src.String())
+	}
+	res := d.SubmitBatch([]BatchCmd{{Channel: 1, EBlock: 2, Data: []byte{1}}}).Wait()
+	if len(res.FailedEBlocks) != 1 || res.FailedEBlocks[0] != [2]int{1, 2} {
+		t.Fatalf("batched program without a source: %+v, want (1,2) failed", res)
+	}
+	unmoved("batch")
+	if err := d.Program(SrcUser, 1, 2, 0, []byte{1}); err != nil {
+		t.Fatalf("the same program with a source: %v", err)
+	}
+	if st := d.Stats(); st.SrcWBlocks[SrcUser] != 1 || st.WBlocksWritten != 1 {
+		t.Fatalf("Stats after the program with a source: %+v", st)
 	}
 }
 
@@ -389,10 +432,10 @@ func TestRecycledWBlockProgramAllocFree(t *testing.T) {
 	w := d.Geometry().WBlockBytes
 	small, full := make([]byte, 100), make([]byte, w)
 	cycle := func(data []byte) {
-		if err := d.Erase(2, 3); err != nil {
+		if err := eraseNow(d, 2, 3); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Program(2, 3, 0, data); err != nil {
+		if err := d.Program(SrcUser, 2, 3, 0, data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,20 +10,20 @@ import (
 func TestImageRoundTrip(t *testing.T) {
 	d := MustNewDevice(SmallGeometry(), Latency{})
 	// Program a few wblocks, erase one eblock, fail another.
-	if err := d.Program(0, 0, 0, []byte{1, 2, 3}); err != nil {
+	if err := d.Program(SrcUser, 0, 0, 0, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Program(1, 2, 0, bytes.Repeat([]byte{7}, d.Geometry().WBlockBytes)); err != nil {
+	if err := d.Program(SrcUser, 1, 2, 0, bytes.Repeat([]byte{7}, d.Geometry().WBlockBytes)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Program(1, 2, 1, []byte{9}); err != nil {
+	if err := d.Program(SrcUser, 1, 2, 1, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Erase(2, 3); err != nil {
+	if err := eraseNow(d, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	d.FailNextProgram(3, 1, 0)
-	_ = d.Program(3, 1, 0, []byte{1}) // leaves eblock disabled
+	_ = d.Program(SrcUser, 3, 1, 0, []byte{1}) // leaves eblock disabled
 
 	var buf bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {
@@ -53,7 +53,7 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Fatal("erase count lost")
 	}
 	// Disabled eblock stays disabled.
-	if err := d2.Program(3, 1, 1, []byte{1}); !errors.Is(err, ErrEBlockDisabled) {
+	if err := d2.Program(SrcUser, 3, 1, 1, []byte{1}); !errors.Is(err, ErrEBlockDisabled) {
 		t.Fatalf("failed state lost: %v", err)
 	}
 }
@@ -62,7 +62,7 @@ func TestImageFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dev.img")
 	d := MustNewDevice(SmallGeometry(), Latency{})
-	if err := d.Program(0, 5, 0, []byte{42}); err != nil {
+	if err := d.Program(SrcUser, 0, 5, 0, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.SaveFile(path); err != nil {
@@ -80,7 +80,7 @@ func TestImageFileRoundTrip(t *testing.T) {
 
 func TestImageRejectsCorruption(t *testing.T) {
 	d := MustNewDevice(SmallGeometry(), Latency{})
-	_ = d.Program(0, 0, 0, []byte{1, 2, 3})
+	_ = d.Program(SrcUser, 0, 0, 0, []byte{1, 2, 3})
 	var buf bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func TestFailNthProgram(t *testing.T) {
 	// Program across distinct EBLOCKs so a failure never disables a later
 	// target.
 	for eb := 0; eb < 6; eb++ {
-		if err := d.Program(0, eb, 0, data); err != nil {
+		if err := d.Program(SrcUser, 0, eb, 0, data); err != nil {
 			if !errors.Is(err, ErrWriteFailed) {
 				t.Fatalf("eb %d: %v", eb, err)
 			}
@@ -43,7 +43,7 @@ func TestFailNthProgram(t *testing.T) {
 		t.Fatalf("flash.programs = %d, want 6", got)
 	}
 	// A failed EBLOCK is disabled until erased, as with address injection.
-	if err := d.Program(0, 1, 1, data); !errors.Is(err, ErrEBlockDisabled) {
+	if err := d.Program(SrcUser, 0, 1, 1, data); !errors.Is(err, ErrEBlockDisabled) {
 		t.Fatalf("program into failed eblock: %v, want ErrEBlockDisabled", err)
 	}
 }
@@ -69,7 +69,7 @@ func TestFailNthProgramConcurrentExactCount(t *testing.T) {
 			for eb := 0; eb < geo.EBlocksPerChannel; eb++ {
 				// Errors expected on armed attempts; the EBLOCK is then
 				// skipped (next iteration uses a fresh one).
-				_ = d.Program(ch, eb, 0, data)
+				_ = d.Program(SrcUser, ch, eb, 0, data)
 			}
 		}(ch)
 	}
@@ -91,9 +91,9 @@ func TestSetMetricsLatencyAndQueueDepth(t *testing.T) {
 	geo := d.Geometry()
 	data := make([]byte, geo.WBlockBytes)
 	cmds := []BatchCmd{
-		{Channel: 0, EBlock: 0, WBlock: 0, Data: data},
-		{Channel: 0, EBlock: 0, WBlock: 1, Data: data},
-		{Channel: 1, EBlock: 0, WBlock: 0, Data: data},
+		{Src: SrcUser, Channel: 0, EBlock: 0, WBlock: 0, Data: data},
+		{Src: SrcUser, Channel: 0, EBlock: 0, WBlock: 1, Data: data},
+		{Src: SrcUser, Channel: 1, EBlock: 0, WBlock: 0, Data: data},
 	}
 	res := d.SubmitBatch(cmds).Wait()
 	if res.Attempted != 3 || len(res.FailedEBlocks) != 0 {
@@ -125,7 +125,7 @@ func TestSetMetricsLatencyAndQueueDepth(t *testing.T) {
 
 	// A nil registry uninstalls instrumentation without breaking I/O.
 	d.SetMetrics(nil)
-	if err := d.Program(2, 0, 0, data); err != nil {
+	if err := d.Program(SrcUser, 2, 0, 0, data); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counter("flash.programs"); got != 3 {

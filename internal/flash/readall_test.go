@@ -25,7 +25,7 @@ func refReadExtent(d *Device, ch, eb, off, length int) ([]byte, int, error) {
 	cs := &d.channels[ch]
 	cs.mu.Lock()
 	out := make([]byte, n*d.geo.RBlockBytes)
-	rPerW := d.geo.RBlocksPerWBlock()
+	rPerW := d.geo.WBlockBytes / d.geo.RBlockBytes
 	ebs := &cs.eblocks[eb]
 	for i := 0; i < n; i++ {
 		r := start + i
@@ -81,18 +81,18 @@ func mixedEBlockDevice(t testing.TB) *Device {
 	g := d.Geometry()
 	stale := bytes.Repeat([]byte{0xEE}, g.WBlockBytes)
 	for wb := 0; wb < g.WBlocksPerEBlock(); wb++ {
-		if err := d.Program(1, 2, wb, stale); err != nil {
+		if err := d.Program(SrcUser, 1, 2, wb, stale); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Erase(1, 2); err != nil {
+	if err := eraseNow(d, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	for wb, n := range []int{g.WBlockBytes, g.WBlockBytes - 100, g.RBlockBytes + 1, 1, g.WBlockBytes, 5000} {
 		data := make([]byte, n)
 		rng.Read(data)
-		if err := d.Program(1, 2, wb, data); err != nil {
+		if err := d.Program(SrcUser, 1, 2, wb, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,8 +119,8 @@ func TestReadIntoMatchesReference(t *testing.T) {
 		case 1: // several WBLOCKs
 			off, length = rng.Intn(g.EBlockBytes/2), 1+rng.Intn(3*g.WBlockBytes)
 		case 2: // RBLOCK- and WBLOCK-aligned edges
-			off = g.RBlockBytes * rng.Intn(g.RBlocksPerEBlock())
-			length = g.RBlockBytes * (1 + rng.Intn(g.RBlocksPerWBlock()+2))
+			off = g.RBlockBytes * rng.Intn(g.EBlockBytes/g.RBlockBytes)
+			length = g.RBlockBytes * (1 + rng.Intn(g.WBlockBytes/g.RBlockBytes+2))
 		default: // anywhere, the EBLOCK's last byte included
 			off = rng.Intn(g.EBlockBytes)
 			length = 1 + rng.Intn(g.EBlockBytes-off)
@@ -245,7 +245,7 @@ func randomSegs(rng *rand.Rand, g Geometry) []ReadSeg {
 // unionRBlocks marks each segment's covering RBLOCKs in a bitmap and counts
 // the marks.
 func unionRBlocks(g Geometry, segs []ReadSeg) int {
-	covered := make([]bool, g.RBlocksPerEBlock())
+	covered := make([]bool, g.EBlockBytes/g.RBlockBytes)
 	n := 0
 	for _, s := range segs {
 		for r := s.Off / g.RBlockBytes; r <= (s.Off+len(s.Dst)-1)/g.RBlockBytes; r++ {

@@ -53,11 +53,11 @@ func sampleWall(t *testing.T, d *Device) (programs, reads, erases []time.Duratio
 	}
 	for i := 0; i < wallSamples; i++ {
 		ch, wb := i%g.Channels, i/g.Channels
-		programs = append(programs, timed(func() error { return d.Program(ch, 0, wb, data) }))
+		programs = append(programs, timed(func() error { return d.Program(SrcUser, ch, 0, wb, data) }))
 		reads = append(reads, timed(func() error { _, err := readInto(d, dst, ch, 0, wb*g.WBlockBytes); return err }))
 	}
 	for i := 0; i < wallSamples; i++ {
-		erases = append(erases, timed(func() error { return d.Erase(i%g.Channels, 1) }))
+		erases = append(erases, timed(func() error { return eraseNow(d, i%g.Channels, 1) }))
 	}
 	return programs, reads, erases
 }
@@ -83,7 +83,7 @@ func chain(t *testing.T, d *Device, channels, n int) time.Duration {
 	cmds = cmds[:0]
 	for wb := 0; wb < n; wb++ {
 		for ch := 0; ch < channels; ch++ {
-			cmds = append(cmds, BatchCmd{Channel: ch, EBlock: eb, WBlock: wb, Data: make([]byte, 64)})
+			cmds = append(cmds, BatchCmd{Src: SrcUser, Channel: ch, EBlock: eb, WBlock: wb, Data: make([]byte, 64)})
 		}
 	}
 	t0 := time.Now()
@@ -187,12 +187,12 @@ func TestWallLatencyOffUntouched(t *testing.T) {
 	wb := 0
 	step := func() {
 		if wb == g.WBlocksPerEBlock() {
-			if err := d.Erase(3, 1); err != nil {
+			if err := eraseNow(d, 3, 1); err != nil {
 				t.Fatal(err)
 			}
 			wb = 0
 		}
-		if err := d.ProgramSrc(SrcUser, 3, 1, wb, data); err != nil {
+		if err := d.Program(SrcUser, 3, 1, wb, data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := readInto(d, dst, 3, 1, wb*g.WBlockBytes); err != nil {
@@ -245,7 +245,7 @@ func TestTimekeeperLifecycle(t *testing.T) {
 			wg.Add(1)
 			go func(ch int) {
 				defer wg.Done()
-				d.SubmitBatch([]BatchCmd{{Channel: ch, Data: make([]byte, 64)}}).Wait()
+				d.SubmitBatch([]BatchCmd{{Src: SrcUser, Channel: ch, Data: make([]byte, 64)}}).Wait()
 				if _, err := readInto(d, make([]byte, 512), ch, 0, 0); err != nil {
 					t.Error(err)
 				}
@@ -273,7 +273,7 @@ func TestTimekeeperLifecycle(t *testing.T) {
 	}
 
 	t0 := time.Now()
-	if res := last.SubmitBatch([]BatchCmd{{Channel: 0, WBlock: 1, Data: make([]byte, 64)}}).Wait(); res.Attempted != 1 || len(res.FailedEBlocks) != 0 {
+	if res := last.SubmitBatch([]BatchCmd{{Src: SrcUser, Channel: 0, WBlock: 1, Data: make([]byte, 64)}}).Wait(); res.Attempted != 1 || len(res.FailedEBlocks) != 0 {
 		t.Fatalf("batch on a closed device: %+v", res)
 	}
 	if took := time.Since(t0); took < lat.ProgramWBlock {
@@ -331,7 +331,7 @@ func TestLogPageOvertakesQueued(t *testing.T) {
 			cs.mu.Unlock() // nobody held the channel: the worker is between two programs
 		}
 		t0 := time.Now()
-		if err := d.ProgramSrc(SrcWAL, 0, 1, 0, make([]byte, 64)); err != nil {
+		if err := d.Program(SrcWAL, 0, 1, 0, make([]byte, 64)); err != nil {
 			t.Fatal(err)
 		}
 		took = time.Since(t0)
@@ -392,7 +392,7 @@ func TestReadAllWallLatency(t *testing.T) {
 		reads, cmds := make([]Read, 8), make([]BatchCmd, 8)
 		for k := range reads {
 			reads[k] = Read{Channel: k, Segs: []ReadSeg{{Dst: make([]byte, 512)}}}
-			cmds[k] = BatchCmd{Channel: 0, EBlock: 1, WBlock: k, Data: make([]byte, 64)}
+			cmds[k] = BatchCmd{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: k, Data: make([]byte, 64)}
 		}
 		t0 := time.Now()
 		d.ReadAll(reads)

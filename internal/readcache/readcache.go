@@ -214,23 +214,6 @@ func (c *Cache) Invalidate(key uint64) {
 	}
 }
 
-// InvalidateAll empties the cache and poisons every in-flight fill.
-func (c *Cache) InvalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, f := range c.flights {
-		f.poisoned = true
-	}
-	c.flights = make(map[uint64]*Flight)
-	c.lru.Init()
-	c.index = make(map[uint64]*list.Element)
-	c.ghost.Init()
-	c.ghostIdx = make(map[uint64]*list.Element)
-	c.bytes = 0
-	c.bytesG.Set(0)
-	c.entriesG.Set(0)
-}
-
 // insertLocked admits a payload, evicting from the LRU tail until the
 // byte budget holds. Payloads larger than the whole budget are not
 // cached.

@@ -214,22 +214,6 @@ func TestErrorFillNotCachedAndWaiterSeesError(t *testing.T) {
 	}
 }
 
-func TestInvalidateAll(t *testing.T) {
-	c := New(Config{CapacityBytes: 1 << 20})
-	for i := uint64(0); i < 10; i++ {
-		fill(t, c, i, page(int(i), 64))
-	}
-	_, f, _ := c.GetOrStart(99)
-	c.InvalidateAll()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("InvalidateAll left %d entries / %d bytes", c.Len(), c.Bytes())
-	}
-	c.Complete(99, f, page(99, 64), nil)
-	if _, ok := c.Get(99); ok {
-		t.Fatalf("flight across InvalidateAll must be poisoned")
-	}
-}
-
 func TestConcurrentHammer(t *testing.T) {
 	c := New(Config{CapacityBytes: 4096, GhostEntries: 32})
 	var wg sync.WaitGroup
@@ -269,7 +253,7 @@ func TestChargedBytesAreRetainedBytes(t *testing.T) {
 	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
 	g := dev.Geometry()
 	for wb := 0; wb < 4; wb++ {
-		if err := dev.Program(0, 0, wb, page(wb, g.WBlockBytes)); err != nil {
+		if err := dev.Program(flash.SrcUser, 0, 0, wb, page(wb, g.WBlockBytes)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -127,14 +127,6 @@ func (t *Table) Close(sid uint64) error {
 	return nil
 }
 
-// IsOpen reports whether sid names an open session.
-func (t *Table) IsOpen(sid uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.sessions[sid]
-	return ok
-}
-
 // Check classifies wsn for the session and returns the session's highest
 // applied WSN (the value to acknowledge for Stale verdicts).
 func (t *Table) Check(sid, wsn uint64) (Verdict, uint64, error) {

@@ -77,16 +77,22 @@ func TestUnknownSession(t *testing.T) {
 	}
 }
 
+// isOpen reports whether tb knows sid: Tenant fails only for an unknown one.
+func isOpen(tb *Table, sid uint64) bool {
+	_, _, err := tb.Tenant(sid)
+	return err == nil
+}
+
 func TestCloseRemovesSession(t *testing.T) {
 	tb := New(4)
 	sid := tb.Open()
-	if !tb.IsOpen(sid) {
+	if !isOpen(tb, sid) {
 		t.Fatal("session should be open")
 	}
 	if err := tb.Close(sid); err != nil {
 		t.Fatal(err)
 	}
-	if tb.IsOpen(sid) {
+	if isOpen(tb, sid) {
 		t.Fatal("session should be closed")
 	}
 	if _, _, err := tb.Check(sid, 1); !errors.Is(err, ErrUnknownSession) {
@@ -159,7 +165,7 @@ func TestRecoveryHelpers(t *testing.T) {
 		t.Fatal("AdvanceTo should create missing sessions")
 	}
 	tb.RestoreClose(200)
-	if tb.IsOpen(200) {
+	if isOpen(tb, 200) {
 		t.Fatal("RestoreClose failed")
 	}
 	tb.DropVolatile()
@@ -206,7 +212,7 @@ func TestLoadReplacesContents(t *testing.T) {
 	}
 	// Load is a full replacement, not a merge: pre-existing sessions that
 	// the snapshot doesn't carry must be gone.
-	if dst.IsOpen(stale) {
+	if isOpen(dst, stale) {
 		t.Fatal("Load merged instead of replacing")
 	}
 	got, err := dst.HighestWSN(srcSID)
@@ -240,7 +246,7 @@ func TestRecoveryReplaySnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("sid %d: wsn %d %v, want %d", sid, got, err, want)
 		}
 	}
-	if tb2.IsOpen(300) {
+	if isOpen(tb2, 300) {
 		t.Fatal("closed session survived replay round trip")
 	}
 	// The recovered table keeps working: the next WSN applies cleanly.
@@ -392,7 +398,7 @@ func TestLoadLegacyV1Image(t *testing.T) {
 	if err := tb.Load(raw); !errors.Is(err, ErrBadImage) {
 		t.Fatalf("v1 image: %v, want ErrBadImage", err)
 	}
-	if tb.Count() != 1 || !tb.IsOpen(sid) {
+	if tb.Count() != 1 || !isOpen(tb, sid) {
 		t.Fatalf("a rejected image changed the table: %d sessions", tb.Count())
 	}
 }

@@ -311,18 +311,6 @@ func (t *Table) MarkBad(ch, eb int, lsn record.LSN) error {
 	return nil
 }
 
-// AdvanceDataWBlocks accounts n more provisioned data WBLOCKs.
-func (t *Table) AdvanceDataWBlocks(ch, eb, n int, lsn record.LSN) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.check(ch, eb); err != nil {
-		return err
-	}
-	t.desc[ch][eb].DataWBlocks += uint32(n)
-	t.markDirty(ch, eb, lsn)
-	return nil
-}
-
 // SetDataWBlocks sets the provisioned-data cursor (recovery fix-up).
 func (t *Table) SetDataWBlocks(ch, eb, n int, lsn record.LSN) error {
 	t.mu.Lock()

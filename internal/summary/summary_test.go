@@ -118,7 +118,7 @@ func TestFreeCountAndReserve(t *testing.T) {
 func TestAvailAndWBlockAccounting(t *testing.T) {
 	tb := newTestTable(t)
 	_ = tb.OpenEBlock(2, 3, record.StreamGC, 1)
-	if err := tb.AdvanceDataWBlocks(2, 3, 4, 2); err != nil {
+	if err := tb.SetDataWBlocks(2, 3, 4, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.AddAvail(2, 3, 1000, 3); err != nil {
@@ -231,7 +231,7 @@ func TestDirtyTrackingAndFlush(t *testing.T) {
 func TestSerializeLoadRoundTrip(t *testing.T) {
 	tb := newTestTable(t)
 	_ = tb.OpenEBlock(0, 3, record.StreamUser, 1)
-	_ = tb.AdvanceDataWBlocks(0, 3, 5, 2)
+	_ = tb.SetDataWBlocks(0, 3, 5, 2)
 	_ = tb.AddAvail(0, 3, 4096, 3)
 	_ = tb.OpenEBlock(1, 1, record.StreamGC, 4)
 	_ = tb.CloseEBlock(1, 1, 77, 1, 5)

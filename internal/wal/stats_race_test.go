@@ -81,8 +81,8 @@ func TestStatsConcurrentWithGroupCommit(t *testing.T) {
 	if s.PageWrites == 0 || s.PageWrites > wantAppends {
 		t.Fatalf("PageWrites = %d out of range", s.PageWrites)
 	}
-	if got := s.GroupCommitSize(); got < 1 {
-		t.Fatalf("GroupCommitSize = %v, want >= 1", got)
+	if got := float64(s.RecordsFlushed) / float64(s.PageWrites); got < 1 {
+		t.Fatalf("records per page write = %v, want >= 1", got)
 	}
 }
 

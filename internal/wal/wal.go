@@ -150,15 +150,6 @@ func WithTracer(trc *trace.Recorder) Option {
 	return func(l *Log) { l.trc = trc }
 }
 
-// GroupCommitSize returns the mean number of records made durable per
-// physical log-page write — the group-commit amortization factor.
-func (s Stats) GroupCommitSize() float64 {
-	if s.PageWrites == 0 {
-		return 0
-	}
-	return float64(s.RecordsFlushed) / float64(s.PageWrites)
-}
-
 // Log is the append side of the recovery log. Safe for concurrent use.
 //
 // A page's writer encodes every buffered record into a page under the log
