@@ -133,7 +133,7 @@ func run(cfg config) error {
 		MaxConns:           cfg.maxConns,
 		MaxInflightBytes:   int64(cfg.inflightMB) << 20,
 		SlowBatchThreshold: cfg.slowBatch,
-		Coalesce:           server.CoalesceConfig{Enabled: cfg.coalesce > 0, Window: cfg.coalesce},
+		CoalesceWindow:     cfg.coalesce,
 	})
 	if cfg.debugAddr != "" {
 		dln, err := net.Listen("tcp", cfg.debugAddr)

@@ -50,9 +50,6 @@ type Options struct {
 	// [backoff/2, backoff]. Defaults 25ms and 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// MaxFrameBytes bounds reply frames. Default
-	// netproto.DefaultMaxFrameBytes.
-	MaxFrameBytes int
 	// Seed drives backoff jitter (0 picks a nondeterministic seed).
 	Seed int64
 }
@@ -72,9 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffMax == 0 {
 		o.BackoffMax = 2 * time.Second
-	}
-	if o.MaxFrameBytes == 0 {
-		o.MaxFrameBytes = netproto.DefaultMaxFrameBytes
 	}
 	return o
 }
@@ -397,7 +391,7 @@ func (c *Client) roundTripLocked(typ byte, head, tail []byte, wantResp byte) ([]
 		_ = c.dropConnLocked()
 		return nil, fmt.Errorf("client: send: %w", err)
 	}
-	rtyp, rbody, err := netproto.ReadFrame(c.conn, c.opts.MaxFrameBytes)
+	rtyp, rbody, err := netproto.ReadFrame(c.conn, netproto.DefaultMaxFrameBytes)
 	if err != nil {
 		c.noteTimeout(err)
 		_ = c.dropConnLocked()

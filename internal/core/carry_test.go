@@ -205,7 +205,7 @@ func TestCommitRidesAnotherTrailer(t *testing.T) {
 func commitRidesAnotherTrailer(t *testing.T) *carryRun {
 	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.TypicalNANDLatency())
 	t.Cleanup(dev.Close)
-	c, err := Format(dev, testConfig())
+	c, err := Format(dev, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func stressController(t *testing.T) (*Controller, *flash.Device) {
 		EBlockBytes: 256 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{})
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GCFreeFraction = 0.25 // enough pressure that GC runs during the test
 	cfg.AutoCheckpointLogBytes = 1 << 20
 	c, err := Format(dev, cfg)
@@ -163,7 +163,7 @@ func TestConcurrentCrashRecovery(t *testing.T) {
 		t.Fatal("controller did not crash")
 	}
 
-	c2, err := Open(dev, testConfig())
+	c2, err := Open(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Open after crash: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestNarrowStripesRotateAndRecover(t *testing.T) {
 		EBlockBytes: 256 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{})
-	c, err := Format(dev, testConfig())
+	c, err := Format(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestNarrowStripesRotateAndRecover(t *testing.T) {
 	c.Crash()
 	wg.Wait()
 
-	c2, err := Open(dev, testConfig())
+	c2, err := Open(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Open after crash: %v", err)
 	}

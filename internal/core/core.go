@@ -40,18 +40,12 @@ import (
 
 // Config tunes the controller.
 type Config struct {
-	// Mapping sizes the three-level mapping table.
-	Mapping mapping.Config
-	// SummaryPerPage is the number of EBLOCK descriptors per summary page.
-	SummaryPerPage int
 	// GCFreeFraction triggers GC on a channel when its free-EBLOCK
 	// fraction drops below this value (the paper uses 10%).
 	GCFreeFraction float64
 	// GCMaxRounds bounds how many EBLOCKs one GC pass may collect per
 	// channel.
 	GCMaxRounds int
-	// GarbagePairsPerRecord chunks lazy Garbage log records.
-	GarbagePairsPerRecord int
 	// AutoCheckpointLogBytes forces a checkpoint after this much log
 	// *space* has been consumed — every log page that lands burns a whole
 	// WBLOCK, however few records it carries — so truncation keeps pace
@@ -71,31 +65,19 @@ type Config struct {
 // DefaultConfig returns production-like defaults.
 func DefaultConfig() Config {
 	return Config{
-		Mapping:                mapping.DefaultConfig(),
-		SummaryPerPage:         64,
 		GCFreeFraction:         0.10,
 		GCMaxRounds:            8,
-		GarbagePairsPerRecord:  256,
 		AutoCheckpointLogBytes: 0,
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Mapping.EntriesPerPage == 0 {
-		c.Mapping = d.Mapping
-	}
-	if c.SummaryPerPage == 0 {
-		c.SummaryPerPage = d.SummaryPerPage
-	}
 	if c.GCFreeFraction == 0 {
 		c.GCFreeFraction = d.GCFreeFraction
 	}
 	if c.GCMaxRounds == 0 {
 		c.GCMaxRounds = d.GCMaxRounds
-	}
-	if c.GarbagePairsPerRecord == 0 {
-		c.GarbagePairsPerRecord = d.GarbagePairsPerRecord
 	}
 	return c
 }
@@ -264,11 +246,7 @@ type Controller struct {
 func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	geo := dev.Geometry()
-	st, err := summary.New(geo, cfg.SummaryPerPage)
-	if err != nil {
-		return nil, err
-	}
-	mt, err := mapping.New(cfg.Mapping)
+	st, err := summary.New(geo)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +259,7 @@ func newController(dev *flash.Device, cfg Config) (*Controller, error) {
 		port:         &port{dev: dev},
 		geo:          geo,
 		st:           st,
-		mt:           mt,
+		mt:           mapping.New(),
 		sess:         session.New(1), // SIDs are random; a fixed seed repeats them across runs
 		prov:         prov,
 		nextAction:   1,

@@ -12,18 +12,10 @@ import (
 	"eleos/internal/summary"
 )
 
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Mapping.EntriesPerPage = 64
-	cfg.Mapping.AddrsPerSmallPage = 32
-	cfg.SummaryPerPage = 16
-	return cfg
-}
-
 func newFormatted(t *testing.T) (*Controller, *flash.Device) {
 	t.Helper()
 	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
-	c, err := Format(dev, testConfig())
+	c, err := Format(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
@@ -524,7 +516,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
-			cfg := testConfig()
+			cfg := DefaultConfig()
 			cfg.AutoCheckpointLogBytes = 128 << 10 // 8 log pages
 			c, err := Format(dev, cfg)
 			if err != nil {

@@ -314,7 +314,7 @@ func TestFaultScheduleSurvivesRecovery(t *testing.T) {
 	}
 	c.Crash()
 
-	c2, err := Open(dev, testConfig())
+	c2, err := Open(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Open after crash: %v", err)
 	}

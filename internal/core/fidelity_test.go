@@ -120,7 +120,7 @@ func TestDeviceImageSurvivesControllerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Open(dev2, testConfig())
+	c2, err := Open(dev2, DefaultConfig())
 	if err != nil {
 		t.Fatalf("recover from image: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestDeviceImageSurvivesControllerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3, err := Open(dev3, testConfig())
+	c3, err := Open(dev3, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func deadEBlockController(t *testing.T, erase time.Duration) (*Controller, *flas
 	lat := flash.Latency{ReadRBlock: 5 * time.Microsecond, ProgramWBlock: 20 * time.Microsecond, EraseEBlock: erase}
 	dev := flash.MustNewDevice(geo, lat)
 	t.Cleanup(dev.Close)
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GCFreeFraction = 0.01
 	c, err := Format(dev, cfg)
 	if err != nil {
@@ -195,7 +195,7 @@ func metaOnMediaController(t *testing.T, read time.Duration, step int) (*Control
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{ReadRBlock: read})
 	t.Cleanup(dev.Close)
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GCFreeFraction = 0.01
 	c, err := Format(dev, cfg)
 	if err != nil {
@@ -769,7 +769,7 @@ func TestErasingEBlockIsExclusive(t *testing.T) {
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{EraseEBlock: 2 * time.Millisecond})
 	t.Cleanup(dev.Close)
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GCFreeFraction = 0.25
 	cfg.AutoCheckpointLogBytes = 1 << 20
 	c, err := Format(dev, cfg)
@@ -871,7 +871,7 @@ func TestNoSpaceWriterWaitsForPass(t *testing.T) {
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{EraseEBlock: time.Millisecond})
 	t.Cleanup(dev.Close)
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.AutoCheckpointLogBytes = 256 << 10
 	c, err := Format(dev, cfg)
 	if err != nil {

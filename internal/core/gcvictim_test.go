@@ -91,7 +91,7 @@ func TestGCPluginRespectsPinnedAndInflight(t *testing.T) {
 		EBlockBytes: 256 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{})
-	c, err := Format(dev, testConfig())
+	c, err := Format(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestGCSelectionMatchesPolicyRanking(t *testing.T) {
 		EBlockBytes: 256 << 10, WBlockBytes: 16 << 10, RBlockBytes: 4 << 10,
 	}
 	dev := flash.MustNewDevice(geo, flash.Latency{})
-	c, err := Format(dev, testConfig())
+	c, err := Format(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Format: %v", err)
 	}

@@ -243,7 +243,7 @@ func TestBatchAndGroupAgree(t *testing.T) {
 				// long enough for the in-flight cases to overlap.
 				dev := flash.MustNewDevice(flash.SmallGeometry(), flash.TypicalNANDLatency())
 				dev.SetWallLatencyScale(1)
-				c, err := Format(dev, testConfig())
+				c, err := Format(dev, DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

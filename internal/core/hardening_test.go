@@ -268,7 +268,7 @@ func TestMultiSessionInterleaving(t *testing.T) {
 func TestGCPoliciesIntegrity(t *testing.T) {
 	t.Run("min-cost-decline", func(t *testing.T) {
 		dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
-		cfg := testConfig()
+		cfg := DefaultConfig()
 		cfg.GCMaxRounds = 32
 		c, err := Format(dev, cfg)
 		if err != nil {
@@ -357,7 +357,7 @@ func TestEraseLimitMarksBad(t *testing.T) {
 	g := flash.SmallGeometry()
 	g.EraseLimit = 3
 	dev := flash.MustNewDevice(g, flash.Latency{})
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	// A log page lands whenever a flush's records outgrow its padding:
 	// without checkpoints to truncate it the log fills the device long
 	// before any EBLOCK wears out.

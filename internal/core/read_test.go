@@ -15,7 +15,7 @@ import (
 )
 
 func cachedConfig() Config {
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.ReadCacheBytes = 1 << 20
 	return cfg
 }
@@ -80,7 +80,7 @@ func TestReadBatchEmptyAndAllMissing(t *testing.T) {
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		name := "uncached"
-		cfg := testConfig()
+		cfg := DefaultConfig()
 		if cached {
 			name = "cached"
 			cfg = cachedConfig()
@@ -272,7 +272,7 @@ func TestLengthExistsShortLockAndTypedErrors(t *testing.T) {
 
 func TestReadAfterCrashRejected(t *testing.T) {
 	for _, cached := range []bool{false, true} {
-		cfg := testConfig()
+		cfg := DefaultConfig()
 		if cached {
 			cfg = cachedConfig()
 		}
@@ -296,7 +296,7 @@ func TestReadAfterCrashRejected(t *testing.T) {
 // the cache. The read cache charges len(data) for what it keeps; a
 // sub-slice of an RBLOCK-granular transfer made a 1 KB value pin 4 or 8 KB.
 func TestFlashLoadsAreExactLength(t *testing.T) {
-	for _, cfg := range []Config{testConfig(), cachedConfig()} {
+	for _, cfg := range []Config{DefaultConfig(), cachedConfig()} {
 		c, _ := newFormattedCfg(t, cfg)
 		var pages []LPage
 		var lpids []addr.LPID
@@ -469,7 +469,7 @@ func TestReadAndReadBatchAgree(t *testing.T) {
 	}
 
 	for _, cached := range []bool{false, true} {
-		cfg, mode := testConfig(), "uncached"
+		cfg, mode := DefaultConfig(), "uncached"
 		if cached {
 			cfg, mode = cachedConfig(), "cached"
 		}

@@ -20,7 +20,7 @@ import (
 
 func reopen(t *testing.T, dev *flash.Device) *Controller {
 	t.Helper()
-	c, err := Open(dev, testConfig())
+	c, err := Open(dev, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -565,7 +565,8 @@ func TestQuietMappingPageKeepsItsHome(t *testing.T) {
 	// Far enough away for another small-table page, until the log is
 	// truncated past the second checkpoint's records (the log EBLOCKs open
 	// then have to fill first).
-	far := addr.LPID(4 * testConfig().Mapping.EntriesPerPage * testConfig().Mapping.AddrsPerSmallPage)
+	// A small-table page covers 256 mapping pages of 256 LPIDs each.
+	far := addr.LPID(4 * 256 * 256)
 	for i := 0; c.lastTruncLSN < second; i++ {
 		if i == 64 {
 			t.Fatalf("log truncated to %d after 64 checkpoints, the second ended at %d", c.lastTruncLSN, second)
@@ -581,7 +582,7 @@ func TestQuietMappingPageKeepsItsHome(t *testing.T) {
 
 func TestOpenWithoutFormatFails(t *testing.T) {
 	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
-	if _, err := Open(dev, testConfig()); !errors.Is(err, ErrNoCheckpoint) {
+	if _, err := Open(dev, DefaultConfig()); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("expected ErrNoCheckpoint, got %v", err)
 	}
 }
@@ -644,7 +645,7 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 				}
 			}
 			c.Crash()
-			c2, err := Open(dev, testConfig())
+			c2, err := Open(dev, DefaultConfig())
 			if !errors.Is(err, tc.want) || (err == nil) != (tc.want == nil) {
 				t.Fatalf("Open = %v, want %v", err, tc.want)
 			}
@@ -762,8 +763,7 @@ func TestRedoCreditsSupersededVersions(t *testing.T) {
 	})
 }
 
-// creditUser formats a device that logs one Garbage pair per record, writes
-// creditPages 64-byte pages in one flush, closes every EBLOCK they landed in
+// creditUser formats a device, writes creditPages 64-byte pages in one flush, closes every EBLOCK they landed in
 // with filler, and overwrites them all in one flush, ended by how: a crash
 // point; "settled" — a crash at write.after-exec, then one more once the
 // records that recovery settled the overwrite with are durable;
@@ -773,10 +773,11 @@ func TestRedoCreditsSupersededVersions(t *testing.T) {
 // the first versions, the bytes the overwrite supersedes there.
 func creditUser(t *testing.T, how string) (*Controller, map[[2]int]int) {
 	t.Helper()
-	const creditPages = 600 // their Garbage records fill more than a 16 KB log page
-	cfg := testConfig()
-	cfg.GarbagePairsPerRecord = 1
-	c, dev := newFormattedCfg(t, cfg)
+	const (
+		creditPages = 1200 // their Garbage records fill more than a 16 KB log page
+		garbageRecs = (creditPages + garbagePairsPerRecord - 1) / garbagePairsPerRecord
+	)
+	c, dev := newFormatted(t)
 	var v1, v2 []LPage
 	for i := 1; i <= creditPages; i++ {
 		lp := addr.LPID(i)
@@ -821,8 +822,8 @@ func creditUser(t *testing.T, how string) (*Controller, map[[2]int]int) {
 			if err := c.forceLog(); err != nil {
 				t.Fatal(err)
 			}
-		} else if d := c.log.DurableLSN(); d < done-creditPages || d >= done-1 {
-			t.Fatalf("log durable to %d, the overwrite's Garbage records at %d..%d: want some of them durable, not all", d, done-creditPages, done-1)
+		} else if d := c.log.DurableLSN(); d < done-garbageRecs || d >= done-1 {
+			t.Fatalf("log durable to %d, the overwrite's Garbage records at %d..%d: want some of them durable, not all", d, done-garbageRecs, done-1)
 		}
 		c.mu.Unlock()
 	case "settled":

@@ -47,7 +47,7 @@ func halfDeadController(t *testing.T, n, scale int) (*Controller, *flash.Device,
 	dev := flash.MustNewDevice(geo, flash.Latency{})
 	t.Cleanup(dev.Close)
 	programAndErase(t, dev, bytes.Repeat([]byte{0xEE}, geo.WBlockBytes))
-	cfg := testConfig()
+	cfg := DefaultConfig()
 	cfg.GCFreeFraction = 0.01
 	c, err := Format(dev, cfg)
 	if err != nil {

@@ -778,11 +778,14 @@ func (c *Controller) abortActionLocked(id uint64, plan *provision.Plan) {
 	c.met.aborted.Inc()
 }
 
+// garbagePairsPerRecord chunks lazy Garbage log records.
+const garbagePairsPerRecord = 256
+
 // lazyGarbageLocked appends the lazy old-address records and the DONE
 // record for a committed action (§VIII-C2). They are not forced.
 func (c *Controller) lazyGarbageLocked(id uint64, pairs []record.AddrPair) error {
 	for len(pairs) > 0 {
-		n := min(c.cfg.GarbagePairsPerRecord, len(pairs))
+		n := min(garbagePairsPerRecord, len(pairs))
 		put(c, record.Garbage{Action: id, Pairs: pairs[:n]})
 		pairs = pairs[n:]
 	}

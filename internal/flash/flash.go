@@ -1035,7 +1035,8 @@ func (d *Device) drain(ch int, last uint64) {
 // (FIFO per channel, preserving the NAND sequential-program constraint for
 // commands the caller ordered correctly); commands for different channels
 // execute concurrently in wall-clock time. A failed program or erase
-// disables the rest of its EBLOCK for the remainder of the batch.
+// disables the rest of its EBLOCK for the remainder of the batch. A command
+// addressed outside the device fails with its EBLOCK in FailedEBlocks.
 //
 // With wall latency on, each channel's worker runs its segment, so the
 // channels hold their time concurrently; otherwise, or on a closed device,
@@ -1059,7 +1060,12 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 	}
 	counts, next := buf[:n], buf[n:2*n]
 	for _, c := range cmds {
-		counts[c.Channel]++
+		if uint(c.Channel) < uint(n) {
+			counts[c.Channel]++
+		} else { // no such channel: it fails, as a command for no such EBLOCK does
+			b.pending++
+			b.finish(1, [][2]int{{c.Channel, c.EBlock}})
+		}
 	}
 	backing := make([]BatchCmd, len(cmds))
 	sum := 0
@@ -1071,8 +1077,10 @@ func (d *Device) SubmitBatch(cmds []BatchCmd) *Batch {
 		}
 	}
 	for _, c := range cmds {
-		backing[next[c.Channel]] = c
-		next[c.Channel]++
+		if uint(c.Channel) < uint(n) {
+			backing[next[c.Channel]] = c
+			next[c.Channel]++
+		}
 	}
 	m := d.met.Load()
 	b.drains = b.drainsArr[:0]

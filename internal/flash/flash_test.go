@@ -3,6 +3,7 @@ package flash
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -366,6 +367,19 @@ func TestOutOfRangeErrors(t *testing.T) {
 	}
 	if err := eraseNow(d, -1, 0); !errors.Is(err, ErrOutOfRange) {
 		t.Fatal("erase range not enforced")
+	}
+	res := d.SubmitBatch([]BatchCmd{
+		{Src: SrcUser, Channel: g.Channels, EBlock: 1, Data: []byte{1}},
+		{Op: OpErase, Channel: -1, EBlock: 2},
+		{Src: SrcUser, Channel: 0, EBlock: g.EBlocksPerChannel, Data: []byte{1}},
+		{Src: SrcUser, Channel: 1, EBlock: 3, Data: []byte{1}},
+	}).Wait()
+	want := [][2]int{{-1, 2}, {0, g.EBlocksPerChannel}, {g.Channels, 1}}
+	if !slices.Equal(res.FailedEBlocks, want) || res.Attempted != 4 {
+		t.Fatalf("batch with commands outside the device: %+v, want %v failed of 4", res, want)
+	}
+	if pos, _ := d.NextProgramPosition(1, 3); pos != 1 {
+		t.Fatalf("the batch's in-range program: position %d, want 1", pos)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkGetSet(b *testing.B) {
-	t, _ := New(DefaultConfig())
+	t := New()
 	a := addr.MustPack(1, 2, 128, 1920)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

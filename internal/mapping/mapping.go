@@ -14,8 +14,7 @@
 //
 // The page cache is striped across shards keyed by mapping-page index, so
 // concurrent installs and lookups of different pages do not serialize on
-// one mutex. The LRU list backing CacheLimit is global (eviction pressure
-// is a whole-table property) and is only maintained when a limit is set.
+// one mutex. It is unbounded: a page once loaded stays until DropCache.
 package mapping
 
 import (
@@ -25,7 +24,6 @@ import (
 	"hash/crc32"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"eleos/internal/addr"
 	"eleos/internal/record"
@@ -35,46 +33,29 @@ import (
 // physical address. Supplied by the controller.
 type Loader func(a addr.PhysAddr) ([]byte, error)
 
-// Config sizes the table.
-type Config struct {
-	// EntriesPerPage is the number of LPID slots per mapping page.
-	EntriesPerPage int
-	// AddrsPerSmallPage is the number of mapping-page addresses per
+// The page sizes are part of the media format: a page image records its
+// entry count and decodePage rejects any other, so changing one means
+// bumping core's formatEpoch.
+const (
+	// entriesPerPage is the number of LPID slots per mapping page
+	// (~2 KB images).
+	entriesPerPage = 256
+	// addrsPerSmallPage is the number of mapping-page addresses per
 	// small-table page.
-	AddrsPerSmallPage int
-	// CacheLimit caps the number of mapping pages held in memory
-	// (0 = unlimited). Dirty pages are never evicted (no-steal).
-	CacheLimit int
-}
-
-// DefaultConfig returns sizes giving ~2 KB mapping pages.
-func DefaultConfig() Config {
-	return Config{EntriesPerPage: 256, AddrsPerSmallPage: 256}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.EntriesPerPage <= 0 || c.AddrsPerSmallPage <= 0 {
-		return errors.New("mapping: page sizes must be positive")
-	}
-	if c.CacheLimit < 0 {
-		return errors.New("mapping: cache limit must be non-negative")
-	}
-	return nil
-}
-
-// Stats counts cache behaviour.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Loads     int64
-	Evictions int64
-}
+	addrsPerSmallPage = 256
+)
 
 type page struct {
 	entries []addr.PhysAddr
 	dirty   bool
 	recLSN  record.LSN // LSN that first dirtied the page since its last flush
+}
+
+func (p *page) markDirty(lsn record.LSN) {
+	if !p.dirty {
+		p.dirty = true
+		p.recLSN = lsn
+	}
 }
 
 // numShards stripes the page cache. Must be a power of two.
@@ -90,14 +71,9 @@ type shard struct {
 // mutex on a miss), so lookups and installs of different pages proceed in
 // parallel.
 //
-// Lock order: lruMu -> shard.mu -> tablesMu.
+// Lock order: shard.mu -> tablesMu.
 type Table struct {
-	cfg    Config
 	shards [numShards]shard
-	cached atomic.Int64 // total cached pages across shards
-
-	lruMu sync.Mutex
-	lru   []int // cached page indices, least recently used first
 
 	tablesMu   sync.Mutex
 	loader     Loader
@@ -108,23 +84,15 @@ type Table struct {
 	// does not hold, so what MarkSmallFlushed must leave dirty.
 	smallSince map[int]record.LSN
 	tiny       []addr.PhysAddr // flash address of small page j (checkpoint record)
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	loads     atomic.Int64
-	evictions atomic.Int64
 }
 
 // New creates an empty table.
-func New(cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{cfg: cfg, smallDirty: make(map[int]record.LSN), smallSince: make(map[int]record.LSN)}
+func New() *Table {
+	t := &Table{smallDirty: make(map[int]record.LSN), smallSince: make(map[int]record.LSN)}
 	for i := range t.shards {
 		t.shards[i].pages = make(map[int]*page)
 	}
-	return t, nil
+	return t
 }
 
 // SetLoader installs the flash reader used for cache misses.
@@ -134,81 +102,11 @@ func (t *Table) SetLoader(l Loader) {
 	t.loader = l
 }
 
-// Config returns the table configuration.
-func (t *Table) Config() Config { return t.cfg }
-
-// Stats returns cache statistics.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Hits:      t.hits.Load(),
-		Misses:    t.misses.Load(),
-		Loads:     t.loads.Load(),
-		Evictions: t.evictions.Load(),
-	}
-}
-
-func (t *Table) pageOf(lpid addr.LPID) (pageIdx, slot int) {
-	return int(lpid.TableIndex()) / t.cfg.EntriesPerPage, int(lpid.TableIndex()) % t.cfg.EntriesPerPage
+func pageOf(lpid addr.LPID) (pageIdx, slot int) {
+	return int(lpid.TableIndex()) / entriesPerPage, int(lpid.TableIndex()) % entriesPerPage
 }
 
 func (t *Table) shard(idx int) *shard { return &t.shards[idx&(numShards-1)] }
-
-// cacheMaintain records a use of page idx and evicts clean pages (LRU
-// first) while the cache is over budget. idx doubles as the page to keep:
-// it was just returned to a caller and must not be evicted even if clean.
-// No-op when no cache limit is configured — unlimited caches skip the LRU
-// bookkeeping entirely.
-func (t *Table) cacheMaintain(idx int) {
-	if t.cfg.CacheLimit <= 0 {
-		return
-	}
-	t.lruMu.Lock()
-	defer t.lruMu.Unlock()
-	moved := false
-	for i, v := range t.lru {
-		if v == idx {
-			t.lru = append(append(t.lru[:i], t.lru[i+1:]...), idx)
-			moved = true
-			break
-		}
-	}
-	if !moved {
-		t.lru = append(t.lru, idx)
-	}
-	for int(t.cached.Load()) > t.cfg.CacheLimit {
-		evicted := false
-		for i := 0; i < len(t.lru); {
-			v := t.lru[i]
-			if v == idx {
-				i++
-				continue
-			}
-			sh := t.shard(v)
-			sh.mu.Lock()
-			p := sh.pages[v]
-			if p == nil {
-				sh.mu.Unlock()
-				t.lru = append(t.lru[:i], t.lru[i+1:]...) // stale entry
-				continue
-			}
-			if p.dirty {
-				sh.mu.Unlock()
-				i++
-				continue
-			}
-			delete(sh.pages, v)
-			sh.mu.Unlock()
-			t.cached.Add(-1)
-			t.evictions.Add(1)
-			t.lru = append(t.lru[:i], t.lru[i+1:]...)
-			evicted = true
-			break
-		}
-		if !evicted {
-			return // everything dirty: over-budget until next checkpoint
-		}
-	}
-}
 
 // getPageLocked returns the page for idx in sh, loading it from flash if it
 // was flushed before. Caller holds sh.mu. A page that was never flushed and
@@ -216,10 +114,8 @@ func (t *Table) cacheMaintain(idx int) {
 // returned for such pages.
 func (t *Table) getPageLocked(sh *shard, idx int, create bool) (*page, error) {
 	if p, ok := sh.pages[idx]; ok {
-		t.hits.Add(1)
 		return p, nil
 	}
-	t.misses.Add(1)
 	t.tablesMu.Lock()
 	var home addr.PhysAddr
 	if idx < len(t.small) {
@@ -235,43 +131,32 @@ func (t *Table) getPageLocked(sh *shard, idx int, create bool) (*page, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mapping: load page %d: %w", idx, err)
 		}
-		p, err := decodePage(raw, idx, t.cfg.EntriesPerPage)
+		p, err := decodePage(raw, idx, entriesPerPage)
 		if err != nil {
 			return nil, err
 		}
 		sh.pages[idx] = p
-		t.cached.Add(1)
-		t.loads.Add(1)
 		return p, nil
 	}
 	if !create {
 		return nil, nil
 	}
-	p := &page{entries: make([]addr.PhysAddr, t.cfg.EntriesPerPage)}
+	p := &page{entries: make([]addr.PhysAddr, entriesPerPage)}
 	sh.pages[idx] = p
-	t.cached.Add(1)
 	return p, nil
 }
 
 // Get returns the latest physical address of lpid (invalid if unmapped).
 func (t *Table) Get(lpid addr.LPID) (addr.PhysAddr, error) {
-	idx, slot := t.pageOf(lpid)
+	idx, slot := pageOf(lpid)
 	sh := t.shard(idx)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	p, err := t.getPageLocked(sh, idx, false)
-	if err != nil {
-		sh.mu.Unlock()
+	if err != nil || p == nil {
 		return 0, err
 	}
-	var a addr.PhysAddr
-	if p != nil {
-		a = p.entries[slot]
-	}
-	sh.mu.Unlock()
-	if p != nil {
-		t.cacheMaintain(idx)
-	}
-	return a, nil
+	return p.entries[slot], nil
 }
 
 // Set unconditionally installs a new address for lpid (redo). lsn is the
@@ -284,22 +169,17 @@ func (t *Table) Set(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) error {
 // Swap is Set returning the address it replaced (invalid if unmapped): a
 // user write's install, one shard lock for the lookup and the update.
 func (t *Table) Swap(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) (addr.PhysAddr, error) {
-	idx, slot := t.pageOf(lpid)
+	idx, slot := pageOf(lpid)
 	sh := t.shard(idx)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	p, err := t.getPageLocked(sh, idx, true)
 	if err != nil {
-		sh.mu.Unlock()
 		return 0, err
 	}
 	old := p.entries[slot]
 	p.entries[slot] = a
-	if !p.dirty {
-		p.dirty = true
-		p.recLSN = lsn
-	}
-	sh.mu.Unlock()
-	t.cacheMaintain(idx)
+	p.markDirty(lsn)
 	return old, nil
 }
 
@@ -307,25 +187,17 @@ func (t *Table) Swap(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) (addr.Phys
 // the conditional install used by GC commits (§VI-C). It reports whether
 // the install happened.
 func (t *Table) SetIf(lpid addr.LPID, old, new addr.PhysAddr, lsn record.LSN) (bool, error) {
-	idx, slot := t.pageOf(lpid)
+	idx, slot := pageOf(lpid)
 	sh := t.shard(idx)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	p, err := t.getPageLocked(sh, idx, true)
-	if err != nil {
-		sh.mu.Unlock()
+	if err != nil || p.entries[slot] != old {
 		return false, err
 	}
-	ok := p.entries[slot] == old
-	if ok {
-		p.entries[slot] = new
-		if !p.dirty {
-			p.dirty = true
-			p.recLSN = lsn
-		}
-	}
-	sh.mu.Unlock()
-	t.cacheMaintain(idx)
-	return ok, nil
+	p.entries[slot] = new
+	p.markDirty(lsn)
+	return true, nil
 }
 
 // DirtyPages returns the indices of dirty mapping pages, ascending.
@@ -350,15 +222,12 @@ func (t *Table) DirtyPages() []int {
 func (t *Table) SerializePage(idx int) ([]byte, error) {
 	sh := t.shard(idx)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	p, err := t.getPageLocked(sh, idx, true)
 	if err != nil {
-		sh.mu.Unlock()
 		return nil, err
 	}
-	img := encodePage(p.entries, idx)
-	sh.mu.Unlock()
-	t.cacheMaintain(idx)
-	return img, nil
+	return encodePage(p.entries, idx), nil
 }
 
 // MarkFlushed records that mapping page idx was durably written at a; the
@@ -383,7 +252,7 @@ func (t *Table) setSmallLocked(idx int, a addr.PhysAddr, lsn record.LSN) {
 		t.small = append(t.small, 0)
 	}
 	t.small[idx] = a
-	sp := idx / t.cfg.AddrsPerSmallPage
+	sp := idx / addrsPerSmallPage
 	if _, ok := t.smallDirty[sp]; !ok {
 		t.smallDirty[sp] = lsn
 	}
@@ -443,8 +312,8 @@ func (t *Table) SerializeSmallPage(sp int) []byte {
 	t.tablesMu.Lock()
 	defer t.tablesMu.Unlock()
 	delete(t.smallSince, sp)
-	lo := sp * t.cfg.AddrsPerSmallPage
-	entries := make([]addr.PhysAddr, t.cfg.AddrsPerSmallPage)
+	lo := sp * addrsPerSmallPage
+	entries := make([]addr.PhysAddr, addrsPerSmallPage)
 	for i := range entries {
 		if lo+i < len(t.small) {
 			entries[i] = t.small[lo+i]
@@ -520,11 +389,11 @@ func (t *Table) LoadFromTiny(tiny []addr.PhysAddr) error {
 		if err != nil {
 			return fmt.Errorf("mapping: load small page %d: %w", sp, err)
 		}
-		p, err := decodePage(raw, sp, t.cfg.AddrsPerSmallPage)
+		p, err := decodePage(raw, sp, addrsPerSmallPage)
 		if err != nil {
 			return err
 		}
-		lo := sp * t.cfg.AddrsPerSmallPage
+		lo := sp * addrsPerSmallPage
 		for i, e := range p.entries {
 			for lo+i >= len(t.small) {
 				t.small = append(t.small, 0)
@@ -567,16 +436,12 @@ func (t *Table) MinRecLSN() record.LSN {
 // simulation). The small/tiny tables are volatile too; recovery rebuilds
 // them.
 func (t *Table) DropCache() {
-	t.lruMu.Lock()
-	t.lru = nil
-	t.lruMu.Unlock()
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		sh.pages = make(map[int]*page)
 		sh.mu.Unlock()
 	}
-	t.cached.Store(0)
 	t.tablesMu.Lock()
 	t.small = nil
 	t.smallDirty = make(map[int]record.LSN)

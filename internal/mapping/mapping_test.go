@@ -9,23 +9,12 @@ import (
 	"eleos/internal/addr"
 )
 
-func smallConfig() Config {
-	return Config{EntriesPerPage: 8, AddrsPerSmallPage: 4}
-}
-
-func newTable(t *testing.T, cfg Config) *Table {
-	t.Helper()
-	tb, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
-}
-
-// flashFake stores flushed table pages by fake address.
+// flashFake stores flushed table pages by fake address and counts the
+// loads the table asks of it.
 type flashFake struct {
 	next  int
 	store map[addr.PhysAddr][]byte
+	loads int
 }
 
 func newFlashFake() *flashFake {
@@ -42,6 +31,7 @@ func (f *flashFake) put(b []byte) addr.PhysAddr {
 }
 
 func (f *flashFake) loader(a addr.PhysAddr) ([]byte, error) {
+	f.loads++
 	b, ok := f.store[a]
 	if !ok {
 		return nil, errors.New("fake: unknown address")
@@ -50,7 +40,7 @@ func (f *flashFake) loader(a addr.PhysAddr) ([]byte, error) {
 }
 
 func TestGetUnmapped(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	a, err := tb.Get(42)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +51,7 @@ func TestGetUnmapped(t *testing.T) {
 }
 
 func TestSetGet(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	want := addr.MustPack(2, 3, 128, 256)
 	if err := tb.Set(5, want, 10); err != nil {
 		t.Fatal(err)
@@ -82,7 +72,7 @@ func TestSetGet(t *testing.T) {
 }
 
 func TestSetIfConditional(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	a1 := addr.MustPack(0, 1, 0, 64)
 	a2 := addr.MustPack(0, 2, 0, 64)
 	a3 := addr.MustPack(0, 3, 0, 64)
@@ -104,13 +94,13 @@ func TestSetIfConditional(t *testing.T) {
 }
 
 func TestDirtyTrackingAndMinRecLSN(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	if tb.MinRecLSN() != 0 {
 		t.Fatal("clean table should report 0")
 	}
-	_ = tb.Set(0, addr.MustPack(0, 1, 0, 64), 100) // page 0
-	_ = tb.Set(9, addr.MustPack(0, 1, 64, 64), 50) // page 1
-	_ = tb.Set(1, addr.MustPack(0, 1, 128, 64), 7) // page 0 again: recLSN stays 100
+	_ = tb.Set(0, addr.MustPack(0, 1, 0, 64), 100)                // page 0
+	_ = tb.Set(entriesPerPage+1, addr.MustPack(0, 1, 64, 64), 50) // page 1
+	_ = tb.Set(1, addr.MustPack(0, 1, 128, 64), 7)                // page 0 again: recLSN stays 100
 	if got := tb.DirtyPages(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("DirtyPages = %v", got)
 	}
@@ -136,14 +126,14 @@ func TestDirtyTrackingAndMinRecLSN(t *testing.T) {
 }
 
 func TestFlushLoadRoundTrip(t *testing.T) {
-	cfg := smallConfig()
-	tb := newTable(t, cfg)
+	tb := New()
 	fake := newFlashFake()
 	tb.SetLoader(fake.loader)
 
+	// 40 LPIDs over as many mapping pages and two small-table pages.
 	addrs := map[addr.LPID]addr.PhysAddr{}
 	for i := 0; i < 40; i++ {
-		lpid := addr.LPID(i)
+		lpid := addr.LPID(i * entriesPerPage * addrsPerSmallPage / 32)
 		a := addr.MustPack(1, 2, i*64, 64)
 		addrs[lpid] = a
 		if err := tb.Set(lpid, a, 1); err != nil {
@@ -162,12 +152,13 @@ func TestFlushLoadRoundTrip(t *testing.T) {
 		tb.MarkSmallFlushed(sp, fake.put(tb.SerializeSmallPage(sp)))
 	}
 	tiny := tb.TinyTable()
-	if len(tiny) == 0 {
-		t.Fatal("tiny table empty after flush")
+	if len(tiny) != 2 {
+		t.Fatalf("tiny table holds %d small pages after flush, want 2", len(tiny))
 	}
 
 	// Simulate crash: fresh table, rebuild from tiny.
-	tb2 := newTable(t, cfg)
+	fake.loads = 0
+	tb2 := New()
 	tb2.SetLoader(fake.loader)
 	if err := tb2.LoadFromTiny(tiny); err != nil {
 		t.Fatal(err)
@@ -181,62 +172,13 @@ func TestFlushLoadRoundTrip(t *testing.T) {
 			t.Fatalf("Get(%d) = %v, want %v", lpid, got, want)
 		}
 	}
-	if tb2.Stats().Loads == 0 {
-		t.Fatal("expected page loads from flash")
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	cfg := smallConfig()
-	cfg.CacheLimit = 2
-	tb := newTable(t, cfg)
-	fake := newFlashFake()
-	tb.SetLoader(fake.loader)
-	// Create 4 pages, flush them all so they are clean and evictable.
-	for p := 0; p < 4; p++ {
-		lpid := addr.LPID(p * cfg.EntriesPerPage)
-		if err := tb.Set(lpid, addr.MustPack(1, 1, p*64, 64), 1); err != nil {
-			t.Fatal(err)
-		}
-		img, _ := tb.SerializePage(p)
-		tb.MarkFlushed(p, fake.put(img), 1)
-	}
-	if tb.Stats().Evictions == 0 {
-		t.Fatal("expected evictions with cache limit 2")
-	}
-	// All entries still reachable (reloaded from flash on miss).
-	for p := 0; p < 4; p++ {
-		lpid := addr.LPID(p * cfg.EntriesPerPage)
-		got, err := tb.Get(lpid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != addr.MustPack(1, 1, p*64, 64) {
-			t.Fatalf("page %d entry lost after eviction", p)
-		}
-	}
-}
-
-func TestDirtyPagesNeverEvicted(t *testing.T) {
-	cfg := smallConfig()
-	cfg.CacheLimit = 1
-	tb := newTable(t, cfg)
-	// Dirty 3 pages with no loader: they must all stay cached.
-	for p := 0; p < 3; p++ {
-		if err := tb.Set(addr.LPID(p*cfg.EntriesPerPage), addr.MustPack(1, 1, 0, 64), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p := 0; p < 3; p++ {
-		got, err := tb.Get(addr.LPID(p * cfg.EntriesPerPage))
-		if err != nil || !got.IsValid() {
-			t.Fatalf("dirty page %d evicted: %v %v", p, got, err)
-		}
+	if want := len(tiny) + len(addrs); fake.loads != want {
+		t.Fatalf("%d loads from flash, want %d: each small page and each mapping page once", fake.loads, want)
 	}
 }
 
 func TestPageAddrConditionalRelocation(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	fake := newFlashFake()
 	tb.SetLoader(fake.loader)
 	_ = tb.Set(0, addr.MustPack(1, 1, 0, 64), 1)
@@ -263,7 +205,7 @@ func TestPageAddrConditionalRelocation(t *testing.T) {
 }
 
 func TestSmallPageConditionalRelocation(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	a1 := addr.MustPack(1, 1, 0, 64)
 	a2 := addr.MustPack(1, 2, 0, 64)
 	tb.MarkSmallFlushed(0, a1)
@@ -284,7 +226,7 @@ func TestSmallPageConditionalRelocation(t *testing.T) {
 // the small table after the small page's image was taken. The flush of that
 // image must not leave the small page clean.
 func TestSmallPageDirtyAcrossItsOwnFlush(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	h1, h2 := addr.MustPack(1, 1, 0, 64), addr.MustPack(1, 2, 0, 64)
 	tb.MarkFlushed(0, h1, 10)
 	_ = tb.SerializeSmallPage(0)
@@ -301,7 +243,7 @@ func TestSmallPageDirtyAcrossItsOwnFlush(t *testing.T) {
 }
 
 func TestLoaderErrorsPropagate(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	// Register a flushed page address but no loader.
 	tb.SetPageAddr(0, addr.MustPack(1, 1, 0, 64), 1)
 	if _, err := tb.Get(0); err == nil {
@@ -319,7 +261,7 @@ func TestLoaderErrorsPropagate(t *testing.T) {
 }
 
 func TestDropCache(t *testing.T) {
-	tb := newTable(t, smallConfig())
+	tb := New()
 	_ = tb.Set(1, addr.MustPack(1, 1, 0, 64), 1)
 	tb.DropCache()
 	got, err := tb.Get(1)
@@ -331,37 +273,18 @@ func TestDropCache(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{},
-		{EntriesPerPage: 8},
-		{EntriesPerPage: 8, AddrsPerSmallPage: -1},
-		{EntriesPerPage: 8, AddrsPerSmallPage: 8, CacheLimit: -1},
-	}
-	for i, c := range bad {
-		if _, err := New(c); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-	if _, err := New(DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: a sequence of random Set/SetIf operations, interleaved with
 // flush+reload cycles, always leaves Get returning the latest installed
 // address per LPID.
 func TestRandomOpsMatchModelQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := smallConfig()
-		cfg.CacheLimit = 3
-		tb, _ := New(cfg)
+		tb := New()
 		fake := newFlashFake()
 		tb.SetLoader(fake.loader)
 		model := map[addr.LPID]addr.PhysAddr{}
 		for op := 0; op < 300; op++ {
-			lpid := addr.LPID(rng.Intn(64))
+			lpid := addr.LPID(rng.Intn(64) * entriesPerPage / 4) // 16 pages
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3, 4, 5:
 				a := addr.MustPack(1, 1+rng.Intn(10), rng.Intn(100)*64, 64*(1+rng.Intn(4)))

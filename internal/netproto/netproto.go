@@ -85,8 +85,8 @@ const (
 	CodeInternal       uint16 = 8 // anything else; not retryable
 )
 
-// DefaultMaxFrameBytes bounds a frame unless the peer configures its own
-// cap: large enough for a multi-megabyte flush_batch, small enough that a
+// DefaultMaxFrameBytes bounds every frame the server and the client read:
+// large enough for a multi-megabyte flush_batch, small enough that a
 // hostile 4-byte length prefix cannot force a giant allocation.
 const DefaultMaxFrameBytes = 16 << 20
 

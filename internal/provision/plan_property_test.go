@@ -25,7 +25,7 @@ func TestPlanGeometryPropertyQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		geo := flash.SmallGeometry()
-		st, err := summary.New(geo, 8)
+		st, err := summary.New(geo)
 		if err != nil {
 			return false
 		}
@@ -259,7 +259,7 @@ func TestPartitionQuotaPropertyQuick(t *testing.T) {
 			Channels: []int{1, 2, 3, 4, 8, 16}[rng.Intn(6)], EBlocksPerChannel: 4,
 			EBlockBytes: 64 * w, WBlockBytes: w, RBlockBytes: 4 << 10,
 		}
-		st, err := summary.New(geo, 8)
+		st, err := summary.New(geo)
 		if err != nil {
 			t.Log(err)
 			return false

@@ -141,15 +141,6 @@ type logStream struct {
 	ch, eb, wb int // eb < 0 when unallocated
 }
 
-// DebugTrace, when set by tests, receives provisioning events.
-var DebugTrace func(format string, args ...any)
-
-func dtrace(format string, args ...any) {
-	if DebugTrace != nil {
-		DebugTrace(format, args...)
-	}
-}
-
 // New creates a provisioner over the summary table.
 func New(geo flash.Geometry, st *summary.Table) (*Provisioner, error) {
 	if err := geo.Validate(); err != nil {
@@ -524,7 +515,6 @@ func (p *Provisioner) ProvisionGC(ch int, pages []BatchPage, srcTS uint64, clock
 func (p *Provisioner) applyLocked(c *chanPlanner, lsn record.LSN) (*Plan, error) {
 	plan := c.plan
 	for _, ev := range plan.Opens {
-		dtrace("apply open (%d,%d) stream=%v", ev.Channel, ev.EBlock, ev.Stream)
 		if err := p.st.OpenEBlock(ev.Channel, ev.EBlock, ev.Stream, lsn); err != nil {
 			return nil, err
 		}
@@ -546,7 +536,6 @@ func (p *Provisioner) applyLocked(c *chanPlanner, lsn record.LSN) (*Plan, error)
 		if err := p.st.SetDataWBlocks(cl.Channel, cl.EBlock, cl.DataWBlocks, lsn); err != nil {
 			return nil, err
 		}
-		dtrace("apply close (%d,%d)", cl.Channel, cl.EBlock)
 		if err := p.st.CloseEBlock(cl.Channel, cl.EBlock, cl.Timestamp, cl.MetaWBlocks, lsn); err != nil {
 			return nil, fmt.Errorf("provision: apply close (cursor was %v): %w", cl, err)
 		}
@@ -657,7 +646,6 @@ func (p *Provisioner) ProvisionLogSlots(n int, lsnHint record.LSN) ([]wal.Slot, 
 			if err != nil {
 				return nil, err
 			}
-			dtrace("log stream %d: (%d,%d) -> opened (%d,%d)", p.logParity, st.ch, st.eb, ch, eb)
 			st.ch, st.eb, st.wb = ch, eb, 0
 		}
 		out = append(out, wal.Slot{Channel: st.ch, EBlock: st.eb, WBlock: st.wb})
@@ -702,7 +690,6 @@ func (p *Provisioner) takeLogEBlock(prevCh, siblingCh int, lsn record.LSN) (int,
 func (p *Provisioner) AbandonLogEBlock(ch, eb int, lsnHint record.LSN) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	dtrace("abandon log eblock (%d,%d)", ch, eb)
 	d, err := p.st.Desc(ch, eb)
 	if err != nil {
 		return err

@@ -25,7 +25,7 @@ type testEnv struct {
 func newEnv(t *testing.T) *testEnv {
 	t.Helper()
 	geo := flash.SmallGeometry() // 4 ch x 16 eb x 256KB, 16KB wblocks
-	st, err := summary.New(geo, 8)
+	st, err := summary.New(geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestProvisionAllocsIndependentOfFill(t *testing.T) {
 			return plan
 		}
 		measure := func(fill int) (mallocs, bytes uint64) {
-			st, err := summary.New(geo, 8)
+			st, err := summary.New(geo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func TestProvisionAllocsIndependentOfFill(t *testing.T) {
 func TestNoSpaceDoesNotMutate(t *testing.T) {
 	geo := flash.SmallGeometry()
 	geo.EBlocksPerChannel = 1
-	st, _ := summary.New(geo, 8)
+	st, _ := summary.New(geo)
 	p, _ := New(geo, st)
 	// Fill channel 0's only eblock nearly full, then ask for more than fits
 	// anywhere: with one eblock per channel and 4 channels, a batch bigger
@@ -608,7 +608,7 @@ func TestBenchGeometryDenseAndBalanced(t *testing.T) {
 		Channels: 8, EBlocksPerChannel: 64,
 		EBlockBytes: 1 << 20, WBlockBytes: 32 << 10, RBlockBytes: 4 << 10,
 	}
-	st, err := summary.New(geo, 8)
+	st, err := summary.New(geo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -355,7 +355,7 @@ func TestDeltaPlannerMatchesReference(t *testing.T) {
 		var got, ref side
 		for _, s := range []*side{&got, &ref} {
 			var err error
-			if s.st, err = summary.New(geo, 8); err != nil {
+			if s.st, err = summary.New(geo); err != nil {
 				t.Fatal(err)
 			}
 			if s.p, err = New(geo, s.st); err != nil {

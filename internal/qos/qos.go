@@ -13,7 +13,7 @@
 // at the door.
 //
 // Budget waiters are served in (priority, arrival) order, with a
-// wait-age bypass: a waiter parked longer than StarvationWait is
+// wait-age bypass: a waiter parked longer than starvationWait is
 // promoted ahead of higher-priority arrivals, so a low-priority tenant
 // makes progress under a continuous high-priority load. Admission is
 // head-of-line within a tenant — a small request cannot sneak past a
@@ -75,17 +75,15 @@ type Config struct {
 	Default Limits
 	// Tenants maps tenant names to their limits.
 	Tenants map[string]Limits
-	// StarvationWait promotes a budget waiter parked at least this long
-	// ahead of priority order. Default 100ms.
-	StarvationWait time.Duration
 	// Clock injects time; nil uses the real clock.
 	Clock Clock
 }
 
+// starvationWait promotes a budget waiter parked at least this long ahead
+// of priority order.
+const starvationWait = 100 * time.Millisecond
+
 func (c Config) withDefaults() Config {
-	if c.StarvationWait == 0 {
-		c.StarvationWait = 100 * time.Millisecond
-	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
 	}
@@ -191,13 +189,13 @@ func (q *Controller) refillLocked(ts *tenantState, now time.Time) {
 
 // turnLocked reports whether w is the tenant's next admission: the
 // waiter with the highest effective priority, where being parked past
-// StarvationWait beats any nominal priority, and arrival order breaks
+// starvationWait beats any nominal priority, and arrival order breaks
 // ties.
 func (q *Controller) turnLocked(ts *tenantState, w *waiter, now time.Time) bool {
 	best := -1
 	bestStarved, bestPrio := false, uint8(0)
 	for i, o := range ts.waiters {
-		starved := now.Sub(o.since) >= q.cfg.StarvationWait
+		starved := now.Sub(o.since) >= starvationWait
 		if best == -1 ||
 			(starved && !bestStarved) ||
 			(starved == bestStarved && o.priority > bestPrio) {

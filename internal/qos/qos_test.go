@@ -176,12 +176,8 @@ func TestBudgetOversizedAdmittedAlone(t *testing.T) {
 
 func TestBudgetPriorityOrder(t *testing.T) {
 	clk := newFakeClock()
-	q := New(Config{
-		Enabled:        true,
-		Default:        Limits{MaxInflightBytes: 100},
-		StarvationWait: time.Hour, // effectively off for this test
-		Clock:          clk,
-	}, nil)
+	// The fake clock stands still, so no waiter reaches starvationWait.
+	q := New(Config{Enabled: true, Default: Limits{MaxInflightBytes: 100}, Clock: clk}, nil)
 	if err := q.Admit("t", 0, 100); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -217,12 +213,7 @@ func TestBudgetPriorityOrder(t *testing.T) {
 
 func TestStarvationBypass(t *testing.T) {
 	clk := newFakeClock()
-	q := New(Config{
-		Enabled:        true,
-		Default:        Limits{MaxInflightBytes: 100},
-		StarvationWait: 500 * time.Millisecond,
-		Clock:          clk,
-	}, nil)
+	q := New(Config{Enabled: true, Default: Limits{MaxInflightBytes: 100}, Clock: clk}, nil)
 	if err := q.Admit("t", 0, 100); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
@@ -230,7 +221,7 @@ func TestStarvationBypass(t *testing.T) {
 	mustBlocked(t, lo)
 	// Age the low-priority waiter past the starvation threshold, then
 	// add a fresh high-priority waiter.
-	clk.Advance(time.Second)
+	clk.Advance(starvationWait)
 	hi := admitDone(q, "t", 255, 100)
 	mustBlocked(t, hi)
 	// One slot frees: the starved waiter must beat the high priority.

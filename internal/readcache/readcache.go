@@ -29,9 +29,6 @@ import (
 type Config struct {
 	// CapacityBytes is the byte budget for cached page payloads.
 	CapacityBytes int64
-	// GhostEntries bounds the ghost list; 0 picks a default proportional
-	// to a plausible entry count (capacity / 512).
-	GhostEntries int
 	// Metrics registers the read.cache_* instruments; nil leaves the
 	// cache uninstrumented.
 	Metrics *metrics.Registry
@@ -89,13 +86,6 @@ type Cache struct {
 // New creates a cache. A non-positive capacity yields a cache that never
 // stores anything but still single-flights concurrent fills.
 func New(cfg Config) *Cache {
-	gc := cfg.GhostEntries
-	if gc <= 0 {
-		gc = int(cfg.CapacityBytes / 512)
-		if gc < 64 {
-			gc = 64
-		}
-	}
 	c := &Cache{
 		capacity: cfg.CapacityBytes,
 		lru:      list.New(),
@@ -103,7 +93,7 @@ func New(cfg Config) *Cache {
 		flights:  make(map[uint64]*Flight),
 		ghost:    list.New(),
 		ghostIdx: make(map[uint64]*list.Element),
-		ghostCap: gc,
+		ghostCap: max(int(cfg.CapacityBytes/512), 64), // one key per plausible entry (512 B), at least 64
 	}
 	reg := cfg.Metrics // nil hands out nil, no-op instruments
 	c.hits = reg.Counter("read.cache_hits")

@@ -91,7 +91,7 @@ func TestOversizedPayloadNotCached(t *testing.T) {
 
 func TestGhostListSecondChance(t *testing.T) {
 	reg := metrics.New()
-	c := New(Config{CapacityBytes: 300, GhostEntries: 16, Metrics: reg})
+	c := New(Config{CapacityBytes: 300, Metrics: reg})
 	fill(t, c, 1, page(1, 100))
 	fill(t, c, 2, page(2, 100))
 	fill(t, c, 3, page(3, 100))
@@ -114,7 +114,7 @@ func TestGhostListSecondChance(t *testing.T) {
 }
 
 func TestInvalidateRemovesAndSkipsGhost(t *testing.T) {
-	c := New(Config{CapacityBytes: 1000, GhostEntries: 16})
+	c := New(Config{CapacityBytes: 1000})
 	fill(t, c, 1, page(1, 100))
 	c.Invalidate(1)
 	if _, ok := c.Get(1); ok {
@@ -215,7 +215,7 @@ func TestErrorFillNotCachedAndWaiterSeesError(t *testing.T) {
 }
 
 func TestConcurrentHammer(t *testing.T) {
-	c := New(Config{CapacityBytes: 4096, GhostEntries: 32})
+	c := New(Config{CapacityBytes: 4096})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

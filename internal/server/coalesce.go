@@ -7,53 +7,32 @@ import (
 	"eleos/internal/core"
 )
 
-// CoalesceConfig tunes server-side batch coalescing: merging small
-// pending flushes from different connections into one controller batch,
-// so they share a single provision/program/commit cycle (the
-// cross-connection analogue of the paper's batched-write interface, in
-// the spirit of WAL group commit). Off by default — it trades up to
-// Window of added latency per small flush for fewer forced log pages
-// and larger, better-striped program batches.
+// Server-side batch coalescing merges small pending flushes from
+// different connections into one controller batch, so they share a single
+// provision/program/commit cycle (the cross-connection analogue of the
+// paper's batched-write interface, in the spirit of WAL group commit). Off
+// by default: Config.CoalesceWindow turns it on, trading up to that window
+// of added latency per small flush for fewer forced log pages and larger,
+// better-striped program batches. The window is the one setting; a round's
+// other limits are constants.
 //
 // Coalescing is tenant-safe by construction: per-tenant QoS admission
 // (rate tokens and inflight budget) is charged in Server.flush BEFORE a
 // flush takes a seat in a round, so a merged group batch carries only
 // bytes each tenant already paid for — one tenant can never ride
 // another's budget through the merge.
-type CoalesceConfig struct {
-	// Enabled turns coalescing on.
-	Enabled bool
-	// Window bounds how long a round's leader waits for companion
-	// flushes before writing the group. Default 100µs.
-	Window time.Duration
-	// MaxFlushes closes a round early once this many flushes joined.
-	// Default 16.
-	MaxFlushes int
-	// MaxBytes closes a round early once the joined flushes' wire bytes
-	// reach it. Default 1 MB.
-	MaxBytes int64
-	// ThresholdBytes is the eligibility bound: only flushes whose wire
-	// body is at most this big coalesce — a large flush already fills
-	// the pipeline by itself and would only delay its round. Default
-	// 64 KB.
-	ThresholdBytes int64
-}
-
-func (c CoalesceConfig) withDefaults() CoalesceConfig {
-	if c.Window == 0 {
-		c.Window = 100 * time.Microsecond
-	}
-	if c.MaxFlushes == 0 {
-		c.MaxFlushes = 16
-	}
-	if c.MaxBytes == 0 {
-		c.MaxBytes = 1 << 20
-	}
-	if c.ThresholdBytes == 0 {
-		c.ThresholdBytes = 64 << 10
-	}
-	return c
-}
+const (
+	// coalesceMaxFlushes closes a round early once this many flushes
+	// joined.
+	coalesceMaxFlushes = 16
+	// coalesceMaxBytes closes a round early once the joined flushes' wire
+	// bytes reach it.
+	coalesceMaxBytes = 1 << 20
+	// coalesceThresholdBytes is the eligibility bound: only flushes whose
+	// wire body is at most this big coalesce — a large flush already fills
+	// the pipeline by itself and would only delay its round.
+	coalesceThresholdBytes = 64 << 10
+)
 
 // pendingFlush is one connection's flush seat: the SubFlush of the
 // request being written, handed straight to the controller or seated in
@@ -73,8 +52,8 @@ type pendingFlush struct {
 // Followers park on their seat's done channel; the leader wakes them
 // after the group completes, each finding its outcome in sub.Err.
 type coalescer struct {
-	ctl *core.Controller
-	cfg CoalesceConfig
+	ctl    *core.Controller
+	window time.Duration
 
 	mu      sync.Mutex
 	pending []*pendingFlush
@@ -83,9 +62,8 @@ type coalescer struct {
 	isFull  bool
 }
 
-func newCoalescer(ctl *core.Controller, cfg CoalesceConfig) *coalescer {
-	cfg = cfg.withDefaults()
-	return &coalescer{ctl: ctl, cfg: cfg, pending: make([]*pendingFlush, 0, cfg.MaxFlushes)}
+func newCoalescer(ctl *core.Controller, window time.Duration) *coalescer {
+	return &coalescer{ctl: ctl, window: window, pending: make([]*pendingFlush, 0, coalesceMaxFlushes)}
 }
 
 // submit enters pf into the current round and blocks until the round's
@@ -98,7 +76,7 @@ func (co *coalescer) submit(pf *pendingFlush, wireBytes int64) {
 		// Follower: take a seat, close the round if this filled it, park.
 		co.pending = append(co.pending, pf)
 		co.bytes += wireBytes
-		if !co.isFull && (len(co.pending) >= co.cfg.MaxFlushes || co.bytes >= co.cfg.MaxBytes) {
+		if !co.isFull && (len(co.pending) >= coalesceMaxFlushes || co.bytes >= coalesceMaxBytes) {
 			co.isFull = true
 			close(co.filled)
 		}
@@ -113,24 +91,23 @@ func (co *coalescer) submit(pf *pendingFlush, wireBytes int64) {
 	filled := make(chan struct{})
 	co.filled = filled
 	co.isFull = false
-	alreadyFull := co.cfg.MaxFlushes <= 1 || wireBytes >= co.cfg.MaxBytes
 	co.mu.Unlock()
 
-	if !alreadyFull {
-		t := time.NewTimer(co.cfg.Window)
-		select {
-		case <-filled:
-		case <-t.C:
-		}
-		t.Stop()
+	// A lone flush never fills a round: it is at most
+	// coalesceThresholdBytes, and coalesceMaxFlushes is above one.
+	t := time.NewTimer(co.window)
+	select {
+	case <-filled:
+	case <-t.C:
 	}
+	t.Stop()
 
 	co.mu.Lock()
 	batch := co.pending
 	// The next arrival after this unlock elects a new leader; its round
 	// may run concurrently with this group write, which the controller
 	// handles like any concurrent batches.
-	co.pending = make([]*pendingFlush, 0, co.cfg.MaxFlushes)
+	co.pending = make([]*pendingFlush, 0, coalesceMaxFlushes)
 	co.bytes = 0
 	co.filled = nil
 	co.mu.Unlock()

@@ -21,17 +21,15 @@ import (
 // per-(sid,wsn) guarantee the individual path gives — ack semantics,
 // dedup, WSN ordering, trace attribution, and fault isolation.
 
-func coalesceOn(window time.Duration, maxFlushes int) server.Config {
-	return server.Config{Coalesce: server.CoalesceConfig{
-		Enabled: true, Window: window, MaxFlushes: maxFlushes,
-	}}
+func coalesceOn(window time.Duration) server.Config {
+	return server.Config{CoalesceWindow: window}
 }
 
 // TestCoalescingLoopback runs the multi-client loopback workload with
 // coalescing on: every batch acked and readable, none double-applied,
 // and at least some rounds actually merged (GroupWrites).
 func TestCoalescingLoopback(t *testing.T) {
-	ctl, _, _, addrStr, _ := startServer(t, coalesceOn(3*time.Millisecond, 8))
+	ctl, _, _, addrStr, _ := startServer(t, coalesceOn(3*time.Millisecond))
 
 	const (
 		nClients      = 6
@@ -121,12 +119,13 @@ func TestCoalescingLoopback(t *testing.T) {
 }
 
 // TestCoalescingStaleAndDeferred drives the two non-trivial claim
-// outcomes through deterministic two-flush rounds (window long, rounds
-// close by fill): a stale duplicate re-ACKed without re-applying, and
-// an early WSN deferred out of its group, completing once its
-// predecessor lands.
+// outcomes through two-flush rounds (the window long enough that both
+// flushes of a pair join one round): a stale duplicate re-ACKed without
+// re-applying, and an early WSN deferred out of its group, completing once
+// its predecessor lands.
 func TestCoalescingStaleAndDeferred(t *testing.T) {
-	ctl, _, _, addrStr, _ := startServer(t, coalesceOn(200*time.Millisecond, 2))
+	const window = 200 * time.Millisecond
+	ctl, _, _, addrStr, _ := startServer(t, coalesceOn(window))
 
 	clA, err := client.Dial(addrStr, fastOpts(1))
 	if err != nil {
@@ -147,8 +146,8 @@ func TestCoalescingStaleAndDeferred(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// pair fires both flushes so they land in one round (MaxFlushes=2
-	// closes it early; the long window means a lone flush would wait).
+	// pair fires both flushes so they land in one round, which closes
+	// when its window runs out.
 	pair := func(fa, fb func() error) {
 		t.Helper()
 		var wg sync.WaitGroup
@@ -200,7 +199,7 @@ func TestCoalescingStaleAndDeferred(t *testing.T) {
 		pair(flush(clA, sidA, 3, 102, "A3 early"), flush(clB, sidB, 3, 202, "B3"))
 	}()
 
-	time.Sleep(50 * time.Millisecond) // let round 3 claim and defer A's sub
+	time.Sleep(window + 100*time.Millisecond) // let round 3 close, claim and defer A's sub
 	clC, err := client.Dial(addrStr, fastOpts(3))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +241,7 @@ func TestCoalescingStaleAndDeferred(t *testing.T) {
 // write-path stage set — shared spans are emitted once per sub, under
 // the sub's own identity.
 func TestCoalescingTraceAttribution(t *testing.T) {
-	ctl, _, _, addrStr, _ := startServer(t, coalesceOn(10*time.Millisecond, 4))
+	ctl, _, _, addrStr, _ := startServer(t, coalesceOn(10*time.Millisecond))
 
 	const nClients = 4
 	traceIDs := make([]uint64, nClients)
@@ -319,7 +318,7 @@ func TestCoalescingTraceAttribution(t *testing.T) {
 // must fail every sub-flush in it, and each client's retry of its own
 // (sid, wsn) must land exactly once.
 func TestCoalescingMediaFaultRetry(t *testing.T) {
-	ctl, dev, _, addrStr, _ := startServer(t, coalesceOn(3*time.Millisecond, 4))
+	ctl, dev, _, addrStr, _ := startServer(t, coalesceOn(3*time.Millisecond))
 
 	const nClients = 4
 	type cs struct {
@@ -488,5 +487,5 @@ func TestPooledPathPoisonIntegrity(t *testing.T) {
 	}
 
 	t.Run("direct", func(t *testing.T) { run(t, server.Config{}) })
-	t.Run("coalesced", func(t *testing.T) { run(t, coalesceOn(2*time.Millisecond, 8)) })
+	t.Run("coalesced", func(t *testing.T) { run(t, coalesceOn(2*time.Millisecond)) })
 }

@@ -48,9 +48,6 @@ type Config struct {
 	// MaxConns caps concurrently served connections; further accepts are
 	// answered with CodeBusy and closed. Default 256.
 	MaxConns int
-	// MaxFrameBytes bounds one request frame. Default
-	// netproto.DefaultMaxFrameBytes.
-	MaxFrameBytes int
 	// MaxInflightBytes bounds the batch bytes admitted into the
 	// controller across all connections; flush requests beyond it block
 	// on the socket (TCP backpressure) until space frees. Default 64 MB.
@@ -66,10 +63,11 @@ type Config struct {
 	// batch's trace ID and its per-stage breakdown pulled from the flight
 	// recorder. Zero (the default) disables the log.
 	SlowBatchThreshold time.Duration
-	// Coalesce opts into server-side batch coalescing: small flushes
-	// from different connections merge into one controller batch (see
-	// CoalesceConfig). Off by default.
-	Coalesce CoalesceConfig
+	// CoalesceWindow, when positive, turns on server-side batch
+	// coalescing: small flushes from different connections merge into
+	// one controller batch, a round's leader waiting up to this long for
+	// companions (coalesce.go). Zero (the default) leaves it off.
+	CoalesceWindow time.Duration
 	// QoS opts into per-tenant admission control: token-bucket rate
 	// limits and inflight-byte budgets keyed by the session's tenant
 	// tag, charged before the global inflight semaphore and before the
@@ -81,9 +79,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConns == 0 {
 		c.MaxConns = 256
-	}
-	if c.MaxFrameBytes == 0 {
-		c.MaxFrameBytes = netproto.DefaultMaxFrameBytes
 	}
 	if c.MaxInflightBytes == 0 {
 		c.MaxInflightBytes = 64 << 20
@@ -169,7 +164,7 @@ type Server struct {
 	cfg Config
 	met srvMetrics
 	trc *trace.Recorder // the controller's flight recorder (nil-safe)
-	co  *coalescer      // nil unless Config.Coalesce.Enabled
+	co  *coalescer      // nil unless Config.CoalesceWindow > 0
 	qos *qos.Controller // nil-safe; disabled unless Config.QoS.Enabled
 
 	connSeq atomic.Uint64 // connection serials for trace attribution
@@ -194,8 +189,8 @@ func New(ctl *core.Controller, cfg Config) *Server {
 	s.met = newSrvMetrics(ctl.Metrics())
 	s.trc = ctl.Tracer()
 	s.slowLogf = log.Printf
-	if s.cfg.Coalesce.Enabled {
-		s.co = newCoalescer(ctl, s.cfg.Coalesce)
+	if s.cfg.CoalesceWindow > 0 {
+		s.co = newCoalescer(ctl, s.cfg.CoalesceWindow)
 	}
 	if s.cfg.QoS.Enabled {
 		s.qos = qos.New(s.cfg.QoS, ctl.Metrics())
@@ -386,7 +381,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		typ, body, fbuf, err := netproto.ReadFrameBuf(conn, s.cfg.MaxFrameBytes)
+		typ, body, fbuf, err := netproto.ReadFrameBuf(conn, netproto.DefaultMaxFrameBytes)
 		if err != nil {
 			// EOF and deadline pokes are routine; anything else malformed
 			// costs the peer its connection.
@@ -610,7 +605,7 @@ func (s *Server) write(cn *connState, sid, wsn, traceID uint64, wire []byte) err
 	}
 	pf := &cn.pf
 	pf.sub = core.SubFlush{SID: sid, WSN: wsn, TraceID: traceID, Pages: pages}
-	if n := int64(len(wire)); s.co != nil && n <= s.co.cfg.ThresholdBytes {
+	if n := int64(len(wire)); s.co != nil && n <= coalesceThresholdBytes {
 		s.co.submit(pf, n)
 	} else {
 		s.ctl.WriteBatchGroup([]*core.SubFlush{&pf.sub})

@@ -512,7 +512,7 @@ func TestBackpressureBounded(t *testing.T) {
 // TestHostileFrames: a peer sending garbage loses its connection; the
 // server keeps serving others.
 func TestHostileFrames(t *testing.T) {
-	_, _, srv, addrStr, _ := startServer(t, server.Config{MaxFrameBytes: 1 << 16})
+	_, _, srv, addrStr, _ := startServer(t, server.Config{})
 	raw, err := net.Dial("tcp", addrStr)
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ var serverStatsInstrument = map[string]string{
 // instrument in the registry. Live connections and drained ones exclude
 // each other, so "no field stays zero" is judged over the three points.
 func TestServerStatsViewComplete(t *testing.T) {
-	ctl, _, srv, addrStr, _ := startServer(t, server.Config{MaxConns: 3, MaxFrameBytes: 1 << 16})
+	ctl, _, srv, addrStr, _ := startServer(t, server.Config{MaxConns: 3})
 	nonZero := make(map[string]bool)
 	check := func(when string) {
 		t.Helper()

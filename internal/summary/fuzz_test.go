@@ -3,11 +3,7 @@ package summary
 import (
 	"math/rand"
 	"testing"
-
-	"eleos/internal/flash"
 )
-
-func fuzzGeometry() flash.Geometry { return flash.SmallGeometry() }
 
 // TestDecodeMetaBlockNeverPanics hammers the TAG-block parser — GC reads
 // these from flash, where a crashed close may have left anything.
@@ -27,19 +23,10 @@ func TestDecodeMetaBlockNeverPanics(t *testing.T) {
 // TestLoadPageNeverPanics hammers the summary-page parser.
 func TestLoadPageNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	tb := newFuzzTable(t)
+	tb := newTestTable(t)
 	for i := 0; i < 10000; i++ {
-		b := make([]byte, rng.Intn(800))
+		b := make([]byte, rng.Intn(2400)) // up to past one summary page
 		rng.Read(b)
 		_ = tb.loadPageLocked(0, b)
 	}
-}
-
-func newFuzzTable(t *testing.T) *Table {
-	t.Helper()
-	tb, err := New(fuzzGeometry(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tb
 }

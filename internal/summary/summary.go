@@ -83,11 +83,15 @@ type MetaEntry struct {
 	Length int // byte length
 }
 
+// perPage is the number of EBLOCK descriptors per summary page. It is part
+// of the media format: a page image records it and loadPageLocked rejects
+// any other, so changing it means bumping core's formatEpoch.
+const perPage = 64
+
 // Table is the EBLOCK summary table. Safe for concurrent use.
 type Table struct {
-	mu      sync.Mutex
-	geo     flash.Geometry
-	perPage int
+	mu  sync.Mutex
+	geo flash.Geometry
 
 	desc [][]Descriptor // [channel][eblock]
 	free []int          // [channel] descriptors in state Free, kept by setState
@@ -101,18 +105,13 @@ type Table struct {
 	locator  []addr.PhysAddr    // page index -> flash address
 }
 
-// New creates a summary table for the geometry with perPage descriptors per
-// summary page.
-func New(geo flash.Geometry, perPage int) (*Table, error) {
+// New creates a summary table for the geometry.
+func New(geo flash.Geometry) (*Table, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	if perPage <= 0 {
-		return nil, errors.New("summary: perPage must be positive")
-	}
 	t := &Table{
 		geo:      geo,
-		perPage:  perPage,
 		desc:     make([][]Descriptor, geo.Channels),
 		free:     make([]int, geo.Channels),
 		meta:     make(map[[2]int][]MetaEntry),
@@ -132,7 +131,7 @@ func New(geo flash.Geometry, perPage int) (*Table, error) {
 func (t *Table) NumPages() int { return len(t.locator) }
 
 func (t *Table) pageOf(ch, eb int) int {
-	return (ch*t.geo.EBlocksPerChannel + eb) / t.perPage
+	return (ch*t.geo.EBlocksPerChannel + eb) / perPage
 }
 
 func (t *Table) markDirty(ch, eb int, lsn record.LSN) {
@@ -581,15 +580,15 @@ func (t *Table) MinRecLSN() record.LSN {
 func (t *Table) SerializePage(idx int, flushLSN record.LSN) []byte {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 20 + t.perPage*descBytes + 4
+	n := 20 + perPage*descBytes + 4
 	buf := make([]byte, addr.AlignUp(n))
 	binary.LittleEndian.PutUint32(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(idx))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(t.perPage))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(perPage))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(flushLSN))
 	off := 20
-	for i := 0; i < t.perPage; i++ {
-		global := idx*t.perPage + i
+	for i := 0; i < perPage; i++ {
+		global := idx*perPage + i
 		ch, eb := global/t.geo.EBlocksPerChannel, global%t.geo.EBlocksPerChannel
 		var d Descriptor
 		if ch < t.geo.Channels {
@@ -684,7 +683,7 @@ func (t *Table) loadPageLocked(idx int, raw []byte) error {
 		return fmt.Errorf("%w: index mismatch", ErrBadPage)
 	}
 	per := int(binary.LittleEndian.Uint32(raw[8:]))
-	if per != t.perPage {
+	if per != perPage {
 		return fmt.Errorf("%w: perPage mismatch", ErrBadPage)
 	}
 	flush := record.LSN(binary.LittleEndian.Uint64(raw[12:]))

@@ -16,9 +16,17 @@ import (
 	"eleos/internal/record"
 )
 
+// testGeometry is SmallGeometry with four times its EBLOCKs per channel,
+// so its descriptors fill four summary pages.
+func testGeometry() flash.Geometry {
+	g := flash.SmallGeometry()
+	g.EBlocksPerChannel = 4 * perPage / g.Channels
+	return g
+}
+
 func newTestTable(t *testing.T) *Table {
 	t.Helper()
-	tb, err := New(flash.SmallGeometry(), 8)
+	tb, err := New(testGeometry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +104,7 @@ func TestTakeFreeWearLevelling(t *testing.T) {
 
 func TestFreeCountAndReserve(t *testing.T) {
 	tb := newTestTable(t)
-	g := flash.SmallGeometry()
+	g := testGeometry()
 	if tb.FreeCount(0) != g.EBlocksPerChannel {
 		t.Fatalf("FreeCount = %d", tb.FreeCount(0))
 	}
@@ -205,7 +213,7 @@ func TestDirtyTrackingAndFlush(t *testing.T) {
 		t.Fatalf("fresh table dirty: %d", n)
 	}
 	_ = tb.OpenEBlock(0, 0, record.StreamUser, 100) // page 0
-	_ = tb.AddAvail(3, 15, 64, 50)                  // last page
+	_ = tb.AddAvail(3, 63, 64, 50)                  // last page
 	dirty := tb.DirtyPages()
 	if len(dirty) != 2 {
 		t.Fatalf("dirty = %v", dirty)
@@ -511,7 +519,7 @@ func scanFree(t *testing.T, tb *Table, g flash.Geometry, ch int) int {
 // arbitrary descriptor, recovery's LoadFromLocator over an earlier image
 // of the table, and DropVolatile.
 func TestFreeCountMatchesScan(t *testing.T) {
-	g := flash.SmallGeometry()
+	g := testGeometry()
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tb := newTestTable(t)

@@ -20,6 +20,7 @@
 package trace
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -131,10 +132,14 @@ type Dump struct {
 
 // slot holds one event with every field atomic, so concurrent Emit and
 // Dump need no locks and stay race-detector clean. The publish protocol:
-// a writer claims ticket t, stores ticket=0 (invalidating the slot),
-// stores the payload, then stores ticket=t. A reader copies the payload
-// only between two loads that both observe ticket==t; a torn slot (a
-// writer lapped the ring mid-read) fails the check and is skipped.
+// a writer with ticket t swaps the slot's ticket for t|writing, stores the
+// payload, then stores ticket=t. Tickets in a slot only grow: a writer
+// whose slot already holds a newer ticket drops its event (the ring has
+// lapped it, so Dump would skip it anyway), and one that finds an older
+// writer mid-write yields until it publishes — so neither an older ticket
+// nor an older payload ever lands over a newer event. A reader copies the
+// payload only between two loads that both observe ticket==t; a torn slot
+// (a writer lapped the ring mid-read) fails the check and is skipped.
 type slot struct {
 	ticket  atomic.Uint64
 	kind    atomic.Uint32
@@ -235,10 +240,26 @@ func (r *Recorder) SpanUntil(k Kind, traceID, sid, wsn uint64, start, end time.T
 	r.record(k, int64(start.Sub(r.epoch)), int64(end.Sub(start)), traceID, sid, wsn, arg1, arg2)
 }
 
+// writing marks a slot's ticket while its writer stores the payload.
+const writing = 1 << 63
+
 func (r *Recorder) record(k Kind, ts, dur int64, traceID, sid, wsn uint64, arg1, arg2 int64) {
 	t := r.cursor.Add(1)
 	s := &r.slots[(t-1)&r.mask]
-	s.ticket.Store(0)
+	// The slot last held ticket t minus the ring size (none on the first
+	// lap), published, unless a writer there is slow.
+	var cur uint64
+	if n := r.mask + 1; t > n {
+		cur = t - n
+	}
+	for !s.ticket.CompareAndSwap(cur, t|writing) {
+		for cur = s.ticket.Load(); cur&writing != 0 && cur&^writing < t; cur = s.ticket.Load() {
+			runtime.Gosched() // an older writer is mid-write: let it publish
+		}
+		if cur&^writing >= t {
+			return // a newer event holds the slot: the ring has lapped this one
+		}
+	}
 	s.kind.Store(uint32(k))
 	s.ts.Store(ts)
 	s.dur.Store(dur)
