@@ -41,7 +41,6 @@ import (
 	"eleos/internal/flash"
 	"eleos/internal/health"
 	"eleos/internal/metrics"
-	"eleos/internal/netproto"
 	"eleos/internal/trace"
 )
 
@@ -537,24 +536,24 @@ func doStats(ctl *core.Controller, args []string) error {
 	if !*jsonOut {
 		printMedia(os.Stdout, ctl)
 	}
-	return renderStats(os.Stdout, netproto.StatsFull{Snap: ctl.MetricsSnapshot(), Health: ctl.DeviceHealth()}, *jsonOut)
+	return renderStats(os.Stdout, ctl.MetricsSnapshot(), *jsonOut)
 }
 
 // renderStats is the one renderer behind both `stats` modes: the snapshot
 // as JSON with -json, otherwise the health census, tenant table and
-// metrics table of one stats_full payload.
-func renderStats(w io.Writer, sf netproto.StatsFull, jsonOut bool) error {
+// metrics table of one stats_full snapshot.
+func renderStats(w io.Writer, snap metrics.Snapshot, jsonOut bool) error {
 	if jsonOut {
-		b, err := marshalSnapshot(sf.Snap)
+		b, err := marshalSnapshot(snap)
 		if err != nil {
 			return err
 		}
 		_, err = w.Write(b)
 		return err
 	}
-	printHealth(w, sf.Health)
-	printTenants(w, sf.Snap)
-	printMetrics(w, sf.Snap)
+	printHealth(w, snap)
+	printTenants(w, snap)
+	printMetrics(w, snap)
 	return nil
 }
 
@@ -581,14 +580,14 @@ func doStatsRemote(args []string) error {
 		return err
 	}
 	defer cl.Close()
-	sf, err := cl.StatsFull()
+	snap, err := cl.StatsFull()
 	if err != nil {
 		return err
 	}
 	if !*jsonOut {
 		fmt.Printf("eleosd %s\n", *addrFlag)
 	}
-	return renderStats(os.Stdout, sf, *jsonOut)
+	return renderStats(os.Stdout, snap, *jsonOut)
 }
 
 // topConfig is `top`'s command line, checked by Validate before dialling.
@@ -662,10 +661,10 @@ func runTop(ctx context.Context, w io.Writer, args []string) error {
 	defer cl.Close()
 	tick := time.NewTicker(cfg.period())
 	defer tick.Stop()
-	var prev netproto.StatsFull
+	var prev metrics.Snapshot
 	var prevAt time.Time
 	for rendered := 0; ; {
-		sf, err := cl.StatsFull()
+		snap, err := cl.StatsFull()
 		if err != nil {
 			return err
 		}
@@ -674,12 +673,12 @@ func runTop(ctx context.Context, w io.Writer, args []string) error {
 			if !cfg.plain {
 				fmt.Fprint(w, "\x1b[H\x1b[2J") // home + clear: redraw in place
 			}
-			fmt.Fprint(w, renderTop(cfg.addr, prev, sf, now.Sub(prevAt)))
+			fmt.Fprint(w, renderTop(cfg.addr, prev, snap, now.Sub(prevAt)))
 			if rendered++; rendered == cfg.frames {
 				return nil
 			}
 		}
-		prev, prevAt = sf, now
+		prev, prevAt = snap, now
 		select {
 		case <-ctx.Done():
 			return nil
@@ -690,9 +689,9 @@ func runTop(ctx context.Context, w io.Writer, args []string) error {
 
 // renderTop builds one dashboard frame from two successive stats_full
 // samples. Pure (no clock, no I/O) so tests can pin it with fixtures.
-func renderTop(target string, prev, cur netproto.StatsFull, dt time.Duration) string {
+func renderTop(target string, prev, cur metrics.Snapshot, dt time.Duration) string {
 	var sb strings.Builder
-	r := health.Compute(prev.Snap, cur.Snap, dt)
+	r := health.Compute(prev, cur, dt)
 	fmt.Fprintf(&sb, "eleos top — %s", target)
 	fmt.Fprintf(&sb, "   interval=%s\n\n", dt.Round(time.Millisecond))
 	fmt.Fprintf(&sb, "write   %8.2f MB/s user  %8.2f MB/s flash   WAF %5.2f  pad %4.1f%%   %7.0f batches/s %9.0f pages/s\n",
@@ -704,14 +703,16 @@ func renderTop(target string, prev, cur netproto.StatsFull, dt time.Duration) st
 		fmt.Fprintf(&sb, "qos     %8.0f throttled/s\n", r.ThrottledPS)
 	}
 	sb.WriteString("\n")
-	printHealth(&sb, cur.Health)
-	printTenants(&sb, cur.Snap)
+	printHealth(&sb, cur)
+	printTenants(&sb, cur)
 	return sb.String()
 }
 
-// printHealth renders the device-health census: space split, EBLOCK
-// population, and the wear summary with its histogram.
-func printHealth(w io.Writer, h health.DeviceHealth) {
+// printHealth renders the device-health census read back from the
+// snapshot's health.* gauges: space split, EBLOCK population, and the
+// wear summary with its histogram.
+func printHealth(w io.Writer, snap metrics.Snapshot) {
+	h := health.FromSnapshot(snap)
 	if h.EBlocksTotal == 0 {
 		return
 	}

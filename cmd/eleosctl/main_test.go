@@ -18,17 +18,16 @@ import (
 	"eleos/internal/flash"
 	"eleos/internal/health"
 	"eleos/internal/metrics"
-	"eleos/internal/netproto"
 	"eleos/internal/server"
 	"eleos/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// fixtureSnapshot builds a fully deterministic registry snapshot covering
-// every shape the renderer handles: counters, a negative gauge, and
-// histograms with both duration and size bounds (including an overflow
-// observation beyond the last bucket bound).
+// fixtureSnapshot builds a fully deterministic snapshot covering every
+// shape the renderer handles: counters, a negative gauge, the census
+// gauges, and histograms with both duration and size bounds (including
+// an overflow observation beyond the last bucket bound).
 func fixtureSnapshot() metrics.Snapshot {
 	reg := metrics.New()
 	reg.Counter("core.write.batches").Add(128)
@@ -53,7 +52,21 @@ func fixtureSnapshot() metrics.Snapshot {
 	for _, v := range []int64{1, 2, 2, 7, 31} {
 		g.Observe(v)
 	}
-	return reg.Snapshot()
+	snap := reg.Snapshot()
+	fixtureHealth().AddGauges(&snap)
+	return snap
+}
+
+// fixtureHealth is a census with every section populated.
+func fixtureHealth() health.DeviceHealth {
+	return health.DeviceHealth{
+		EBlocksTotal: 64, FreeEBlocks: 32, OpenEBlocks: 4,
+		UsedEBlocks: 26, BadEBlocks: 1, ReservedEBlocks: 1,
+		EraseTotal: 128, EraseMin: 0, EraseMax: 9,
+		EraseHist: [health.EraseHistBuckets]int64{10, 20, 30, 4},
+		FreeBytes: 64 << 20, ValidBytes: 48 << 20, DeadBytes: 16 << 20,
+		UtilHist: [health.UtilHistBuckets]int64{1, 0, 2, 0, 0, 5, 0, 0, 3, 15},
+	}
 }
 
 // TestStatsJSONGolden pins the `eleosctl stats -json` schema: the JSON
@@ -207,13 +220,13 @@ func TestPrintMetricsTable(t *testing.T) {
 	}
 }
 
-// topFixture builds a pair of stats_full payloads 1s apart with known
+// topFixture builds a pair of stats_full snapshots 1s apart with known
 // deltas so renderTop's rate math is pinned exactly: 1 MB/s user,
 // 2 MB/s flash (WAF 2.00), 1.25 MB of user-source programs for the 1 MB
 // stored (pad 20.0%), 10 batches/s, and one reclaimed EBLOCK whose 1 MB of
 // survivors took 1.75 MB of media reads to move.
-func topFixture() (prev, cur netproto.StatsFull) {
-	build := func(user, flash, batches, moved, freed int64) netproto.StatsFull {
+func topFixture() (prev, cur metrics.Snapshot) {
+	build := func(user, flash, batches, moved, freed int64) metrics.Snapshot {
 		reg := metrics.New()
 		reg.Counter("core.write.bytes_accepted").Add(user)
 		reg.Counter("flash.programmed_bytes").Add(flash)
@@ -231,17 +244,9 @@ func topFixture() (prev, cur netproto.StatsFull) {
 		reg.Counter("qos.default.throttled").Add(freed) // any delta > 0
 		reg.Counter("write.tenant.default.bytes").Add(user)
 		reg.Counter("write.tenant.default.pages").Add(batches * 4)
-		return netproto.StatsFull{
-			Snap: reg.Snapshot(),
-			Health: health.DeviceHealth{
-				EBlocksTotal: 64, FreeEBlocks: 32, OpenEBlocks: 4,
-				UsedEBlocks: 26, BadEBlocks: 1, ReservedEBlocks: 1,
-				EraseTotal: 128, EraseMin: 0, EraseMax: 9,
-				EraseHist: [health.EraseHistBuckets]int64{10, 20, 30, 4},
-				FreeBytes: 64 << 20, ValidBytes: 48 << 20, DeadBytes: 16 << 20,
-				UtilHist: [health.UtilHistBuckets]int64{1, 0, 2, 0, 0, 5, 0, 0, 3, 15},
-			},
-		}
+		snap := reg.Snapshot()
+		fixtureHealth().AddGauges(&snap)
+		return snap
 	}
 	prev = build(5<<20, 10<<20, 100, 1<<20, 2)
 	cur = build(6<<20, 12<<20, 110, 2<<20, 3)
@@ -280,12 +285,12 @@ func TestRenderTop(t *testing.T) {
 }
 
 // TestRenderStats pins the renderer both `stats` modes share: one
-// stats_full payload renders the health census, the tenant table and the
-// metrics table, and -json is the snapshot alone.
+// stats_full snapshot renders the health census, the tenant table and the
+// metrics table, and -json is that snapshot as JSON.
 func TestRenderStats(t *testing.T) {
-	_, sf := topFixture()
+	_, snap := topFixture()
 	var buf bytes.Buffer
-	if err := renderStats(&buf, sf, false); err != nil {
+	if err := renderStats(&buf, snap, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"space:  free 64.0 MB", "TENANT", "metrics:", "core.write.batches"} {
@@ -294,10 +299,10 @@ func TestRenderStats(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := renderStats(&buf, sf, true); err != nil {
+	if err := renderStats(&buf, snap, true); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := marshalSnapshot(sf.Snap); !bytes.Equal(buf.Bytes(), want) {
+	if want, _ := marshalSnapshot(snap); !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("renderStats -json is not the snapshot's JSON:\n%s", buf.String())
 	}
 }
@@ -306,7 +311,7 @@ func TestRenderStats(t *testing.T) {
 // local `stats` against a fresh image stays quiet.
 func TestPrintHealthEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	printHealth(&buf, health.DeviceHealth{})
+	printHealth(&buf, metrics.Snapshot{})
 	if buf.Len() != 0 {
 		t.Fatalf("empty health should render nothing, got %q", buf.String())
 	}

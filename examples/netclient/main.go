@@ -95,7 +95,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("controller: %d batches, %d pages, %d stale re-ACKs\n",
-		sf.Snap.Counter("core.write.batches"), sf.Snap.Counter("core.write.pages"), sf.Snap.Counter("core.write.stale"))
+		sf.Counter("core.write.batches"), sf.Counter("core.write.pages"), sf.Counter("core.write.stale"))
 
 	// Graceful drain: in-flight work finishes, then a checkpoint lands so
 	// the next open replays (almost) nothing.

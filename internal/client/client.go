@@ -32,6 +32,7 @@ import (
 
 	"eleos/internal/addr"
 	"eleos/internal/core"
+	"eleos/internal/metrics"
 	"eleos/internal/netproto"
 	"eleos/internal/session"
 	"eleos/internal/trace"
@@ -239,14 +240,14 @@ func (c *Client) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 	return netproto.ParseReadBatchResp(rbody)
 }
 
-// StatsFull fetches the server's full telemetry payload — every counter,
-// gauge and latency histogram across server, core, wal and flash, plus
-// the device-health census — via the stats_full command. Idempotent and
-// retried like a read.
-func (c *Client) StatsFull() (netproto.StatsFull, error) {
+// StatsFull fetches the server's metrics snapshot — every counter, gauge
+// and latency histogram across server, core, wal and flash, the
+// device-health census among the gauges — via the stats_full command.
+// Idempotent and retried like a read.
+func (c *Client) StatsFull() (metrics.Snapshot, error) {
 	rbody, err := c.call(netproto.MsgStatsFull, nil, netproto.MsgRespStatsFull, true)
 	if err != nil {
-		return netproto.StatsFull{}, err
+		return metrics.Snapshot{}, err
 	}
 	return netproto.DecodeStatsFull(rbody)
 }
@@ -391,7 +392,7 @@ func (c *Client) roundTripLocked(typ byte, head, tail []byte, wantResp byte) ([]
 		_ = c.dropConnLocked()
 		return nil, fmt.Errorf("client: send: %w", err)
 	}
-	rtyp, rbody, err := netproto.ReadFrame(c.conn, netproto.DefaultMaxFrameBytes)
+	rtyp, rbody, err := netproto.ReadFrame(c.conn)
 	if err != nil {
 		c.noteTimeout(err)
 		_ = c.dropConnLocked()

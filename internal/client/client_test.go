@@ -39,7 +39,7 @@ func fakeServer(t *testing.T, scripts ...connScript) string {
 func readOne(t *testing.T, conn net.Conn) (byte, []byte) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, body, err := netproto.ReadFrame(conn, 0)
+	typ, body, err := netproto.ReadFrame(conn)
 	if err != nil {
 		t.Errorf("fake server read: %v", err)
 	}

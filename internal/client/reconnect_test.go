@@ -111,7 +111,7 @@ func TestReconnectUnderRepeatedKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sf.Snap.Counter("core.write.stale") == 0 {
+	if sf.Counter("core.write.stale") == 0 {
 		t.Error("no stale writes recorded; retries were never deduplicated")
 	}
 }

@@ -175,11 +175,15 @@ type tenantWriteCounters struct {
 // empty with the controller); the server and QoS register into it.
 func (c *Controller) Metrics() *metrics.Registry { return c.reg }
 
-// MetricsSnapshot exports every instrument in the controller's registry,
-// the one snapshot stats_full, /metrics and eleosctl render. Lock-free:
-// safe to call concurrently with writes, GC and checkpoints.
+// MetricsSnapshot exports every instrument in the controller's registry
+// plus the DeviceHealth census as health.* gauges: the one snapshot
+// stats_full, /metrics, eleosctl and bench render. The instruments are
+// read lock-free; the census takes c.mu for one consistent cut, so the
+// caller must not hold it.
 func (c *Controller) MetricsSnapshot() metrics.Snapshot {
-	return c.reg.Snapshot()
+	s := c.reg.Snapshot()
+	c.DeviceHealth().AddGauges(&s)
+	return s
 }
 
 // Tracer returns the controller's own always-on flight recorder (never

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"eleos/internal/addr"
+	"eleos/internal/flash"
+	"eleos/internal/health"
 	"eleos/internal/metrics"
 )
 
@@ -171,7 +174,8 @@ func TestStatsViewComplete(t *testing.T) {
 // out-of-space checkpoints run inside their calls, and a reader reads —
 // under -race this is the check that the view needs no lock. Every field
 // is a counter, so each must be monotonic across polls, and exact at the
-// end.
+// end. A snapshot taker runs beside them: each census it reads is one
+// cut, whose byte split covers the free, open and used EBLOCKs exactly.
 func TestStatsConcurrentWithWritersReaderAndGC(t *testing.T) {
 	const (
 		writers = 3
@@ -213,6 +217,12 @@ func TestStatsConcurrentWithWritersReaderAndGC(t *testing.T) {
 			}
 		}
 		prev = st
+	})
+	background(func() { // the snapshot taker
+		h := health.FromSnapshot(c.MetricsSnapshot())
+		if got, want := h.FreeBytes+h.ValidBytes+h.DeadBytes, (h.FreeEBlocks+h.OpenEBlocks+h.UsedEBlocks)*int64(c.geo.EBlockBytes); got != want {
+			t.Errorf("census bytes %d, want %d for %+v", got, want, h)
+		}
 	})
 	rng := rand.New(rand.NewSource(1))
 	background(func() { // the reader
@@ -267,5 +277,42 @@ func TestStatsConcurrentWithWritersReaderAndGC(t *testing.T) {
 	}
 	if st.GCRounds == 0 || st.GCPagesMoved == 0 || st.Reads == 0 || st.Checkpoints == 0 {
 		t.Errorf("the workload did not exercise GC, reads and checkpoints: %+v", st)
+	}
+}
+
+// TestMetricsSnapshotCarriesCensus builds a controller with free, open,
+// used, reserved and bad EBLOCKs and requires every health.* gauge in
+// MetricsSnapshot() to equal its DeviceHealth() field, with no health.*
+// gauge beyond the census.
+func TestMetricsSnapshotCarriesCensus(t *testing.T) {
+	c, dev := deadEBlockController(t, 0)
+	dev.FailNthErase(1)
+	if err := c.GCNow(3); !errors.Is(err, flash.ErrEraseFailed) {
+		t.Fatalf("GCNow = %v, want the injected erase failure", err)
+	}
+	h := c.DeviceHealth()
+	for state, n := range map[string]int64{
+		"free": h.FreeEBlocks, "open": h.OpenEBlocks, "used": h.UsedEBlocks,
+		"reserved": h.ReservedEBlocks, "bad": h.BadEBlocks,
+	} {
+		if n == 0 {
+			t.Fatalf("no %s EBLOCK: %+v", state, h)
+		}
+	}
+	var want metrics.Snapshot
+	h.AddGauges(&want)
+	got := make(map[string]int64)
+	for _, g := range c.MetricsSnapshot().Gauges {
+		if strings.HasPrefix(g.Name, "health.") {
+			got[g.Name] = g.Value
+		}
+	}
+	if len(got) != len(want.Gauges) {
+		t.Errorf("snapshot has %d health.* gauges, the census %d", len(got), len(want.Gauges))
+	}
+	for _, g := range want.Gauges {
+		if v, ok := got[g.Name]; !ok || v != g.Value {
+			t.Errorf("%s = %d (present %v), DeviceHealth() says %d", g.Name, v, ok, g.Value)
+		}
 	}
 }

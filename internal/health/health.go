@@ -8,8 +8,8 @@
 // Two kinds of telemetry live here:
 //
 //   - DeviceHealth: a point-in-time wear/space census of the EBLOCK
-//     array, built by the controller under its lock and shipped inside
-//     stats_full v3 as a fixed-size binary block.
+//     array, built by the controller under its lock and carried in every
+//     metrics snapshot as health.* gauges (AddGauges, FromSnapshot).
 //   - Report: rolling rates (WAF, throughput, GC efficiency, cache hit
 //     rate, throttle rate) computed from the counter deltas between two
 //     successive metrics snapshots — the same arithmetic on both ends of
@@ -17,8 +17,8 @@
 package health
 
 import (
-	"encoding/binary"
-	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -38,9 +38,8 @@ const EraseHistBuckets = 16
 const UtilHistBuckets = 10
 
 // DeviceHealth is a point-in-time wear and space census of the flash
-// array. All fields are int64 so the wire form is a fixed-size
-// little-endian block (WireBytes); the zero value is a valid "empty
-// device" census.
+// array. Every field is one health.* gauge (gauges); the zero value is a
+// valid "empty device" census.
 type DeviceHealth struct {
 	// EBLOCK population by summary state. Reserved covers the
 	// checkpoint-area EBLOCKs outside normal allocation.
@@ -65,10 +64,6 @@ type DeviceHealth struct {
 	DeadBytes  int64
 	UtilHist   [UtilHistBuckets]int64
 }
-
-// WireBytes is the encoded size of a DeviceHealth: every field in
-// declaration order as a little-endian int64.
-const WireBytes = (6 + 3 + EraseHistBuckets + 3 + UtilHistBuckets) * 8
 
 // EraseBucket returns the EraseHist bucket index for one erase count.
 func EraseBucket(count int64) int {
@@ -96,40 +91,55 @@ func UtilBucket(frac float64) int {
 	return b
 }
 
-// fields returns pointers to every field in wire order.
-func (h *DeviceHealth) fields() []*int64 {
-	fs := make([]*int64, 0, WireBytes/8)
-	fs = append(fs, &h.EBlocksTotal, &h.FreeEBlocks, &h.OpenEBlocks,
-		&h.UsedEBlocks, &h.BadEBlocks, &h.ReservedEBlocks,
-		&h.EraseTotal, &h.EraseMin, &h.EraseMax)
+// gauge names one census field.
+type gauge struct {
+	name string
+	v    *int64
+}
+
+// gauges is the one name table of the census: AddGauges encodes with it
+// and FromSnapshot decodes with it (DESIGN.md §7.1).
+func (h *DeviceHealth) gauges() []gauge {
+	gs := []gauge{
+		{"health.eblocks.total", &h.EBlocksTotal},
+		{"health.eblocks.free", &h.FreeEBlocks},
+		{"health.eblocks.open", &h.OpenEBlocks},
+		{"health.eblocks.used", &h.UsedEBlocks},
+		{"health.eblocks.bad", &h.BadEBlocks},
+		{"health.eblocks.reserved", &h.ReservedEBlocks},
+		{"health.erases.total", &h.EraseTotal},
+		{"health.erases.min", &h.EraseMin},
+		{"health.erases.max", &h.EraseMax},
+		{"health.bytes.free", &h.FreeBytes},
+		{"health.bytes.valid", &h.ValidBytes},
+		{"health.bytes.dead", &h.DeadBytes},
+	}
 	for i := range h.EraseHist {
-		fs = append(fs, &h.EraseHist[i])
+		gs = append(gs, gauge{"health.erase_hist." + strconv.Itoa(i), &h.EraseHist[i]})
 	}
-	fs = append(fs, &h.FreeBytes, &h.ValidBytes, &h.DeadBytes)
 	for i := range h.UtilHist {
-		fs = append(fs, &h.UtilHist[i])
+		gs = append(gs, gauge{"health.util_hist." + strconv.Itoa(i), &h.UtilHist[i]})
 	}
-	return fs
+	return gs
 }
 
-// AppendBinary appends the fixed-size wire form to dst.
-func (h *DeviceHealth) AppendBinary(dst []byte) []byte {
-	for _, f := range h.fields() {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(*f))
+// AddGauges adds the census to s as health.* gauges, keeping s.Gauges in
+// name order as Registry.Snapshot leaves it.
+func (h DeviceHealth) AddGauges(s *metrics.Snapshot) {
+	for _, g := range h.gauges() {
+		s.Gauges = append(s.Gauges, metrics.GaugeValue{Name: g.name, Value: *g.v})
 	}
-	return dst
+	slices.SortFunc(s.Gauges, func(a, b metrics.GaugeValue) int { return strings.Compare(a.Name, b.Name) })
 }
 
-// DecodeBinary decodes a DeviceHealth from exactly WireBytes bytes.
-func DecodeBinary(b []byte) (DeviceHealth, error) {
+// FromSnapshot reads the census back from a snapshot's health.* gauges;
+// a snapshot without them yields the zero census.
+func FromSnapshot(s metrics.Snapshot) DeviceHealth {
 	var h DeviceHealth
-	if len(b) != WireBytes {
-		return h, fmt.Errorf("health: want %d bytes, have %d", WireBytes, len(b))
+	for _, g := range h.gauges() {
+		*g.v = s.Gauge(g.name)
 	}
-	for i, f := range h.fields() {
-		*f = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return h, nil
+	return h
 }
 
 // --- rolling rates ----------------------------------------------------------
@@ -216,12 +226,11 @@ func Compute(prev, cur metrics.Snapshot, dt time.Duration) Report {
 	r.CacheHitRate = Ratio(hits, hits+misses)
 	var throttled int64
 	for _, c := range cur.Counters {
-		if t, f, ok := splitLabeled(c.Name, "qos."); ok && f == "throttled" {
+		if _, f, ok := splitLabeled(c.Name, "qos."); ok && f == "throttled" {
 			d := c.Value - prev.Counter(c.Name)
 			if d > 0 {
 				throttled += d
 			}
-			_ = t
 		}
 	}
 	r.ThrottledPS = rate(throttled)
@@ -292,16 +301,8 @@ func Tenants(snap metrics.Snapshot) []TenantStats {
 	for _, r := range rows {
 		out = append(out, *r)
 	}
-	sortTenants(out)
+	slices.SortFunc(out, func(a, b TenantStats) int { return strings.Compare(a.Tenant, b.Tenant) })
 	return out
-}
-
-func sortTenants(ts []TenantStats) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Tenant < ts[j-1].Tenant; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // splitLabeled splits "<prefix><label>.<field>" into (label, field),

@@ -1,6 +1,8 @@
 package health
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,25 +39,34 @@ func TestUtilBucket(t *testing.T) {
 	}
 }
 
-// TestBinaryRoundTripFull drives every field through the codec.
-func TestBinaryRoundTripFull(t *testing.T) {
+// TestGaugesRoundTripFull drives every field through the name table:
+// AddGauges then FromSnapshot gives the census back, the gauges keep
+// the snapshot in name order beside an instrument of the registry, and
+// every name is distinct.
+func TestGaugesRoundTripFull(t *testing.T) {
 	var h DeviceHealth
-	for i, f := range h.fields() {
-		*f = int64(i*1000 + 7)
+	gs := h.gauges()
+	for i, g := range gs {
+		*g.v = int64(i*1000 + 7)
 	}
-	b := h.AppendBinary(nil)
-	if len(b) != WireBytes {
-		t.Fatalf("encoded %d bytes, want %d", len(b), WireBytes)
+	reg := metrics.New()
+	reg.Gauge("read.cached_bytes").Set(5)
+	snap := reg.Snapshot()
+	h.AddGauges(&snap)
+	if len(snap.Gauges) != len(gs)+1 {
+		t.Fatalf("%d gauges, want %d census gauges and one instrument", len(snap.Gauges), len(gs))
 	}
-	got, err := DecodeBinary(b)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.IsSortedFunc(snap.Gauges, func(a, b metrics.GaugeValue) int { return strings.Compare(a.Name, b.Name) }) {
+		t.Fatalf("gauges out of name order: %v", snap.Gauges)
 	}
-	if got != h {
+	if got := FromSnapshot(snap); got != h {
 		t.Fatalf("round trip diverged:\n%+v\n%+v", got, h)
 	}
-	if _, err := DecodeBinary(b[:WireBytes-1]); err == nil {
-		t.Fatal("short block decoded")
+	if snap.Gauge("read.cached_bytes") != 5 || snap.Gauge("health.bytes.dead") != h.DeadBytes {
+		t.Fatalf("lookup by name: %v", snap.Gauges)
+	}
+	if got := FromSnapshot(metrics.Snapshot{}); got != (DeviceHealth{}) {
+		t.Fatalf("empty snapshot decodes to %+v, want the zero census", got)
 	}
 }
 

@@ -288,14 +288,6 @@ func (h *HistogramValue) Finalize() {
 	h.P99 = h.Quantile(0.99)
 }
 
-// Label is one non-numeric fact attached to a snapshot by the registry's
-// owner; the controller attaches none today. Labels are not instruments:
-// the registry never produces them. They travel sorted by key.
-type Label struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
-
 // Snapshot is a point-in-time export of every instrument, sorted by name
 // within each kind. The zero Snapshot (nil slices) is what an empty or
 // nil registry produces and what the wire codec decodes for empty sections.
@@ -303,7 +295,6 @@ type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
-	Labels     []Label          `json:"labels,omitempty"`
 }
 
 // Counter returns the named counter's value (0 if absent).
@@ -324,16 +315,6 @@ func (s Snapshot) Gauge(name string) int64 {
 		}
 	}
 	return 0
-}
-
-// Label returns the named label's value ("" if absent).
-func (s Snapshot) Label(key string) string {
-	for _, l := range s.Labels {
-		if l.Key == key {
-			return l.Value
-		}
-	}
-	return ""
 }
 
 // Histogram returns the named histogram's snapshot (nil if absent).

@@ -35,7 +35,7 @@ func TestReadFrameBufAllocFree(t *testing.T) {
 	r := bytes.NewReader(wire)
 
 	// Warm the pool's size class once outside the measured runs.
-	_, _, pb, err := ReadFrameBuf(r, 0)
+	_, _, pb, err := ReadFrameBuf(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReadFrameBufAllocFree(t *testing.T) {
 
 	if n := testing.AllocsPerRun(200, func() {
 		r.Reset(wire)
-		typ, got, pb, err := ReadFrameBuf(r, 0)
+		typ, got, pb, err := ReadFrameBuf(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkPooledFrameLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(wire)
-		typ, got, pb, err := ReadFrameBuf(r, 0)
+		typ, got, pb, err := ReadFrameBuf(r)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"errors"
 	"testing"
 
 	"eleos/internal/metrics"
@@ -8,24 +9,31 @@ import (
 )
 
 // FuzzDecodeStatsFull feeds arbitrary bytes to the stats_full decoder
-// (mirroring core's FuzzDecodeBatch): it must reject or accept without
-// panicking or over-allocating, and anything it accepts must re-encode
-// to the identical byte string (the codec is canonical: one valid
-// encoding per snapshot).
+// (mirroring core's FuzzDecodeBatch): it must reject with ErrBadStats or
+// accept without panicking or over-allocating, and anything it accepts
+// must re-encode to the identical byte string (the codec is canonical:
+// one valid encoding per snapshot). The seeds include a v4 body carrying
+// the census gauges and a v3 body, which must be rejected.
 func FuzzDecodeStatsFull(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeStatsFull(StatsFull{}))
+	f.Add(EncodeStatsFull(metrics.Snapshot{}))
 	reg := metrics.New()
 	reg.Counter("a").Add(1)
 	reg.Gauge("g").Set(-7)
 	reg.Histogram("h", metrics.DurationBounds()).Observe(1234)
-	f.Add(EncodeStatsFull(StatsFull{Snap: reg.Snapshot(), Health: sampleHealth()}))
+	snap := reg.Snapshot()
+	sampleHealth().AddGauges(&snap)
+	f.Add(EncodeStatsFull(snap))
+	f.Add(v3Body())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sf, err := DecodeStatsFull(data)
+		snap, err := DecodeStatsFull(data)
 		if err != nil {
+			if !errors.Is(err, ErrBadStats) {
+				t.Fatalf("rejected without ErrBadStats: %v", err)
+			}
 			return
 		}
-		re := EncodeStatsFull(sf)
+		re := EncodeStatsFull(snap)
 		if string(re) != string(data) {
 			t.Fatalf("accepted non-canonical encoding:\n in  %x\n out %x", data, re)
 		}

@@ -153,14 +153,11 @@ func CodeFor(err error) uint16 {
 // --- framing ---------------------------------------------------------------
 
 // readFrameLen reads and validates one frame's length prefix into hdr
-// scratch: the header parser shared by ReadFrame and ReadFrameBuf. max
-// <= 0 selects DefaultMaxFrameBytes. On EOF before any byte it returns
-// io.EOF unchanged so callers can distinguish a clean close from a torn
-// frame.
-func readFrameLen(r io.Reader, hdr *[4]byte, max int) (int, error) {
-	if max <= 0 {
-		max = DefaultMaxFrameBytes
-	}
+// scratch: the header parser shared by ReadFrame and ReadFrameBuf. A
+// length over DefaultMaxFrameBytes fails before any body byte is read.
+// On EOF before any byte it returns io.EOF unchanged so callers can
+// distinguish a clean close from a torn frame.
+func readFrameLen(r io.Reader, hdr *[4]byte) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, err
 	}
@@ -168,8 +165,8 @@ func readFrameLen(r io.Reader, hdr *[4]byte, max int) (int, error) {
 	if n < 1 {
 		return 0, ErrShortBody
 	}
-	if int64(n) > int64(max) {
-		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, max)
+	if n > DefaultMaxFrameBytes {
+		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, DefaultMaxFrameBytes)
 	}
 	return int(n), nil
 }
@@ -185,10 +182,11 @@ func readFramePayload(r io.Reader, payload []byte) error {
 }
 
 // ReadFrame reads one frame into a fresh slice the caller keeps (reply
-// bodies outlive the request), rejecting lengths beyond max.
-func ReadFrame(r io.Reader, max int) (typ byte, body []byte, err error) {
+// bodies outlive the request), rejecting lengths beyond
+// DefaultMaxFrameBytes.
+func ReadFrame(r io.Reader) (typ byte, body []byte, err error) {
 	var hdr [4]byte
-	n, err := readFrameLen(r, &hdr, max)
+	n, err := readFrameLen(r, &hdr)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -20,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if _, err := buf.Write(AppendFrame(nil, byte(i+1), body)); err != nil {
 			t.Fatal(err)
 		}
-		typ, got, err := ReadFrame(&buf, 0)
+		typ, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,13 +30,17 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadFrameRejectsOversize sends a length one past the cap and no
+// body: the cap must fail the frame before any body byte is read, or the
+// missing body would surface as a torn frame instead.
 func TestReadFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := buf.Write(AppendFrame(nil, MsgStatsFull, make([]byte, 1000))); err != nil {
-		t.Fatal(err)
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], DefaultMaxFrameBytes+1)
+	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize frame: %v, want ErrFrameTooLarge", err)
 	}
-	if _, _, err := ReadFrame(&buf, 100); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversize frame accepted: %v", err)
+	if _, _, _, err := ReadFrameBuf(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize pooled frame: %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -45,25 +49,25 @@ func TestReadFrameForgedLengthNoAlloc(t *testing.T) {
 	// never allocated.
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], 0xFFFFFFFF)
-	if _, _, err := ReadFrame(bytes.NewReader(hdr[:]), 0); !errors.Is(err, ErrFrameTooLarge) {
+	if _, _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("forged length accepted: %v", err)
 	}
 }
 
 func TestReadFrameShortAndTorn(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader(nil), 0); err != io.EOF {
+	if _, _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
 		t.Fatalf("empty stream: %v", err)
 	}
 	// Zero-length frame (no type byte) is malformed.
 	var zero [4]byte
-	if _, _, err := ReadFrame(bytes.NewReader(zero[:]), 0); !errors.Is(err, ErrShortBody) {
+	if _, _, err := ReadFrame(bytes.NewReader(zero[:])); !errors.Is(err, ErrShortBody) {
 		t.Fatalf("zero frame: %v", err)
 	}
 	// Header promises more than the stream holds.
 	var buf bytes.Buffer
 	buf.Write(AppendFrame(nil, MsgRead, []byte("abcdefgh")))
 	torn := buf.Bytes()[:7]
-	if _, _, err := ReadFrame(bytes.NewReader(torn), 0); err != io.ErrUnexpectedEOF {
+	if _, _, err := ReadFrame(bytes.NewReader(torn)); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn frame: %v", err)
 	}
 }
@@ -150,6 +154,6 @@ func TestReadFrameNeverPanics(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		b := make([]byte, rng.Intn(64))
 		rng.Read(b)
-		_, _, _ = ReadFrame(bytes.NewReader(b), 1<<20)
+		_, _, _ = ReadFrame(bytes.NewReader(b))
 	}
 }

@@ -27,9 +27,9 @@ var hdrPool = sync.Pool{New: func() any { return new([4]byte) }}
 // aliases buf's storage; the caller owns one reference and must
 // buf.Release() when every borrower of body is done. On error no buffer
 // is retained.
-func ReadFrameBuf(r io.Reader, max int) (typ byte, body []byte, buf *bufpool.Buf, err error) {
+func ReadFrameBuf(r io.Reader) (typ byte, body []byte, buf *bufpool.Buf, err error) {
 	hdr := hdrPool.Get().(*[4]byte)
-	n, err := readFrameLen(r, hdr, max)
+	n, err := readFrameLen(r, hdr)
 	hdrPool.Put(hdr)
 	if err != nil {
 		return 0, nil, nil, err

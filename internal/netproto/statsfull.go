@@ -5,29 +5,23 @@ import (
 	"errors"
 	"fmt"
 
-	"eleos/internal/health"
 	"eleos/internal/metrics"
 )
 
-// The stats_full response body carries a full metrics.Snapshot plus the
-// device-health census in a binary layout (little-endian throughout):
+// The stats_full response body carries a full metrics.Snapshot in a
+// binary layout (little-endian throughout):
 //
 //	magic u32 | version u8
 //	nCounters u32 | { nameLen u16 | name | value i64 } ...
 //	nGauges   u32 | { nameLen u16 | name | value i64 } ...
 //	nHists    u32 | { nameLen u16 | name | sum i64 | nBounds u16 |
 //	                  bounds i64 × nBounds | buckets i64 × (nBounds+1) } ...
-//	nLabels   u32 | { keyLen u16 | key | valLen u16 | value } ...
-//	health block (health.WireBytes, fixed size)
 //
-// Version 2 added the trailing labels section, which carries exporter
-// facts that are not instruments.
-// Version 3 appends the device-health census as a fixed-size block —
-// ALWAYS present, never length-prefixed or flagged, because an optional
-// block would give the zero-valued census two encodings and break the
-// one-valid-encoding-per-snapshot canonicality contract the fuzzer
-// enforces. The decoder is strict-v3: v1/v2 bodies are rejected rather
-// than defaulted.
+// Every section is keyed by name, so a new instrument of any kind — the
+// device-health census included, which rides as health.* gauges — needs
+// no version bump; only a new section kind would. The decoder is
+// strict-v4: older bodies are rejected rather than defaulted, so one
+// snapshot keeps one valid encoding.
 //
 // Derived histogram fields (Count, P50/P95/P99) are NOT on the wire:
 // Count is by construction the sum of the bucket values and the
@@ -42,7 +36,7 @@ import (
 
 const (
 	statsMagic   = 0x454C4D53 // "ELMS"
-	statsVersion = 3
+	statsVersion = 4
 
 	maxStatsName   = 4096 // instrument names are short; forged ones need not be honored
 	maxStatsBounds = 4096 // DurationBounds is 24; a forged table must not size an alloc
@@ -51,18 +45,10 @@ const (
 // ErrBadStats reports a malformed stats_full body.
 var ErrBadStats = errors.New("netproto: malformed stats snapshot")
 
-// StatsFull is the full payload of a stats_full body: the instrument
-// snapshot plus the device-health census taken alongside it.
-type StatsFull struct {
-	Snap   metrics.Snapshot
-	Health health.DeviceHealth
-}
-
-// EncodeStatsFull serialises a snapshot + health census into the
-// stats_full response body.
-func EncodeStatsFull(sf StatsFull) []byte {
-	s := sf.Snap
-	n := 5 + 12 + health.WireBytes
+// EncodeStatsFull serialises a snapshot into the stats_full response
+// body.
+func EncodeStatsFull(s metrics.Snapshot) []byte {
+	n := 5 + 12
 	for _, c := range s.Counters {
 		n += 10 + len(c.Name)
 	}
@@ -71,9 +57,6 @@ func EncodeStatsFull(sf StatsFull) []byte {
 	}
 	for _, h := range s.Histograms {
 		n += 12 + len(h.Name) + 8*len(h.Bounds) + 8*len(h.Buckets)
-	}
-	for _, l := range s.Labels {
-		n += 4 + len(l.Key) + len(l.Value)
 	}
 	b := make([]byte, 0, n)
 	b = binary.LittleEndian.AppendUint32(b, statsMagic)
@@ -100,12 +83,7 @@ func EncodeStatsFull(sf StatsFull) []byte {
 			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(s.Labels)))
-	for _, l := range s.Labels {
-		b = appendStatsName(b, l.Key)
-		b = appendStatsName(b, l.Value)
-	}
-	return sf.Health.AppendBinary(b)
+	return b
 }
 
 func appendStatsName(b []byte, name string) []byte {
@@ -180,86 +158,84 @@ func (r *statsReader) sectionCount(minEntry int) (int, error) {
 }
 
 // DecodeStatsFull parses a stats_full response body back into the
-// snapshot + health census, recomputing the derived histogram fields.
-// Empty sections decode as nil slices, mirroring what Registry.Snapshot
-// produces, so a decoded snapshot compares deep-equal to the one that
-// was encoded.
-func DecodeStatsFull(body []byte) (StatsFull, error) {
-	var sf StatsFull
-	s := &sf.Snap
+// snapshot, recomputing the derived histogram fields. Empty sections
+// decode as nil slices, mirroring what Registry.Snapshot produces, so a
+// decoded snapshot compares deep-equal to the one that was encoded.
+func DecodeStatsFull(body []byte) (metrics.Snapshot, error) {
+	var s metrics.Snapshot
 	r := &statsReader{b: body}
 	magic, err := r.u32()
 	if err != nil {
-		return sf, err
+		return s, err
 	}
 	if magic != statsMagic {
-		return sf, fmt.Errorf("%w: magic", ErrBadStats)
+		return s, fmt.Errorf("%w: magic", ErrBadStats)
 	}
 	if r.remaining() < 1 {
-		return sf, fmt.Errorf("%w: truncated version", ErrBadStats)
+		return s, fmt.Errorf("%w: truncated version", ErrBadStats)
 	}
 	if v := r.b[r.off]; v != statsVersion {
-		return sf, fmt.Errorf("%w: version %d", ErrBadStats, v)
+		return s, fmt.Errorf("%w: version %d", ErrBadStats, v)
 	}
 	r.off++
 
 	nc, err := r.sectionCount(10) // nameLen + empty name + value
 	if err != nil {
-		return sf, err
+		return s, err
 	}
 	for i := 0; i < nc; i++ {
 		name, err := r.name()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		v, err := r.i64()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		s.Counters = append(s.Counters, metrics.CounterValue{Name: name, Value: v})
 	}
 
 	ng, err := r.sectionCount(10)
 	if err != nil {
-		return sf, err
+		return s, err
 	}
 	for i := 0; i < ng; i++ {
 		name, err := r.name()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		v, err := r.i64()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		s.Gauges = append(s.Gauges, metrics.GaugeValue{Name: name, Value: v})
 	}
 
 	nh, err := r.sectionCount(12 + 8) // nameLen + sum + nBounds + overflow bucket
 	if err != nil {
-		return sf, err
+		return s, err
 	}
 	for i := 0; i < nh; i++ {
 		name, err := r.name()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		sum, err := r.i64()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		nb, err := r.u16()
 		if err != nil {
-			return sf, err
+			return s, err
 		}
 		if int(nb) > maxStatsBounds {
-			return sf, fmt.Errorf("%w: %d bounds", ErrBadStats, nb)
+			return s, fmt.Errorf("%w: %d bounds", ErrBadStats, nb)
 		}
 		// nb bounds plus nb+1 buckets, 8 bytes each — checked as one
 		// product before either allocation.
 		need := (2*int(nb) + 1) * 8
 		if r.remaining() < need {
-			return sf, fmt.Errorf("%w: truncated histogram", ErrBadStats)
+			return s, fmt.Errorf("%w: truncated histogram", ErrBadStats)
 		}
 		hv := metrics.HistogramValue{
 			Name:    name,
@@ -282,28 +258,8 @@ func DecodeStatsFull(body []byte) (StatsFull, error) {
 		s.Histograms = append(s.Histograms, hv)
 	}
 
-	nl, err := r.sectionCount(4) // keyLen + valLen, both empty
-	if err != nil {
-		return sf, err
+	if r.remaining() != 0 {
+		return s, fmt.Errorf("%w: %d trailing bytes", ErrBadStats, r.remaining())
 	}
-	for i := 0; i < nl; i++ {
-		key, err := r.name()
-		if err != nil {
-			return sf, err
-		}
-		val, err := r.name()
-		if err != nil {
-			return sf, err
-		}
-		s.Labels = append(s.Labels, metrics.Label{Key: key, Value: val})
-	}
-
-	if r.remaining() != health.WireBytes {
-		return sf, fmt.Errorf("%w: health block has %d bytes, want %d", ErrBadStats, r.remaining(), health.WireBytes)
-	}
-	sf.Health, err = health.DecodeBinary(r.b[r.off:])
-	if err != nil {
-		return sf, fmt.Errorf("%w: %v", ErrBadStats, err)
-	}
-	return sf, nil
+	return s, nil
 }

@@ -22,7 +22,7 @@ func sampleSnapshot() metrics.Snapshot {
 	}
 	reg.Histogram("wal.group_commit_records", metrics.SizeBounds()).Observe(12)
 	snap := reg.Snapshot()
-	snap.Labels = append(snap.Labels, metrics.Label{Key: "gc.policy", Value: "min-cost-decline"})
+	sampleHealth().AddGauges(&snap)
 	return snap
 }
 
@@ -47,83 +47,72 @@ func sampleHealth() health.DeviceHealth {
 	return h
 }
 
-func sampleStatsFull() StatsFull {
-	return StatsFull{Snap: sampleSnapshot(), Health: sampleHealth()}
+// v3Body is a faithful empty version-3 body: the v4 sections, then v3's
+// empty labels section and its fixed 304-byte health block of zeros.
+func v3Body() []byte {
+	b := EncodeStatsFull(metrics.Snapshot{})
+	b[4] = 3
+	return append(b, make([]byte, 4+304)...)
 }
 
 func TestStatsFullRoundTrip(t *testing.T) {
-	sf := sampleStatsFull()
-	body := EncodeStatsFull(sf)
-	got, err := DecodeStatsFull(body)
+	snap := sampleSnapshot()
+	got, err := DecodeStatsFull(EncodeStatsFull(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, sf) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, sf)
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, snap)
+	}
+}
+
+// TestStatsFullCensusRoundTrip: the census crosses the wire as ordinary
+// gauges and reads back whole through health's name table.
+func TestStatsFullCensusRoundTrip(t *testing.T) {
+	got, err := DecodeStatsFull(EncodeStatsFull(sampleSnapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := health.FromSnapshot(got); h != sampleHealth() {
+		t.Fatalf("census round trip:\n got %+v\nwant %+v", h, sampleHealth())
 	}
 }
 
 func TestStatsFullEmptySnapshot(t *testing.T) {
-	var sf StatsFull
-	got, err := DecodeStatsFull(EncodeStatsFull(sf))
+	got, err := DecodeStatsFull(EncodeStatsFull(metrics.Snapshot{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, sf) {
-		t.Fatalf("empty round trip: %+v", got)
-	}
-	s := got.Snap
-	if s.Counters != nil || s.Gauges != nil || s.Histograms != nil || s.Labels != nil {
-		t.Fatalf("empty sections must decode as nil slices: %+v", s)
-	}
-}
-
-func TestStatsFullLabelsRoundTrip(t *testing.T) {
-	sf := StatsFull{Snap: metrics.Snapshot{Labels: []metrics.Label{
-		{Key: "gc.policy", Value: "wear-aware"},
-		{Key: "", Value: ""}, // empty key/value are legal on the wire
-	}}}
-	got, err := DecodeStatsFull(EncodeStatsFull(sf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sf) {
-		t.Fatalf("labels round trip:\n got %+v\nwant %+v", got, sf)
-	}
-	if got.Snap.Label("gc.policy") != "wear-aware" {
-		t.Fatalf("Label lookup = %q", got.Snap.Label("gc.policy"))
+	if got.Counters != nil || got.Gauges != nil || got.Histograms != nil {
+		t.Fatalf("empty sections must decode as nil slices: %+v", got)
 	}
 }
 
 func TestDecodeStatsFullRejectsOldVersions(t *testing.T) {
-	// v1 and v2 bodies are rejected outright rather than defaulted: a
-	// defaulted missing section (v1's labels, v2's health block) would
-	// give one payload two valid encodings and break canonicality.
-	full := EncodeStatsFull(StatsFull{})
-	for _, v := range []byte{1, 2} {
+	// Older bodies are rejected outright rather than defaulted: a
+	// defaulted section would give one snapshot two valid encodings and
+	// break canonicality.
+	full := EncodeStatsFull(metrics.Snapshot{})
+	for _, v := range []byte{1, 2, 3} {
 		b := append([]byte(nil), full...)
 		b[4] = v
 		if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
 			t.Fatalf("v%d body: %v, want ErrBadStats", v, err)
 		}
 	}
-	// A faithful v2 body — no trailing health block — must fail even
-	// before its version byte is inspected differently: decode stops at
-	// the missing block.
-	v2 := append([]byte(nil), full[:len(full)-health.WireBytes]...)
-	if _, err := DecodeStatsFull(v2); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("missing health block: %v, want ErrBadStats", err)
+	if _, err := DecodeStatsFull(v3Body()); !errors.Is(err, ErrBadStats) {
+		t.Fatalf("faithful v3 body: %v, want ErrBadStats", err)
 	}
 }
 
-func TestDecodeStatsFullForgedLabelCount(t *testing.T) {
-	full := EncodeStatsFull(StatsFull{})
-	// Overwrite the nLabels word (just ahead of the health block) with a
-	// giant count; the remaining bytes cannot hold it.
+func TestDecodeStatsFullForgedHistogramCount(t *testing.T) {
+	full := EncodeStatsFull(metrics.Snapshot{})
+	// Overwrite the nHists word (the body's last) with a giant count; the
+	// remaining bytes cannot hold it.
 	b := append([]byte(nil), full...)
-	binary.LittleEndian.PutUint32(b[len(b)-health.WireBytes-4:], 1<<31)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], 1<<31)
 	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("forged label count: %v, want ErrBadStats", err)
+		t.Fatalf("forged histogram count: %v, want ErrBadStats", err)
 	}
 }
 
@@ -166,10 +155,9 @@ func TestDecodeStatsFullForgedNameLen(t *testing.T) {
 }
 
 func TestDecodeStatsFullTruncated(t *testing.T) {
-	full := EncodeStatsFull(sampleStatsFull())
-	// Every proper prefix must fail cleanly, never panic. Truncation
-	// always eats into (at least) the trailing health block, which is
-	// required to be exactly health.WireBytes.
+	full := EncodeStatsFull(sampleSnapshot())
+	// Every proper prefix must fail cleanly, never panic: truncation
+	// always cuts into an entry some section count declared.
 	for n := 0; n < len(full); n++ {
 		if _, err := DecodeStatsFull(full[:n]); err == nil {
 			t.Fatalf("truncation at %d/%d accepted", n, len(full))
@@ -178,7 +166,7 @@ func TestDecodeStatsFullTruncated(t *testing.T) {
 }
 
 func TestDecodeStatsFullTrailingBytes(t *testing.T) {
-	full := EncodeStatsFull(sampleStatsFull())
+	full := EncodeStatsFull(sampleSnapshot())
 	if _, err := DecodeStatsFull(append(full, 0)); !errors.Is(err, ErrBadStats) {
 		t.Fatalf("trailing byte: %v, want ErrBadStats", err)
 	}
@@ -194,23 +182,5 @@ func TestDecodeStatsFullBadMagicVersion(t *testing.T) {
 	b = append(b, 99)
 	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
 		t.Fatalf("bad version: %v", err)
-	}
-}
-
-func TestHealthBinaryRoundTrip(t *testing.T) {
-	h := sampleHealth()
-	b := h.AppendBinary(nil)
-	if len(b) != health.WireBytes {
-		t.Fatalf("encoded %d bytes, want %d", len(b), health.WireBytes)
-	}
-	got, err := health.DecodeBinary(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, h) {
-		t.Fatalf("health round trip:\n got %+v\nwant %+v", got, h)
-	}
-	if _, err := health.DecodeBinary(b[:len(b)-1]); err == nil {
-		t.Fatal("short health block accepted")
 	}
 }

@@ -40,9 +40,9 @@ func (s *Server) DebugHandler() http.Handler {
 }
 
 // serveMetricsText renders the snapshot stats_full carries in Prometheus
-// text exposition format (see WritePrometheus): # HELP/# TYPE headers, the
-// path-encoded tenant/source/channel dimensions lifted into labels, and
-// the snapshot's labels, if any, as an eleos_info sample.
+// text exposition format (see WritePrometheus): # HELP/# TYPE headers and
+// the path-encoded tenant/source/channel dimensions lifted into labels.
+// The snapshot's health census takes the controller lock.
 func (s *Server) serveMetricsText(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WritePrometheus(w, s.ctl.MetricsSnapshot())

@@ -20,9 +20,8 @@ import (
 //	flash.chan<i>.<field>            -> eleos_flash_channel_<field>{channel="i"}
 //
 // Everything else flattens '.' to '_' under the eleos_ namespace;
-// counters get the conventional _total suffix, histograms render as
-// real Prometheus histograms (cumulative le buckets, _sum, _count), and
-// the snapshot's labels, if any, become one eleos_info gauge.
+// counters get the conventional _total suffix, and histograms render as
+// real Prometheus histograms (cumulative le buckets, _sum, _count).
 
 // promHelp carries HELP strings for the families worth documenting;
 // families not listed get a generic line.
@@ -47,7 +46,6 @@ var promHelp = map[string]string{
 	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
 	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
 	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",
-	"eleos_info":                                "The registry snapshot's labels, carried as labels of a constant 1 gauge.",
 }
 
 // promSample is one rendered sample line within a family.
@@ -86,13 +84,6 @@ func WritePrometheus(w io.Writer, snap metrics.Snapshot) {
 	for _, g := range snap.Gauges {
 		name, labels := promName(g.Name)
 		add(name, "gauge", promSample{labels: labels, value: fmt.Sprintf("%d", g.Value)})
-	}
-	if len(snap.Labels) > 0 {
-		var parts []string
-		for _, l := range snap.Labels {
-			parts = append(parts, fmt.Sprintf("%s=%q", promFlat(l.Key), l.Value))
-		}
-		add("eleos_info", "gauge", promSample{labels: "{" + strings.Join(parts, ",") + "}", value: "1"})
 	}
 
 	// Snapshot sections are sorted by instrument name; emitting families

@@ -2,11 +2,15 @@ package server_test
 
 import (
 	"flag"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"eleos/internal/client"
+	"eleos/internal/core"
 	"eleos/internal/metrics"
 	"eleos/internal/server"
 )
@@ -16,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // TestWritePrometheusGolden pins the exposition format byte-for-byte
 // against testdata/prometheus.golden: HELP/TYPE headers, the
 // tenant/source/channel label extraction (including a tenant tag that
-// itself contains a dot), histogram buckets, and the eleos_info labels.
+// itself contains a dot) and histogram buckets.
 // Regenerate with: go test ./internal/server -run Golden -update
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := metrics.New()
@@ -41,11 +45,8 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(2000)
 	h.Observe(5_000_000)
 
-	snap := reg.Snapshot()
-	snap.Labels = append(snap.Labels, metrics.Label{Key: "gc.policy", Value: "wear-aware"})
-
 	var sb strings.Builder
-	server.WritePrometheus(&sb, snap)
+	server.WritePrometheus(&sb, reg.Snapshot())
 	got := sb.String()
 
 	goldenPath := filepath.Join("testdata", "prometheus.golden")
@@ -77,5 +78,42 @@ func TestWritePrometheusGolden(t *testing.T) {
 				t.Errorf("line %d:\n  golden: %s\n  got:    %s", i+1, g, o)
 			}
 		}
+	}
+}
+
+// TestMetricsScrapeCarriesCensus scrapes /metrics through the debug
+// handler after a flush: every census field is a gauge family equal to
+// ctl.DeviceHealth(), and no info family is left: a snapshot has no
+// labels to put in one.
+func TestMetricsScrapeCarriesCensus(t *testing.T) {
+	ctl, _, srv, addrStr, _ := startServer(t, server.Config{})
+	cl, err := client.Dial(addrStr, fastOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Flush(0, 0, []core.LPage{{LPID: 5, Data: pageData(1, 900)}}); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, ctl)
+
+	rec := httptest.NewRecorder()
+	srv.DebugHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	out := rec.Body.String()
+	var census metrics.Snapshot
+	ctl.DeviceHealth().AddGauges(&census)
+	if census.Gauge("health.eblocks.total") == 0 || census.Gauge("health.bytes.valid") == 0 {
+		t.Fatalf("census after a flush is empty: %v", census.Gauges)
+	}
+	for _, g := range census.Gauges {
+		fam := "eleos_" + strings.ReplaceAll(g.Name, ".", "_")
+		for _, want := range []string{"# TYPE " + fam + " gauge\n", fmt.Sprintf("\n%s %d\n", fam, g.Value)} {
+			if !strings.Contains(out, want) {
+				t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+			}
+		}
+	}
+	if strings.Contains(out, "_info") {
+		t.Error("/metrics still carries an info family")
 	}
 }

@@ -126,11 +126,10 @@ func TestReadPathIntegration(t *testing.T) {
 	if after := dev.Stats().RBlocksRead; after != before {
 		t.Fatalf("warm wire reads touched flash: %d extra RBLOCKs", after-before)
 	}
-	sf, err := cl.StatsFull()
+	snap, err := cl.StatsFull()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := sf.Snap
 	if snap.Counter("read.cache_hits") < 40 {
 		t.Fatalf("read.cache_hits = %d, want >= 40", snap.Counter("read.cache_hits"))
 	}

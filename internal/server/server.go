@@ -92,30 +92,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts front-end activity. It is a view: Stats() reads each field
-// from the "server.*" instrument named beside it (DESIGN.md §7.1).
-type Stats struct {
-	Accepted      int64 // accepted: connections served
-	Rejected      int64 // rejected: connections refused at the limit
-	Requests      int64 // requests: frames dispatched
-	Batches       int64 // batches: flush_batch requests applied or deduplicated
-	BadFrames     int64 // bad_frames: connections dropped on malformed input
-	Errors        int64 // errors: RespError frames sent
-	BytesIn       int64 // bytes_in: request frame bytes
-	BytesOut      int64 // bytes_out: response frame bytes
-	PeakInflight  int64 // peak_inflight_bytes (gauge): high-water mark of admitted batch bytes
-	DrainedConns  int64 // drained_conns: connections closed by drain
-	ActiveConns   int64 // active_conns (gauge): currently served connections
-	InflightBytes int64 // inflight_bytes (gauge): currently admitted batch bytes
-}
-
 // ErrDraining is returned by Serve when the listener was closed by Drain,
 // and to requests that arrive while the server is draining.
 var ErrDraining = errors.New("server: draining")
 
 // srvMetrics holds the front-end's instrument handles, resolved from the
 // controller's registry in New, so one stats_full snapshot covers every
-// layer. They are the only counter store: Stats() is a view of them.
+// layer.
 // The three gauges move only under s.mu — admission decides on
 // inflightBytes and the connection limit on len(s.conns), which
 // activeConns mirrors. request_ns times frame-read completion to reply
@@ -249,27 +232,6 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Stats returns the front-end counters. Reads are atomic loads of the
-// instrument handles — no lock — so fields are each current, not a
-// consistent cut.
-func (s *Server) Stats() Stats {
-	m := &s.met
-	return Stats{
-		Accepted:      m.accepted.Value(),
-		Rejected:      m.rejected.Value(),
-		Requests:      m.requests.Value(),
-		Batches:       m.batches.Value(),
-		BadFrames:     m.badFrames.Value(),
-		Errors:        m.errors.Value(),
-		BytesIn:       m.bytesIn.Value(),
-		BytesOut:      m.bytesOut.Value(),
-		PeakInflight:  m.peakInflight.Value(),
-		DrainedConns:  m.drained.Value(),
-		ActiveConns:   m.activeConns.Value(),
-		InflightBytes: m.inflightBytes.Value(),
-	}
-}
-
 // QoSStats snapshots per-tenant admission accounting (nil when QoS is
 // disabled). The chaos harness checks it balances exactly after kills.
 func (s *Server) QoSStats() map[string]qos.TenantStats { return s.qos.Stats() }
@@ -381,7 +343,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		typ, body, fbuf, err := netproto.ReadFrameBuf(conn, netproto.DefaultMaxFrameBytes)
+		typ, body, fbuf, err := netproto.ReadFrameBuf(conn)
 		if err != nil {
 			// EOF and deadline pokes are routine; anything else malformed
 			// costs the peer its connection.
@@ -473,7 +435,7 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 		return s.readBatch(cn, lpids)
 
 	case netproto.MsgStatsFull:
-		return netproto.MsgRespStatsFull, netproto.EncodeStatsFull(s.statsPayload()), nil
+		return netproto.MsgRespStatsFull, netproto.EncodeStatsFull(s.ctl.MetricsSnapshot()), nil
 
 	case netproto.MsgTraceDump:
 		return netproto.MsgRespTraceDump, netproto.EncodeTraceDump(s.ctl.TraceDump()), nil
@@ -481,13 +443,6 @@ func (s *Server) dispatch(cn *connState, typ byte, body []byte) (rtyp byte, head
 	default:
 		return s.badRequest(cn, fmt.Errorf("unknown message type 0x%02x", typ))
 	}
-}
-
-// statsPayload assembles one stats_full body's worth of telemetry: the
-// cross-layer instrument snapshot (labels included) and the device health
-// census taken alongside it.
-func (s *Server) statsPayload() netproto.StatsFull {
-	return netproto.StatsFull{Snap: s.ctl.MetricsSnapshot(), Health: s.ctl.DeviceHealth()}
 }
 
 // flush admits the batch under the in-flight byte bound, applies it, and

@@ -436,7 +436,7 @@ func TestCrossConnectionWSNOrdering(t *testing.T) {
 // TestConnLimit: past MaxConns, new connections are refused with a
 // retryable busy error and succeed once a slot frees.
 func TestConnLimit(t *testing.T) {
-	_, _, srv, addrStr, _ := startServer(t, server.Config{MaxConns: 1})
+	ctl, _, _, addrStr, _ := startServer(t, server.Config{MaxConns: 1})
 	cl1, err := client.Dial(addrStr, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +456,7 @@ func TestConnLimit(t *testing.T) {
 	if _, err := cl2.Read(1); err != nil {
 		t.Fatalf("client 2 never got a slot: %v", err)
 	}
-	if srv.Stats().Rejected == 0 {
+	if ctl.MetricsSnapshot().Counter("server.rejected") == 0 {
 		t.Fatal("no connection was rejected at the limit")
 	}
 }
@@ -465,7 +465,7 @@ func TestConnLimit(t *testing.T) {
 // batch bytes than MaxInflightBytes.
 func TestBackpressureBounded(t *testing.T) {
 	const bound = 4096
-	_, _, srv, addrStr, _ := startServer(t, server.Config{MaxInflightBytes: bound})
+	ctl, _, _, addrStr, _ := startServer(t, server.Config{MaxInflightBytes: bound})
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -497,22 +497,22 @@ func TestBackpressureBounded(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.PeakInflight > bound {
-		t.Fatalf("peak inflight %d exceeded bound %d", st.PeakInflight, bound)
+	snap := ctl.MetricsSnapshot()
+	if peak := snap.Gauge("server.peak_inflight_bytes"); peak > bound {
+		t.Fatalf("peak inflight %d exceeded bound %d", peak, bound)
 	}
-	if st.InflightBytes != 0 {
-		t.Fatalf("inflight bytes leaked: %d", st.InflightBytes)
+	if n := snap.Gauge("server.inflight_bytes"); n != 0 {
+		t.Fatalf("inflight bytes leaked: %d", n)
 	}
-	if st.Batches != 40 {
-		t.Fatalf("Batches = %d, want 40", st.Batches)
+	if n := snap.Counter("server.batches"); n != 40 {
+		t.Fatalf("server.batches = %d, want 40", n)
 	}
 }
 
 // TestHostileFrames: a peer sending garbage loses its connection; the
 // server keeps serving others.
 func TestHostileFrames(t *testing.T) {
-	_, _, srv, addrStr, _ := startServer(t, server.Config{})
+	ctl, _, _, addrStr, _ := startServer(t, server.Config{})
 	raw, err := net.Dial("tcp", addrStr)
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +537,7 @@ func TestHostileFrames(t *testing.T) {
 	if _, err := cl.Flush(0, 0, []core.LPage{{LPID: 2, Data: []byte("fine")}}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Stats().BadFrames == 0 {
+	if ctl.MetricsSnapshot().Counter("server.bad_frames") == 0 {
 		t.Fatal("hostile frame not counted")
 	}
 }
@@ -549,7 +549,7 @@ func TestHostileFrames(t *testing.T) {
 // 0x0A/0x0B watch requests are answered CodeBadRequest like any request
 // the server cannot act on, and none of it costs the connection.
 func TestLegacyFlushAndRetiredStats(t *testing.T) {
-	ctl, _, srv, addrStr, _ := startServer(t, server.Config{})
+	ctl, _, _, addrStr, _ := startServer(t, server.Config{})
 	sid, err := ctl.OpenSession()
 	if err != nil {
 		t.Fatal(err)
@@ -577,7 +577,7 @@ func TestLegacyFlushAndRetiredStats(t *testing.T) {
 		if err := fw.WriteFrame(tc.typ, tc.body); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		typ, body, err := netproto.ReadFrame(conn, 0)
+		typ, body, err := netproto.ReadFrame(conn)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -612,8 +612,9 @@ func TestLegacyFlushAndRetiredStats(t *testing.T) {
 	if len(traced) != 1 || traced[0] {
 		t.Fatalf("install spans carry trace IDs %v, want one server-assigned one", traced)
 	}
-	if st := srv.Stats(); st.BadFrames != 0 || st.Errors != 5 || st.ActiveConns != 1 {
-		t.Fatalf("front-end stats %+v, want 5 error replies on a connection still open", st)
+	snap := ctl.MetricsSnapshot()
+	if bad, errs, conns := snap.Counter("server.bad_frames"), snap.Counter("server.errors"), snap.Gauge("server.active_conns"); bad != 0 || errs != 5 || conns != 1 {
+		t.Fatalf("bad_frames %d, errors %d, active_conns %d: want 5 error replies on a connection still open", bad, errs, conns)
 	}
 }
 
@@ -680,7 +681,7 @@ func TestStatsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, p := sf.Snap.Counter("core.write.batches"), sf.Snap.Counter("core.write.pages"); b != 1 || p != 1 {
+	if b, p := sf.Counter("core.write.batches"), sf.Counter("core.write.pages"); b != 1 || p != 1 {
 		t.Fatalf("stats over wire: %d batches, %d pages, want 1 and 1", b, p)
 	}
 }

@@ -76,11 +76,10 @@ func TestStatsFullRoundTripTCP(t *testing.T) {
 	}
 
 	want := quiesce(t, ctl)
-	sf, err := cl.StatsFull()
+	got, err := cl.StatsFull()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sf.Snap
 
 	// Fold the fetch's own footprint into the expectation.
 	for i := range want.Counters {
@@ -110,13 +109,11 @@ func TestStatsFullRoundTripTCP(t *testing.T) {
 	if hv := got.Histogram("core.write.init_ns"); hv == nil || hv.Count != got.Counter("core.write.batches") {
 		t.Fatalf("core.write.init_ns = %+v, want one observation per batch", hv)
 	}
-	if len(got.Labels) != 0 {
-		t.Fatalf("labels = %v, want none: the controller attaches no labels", got.Labels)
-	}
 
-	// The v3 health census rides the same reply; it must describe the
-	// device consistently with itself and with the snapshot.
-	h := sf.Health
+	// The health census rides the same snapshot as health.* gauges; it
+	// must describe the device consistently with itself and with the
+	// counters.
+	h := health.FromSnapshot(got)
 	if h.EBlocksTotal == 0 {
 		t.Fatal("health census is empty")
 	}
