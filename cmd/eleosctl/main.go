@@ -803,7 +803,8 @@ func marshalSnapshot(s metrics.Snapshot) ([]byte, error) {
 
 // printMetrics renders the registry snapshot as a human-readable table:
 // counters and gauges one per line, histograms with count, mean and the
-// interpolated p50/p95/p99.
+// interpolated p50/p95/p99. The health.* gauges are left to printHealth,
+// which renders the census they carry.
 func printMetrics(w io.Writer, s metrics.Snapshot) {
 	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) == 0 {
 		return
@@ -813,7 +814,9 @@ func printMetrics(w io.Writer, s metrics.Snapshot) {
 		fmt.Fprintf(w, "  %-34s %14d\n", c.Name, c.Value)
 	}
 	for _, g := range s.Gauges {
-		fmt.Fprintf(w, "  %-34s %14d (gauge)\n", g.Name, g.Value)
+		if !strings.HasPrefix(g.Name, "health.") {
+			fmt.Fprintf(w, "  %-34s %14d (gauge)\n", g.Name, g.Value)
+		}
 	}
 	for _, h := range s.Histograms {
 		fmt.Fprintf(w, "  %-34s count %-8d mean %-10.0f p50 %-10.0f p95 %-10.0f p99 %.0f\n",

@@ -289,14 +289,19 @@ func TestRenderTop(t *testing.T) {
 // metrics table, and -json is that snapshot as JSON.
 func TestRenderStats(t *testing.T) {
 	_, snap := topFixture()
+	snap.Gauges = append(snap.Gauges, metrics.GaugeValue{Name: "server.active_conns", Value: 3})
 	var buf bytes.Buffer
 	if err := renderStats(&buf, snap, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"space:  free 64.0 MB", "TENANT", "metrics:", "core.write.batches"} {
+	for _, want := range []string{"space:  free 64.0 MB", "TENANT", "metrics:", "core.write.batches", "server.active_conns"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("renderStats missing %q:\n%s", want, buf.String())
 		}
+	}
+	// The census prints once, as printHealth renders it: no raw health.* rows.
+	if strings.Contains(buf.String(), "health.") {
+		t.Errorf("renderStats repeats the census as gauge rows:\n%s", buf.String())
 	}
 	buf.Reset()
 	if err := renderStats(&buf, snap, true); err != nil {

@@ -242,8 +242,9 @@ func (c *Client) ReadBatch(lpids []addr.LPID) ([][]byte, error) {
 
 // StatsFull fetches the server's metrics snapshot — every counter, gauge
 // and latency histogram across server, core, wal and flash, the
-// device-health census among the gauges — via the stats_full command.
-// Idempotent and retried like a read.
+// device-health census among the gauges — via the stats_full command,
+// whose body is the snapshot's JSON; keys this build does not know are
+// skipped. Idempotent and retried like a read.
 func (c *Client) StatsFull() (metrics.Snapshot, error) {
 	rbody, err := c.call(netproto.MsgStatsFull, nil, netproto.MsgRespStatsFull, true)
 	if err != nil {
@@ -253,8 +254,8 @@ func (c *Client) StatsFull() (metrics.Snapshot, error) {
 }
 
 // TraceDump fetches the server's flight recorder — the last few thousand
-// write-path, GC and media events — via the trace_dump command.
-// Idempotent and retried like a read.
+// write-path, GC and media events — via the trace_dump command, whose
+// body is the dump's JSON. Idempotent and retried like a read.
 func (c *Client) TraceDump() (trace.Dump, error) {
 	rbody, err := c.call(netproto.MsgTraceDump, nil, netproto.MsgRespTraceDump, true)
 	if err != nil {

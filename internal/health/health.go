@@ -226,7 +226,7 @@ func Compute(prev, cur metrics.Snapshot, dt time.Duration) Report {
 	r.CacheHitRate = Ratio(hits, hits+misses)
 	var throttled int64
 	for _, c := range cur.Counters {
-		if _, f, ok := splitLabeled(c.Name, "qos."); ok && f == "throttled" {
+		if _, f, ok := metrics.SplitLabeled(c.Name, "qos."); ok && f == "throttled" {
 			d := c.Value - prev.Counter(c.Name)
 			if d > 0 {
 				throttled += d
@@ -242,7 +242,7 @@ func Compute(prev, cur metrics.Snapshot, dt time.Duration) Report {
 func SourceBytes(snap metrics.Snapshot) map[string]int64 {
 	out := make(map[string]int64)
 	for _, c := range snap.Counters {
-		if src, field, ok := splitLabeled(c.Name, "flash.src."); ok && field == "bytes" {
+		if src, field, ok := metrics.SplitLabeled(c.Name, "flash.src."); ok && field == "bytes" {
 			out[src] = c.Value
 		}
 	}
@@ -274,7 +274,7 @@ func Tenants(snap metrics.Snapshot) []TenantStats {
 		return r
 	}
 	for _, c := range snap.Counters {
-		if t, f, ok := splitLabeled(c.Name, "qos."); ok {
+		if t, f, ok := metrics.SplitLabeled(c.Name, "qos."); ok {
 			switch f {
 			case "admitted_bytes":
 				row(t).AdmittedBytes = c.Value
@@ -283,7 +283,7 @@ func Tenants(snap metrics.Snapshot) []TenantStats {
 			}
 			continue
 		}
-		if t, f, ok := splitLabeled(c.Name, "write.tenant."); ok {
+		if t, f, ok := metrics.SplitLabeled(c.Name, "write.tenant."); ok {
 			switch f {
 			case "bytes":
 				row(t).WriteBytes = c.Value
@@ -293,7 +293,7 @@ func Tenants(snap metrics.Snapshot) []TenantStats {
 		}
 	}
 	for _, g := range snap.Gauges {
-		if t, f, ok := splitLabeled(g.Name, "qos."); ok && f == "inflight_bytes" {
+		if t, f, ok := metrics.SplitLabeled(g.Name, "qos."); ok && f == "inflight_bytes" {
 			row(t).InflightBytes = g.Value
 		}
 	}
@@ -303,20 +303,4 @@ func Tenants(snap metrics.Snapshot) []TenantStats {
 	}
 	slices.SortFunc(out, func(a, b TenantStats) int { return strings.Compare(a.Tenant, b.Tenant) })
 	return out
-}
-
-// splitLabeled splits "<prefix><label>.<field>" into (label, field),
-// splitting at the LAST dot: field names (admitted_bytes, wblocks, ...)
-// never contain dots, but a tenant tag may, so the label keeps any
-// interior dots.
-func splitLabeled(name, prefix string) (label, field string, ok bool) {
-	if !strings.HasPrefix(name, prefix) {
-		return "", "", false
-	}
-	rest := name[len(prefix):]
-	i := strings.LastIndexByte(rest, '.')
-	if i <= 0 || i == len(rest)-1 {
-		return "", "", false
-	}
-	return rest[:i], rest[i+1:], true
 }

@@ -26,6 +26,7 @@ package metrics
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,9 +228,9 @@ type GaugeValue struct {
 // HistogramValue is one histogram's snapshot. Buckets has one more entry
 // than Bounds (the overflow bucket). Count is the sum over Buckets, so a
 // snapshot taken during concurrent observation is internally consistent;
-// Sum is loaded separately and may trail by in-flight observations. The
-// quantiles are derived from Bounds/Buckets by Finalize and are NOT
-// carried on the wire — both ends compute them identically.
+// Sum is loaded separately and may trail by in-flight observations.
+// Count and the quantiles are derived from Buckets/Bounds (Finalize); a
+// stats_full decoder recomputes them rather than trust the wire.
 type HistogramValue struct {
 	Name    string  `json:"name"`
 	Count   int64   `json:"count"`
@@ -325,6 +326,22 @@ func (s Snapshot) Histogram(name string) *HistogramValue {
 		}
 	}
 	return nil
+}
+
+// SplitLabeled splits an instrument name of the form
+// "<prefix><label>.<field>" (qos.<tenant>.throttled,
+// flash.src.<source>.bytes) into its label and field. It splits at the
+// last dot: field names never contain one, a tenant tag may.
+func SplitLabeled(name, prefix string) (label, field string, ok bool) {
+	rest, found := strings.CutPrefix(name, prefix)
+	if !found {
+		return "", "", false
+	}
+	i := strings.LastIndexByte(rest, '.')
+	if i <= 0 || i == len(rest)-1 {
+		return "", "", false
+	}
+	return rest[:i], rest[i+1:], true
 }
 
 // Snapshot exports every registered instrument. It holds the

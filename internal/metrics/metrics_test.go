@@ -146,6 +146,26 @@ func TestSnapshotSortedAndLookups(t *testing.T) {
 	}
 }
 
+// TestSplitLabeled splits at the last dot, so a label keeps its own dots.
+func TestSplitLabeled(t *testing.T) {
+	for _, tc := range []struct {
+		name, prefix, label, field string
+		ok                         bool
+	}{
+		{"qos.team.a.throttled", "qos.", "team.a", "throttled", true},
+		{"flash.src.gc.bytes", "flash.src.", "gc", "bytes", true},
+		{"health.erase_hist.12", "health.", "erase_hist", "12", true},
+		{"qos.throttled", "qos.", "", "", false}, // no label
+		{"qos.t.", "qos.", "", "", false},        // no field
+		{"write.tenant.t.bytes", "qos.", "", "", false},
+	} {
+		label, field, ok := SplitLabeled(tc.name, tc.prefix)
+		if label != tc.label || field != tc.field || ok != tc.ok {
+			t.Errorf("SplitLabeled(%q, %q) = %q, %q, %v", tc.name, tc.prefix, label, field, ok)
+		}
+	}
+}
+
 // TestRegistryRaceHammer is the registry's concurrency contract test: N
 // goroutines record into shared instruments while M readers snapshot.
 // Under -race this doubles as the data-race proof; the assertions check

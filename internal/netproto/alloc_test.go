@@ -14,9 +14,7 @@ import (
 
 func TestAppendHelpersAllocFree(t *testing.T) {
 	scratch := make([]byte, 0, 4096)
-	body := bytes.Repeat([]byte{0xA5}, 512)
 	if n := testing.AllocsPerRun(200, func() {
-		scratch = AppendFrame(scratch[:0], MsgFlushBatch, body)
 		scratch = AppendU64(scratch[:0], 0xDEADBEEF)
 		scratch = AppendErrorBody(scratch[:0], CodeBadRequest, "bad batch")
 		scratch = AppendFlushHead(scratch[:0], 7, 3, 41)
@@ -28,7 +26,7 @@ func TestAppendHelpersAllocFree(t *testing.T) {
 func TestReadFrameBufAllocFree(t *testing.T) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte{0x5A}, 2048)
-	if _, err := buf.Write(AppendFrame(nil, MsgFlushBatch, body)); err != nil {
+	if _, err := buf.Write(appendFrame(nil, MsgFlushBatch, body)); err != nil {
 		t.Fatal(err)
 	}
 	wire := buf.Bytes()
@@ -95,7 +93,7 @@ func TestFrameWriterAllocFree(t *testing.T) {
 func BenchmarkPooledFrameLoop(b *testing.B) {
 	var buf bytes.Buffer
 	body := bytes.Repeat([]byte{0x3C}, 32<<10)
-	if _, err := buf.Write(AppendFrame(nil, MsgFlushBatch, body)); err != nil {
+	if _, err := buf.Write(appendFrame(nil, MsgFlushBatch, body)); err != nil {
 		b.Fatal(err)
 	}
 	wire := buf.Bytes()

@@ -2,29 +2,28 @@ package netproto
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"eleos/internal/metrics"
 	"eleos/internal/trace"
 )
 
-// FuzzDecodeStatsFull feeds arbitrary bytes to the stats_full decoder
-// (mirroring core's FuzzDecodeBatch): it must reject with ErrBadStats or
-// accept without panicking or over-allocating, and anything it accepts
-// must re-encode to the identical byte string (the codec is canonical:
-// one valid encoding per snapshot). The seeds include a v4 body carrying
-// the census gauges and a v3 body, which must be rejected.
+// The JSON bodies have no single canonical byte form (key order, spacing,
+// escapes and unknown keys all vary), so both snapshot decoders are held
+// to four rules instead: never panic; reject only with the sentinel; an
+// accepted body re-encodes to one that decodes deep-equal; and every
+// accepted histogram is well-formed.
+
+// FuzzDecodeStatsFull feeds arbitrary bytes to the stats_full decoder.
+// The seeds are the empty body, an empty snapshot, a snapshot carrying
+// the census gauges and a binary v4 body from before the JSON form
+// (TestDecodeStatsFullRejectsOldVersions pins its rejection).
 func FuzzDecodeStatsFull(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeStatsFull(metrics.Snapshot{}))
-	reg := metrics.New()
-	reg.Counter("a").Add(1)
-	reg.Gauge("g").Set(-7)
-	reg.Histogram("h", metrics.DurationBounds()).Observe(1234)
-	snap := reg.Snapshot()
-	sampleHealth().AddGauges(&snap)
-	f.Add(EncodeStatsFull(snap))
-	f.Add(v3Body())
+	f.Add(EncodeStatsFull(sampleSnapshot()))
+	f.Add(binaryStatsBody(4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeStatsFull(data)
 		if err != nil {
@@ -33,9 +32,18 @@ func FuzzDecodeStatsFull(f *testing.F) {
 			}
 			return
 		}
-		re := EncodeStatsFull(snap)
-		if string(re) != string(data) {
-			t.Fatalf("accepted non-canonical encoding:\n in  %x\n out %x", data, re)
+		for _, h := range snap.Histograms {
+			var n int64
+			for _, b := range h.Buckets {
+				n += b
+			}
+			if len(h.Buckets) != len(h.Bounds)+1 || h.Count != n {
+				t.Fatalf("accepted malformed histogram %+v", h)
+			}
+		}
+		again, err := DecodeStatsFull(EncodeStatsFull(snap))
+		if err != nil || !reflect.DeepEqual(again, snap) {
+			t.Fatalf("re-encoding does not decode to the same snapshot (%v):\n got %+v\nwant %+v", err, again, snap)
 		}
 	})
 }
@@ -69,21 +77,26 @@ func FuzzDecodeOpenSession(f *testing.F) {
 	})
 }
 
-// FuzzDecodeTraceDump: same contract for the trace_dump codec — no
-// panics, no over-allocation, and accepted inputs re-encode
-// byte-identically (the 65-byte fixed entries make the codec canonical).
+// FuzzDecodeTraceDump holds the trace_dump decoder to the same rules.
+// The seeds are the empty body, an empty dump, a dump with every field
+// set and a binary v1 body (TestDecodeTraceDumpBadMagicVersion pins its
+// rejection).
 func FuzzDecodeTraceDump(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeTraceDump(trace.Dump{}))
 	f.Add(EncodeTraceDump(sampleDump()))
+	f.Add(binaryTraceBody())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := DecodeTraceDump(data)
 		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("rejected without ErrBadTrace: %v", err)
+			}
 			return
 		}
-		re := EncodeTraceDump(d)
-		if string(re) != string(data) {
-			t.Fatalf("accepted non-canonical encoding:\n in  %x\n out %x", data, re)
+		again, err := DecodeTraceDump(EncodeTraceDump(d))
+		if err != nil || !reflect.DeepEqual(again, d) {
+			t.Fatalf("re-encoding does not decode to the same dump (%v):\n got %+v\nwant %+v", err, again, d)
 		}
 	})
 }

@@ -64,8 +64,8 @@ const (
 	MsgRespCloseSession = 0x82 // body: empty
 	MsgRespFlushBatch   = 0x83 // body: highest applied WSN u64
 	MsgRespRead         = 0x84 // body: page bytes
-	MsgRespStatsFull    = 0x86 // body: binary metrics.Snapshot (EncodeStatsFull)
-	MsgRespTraceDump    = 0x87 // body: binary trace.Dump (EncodeTraceDump)
+	MsgRespStatsFull    = 0x86 // body: JSON metrics.Snapshot (EncodeStatsFull)
+	MsgRespTraceDump    = 0x87 // body: JSON trace.Dump (EncodeTraceDump)
 	// MsgRespReadBatch carries per-page results: status 0 (ok, followed
 	// by u32 len | bytes) or 1 (not found, nothing follows). Per-page
 	// absence is data, not an error frame.

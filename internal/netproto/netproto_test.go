@@ -12,12 +12,20 @@ import (
 	"eleos/internal/session"
 )
 
+// appendFrame appends a whole frame (header, type, body) to dst: the
+// wire form a FrameWriter sends, built in memory for readers under test.
+func appendFrame(dst []byte, typ byte, body []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(body)))
+	dst = append(dst, typ)
+	return append(dst, body...)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {}, []byte("x"), make([]byte, 4096)}
 	for i, body := range bodies {
 		buf.Reset()
-		if _, err := buf.Write(AppendFrame(nil, byte(i+1), body)); err != nil {
+		if _, err := buf.Write(appendFrame(nil, byte(i+1), body)); err != nil {
 			t.Fatal(err)
 		}
 		typ, got, err := ReadFrame(&buf)
@@ -65,7 +73,7 @@ func TestReadFrameShortAndTorn(t *testing.T) {
 	}
 	// Header promises more than the stream holds.
 	var buf bytes.Buffer
-	buf.Write(AppendFrame(nil, MsgRead, []byte("abcdefgh")))
+	buf.Write(appendFrame(nil, MsgRead, []byte("abcdefgh")))
 	torn := buf.Bytes()[:7]
 	if _, _, err := ReadFrame(bytes.NewReader(torn)); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn frame: %v", err)

@@ -43,15 +43,6 @@ func ReadFrameBuf(r io.Reader) (typ byte, body []byte, buf *bufpool.Buf, err err
 	return payload[0], payload[1:], buf, nil
 }
 
-// AppendFrame appends a whole frame (header, type, body) to dst and
-// returns the extended slice, for callers batching frames into reused
-// scratch.
-func AppendFrame(dst []byte, typ byte, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(1+len(body)))
-	dst = append(dst, typ)
-	return append(dst, body...)
-}
-
 // vecCopyLimit is the body size below which a vectored write degrades
 // into a copy: one writev costs more in setup than the memcpy it
 // saves, and tiny acks dominate the reply mix.

@@ -135,7 +135,7 @@ func TestReadBatchRespForgedAndTruncated(t *testing.T) {
 // FuzzDecodeReadBatch: the read_batch request decoder must reject or
 // accept arbitrary bytes without panicking or over-allocating, and
 // accepted inputs must re-encode byte-identically (canonical codec) —
-// the same contract as FuzzDecodeStatsFull/FuzzDecodeTraceDump.
+// the same contract as FuzzDecodeOpenSession.
 func FuzzDecodeReadBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendReadBatchBody(nil, nil))

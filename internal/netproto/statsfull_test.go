@@ -3,7 +3,9 @@ package netproto
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eleos/internal/health"
@@ -47,12 +49,50 @@ func sampleHealth() health.DeviceHealth {
 	return h
 }
 
-// v3Body is a faithful empty version-3 body: the v4 sections, then v3's
-// empty labels section and its fixed 304-byte health block of zeros.
-func v3Body() []byte {
-	b := EncodeStatsFull(metrics.Snapshot{})
-	b[4] = 3
-	return append(b, make([]byte, 4+304)...)
+// binaryStatsBody is a stats_full body in the binary layout the JSON body
+// replaced (little-endian: magic "ELMS" | version | counters | gauges |
+// histograms), holding one of each; version 3 appends its empty labels
+// section and its fixed 304-byte health block.
+func binaryStatsBody(version byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, 0x454C4D53)
+	b = append(b, version)
+	b = le.AppendUint32(b, 1) // counters
+	b = le.AppendUint16(b, 1)
+	b = append(b, 'c')
+	b = le.AppendUint64(b, 7)
+	b = le.AppendUint32(b, 1) // gauges
+	b = le.AppendUint16(b, 1)
+	b = append(b, 'g')
+	b = le.AppendUint64(b, 3)
+	b = le.AppendUint32(b, 1) // histograms: name, sum, one bound, two buckets
+	b = le.AppendUint16(b, 1)
+	b = append(b, 'h')
+	b = le.AppendUint64(b, 10)
+	b = le.AppendUint16(b, 1)
+	for _, v := range []uint64{16, 1, 0} {
+		b = le.AppendUint64(b, v)
+	}
+	if version == 3 {
+		b = append(b, make([]byte, 4+304)...)
+	}
+	return b
+}
+
+func decodeStatsOK(t *testing.T, body string) metrics.Snapshot {
+	t.Helper()
+	s, err := DecodeStatsFull([]byte(body))
+	if err != nil {
+		t.Fatalf("decode %s: %v", body, err)
+	}
+	return s
+}
+
+func rejectStats(t *testing.T, what string, body []byte) {
+	t.Helper()
+	if _, err := DecodeStatsFull(body); !errors.Is(err, ErrBadStats) {
+		t.Fatalf("%s: %v, want ErrBadStats", what, err)
+	}
 }
 
 func TestStatsFullRoundTrip(t *testing.T) {
@@ -88,99 +128,101 @@ func TestStatsFullEmptySnapshot(t *testing.T) {
 	}
 }
 
+// TestDecodeStatsFullIgnoresUnknownKeys: a newer sender may add a section
+// or a histogram field; an older decoder skips what it does not know and
+// returns the snapshot it would have without them.
+func TestDecodeStatsFullIgnoresUnknownKeys(t *testing.T) {
+	plain := `{"counters":[{"name":"c","value":1}],"gauges":null,` +
+		`"histograms":[{"name":"h","sum":5,"bounds":[4],"buckets":[1,1]}]}`
+	extended := `{"counters":[{"name":"c","value":1}],"gauges":null,` +
+		`"histograms":[{"name":"h","sum":5,"bounds":[4],"buckets":[1,1],"exemplars":[{"v":3}]}],` +
+		`"sections":{"new":[1,2,3]}}`
+	want := decodeStatsOK(t, plain)
+	if got := decodeStatsOK(t, extended); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unknown keys changed the snapshot:\n got %+v\nwant %+v", got, want)
+	}
+	if want.Histograms[0].Count != 2 {
+		t.Fatalf("count %d, want 2", want.Histograms[0].Count)
+	}
+}
+
+// TestDecodeStatsFullRejectsOldVersions: every binary body from before
+// the JSON form, v3 with its labels section and health block included,
+// fails with the sentinel rather than decoding to something.
 func TestDecodeStatsFullRejectsOldVersions(t *testing.T) {
-	// Older bodies are rejected outright rather than defaulted: a
-	// defaulted section would give one snapshot two valid encodings and
-	// break canonicality.
-	full := EncodeStatsFull(metrics.Snapshot{})
-	for _, v := range []byte{1, 2, 3} {
-		b := append([]byte(nil), full...)
-		b[4] = v
-		if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-			t.Fatalf("v%d body: %v, want ErrBadStats", v, err)
-		}
-	}
-	if _, err := DecodeStatsFull(v3Body()); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("faithful v3 body: %v, want ErrBadStats", err)
+	for _, v := range []byte{1, 2, 3, 4} {
+		rejectStats(t, fmt.Sprintf("binary v%d body", v), binaryStatsBody(v))
 	}
 }
 
+// TestDecodeStatsFullForgedHistogramCount: Count and the quantiles are
+// derived, never trusted from the wire.
 func TestDecodeStatsFullForgedHistogramCount(t *testing.T) {
-	full := EncodeStatsFull(metrics.Snapshot{})
-	// Overwrite the nHists word (the body's last) with a giant count; the
-	// remaining bytes cannot hold it.
-	b := append([]byte(nil), full...)
-	binary.LittleEndian.PutUint32(b[len(b)-4:], 1<<31)
-	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("forged histogram count: %v, want ErrBadStats", err)
+	honest := decodeStatsOK(t, `{"histograms":[{"name":"h","bounds":[10,20],"buckets":[3,1,0]}]}`)
+	forged := decodeStatsOK(t, `{"histograms":[{"name":"h","count":999,"p50":1,"p95":2,"p99":12345,`+
+		`"bounds":[10,20],"buckets":[3,1,0]}]}`)
+	if !reflect.DeepEqual(forged, honest) {
+		t.Fatalf("forged derived fields survived:\n got %+v\nwant %+v", forged, honest)
+	}
+	if h := honest.Histograms[0]; h.Count != 4 || h.P99 <= 10 || h.P99 > 20 {
+		t.Fatalf("recomputed count %d p99 %v", h.Count, h.P99)
 	}
 }
 
+// TestDecodeStatsFullForgedCounterCount: a counter's value must be an
+// int64; anything else fails with the sentinel.
 func TestDecodeStatsFullForgedCounterCount(t *testing.T) {
-	// A forged counter count must be rejected before it can size an
-	// allocation: claim 2^31 counters in a tiny buffer.
-	b := binary.LittleEndian.AppendUint32(nil, statsMagic)
-	b = append(b, statsVersion)
-	b = binary.LittleEndian.AppendUint32(b, 1<<31)
-	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("forged count: %v, want ErrBadStats", err)
+	for _, v := range []string{"1e30", "1.5", `"7"`, "9223372036854775808", "{}"} {
+		rejectStats(t, "counter value "+v, []byte(`{"counters":[{"name":"c","value":`+v+`}]}`))
 	}
 }
 
+// TestDecodeStatsFullForgedBoundsCount: a histogram needs exactly one
+// bucket more than it has bounds.
 func TestDecodeStatsFullForgedBoundsCount(t *testing.T) {
-	// One histogram claiming 65535 bounds in a short buffer.
-	b := binary.LittleEndian.AppendUint32(nil, statsMagic)
-	b = append(b, statsVersion)
-	b = binary.LittleEndian.AppendUint32(b, 0) // counters
-	b = binary.LittleEndian.AppendUint32(b, 0) // gauges
-	b = binary.LittleEndian.AppendUint32(b, 1) // histograms
-	b = binary.LittleEndian.AppendUint16(b, 1) // name len
-	b = append(b, 'h')
-	b = binary.LittleEndian.AppendUint64(b, 0)      // sum
-	b = binary.LittleEndian.AppendUint16(b, 0xFFFF) // forged nBounds
-	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("forged bounds: %v, want ErrBadStats", err)
+	for _, h := range []string{
+		`{"name":"h","bounds":[1,2],"buckets":[0,0]}`,
+		`{"name":"h","bounds":[1],"buckets":[0,0,0]}`,
+		`{"name":"h","bounds":[1]}`,
+		`{"name":"h"}`,
+	} {
+		rejectStats(t, h, []byte(`{"histograms":[`+h+`]}`))
 	}
 }
 
+// TestDecodeStatsFullForgedNameLen: a name that is not a string, or whose
+// string runs past the end of the body, fails with the sentinel.
 func TestDecodeStatsFullForgedNameLen(t *testing.T) {
-	b := binary.LittleEndian.AppendUint32(nil, statsMagic)
-	b = append(b, statsVersion)
-	b = binary.LittleEndian.AppendUint32(b, 1)      // one counter...
-	b = binary.LittleEndian.AppendUint16(b, 0xFFFF) // ...whose name overruns
-	b = append(b, make([]byte, 8)...)
-	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("forged name len: %v, want ErrBadStats", err)
-	}
+	rejectStats(t, "numeric name", []byte(`{"gauges":[{"name":12,"value":1}]}`))
+	rejectStats(t, "unterminated name", []byte(`{"gauges":[{"name":"`+strings.Repeat("x", 4096)))
 }
 
 func TestDecodeStatsFullTruncated(t *testing.T) {
 	full := EncodeStatsFull(sampleSnapshot())
-	// Every proper prefix must fail cleanly, never panic: truncation
-	// always cuts into an entry some section count declared.
+	// Every proper prefix of a JSON object is unterminated.
 	for n := 0; n < len(full); n++ {
-		if _, err := DecodeStatsFull(full[:n]); err == nil {
-			t.Fatalf("truncation at %d/%d accepted", n, len(full))
+		if _, err := DecodeStatsFull(full[:n]); !errors.Is(err, ErrBadStats) {
+			t.Fatalf("truncation at %d/%d: %v", n, len(full), err)
 		}
 	}
 }
 
 func TestDecodeStatsFullTrailingBytes(t *testing.T) {
 	full := EncodeStatsFull(sampleSnapshot())
-	if _, err := DecodeStatsFull(append(full, 0)); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("trailing byte: %v, want ErrBadStats", err)
-	}
+	rejectStats(t, "trailing byte", append(full, 0))
+	rejectStats(t, "second value", append(full, "{}"...))
 }
 
+// TestDecodeStatsFullBadMagicVersion: a body that opens with the binary
+// magic fails whatever its version byte, and so does any JSON value that
+// is not an object.
 func TestDecodeStatsFullBadMagicVersion(t *testing.T) {
-	b := binary.LittleEndian.AppendUint32(nil, 0xDEADBEEF)
-	b = append(b, statsVersion)
-	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("bad magic: %v", err)
+	b := binaryStatsBody(4)
+	for v := 0; v < 256; v++ {
+		b[4] = byte(v)
+		rejectStats(t, "binary magic", b)
 	}
-	b = binary.LittleEndian.AppendUint32(nil, statsMagic)
-	b = append(b, 99)
-	if _, err := DecodeStatsFull(b); !errors.Is(err, ErrBadStats) {
-		t.Fatalf("bad version: %v", err)
+	for _, body := range []string{`[]`, `7`, `"stats"`, `true`} {
+		rejectStats(t, body, []byte(body))
 	}
 }

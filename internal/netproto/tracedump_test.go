@@ -22,6 +22,20 @@ func sampleDump() trace.Dump {
 	}
 }
 
+// binaryTraceBody is a trace_dump body in the binary layout the JSON body
+// replaced (little-endian: magic "ELTR" | version 1 | epoch | dropped |
+// count | 65-byte entries), holding one event.
+func binaryTraceBody() []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, 0x454C5452)
+	b = append(b, 1)
+	b = le.AppendUint64(b, 5) // epoch
+	b = le.AppendUint64(b, 0) // dropped
+	b = le.AppendUint32(b, 1) // events
+	b = append(b, byte(trace.KGC))
+	return append(b, make([]byte, 64)...)
+}
+
 func TestTraceDumpRoundTrip(t *testing.T) {
 	d := sampleDump()
 	got, err := DecodeTraceDump(EncodeTraceDump(d))
@@ -47,16 +61,19 @@ func TestTraceDumpEmpty(t *testing.T) {
 	}
 }
 
+// TestDecodeTraceDumpForgedCount: the dropped count and every event field
+// must fit its integer type; a forged value fails with the sentinel.
 func TestDecodeTraceDumpForgedCount(t *testing.T) {
-	// A forged event count must be rejected before it can size an
-	// allocation: claim 2^31 events in a 25-byte buffer.
-	b := binary.LittleEndian.AppendUint32(nil, traceMagic)
-	b = append(b, traceVersion)
-	b = binary.LittleEndian.AppendUint64(b, 0) // epoch
-	b = binary.LittleEndian.AppendUint64(b, 0) // dropped
-	b = binary.LittleEndian.AppendUint32(b, 1<<31)
-	if _, err := DecodeTraceDump(b); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("forged count: %v, want ErrBadTrace", err)
+	for _, body := range []string{
+		`{"dropped":-1}`,
+		`{"dropped":1e30}`,
+		`{"events":[{"kind":256}]}`,
+		`{"events":[{"seq":-4}]}`,
+		`{"events":7}`,
+	} {
+		if _, err := DecodeTraceDump([]byte(body)); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("%s: %v, want ErrBadTrace", body, err)
+		}
 	}
 }
 
@@ -64,8 +81,8 @@ func TestDecodeTraceDumpTruncated(t *testing.T) {
 	full := EncodeTraceDump(sampleDump())
 	// Every proper prefix must fail cleanly, never panic.
 	for n := 0; n < len(full); n++ {
-		if _, err := DecodeTraceDump(full[:n]); err == nil {
-			t.Fatalf("truncation at %d/%d accepted", n, len(full))
+		if _, err := DecodeTraceDump(full[:n]); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("truncation at %d/%d: %v", n, len(full), err)
 		}
 	}
 }
@@ -77,18 +94,15 @@ func TestDecodeTraceDumpTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestDecodeTraceDumpBadMagicVersion: a binary v1 body from before the
+// JSON form fails with the sentinel, whatever its version byte.
 func TestDecodeTraceDumpBadMagicVersion(t *testing.T) {
-	b := binary.LittleEndian.AppendUint32(nil, 0xDEADBEEF)
-	b = append(b, traceVersion)
-	b = append(b, make([]byte, 20)...)
-	if _, err := DecodeTraceDump(b); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("bad magic: %v", err)
-	}
-	b = binary.LittleEndian.AppendUint32(nil, traceMagic)
-	b = append(b, 99)
-	b = append(b, make([]byte, 20)...)
-	if _, err := DecodeTraceDump(b); !errors.Is(err, ErrBadTrace) {
-		t.Fatalf("bad version: %v", err)
+	b := binaryTraceBody()
+	for v := 0; v < 256; v++ {
+		b[4] = byte(v)
+		if _, err := DecodeTraceDump(b); !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("binary body version %d: %v, want ErrBadTrace", v, err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 //	write.tenant.<tenant>.bytes      -> eleos_write_tenant_bytes_total{tenant="..."}
 //	flash.src.<source>.wblocks       -> eleos_flash_src_wblocks_total{source="..."}
 //	flash.chan<i>.<field>            -> eleos_flash_channel_<field>{channel="i"}
+//	health.<hist>.<i>                -> eleos_health_<hist>{bucket="i"}
 //
 // Everything else flattens '.' to '_' under the eleos_ namespace;
 // counters get the conventional _total suffix, and histograms render as
@@ -46,6 +47,8 @@ var promHelp = map[string]string{
 	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
 	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
 	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",
+	"eleos_health_erase_hist":                   "EBLOCKs per erase-count bucket: 0 never erased, i in [2^(i-1), 2^i), the last bucket open-ended.",
+	"eleos_health_util_hist":                    "Used EBLOCKs per valid-utilization decile.",
 }
 
 // promSample is one rendered sample line within a family.
@@ -135,13 +138,13 @@ func writePromHeader(w io.Writer, name, typ string) {
 func promName(name string) (string, string) {
 	// %q's escaping (backslash, quote, newline) matches the exposition
 	// format's label-value escaping.
-	if tenant, field, ok := promSplit(name, "qos."); ok {
+	if tenant, field, ok := metrics.SplitLabeled(name, "qos."); ok {
 		return "eleos_qos_" + promFlat(field), fmt.Sprintf("{tenant=%q}", tenant)
 	}
-	if tenant, field, ok := promSplit(name, "write.tenant."); ok {
+	if tenant, field, ok := metrics.SplitLabeled(name, "write.tenant."); ok {
 		return "eleos_write_tenant_" + promFlat(field), fmt.Sprintf("{tenant=%q}", tenant)
 	}
-	if src, field, ok := promSplit(name, "flash.src."); ok {
+	if src, field, ok := metrics.SplitLabeled(name, "flash.src."); ok {
 		return "eleos_flash_src_" + promFlat(field), fmt.Sprintf("{source=%q}", src)
 	}
 	if rest, ok := strings.CutPrefix(name, "flash.chan"); ok {
@@ -149,21 +152,10 @@ func promName(name string) (string, string) {
 			return "eleos_flash_channel_" + promFlat(rest[i+1:]), fmt.Sprintf("{channel=%q}", rest[:i])
 		}
 	}
+	if hist, bucket, ok := metrics.SplitLabeled(name, "health."); ok && isDigits(bucket) {
+		return "eleos_health_" + promFlat(hist), fmt.Sprintf("{bucket=%q}", bucket)
+	}
 	return "eleos_" + promFlat(name), ""
-}
-
-// promSplit splits "<prefix><label>.<field>" at the LAST dot after the
-// prefix: field names never contain dots, tenant tags may.
-func promSplit(name, prefix string) (label, field string, ok bool) {
-	rest, found := strings.CutPrefix(name, prefix)
-	if !found {
-		return "", "", false
-	}
-	i := strings.LastIndexByte(rest, '.')
-	if i <= 0 || i == len(rest)-1 {
-		return "", "", false
-	}
-	return rest[:i], rest[i+1:], true
 }
 
 func isDigits(s string) bool {

@@ -106,11 +106,23 @@ func TestMetricsScrapeCarriesCensus(t *testing.T) {
 		t.Fatalf("census after a flush is empty: %v", census.Gauges)
 	}
 	for _, g := range census.Gauges {
-		fam := "eleos_" + strings.ReplaceAll(g.Name, ".", "_")
-		for _, want := range []string{"# TYPE " + fam + " gauge\n", fmt.Sprintf("\n%s %d\n", fam, g.Value)} {
+		fam, labels := "eleos_"+strings.ReplaceAll(g.Name, ".", "_"), ""
+		if hist, bucket, ok := metrics.SplitLabeled(g.Name, "health."); ok && strings.HasSuffix(hist, "_hist") {
+			fam, labels = "eleos_health_"+hist, fmt.Sprintf("{bucket=%q}", bucket)
+		}
+		for _, want := range []string{"# TYPE " + fam + " gauge\n", fmt.Sprintf("\n%s%s %d\n", fam, labels, g.Value)} {
 			if !strings.Contains(out, want) {
 				t.Errorf("/metrics missing %q", strings.TrimSpace(want))
 			}
+		}
+	}
+	// Each census histogram is one family: one TYPE line, one sample per bucket.
+	for fam, buckets := range map[string]int{"eleos_health_erase_hist": 16, "eleos_health_util_hist": 10} {
+		if n := strings.Count(out, "# TYPE "+fam+" "); n != 1 {
+			t.Errorf("%s has %d TYPE lines, want 1", fam, n)
+		}
+		if n := strings.Count(out, "\n"+fam+"{bucket="); n != buckets {
+			t.Errorf("%s has %d samples, want %d", fam, n, buckets)
 		}
 	}
 	if strings.Contains(out, "_info") {

@@ -109,25 +109,25 @@ func (k Kind) String() string {
 // span length (0 for instants). Seq is the global emit ticket: events
 // sorted by Seq are in emission order across all goroutines.
 type Event struct {
-	Seq     uint64
-	Kind    Kind
-	TS      int64
-	Dur     int64
-	TraceID uint64
-	SID     uint64
-	WSN     uint64
-	Arg1    int64
-	Arg2    int64
+	Seq     uint64 `json:"seq"`
+	Kind    Kind   `json:"kind"`
+	TS      int64  `json:"ts"`
+	Dur     int64  `json:"dur"`
+	TraceID uint64 `json:"trace_id"`
+	SID     uint64 `json:"sid"`
+	WSN     uint64 `json:"wsn"`
+	Arg1    int64  `json:"arg1"`
+	Arg2    int64  `json:"arg2"`
 }
 
 // Dump is a consistent snapshot of the recorder: the surviving events in
 // Seq order, the count of events overwritten before the snapshot, and
 // the wall-clock instant of the monotonic epoch so timestamps can be
-// rendered as absolute times.
+// rendered as absolute times. Its JSON form is the trace_dump wire body.
 type Dump struct {
-	EpochUnixNano int64
-	Dropped       uint64
-	Events        []Event
+	EpochUnixNano int64   `json:"epoch_unix_nano"`
+	Dropped       uint64  `json:"dropped"`
+	Events        []Event `json:"events"`
 }
 
 // slot holds one event with every field atomic, so concurrent Emit and
