@@ -227,7 +227,7 @@ type atomCell struct {
 	// the action that closed it did not commit, Used when it did.
 	x summary.State
 	// deadLog: the recovered log cannot be written, the known defect that
-	// TestRecoveryFromDeadLogWritable holds (ROADMAP item 2(a)).
+	// TestRecoveryFromDeadLogWritable holds (ROADMAP item 1(c)).
 	deadLog bool
 	// after runs further checks on the recovered controller and returns the
 	// one to go on with.

@@ -576,7 +576,7 @@ func TestLogDeathLeavesReadsWorking(t *testing.T) {
 	}
 }
 
-// TestRecoveryFromDeadLogWritable holds a known defect (ROADMAP item 2(a)):
+// TestRecoveryFromDeadLogWritable holds a known defect (ROADMAP item 1(c)):
 // recovery should bring back a writable controller, and after a log death it
 // does not — it resumes the log on forward candidates inside EBLOCKs the
 // failed programs left disabled. The test is on CI's skip allow-list, so the
@@ -588,7 +588,7 @@ func TestRecoveryFromDeadLogWritable(t *testing.T) {
 	c.Crash()
 	c2 := reopen(t, dev)
 	if err := c2.WriteBatch(0, 0, []LPage{{LPID: 4, Data: pageContent(4, 1, 100)}}); err != nil {
-		t.Skipf("known defect, ROADMAP item 2(a): first write after recovering from a dead log: %v", err)
+		t.Skipf("known defect, ROADMAP item 1(c): first write after recovering from a dead log: %v", err)
 	}
 	checkRead(t, c2, 4, pageContent(4, 1, 100))
 }

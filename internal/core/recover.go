@@ -76,8 +76,10 @@ type recovery struct {
 	readIDs     []uint64
 	verifyBytes int64 // media bytes prove read
 
-	// The homes pass 1 repairs: tiny table, locator, session snapshot (one).
+	// The homes pass 1 repairs: tiny table, locator, session snapshot (one);
+	// gone is the home each table-page write it installed superseded.
 	tiny, locator, sess []addr.PhysAddr
+	gone                map[record.LSN]addr.PhysAddr
 
 	open  map[[2]int]openWrites // pass 2's view of the EBLOCKs open at redo
 	freed [][2]int              // open EBLOCKs reconcile found erased
@@ -257,9 +259,10 @@ func (r *recovery) repairTables() error {
 	r.tiny = slices.Clone(r.ck.Tiny)
 	r.locator = slices.Clone(r.ck.Locator)
 	r.sess = []addr.PhysAddr{r.ck.SessAddr}
+	r.gone = make(map[record.LSN]addr.PhysAddr)
 	for _, lr := range r.recs {
 		if w, cond, ok := pageWrite(lr.rec); ok && r.committed[w.Action] {
-			r.setHome(w, cond)
+			r.setHome(lr.lsn, w, cond)
 		}
 	}
 	if err := c.mt.LoadFromTiny(r.tiny); err != nil {
@@ -268,10 +271,9 @@ func (r *recovery) repairTables() error {
 	for _, lr := range r.recs {
 		if w, cond, ok := pageWrite(lr.rec); ok && r.committed[w.Action] && w.Type == addr.PageMap {
 			idx := int(w.LPID.TableIndex())
-			if cond {
-				c.mt.SetPageAddrIf(idx, w.Old, w.New, lr.lsn)
-			} else {
+			if old := c.mt.PageAddr(idx); !cond || old == w.Old {
 				c.mt.SetPageAddr(idx, w.New, lr.lsn)
+				r.gone[lr.lsn] = old
 			}
 		}
 	}
@@ -293,8 +295,8 @@ func (r *recovery) repairTables() error {
 }
 
 // setHome applies a committed write of a small-table, summary or session
-// page: an Update sets its slot, a GCUpdate only if it still holds old.
-func (r *recovery) setHome(w record.GCUpdate, conditional bool) {
+// page at lsn: an Update sets its slot, a GCUpdate only if it still holds old.
+func (r *recovery) setHome(lsn record.LSN, w record.GCUpdate, conditional bool) {
 	var s *[]addr.PhysAddr
 	idx := int(w.LPID.TableIndex())
 	switch w.Type {
@@ -307,14 +309,11 @@ func (r *recovery) setHome(w record.GCUpdate, conditional bool) {
 	default:
 		return
 	}
-	switch {
-	case !conditional:
-		for idx >= len(*s) {
-			*s = append(*s, 0)
-		}
-		(*s)[idx] = w.New
-	case idx < len(*s) && (*s)[idx] == w.Old:
-		(*s)[idx] = w.New
+	for idx >= len(*s) {
+		*s = append(*s, 0)
+	}
+	if old := (*s)[idx]; !conditional || old == w.Old {
+		(*s)[idx], r.gone[lsn] = w.New, old
 	}
 }
 
@@ -595,8 +594,10 @@ func (r *recovery) metaReadable(cl record.CloseEBlock) bool {
 	return err == nil
 }
 
-// replayRecordLocked applies one log record during pass 2 using the
-// paper's flush-LSN-guarded case analysis (§VIII-C3).
+// replayRecordLocked applies one log record during pass 2. §VIII-C3 is one
+// rule: a record the flushed summary page of its EBLOCK reflects changes
+// nothing in that page, and the volatile state — the metadata list, the
+// open LSN, r.open — follows every record in log order.
 func (r *recovery) replayRecordLocked(lsn record.LSN, rec record.Record) error {
 	c := r.c
 	if w, cond, ok := pageWrite(rec); ok {
@@ -615,55 +616,31 @@ func (r *recovery) replayRecordLocked(lsn record.LSN, rec record.Record) error {
 			}
 		}
 	case record.OpenEBlock:
-		ch, eb := int(rec.Channel), int(rec.EBlock)
-		d, err := c.st.Desc(ch, eb)
-		if err != nil {
-			return err
-		}
-		if lsn > c.st.FlushLSNFor(ch, eb) || d.State != summary.Open {
-			return r.reopen(ch, eb, rec.Stream, d, lsn)
-		}
-		c.st.SetOpenLSN(ch, eb, lsn)
+		return r.life(int(rec.Channel), int(rec.EBlock), lsn, true, func(d *summary.Descriptor) {
+			*d = summary.Descriptor{State: summary.Open, Stream: rec.Stream, EraseCount: d.EraseCount}
+		})
 	case record.CloseEBlock:
 		if !r.committed[rec.Action] && rec.Action != 0 {
 			return nil // logged ahead of its metadata by an action that did not commit
 		}
-		ch, eb := int(rec.Channel), int(rec.EBlock)
-		flush := c.st.FlushLSNFor(ch, eb)
-		d, err := c.st.Desc(ch, eb)
-		if err != nil || d.State == summary.Used && lsn <= flush {
-			return err // case 2: already reflected
-		}
-		d.State, d.Timestamp, d.DataWBlocks, d.MetaWBlocks = summary.Used, rec.Timestamp, rec.DataWBlocks, rec.MetaWBlocks
-		if err := c.st.SetDesc(ch, eb, d, lsn); err != nil {
-			return err
-		}
-		if lsn > flush {
-			// Reconstruct the fragmentation only the volatile AVAIL knew:
-			// the gap between the last data byte and the metadata region,
-			// plus the unusable tail after the metadata.
-			w := c.geo.WBlockBytes
-			frag := (c.geo.WBlocksPerEBlock() - int(rec.DataWBlocks) - int(rec.MetaWBlocks)) * w
-			if o, ok := r.open[[2]int{ch, eb}]; ok && int(rec.DataWBlocks)*w > o.end {
-				frag += int(rec.DataWBlocks)*w - o.end
+		o, w := r.open[[2]int{int(rec.Channel), int(rec.EBlock)}], c.geo.WBlockBytes
+		return r.life(int(rec.Channel), int(rec.EBlock), lsn, false, func(d *summary.Descriptor) {
+			// Reconstruct the fragmentation only the volatile AVAIL knew: the
+			// gap between the last data byte and the metadata region, plus
+			// the unusable tail after the metadata.
+			if !o.post {
+				o.end = max(o.end, int(d.DataWBlocks)*w)
 			}
-			if frag > 0 {
-				if err := c.st.AddAvail(ch, eb, frag, lsn); err != nil {
-					return err
-				}
-			}
-		}
-		r.forget(ch, eb)
+			frag := max(0, int(rec.DataWBlocks)*w-o.end) + (c.geo.WBlocksPerEBlock()-int(rec.DataWBlocks)-int(rec.MetaWBlocks))*w
+			d.State, d.Timestamp, d.DataWBlocks, d.MetaWBlocks = summary.Used, rec.Timestamp, rec.DataWBlocks, rec.MetaWBlocks
+			d.Avail += uint64(frag)
+		})
 	case record.FreeEBlock:
-		ch, eb := int(rec.Channel), int(rec.EBlock)
-		d, err := c.st.Desc(ch, eb)
-		if err != nil || lsn <= c.st.FlushLSNFor(ch, eb) || d.State == summary.Free {
-			return err
-		}
-		if err := c.st.SetDesc(ch, eb, summary.Descriptor{State: summary.Free, EraseCount: d.EraseCount + 1}, lsn); err != nil {
-			return err
-		}
-		r.forget(ch, eb)
+		return r.life(int(rec.Channel), int(rec.EBlock), lsn, false, func(d *summary.Descriptor) {
+			if d.State != summary.Free { // a second record of one erase counts it once
+				*d = summary.Descriptor{State: summary.Free, EraseCount: d.EraseCount + 1}
+			}
+		})
 	case record.SessionOpen:
 		c.sess.RestoreOpen(rec.SID, rec.Tenant, rec.Priority)
 	case record.SessionClose:
@@ -672,101 +649,101 @@ func (r *recovery) replayRecordLocked(lsn record.LSN, rec record.Record) error {
 	return nil
 }
 
-// reopen redoes the opening of EBLOCK (ch, eb) for stream at lsn.
-func (r *recovery) reopen(ch, eb int, stream record.StreamKind, d summary.Descriptor, lsn record.LSN) error {
-	d = summary.Descriptor{State: summary.Open, Stream: stream, EraseCount: d.EraseCount}
-	if err := r.c.st.SetDesc(ch, eb, d, lsn); err != nil {
-		return err
+// reflected reports whether the flushed summary page covering (ch, eb)
+// already holds what the record at lsn did to the EBLOCK (§VIII-C3).
+func (r *recovery) reflected(ch, eb int, lsn record.LSN) bool {
+	return lsn <= r.c.st.FlushLSNFor(ch, eb)
+}
+
+// life replays a life-cycle record of (ch, eb) at lsn: an OpenEBlock (open)
+// starts a life, a CloseEBlock or FreeEBlock ends one. The volatile state
+// restarts either way; redo changes the descriptor as the record did unless
+// the page reflects it.
+func (r *recovery) life(ch, eb int, lsn record.LSN, open bool, redo func(*summary.Descriptor)) error {
+	k, openLSN, reflected := [2]int{ch, eb}, record.LSN(0), r.reflected(ch, eb, lsn)
+	r.c.st.ClearMeta(ch, eb)
+	delete(r.open, k)
+	if open {
+		openLSN, r.open[k] = lsn, openWrites{post: !reflected}
 	}
-	r.c.st.ClearMeta(ch, eb)
-	r.c.st.SetOpenLSN(ch, eb, lsn)
-	r.open[[2]int{ch, eb}] = openWrites{post: true}
-	return nil
+	r.c.st.SetOpenLSN(ch, eb, openLSN)
+	if reflected {
+		return nil
+	}
+	d, err := r.c.st.Desc(ch, eb)
+	if err == nil {
+		redo(&d)
+		err = r.c.st.SetDesc(ch, eb, d, lsn)
+	}
+	return err
 }
 
-// forget drops the open-EBLOCK state of (ch, eb), closed or freed at redo.
-func (r *recovery) forget(ch, eb int) {
-	r.c.st.ClearMeta(ch, eb)
-	r.c.st.SetOpenLSN(ch, eb, 0)
-	delete(r.open, [2]int{ch, eb})
-}
-
-// replayWriteLocked redoes one LPAGE write: summary-table case 1, then the
-// mapping install of a committed user page (table pages had pass 1); an
-// aborted action's new address is AVAIL.
+// replayWriteLocked redoes one LPAGE write: its TAG, what no summary page
+// reflects of it, then a committed action's install (a table page's home
+// moved in pass 1) and what that superseded; an aborted action's new
+// address is AVAIL.
 func (r *recovery) replayWriteLocked(lsn record.LSN, w record.GCUpdate, conditional bool) error {
 	c := r.c
-	ch, eb := w.New.Channel(), w.New.EBlock()
-	flush := c.st.FlushLSNFor(ch, eb)
-	d, err := c.st.Desc(ch, eb)
-	if err != nil {
+	ch, eb, wb := w.New.Channel(), w.New.EBlock(), c.geo.WBlockBytes
+	if err := c.st.AppendMeta(ch, eb, summary.MetaEntry{LPID: w.LPID, Type: w.Type, Offset: w.New.Offset(), Length: w.New.Length()}); err != nil {
 		return err
 	}
-	// Case 1 (§VIII-C3): skip only when the EBLOCK is closed and the
-	// summary page already reflects this record.
-	if d.State == summary.Open || lsn > flush {
-		if d.State != summary.Open {
-			// The write implies the EBLOCK was open; restore that.
-			if err := r.reopen(ch, eb, record.StreamUser, d, lsn); err != nil {
-				return err
-			}
-			d.DataWBlocks = 0
+	o := r.open[[2]int{ch, eb}]
+	if !r.reflected(ch, eb, lsn) {
+		// A gap before this offset is run-tail padding. The flushed summary
+		// page counts what lies below its DataWBlocks boundary (runs end at
+		// WBLOCK boundaries before a flush): gaps count byte-exact from
+		// there or the previous record's end, the later.
+		d, err := c.st.Desc(ch, eb)
+		if !o.post {
+			o.end = max(o.end, int(d.DataWBlocks)*wb)
 		}
-		if err := c.st.AppendMeta(ch, eb, summary.MetaEntry{LPID: w.LPID, Type: w.Type, Offset: w.New.Offset(), Length: w.New.Length()}); err != nil {
+		o.post = true
+		if err == nil && w.New.Offset() > o.end {
+			err = c.st.AddAvail(ch, eb, w.New.Offset()-o.end, lsn)
+		}
+		if wbEnd := (w.New.End() + wb - 1) / wb; err == nil && wbEnd > int(d.DataWBlocks) {
+			err = c.st.SetDataWBlocks(ch, eb, wbEnd, lsn)
+		}
+		if err != nil {
 			return err
 		}
-		o := r.open[[2]int{ch, eb}]
-		if lsn > flush {
-			// A gap before this offset is run-tail padding. The flushed
-			// summary page counts what lies below its DataWBlocks boundary
-			// (runs end at WBLOCK boundaries before a flush): gaps count
-			// byte-exact from there or the previous record's end, the later.
-			if !o.post {
-				o.end = max(o.end, int(d.DataWBlocks)*c.geo.WBlockBytes)
-			}
-			o.post = true
-			if w.New.Offset() > o.end {
-				if err := c.st.AddAvail(ch, eb, w.New.Offset()-o.end, lsn); err != nil {
-					return err
-				}
-			}
-			wb := c.geo.WBlockBytes
-			if wbEnd := (w.New.End() + wb - 1) / wb; wbEnd > int(d.DataWBlocks) {
-				if err := c.st.SetDataWBlocks(ch, eb, wbEnd, lsn); err != nil {
-					return err
-				}
-			}
-		}
-		o.end = max(o.end, w.New.End())
-		r.open[[2]int{ch, eb}] = o
 	}
+	o.end = max(o.end, w.New.End())
+	r.open[[2]int{ch, eb}] = o
 	if !r.committed[w.Action] {
-		_, err := r.credit(w.New, lsn) // aborted action: the provisioned space is garbage (case 3)
+		_, err := r.credit(w.New, lsn) // aborted action: the provisioned space is garbage
 		return err
-	}
-	if w.Type != addr.PageUser {
-		return nil // table-page homes were repaired in pass 1
 	}
 	// What an install supersedes is AVAIL (DESIGN.md §4 decision 13): a
 	// relocation's victim page always, an Update's old version when the
-	// action has no Done and no durable Garbage record names it.
+	// action has no Done and no durable Garbage record names it. A table
+	// page's home moved in pass 1, which kept what it superseded.
+	old, moved, err := w.Old, true, error(nil)
+	switch {
+	case w.Type != addr.PageUser:
+		old, moved = r.gone[lsn]
+	case conditional:
+		moved, err = c.mt.SetIf(w.LPID, w.Old, w.New, lsn)
+	default:
+		old, err = c.mt.Swap(w.LPID, w.New, lsn)
+	}
+	if err != nil || !moved {
+		return err
+	}
 	if conditional {
-		if moved, err := c.mt.SetIf(w.LPID, w.Old, w.New, lsn); err != nil || !moved {
-			return err
-		}
-		_, err = r.credit(w.Old, lsn)
+		_, err = r.credit(old, lsn)
 		return err
 	}
 	p := r.unproven[w.Action]
-	if p == nil {
-		return c.mt.Set(w.LPID, w.New, lsn)
-	}
-	old, err := c.mt.Swap(w.LPID, w.New, lsn)
 	g := record.AddrPair{LPID: w.LPID, Addr: old}
-	if err != nil || old == w.New || p.garbage[g] {
-		return err
+	if p == nil || old == w.New || p.garbage[g] {
+		return nil
 	}
-	credited, err := r.credit(old, lsn)
+	// No page holds this install's credit: a checkpoint sealed after it
+	// would have forced its Done. So the credit counts as logged past the
+	// log's end, where no page reflects it.
+	credited, err := r.credit(old, r.last+1)
 	if credited {
 		p.credited = append(p.credited, g)
 	}
@@ -774,12 +751,11 @@ func (r *recovery) replayWriteLocked(lsn record.LSN, w record.GCUpdate, conditio
 }
 
 // credit counts a superseded version as AVAIL as a Garbage record at lsn
-// does, and reports whether it did: not when its EBLOCK's summary page was
-// flushed after lsn, which counts it already or describes a later life.
+// does, and reports whether it did: not when its EBLOCK's summary page
+// reflects lsn, which counts it already or describes a later life.
 func (r *recovery) credit(a addr.PhysAddr, lsn record.LSN) (bool, error) {
-	ch, eb := a.Channel(), a.EBlock()
-	if !a.IsValid() || lsn <= r.c.st.FlushLSNFor(ch, eb) {
+	if !a.IsValid() || r.reflected(a.Channel(), a.EBlock(), lsn) {
 		return false, nil
 	}
-	return true, r.c.st.AddAvail(ch, eb, a.Length(), lsn)
+	return true, r.c.st.AddAvail(a.Channel(), a.EBlock(), a.Length(), lsn)
 }

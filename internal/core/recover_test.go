@@ -15,7 +15,9 @@ import (
 
 	"eleos/internal/addr"
 	"eleos/internal/flash"
+	"eleos/internal/record"
 	"eleos/internal/summary"
+	"eleos/internal/wal"
 )
 
 func reopen(t *testing.T, dev *flash.Device) *Controller {
@@ -868,4 +870,168 @@ func creditGC(t *testing.T, point string) (*Controller, [2]int, int) {
 		t.Fatalf("GCNow = %v, want a crash at %s", err, point)
 	}
 	return reopen(t, r.dev), r.victim, valid
+}
+
+// quiescentTables is what a quiescent crash must not change: every EBLOCK
+// descriptor, the mapping of every LPID quiescentLoad writes, the session
+// table and each channel's free EBLOCKs, which provisioning hands out.
+type quiescentTables struct {
+	desc    [][]summary.Descriptor
+	mapping []addr.PhysAddr
+	sess    []byte
+	free    []int
+}
+
+const quiescentLPIDs = 3000
+
+func snapshotTables(t *testing.T, c *Controller) quiescentTables {
+	t.Helper()
+	s := quiescentTables{sess: c.sess.Serialize()}
+	for lp := addr.LPID(1); lp <= quiescentLPIDs; lp++ {
+		a, err := c.mt.Get(lp)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", lp, err)
+		}
+		s.mapping = append(s.mapping, a)
+	}
+	for ch := 0; ch < c.geo.Channels; ch++ {
+		s.desc = append(s.desc, make([]summary.Descriptor, c.geo.EBlocksPerChannel))
+		for eb := range s.desc[ch] {
+			d, err := c.st.Desc(ch, eb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.desc[ch][eb] = d
+		}
+		s.free = append(s.free, c.st.FreeCount(ch))
+	}
+	return s
+}
+
+// homes returns the summary pages' and the session snapshot's homes.
+func homes(c *Controller) []addr.PhysAddr {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append(c.st.Locator(), c.sessSnapAddr)
+}
+
+// crashQuiescent checkpoints c, so nothing is in flight, snapshots its
+// tables, crashes it and opens dev. Every difference between the tables
+// before and after fails t, by EBLOCK and field, unless a named rule of
+// DESIGN.md §4 ("What a quiescent crash may change") allows it.
+func crashQuiescent(t *testing.T, c *Controller, dev *flash.Device) {
+	t.Helper()
+	old := homes(c)
+	if err := c.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	// The bytes of the homes the checkpoint's summary and session pages
+	// superseded, by EBLOCK.
+	superseded := map[[2]int]uint64{}
+	for i, a := range homes(c) {
+		if o := old[i]; o.IsValid() && o != a {
+			superseded[[2]int{o.Channel(), o.EBlock()}] += uint64(o.Length())
+		}
+	}
+	before := snapshotTables(t, c)
+	c.Crash()
+	c, err := Open(dev, c.cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	after := snapshotTables(t, c)
+	cands, err := c.log.StartCandidates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ch := range before.desc {
+		for eb, b := range before.desc[ch] {
+			a := after.desc[ch][eb]
+			// Rule "a log EBLOCK that hosts a resume candidate comes back
+			// Open".
+			if b.State == summary.Used && a.State == summary.Open && b.Stream == record.StreamLog &&
+				slices.ContainsFunc(cands, func(s wal.Slot) bool { return s.Channel == ch && s.EBlock == eb }) {
+				b.State = a.State
+			}
+			// Rule "an unforced checkpoint Done leaves its superseded
+			// summary and session homes uncredited".
+			if b.Avail == a.Avail+superseded[[2]int{ch, eb}] {
+				b.Avail = a.Avail
+			}
+			switch {
+			case b == a:
+			case a.Avail > b.Avail:
+				t.Errorf("EBLOCK %d/%d: Avail over-credited by %d: before %+v, after %+v", ch, eb, a.Avail-b.Avail, before.desc[ch][eb], a)
+			default:
+				t.Errorf("EBLOCK %d/%d: before %+v, after %+v", ch, eb, before.desc[ch][eb], a)
+			}
+		}
+	}
+	for i, b := range before.mapping {
+		if a := after.mapping[i]; a != b {
+			t.Errorf("LPID %d: at %v before, %v after", i+1, b, a)
+		}
+	}
+	if !bytes.Equal(before.sess, after.sess) {
+		t.Errorf("session table: %x before, %x after", before.sess, after.sess)
+	}
+	if !slices.Equal(before.free, after.free) {
+		t.Errorf("free EBLOCKs per channel: %v before, %v after", before.free, after.free)
+	}
+}
+
+// quiescentLoad flushes buffers of 1–8 pages of 64–3 963 bytes over
+// quiescentLPIDs LPIDs through one session, seeded.
+func quiescentLoad(t *testing.T, c *Controller, seed int64, flushes int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	sid, err := c.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wsn := uint64(1); wsn <= uint64(flushes); wsn++ {
+		pages := make([]LPage, 1+rng.Intn(8))
+		for i := range pages {
+			lp := addr.LPID(1 + rng.Intn(quiescentLPIDs))
+			pages[i] = LPage{LPID: lp, Data: atomPage(lp, wsn, 64+rng.Intn(3963-64+1))}
+		}
+		if err := c.WriteBatch(sid, wsn, pages); err != nil {
+			t.Fatalf("flush %d: %v", wsn, err)
+		}
+	}
+}
+
+// TestQuiescentCrashKeepsTables: with nothing in flight, Crash and Open give
+// back the tables the controller had (crashQuiescent), on 4 × N × 256 KB
+// EBLOCKs, with checkpoints off and every 1 MB of log.
+func TestQuiescentCrashKeepsTables(t *testing.T) {
+	for _, n := range []int{16, 48, 512} {
+		for _, flushes := range []int{600, 3000} {
+			for _, ckpt := range []int{0, 1 << 20} {
+				for seed := int64(1); seed <= 3; seed++ {
+					writes := flushes
+					if n == 16 && flushes == 3000 && ckpt == 0 && seed != 2 {
+						// ROADMAP item 2: with no checkpoint the log is never
+						// truncated, and these two die of "no free eblocks
+						// available: log stream" at flush 2 063 (seed 1) and
+						// 1 457 (seed 3). They stop short of it.
+						writes = 1400
+					}
+					t.Run(fmt.Sprintf("4x%d/%d/ckpt%d/seed%d", n, writes, ckpt, seed), func(t *testing.T) {
+						geo := flash.SmallGeometry()
+						geo.EBlocksPerChannel = n
+						dev := flash.MustNewDevice(geo, flash.Latency{})
+						cfg := DefaultConfig()
+						cfg.AutoCheckpointLogBytes = ckpt
+						c, err := Format(dev, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						quiescentLoad(t, c, seed, writes)
+						crashQuiescent(t, c, dev)
+					})
+				}
+			}
+		}
+	}
 }

@@ -12,7 +12,7 @@ func BenchmarkGetSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lpid := addr.LPID(i % 100000)
-		if err := t.Set(lpid, a, 1); err != nil {
+		if _, err := t.Swap(lpid, a, 1); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := t.Get(lpid); err != nil {

@@ -159,15 +159,9 @@ func (t *Table) Get(lpid addr.LPID) (addr.PhysAddr, error) {
 	return p.entries[slot], nil
 }
 
-// Set unconditionally installs a new address for lpid (redo). lsn is the
-// log record LSN backing the change.
-func (t *Table) Set(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) error {
-	_, err := t.Swap(lpid, a, lsn)
-	return err
-}
-
-// Swap is Set returning the address it replaced (invalid if unmapped): a
-// user write's install, one shard lock for the lookup and the update.
+// Swap installs a new address for lpid and returns the one it replaced
+// (invalid if unmapped): a user write's install and its redo, one shard lock
+// for the lookup and the update. lsn is the log record LSN backing it.
 func (t *Table) Swap(lpid addr.LPID, a addr.PhysAddr, lsn record.LSN) (addr.PhysAddr, error) {
 	idx, slot := pageOf(lpid)
 	sh := t.shard(idx)

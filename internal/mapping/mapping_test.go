@@ -53,7 +53,7 @@ func TestGetUnmapped(t *testing.T) {
 func TestSetGet(t *testing.T) {
 	tb := New()
 	want := addr.MustPack(2, 3, 128, 256)
-	if err := tb.Set(5, want, 10); err != nil {
+	if _, err := tb.Swap(5, want, 10); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tb.Get(5)
@@ -62,7 +62,7 @@ func TestSetGet(t *testing.T) {
 	}
 	// Overwrite.
 	want2 := addr.MustPack(2, 4, 0, 64)
-	if err := tb.Set(5, want2, 11); err != nil {
+	if _, err := tb.Swap(5, want2, 11); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = tb.Get(5)
@@ -76,7 +76,7 @@ func TestSetIfConditional(t *testing.T) {
 	a1 := addr.MustPack(0, 1, 0, 64)
 	a2 := addr.MustPack(0, 2, 0, 64)
 	a3 := addr.MustPack(0, 3, 0, 64)
-	if err := tb.Set(7, a1, 1); err != nil {
+	if _, err := tb.Swap(7, a1, 1); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := tb.SetIf(7, a1, a2, 2)
@@ -98,9 +98,9 @@ func TestDirtyTrackingAndMinRecLSN(t *testing.T) {
 	if tb.MinRecLSN() != 0 {
 		t.Fatal("clean table should report 0")
 	}
-	_ = tb.Set(0, addr.MustPack(0, 1, 0, 64), 100)                // page 0
-	_ = tb.Set(entriesPerPage+1, addr.MustPack(0, 1, 64, 64), 50) // page 1
-	_ = tb.Set(1, addr.MustPack(0, 1, 128, 64), 7)                // page 0 again: recLSN stays 100
+	_, _ = tb.Swap(0, addr.MustPack(0, 1, 0, 64), 100)                // page 0
+	_, _ = tb.Swap(entriesPerPage+1, addr.MustPack(0, 1, 64, 64), 50) // page 1
+	_, _ = tb.Swap(1, addr.MustPack(0, 1, 128, 64), 7)                // page 0 again: recLSN stays 100
 	if got := tb.DirtyPages(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("DirtyPages = %v", got)
 	}
@@ -136,7 +136,7 @@ func TestFlushLoadRoundTrip(t *testing.T) {
 		lpid := addr.LPID(i * entriesPerPage * addrsPerSmallPage / 32)
 		a := addr.MustPack(1, 2, i*64, 64)
 		addrs[lpid] = a
-		if err := tb.Set(lpid, a, 1); err != nil {
+		if _, err := tb.Swap(lpid, a, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestPageAddrConditionalRelocation(t *testing.T) {
 	tb := New()
 	fake := newFlashFake()
 	tb.SetLoader(fake.loader)
-	_ = tb.Set(0, addr.MustPack(1, 1, 0, 64), 1)
+	_, _ = tb.Swap(0, addr.MustPack(1, 1, 0, 64), 1)
 	img, _ := tb.SerializePage(0)
 	old := fake.put(img)
 	tb.MarkFlushed(0, old, 2)
@@ -262,7 +262,7 @@ func TestLoaderErrorsPropagate(t *testing.T) {
 
 func TestDropCache(t *testing.T) {
 	tb := New()
-	_ = tb.Set(1, addr.MustPack(1, 1, 0, 64), 1)
+	_, _ = tb.Swap(1, addr.MustPack(1, 1, 0, 64), 1)
 	tb.DropCache()
 	got, err := tb.Get(1)
 	if err != nil || got.IsValid() {
@@ -273,7 +273,7 @@ func TestDropCache(t *testing.T) {
 	}
 }
 
-// Property: a sequence of random Set/SetIf operations, interleaved with
+// Property: a sequence of random Swap/SetIf operations, interleaved with
 // flush+reload cycles, always leaves Get returning the latest installed
 // address per LPID.
 func TestRandomOpsMatchModelQuick(t *testing.T) {
@@ -288,7 +288,7 @@ func TestRandomOpsMatchModelQuick(t *testing.T) {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3, 4, 5:
 				a := addr.MustPack(1, 1+rng.Intn(10), rng.Intn(100)*64, 64*(1+rng.Intn(4)))
-				if tb.Set(lpid, a, 1) != nil {
+				if _, err := tb.Swap(lpid, a, 1); err != nil {
 					return false
 				}
 				model[lpid] = a

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"strings"
 
 	"eleos/internal/metrics"
@@ -54,6 +57,7 @@ var promHelp = map[string]string{
 // promSample is one rendered sample line within a family.
 type promSample struct {
 	labels string // rendered {k="v"} pairs, "" for none
+	bucket int    // a census sample's bucket: its place in the family
 	value  string
 }
 
@@ -86,14 +90,21 @@ func WritePrometheus(w io.Writer, snap metrics.Snapshot) {
 	}
 	for _, g := range snap.Gauges {
 		name, labels := promName(g.Name)
-		add(name, "gauge", promSample{labels: labels, value: fmt.Sprintf("%d", g.Value)})
+		s := promSample{labels: labels, value: fmt.Sprintf("%d", g.Value)}
+		if _, bucket, ok := metrics.SplitLabeled(g.Name, "health."); ok {
+			s.bucket, _ = strconv.Atoi(bucket) // 0 for a health gauge of its own family
+		}
+		add(name, "gauge", s)
 	}
 
 	// Snapshot sections are sorted by instrument name; emitting families
 	// in first-seen order keeps the output deterministic while holding
-	// each family's samples contiguous, as the format requires.
+	// each family's samples contiguous, as the format requires. A census
+	// family's samples arrive in name order ("10" before "2") and are
+	// written in bucket order.
 	for _, name := range order {
 		f := fams[name]
+		slices.SortStableFunc(f.samples, func(a, b promSample) int { return cmp.Compare(a.bucket, b.bucket) })
 		writePromHeader(w, f.name, f.typ)
 		for _, s := range f.samples {
 			fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, s.value)

@@ -116,13 +116,22 @@ func TestMetricsScrapeCarriesCensus(t *testing.T) {
 			}
 		}
 	}
-	// Each census histogram is one family: one TYPE line, one sample per bucket.
+	// Each census histogram is one family: one TYPE line, one sample per
+	// bucket, in bucket order.
 	for fam, buckets := range map[string]int{"eleos_health_erase_hist": 16, "eleos_health_util_hist": 10} {
 		if n := strings.Count(out, "# TYPE "+fam+" "); n != 1 {
 			t.Errorf("%s has %d TYPE lines, want 1", fam, n)
 		}
 		if n := strings.Count(out, "\n"+fam+"{bucket="); n != buckets {
 			t.Errorf("%s has %d samples, want %d", fam, n, buckets)
+		}
+		prev := -1
+		for i := range buckets {
+			at := strings.Index(out, fmt.Sprintf("\n%s{bucket=\"%d\"}", fam, i))
+			if at < prev {
+				t.Errorf("%s: bucket %d comes before bucket %d", fam, i, i-1)
+			}
+			prev = at
 		}
 	}
 	if strings.Contains(out, "_info") {

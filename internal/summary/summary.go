@@ -452,7 +452,8 @@ func (t *Table) MetaLen(ch, eb int) int {
 
 // ClearMeta drops an EBLOCK's in-memory metadata once its flushed copy is
 // durable: when the close record is logged, and on recovery's replay of
-// one (§VIII-C3 case 2). The emptied slice serves the next OpenEBlock.
+// each record that starts or ends a life. The emptied slice serves the
+// next OpenEBlock.
 func (t *Table) ClearMeta(ch, eb int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
