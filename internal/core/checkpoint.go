@@ -16,11 +16,11 @@ import (
 	"eleos/internal/wal"
 )
 
-// Checkpoint performs a fuzzy checkpoint (§VIII-B): it force-closes
-// long-open EBLOCKs, determines the log truncation LSN, flushes dirty
-// mapping / small / summary pages and a full session-table snapshot with a
-// checkpoint system action, and finally persists a checkpoint record to
-// the reserved well-known area.
+// Checkpoint performs a fuzzy checkpoint (§VIII-B): it determines the log
+// truncation LSN, flushes dirty mapping / small / summary pages and a full
+// session-table snapshot with a checkpoint system action, which also closes
+// long-open EBLOCKs, and finally persists a checkpoint record to the
+// reserved well-known area.
 func (c *Controller) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -47,27 +47,15 @@ func (c *Controller) checkpointLocked() error {
 	c.inCheckpoint = true
 	defer func() { c.inCheckpoint = false }()
 	t0 := time.Now()
-	// Force-close EBLOCKs open since before the previous checkpoint so the
-	// truncation LSN can advance (a GC EBLOCK can stay open a long time).
-	for _, ref := range c.st.OpenEBlocks() {
-		if ref.Stream == record.StreamLog {
-			continue
-		}
-		if ref.OpenLSN != 0 && ref.OpenLSN < c.lastCkptLSN {
-			if c.inflight[[2]int{ref.Channel, ref.EBlock}] > 0 {
-				// A concurrent action has programs queued at this EBLOCK's
-				// tail; a direct metadata program would violate the NAND
-				// sequential-write order. Leave it for the next checkpoint.
-				continue
-			}
-			if err := c.forceCloseLocked(ref); err != nil {
-				return err
-			}
-		}
-	}
 
 	// Truncation LSN = min(active actions, dirty table pages, open
-	// EBLOCKs) (§VIII-B). Computed before the flush: conservative.
+	// EBLOCKs) (§VIII-B). Computed before the flush: conservative. The flush
+	// closes the EBLOCKs open since before the previous checkpoint (a GC
+	// EBLOCK can stay open a long time), so their open LSNs pin nothing; one
+	// with programs in flight waits for the next checkpoint. A log EBLOCK
+	// pins nothing: it logged no OpenEBlock (the chain is its record) and is
+	// never a GC victim, and a log whose commits ride data WBLOCKs keeps one
+	// open a long time.
 	trunc := c.log.NextLSN()
 	consider := func(l record.LSN) {
 		if l != 0 && l < trunc {
@@ -79,12 +67,21 @@ func (c *Controller) checkpointLocked() error {
 	}
 	consider(c.mt.MinRecLSN())
 	consider(c.st.MinRecLSN())
-	consider(c.st.MinOpenLSN())
+	var closes []summary.OpenRef
+	for _, ref := range c.st.OpenEBlocks() {
+		switch {
+		case ref.Stream == record.StreamLog:
+		case ref.OpenLSN != 0 && ref.OpenLSN < c.lastCkptLSN && c.inflight[[2]int{ref.Channel, ref.EBlock}] == 0:
+			closes = append(closes, ref)
+		default:
+			consider(ref.OpenLSN)
+		}
+	}
 	if trunc < c.lastTruncLSN {
 		trunc = c.lastTruncLSN
 	}
 
-	if err := c.flushTablesLocked(true); err != nil {
+	if err := c.flushTablesLocked(true, closes); err != nil {
 		return err
 	}
 	if err := c.crashIf("ckpt.after-flush"); err != nil {
@@ -129,64 +126,13 @@ func (c *Controller) checkpointLocked() error {
 	return nil
 }
 
-// forceCloseLocked closes a long-open EBLOCK by flushing its metadata to
-// its next WBLOCKs directly (no provisioning needed — the space is the
-// EBLOCK's own tail).
-func (c *Controller) forceCloseLocked(ref summary.OpenRef) error {
-	d, err := c.st.Desc(ref.Channel, ref.EBlock)
-	if err != nil {
-		return err
-	}
-	if d.State != summary.Open {
-		// The caller's list of open EBLOCKs predates this call: an earlier
-		// force-close that had to migrate its EBLOCK waited for pins with
-		// c.mu released, and meanwhile another action closed this one or
-		// a migration erased it. Nothing is left to close.
-		return nil
-	}
-	meta := c.st.Meta(ref.Channel, ref.EBlock)
-	img := summary.EncodeMetaBlock(meta)
-	w := c.geo.WBlockBytes
-	metaWB := (len(img) + w - 1) / w
-	if int(d.DataWBlocks)+metaWB > c.geo.WBlocksPerEBlock() {
-		return fmt.Errorf("core: no room to close eblock (%d,%d)", ref.Channel, ref.EBlock)
-	}
-	for k := 0; k < metaWB; k++ {
-		lo := k * w
-		if err := c.port.program(c.attributeSrc(flash.SrcCheckpoint), ref.Channel, ref.EBlock, int(d.DataWBlocks)+k, img[lo:min(lo+w, len(img))]); err != nil {
-			// Treat like any write failure: migrate the EBLOCK away.
-			c.migrateFailedLocked([][2]int{{ref.Channel, ref.EBlock}}, 0)
-			return nil
-		}
-		c.met.ioCommands.Inc()
-	}
-	ts := c.clock()
-	if ref.Stream == record.StreamGC {
-		ts = d.Timestamp
-	}
-	lsn := c.lsnHint()
-	if err := c.st.CloseEBlock(ref.Channel, ref.EBlock, ts, metaWB, lsn); err != nil {
-		return err
-	}
-	tail := (c.geo.WBlocksPerEBlock() - int(d.DataWBlocks) - metaWB) * w
-	if tail > 0 {
-		if err := c.st.AddAvail(ref.Channel, ref.EBlock, tail, lsn); err != nil {
-			return err
-		}
-	}
-	// The EBLOCK is closed whether or not the log takes the record.
-	_, err = c.append(record.CloseEBlock{Channel: uint32(ref.Channel), EBlock: uint32(ref.EBlock),
-		Timestamp: ts, DataWBlocks: d.DataWBlocks, MetaWBlocks: uint32(metaWB)})
-	c.closedLocked(ref.Channel, ref.EBlock)
-	return err
-}
-
 // flushTablesLocked writes dirty mapping pages, dirty small-table pages,
 // dirty summary pages, and a full session snapshot as one checkpoint
 // system action through the write path's steps; its install gives each
-// page its new home and makes the old one garbage. When there is no room
-// and mayGC allows, it collects garbage and starts over.
-func (c *Controller) flushTablesLocked(mayGC bool) error {
+// page its new home and makes the old one garbage. Its plan also closes the
+// open EBLOCKs closes lists, so their CloseEBlock records are its own. When
+// there is no room and mayGC allows, it collects garbage and starts over.
+func (c *Controller) flushTablesLocked(mayGC bool, closes []summary.OpenRef) error {
 	mapDirty := c.mt.DirtyPages()
 	smallDirty := c.mt.DirtySmallPages()
 	sessImg := c.sess.Serialize()
@@ -234,12 +180,13 @@ func (c *Controller) flushTablesLocked(mayGC bool) error {
 		a.sum = crc32.Checksum(a.buf, pageSum)
 	}
 	a.hint = c.lsnHint()
-	plan, err := c.prov.ProvisionBatch(bps, c.clock, a.hint)
+	plan, err := c.prov.ProvisionBatch(bps, c.clock, a.hint, closes...)
 	if errors.Is(err, provision.ErrNoSpace) && mayGC {
 		// The pass relocates pages and releases c.mu while it erases, so
-		// other writers install too: the images above are stale.
+		// other writers install too: the images above are stale, and a
+		// listed EBLOCK may be closed already (the plan skips it).
 		c.gcAllLocked()
-		return c.flushTablesLocked(false)
+		return c.flushTablesLocked(false, closes)
 	}
 	if err != nil {
 		return err
@@ -277,8 +224,10 @@ const (
 // padding may end in log records (DESIGN.md §4 decision 14), which recovery
 // reads. Epoch 4 has one log page in flight, so pages never overlap again.
 // Epoch 5 keeps one open GC EBLOCK per channel; an older image may hold
-// three.
-const formatEpoch = 5
+// three. Epoch 6 logs every CloseEBlock with the action whose plan closes
+// it, a checkpoint's long-open closes included, so redo replays a close only
+// if its action committed; an older image holds closes of no action.
+const formatEpoch = 6
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte

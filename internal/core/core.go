@@ -172,7 +172,7 @@ type Controller struct {
 	sessSnapAddr addr.PhysAddr         // current durable session snapshot
 
 	// inflight counts programs queued on the device workers and GC's media
-	// waits per (channel, eblock). Victim selection, checkpoint force-close
+	// waits per (channel, eblock). Victim selection, a checkpoint's closes
 	// and migration must not touch an EBLOCK while its count is non-zero.
 	inflight map[[2]int]int
 	// pinned counts actions whose programs landed on an EBLOCK but whose

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -705,6 +706,10 @@ type sysKind struct {
 	setup func(*testing.T) *sysRun
 	act   func(*Controller) error
 	probe func(*sysRun, *Controller) addr.PhysAddr
+	// aim, if set, is the WBLOCK a failing cell's program fails at, read off
+	// the run before its action; otherwise it is where the action puts the
+	// probe page.
+	aim func(*sysRun) (ch, eb, wb int)
 }
 
 // sysRun is a device built up to a system action.
@@ -774,6 +779,33 @@ var sysCkpt = sysKind{
 	probe: func(_ *sysRun, c *Controller) addr.PhysAddr { return c.sessSnapAddr },
 }
 
+// sysCkptClose is sysCkpt seen from the user EBLOCK holding LPID 1: open
+// since before the previous checkpoint, so the checkpoint's plan closes it.
+// A failure aims at its metadata WBLOCK; the abort migrates it.
+var sysCkptClose = sysKind{
+	setup: func(t *testing.T) *sysRun {
+		r := sysCkpt.setup(t)
+		r.lpid = 1
+		a := mustAddr(t, r.c, r.lpid)
+		r.victim = [2]int{a.Channel(), a.EBlock()}
+		if !slices.ContainsFunc(r.c.st.OpenEBlocks(), func(o summary.OpenRef) bool {
+			return o.Channel == a.Channel() && o.EBlock == a.EBlock() && o.OpenLSN < r.c.lastCkptLSN
+		}) {
+			t.Fatalf("LPID 1's EBLOCK (%d,%d) is not open since before the last checkpoint", a.Channel(), a.EBlock())
+		}
+		return r
+	},
+	act: sysCkpt.act,
+	probe: func(r *sysRun, c *Controller) addr.PhysAddr {
+		a, _ := c.mt.Get(r.lpid)
+		return a
+	},
+	aim: func(r *sysRun) (int, int, int) {
+		d, _ := r.c.st.Desc(r.victim[0], r.victim[1])
+		return r.victim[0], r.victim[1], int(d.DataWBlocks)
+	},
+}
+
 // sysCell is one crash state of a system action.
 type sysCell struct {
 	name string // the crash point
@@ -789,20 +821,27 @@ var sysCells = []sysCell{
 	{name: "ckpt.after-init", kind: &sysCkpt, want: atomAbsent},
 	{name: "ckpt.after-abort", kind: &sysCkpt, fail: true, want: atomAbsent},
 	{name: "ckpt.after-commit", kind: &sysCkpt, want: atomPresent},
+	// The checkpoint aborts on its close's metadata program, and the crash
+	// comes in the migration that moves the EBLOCK's pages: they move, and
+	// the EBLOCK is not erased before the move is installed.
+	{name: "migrate.after-commit", kind: &sysCkptClose, fail: true, want: atomPresent},
 }
 
 // crash builds cell's device and runs its action into the crash point.
 func (cell sysCell) crash(t *testing.T) *sysRun {
 	t.Helper()
-	var dest addr.PhysAddr
-	if cell.fail {
+	aim := cell.kind.aim
+	if cell.fail && aim == nil {
 		// The same build on a second device, run to the end, shows where the
 		// action programs the probe page.
 		dry := cell.kind.setup(t)
 		if err := cell.kind.act(dry.c); err != nil {
 			t.Fatal(err)
 		}
-		dest = cell.kind.probe(dry, dry.c)
+		dest := cell.kind.probe(dry, dry.c)
+		aim = func(r *sysRun) (int, int, int) {
+			return dest.Channel(), dest.EBlock(), dest.Offset() / r.c.geo.WBlockBytes
+		}
 	}
 	r := cell.kind.setup(t)
 	r.before = cell.kind.probe(r, r.c)
@@ -810,7 +849,7 @@ func (cell sysCell) crash(t *testing.T) *sysRun {
 		r.erases, _ = r.dev.EraseCount(r.victim[0], r.victim[1])
 	}
 	if cell.fail {
-		r.dev.FailNextProgram(dest.Channel(), dest.EBlock(), dest.Offset()/r.c.geo.WBlockBytes)
+		r.dev.FailNextProgram(aim(r))
 	}
 	failures := r.dev.Stats().WriteFailures
 	r.c.SetCrashPoint(cell.name)
@@ -835,7 +874,7 @@ func TestSystemActionCrashStates(t *testing.T) {
 				t.Fatalf("probe page moved=%v after recovery, want %v", moved, cell.want == atomPresent)
 			case cell.want == atomPresent && (st.RecoverVerified == 0 || st.RecoverRejected != 0):
 				t.Fatalf("recovery verified %d actions and rejected %d: the commit should have been proven by checksum", st.RecoverVerified, st.RecoverRejected)
-			case cell.fail && st.RecoverRejected == 0:
+			case cell.fail && cell.want == atomAbsent && st.RecoverRejected == 0:
 				t.Fatal("recovery took a commit whose data failed to program")
 			}
 			// The victim is erased only once its relocation is proven and

@@ -426,7 +426,7 @@ func dbg(format string, args ...any) {
 // free list, logging the transition (unforced; recovery tolerates a lost
 // free record by re-collecting the EBLOCK), or marks it bad. The caller
 // counts each victim in c.inflight until this returns, so selection and
-// checkpoint force-close skip it and migration waits; nothing maps into
+// a checkpoint's closes skip it and migration waits; nothing maps into
 // it (the caller relocated) and provisioning only takes Free EBLOCKs.
 func (c *Controller) eraseAndFreeLocked(victims ...[2]int) error {
 	// An action whose Done is not durable is proven at recovery by

@@ -140,38 +140,43 @@ func TestCheckpointAreaFailover(t *testing.T) {
 	}
 }
 
-// TestTruncationAdvances verifies that checkpoints advance the truncation
-// LSN even with long-open GC EBLOCKs (forced closes, §VIII-B).
+// TestTruncationAdvances: a checkpoint closes the GC EBLOCKs open since
+// before the previous one (§VIII-B) and truncates past their open LSNs in
+// the same call: the EBLOCKs it closes do not count in the minimum.
 func TestTruncationAdvances(t *testing.T) {
-	c, _ := newFormatted(t)
-	rng := rand.New(rand.NewSource(41))
-	// Create GC activity so GC EBLOCKs open (they would otherwise pin the
-	// truncation LSN forever).
-	for round := 0; round < 300; round++ {
-		lp := addr.LPID(rng.Intn(10) + 1)
-		mustWrite(t, c, LPage{LPID: lp, Data: pageContent(uint64(lp), uint64(round), 4000)})
-	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	t1 := c.lastTruncLSN
-	for round := 0; round < 50; round++ {
-		lp := addr.LPID(rng.Intn(10) + 1)
-		mustWrite(t, c, LPage{LPID: lp, Data: pageContent(uint64(lp), uint64(round+1000), 4000)})
-	}
-	if err := c.Checkpoint(); err != nil {
+	c, _, _ := halfDeadController(t, 600, 1)
+	// A relocation opens a GC EBLOCK, which no later write fills: it would
+	// pin the truncation LSN forever.
+	if err := c.GCNow(sysGCChannel); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if c.lastTruncLSN <= t1 {
-		t.Fatalf("truncation LSN stuck: %d -> %d", t1, c.lastTruncLSN)
+	var gc []summary.OpenRef
+	for _, ref := range c.st.OpenEBlocks() {
+		if ref.Stream == record.StreamGC && ref.OpenLSN != 0 && ref.OpenLSN < c.lastCkptLSN {
+			gc = append(gc, ref)
+		}
+	}
+	if len(gc) == 0 {
+		t.Fatal("no GC EBLOCK open across the checkpoint")
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range gc {
+		if d, _ := c.st.Desc(ref.Channel, ref.EBlock); d.State != summary.Used {
+			t.Errorf("GC EBLOCK (%d,%d) is %v after the checkpoint, want used", ref.Channel, ref.EBlock, d.State)
+		}
+		if c.lastTruncLSN <= ref.OpenLSN {
+			t.Errorf("truncation LSN %d does not pass the open LSN %d of the GC EBLOCK (%d,%d) it closed", c.lastTruncLSN, ref.OpenLSN, ref.Channel, ref.EBlock)
+		}
 	}
 }
 
 // TestTruncationPassesOpenLogEBlock: an open log EBLOCK does not pin the
-// truncation LSN (summary.MinOpenLSN skips it), so a checkpoint may
+// truncation LSN (checkpointLocked skips it), so a checkpoint may
 // truncate past the LSN it opened at. Nothing the log still needs goes: the
 // checkpoint starts the chain at the page holding the truncation LSN, and a
 // log EBLOCK is reclaimed only once retired with every page it holds below
@@ -490,7 +495,7 @@ func TestLogDeathAbortsCheckpoint(t *testing.T) {
 	provBefore, liveBefore := ledger()
 
 	c.mu.Lock()
-	err := c.flushTablesLocked(false)
+	err := c.flushTablesLocked(false, nil)
 	c.mu.Unlock()
 	if !errors.Is(err, wal.ErrLogDead) {
 		t.Fatalf("table flush on a dead log = %v, want wal.ErrLogDead", err)
@@ -505,43 +510,6 @@ func TestLogDeathAbortsCheckpoint(t *testing.T) {
 	if provAfter == provBefore || liveAfter != liveBefore {
 		t.Errorf("provisioned bytes %d -> %d, live bytes %d -> %d: the failed plan must have provisioned something and all of it must be AVAIL",
 			provBefore, provAfter, liveBefore, liveAfter)
-	}
-	checkRead(t, c, 1, pageContent(1, 1, 500))
-}
-
-// TestLogDeathForceCloseStillCloses: a checkpoint's force-close programs the
-// EBLOCK's metadata and closes it in the summary table before it logs the
-// close, so a log that refuses the record must not stop the rest of the
-// close: the in-memory metadata goes (the flushed copy is what GC reads)
-// and so does the provisioner's cursor, which would otherwise plan the next
-// write into an EBLOCK that is no longer Open.
-func TestLogDeathForceCloseStillCloses(t *testing.T) {
-	c, dev := newFormatted(t)
-	mustWrite(t, c, LPage{LPID: 1, Data: pageContent(1, 1, 500)})
-	a := mustAddr(t, c, 1)
-	ch, eb := a.Channel(), a.EBlock()
-	if c.prov.UserOpen(ch) != eb || c.st.MetaLen(ch, eb) == 0 {
-		t.Fatalf("(%d,%d) is not the channel's open user EBLOCK with metadata in memory", ch, eb)
-	}
-	killLog(t, c, dev)
-
-	c.mu.Lock()
-	err := c.forceCloseLocked(summary.OpenRef{Channel: ch, EBlock: eb, Stream: record.StreamUser})
-	c.mu.Unlock()
-	if !errors.Is(err, wal.ErrLogDead) {
-		t.Fatalf("force-close on a dead log = %v, want wal.ErrLogDead", err)
-	}
-	if d, err := c.st.Desc(ch, eb); err != nil || d.State != summary.Used || d.MetaWBlocks == 0 {
-		t.Fatalf("(%d,%d) is %+v after the force-close (%v), want used with metadata", ch, eb, d, err)
-	}
-	if n, open := c.st.MetaLen(ch, eb), c.prov.UserOpen(ch); n != 0 || open == eb {
-		t.Errorf("after the failed close record: %d metadata entries in memory, open user EBLOCK %d (closed: %d)", n, open, eb)
-	}
-	c.mu.Lock()
-	entries, err := c.readMetaLocked(ch, eb, summary.Descriptor{DataWBlocks: 1, MetaWBlocks: 1})
-	c.mu.Unlock()
-	if err != nil || len(entries) != 1 || entries[0].LPID != 1 {
-		t.Errorf("flushed metadata of (%d,%d) = %v (%v), want LPID 1's entry", ch, eb, entries, err)
 	}
 	checkRead(t, c, 1, pageContent(1, 1, 500))
 }

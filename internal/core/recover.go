@@ -620,7 +620,7 @@ func (r *recovery) replayRecordLocked(lsn record.LSN, rec record.Record) error {
 			*d = summary.Descriptor{State: summary.Open, Stream: rec.Stream, EraseCount: d.EraseCount}
 		})
 	case record.CloseEBlock:
-		if !r.committed[rec.Action] && rec.Action != 0 {
+		if !r.committed[rec.Action] {
 			return nil // logged ahead of its metadata by an action that did not commit
 		}
 		o, w := r.open[[2]int{int(rec.Channel), int(rec.EBlock)}], c.geo.WBlockBytes

@@ -622,6 +622,10 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 		// Epoch 4 kept up to three open GC EBLOCKs per channel; this
 		// build's provisioner has one cursor for them.
 		{"epoch 4", forgeEpoch(4), ErrImageFormat},
+		// Epoch 5 logged a checkpoint's closes of long-open EBLOCKs with no
+		// action id; this build's redo skips them as closes of no committed
+		// action.
+		{"epoch 5", forgeEpoch(5), ErrImageFormat},
 		{"next epoch", forgeEpoch(formatEpoch + 1), ErrImageFormat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -527,10 +527,17 @@ func (c *Controller) carryLocked(a *action) {
 // the action (§VIII-C), and a Commit per carried flush with the action's id
 // and checksum: every merged (sid, wsn) of a group commits atomically with
 // the action. A checkpoint's pages are appended first, so that seal has
-// their LSNs before the Commit carries its checksum.
+// their LSNs before the Commit carries its checksum. The close of an EBLOCK
+// the plan writes no page to precedes the Updates, so the summary pages a
+// checkpoint seals reflect it.
 func (c *Controller) logActionLocked(a *action) error {
 	for _, op := range a.plan.Opens { // a user or GC stream's: a log EBLOCK's record is the chain
 		put(c, record.OpenEBlock{Channel: uint32(op.Channel), EBlock: uint32(op.EBlock), Stream: op.Stream})
+	}
+	for _, cl := range a.plan.Closes {
+		if !writesTo(a.plan, cl) {
+			putClose(c, a.id, cl)
+		}
 	}
 	opens := record.LSN(c.nframes)
 	for i, pg := range a.plan.Pages {
@@ -549,8 +556,9 @@ func (c *Controller) logActionLocked(a *action) error {
 		a.seal(a.first)
 	}
 	for _, cl := range a.plan.Closes {
-		put(c, record.CloseEBlock{Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock), Timestamp: cl.Timestamp,
-			DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks), Action: a.id})
+		if writesTo(a.plan, cl) {
+			putClose(c, a.id, cl)
+		}
 	}
 	for _, s := range a.subs {
 		put(c, record.Commit{Action: a.id, AKind: a.kind, SID: s.sid, WSN: s.wsn, Sum: a.sum})
@@ -560,6 +568,22 @@ func (c *Controller) logActionLocked(a *action) error {
 		a.first = first + opens
 	}
 	return err
+}
+
+// writesTo reports whether the plan places a page in the EBLOCK cl closes.
+func writesTo(plan *provision.Plan, cl provision.CloseEvent) bool {
+	for _, pg := range plan.Pages {
+		if pg.Addr.Channel() == cl.Channel && pg.Addr.EBlock() == cl.EBlock {
+			return true
+		}
+	}
+	return false
+}
+
+// putClose puts the CloseEBlock record of cl, conditional on action id.
+func putClose(c *Controller, id uint64, cl provision.CloseEvent) {
+	put(c, record.CloseEBlock{Channel: uint32(cl.Channel), EBlock: uint32(cl.EBlock), Timestamp: cl.Timestamp,
+		DataWBlocks: uint32(cl.DataWBlocks), MetaWBlocks: uint32(cl.MetaWBlocks), Action: id})
 }
 
 // landLocked settles an action after its round (res; forceErr from the log
@@ -596,6 +620,9 @@ func (c *Controller) landLocked(a *action, res flash.BatchResult, forceErr error
 		}
 		unpin()
 		c.migrateFailedLocked(res.FailedEBlocks, a.subs[0].tid)
+		if c.port.dead() {
+			return ErrCrashed // in the migration
+		}
 		return fmt.Errorf("%w: %v action %d", ErrWriteFailed, a.kind, a.id)
 	}
 	if err := c.commitForcedLocked(a, forceErr); err != nil {

@@ -283,6 +283,11 @@ func (c *chanPlanner) loadCursor(ch int) error {
 		c.p.dropCursor(c.ch, eb)
 		return nil
 	}
+	for _, cl := range c.plan.Closes {
+		if cl.Channel == ch && cl.EBlock == eb {
+			return nil // closed by this plan (closeListed): the chunk opens afresh
+		}
+	}
 	c.cur = eb
 	c.dataWB = int(d.DataWBlocks)
 	c.base = c.p.st.MetaLen(c.ch, eb)
@@ -363,6 +368,27 @@ func (c *chanPlanner) closeCur() {
 	})
 	c.cur = -1
 	c.dataWB = 0
+}
+
+// closeListed closes each listed EBLOCK still Open at its fill, as place
+// closes a full one; a GC EBLOCK keeps its timestamp. A ref that is no
+// longer Open was closed or erased since the caller listed it.
+func (c *chanPlanner) closeListed(refs []summary.OpenRef) error {
+	stream, srcTS := c.stream, c.srcTS
+	for _, ref := range refs {
+		d, err := c.p.st.Desc(ref.Channel, ref.EBlock)
+		if err != nil {
+			return err
+		}
+		if d.State != summary.Open {
+			continue
+		}
+		c.ch, c.cur, c.dataWB = ref.Channel, ref.EBlock, int(d.DataWBlocks)
+		c.stream, c.srcTS = d.Stream, d.Timestamp
+		c.closeCur()
+	}
+	c.stream, c.srcTS = stream, srcTS
+	return nil
 }
 
 // openFresh takes the next free EBLOCK for the stream. Non-GC streams
@@ -462,9 +488,10 @@ func (p *Provisioner) newPlanner(stream record.StreamKind, srcTS uint64, clock f
 
 // ProvisionBatch plans placement for a user write buffer across all
 // channels (global + channel tiers). clock supplies the update-sequence
-// timestamp used when EBLOCKs close. The plan is already applied to the
-// summary table when this returns.
-func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsnHint record.LSN) (*Plan, error) {
+// timestamp used when EBLOCKs close. The plan first closes the open EBLOCKs
+// closes lists (a checkpoint's long-open ones), and no chunk continues one.
+// The plan is already applied to the summary table when this returns.
+func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsnHint record.LSN, closes ...summary.OpenRef) (*Plan, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(pages) == 0 {
@@ -472,6 +499,9 @@ func (p *Provisioner) ProvisionBatch(pages []BatchPage, clock func() uint64, lsn
 	}
 	chunks, nwb := p.partition(pages)
 	c := p.newPlanner(record.StreamUser, 0, clock, len(pages), nwb)
+	if err := c.closeListed(closes); err != nil {
+		return nil, err
+	}
 	for i, chunk := range chunks {
 		if err := c.loadCursor((p.rotate + i) % p.geo.Channels); err != nil {
 			return nil, err

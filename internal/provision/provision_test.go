@@ -369,6 +369,63 @@ func TestNoSpaceDoesNotMutate(t *testing.T) {
 	}
 }
 
+// TestProvisionBatchClosesListed: the EBLOCKs a batch lists to close are
+// closed at their fill before its pages are placed — a user EBLOCK at the
+// clock, a GC EBLOCK keeping its timestamp — and no chunk continues one. A
+// ref no longer Open is skipped, and a call that fails applies nothing.
+func TestProvisionBatchClosesListed(t *testing.T) {
+	e := newEnv(t)
+	first, err := e.p.ProvisionBatch(contiguousPages(1920), e.clock, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := first.Pages[0].Addr
+	gcPlan, err := e.p.ProvisionGC(1, contiguousPages(128), 77, e.clock, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gcPlan.Pages[0].Addr
+	refs := []summary.OpenRef{
+		{Channel: u.Channel(), EBlock: u.EBlock(), Stream: record.StreamUser},
+		{Channel: g.Channel(), EBlock: g.EBlock(), Stream: record.StreamGC},
+		{Channel: 2, EBlock: 9, Stream: record.StreamUser}, // Free: skipped
+	}
+	bad := append(contiguousPages(1920), BatchPage{LPID: 9, Type: addr.PageUser, Length: 100, BufOff: 1920})
+	if _, err := e.p.ProvisionBatch(bad, e.clock, 3, refs...); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("malformed batch: %v, want ErrBadPage", err)
+	}
+	for _, r := range refs[:2] {
+		if d, _ := e.st.Desc(r.Channel, r.EBlock); d.State != summary.Open {
+			t.Fatalf("the failed call closed (%d,%d): %+v", r.Channel, r.EBlock, d)
+		}
+	}
+	// Four WBLOCKs deal a chunk to every channel, the closed EBLOCKs' too.
+	plan, err := e.p.ProvisionBatch(contiguousPages(16<<10, 16<<10, 16<<10, 16<<10), e.clock, 3, refs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Closes) != 2 {
+		t.Fatalf("closes %+v, want the two open EBLOCKs listed", plan.Closes)
+	}
+	for i, wantTS := range []uint64{e.seq, 77} {
+		cl, r := plan.Closes[i], refs[i]
+		d, _ := e.st.Desc(r.Channel, r.EBlock)
+		if cl.Channel != r.Channel || cl.EBlock != r.EBlock || cl.DataWBlocks != 1 || cl.MetaWBlocks != 1 || cl.Timestamp != wantTS ||
+			d.State != summary.Used || d.Timestamp != wantTS {
+			t.Fatalf("close %d: %+v, desc %+v; want (%d,%d) closed at 1 data WBLOCK, timestamp %d", i, cl, d, r.Channel, r.EBlock, wantTS)
+		}
+	}
+	for _, pg := range plan.Pages {
+		if pg.Addr.EBlock() == u.EBlock() && pg.Addr.Channel() == u.Channel() {
+			t.Fatalf("page %d placed in the closed EBLOCK (%d,%d)", pg.LPID, u.Channel(), u.EBlock())
+		}
+	}
+	if e.p.UserOpen(u.Channel()) == u.EBlock() || e.p.GCOpen(g.Channel()) >= 0 {
+		t.Fatalf("cursors: user %d on channel %d, GC %d on channel %d; want neither closed EBLOCK",
+			e.p.UserOpen(u.Channel()), u.Channel(), e.p.GCOpen(g.Channel()), g.Channel())
+	}
+}
+
 func TestPageTooLarge(t *testing.T) {
 	e := newEnv(t)
 	_, err := e.p.ProvisionBatch(contiguousPages(e.p.MaxLPageBytes()+64), e.clock, 1)

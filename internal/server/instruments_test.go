@@ -71,10 +71,14 @@ func TestServerInstrumentsComplete(t *testing.T) {
 
 	// WSN 2 ahead of WSN 1: admitted, then parked in the controller's
 	// claim, so its bytes stay in flight until the predecessor lands.
+	// Both clients stay open to the end: the drain must find their
+	// connections, which a finalizer would close once a client is
+	// unreachable.
 	early, err := client.Dial(addrStr, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = early.Close() })
 	sid, err := early.OpenSession()
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +95,7 @@ func TestServerInstrumentsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = cl.Close() })
 	if _, err := cl.Flush(sid, 1, []core.LPage{{LPID: 8, Data: []byte("first")}}); err != nil {
 		t.Fatal(err)
 	}

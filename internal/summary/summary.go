@@ -491,22 +491,6 @@ func (t *Table) OpenEBlocks() []OpenRef {
 	return out
 }
 
-// MinOpenLSN returns the smallest open-LSN across open EBLOCKs (0 if none),
-// a component of the truncation LSN (§VIII-B). A log EBLOCK pins nothing: it
-// logged no OpenEBlock (the chain is its record) and is never a GC victim,
-// and a log whose commits ride data WBLOCKs keeps one open a long time.
-func (t *Table) MinOpenLSN() record.LSN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var min record.LSN
-	for k, l := range t.openLSN {
-		if l != 0 && t.desc[k[0]][k[1]].Stream != record.StreamLog && (min == 0 || l < min) {
-			min = l
-		}
-	}
-	return min
-}
-
 // SetOpenLSN restores an open EBLOCK's open-LSN (recovery).
 func (t *Table) SetOpenLSN(ch, eb int, lsn record.LSN) {
 	t.mu.Lock()

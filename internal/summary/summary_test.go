@@ -177,21 +177,16 @@ func TestMetaAppendOrderPreserved(t *testing.T) {
 	}
 }
 
-func TestOpenEBlocksAndMinOpenLSN(t *testing.T) {
+func TestOpenEBlocks(t *testing.T) {
 	tb := newTestTable(t)
 	_ = tb.OpenEBlock(0, 2, record.StreamUser, 10)
 	_ = tb.OpenEBlock(1, 3, record.StreamGC, 5)
-	_ = tb.OpenEBlock(2, 4, record.StreamLog, 2) // the chain records it: no pin
-	refs := tb.OpenEBlocks()
-	if len(refs) != 3 {
-		t.Fatalf("open count = %d", len(refs))
-	}
-	if tb.MinOpenLSN() != 5 {
-		t.Fatalf("MinOpenLSN = %d", tb.MinOpenLSN())
-	}
+	_ = tb.OpenEBlock(2, 4, record.StreamLog, 2)
 	_ = tb.CloseEBlock(1, 3, 1, 0, 30)
-	if tb.MinOpenLSN() != 10 {
-		t.Fatalf("MinOpenLSN after close = %d", tb.MinOpenLSN())
+	refs := tb.OpenEBlocks()
+	want := []OpenRef{{0, 2, record.StreamUser, 10}, {2, 4, record.StreamLog, 2}}
+	if !slices.Equal(refs, want) {
+		t.Fatalf("open = %v, want %v", refs, want)
 	}
 }
 
