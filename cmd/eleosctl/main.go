@@ -718,8 +718,8 @@ func printHealth(w io.Writer, snap metrics.Snapshot) {
 	}
 	fmt.Fprintf(w, "space:  free %s  valid %s  dead %s\n",
 		fmtBytes(h.FreeBytes), fmtBytes(h.ValidBytes), fmtBytes(h.DeadBytes))
-	fmt.Fprintf(w, "eblocks: %d total  %d free  %d open  %d used  %d bad  %d reserved\n",
-		h.EBlocksTotal, h.FreeEBlocks, h.OpenEBlocks, h.UsedEBlocks, h.BadEBlocks, h.ReservedEBlocks)
+	fmt.Fprintf(w, "eblocks: %d total  %d free  %d open  %d used  %d bad  %d reserved  %d log\n",
+		h.EBlocksTotal, h.FreeEBlocks, h.OpenEBlocks, h.UsedEBlocks, h.BadEBlocks, h.ReservedEBlocks, h.LogEBlocks)
 	avg := float64(h.EraseTotal) / float64(h.EBlocksTotal)
 	fmt.Fprintf(w, "wear:   erases min %d / avg %.1f / max %d (total %d)\n",
 		h.EraseMin, avg, h.EraseMax, h.EraseTotal)

@@ -61,7 +61,7 @@ func fixtureSnapshot() metrics.Snapshot {
 func fixtureHealth() health.DeviceHealth {
 	return health.DeviceHealth{
 		EBlocksTotal: 64, FreeEBlocks: 32, OpenEBlocks: 4,
-		UsedEBlocks: 26, BadEBlocks: 1, ReservedEBlocks: 1,
+		UsedEBlocks: 26, BadEBlocks: 1, ReservedEBlocks: 1, LogEBlocks: 3,
 		EraseTotal: 128, EraseMin: 0, EraseMax: 9,
 		EraseHist: [health.EraseHistBuckets]int64{10, 20, 30, 4},
 		FreeBytes: 64 << 20, ValidBytes: 48 << 20, DeadBytes: 16 << 20,
@@ -271,7 +271,7 @@ func TestRenderTop(t *testing.T) {
 		"read amp 1.8×",   // Δ1.75 MB transferred to move it
 		"throttled/s",     // nonzero throttle delta renders the qos line
 		"space:  free 64.0 MB  valid 48.0 MB  dead 16.0 MB",
-		"eblocks: 64 total  32 free  4 open  26 used  1 bad  1 reserved",
+		"eblocks: 64 total  32 free  4 open  26 used  1 bad  1 reserved  3 log",
 		"erases min 0 / avg 2.0 / max 9 (total 128)",
 		"0:10 1:20 2-3:30 4-7:4",
 		"valid-utilization deciles: 1 0 2 0 0 5 0 0 3 15",

@@ -16,10 +16,10 @@ import (
 	"eleos/internal/wal"
 )
 
-// Checkpoint performs a fuzzy checkpoint (§VIII-B): it determines the log
-// truncation LSN, flushes dirty mapping / small / summary pages and a full
-// session-table snapshot with a checkpoint system action, which also closes
-// long-open EBLOCKs, and finally persists a checkpoint record to the
+// Checkpoint performs a fuzzy checkpoint (§VIII-B): it flushes dirty
+// mapping / small / summary pages and a full session-table snapshot with a
+// checkpoint system action, which also closes long-open EBLOCKs, then
+// determines the log truncation LSN and persists a checkpoint record to the
 // reserved well-known area.
 func (c *Controller) Checkpoint() error {
 	c.mu.Lock()
@@ -48,14 +48,34 @@ func (c *Controller) checkpointLocked() error {
 	defer func() { c.inCheckpoint = false }()
 	t0 := time.Now()
 
+	// The flush closes the EBLOCKs open since before the previous
+	// checkpoint (a GC EBLOCK can stay open a long time); one with programs
+	// in flight waits for the next checkpoint. A log EBLOCK is never closed
+	// here and pins nothing: it logged no OpenEBlock (the chain is its
+	// record) and is never a GC victim, and a log whose commits ride data
+	// WBLOCKs keeps one open a long time.
+	var closes []summary.OpenRef
+	for _, ref := range c.st.OpenEBlocks() {
+		if ref.Stream != record.StreamLog && ref.OpenLSN != 0 && ref.OpenLSN < c.lastCkptLSN &&
+			c.inflight[[2]int{ref.Channel, ref.EBlock}] == 0 {
+			closes = append(closes, ref)
+		}
+	}
+	if err := c.flushTablesLocked(true, closes); err != nil {
+		return err
+	}
+	if err := c.crashIf("ckpt.after-flush"); err != nil {
+		return err
+	}
+	// The flush's Garbage and Done are durable before its record: a crash
+	// that lost them would leave the homes it superseded uncredited.
+	if err := c.forceLog(); err != nil {
+		return err
+	}
 	// Truncation LSN = min(active actions, dirty table pages, open
-	// EBLOCKs) (§VIII-B). Computed before the flush: conservative. The flush
-	// closes the EBLOCKs open since before the previous checkpoint (a GC
-	// EBLOCK can stay open a long time), so their open LSNs pin nothing; one
-	// with programs in flight waits for the next checkpoint. A log EBLOCK
-	// pins nothing: it logged no OpenEBlock (the chain is its record) and is
-	// never a GC victim, and a log whose commits ride data WBLOCKs keeps one
-	// open a long time.
+	// EBLOCKs) (§VIII-B), taken after the flush: the pages it wrote are
+	// clean, so the log keeps only what the flush's own install and the
+	// still-open EBLOCKs need, not the interval since the last checkpoint.
 	trunc := c.log.NextLSN()
 	consider := func(l record.LSN) {
 		if l != 0 && l < trunc {
@@ -67,25 +87,13 @@ func (c *Controller) checkpointLocked() error {
 	}
 	consider(c.mt.MinRecLSN())
 	consider(c.st.MinRecLSN())
-	var closes []summary.OpenRef
 	for _, ref := range c.st.OpenEBlocks() {
-		switch {
-		case ref.Stream == record.StreamLog:
-		case ref.OpenLSN != 0 && ref.OpenLSN < c.lastCkptLSN && c.inflight[[2]int{ref.Channel, ref.EBlock}] == 0:
-			closes = append(closes, ref)
-		default:
+		if ref.Stream != record.StreamLog {
 			consider(ref.OpenLSN)
 		}
 	}
 	if trunc < c.lastTruncLSN {
 		trunc = c.lastTruncLSN
-	}
-
-	if err := c.flushTablesLocked(true, closes); err != nil {
-		return err
-	}
-	if err := c.crashIf("ckpt.after-flush"); err != nil {
-		return err
 	}
 
 	// Assemble and persist the checkpoint record.

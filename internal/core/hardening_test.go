@@ -175,6 +175,42 @@ func TestTruncationAdvances(t *testing.T) {
 	}
 }
 
+// TestCheckpointTruncatesToItself: a quiescent checkpoint takes its
+// truncation LSN after its table flush, so the log keeps nothing written
+// before the call but what a still-open user or GC EBLOCK needs. Taken
+// before the flush, the oldest dirty page held it near the previous
+// checkpoint.
+func TestCheckpointTruncatesToItself(t *testing.T) {
+	dev := flash.MustNewDevice(flash.SmallGeometry(), flash.Latency{})
+	cfg := DefaultConfig()
+	cfg.AutoCheckpointLogBytes = 1 << 20
+	c, err := Format(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiescentLoad(t, c, 1, 1500)
+	if c.met.gcRounds.Value() == 0 || c.met.checkpoints.Value() == 0 {
+		t.Fatalf("%d GC rounds, %d checkpoints: the load should run both", c.met.gcRounds.Value(), c.met.checkpoints.Value())
+	}
+	c.mu.Lock()
+	want := c.log.NextLSN()
+	c.mu.Unlock()
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ref := range c.st.OpenEBlocks() {
+		if ref.Stream != record.StreamLog && ref.OpenLSN != 0 && ref.OpenLSN < want {
+			want = ref.OpenLSN
+		}
+	}
+	if c.lastTruncLSN < want {
+		t.Fatalf("truncation LSN %d, want at least %d: the log keeps %d records written before the checkpoint",
+			c.lastTruncLSN, want, want-c.lastTruncLSN)
+	}
+}
+
 // TestTruncationPassesOpenLogEBlock: an open log EBLOCK does not pin the
 // truncation LSN (checkpointLocked skips it), so a checkpoint may
 // truncate past the LSN it opened at. Nothing the log still needs goes: the

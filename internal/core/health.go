@@ -2,6 +2,7 @@ package core
 
 import (
 	"eleos/internal/health"
+	"eleos/internal/record"
 	"eleos/internal/summary"
 )
 
@@ -40,6 +41,9 @@ func (c *Controller) deviceHealthLocked() health.DeviceHealth {
 			d, err := c.st.Desc(ch, eb)
 			if err != nil {
 				continue
+			}
+			if d.Stream == record.StreamLog && (d.State == summary.Open || d.State == summary.Used) {
+				h.LogEBlocks++
 			}
 			switch d.State {
 			case summary.Free:

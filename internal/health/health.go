@@ -42,13 +42,16 @@ const UtilHistBuckets = 10
 // valid "empty device" census.
 type DeviceHealth struct {
 	// EBLOCK population by summary state. Reserved covers the
-	// checkpoint-area EBLOCKs outside normal allocation.
+	// checkpoint-area EBLOCKs outside normal allocation. Log counts the
+	// Open and Used EBLOCKs of the log stream among them: the space the
+	// log holds until a checkpoint truncates it and GC reclaims it.
 	EBlocksTotal    int64
 	FreeEBlocks     int64
 	OpenEBlocks     int64
 	UsedEBlocks     int64
 	BadEBlocks      int64
 	ReservedEBlocks int64
+	LogEBlocks      int64
 
 	// Wear: per-EBLOCK erase counts from the media itself (ground truth,
 	// not the recoverable summary mirror).
@@ -107,6 +110,7 @@ func (h *DeviceHealth) gauges() []gauge {
 		{"health.eblocks.used", &h.UsedEBlocks},
 		{"health.eblocks.bad", &h.BadEBlocks},
 		{"health.eblocks.reserved", &h.ReservedEBlocks},
+		{"health.eblocks.log", &h.LogEBlocks},
 		{"health.erases.total", &h.EraseTotal},
 		{"health.erases.min", &h.EraseMin},
 		{"health.erases.max", &h.EraseMax},

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -40,12 +41,24 @@ func TestUtilBucket(t *testing.T) {
 }
 
 // TestGaugesRoundTripFull drives every field through the name table:
-// AddGauges then FromSnapshot gives the census back, the gauges keep
-// the snapshot in name order beside an instrument of the registry, and
-// every name is distinct.
+// the table names each field of the census once, AddGauges then
+// FromSnapshot gives the census back, the gauges keep the snapshot in
+// name order beside an instrument of the registry, and every name is
+// distinct.
 func TestGaugesRoundTripFull(t *testing.T) {
 	var h DeviceHealth
 	gs := h.gauges()
+	fields := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(h)) {
+		if f.Type.Kind() == reflect.Array {
+			fields += f.Type.Len()
+		} else {
+			fields++
+		}
+	}
+	if len(gs) != fields {
+		t.Fatalf("the name table has %d gauges, the census %d fields", len(gs), fields)
+	}
 	for i, g := range gs {
 		*g.v = int64(i*1000 + 7)
 	}
@@ -62,7 +75,8 @@ func TestGaugesRoundTripFull(t *testing.T) {
 	if got := FromSnapshot(snap); got != h {
 		t.Fatalf("round trip diverged:\n%+v\n%+v", got, h)
 	}
-	if snap.Gauge("read.cached_bytes") != 5 || snap.Gauge("health.bytes.dead") != h.DeadBytes {
+	if snap.Gauge("read.cached_bytes") != 5 || snap.Gauge("health.bytes.dead") != h.DeadBytes ||
+		snap.Gauge("health.eblocks.log") != h.LogEBlocks {
 		t.Fatalf("lookup by name: %v", snap.Gauges)
 	}
 	if got := FromSnapshot(metrics.Snapshot{}); got != (DeviceHealth{}) {

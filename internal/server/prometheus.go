@@ -50,6 +50,7 @@ var promHelp = map[string]string{
 	"eleos_core_recover_actions_verified_total": "User actions recovery proved by reading their data back (commit durable, no Done record).",
 	"eleos_core_recover_actions_rejected_total": "Of those, actions whose data did not match their commit record's checksum.",
 	"eleos_core_recover_verify_bytes_total":     "Media bytes recovery read to prove them.",
+	"eleos_health_eblocks_log":                  "Open and Used log-stream EBLOCKs: the space the log holds until a checkpoint truncates it.",
 	"eleos_health_erase_hist":                   "EBLOCKs per erase-count bucket: 0 never erased, i in [2^(i-1), 2^i), the last bucket open-ended.",
 	"eleos_health_util_hist":                    "Used EBLOCKs per valid-utilization decile.",
 }

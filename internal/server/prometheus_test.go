@@ -11,6 +11,7 @@ import (
 
 	"eleos/internal/client"
 	"eleos/internal/core"
+	"eleos/internal/health"
 	"eleos/internal/metrics"
 	"eleos/internal/server"
 )
@@ -20,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // TestWritePrometheusGolden pins the exposition format byte-for-byte
 // against testdata/prometheus.golden: HELP/TYPE headers, the
 // tenant/source/channel label extraction (including a tenant tag that
-// itself contains a dot) and histogram buckets.
+// itself contains a dot), histogram buckets and the health census.
 // Regenerate with: go test ./internal/server -run Golden -update
 func TestWritePrometheusGolden(t *testing.T) {
 	reg := metrics.New()
@@ -45,8 +46,15 @@ func TestWritePrometheusGolden(t *testing.T) {
 	h.Observe(2000)
 	h.Observe(5_000_000)
 
+	snap := reg.Snapshot()
+	health.DeviceHealth{
+		EBlocksTotal: 64, FreeEBlocks: 40, OpenEBlocks: 6, UsedEBlocks: 16, ReservedEBlocks: 2, LogEBlocks: 3,
+		EraseTotal: 90, EraseMax: 4, EraseHist: [health.EraseHistBuckets]int64{10, 30, 20, 4},
+		FreeBytes: 40 << 18, ValidBytes: 15 << 18, DeadBytes: 7 << 18,
+		UtilHist: [health.UtilHistBuckets]int64{3, 0, 0, 0, 5, 0, 0, 0, 0, 8},
+	}.AddGauges(&snap)
 	var sb strings.Builder
-	server.WritePrometheus(&sb, reg.Snapshot())
+	server.WritePrometheus(&sb, snap)
 	got := sb.String()
 
 	goldenPath := filepath.Join("testdata", "prometheus.golden")

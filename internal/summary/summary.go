@@ -67,7 +67,7 @@ func (s State) String() string {
 // Descriptor is the persistent per-EBLOCK state.
 type Descriptor struct {
 	State       State
-	Stream      record.StreamKind // valid when Open (which stream owns it)
+	Stream      record.StreamKind // valid when Open or Used (which stream owns it)
 	EraseCount  uint32
 	DataWBlocks uint32 // WBLOCKs provisioned for data
 	MetaWBlocks uint32 // WBLOCKs holding flushed metadata
