@@ -22,17 +22,16 @@
 // The gated experiments exit nonzero when their bound is crossed. waf
 // measures end-to-end write amplification on a B-tree-churn arm and a
 // sequential arm, reconciled against the device program ledger
-// (-maxwaf, -maxseqwaf). fairness measures a quiet
-// tenant's flush p99 solo, beside rate-shaped aggressors with QoS
-// admission on, and beside the same aggressors with QoS off
-// (-maxp99inflation). chaos executes the seeded fault-schedule corpus
+// (-maxwaf, -maxseqwaf). chaos executes the seeded fault-schedule corpus
 // from internal/chaos (seeds 1..-seeds) and fails, printing the
 // one-command replay, if any schedule violates an invariant. Each writes
 // its result document only when -json names a path.
 //
 // Wall-clock throughput and latency are not measured here: that is
 // bench/ (BENCHMARK.json). Experiments this command used to carry are
-// listed in EXPERIMENTS.md ("Retired experiments").
+// listed in EXPERIMENTS.md ("Retired experiments"); the multi-tenant
+// fairness arms among them are replayed in virtual time by the qos
+// package's TestNoisyNeighborReplay.
 package main
 
 import (
@@ -246,7 +245,6 @@ func experiments() []*experiment {
 			return nil
 		}),
 		wafExperiment(),
-		fairnessExperiment(),
 		chaosExperiment(),
 	}
 
@@ -303,31 +301,6 @@ func wafExperiment() *experiment {
 		}
 		if *maxSeqWAF > 0 && res.SequentialWAF > *maxSeqWAF {
 			return fmt.Errorf("waf: sequential-arm write amplification %.3f exceeds limit %.3f", res.SequentialWAF, *maxSeqWAF)
-		}
-		return nil
-	}
-	return e
-}
-
-func fairnessExperiment() *experiment {
-	e := newExperiment("fairness", "gate: a quiet tenant's flush p99 solo, under QoS, and without it")
-	maxInflation := e.fs.Float64("maxp99inflation", 0, "fail if the qos arm's quiet-tenant p99 exceeds this multiple of the solo baseline (0 disables the gate)")
-	jsonPath := jsonFlag(e.fs)
-	e.run = func(w io.Writer) error {
-		res, err := harness.RunFairness(120, 3)
-		if err != nil {
-			return err
-		}
-		harness.PrintFairness(w, res)
-		if *jsonPath != "" {
-			if err := harness.WriteFairnessJSON(*jsonPath, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "result written to %s\n", *jsonPath)
-		}
-		if *maxInflation > 0 && res.QoSInflation > *maxInflation {
-			return fmt.Errorf("fairness: quiet-tenant p99 inflation %.2fx under qos exceeds limit %.2fx (solo %s, qos %s)",
-				res.QoSInflation, *maxInflation, res.SoloP99, res.QoSP99)
 		}
 		return nil
 	}

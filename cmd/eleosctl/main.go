@@ -170,10 +170,12 @@ func run(img string, args []string) error {
 }
 
 func doFormat(img string, args []string) error {
-	fs := flag.NewFlagSet("format", flag.ExitOnError)
+	fs := flag.NewFlagSet("format", flag.ContinueOnError)
 	channels := fs.Int("channels", 4, "flash channels")
 	eblocks := fs.Int("eblocks", 64, "eblocks per channel")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	geo := flash.Geometry{
 		Channels:          *channels,
 		EBlocksPerChannel: *eblocks,
@@ -207,10 +209,12 @@ func dialServer(address string) (*client.Client, error) {
 // trace_event JSON (loadable in chrome://tracing / Perfetto) with
 // -chrome.
 func doTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
 	chrome := fs.String("chrome", "", "write Chrome trace_event JSON to FILE ('-' for stdout) instead of the text timeline")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	cl, err := dialServer(*addrFlag)
 	if err != nil {
 		return err
@@ -228,10 +232,12 @@ func doTrace(args []string) error {
 // the server's flash channels). Unmapped LPIDs are reported per page,
 // not as a command failure.
 func doGet(args []string) error {
-	fs := flag.NewFlagSet("get", flag.ExitOnError)
+	fs := flag.NewFlagSet("get", flag.ContinueOnError)
 	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
 	raw := fs.Bool("raw", false, "write the raw page bytes of a single LPID to stdout")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("get needs lpid arguments")
 	}
@@ -478,10 +484,12 @@ func doGC(ctl *core.Controller, args []string) error {
 }
 
 func doSessionWrite(ctl *core.Controller, args []string) error {
-	fs := flag.NewFlagSet("swrite", flag.ExitOnError)
+	fs := flag.NewFlagSet("swrite", flag.ContinueOnError)
 	sid := fs.Uint64("sid", 0, "session id")
 	wsn := fs.Uint64("wsn", 0, "write sequence number")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if *sid == 0 || *wsn == 0 {
 		return fmt.Errorf("swrite needs -sid and -wsn")
 	}
@@ -513,9 +521,11 @@ func doSessionWrite(ctl *core.Controller, args []string) error {
 }
 
 func doSessionStatus(ctl *core.Controller, args []string) error {
-	fs := flag.NewFlagSet("session-status", flag.ExitOnError)
+	fs := flag.NewFlagSet("session-status", flag.ContinueOnError)
 	sid := fs.Uint64("sid", 0, "session id")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	high, err := ctl.SessionHighestWSN(*sid)
 	if err != nil {
 		return err
@@ -529,10 +539,12 @@ func doSessionStatus(ctl *core.Controller, args []string) error {
 // two things that payload does not carry — the device's own media ledger
 // and the free space per channel.
 func doStats(ctl *core.Controller, args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit the full metrics snapshot as JSON")
 	fs.String("addr", "", "eleosd address (handled in doStatsRemote)")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	if !*jsonOut {
 		printMedia(os.Stdout, ctl)
 	}
@@ -571,10 +583,12 @@ func hasAddrFlag(args []string) bool {
 // doStatsRemote is `stats -addr`: one stats_full round trip to a running
 // eleosd, rendered by the renderer the local mode uses.
 func doStatsRemote(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	addrFlag := fs.String("addr", "127.0.0.1:9420", "eleosd address")
 	jsonOut := fs.Bool("json", false, "emit the full metrics snapshot as JSON")
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	cl, err := dialServer(*addrFlag)
 	if err != nil {
 		return err
@@ -636,9 +650,9 @@ func (c topConfig) period() time.Duration {
 	return min(max(c.interval, 10*time.Millisecond), time.Minute)
 }
 
-// usageError is a command-line mistake: main exits 2 for it, as a
-// FlagSet that exits on error does — or 0 for -h, once the FlagSet has
-// printed its usage.
+// usageError is a command-line mistake, a flag a command's FlagSet could
+// not parse or a value its Validate rejected: main exits 2 for it, or 0 for
+// -h, once the FlagSet has printed its usage.
 type usageError struct{ error }
 
 func (e usageError) Unwrap() error { return e.error }

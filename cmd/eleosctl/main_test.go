@@ -477,6 +477,48 @@ func TestFillAndGCConfigValidate(t *testing.T) {
 	}
 }
 
+// TestBadFlagsAreUsageErrors: every command's FlagSet hands a flag it
+// cannot parse back to run as a usage error (exit 2), and -h as
+// flag.ErrHelp (exit 0), instead of exiting inside the parse; the image
+// commands leave the image as it was.
+func TestBadFlagsAreUsageErrors(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "dev.img")
+	if err := run(img, []string{"format", "-channels", "2", "-eblocks", "8"}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"format", "-channels", "many"},
+		{"format", "-no-such-flag"},
+		{"trace", "-chrome"},
+		{"trace", "-no-such-flag"},
+		{"get", "-raw=maybe", "1"},
+		{"get", "-no-such-flag", "1"},
+		{"swrite", "-sid", "x", "-wsn", "1", "1=a"},
+		{"swrite", "-no-such-flag"},
+		{"session-status", "-sid", "-1"},
+		{"session-status", "-no-such-flag"},
+		{"stats", "-json=2"},
+		{"stats", "-no-such-flag"},
+		{"stats", "-addr", "127.0.0.1:1", "-json=2"},
+		{"stats", "-addr", "127.0.0.1:1", "-no-such-flag"},
+	} {
+		var ue usageError
+		if err := run(img, args); !errors.As(err, &ue) || errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%q = %v, want a usage error", args, err)
+		}
+		if err := run(img, []string{args[0], "-h"}); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s -h = %v, want flag.ErrHelp (exit 0)", args[0], err)
+		}
+	}
+	if after, err := os.ReadFile(img); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("rejected commands changed the image (%v)", err)
+	}
+}
+
 // frameRecorder is the writer runTop renders into: with -plain each frame
 // is one Write. onFrame runs after each, with the count so far.
 type frameRecorder struct {

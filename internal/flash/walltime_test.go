@@ -11,12 +11,14 @@ import (
 	"time"
 
 	"eleos/internal/metrics"
+	"eleos/internal/trace"
 )
 
 // Timing fidelity of the wall-latency emulation (DESIGN.md §4.1): an
-// emulated wait never returns early, returns within a small reported
-// lateness, chains on its channel's deadline, costs nothing when off, and
-// one timekeeper serves the process.
+// emulated wait never returns early, reports its lateness, chains on its
+// channel's deadline to the nanosecond, costs nothing when off, and one
+// timekeeper serves the process. No test bounds the lateness: that is the
+// host's.
 
 // wallGeometry: 8 channels of 2 EBLOCKs with 64 WBLOCKs each, so one channel
 // takes 50 programs in a row.
@@ -38,80 +40,32 @@ func wallDevice(t *testing.T) (*Device, *metrics.Registry) {
 
 const wallSamples = 200
 
-// sampleWall times wallSamples programs, single-RBLOCK reads and erases,
-// one at a time on the calling goroutine.
-func sampleWall(t *testing.T, d *Device) (programs, reads, erases []time.Duration) {
-	t.Helper()
-	g := d.Geometry()
+// TestWallWaitNeverEarly: no program, single-RBLOCK read or erase, timed
+// one at a time, returns before its start plus its latency, and
+// "flash.wall_late_ns" has one sample per wait, none of them negative.
+func TestWallWaitNeverEarly(t *testing.T) {
+	d, reg := wallDevice(t)
+	lat, g := TypicalNANDLatency(), d.Geometry()
 	data, dst := make([]byte, 64), make([]byte, 512)
-	timed := func(f func() error) time.Duration {
+	var over time.Duration // what the callers saw beyond the model: bounds the reported lateness
+	timed := func(what string, i int, model time.Duration, f func() error) {
 		t0 := time.Now()
 		if err := f(); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(t0)
+		if took := time.Since(t0); took < model {
+			t.Fatalf("%s %d returned after %v, before its %v", what, i, took, model)
+		} else {
+			over += took - model
+		}
 	}
 	for i := 0; i < wallSamples; i++ {
 		ch, wb := i%g.Channels, i/g.Channels
-		programs = append(programs, timed(func() error { return d.Program(SrcUser, ch, 0, wb, data) }))
-		reads = append(reads, timed(func() error { _, err := readInto(d, dst, ch, 0, wb*g.WBlockBytes); return err }))
+		timed("program", i, lat.ProgramWBlock, func() error { return d.Program(SrcUser, ch, 0, wb, data) })
+		timed("read", i, lat.ReadRBlock, func() error { _, err := readInto(d, dst, ch, 0, wb*g.WBlockBytes); return err })
 	}
 	for i := 0; i < wallSamples; i++ {
-		erases = append(erases, timed(func() error { return eraseNow(d, i%g.Channels, 1) }))
-	}
-	return programs, reads, erases
-}
-
-func median(d []time.Duration) time.Duration {
-	s := slices.Clone(d)
-	slices.Sort(s)
-	return s[len(s)/2]
-}
-
-// chain erases EBLOCK 1 of the first channels channels, then submits n
-// programs for each of them as one batch and returns how long that took.
-func chain(t *testing.T, d *Device, channels, n int) time.Duration {
-	t.Helper()
-	const eb = 1
-	var cmds []BatchCmd
-	for ch := 0; ch < channels; ch++ {
-		cmds = append(cmds, BatchCmd{Op: OpErase, Channel: ch, EBlock: eb})
-	}
-	if res := d.SubmitBatch(cmds).Wait(); len(res.FailedEBlocks) != 0 {
-		t.Fatalf("erase batch result: %+v", res)
-	}
-	cmds = cmds[:0]
-	for wb := 0; wb < n; wb++ {
-		for ch := 0; ch < channels; ch++ {
-			cmds = append(cmds, BatchCmd{Src: SrcUser, Channel: ch, EBlock: eb, WBlock: wb, Data: make([]byte, 64)})
-		}
-	}
-	t0 := time.Now()
-	if res := d.SubmitBatch(cmds).Wait(); res.Attempted != len(cmds) || len(res.FailedEBlocks) != 0 {
-		t.Fatalf("batch result: %+v", res)
-	}
-	return time.Since(t0)
-}
-
-// TestWallWaitNeverEarly: no program, read or erase returns before its start
-// plus its latency, alone or chained behind others on its channel, and
-// "flash.wall_late_ns" has one sample per wait, none of them negative.
-func TestWallWaitNeverEarly(t *testing.T) {
-	d, reg := wallDevice(t)
-	lat := TypicalNANDLatency()
-	programs, reads, erases := sampleWall(t, d)
-	var over time.Duration // what the callers saw beyond the model: bounds the reported lateness
-	for _, c := range []struct {
-		name string
-		took []time.Duration
-		lat  time.Duration
-	}{{"program", programs, lat.ProgramWBlock}, {"read", reads, lat.ReadRBlock}, {"erase", erases, lat.EraseEBlock}} {
-		for i, took := range c.took {
-			if took < c.lat {
-				t.Fatalf("%s %d returned after %v, before its %v", c.name, i, took, c.lat)
-			}
-			over += took - c.lat
-		}
+		timed("erase", i, lat.EraseEBlock, func() error { return eraseNow(d, i%g.Channels, 1) })
 	}
 	snap := reg.Snapshot()
 	late := snap.Histogram("flash.wall_late_ns")
@@ -123,55 +77,44 @@ func TestWallWaitNeverEarly(t *testing.T) {
 		t.Fatalf("flash.read_ns = %+v, want %d samples", hv, wallSamples)
 	}
 
-	// Chained deadlines absorb lateness; they must not eat into the model.
-	for _, c := range []struct{ channels, n int }{{1, 50}, {8, 25}} {
-		if took := chain(t, d, c.channels, c.n); took < time.Duration(c.n)*lat.ProgramWBlock {
-			t.Fatalf("%d programs on each of %d channels took %v, less than %d × %v", c.n, c.channels, took, c.n, lat.ProgramWBlock)
+}
+
+// TestWallDeadlines: SubmitBatch stamps a batch's commands with one
+// arrival, so the deadlines wallWait computes are exact: 50 programs on an
+// idle channel end 49 programs after one program on another, and eight
+// channels given 25 programs each end at one deadline. Lateness does not
+// add up along a chain, and a chain never ends early: k programs end k
+// latencies or more after the submit, and Wait returns after the last.
+func TestWallDeadlines(t *testing.T) {
+	lat := TypicalNANDLatency().ProgramWBlock
+	for _, counts := range [][]int{{1, 50}, {25, 25, 25, 25, 25, 25, 25, 25}} {
+		d, _ := wallDevice(t)
+		var cmds []BatchCmd
+		for ch, k := range counts {
+			for wb := 0; wb < k; wb++ {
+				cmds = append(cmds, BatchCmd{Src: SrcUser, Channel: ch, WBlock: wb, Data: make([]byte, 64)})
+			}
+		}
+		t0 := time.Now()
+		if res := d.SubmitBatch(cmds).Wait(); res.Attempted != len(cmds) || len(res.FailedEBlocks) != 0 {
+			t.Fatalf("batch result: %+v", res)
+		}
+		back, first := time.Now(), deadline(d, 0)
+		for ch, k := range counts {
+			end := deadline(d, ch)
+			if got, want := end.Sub(first), time.Duration(k-counts[0])*lat; got != want || end.Sub(t0) < time.Duration(k)*lat || back.Before(end) {
+				t.Fatalf("%v programs: channel %d ends %v after channel 0, want %v; %v after the submit, which Wait returned %v after", counts, ch, got, want, end.Sub(t0), back.Sub(t0))
+			}
 		}
 	}
 }
 
-// TestWallLatencyMedians: on an idle device a wait is late by the wake-up
-// chain (timer, timekeeper, waiter), not by a timer floor — time.Sleep made
-// every one of these at least 1.08 ms — and commands queued on a channel
-// end at first start + k × latency, whatever each wait's own lateness. The
-// bounds are wall clock on a host that other tests share, so the best of
-// three attempts counts; that nothing is ever early is
-// TestWallWaitNeverEarly's, on every attempt.
-func TestWallLatencyMedians(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-clock bounds need an idle CPU; under -race every other package's tests run beside this one at several times their cost")
-	}
-	var missed []string
-	for attempt := 1; attempt <= 3; attempt++ {
-		if missed = wallBoundsMissed(t); len(missed) == 0 {
-			return
-		}
-		t.Logf("attempt %d missed: %v", attempt, missed)
-	}
-	t.Fatalf("three attempts, the last missed: %v", missed)
-}
-
-// wallBoundsMissed measures a fresh idle device against the fidelity bounds,
-// logs what it measured and returns the bounds that did not hold.
-func wallBoundsMissed(t *testing.T) (missed []string) {
-	d, reg := wallDevice(t)
-	lat := TypicalNANDLatency()
-	check := func(what string, got, most time.Duration) {
-		t.Logf("%s: %v (at most %v)", what, got, most)
-		if got > most {
-			missed = append(missed, what)
-		}
-	}
-	programs, reads, erases := sampleWall(t, d)
-	check("median single-RBLOCK read, model 60µs", median(reads), 250*time.Microsecond)
-	check("median program, model 800µs", median(programs), 1000*time.Microsecond)
-	check("median erase, model 5ms", median(erases), 5400*time.Microsecond)
-	late := reg.Snapshot().Histogram("flash.wall_late_ns")
-	check("mean flash.wall_late_ns", time.Duration(late.Sum/late.Count), 250*time.Microsecond)
-	check("50 programs queued on one channel, model 40ms", chain(t, d, 1, 50), 50*lat.ProgramWBlock*105/100)
-	check("25 programs on each of 8 channels, against one channel's 25 + 10 %", chain(t, d, 8, 25), chain(t, d, 1, 25)*110/100)
-	return missed
+// deadline is when channel ch's last emulated command ends (wallWait).
+func deadline(d *Device, ch int) time.Time {
+	cs := &d.channels[ch]
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.wall.at
 }
 
 // TestWallLatencyOffUntouched: with wall latency off a command reaches
@@ -306,43 +249,73 @@ func TestTimekeeperRuntimeAlarm(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLogPageOvertakesQueued pins the device's one scheduling rule. Eight
-// programs are queued on one channel and one of them holds it when a SrcWAL
-// program arrives for another EBLOCK: the log page goes before the next
-// queued program —
-// it returns within two program latencies, the rest of the running program
-// plus its own, and never within one — where FIFO would make it wait for
-// all eight. What the rule must not change: the channel's virtual time,
-// every count, the batch's result and the order of the queued programs in
-// their EBLOCK. With wall latency off the same calls leave the same totals.
+// TestLogPageOvertakesQueued pins the device's one scheduling rule: a log
+// page waiting for a channel goes before the programs queued on it. The test
+// holds channel 0 as a running command would, its deadline at T, until a
+// SrcWAL program waits at the turnstile, then queues eight programs. The
+// log page is programmed first and the queue follows without a gap, so the
+// log page ends at T plus one program and the channel at T plus nine, to
+// the nanosecond, where FIFO would make the log page wait for all eight.
+// What the rule must not change: the channel's virtual time, every count,
+// the batch's result and the order of the queued programs in their EBLOCK.
+// With wall latency off the same calls leave the same totals and order.
 func TestLogPageOvertakesQueued(t *testing.T) {
 	const queued = 8
 	lat := Latency{ProgramWBlock: 5 * time.Millisecond}
-	run := func(scale float64) (took time.Duration) {
+	for _, scale := range []float64{0, 1} {
 		d := MustNewDevice(wallGeometry(), lat)
 		defer d.Close()
 		d.SetWallLatencyScale(scale)
+		rec := trace.New(64)
+		d.SetTracer(rec)
 		cmds := make([]BatchCmd, queued)
 		for wb := range cmds {
 			cmds[wb] = BatchCmd{Channel: 0, EBlock: 0, WBlock: wb, Data: make([]byte, 64), Src: SrcUser}
 		}
-		b := d.SubmitBatch(cmds)
-		for cs := &d.channels[0]; scale > 0 && cs.mu.TryLock(); runtime.Gosched() {
-			cs.mu.Unlock() // nobody held the channel: the worker is between two programs
+		logPage := func() error { return d.Program(SrcWAL, 0, 1, 0, make([]byte, 64)) }
+		logDone := make(chan error, 1)
+		var b *Batch
+		var T time.Time
+		if scale == 0 { // nothing runs the queue until Wait
+			b = d.SubmitBatch(cmds)
+			logDone <- logPage()
+		} else {
+			cs := &d.channels[0]
+			cs.mu.Lock()
+			go func() { logDone <- logPage() }()
+			for limit := time.Now().Add(5 * time.Second); cs.logFirst.TryLock(); runtime.Gosched() {
+				cs.logFirst.Unlock() // the log page has not reached the turnstile
+				if time.Now().After(limit) {
+					t.Fatal("the log page never took the turnstile")
+				}
+			}
+			b = d.SubmitBatch(cmds) // its worker waits at the turnstile
+			T = time.Now()
+			cs.wall.at = T
+			cs.mu.Unlock()
 		}
-		t0 := time.Now()
-		if err := d.Program(SrcWAL, 0, 1, 0, make([]byte, 64)); err != nil {
+		if err := <-logDone; err != nil {
 			t.Fatal(err)
 		}
-		took = time.Since(t0)
+		logBack := time.Now()
 		res := b.Wait()
-		if res.Attempted != queued || len(res.FailedEBlocks) != 0 {
+		if res.Attempted != queued || len(res.FailedEBlocks) != 0 || res.Done.IsZero() || res.Done.After(time.Now()) {
 			t.Fatalf("scale %v: batch result %+v", scale, res)
 		}
-		// Done is the last program's end, stamped by the worker: past the log
-		// page's return when programs take time, never past Wait's.
-		if res.Done.IsZero() || res.Done.After(time.Now()) || scale > 0 && res.Done.Before(t0.Add(took)) {
-			t.Fatalf("scale %v: batch done at %v, log page back at %v", scale, res.Done, t0.Add(took))
+		if scale > 0 {
+			end := deadline(d, 0)
+			if end.Sub(T) != (queued+1)*lat.ProgramWBlock || logBack.Before(T.Add(lat.ProgramWBlock)) || res.Done.Before(end) {
+				t.Fatalf("channel 0 ends %v after T, want %v; the log page back %v after T, the batch done %v after", end.Sub(T), (queued+1)*lat.ProgramWBlock, logBack.Sub(T), res.Done.Sub(T))
+			}
+		}
+		var order []int64 // the EBLOCK of each program, in the order the channel ran them
+		for _, ev := range rec.Dump().Events {
+			if ev.Kind == trace.KFlashProgram {
+				order = append(order, ev.Arg2)
+			}
+		}
+		if want := []int64{1, 0, 0, 0, 0, 0, 0, 0, 0}; !slices.Equal(order, want) {
+			t.Fatalf("scale %v: programs ran in EBLOCK order %v, want %v", scale, order, want)
 		}
 		st := d.Stats()
 		if st.WBlocksWritten != queued+1 || st.SrcWBlocks[SrcUser] != queued || st.SrcWBlocks[SrcWAL] != 1 || st.WriteFailures != 0 {
@@ -351,72 +324,43 @@ func TestLogPageOvertakesQueued(t *testing.T) {
 		if got := d.ChannelTime(0); got != (queued+1)*lat.ProgramWBlock || d.MediaTime() != got {
 			t.Fatalf("scale %v: channel 0 busy %v, media time %v, want %v", scale, got, d.MediaTime(), (queued+1)*lat.ProgramWBlock)
 		}
-		data, log := 0, 0
-		var err error
-		if data, err = d.NextProgramPosition(0, 0); err == nil {
-			log, err = d.NextProgramPosition(0, 1)
-		}
-		if err != nil || data != queued || log != 1 {
-			t.Fatalf("scale %v: program positions %d and %d (%v), want %d and 1", scale, data, log, err, queued)
-		}
-		return took
-	}
-	run(0)
-	// The upper bound needs the host to run two goroutines on time; three
-	// attempts, as TestWallLatencyMedians takes. The lower one is a contract.
-	var took time.Duration
-	for attempt := 1; attempt <= 3; attempt++ {
-		if took = run(1); took < lat.ProgramWBlock {
-			t.Fatalf("the log page returned after %v, before its %v", took, lat.ProgramWBlock)
-		}
-		t.Logf("attempt %d: log page behind %d queued programs took %v (model: at most %v)", attempt, queued, took, 2*lat.ProgramWBlock)
-		if took <= 2*lat.ProgramWBlock+lat.ProgramWBlock/2 {
-			return
+		if next, err := d.NextProgramPosition(0, 0); err != nil || next != queued {
+			t.Fatalf("scale %v: data EBLOCK's next program at %d (%v), want %d", scale, next, err, queued)
 		}
 	}
-	t.Fatalf("three attempts, the last took %v: the log page waited for more than the running program", took)
 }
 
-// TestReadAllWallLatency: a ReadAll holds each channel for its own read
-// only. One RBLOCK on each of eight idle channels returns within two read
-// latencies, not eight; one behind eight programs queued on its channel
-// returns before they have all run; neither ever within one read latency.
-// The upper bounds need the host to run two goroutines on time; three
-// attempts, as TestLogPageOvertakesQueued takes.
+// TestReadAllWallLatency: a ReadAll stamps one arrival for all its reads
+// and holds each channel for its own read only. One RBLOCK on each of eight
+// channels ends at one deadline, a read latency or more after the call,
+// even on channel 0, where eight programs are queued and none has run: its
+// worker waits at the turnstile. The programs follow the read without a
+// gap, ending eight programs after its deadline. No read returns early.
 func TestReadAllWallLatency(t *testing.T) {
 	lat := Latency{ReadRBlock: 4 * time.Millisecond, ProgramWBlock: 10 * time.Millisecond}
-	run := func() (overlapped, passed bool) {
-		d := MustNewDevice(wallGeometry(), lat) // eight channels
-		defer d.Close()
-		d.SetWallLatencyScale(1)
-		reads, cmds := make([]Read, 8), make([]BatchCmd, 8)
-		for k := range reads {
-			reads[k] = Read{Channel: k, Segs: []ReadSeg{{Dst: make([]byte, 512)}}}
-			cmds[k] = BatchCmd{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: k, Data: make([]byte, 64)}
-		}
-		t0 := time.Now()
-		d.ReadAll(reads)
-		took := time.Since(t0)
-		b := d.SubmitBatch(cmds)
-		for cs := &d.channels[0]; cs.mu.TryLock(); runtime.Gosched() {
-			cs.mu.Unlock() // nobody held the channel: the worker is between two programs
-		}
-		t1 := time.Now()
-		d.ReadAll(reads[:1])
-		behind := time.Since(t1)
-		res := b.Wait()
-		for _, r := range reads {
-			if r.Err != nil || r.RBlocks != 1 || took < lat.ReadRBlock || behind < lat.ReadRBlock {
-				t.Fatalf("read %+v; the calls took %v and %v, model %v", r, took, behind, lat.ReadRBlock)
-			}
-		}
-		t.Logf("8 channels took %v (model %v); one read behind 8 programs %v, the programs done %v later", took, lat.ReadRBlock, behind, res.Done.Sub(t1.Add(behind)))
-		return took < 2*lat.ReadRBlock, t1.Add(behind).Before(res.Done)
+	d := MustNewDevice(wallGeometry(), lat) // eight channels
+	defer d.Close()
+	d.SetWallLatencyScale(1)
+	reads, cmds := make([]Read, 8), make([]BatchCmd, 8)
+	for k := range reads {
+		reads[k] = Read{Channel: k, Segs: []ReadSeg{{Dst: make([]byte, 512)}}}
+		cmds[k] = BatchCmd{Src: SrcUser, Channel: 0, EBlock: 1, WBlock: k, Data: make([]byte, 64)}
 	}
-	for attempt := 1; attempt <= 3; attempt++ {
-		if overlapped, passed := run(); overlapped && passed {
-			return
+	cs := &d.channels[0]
+	cs.logFirst.Lock()
+	b := d.SubmitBatch(cmds)
+	t0 := time.Now()
+	d.ReadAll(reads)
+	back := time.Now()
+	at := deadline(d, 0)
+	for k, r := range reads {
+		if r.Err != nil || r.RBlocks != 1 || !deadline(d, k).Equal(at) {
+			t.Fatalf("read %d: %+v, its channel's deadline %v after the call, channel 0's %v", k, r, deadline(d, k).Sub(t0), at.Sub(t0))
 		}
 	}
-	t.Fatal("three attempts: reads on idle channels took two read latencies or more, or the read behind the queue waited for it")
+	cs.logFirst.Unlock()
+	res := b.Wait()
+	if at.Sub(t0) < lat.ReadRBlock || back.Before(at) || deadline(d, 0).Sub(at) != 8*lat.ProgramWBlock || res.Attempted != 8 {
+		t.Fatalf("reads end %v after the call and return %v after it; the programs end %v after the reads (%+v)", at.Sub(t0), back.Sub(t0), deadline(d, 0).Sub(at), res)
+	}
 }

@@ -399,7 +399,7 @@ func CollectDefaultTrace(txns int) (*tpcc.Trace, error) {
 }
 
 // writeJSON records one gated experiment's result document (the committed
-// BENCH_chaos.json, BENCH_fairness.json and BENCH_waf.json).
+// BENCH_chaos.json and BENCH_waf.json).
 func writeJSON(path string, doc any) error {
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -2,6 +2,8 @@ package qos
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,12 +39,7 @@ func (c *fakeClock) After(d time.Duration) <-chan time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch := make(chan time.Time, 1)
-	at := c.now.Add(d)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.timers = append(c.timers, fakeTimer{at: at, ch: ch})
+	c.timers = append(c.timers, fakeTimer{at: c.now.Add(d), ch: ch})
 	return ch
 }
 
@@ -81,12 +78,39 @@ func mustAdmitted(t *testing.T, ch <-chan error) {
 	}
 }
 
-func mustBlocked(t *testing.T, ch <-chan error) {
+// settle waits until every admission in running, which must be all that
+// are in flight on q, has returned or parked: on a fake timer (the bucket)
+// or in a budget queue.
+func settle(t *testing.T, q *Controller, clk *fakeClock, running ...<-chan error) {
 	t.Helper()
-	select {
-	case err := <-ch:
-		t.Fatalf("admit completed early (err=%v)", err)
-	case <-time.After(20 * time.Millisecond):
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		clk.mu.Lock()
+		n := len(clk.timers)
+		clk.mu.Unlock()
+		for _, st := range q.Stats() {
+			n += st.Waiters
+		}
+		for _, ch := range running {
+			n += len(ch)
+		}
+		if n == len(running) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d admissions settled", n, len(running))
+		}
+	}
+}
+
+// mustBlocked settles the admissions behind chs, all that are in flight on
+// q, and fails if one of them returned.
+func mustBlocked(t *testing.T, q *Controller, clk *fakeClock, chs ...<-chan error) {
+	t.Helper()
+	settle(t, q, clk, chs...)
+	for _, ch := range chs {
+		if len(ch) > 0 {
+			t.Fatalf("admit completed early (err=%v)", <-ch)
+		}
 	}
 }
 
@@ -131,7 +155,7 @@ func TestBucketBurstAndRefill(t *testing.T) {
 				q.Release("t", n)
 			}
 			ch := admitDone(q, "t", 0, tc.then)
-			mustBlocked(t, ch)
+			mustBlocked(t, q, clk, ch)
 			clk.Advance(tc.adv)
 			mustAdmitted(t, ch)
 			if st := q.Stats()["t"]; st.ThrottledCount != 1 {
@@ -148,7 +172,7 @@ func TestBudgetBlocksAndReleases(t *testing.T) {
 		t.Fatalf("admit: %v", err)
 	}
 	ch := admitDone(q, "t", 0, 300) // 800+300 > 1000: must wait
-	mustBlocked(t, ch)
+	mustBlocked(t, q, clk, ch)
 	if st := q.Stats()["t"]; st.Waiters != 1 || st.InflightBytes != 800 {
 		t.Fatalf("stats = %+v, want 1 waiter / 800 inflight", st)
 	}
@@ -169,7 +193,7 @@ func TestBudgetOversizedAdmittedAlone(t *testing.T) {
 		t.Fatalf("oversized admit: %v", err)
 	}
 	ch := admitDone(q, "t", 0, 10)
-	mustBlocked(t, ch) // budget is over-committed until the giant releases
+	mustBlocked(t, q, clk, ch) // budget is over-committed until the giant releases
 	q.Release("t", 5000)
 	mustAdmitted(t, ch)
 }
@@ -181,34 +205,17 @@ func TestBudgetPriorityOrder(t *testing.T) {
 	if err := q.Admit("t", 0, 100); err != nil {
 		t.Fatalf("admit: %v", err)
 	}
-	var order []string
-	var mu sync.Mutex
-	note := func(tag string, ch <-chan error) {
-		go func() {
-			if err := <-ch; err == nil {
-				mu.Lock()
-				order = append(order, tag)
-				mu.Unlock()
-			}
-		}()
-	}
 	lo := admitDone(q, "t", 1, 100)
-	mustBlocked(t, lo)
+	mustBlocked(t, q, clk, lo)
 	hi := admitDone(q, "t", 9, 100)
-	mustBlocked(t, hi)
-	note("lo", lo)
-	note("hi", hi)
-	// Release the slot twice: the high-priority waiter must win the
-	// first slot even though it arrived second.
+	mustBlocked(t, q, clk, lo, hi)
+	// One slot frees: the high-priority waiter wins it though it arrived
+	// second.
 	q.Release("t", 100)
-	time.Sleep(50 * time.Millisecond)
+	mustAdmitted(t, hi)
+	mustBlocked(t, q, clk, lo)
 	q.Release("t", 100)
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != "hi" || order[1] != "lo" {
-		t.Fatalf("admission order = %v, want [hi lo]", order)
-	}
+	mustAdmitted(t, lo)
 }
 
 func TestStarvationBypass(t *testing.T) {
@@ -218,16 +225,16 @@ func TestStarvationBypass(t *testing.T) {
 		t.Fatalf("admit: %v", err)
 	}
 	lo := admitDone(q, "t", 0, 100)
-	mustBlocked(t, lo)
+	mustBlocked(t, q, clk, lo)
 	// Age the low-priority waiter past the starvation threshold, then
 	// add a fresh high-priority waiter.
 	clk.Advance(starvationWait)
 	hi := admitDone(q, "t", 255, 100)
-	mustBlocked(t, hi)
+	mustBlocked(t, q, clk, lo, hi)
 	// One slot frees: the starved waiter must beat the high priority.
 	q.Release("t", 100)
 	mustAdmitted(t, lo)
-	mustBlocked(t, hi)
+	mustBlocked(t, q, clk, hi)
 	q.Release("t", 100)
 	mustAdmitted(t, hi)
 }
@@ -244,7 +251,7 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatalf("admit: %v", err)
 	}
 	ch := admitDone(q, "capped", 0, 10)
-	mustBlocked(t, ch)
+	mustBlocked(t, q, clk, ch)
 	// Another tenant (default limits: unlimited) is unaffected.
 	for i := 0; i < 100; i++ {
 		if err := q.Admit("free", 0, 1<<20); err != nil {
@@ -253,6 +260,65 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	q.Release("capped", 10)
 	mustAdmitted(t, ch)
+}
+
+// TestNoisyNeighborReplay replays the retired loopback fairness
+// experiment's tenants in virtual time. Three closed-loop callers of a
+// noisy tenant shaped to 2 MB/s, with a 128 KB burst and a 256 KB budget,
+// each hold a 64 KB batch for one virtual millisecond and ask again; an
+// unlimited quiet tenant sends 2×1536 B every millisecond at priority 200.
+// Each step settles (every Admit has returned or parked) before the clock
+// moves, so the noisy tenant's admissions repeat to the byte and no quiet
+// admission waits.
+func TestNoisyNeighborReplay(t *testing.T) {
+	const batch, quiet, ticks = 64 << 10, 2 * 1536, 400 // ticks: virtual milliseconds
+	clk := newFakeClock()
+	q := New(Config{Enabled: true, Clock: clk, Tenants: map[string]Limits{
+		"noisy": {RateBytesPerSec: 2 << 20, BurstBytes: 128 << 10, MaxInflightBytes: 256 << 10},
+	}}, nil)
+	callers, since := make([]<-chan error, 3), make([]int, 3) // nil: the caller's batch is in flight since since[i]
+	for i := range callers {
+		callers[i] = admitDone(q, "noisy", 0, batch)
+	}
+	var admitted []int // the virtual millisecond of each noisy admission
+	step := func(ms int, extra ...<-chan error) {
+		running := slices.DeleteFunc(slices.Clone(callers), func(ch <-chan error) bool { return ch == nil })
+		settle(t, q, clk, append(running, extra...)...)
+		for i, ch := range callers {
+			if ch != nil && len(ch) > 0 {
+				if err := <-ch; err != nil {
+					t.Fatalf("noisy admit at %d ms: %v", ms, err)
+				}
+				admitted, callers[i], since[i] = append(admitted, ms), nil, ms
+			}
+		}
+	}
+	for ms := 0; ms < ticks; ms++ {
+		if ms > 0 {
+			clk.Advance(time.Millisecond)
+		}
+		step(ms) // parked callers whose timer fired go first
+		for i := range callers {
+			if callers[i] == nil && since[i] < ms {
+				q.Release("noisy", batch)
+				callers[i] = admitDone(q, "noisy", 0, batch)
+			}
+		}
+		quietDone := admitDone(q, "quiet", 200, quiet)
+		step(ms, quietDone)
+		if len(quietDone) == 0 || <-quietDone != nil {
+			t.Fatalf("the quiet admission at %d ms waits or fails", ms)
+		}
+		q.Release("quiet", quiet)
+	}
+	want := []int{0, 0, 32, 63, 94, 125, 157, 188, 219, 250, 282, 313, 344, 375}
+	st := q.Stats()
+	if !slices.Equal(admitted, want) || st["noisy"].AdmittedBytes != 917504 || st["noisy"].ThrottledCount != 12 {
+		t.Fatalf("noisy admitted at %v ms (want %v): %+v", admitted, want, st["noisy"])
+	}
+	if st["quiet"].AdmittedBytes != ticks*quiet || st["quiet"].ThrottledCount != 0 {
+		t.Fatalf("quiet tenant: %+v", st["quiet"])
+	}
 }
 
 func TestDrainAbortsWaiters(t *testing.T) {
@@ -273,8 +339,7 @@ func TestDrainAbortsWaiters(t *testing.T) {
 	}
 	budgetWait := admitDone(q, "budget", 0, 10)
 	rateWait := admitDone(q, "rate", 0, 1)
-	mustBlocked(t, budgetWait)
-	mustBlocked(t, rateWait)
+	mustBlocked(t, q, clk, budgetWait, rateWait)
 	q.Drain()
 	for name, ch := range map[string]<-chan error{"budget": budgetWait, "rate": rateWait} {
 		select {
