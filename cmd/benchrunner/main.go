@@ -1,6 +1,6 @@
 // Command benchrunner reproduces the paper's tables and figures (§IX),
 // printed alongside the paper's reference numbers, and runs the
-// repository's deterministic gated experiments.
+// repository's write-amplification experiment.
 //
 // Usage:
 //
@@ -19,13 +19,13 @@
 // that order, collecting the TPC-C trace and running the Fig. 10 cache
 // sweep once.
 //
-// The gated experiments exit nonzero when their bound is crossed. waf
-// measures end-to-end write amplification on a B-tree-churn arm and a
-// sequential arm, reconciled against the device program ledger
-// (-maxwaf, -maxseqwaf). chaos executes the seeded fault-schedule corpus
-// from internal/chaos (seeds 1..-seeds) and fails, printing the
-// one-command replay, if any schedule violates an invariant. Each writes
-// its result document only when -json names a path.
+// waf measures end-to-end write amplification on a B-tree-churn arm and a
+// sequential arm, reconciled against the device program ledger. It writes
+// its result document only when -json names a path; harness's
+// TestWAFGolden compares that document with the committed BENCH_waf.json,
+// so `benchrunner waf -json BENCH_waf.json` is how a change that moves
+// WAF records it. The seeded chaos corpus runs as a test:
+// `go test ./internal/chaos -run TestChaosCorpus [-chaos.seeds=N]`.
 //
 // Wall-clock throughput and latency are not measured here: that is
 // bench/ (BENCHMARK.json). Experiments this command used to carry are
@@ -64,8 +64,8 @@ func newExperiment(name, usage string) *experiment {
 }
 
 // run dispatches args (the command line after the program name) and
-// returns the exit code: 0, 1 when the experiment failed or crossed its
-// gate, 2 for a usage error.
+// returns the exit code: 0, 1 when the experiment failed, 2 for a usage
+// error.
 func run(args []string, exps []*experiment, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		printUsage(stderr, exps)
@@ -163,7 +163,7 @@ func (in *inputs) fig10Rows() ([]harness.Fig10Row, error) {
 var allOrder = []string{"fig1", "fig9", "table2", "fig10a", "fig10b", "fig10c"}
 
 // experiments builds the table. The figure experiments share one inputs
-// value; each gated experiment keeps its flags to itself.
+// value; waf keeps its flag to itself.
 func experiments() []*experiment {
 	in := &inputs{scale: harness.DefaultScale()}
 	tpccExp := func(name, usage string, body func(io.Writer, *tpcc.Trace) error) *experiment {
@@ -245,7 +245,6 @@ func experiments() []*experiment {
 			return nil
 		}),
 		wafExperiment(),
-		chaosExperiment(),
 	}
 
 	all := newExperiment("all", "fig1 fig9 table2 fig10a fig10b fig10c, in that order")
@@ -273,64 +272,22 @@ func experiments() []*experiment {
 	return append(exps, all)
 }
 
-// jsonFlag declares a gated experiment's -json: the result document is
-// written only when a path is given, so a gate run leaves the tree clean.
-func jsonFlag(fs *flag.FlagSet) *string {
-	return fs.String("json", "", "write the result document to this `path` (default: write nothing)")
-}
-
 func wafExperiment() *experiment {
-	e := newExperiment("waf", "gate: write amplification, B-tree churn and sequential arms")
-	maxWAF := e.fs.Float64("maxwaf", 0, "fail if the churn arm's WAF exceeds this (0 disables the gate)")
-	maxSeqWAF := e.fs.Float64("maxseqwaf", 0, "fail if the sequential arm's WAF, where GC moves nothing, exceeds this (0 disables the gate)")
-	jsonPath := jsonFlag(e.fs)
+	e := newExperiment("waf", "write amplification, B-tree churn and sequential arms (BENCH_waf.json)")
+	jsonPath := e.fs.String("json", "", "write the result document to this `path` (default: write nothing)")
 	e.run = func(w io.Writer) error {
 		res, err := harness.RunWAF(1200, 1)
 		if err != nil {
 			return err
 		}
 		harness.PrintWAF(w, res)
-		if *jsonPath != "" {
-			if err := harness.WriteWAFJSON(*jsonPath, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "result written to %s\n", *jsonPath)
+		if *jsonPath == "" {
+			return nil
 		}
-		if *maxWAF > 0 && res.GatedWAF > *maxWAF {
-			return fmt.Errorf("waf: gated write amplification %.3f exceeds limit %.3f", res.GatedWAF, *maxWAF)
-		}
-		if *maxSeqWAF > 0 && res.SequentialWAF > *maxSeqWAF {
-			return fmt.Errorf("waf: sequential-arm write amplification %.3f exceeds limit %.3f", res.SequentialWAF, *maxSeqWAF)
-		}
-		return nil
-	}
-	return e
-}
-
-// chaosExperiment always gates: any schedule violating an invariant
-// exits nonzero with the replay command printed.
-func chaosExperiment() *experiment {
-	e := newExperiment("chaos", "gate: the seeded fault-schedule corpus against the invariant set")
-	seeds := e.fs.Int("seeds", 4, "generated schedules to execute, seeds 1..N")
-	jsonPath := jsonFlag(e.fs)
-	e.run = func(w io.Writer) error {
-		rep, err := harness.RunChaos(*seeds, func(format string, args ...any) {
-			fmt.Fprintf(w, format+"\n", args...)
-		})
-		if err != nil {
+		if err := harness.WriteWAFJSON(*jsonPath, res); err != nil {
 			return err
 		}
-		fmt.Fprintln(w)
-		harness.PrintChaos(w, rep)
-		if *jsonPath != "" {
-			if err := harness.WriteChaosJSON(*jsonPath, rep); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "report written to %s\n", *jsonPath)
-		}
-		if rep.Failed() {
-			return fmt.Errorf("chaos: %d of %d schedules violated invariants", rep.Seeds-rep.Passed, rep.Seeds)
-		}
+		fmt.Fprintf(w, "result written to %s\n", *jsonPath)
 		return nil
 	}
 	return e

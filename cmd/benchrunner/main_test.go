@@ -47,9 +47,9 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"nosuch"},
-		{"fig9", "-maxwaf", "2"}, // waf's flag
-		{"waf", "-txns", "400"},  // fig9's flag
-		{"-txns", "400", "fig9"}, // the old flags-first grammar
+		{"fig9", "-json", "x.json"}, // waf's flag
+		{"waf", "-txns", "400"},     // fig9's flag
+		{"-txns", "400", "fig9"},    // the old flags-first grammar
 		{"fig1", "extra"},
 	} {
 		var ran []string
@@ -62,33 +62,40 @@ func TestUsageErrors(t *testing.T) {
 		if len(ran) != 0 {
 			t.Errorf("%q: ran %v despite the usage error", args, ran)
 		}
-		if !strings.Contains(errOut.String(), "experiments:") || !strings.Contains(errOut.String(), "  chaos ") {
+		if !strings.Contains(errOut.String(), "experiments:") || !strings.Contains(errOut.String(), "  waf ") {
 			t.Errorf("%q: no experiment list on stderr:\n%s", args, errOut.String())
 		}
 	}
 }
 
 func TestFlagsAfterNameReachTheRunner(t *testing.T) {
+	seen := map[string]string{}
 	exps := experiments()
-	var seeds, jsonPath string
 	for _, e := range exps {
-		if e.name == "chaos" {
+		switch e.name {
+		case "fig9":
 			e.run = func(io.Writer) error {
-				seeds = e.fs.Lookup("seeds").Value.String()
-				jsonPath = e.fs.Lookup("json").Value.String()
+				seen["txns"] = e.fs.Lookup("txns").Value.String()
+				return nil
+			}
+		case "waf":
+			e.run = func(io.Writer) error {
+				seen["json"] = e.fs.Lookup("json").Value.String()
 				return nil
 			}
 		}
 	}
-	var out, errOut bytes.Buffer
-	if code := run([]string{"chaos", "-seeds", "1"}, exps, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
+	for _, args := range [][]string{{"fig9", "-txns", "40"}, {"waf"}} {
+		var out, errOut bytes.Buffer
+		if code := run(args, exps, &out, &errOut); code != 0 {
+			t.Fatalf("%q: exit %d: %s", args, code, errOut.String())
+		}
 	}
-	if seeds != "1" {
-		t.Fatalf("runner saw -seeds %q, want 1", seeds)
+	if seen["txns"] != "40" {
+		t.Fatalf("fig9's runner saw -txns %q, want 40", seen["txns"])
 	}
-	if jsonPath != "" {
-		t.Fatalf("-json defaults to %q: a gate run would write into the working tree", jsonPath)
+	if v, ok := seen["json"]; !ok || v != "" {
+		t.Fatalf("waf's -json defaults to %q (ran: %v): a plain run would write into the working tree", v, ok)
 	}
 }
 

@@ -160,7 +160,7 @@ func run(img string, args []string) error {
 	case "session-status":
 		return doSessionStatus(ctl, rest) // read-only
 	default:
-		return fmt.Errorf("unknown command %q", cmd)
+		return usageError{fmt.Errorf("unknown command %q", cmd)}
 	}
 	// Checkpoint before saving so the next Open replays little.
 	if err := ctl.Checkpoint(); err != nil {
@@ -238,16 +238,19 @@ func doGet(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("get needs lpid arguments")
+	switch {
+	case fs.NArg() == 0:
+		return usageError{errors.New("get needs lpid arguments")}
+	case *raw && fs.NArg() != 1:
+		return usageError{errors.New("-raw needs exactly one lpid")}
 	}
 	var lpids []addr.LPID
 	for _, a := range fs.Args() {
-		lpid, err := strconv.ParseUint(a, 10, 64)
+		lpid, err := parseLPID(a)
 		if err != nil {
-			return fmt.Errorf("bad lpid %q: %v", a, err)
+			return err
 		}
-		lpids = append(lpids, addr.LPID(lpid))
+		lpids = append(lpids, lpid)
 	}
 	cl, err := dialServer(*addrFlag)
 	if err != nil {
@@ -278,9 +281,6 @@ func doGet(args []string) error {
 // fixture pages without a server.
 func renderGet(stdout io.Writer, lpids []addr.LPID, pages [][]byte, raw bool) error {
 	if raw {
-		if len(lpids) != 1 {
-			return fmt.Errorf("-raw needs exactly one lpid")
-		}
 		if pages[0] == nil {
 			return fmt.Errorf("lpid %d not found", lpids[0])
 		}
@@ -322,21 +322,40 @@ func renderTrace(stdout io.Writer, d trace.Dump, chromePath string) error {
 	return nil
 }
 
-func doWrite(ctl *core.Controller, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("write needs <lpid>=<text> arguments")
+// parseLPID reads one LPID argument; a malformed one is a usage error.
+func parseLPID(a string) (addr.LPID, error) {
+	lpid, err := strconv.ParseUint(a, 10, 64)
+	if err != nil {
+		return 0, usageError{fmt.Errorf("bad lpid %q: %v", a, err)}
 	}
+	return addr.LPID(lpid), nil
+}
+
+// parsePages reads <lpid>=<text> arguments; a malformed one is a usage
+// error.
+func parsePages(args []string) ([]core.LPage, error) {
 	var pages []core.LPage
 	for _, a := range args {
 		lpidStr, text, ok := strings.Cut(a, "=")
 		if !ok {
-			return fmt.Errorf("bad page spec %q (want lpid=text)", a)
+			return nil, usageError{fmt.Errorf("bad page spec %q (want lpid=text)", a)}
 		}
-		lpid, err := strconv.ParseUint(lpidStr, 10, 64)
+		lpid, err := parseLPID(lpidStr)
 		if err != nil {
-			return fmt.Errorf("bad lpid %q: %v", lpidStr, err)
+			return nil, err
 		}
-		pages = append(pages, core.LPage{LPID: addr.LPID(lpid), Data: []byte(text)})
+		pages = append(pages, core.LPage{LPID: lpid, Data: []byte(text)})
+	}
+	return pages, nil
+}
+
+func doWrite(ctl *core.Controller, args []string) error {
+	if len(args) == 0 {
+		return usageError{errors.New("write needs <lpid>=<text> arguments")}
+	}
+	pages, err := parsePages(args)
+	if err != nil {
+		return err
 	}
 	if err := ctl.WriteBatch(0, 0, pages); err != nil {
 		return err
@@ -347,14 +366,14 @@ func doWrite(ctl *core.Controller, args []string) error {
 
 func doRead(ctl *core.Controller, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("read needs lpid arguments")
+		return usageError{errors.New("read needs lpid arguments")}
 	}
 	for _, a := range args {
-		lpid, err := strconv.ParseUint(a, 10, 64)
+		lpid, err := parseLPID(a)
 		if err != nil {
-			return fmt.Errorf("bad lpid %q: %v", a, err)
+			return err
 		}
-		data, err := ctl.Read(addr.LPID(lpid))
+		data, err := ctl.Read(lpid)
 		if err != nil {
 			return err
 		}
@@ -491,22 +510,14 @@ func doSessionWrite(ctl *core.Controller, args []string) error {
 		return usageError{err}
 	}
 	if *sid == 0 || *wsn == 0 {
-		return fmt.Errorf("swrite needs -sid and -wsn")
+		return usageError{errors.New("swrite needs -sid and -wsn")}
 	}
-	var pages []core.LPage
-	for _, a := range fs.Args() {
-		lpidStr, text, ok := strings.Cut(a, "=")
-		if !ok {
-			return fmt.Errorf("bad page spec %q", a)
-		}
-		lpid, err := strconv.ParseUint(lpidStr, 10, 64)
-		if err != nil {
-			return err
-		}
-		pages = append(pages, core.LPage{LPID: addr.LPID(lpid), Data: []byte(text)})
+	if fs.NArg() == 0 {
+		return usageError{errors.New("swrite needs page specs")}
 	}
-	if len(pages) == 0 {
-		return fmt.Errorf("swrite needs page specs")
+	pages, err := parsePages(fs.Args())
+	if err != nil {
+		return err
 	}
 	high, _ := ctl.SessionHighestWSN(*sid)
 	if err := ctl.WriteBatch(*sid, *wsn, pages); err != nil {

@@ -514,6 +514,27 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 			t.Errorf("%s -h = %v, want flag.ErrHelp (exit 0)", args[0], err)
 		}
 	}
+	// An argument mistake that is not a flag exits 2 as well.
+	for _, args := range [][]string{
+		{"get"},
+		{"get", "x"},
+		{"get", "-raw", "1", "2"},
+		{"write"},
+		{"write", "1"},
+		{"write", "x=a"},
+		{"read"},
+		{"read", "x"},
+		{"swrite", "1=a"},
+		{"swrite", "-sid", "1", "-wsn", "1"},
+		{"swrite", "-sid", "1", "-wsn", "1", "1"},
+		{"swrite", "-sid", "1", "-wsn", "1", "x=a"},
+		{"nosuch"},
+	} {
+		var ue usageError
+		if err := run(img, args); !errors.As(err, &ue) {
+			t.Errorf("%q = %v, want a usage error", args, err)
+		}
+	}
 	if after, err := os.ReadFile(img); err != nil || !bytes.Equal(after, before) {
 		t.Errorf("rejected commands changed the image (%v)", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"eleos/internal/chaos"
@@ -13,8 +14,8 @@ import (
 )
 
 var (
-	flagSeed   = flag.Int64("chaos.seed", 0, "replay one chaos seed (TestChaosReplay)")
-	flagSeeds  = flag.Int("chaos.seeds", 0, "run generated seeds 1..N (TestChaosLong)")
+	flagSeed   = flag.Int64("chaos.seed", 0, "replay one chaos seed, printing its schedule and progress")
+	flagSeeds  = flag.Int("chaos.seeds", 0, "run generated seeds 1..N instead of the fixed corpus")
 	flagForce  = flag.Bool("chaos.force", false, "force an invariant violation to demonstrate the red path")
 	flagUpdate = flag.Bool("chaos.update", false, "rewrite golden files")
 )
@@ -29,7 +30,7 @@ func runAndReport(t *testing.T, s chaos.Schedule, opts chaos.Options) chaos.Resu
 		return r
 	}
 	t.Errorf("chaos schedule (seed %d) failed:\n  %s", s.Seed, strings.Join(r.Violations, "\n  "))
-	t.Logf("replay: go test ./internal/chaos -run TestChaosReplay -chaos.seed=%d", s.Seed)
+	t.Logf("replay: go test ./internal/chaos -run TestChaosCorpus -chaos.seed=%d", s.Seed)
 	t.Logf("failing schedule:\n%s", s.Encode())
 	if r.Trace != nil {
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("chaos-seed%d.trace.json", s.Seed))
@@ -51,17 +52,77 @@ func runAndReport(t *testing.T, s chaos.Schedule, opts chaos.Options) chaos.Resu
 // includes tenant-tagged schedules running the QoS admission path.
 var corpusSeeds = []int64{1, 2, 3, 4, 5, 6}
 
-// TestChaosCorpus runs the fixed seed corpus — the chaos-smoke CI job.
+// TestChaosCorpus is the one runner of the seeded corpus:
+//
+//	go test ./internal/chaos -run TestChaosCorpus                          # seeds 1–6
+//	go test ./internal/chaos -run TestChaosCorpus -chaos.seeds=N           # seeds 1..N
+//	go test ./internal/chaos -run TestChaosCorpus -chaos.seed=N [-chaos.force]
+//
+// The last form replays one seed: it prints the decoded schedule and the
+// run's progress, and on failure the violations, the minimized schedule
+// and a Chrome trace path. After the seeds it logs the fired totals, and
+// a run of four seeds or more fails if a fault kind, a kill or a recovery
+// never fired: the coverage the corpus exists for.
 func TestChaosCorpus(t *testing.T) {
-	for _, seed := range corpusSeeds {
-		seed := seed
+	seeds := corpusSeeds
+	switch {
+	case *flagSeed != 0:
+		seeds = []int64{*flagSeed}
+	case *flagSeeds > 0:
+		seeds = nil
+		for seed := int64(1); seed <= int64(*flagSeeds); seed++ {
+			seeds = append(seeds, seed)
+		}
+	}
+	var (
+		mu   sync.Mutex
+		runs int
+		sum  chaos.Result
+	)
+	t.Cleanup(func() {
+		t.Logf("corpus totals over %d seeds: fired %d program faults, %d erase faults; %d kills, %d recoveries, %d batches acked, %d verified reads, %d media aborts",
+			runs, sum.FiredProgramFaults, sum.FiredEraseFaults, sum.Kills, sum.Recoveries,
+			sum.Acked, sum.VerifiedReads, sum.MediaAborts)
+		if runs < 4 {
+			return
+		}
+		for _, c := range []struct {
+			what string
+			n    int64
+		}{
+			{"program faults", sum.FiredProgramFaults},
+			{"erase faults", sum.FiredEraseFaults},
+			{"kills", int64(sum.Kills)},
+			{"recoveries", int64(sum.Recoveries)},
+		} {
+			if c.n == 0 {
+				t.Errorf("%d seeds fired no %s: the corpus no longer covers them", runs, c.what)
+			}
+		}
+	})
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			s := chaos.Generate(seed)
-			r := runAndReport(t, s, chaos.Options{})
+			opts := chaos.Options{ForceViolation: *flagForce}
+			if *flagSeed != 0 {
+				t.Logf("schedule for seed %d:\n%s", seed, s.Encode())
+				opts.Logf = t.Logf
+			}
+			r := runAndReport(t, s, opts)
 			t.Logf("seed %d: %d writers × %d batches, %d fault kinds, fired %d pfaults %d efaults, %d kills, %d recoveries",
 				seed, s.Writers, s.Batches, s.FaultKinds(),
 				r.FiredProgramFaults, r.FiredEraseFaults, r.Kills, r.Recoveries)
+			mu.Lock()
+			defer mu.Unlock()
+			runs++
+			sum.FiredProgramFaults += r.FiredProgramFaults
+			sum.FiredEraseFaults += r.FiredEraseFaults
+			sum.Kills += r.Kills
+			sum.Recoveries += r.Recoveries
+			sum.Acked += r.Acked
+			sum.VerifiedReads += r.VerifiedReads
+			sum.MediaAborts += r.MediaAborts
 		})
 	}
 }
@@ -234,36 +295,4 @@ func TestChaosForcedViolationMinimizes(t *testing.T) {
 		t.Fatalf("minimized schedule no longer reproduces:\n%s", min.Encode())
 	}
 	t.Logf("minimized %d→%d events, %d→%d batches in %d runs", s.Events(), min.Events(), s.Batches, min.Batches, runs)
-}
-
-// TestChaosReplay replays one seed on demand:
-//
-//	go test ./internal/chaos -run TestChaosReplay -chaos.seed=N [-chaos.force]
-//
-// This is the documented one-command repro workflow: it prints the
-// decoded schedule, executes it, and on failure prints the violations,
-// the minimized schedule, and a Chrome trace path.
-func TestChaosReplay(t *testing.T) {
-	if *flagSeed == 0 {
-		t.Skip("pass -chaos.seed=N to replay a specific seed")
-	}
-	s := chaos.Generate(*flagSeed)
-	t.Logf("schedule for seed %d:\n%s", *flagSeed, s.Encode())
-	runAndReport(t, s, chaos.Options{ForceViolation: *flagForce, Logf: t.Logf})
-}
-
-// TestChaosLong runs generated seeds 1..N — the opt-in long-run mode the
-// CI workflow_dispatch job uses:
-//
-//	go test ./internal/chaos -run TestChaosLong -chaos.seeds=50 -timeout 60m
-func TestChaosLong(t *testing.T) {
-	if *flagSeeds == 0 {
-		t.Skip("pass -chaos.seeds=N to run the long corpus")
-	}
-	for seed := int64(1); seed <= int64(*flagSeeds); seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runAndReport(t, chaos.Generate(seed), chaos.Options{})
-		})
-	}
 }

@@ -7,7 +7,7 @@
 //
 // Determinism is the contract: a Schedule is a pure function of its seed,
 // its encoding is byte-stable (golden-tested), and a failing run prints
-// the seed so `go test ./internal/chaos -run TestChaosReplay
+// the seed so `go test ./internal/chaos -run TestChaosCorpus
 // -chaos.seed=N` replays it exactly. On failure the harness also runs a
 // greedy minimizer (Minimize) that drops and shrinks fault events while
 // the failure still reproduces, so the replayed repro is minimal.

@@ -5,10 +5,8 @@
 package harness
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"eleos/internal/addr"
@@ -396,14 +394,4 @@ func RunYCSB(o YCSBOptions) (*YCSBResult, error) {
 func CollectDefaultTrace(txns int) (*tpcc.Trace, error) {
 	cfg := tpcc.DefaultConfig()
 	return tpcc.Collect(tpcc.CollectOptions{Config: cfg, Transactions: txns})
-}
-
-// writeJSON records one gated experiment's result document (the committed
-// BENCH_chaos.json and BENCH_waf.json).
-func writeJSON(path string, doc any) error {
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 
 	"eleos/internal/addr"
 	"eleos/internal/core"
@@ -30,11 +32,10 @@ import (
 // capacity-constrained device; only the update order differs, so the
 // WAF delta is pure GC relocation cost.
 //
-// CI gates two numbers. The churn arm's WAF: a regression in GC victim
-// selection, hot/cold separation, or the attribution plumbing surfaces
-// there. And the sequential floor: GC
-// moves nothing, so it rises only when provisioning pads more or the
-// log/checkpoint write more per accepted byte.
+// The churn arm moves with GC victim selection, hot/cold separation and
+// attribution; the sequential floor, where GC moves nothing, with stripe
+// padding and log and checkpoint bytes. The workload is deterministic, so
+// TestWAFGolden holds the result document to BENCH_waf.json byte for byte.
 
 // WAFArm is one workload's run with its reconciled accounting.
 type WAFArm struct {
@@ -51,15 +52,10 @@ type WAFArm struct {
 	Erases       int64            `json:"erases"`
 }
 
-// WAFResult holds both arms plus the two gated numbers.
+// WAFResult holds both arms: Arms[0] is sequential, Arms[1] btree-churn.
 type WAFResult struct {
 	Batches int
 	Arms    []WAFArm
-	// GatedWAF is the btree-churn arm's WAF — the number -maxwaf bounds.
-	GatedWAF float64
-	// SequentialWAF is the sequential arm's WAF — the number -maxseqwaf
-	// bounds.
-	SequentialWAF float64
 }
 
 // wafGeometry is deliberately small: enough churn pressure to force
@@ -156,11 +152,6 @@ func RunWAF(batches int, seed int64) (WAFResult, error) {
 			return res, err
 		}
 		res.Arms = append(res.Arms, arm)
-		if workload == "sequential" {
-			res.SequentialWAF = arm.WAF
-		} else {
-			res.GatedWAF = arm.WAF
-		}
 	}
 	return res, nil
 }
@@ -178,11 +169,9 @@ func PrintWAF(w io.Writer, res WAFResult) {
 			float64(a.SourceBytes["gc"])/(1<<20), float64(a.SourceBytes["checkpoint"])/(1<<20),
 			a.EBlocksFreed, a.Erases)
 	}
-	fmt.Fprintf(w, "\ngated WAF (btree-churn): %.3f\n", res.GatedWAF)
-	fmt.Fprintf(w, "gated WAF (sequential floor): %.3f\n", res.SequentialWAF)
 }
 
-// WriteWAFJSON records the matrix for the perf trajectory.
+// WriteWAFJSON writes the result document, BENCH_waf.json's format.
 func WriteWAFJSON(path string, res WAFResult) error {
 	doc := struct {
 		Experiment    string   `json:"experiment"`
@@ -193,9 +182,13 @@ func WriteWAFJSON(path string, res WAFResult) error {
 	}{
 		Experiment:    "waf",
 		Batches:       res.Batches,
-		GatedWAF:      res.GatedWAF,
-		SequentialWAF: res.SequentialWAF,
+		GatedWAF:      res.Arms[1].WAF,
+		SequentialWAF: res.Arms[0].WAF,
 		Arms:          res.Arms,
 	}
-	return writeJSON(path, doc)
+	raw, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

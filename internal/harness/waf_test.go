@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestWAFRuns executes the experiment at test scale and checks the
-// properties the CI gate relies on: every arm reconciles (RunWAF fails
-// otherwise), the churn arm amplifies at least as much as the
-// sequential arm, GC actually engaged, each workload runs once, and the
-// gated numbers are the churn arm's WAF and the sequential floor.
+// TestWAFRuns executes the experiment at a second scale and seed and
+// checks the properties the golden's numbers rest on: every arm
+// reconciles (RunWAF fails otherwise), the churn arm amplifies at least as
+// much as the sequential arm, GC actually engaged, and each workload runs
+// once.
 func TestWAFRuns(t *testing.T) {
 	res, err := RunWAF(800, 3)
 	if err != nil {
@@ -43,47 +43,39 @@ func TestWAFRuns(t *testing.T) {
 	if churn.SourceBytes["gc"] == 0 {
 		t.Fatal("churn arm relocated nothing — workload not exercising victim selection")
 	}
-	if res.GatedWAF != churn.WAF {
-		t.Fatalf("gated WAF %.3f is not the churn arm's %.3f", res.GatedWAF, churn.WAF)
-	}
-	if res.SequentialWAF != seq.WAF {
-		t.Fatalf("sequential WAF %.3f is not the sequential arm's %.3f", res.SequentialWAF, seq.WAF)
-	}
 
 	var buf bytes.Buffer
 	PrintWAF(&buf, res)
-	if !strings.Contains(buf.String(), "btree-churn") || !strings.Contains(buf.String(), "gated WAF") {
+	if !strings.Contains(buf.String(), "btree-churn") || !strings.Contains(buf.String(), "sequential") {
 		t.Fatalf("unexpected report:\n%s", buf.String())
 	}
+}
 
+// TestWAFGolden runs the experiment as `benchrunner waf` does and
+// requires its result document to equal the committed BENCH_waf.json byte
+// for byte. The workload is deterministic, so any difference is a change
+// in write amplification, in its per-source split or in GC's work: a
+// change that means it rewrites the file with
+// `go run ./cmd/benchrunner waf -json BENCH_waf.json`.
+func TestWAFGolden(t *testing.T) {
+	res, err := RunWAF(1200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "waf.json")
 	if err := WriteWAFJSON(path, res); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := os.ReadFile(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"experiment": "waf"`, `"gated_waf"`, `"sequential_waf"`, `"source_bytes"`} {
-		if !strings.Contains(string(doc), want) {
-			t.Fatalf("JSON missing %s:\n%s", want, doc)
-		}
-	}
-}
-
-// TestWAFDeterministic pins that the workload replays byte-identically:
-// same seed, same accounting, so the recorded EXPERIMENTS.md numbers
-// and the CI gate are stable across machines.
-func TestWAFDeterministic(t *testing.T) {
-	a, err := runWAFArm("btree-churn", 800, 7)
+	want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_waf.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runWAFArm("btree-churn", 800, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.FlashBytes != b.FlashBytes || a.UserBytes != b.UserBytes || a.Erases != b.Erases {
-		t.Fatalf("replay diverged: %+v vs %+v", a, b)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the waf result document differs from BENCH_waf.json; if the change means it, run\n"+
+			"  go run ./cmd/benchrunner waf -json BENCH_waf.json\ngot:\n%s", got)
 	}
 }
