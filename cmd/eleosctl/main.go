@@ -117,6 +117,11 @@ func run(img string, args []string) error {
 		// instead of recovering the image.
 		return doStatsRemote(rest)
 	}
+	switch cmd {
+	case "write", "read", "fill", "gc", "checkpoint", "stats", "session-open", "swrite", "session-status":
+	default: // before the image is loaded: a missing one is not the mistake
+		return usageError{fmt.Errorf("unknown command %q", cmd)}
+	}
 	dev, err := flash.LoadFile(img, flash.Latency{})
 	if err != nil {
 		return fmt.Errorf("load %s (run 'format' first?): %w", img, err)
@@ -159,8 +164,6 @@ func run(img string, args []string) error {
 		}
 	case "session-status":
 		return doSessionStatus(ctl, rest) // read-only
-	default:
-		return usageError{fmt.Errorf("unknown command %q", cmd)}
 	}
 	// Checkpoint before saving so the next Open replays little.
 	if err := ctl.Checkpoint(); err != nil {

@@ -538,6 +538,11 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 	if after, err := os.ReadFile(img); err != nil || !bytes.Equal(after, before) {
 		t.Errorf("rejected commands changed the image (%v)", err)
 	}
+	// An unknown command is named as such before any image is loaded.
+	var ue usageError
+	if err := run(filepath.Join(t.TempDir(), "missing.img"), []string{"nosuch"}); !errors.As(err, &ue) {
+		t.Errorf("nosuch on a missing image = %v, want a usage error", err)
+	}
 }
 
 // frameRecorder is the writer runTop renders into: with -plain each frame

@@ -498,7 +498,7 @@ func TestFindCarriedNeedsAVisitedPage(t *testing.T) {
 				t.Fatal(err)
 			}
 			img := make([]byte, c.geo.WBlockBytes)
-			if forged.Carry(img) == 0 {
+			if n, _ := forged.Carry(img); n == 0 {
 				t.Fatal("the set did not fit")
 			}
 			wb, _ := dev.NextProgramPosition(a.Channel(), a.EBlock())
@@ -509,6 +509,254 @@ func TestFindCarriedNeedsAVisitedPage(t *testing.T) {
 			checkRead(t, c2, 1, pageContent(1, 1, c.geo.WBlockBytes))
 			if _, _, err := c2.SessionTenant(777); (err == nil) != tc.taken {
 				t.Fatalf("the carried session is known %v, want %v", err == nil, tc.taken)
+			}
+			writeWide(t, c2, 1000)
+		})
+	}
+}
+
+// The crash states of a chain of carried sets (DESIGN.md §4 decision 14):
+// once a flush's trailer has landed and its action installed, the next
+// flush's trailer holds only the records after it and names its slot.
+
+// trailer decodes the carried set at the end of the WBLOCK that holds lp's
+// page, and returns it with that WBLOCK's slot.
+func trailer(t *testing.T, c *Controller, lp addr.LPID) (*wal.Carried, wal.Slot) {
+	t.Helper()
+	a, w := mustAddr(t, c, lp), c.geo.WBlockBytes
+	s := wal.Slot{Channel: a.Channel(), EBlock: a.EBlock(), WBlock: a.Offset() / w}
+	raw, _, err := c.port.read(s.Channel, s.EBlock, s.WBlock*w, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := wal.DecodeCarried(raw)
+	if err != nil {
+		t.Fatalf("no trailer behind LPID %d at %v: %v", lp, s, err)
+	}
+	return set, s
+}
+
+// chain writes lps one small flush each in session sid, WSNs on from wsn,
+// and requires each trailer after the first to name the one before and
+// start right after it.
+func (r *carryRun) chain(sid, wsn uint64, lps ...addr.LPID) {
+	r.t.Helper()
+	var prev *wal.Carried
+	var at wal.Slot
+	for i, lp := range lps {
+		data := pageContent(uint64(lp), wsn+uint64(i), 700)
+		pages := r.c.log.Stats().PageWrites
+		if err := r.c.WriteBatch(sid, wsn+uint64(i), []LPage{{LPID: lp, Data: data}}); err != nil {
+			r.t.Fatal(err)
+		}
+		r.want[lp] = data
+		set, s := trailer(r.t, r.c, lp)
+		if r.c.log.Stats().PageWrites != pages {
+			r.t.Fatalf("flush %d landed a log page", i+1)
+		}
+		if prev != nil && (set.Named != at || set.First != prev.Last()+1 || set.Root != prev.Root) {
+			r.t.Fatalf("flush %d's trailer %v holds LSNs %d-%d naming %v; the one before, at %v, ends at %d",
+				i+1, s, set.First, set.Last(), set.Named, at, prev.Last())
+		}
+		prev, at = set, s
+	}
+}
+
+var chainCells = []struct {
+	name  string
+	crash func(*carryRun, uint64) uint64 // returns the session's last acked WSN
+}{
+	// Three trailers chained behind the first: no log page holds any of the
+	// four flushes' commits.
+	{"chain.three-links", func(r *carryRun, sid uint64) uint64 {
+		r.chain(sid, 1, 1, 2, 3, 4)
+		r.c.Crash()
+		return 4
+	}},
+	// The carrying WBLOCK of the flush after the second link fails: that
+	// flush aborts and is never a link. Its retry forces (the migration of
+	// the failed EBLOCK freed one), and a new chain starts behind it.
+	{"chain.middle-link-fails", func(r *carryRun, sid uint64) uint64 {
+		r.chain(sid, 1, 1, 2)
+		armUserFault(r.t, r.c, r.dev, 2, 0)
+		if err := r.c.WriteBatch(sid, 3, []LPage{{LPID: 3, Data: pageContent(3, 99, 700)}}); !errors.Is(err, ErrWriteFailed) {
+			r.t.Fatalf("the flush onto a failing WBLOCK = %v", err)
+		}
+		data := pageContent(3, 3, 700)
+		if err := r.c.WriteBatch(sid, 3, []LPage{{LPID: 3, Data: data}}); err != nil {
+			r.t.Fatal(err)
+		}
+		r.want[3] = data
+		r.chain(sid, 4, 4, 5, 6)
+		r.c.Crash()
+		return 6
+	}},
+}
+
+// TestCarriedChain: recovery follows a chain of trailers back to the log
+// page it roots at and reads back every acked flush of a session.
+func TestCarriedChain(t *testing.T) {
+	for _, cell := range chainCells {
+		t.Run(cell.name, func(t *testing.T) {
+			c, dev := newFormatted(t)
+			r := &carryRun{t: t, c: c, dev: dev, want: make(map[addr.LPID][]byte)}
+			sid, err := c.OpenSession()
+			if err != nil {
+				t.Fatal(err)
+			}
+			acked := cell.crash(r, sid)
+			c2 := reopen(t, dev)
+			r.check(c2)
+			if high, err := c2.SessionHighestWSN(sid); err != nil || high != acked {
+				t.Fatalf("session at WSN %d (%v), want %d", high, err, acked)
+			}
+			writeWide(t, c2, 1000)
+		})
+	}
+}
+
+// TestChainLinkEraseForcesFirst: a trailer chained through a link needs
+// that link until a log page holds its records. Flush 4's trailer chains
+// through flushes 1-3's while a page encoded before its records is in
+// flight; once that page lands, the durable LSN covers flush 2's Done, and
+// only the guard flush 4's carry raised makes an erase of flush 2's EBLOCK
+// force the log first.
+func TestChainLinkEraseForcesFirst(t *testing.T) {
+	c, dev := newFormatted(t)
+	r := &carryRun{t: t, c: c, dev: dev, want: make(map[addr.LPID][]byte)}
+	g := gateLog(t, c)
+	r.chain(0, 0, 1, 2, 3)
+	_, link := trailer(t, c, 2)
+	done := make(chan error)
+	go func() { // a whole WBLOCK: its flush forces, and the gate holds its page
+		done <- c.WriteBatch(0, 0, []LPage{{LPID: 10, Data: pageContent(10, 1, c.geo.WBlockBytes)}})
+	}()
+	page := g.next(t)
+	_, third := trailer(t, c, 3)
+	r.chain(0, 0, 4)
+	if last, _ := trailer(t, c, 4); last.Named != third {
+		t.Fatalf("flush 4's trailer names %v, not flush 3's at %v", last.Named, third)
+	}
+	last, _ := trailer(t, c, 4)
+	page.fate <- logLands
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	k := [2]int{link.Channel, link.EBlock}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	guard, durable := c.doneLSN[k], c.log.DurableLSN()
+	if durable >= last.Last() || mustAddr(t, c, 10).Channel() == k[0] || mustAddr(t, c, 4).Channel() == k[0] {
+		t.Fatalf("durable %d, flush 4's trailer reaches %d; flush 2's channel %d holds a later flush", durable, last.Last(), k[0])
+	}
+	go func() { // the erase's force
+		select {
+		case call := <-g.calls:
+			call.fate <- logLands
+		case <-g.quit:
+		}
+	}()
+	err := c.eraseAndFreeLocked(k)
+	if durable = c.log.DurableLSN(); err != nil || guard < last.Last() || durable < last.Last() {
+		t.Fatalf("erase guard %d, durable %d after the erase (%v); flush 4's trailer reaches %d", guard, durable, err, last.Last())
+	}
+}
+
+// TestFindCarriedFollowsLinks: recovery takes a chained set only if every
+// link back to a page the walk visited is on the media, names its
+// predecessor, ends one LSN before the set after it and roots at the page
+// the set does. Each set here opens a session, so which ones Open replayed
+// shows. The sets go to slots x and z of one EBLOCK and y of another.
+func TestFindCarriedFollowsLinks(t *testing.T) {
+	const (
+		ours    = iota
+		earlier // x holds a trailer of an earlier log generation, rooted at a page the walk did not visit
+		other   // x holds a trailer of another chain, rooted at the page before the tip
+		longer  // x holds a trailer of this chain with one record more
+	)
+	for _, tc := range []struct {
+		name  string
+		chain []int  // the slots (0: x, 1: y, 2: z) the sets go to, in order
+		put   []bool // whether each set is programmed
+		x     int    // whose trailer x holds
+		known []bool // whether each set's session is known after Open
+	}{
+		{"two links", []int{0, 1}, []bool{true, true}, ours, []bool{true, true}},
+		// The middle link never landed: the chain stops at the gap.
+		{"a link never programmed", []int{0, 1, 2}, []bool{true, false, true}, ours, []bool{true, false, false}},
+		// x was erased and written again, with the LSNs the chain expects:
+		// what it holds extends nothing.
+		{"a stale link", []int{0, 1}, []bool{true, true}, earlier, []bool{false, false}},
+		{"a link of another chain", []int{0, 1}, []bool{true, true}, other, []bool{true, false}},
+		{"a link ending past the next set's start", []int{0, 1, 2}, []bool{true, true, true}, longer, []bool{true, false, false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, dev := newFormatted(t)
+			w := c.geo.WBlockBytes
+			// Whole-WBLOCK pages force: the chain ends at the second's log page.
+			mustWrite(t, c, LPage{LPID: 1, Data: pageContent(1, 1, w)})
+			mustWrite(t, c, LPage{LPID: 2, Data: pageContent(2, 1, w)})
+			pages := c.log.Pages()
+			before, tip := pages[len(pages)-2], pages[len(pages)-1]
+			a, b := mustAddr(t, c, 1), mustAddr(t, c, 2)
+			c.Crash()
+			wa, _ := dev.NextProgramPosition(a.Channel(), a.EBlock())
+			wb, _ := dev.NextProgramPosition(b.Channel(), b.EBlock())
+			slots := []wal.Slot{{Channel: a.Channel(), EBlock: a.EBlock(), WBlock: wa},
+				{Channel: b.Channel(), EBlock: b.EBlock(), WBlock: wb},
+				{Channel: a.Channel(), EBlock: a.EBlock(), WBlock: wa + 1}}
+			// forge resumes a log whose last page is root, with fill records
+			// past it.
+			forge := func(root wal.PageIndexEntry, fill int) *wal.Log {
+				l, err := wal.Resume(logSink{c}, w, root.Last+1, nil, []wal.PageIndexEntry{root})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range fill {
+					if _, err := l.Append(record.Append(nil, record.Done{Action: uint64(1000 + i)})); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return l
+			}
+			link := func(l *wal.Log, sid uint64, at wal.Slot) []byte {
+				if _, err := l.Append(record.Append(nil, record.SessionOpen{SID: sid, Tenant: "carried"})); err != nil {
+					t.Fatal(err)
+				}
+				img := make([]byte, w)
+				if n, _ := l.Carry(img); n == 0 || !l.Landed(at, img) {
+					t.Fatal("the set did not fit, or did not become the base")
+				}
+				return img
+			}
+			l := forge(tip, 0)
+			imgs := make([][]byte, len(tc.chain))
+			for i, s := range tc.chain {
+				imgs[i] = link(l, 777+uint64(i), slots[s])
+			}
+			switch tc.x {
+			case earlier:
+				unvisited := tip
+				unvisited.Slot.WBlock += 5
+				imgs[0] = link(forge(unvisited, 0), 777, slots[0])
+			case other:
+				imgs[0] = link(forge(before, int(tip.Last-before.Last)), 777, slots[0])
+			case longer:
+				imgs[0] = link(forge(tip, 1), 777, slots[0])
+			}
+			for i, s := range tc.chain {
+				if tc.put[i] {
+					if err := dev.Program(flash.SrcUser, slots[s].Channel, slots[s].EBlock, slots[s].WBlock, imgs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			c2 := reopen(t, dev)
+			checkRead(t, c2, 2, pageContent(2, 1, w))
+			for i, want := range tc.known {
+				if _, _, err := c2.SessionTenant(777 + uint64(i)); (err == nil) != want {
+					t.Fatalf("set %d's session is known %v, want %v", i, err == nil, want)
+				}
 			}
 			writeWide(t, c2, 1000)
 		})

@@ -235,7 +235,9 @@ const (
 // three. Epoch 6 logs every CloseEBlock with the action whose plan closes
 // it, a checkpoint's long-open closes included, so redo replays a close only
 // if its action committed; an older image holds closes of no action.
-const formatEpoch = 6
+// Epoch 7 chains carried sets: a trailer names its predecessor and its
+// chain's root page, in a header an older image's trailers do not have.
+const formatEpoch = 7
 
 func encodeCkpt(ck *ckptRecord) []byte {
 	var b []byte

@@ -542,10 +542,10 @@ type logStep struct {
 	fate logFate
 }
 
-// In the carried cells the flushes' pages are small, but the log holds so
-// many records that earlier flushes carried in their data WBLOCKs that
-// neither set fits the padding: the two flushes force, and pages A and B
-// re-carry what the trailers held.
+// In the carried cells the flushes' first versions and the flushes between
+// them are small pages that carry their commits in a chain of trailers; the
+// second versions fill their WBLOCKs, so the two flushes force, and pages A
+// and B carry again what the trailers held.
 var logCells = []struct {
 	name  string
 	size  int // each page's bytes
@@ -564,8 +564,11 @@ var logCells = []struct {
 var wholeWBlock = flash.SmallGeometry().WBlockBytes
 
 // logPages is writer w's flush: four pages of size bytes over LPIDs of its
-// own.
+// own, or whole WBLOCKs after the first version.
 func logPages(w int, version uint64, size int) []LPage {
+	if version > 1 {
+		size = wholeWBlock
+	}
 	var pages []LPage
 	for k := range 4 {
 		lp := addr.LPID(1 + 4*w + k)
@@ -592,12 +595,10 @@ func logCrash(t *testing.T, size int, steps []logStep) (*carryRun, [2]uint64, [2
 		}
 	}
 	g := gateLog(t, c)
-	// Fill the log with carried records until the flushes' sets do not fit.
-	if n := c.geo.WBlockBytes - 4*addr.AlignUp(size); n > 0 {
-		pad := make([]byte, n)
-		for lp := addr.LPID(100); lp == 100 || c.log.Carry(pad) != 0; lp++ {
-			r.write(lp, 1, 64)
-		}
+	// Fill the log past its durable LSN with flushes that carry their
+	// commits, each trailer chained from the one before.
+	for lp := addr.LPID(100); size < wholeWBlock && lp < 108; lp++ {
+		r.write(lp, 1, 64)
 	}
 	var errs [2]error
 	var done [2]chan struct{}

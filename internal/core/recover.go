@@ -318,19 +318,22 @@ func (r *recovery) setHome(lsn record.LSN, w record.GCUpdate, conditional bool) 
 }
 
 // findCarried extends the records past the chain with the farthest carried
-// set (DESIGN.md §4 decision 14) that names a page the walk visited. Every
-// non-log EBLOCK Free or Open at the chain's end is read from the first
-// WBLOCK the chain does not explain up to its program position; a WBLOCK
-// outside that window belongs to an action whose records the chain holds.
+// set (DESIGN.md §4 decision 14) whose chain of trailers descends from a
+// page the walk visited. Every non-log EBLOCK Free or Open at the chain's
+// end is read from the first WBLOCK the chain does not explain up to its
+// program position; a WBLOCK outside that window belongs to an action whose
+// records the chain holds. A set's links are read where it names them.
 // analyze and prove then run again over chain and carried records. A
 // carried set holds no committed table-page write — system actions force
 // their commits — so the homes repairTables set stand.
 func (r *recovery) findCarried() error {
 	c, w := r.c, r.c.geo.WBlockBytes
-	named := make(map[wal.Slot]record.LSN)
+	// The pages the walk visited, each a set of no records that ends where
+	// the page does, and every WBLOCK read: its linked set, or nil.
+	sets := make(map[wal.Slot]*wal.Carried)
 	skip := make(map[[2]int]bool) // log EBLOCKs: the chain's and its candidates'
 	for _, p := range r.tail.Pages {
-		named[p.Slot] = p.Last
+		sets[p.Slot] = &wal.Carried{Root: p.Slot, First: p.Last + 1}
 		skip[[2]int{p.Slot.Channel, p.Slot.EBlock}] = true
 	}
 	for _, s := range r.cands {
@@ -354,6 +357,26 @@ func (r *recovery) findCarried() error {
 			spans[k] = span{from: max(s.from, (wr.New.End()-1)/w), reopened: s.reopened}
 		}
 	}
+	// linked returns the set at s if each link it names, hop by hop, is on
+	// the media, roots at the set's page and ends one LSN before the set
+	// after it, back to a page the walk visited; otherwise nil.
+	var linked func(s wal.Slot) *wal.Carried
+	linked = func(s wal.Slot) *wal.Carried {
+		set, ok := sets[s]
+		if !ok {
+			// Until it is decoded, a set that names itself, or a later
+			// one, links to nothing.
+			sets[s] = nil
+			raw, _, _ := c.port.read(s.Channel, s.EBlock, s.WBlock*w, w) // unreadable: nil, which decodes as nothing
+			if set, _ = wal.DecodeCarried(raw); set != nil {
+				if prev := linked(set.Named); prev == nil || prev.Root != set.Root || prev.Last() != set.First-1 {
+					set = nil
+				}
+			}
+			sets[s] = set
+		}
+		return set
+	}
 	var best *wal.Carried
 	reach := r.last
 	for ch := 0; ch < c.geo.Channels; ch++ {
@@ -372,11 +395,8 @@ func (r *recovery) findCarried() error {
 				s.from = 0 // the window starts past it: erased and written again since
 			}
 			for wb := s.from; err == nil && wb < end; wb++ {
-				raw, _, _ := c.port.read(ch, eb, wb*w, w) // unreadable: nil, which decodes as nothing
-				if set, err := wal.DecodeCarried(raw); err == nil {
-					if last, ok := named[set.Named]; ok && last == set.First-1 && set.Last() > reach {
-						best, reach = set, set.Last()
-					}
+				if set := linked(wal.Slot{Channel: ch, EBlock: eb, WBlock: wb}); set != nil && set.Last() > reach {
+					best, reach = set, set.Last()
 				}
 			}
 		}
@@ -384,10 +404,16 @@ func (r *recovery) findCarried() error {
 	if best == nil {
 		return nil
 	}
-	for i, rec := range best.Records {
-		if lsn := best.First + record.LSN(i); lsn > r.last {
-			r.recs = append(r.recs, logged{lsn: lsn, rec: rec})
-			r.carried = append(r.carried, rec)
+	var chain []*wal.Carried // newest first
+	for set := best; len(set.Records) > 0; set = sets[set.Named] {
+		chain = append(chain, set)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		for j, rec := range chain[i].Records {
+			if lsn := chain[i].First + record.LSN(j); lsn > r.last {
+				r.recs = append(r.recs, logged{lsn: lsn, rec: rec})
+				r.carried = append(r.carried, rec)
+			}
 		}
 	}
 	r.last = reach

@@ -626,6 +626,9 @@ func TestOpenRejectsOtherFormatEpoch(t *testing.T) {
 		// action id; this build's redo skips them as closes of no committed
 		// action.
 		{"epoch 5", forgeEpoch(5), ErrImageFormat},
+		// Epoch 6 trailers name one page and no root: this build's decoder
+		// rejects them, dropping every commit that rode one.
+		{"epoch 6", forgeEpoch(6), ErrImageFormat},
 		{"next epoch", forgeEpoch(formatEpoch + 1), ErrImageFormat},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

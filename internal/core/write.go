@@ -14,6 +14,7 @@ import (
 	"eleos/internal/session"
 	"eleos/internal/summary"
 	"eleos/internal/trace"
+	"eleos/internal/wal"
 )
 
 // flushRef identifies one (sid, wsn) flush carried by an action: one per
@@ -54,8 +55,9 @@ type action struct {
 	subs    []flushRef  // the flushes this action carries (≥1; a system action's one is zero)
 	subsArr [1]flushRef // inline storage for the group of one
 
-	// The data WBLOCK carrying the commit (carryLocked): its image, released
-	// with pb, and its trailer's size; 0 when the round forces the log.
+	// The data WBLOCK carrying the commit (carryLocked): its slot, image
+	// (released with pb) and trailer's size; 0 when the round forces the log.
+	link    wal.Slot
 	img     *bufpool.Buf
 	carried int
 }
@@ -489,13 +491,13 @@ func (c *Controller) initLocked(a *action) (*flash.Batch, error) {
 }
 
 // carryLocked lets a user action commit in its own data WBLOCK (DESIGN.md
-// §4 decision 14): the log's carried set, its Commit among them, goes at
-// the end of the plan's data WBLOCK with the most run-tail padding, which
-// is then programmed as an inline image, and the round skips the force. It
-// declines when the set does not fit, and while the last FreeEBlock is not
-// durable: the freed EBLOCK may be open again — by this plan, or by another
-// writer's whose force has not landed — and recovery would take it for Used
-// and not look there.
+// §4 decision 14): the log's carried set — the records past its carry base,
+// its Commit among them — goes at the end of the plan's data WBLOCK with the
+// most run-tail padding, which is then programmed as an inline image, and
+// the round skips the force. It declines when the set does not fit, and
+// while the last FreeEBlock is not durable: the freed EBLOCK may be open
+// again — by this plan, or by another writer's whose force has not landed —
+// and recovery would take it for Used and not look there.
 func (c *Controller) carryLocked(a *action) {
 	var io *provision.IO // the data WBLOCK with the most run-tail padding
 	for i := range a.plan.IOs {
@@ -510,15 +512,22 @@ func (c *Controller) carryLocked(a *action) {
 	img := bufpool.Get(w)
 	n := copy(img.Bytes(), a.buf[io.BufLo:io.BufHi])
 	clear(img.Bytes()[n:])
-	if a.carried = c.log.Carry(img.Bytes()[n:]); a.carried == 0 {
+	var links []wal.Slot
+	if a.carried, links = c.log.Carry(img.Bytes()[n:]); a.carried == 0 {
 		img.Release()
 		return
 	}
 	a.img, io.Inline = img, img.Bytes()
-	// The erase guard covers the set until the install raises it to the
-	// Done: an abort never does.
+	a.link = wal.Slot{Channel: io.Channel, EBlock: io.EBlock, WBlock: io.WBlock}
+	// The erase guard covers the set, in its EBLOCK and in every link's,
+	// until the install raises it to the Done: an abort never does.
+	last := c.lsnHint() - 1
+	for _, s := range links {
+		k := [2]int{s.Channel, s.EBlock}
+		c.doneLSN[k] = max(c.doneLSN[k], last)
+	}
 	k := [2]int{io.Channel, io.EBlock}
-	c.doneLSN[k] = max(c.doneLSN[k], c.lsnHint()-1)
+	c.doneLSN[k] = max(c.doneLSN[k], last)
 }
 
 // logActionLocked logs an action's init-phase records in one log append:
@@ -648,6 +657,9 @@ func (c *Controller) landLocked(a *action, res flash.BatchResult, forceErr error
 	done := c.lsnHint() - 1
 	for _, io := range a.plan.IOs {
 		c.doneLSN[[2]int{io.Channel, io.EBlock}] = done
+	}
+	if a.carried > 0 {
+		c.log.Landed(a.link, a.img.Bytes()) // the next carry chains from it
 	}
 	delete(c.active, a.id)
 	return nil

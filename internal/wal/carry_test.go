@@ -37,7 +37,7 @@ func TestCarryRoundTrip(t *testing.T) {
 	for i := range 100 {
 		wblock[i] = byte(i + 1) // page data ahead of the padding
 	}
-	n := l.Carry(wblock[100:])
+	n, _ := l.Carry(wblock[100:])
 	if n == 0 {
 		t.Fatal("a carried set of three records did not fit a page of padding")
 	}
@@ -66,29 +66,43 @@ func TestCarryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCarryDeclines: no room, nothing buffered, no landed page to name, a
-// dead log — Carry writes nothing and the action forces instead.
+// TestCarryDeclines: no room, nothing buffered, a buffer that would fill
+// before the next carry, no landed page to name, a dead log — Carry writes
+// nothing and the action forces instead.
 func TestCarryDeclines(t *testing.T) {
 	l, _ := carryLog(t)
 	need := len(l.buf) + carryHeader
 	pad := make([]byte, need-1)
-	if n := l.Carry(pad); n != 0 || !allZero(pad) {
+	if n, _ := l.Carry(pad); n != 0 || !allZero(pad) {
 		t.Fatalf("Carry wrote %d bytes into %d of padding for a %d-byte set", n, len(pad), need)
 	}
-	if n := l.Carry(make([]byte, need)); n != need {
+	if n, _ := l.Carry(make([]byte, need)); n != need {
 		t.Fatalf("Carry into exactly %d bytes = %d", need, n)
 	}
 	if err := l.Force(); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.Carry(make([]byte, testPageBytes)); n != 0 {
+	if n, _ := l.Carry(make([]byte, testPageBytes)); n != 0 {
 		t.Fatalf("an empty buffer carried %d bytes", n)
+	}
+	// A buffer that could not grow again by what it grew since the last
+	// Carry declines, though the set fits: the caller's force lands it.
+	for len(l.buf) <= l.Capacity()/2 {
+		if _, err := appendRecs(l, record.Done{Action: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := l.Carry(make([]byte, testPageBytes)); n != 0 {
+		t.Fatalf("a buffer past half a page carried the half it grew by: %d bytes", n)
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
 	}
 	fresh, _ := newTestLog(t)
 	if _, err := appendRecs(fresh, record.Done{Action: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := fresh.Carry(make([]byte, testPageBytes)); n != 0 {
+	if n, _ := fresh.Carry(make([]byte, testPageBytes)); n != 0 {
 		t.Fatalf("a log with no landed page carried %d bytes", n)
 	}
 	l.dead = true
@@ -96,8 +110,53 @@ func TestCarryDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.buf = record.Append(l.buf, record.Done{Action: 9})
-	if n := l.Carry(make([]byte, testPageBytes)); n != 0 {
+	if n, _ := l.Carry(make([]byte, testPageBytes)); n != 0 {
 		t.Fatalf("a dead log carried %d bytes", n)
+	}
+}
+
+// TestCarryChainsFromLanded: once a trailer has landed, the next set holds
+// only the records after it and names its slot, rooted at the same page; a
+// trailer that does not reach past the base, or roots at a page no longer
+// the newest, does not move it; and a landed page resets the base to
+// itself.
+func TestCarryChainsFromLanded(t *testing.T) {
+	l, _ := carryLog(t)
+	tip := l.Pages()[0].Slot
+	x, y := Slot{Channel: 3, EBlock: 1, WBlock: 0}, Slot{Channel: 3, EBlock: 1, WBlock: 1}
+	first := carryInto(t, l)
+	if !l.Landed(x, first) {
+		t.Fatal("a landed trailer rooted at the newest page did not become the base")
+	}
+	if l.Landed(y, first) {
+		t.Fatal("a trailer reaching no further than the base moved it")
+	}
+	if _, err := appendRecs(l, record.Done{Action: 6}, record.Done{Action: 7}); err != nil {
+		t.Fatal(err)
+	}
+	wblock := make([]byte, testPageBytes)
+	if n, links := l.Carry(wblock[64:]); n == 0 || len(links) != 1 || links[0] != x {
+		t.Fatalf("the set after a landed trailer: %d bytes, links %v", n, links)
+	}
+	set, err := DecodeCarried(wblock)
+	if err != nil || set.First != 6 || set.Last() != 7 || set.Named != x || set.Root != tip {
+		t.Fatalf("the chained set %+v (%v), want LSNs 6-7 naming %v, rooted at %v", set, err, x, tip)
+	}
+	if l.DurableLSN() != 2 || len(l.buf) == 0 {
+		t.Fatal("a landed trailer moved the durable LSN or drained the buffer")
+	}
+	if err := l.Force(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Landed(y, wblock) {
+		t.Fatal("a trailer rooted at a page before the newest became the base")
+	}
+	if _, err := appendRecs(l, record.Done{Action: 8}); err != nil {
+		t.Fatal(err)
+	}
+	page := l.Pages()[1]
+	if set, err := DecodeCarried(carryInto(t, l)); err != nil || set.First != 8 || set.Named != page.Slot || set.Root != page.Slot || page.Last != 7 {
+		t.Fatalf("the set after a landed page %+v (%v), want LSN 8 naming and rooted at %v", set, err, page)
 	}
 }
 
@@ -146,7 +205,7 @@ func TestResumeWithCarried(t *testing.T) {
 func carryInto(t *testing.T, l *Log) []byte {
 	t.Helper()
 	wblock := make([]byte, testPageBytes)
-	if l.Carry(wblock[64:]) == 0 {
+	if n, _ := l.Carry(wblock[64:]); n == 0 {
 		t.Fatal("the set did not fit")
 	}
 	return wblock
@@ -168,21 +227,32 @@ func allZero(b []byte) bool {
 func FuzzDecodeCarried(f *testing.F) {
 	l, _ := carryLog(f)
 	valid := make([]byte, 512)
-	n := l.Carry(valid[64:])
+	n, _ := l.Carry(valid[64:])
 	f.Add(valid, 0, byte(0))
 	f.Add(valid, len(valid)-1-n/2, byte(0x40))
 	f.Add(make([]byte, 4096), 0, byte(0))
 	f.Add(valid[len(valid)-n:], 3, byte(1))
+	// A chained set: it names a landed trailer, not its root page.
+	l.Landed(Slot{Channel: 3, EBlock: 1}, valid)
+	if _, err := appendRecs(l, record.Done{Action: 6}); err != nil {
+		f.Fatal(err)
+	}
+	chained := make([]byte, 512)
+	if n, links := l.Carry(chained[64:]); n == 0 || len(links) == 0 {
+		f.Fatal("the chained set did not fit")
+	}
+	f.Add(chained, 5, byte(0x80))
 	f.Fuzz(func(t *testing.T, b []byte, at int, flip byte) {
 		set, err := DecodeCarried(b)
 		if err == nil {
-			l, _ := newTestLog(t)
-			l.tip, l.durableLSN, l.nextLSN = set.Named, set.First-1, set.Last()+1
+			pb := max(testPageBytes, headerSize+len(b)) // a log buffers one page of records
+			l, _ := New(newFakeSink(t, pb), pb)
+			l.tip, l.base, l.baseLSN, l.durableLSN, l.nextLSN = set.Root, set.Named, set.First-1, set.First-1, set.Last()+1
 			for _, r := range set.Records {
 				l.buf = record.Append(l.buf, r)
 			}
 			enc := make([]byte, len(b))
-			m := l.Carry(enc)
+			m, _ := l.Carry(enc)
 			if m == 0 || string(enc[len(enc)-m:]) != string(b[len(b)-m:]) {
 				t.Fatalf("a decoded set re-encodes to %d other bytes", m)
 			}

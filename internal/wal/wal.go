@@ -171,6 +171,9 @@ type Log struct {
 	// appending marks an Append that released mu to land a full buffer:
 	// other appends wait, so each call's LSNs stay contiguous.
 	appending bool
+	// appended counts the bytes ever buffered; carryMark is its value at
+	// the last Carry, so the difference is what the log grew since.
+	appended, carryMark int
 
 	// slots[:numForward] are the forward candidates of the newest landed
 	// page; slots[:next] of them have failed or are in flight; the rest are
@@ -178,8 +181,16 @@ type Log struct {
 	slots []Slot
 	next  int
 	pages []PageIndexEntry
-	tip   Slot // the page that made durableLSN durable: what a carried set names
-	dead  bool
+	tip   Slot // the page that made durableLSN durable: a carried set's root
+	// base is what the next carried set names: tip, or the newest landed
+	// trailer rooted there; its records end at baseLSN and buf[baseOff].
+	// links are the trailers landed since tip, the ones a set chains
+	// through among them.
+	base    Slot
+	baseLSN record.LSN
+	baseOff int
+	links   []Slot
+	dead    bool
 
 	met logMetrics
 	trc *trace.Recorder // nil-safe; see WithTracer
@@ -212,7 +223,7 @@ func Resume(sink Sink, pageBytes int, nextLSN record.LSN, candidates []Slot, pag
 	l.nextLSN = nextLSN
 	l.durableLSN = nextLSN - 1
 	if n := len(pages); n > 0 && pages[n-1].Last == l.durableLSN {
-		l.tip = pages[n-1].Slot
+		l.tip, l.base, l.baseLSN = pages[n-1].Slot, pages[n-1].Slot, l.durableLSN
 	}
 	for _, s := range candidates {
 		if s.IsValid() {
@@ -281,6 +292,7 @@ func (l *Log) Append(frames []byte) (record.LSN, error) {
 		}
 		l.buf = append(l.buf, frames[:n]...)
 		l.met.appends.Add(count)
+		l.appended += n
 		l.nextLSN += record.LSN(count)
 		if frames = frames[n:]; len(frames) > 0 {
 			// Every page carries the whole buffer, so it never outgrows one.
@@ -399,7 +411,7 @@ func (l *Log) writePage() error {
 	l.pages = append(l.pages, PageIndexEntry{First: first, Last: last, Slot: home})
 	l.buf = append(l.buf[:0], l.buf[n:]...)
 	l.durableLSN = last
-	l.tip = home
+	l.tip, l.base, l.baseLSN, l.baseOff, l.links = home, home, last, 0, l.links[:0]
 	l.slots = l.slots[l.next:]
 	l.next = 0
 	return nil
@@ -577,41 +589,71 @@ func getSlot(b []byte) Slot {
 // --- carried sets (DESIGN.md §4 decision 14) -----------------------------
 
 // A carried set's trailer ends its data WBLOCK: the encoded records, then
-// first LSN (8), count (4), payload length (4), the named page's slot
-// (12), a CRC-32 of everything before it (4) and the magic (4).
+// first LSN (8), count (4), payload length (4), the named slot (12), the
+// root page's slot (12), a CRC-32 of everything before it (4) and the
+// magic (4).
 const (
 	carryMagic  = 0x43525259 // "CRRY"
-	carryHeader = 36
+	carryHeader = 48
 )
 
-// Carry encodes every record past the durable LSN — what the next page
-// would carry — as a trailer right-aligned in pad, the zeroed run-tail
-// padding of a data WBLOCK, and returns its size: 0 if it does not fit,
-// nothing is buffered, the log is dead or no page has landed to name. The
-// records stay buffered: a carried set makes them durable early and never
-// advances the durable LSN, so the next page carries them again.
-func (l *Log) Carry(pad []byte) int {
+// Carry encodes the records past the carry base as a trailer right-aligned
+// in pad, the zeroed run-tail padding of a data WBLOCK, naming the base and
+// the page it roots at, and returns its size: 0 if it does not fit, nothing
+// is buffered past the base, the log is dead or no page has landed, and
+// when the buffer could not grow again by what it grew since the last
+// Carry — the caller's force then lands it, not the next Append's capacity
+// page under the caller's lock. The records stay buffered: a carry never
+// advances the durable LSN, so the next page carries them again. links,
+// valid until the next Landed, hold the slots of the trailers the set may
+// chain through: each must outlive it.
+func (l *Log) Carry(pad []byte) (n int, links []Slot) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.buf) + carryHeader
-	if l.dead || !l.tip.IsValid() || len(l.buf) == 0 || n > len(pad) {
-		return 0
+	recs := l.buf[l.baseOff:]
+	n = len(recs) + carryHeader
+	grown := l.appended - l.carryMark
+	l.carryMark = l.appended
+	if l.dead || !l.tip.IsValid() || len(recs) == 0 || n > len(pad) || len(l.buf)+grown > l.Capacity() {
+		return 0, nil
 	}
 	t := pad[len(pad)-n:]
-	h := t[copy(t, l.buf):]
-	binary.LittleEndian.PutUint64(h, uint64(l.durableLSN+1))
-	binary.LittleEndian.PutUint32(h[8:], uint32(l.nextLSN-1-l.durableLSN))
-	binary.LittleEndian.PutUint32(h[12:], uint32(len(l.buf)))
-	putSlot(h[16:], l.tip)
-	binary.LittleEndian.PutUint32(h[28:], crc32.ChecksumIEEE(t[:n-8]))
-	binary.LittleEndian.PutUint32(h[32:], carryMagic)
-	return n
+	h := t[copy(t, recs):]
+	binary.LittleEndian.PutUint64(h, uint64(l.baseLSN+1))
+	binary.LittleEndian.PutUint32(h[8:], uint32(l.nextLSN-1-l.baseLSN))
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(recs)))
+	putSlot(h[16:], l.base)
+	putSlot(h[28:], l.tip)
+	binary.LittleEndian.PutUint32(h[40:], crc32.ChecksumIEEE(t[:n-8]))
+	binary.LittleEndian.PutUint32(h[44:], carryMagic)
+	return n, l.links
 }
 
-// Carried is a decoded carried set: records from First on, and the slot of
-// the page that was durable when it was encoded (its last LSN is First-1).
+// Landed makes the trailer ending wblock, durable at s, the carry base if it
+// roots at the newest landed page and reaches past the base, and reports
+// whether it did.
+func (l *Log) Landed(s Slot, wblock []byte) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	h := wblock[len(wblock)-carryHeader:]
+	last := record.LSN(binary.LittleEndian.Uint64(h)) + record.LSN(binary.LittleEndian.Uint32(h[8:])) - 1
+	if getSlot(h[28:]) != l.tip || last <= l.baseLSN {
+		return false
+	}
+	for ; l.baseLSN < last; l.baseLSN++ {
+		sz, _ := record.FrameSize(l.buf[l.baseOff:])
+		l.baseOff += sz
+	}
+	l.base, l.links = s, append(l.links, s)
+	return true
+}
+
+// Carried is a decoded carried set: records from First on, the slot it
+// names — the page or trailer whose last LSN is First-1 — and Root, the
+// page its chain starts from.
 type Carried struct {
 	Named   Slot
+	Root    Slot
 	First   record.LSN
 	Records []record.Record
 }
@@ -631,14 +673,14 @@ func DecodeCarried(b []byte) (*Carried, error) {
 		return nil, fmt.Errorf("%w: bad carried length", ErrBadPage)
 	}
 	t := b[len(b)-carryHeader-n:]
-	if crc32.ChecksumIEEE(t[:len(t)-8]) != binary.LittleEndian.Uint32(h[28:]) {
+	if crc32.ChecksumIEEE(t[:len(t)-8]) != binary.LittleEndian.Uint32(h[40:]) {
 		return nil, fmt.Errorf("%w: carried checksum mismatch", ErrBadPage)
 	}
 	recs, err := record.DecodeAll(t[:n])
 	if err != nil || len(recs) == 0 || len(recs) != int(binary.LittleEndian.Uint32(h[8:])) {
 		return nil, fmt.Errorf("%w: carried records: %v", ErrBadPage, err)
 	}
-	return &Carried{Named: getSlot(h[16:]), First: record.LSN(binary.LittleEndian.Uint64(h)), Records: recs}, nil
+	return &Carried{Named: getSlot(h[16:]), Root: getSlot(h[28:]), First: record.LSN(binary.LittleEndian.Uint64(h)), Records: recs}, nil
 }
 
 // PageLSNRange cheaply parses a raw log page's LSN coverage without
